@@ -674,6 +674,26 @@ class CoreIndexRegistry:
             self._entries.clear()
             self._g_size.set(0)
 
+    def supersede(
+        self, old: "TemporalGraph | None", indexes: "Iterable[CoreIndex]"
+    ) -> None:
+        """Cache a new graph generation's ``indexes`` in place of ``old``'s.
+
+        A streaming flush replaces a graph with a grown copy plus its
+        indexes: the old graph's entries are dropped without a spill
+        (the store has already moved past them), so generations do not
+        pile up in memory, and the new ones are inserted as resident.
+        """
+        with self._lock:
+            for key in [
+                key for key, index in self._entries.items() if index.graph is old
+            ]:
+                del self._entries[key]
+                self._persisted.discard(key)
+            for index in indexes:
+                self._insert((id(index.graph), index.k), index)
+            self._g_size.set(len(self._entries))
+
     def persist_all(self, store: "IndexStore | None" = None) -> int:
         """Persist every resident index the store lacks; returns how many.
 

@@ -60,10 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 
 def _normalise_ks(k: int | Iterable[int]) -> tuple[int, ...]:
-    """``k`` (or several) as a validated ascending tuple."""
+    """``k`` (or several) as a validated ascending tuple (may be empty)."""
     ks = (k,) if isinstance(k, int) else tuple(sorted(set(k)))
-    if not ks:
-        raise InvalidParameterError("at least one k value is required")
     for value in ks:
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InvalidParameterError(f"k must be an integer >= 1, got {value!r}")
@@ -99,7 +97,8 @@ class StreamingCoreService:
         The ``k`` value to serve — or an iterable of them.  All
         registered values are rebuilt together in one shared pass;
         :meth:`query` defaults to the smallest and selects others via
-        its ``k=`` argument.
+        its ``k=`` argument.  An empty set is a graph-only stream: its
+        refresh builds the graph and its snapshot writes only the graph.
     initial_edges:
         Optional backlog ingested at construction (still counts as
         pending until the first build).
@@ -139,7 +138,7 @@ class StreamingCoreService:
         wal: "WriteAheadLog | None" = None,
     ):
         self.ks = _normalise_ks(k)
-        self.k = self.ks[0]
+        self.k = self.ks[0] if self.ks else None
         if max_pending < 0:
             raise InvalidParameterError("max_pending must be non-negative")
         if max_lag is not None and max_lag < 0:
@@ -218,6 +217,14 @@ class StreamingCoreService:
         batch = [(u, v, t) for u, v, t in edges]
         if not batch:
             return None, 0
+        if token is not None and self.wal is not None:
+            known = self.wal.lookup_token(token)
+            if known is not None:
+                # A retry of an acknowledged append: its first delivery
+                # already moved the ordering watermark (and is in the
+                # edge list), so answer the original LSN before any
+                # validation and apply nothing.
+                return known[0], 0
         last = self._last_raw_time
         for _, _, t in batch:
             if last is not None and t < last:
@@ -227,14 +234,7 @@ class StreamingCoreService:
             last = t
         first: int | None = None
         if self.wal is not None:
-            before = self.wal.last_lsn
             first, _n = self.wal.append_edges(batch, token=token)
-            if first <= before:
-                # The log already held this token: the original append
-                # was acknowledged and is (or will be) in our edge list
-                # via that acknowledgement — applying it again would
-                # double-count the edges.
-                return first, 0
         self._edges.extend(batch)
         self._last_raw_time = batch[-1][2]
         self._pending += len(batch)
@@ -343,7 +343,9 @@ class StreamingCoreService:
             from repro.core.multik import build_core_indexes
 
             self._graph = TemporalGraph(self._edges)
-            self._indexes = build_core_indexes(self._graph, self.ks)
+            self._indexes = (
+                build_core_indexes(self._graph, self.ks) if self.ks else {}
+            )
             self._fold_bufs = None
             self.num_full_rebuilds += 1
         self._pending = 0
@@ -371,6 +373,15 @@ class StreamingCoreService:
         self._ensure_fresh(strict=False)
         assert self._graph is not None
         return self._graph
+
+    @property
+    def built(self) -> tuple[TemporalGraph | None, dict[int, CoreIndex]]:
+        """The graph and indexes of the last build (``(None, {})`` before one).
+
+        Unlike :attr:`graph` this never refreshes — for a host that
+        decides freshness itself, as the daemon does with ``flush``.
+        """
+        return self._graph, self._indexes
 
     # ------------------------------------------------------------------
     # Queries
@@ -631,7 +642,8 @@ class StreamingCoreService:
         snapshot's freshness and folds the replayed tail in under the
         usual staleness budget.  A key that has log segments but no
         snapshot yet (a crash before the first snapshot) restores to a
-        service holding exactly the replayed edges.
+        service holding exactly the replayed edges; with ``wal=True`` a
+        key with neither starts an empty stream.
         """
         keys = store.keys()
         if name is None:
@@ -640,46 +652,31 @@ class StreamingCoreService:
                     f"store holds {len(keys)} graphs; pass name= to choose one"
                 )
             name = keys[0]
-        elif name not in keys and not (wal is not False and store.has_wal(name)):
+        attach = wal is True or (wal == "auto" and store.has_wal(name))
+        if name not in keys and not attach:
             raise InvalidParameterError(f"store has no graph named {name!r}")
 
-        attach = wal is True or (wal == "auto" and store.has_wal(name))
-        if not attach:
-            graph = store.load_graph(name)
-            edges = [
-                (graph.label_of(u), graph.label_of(v), graph.raw_time_of(t))
-                for u, v, t in graph.edges
-            ]
-            service = cls(k, edges, max_pending=max_pending, max_lag=max_lag)
-            loaded: dict[int, CoreIndex] = {}
-            for wanted in service.ks:
-                index = store.load_index(graph, wanted, key=name)
-                if index is not None:
-                    loaded[wanted] = index
-            if len(loaded) == len(service.ks):
-                service._graph = graph
-                service._indexes = loaded
-                service._pending = 0
-            return service
-
-        recovery = store.recover(name, segment_bytes=wal_segment_bytes)
-        graph = recovery.graph
+        if attach:
+            recovery = store.recover(name, segment_bytes=wal_segment_bytes)
+            graph, log = recovery.graph, recovery.wal
+            replayed = [(e.u, e.v, e.t) for e in recovery.events]
+        else:
+            graph, log, replayed = store.load_graph(name), None, []
         base_edges: list[tuple[Hashable, Hashable, int]] = []
         if graph is not None:
             base_edges = [
                 (graph.label_of(u), graph.label_of(v), graph.raw_time_of(t))
                 for u, v, t in graph.edges
             ]
-        replayed = [(e.u, e.v, e.t) for e in recovery.events]
         service = cls(
             k,
             base_edges + replayed,
             max_pending=max_pending,
             max_lag=max_lag,
-            wal=recovery.wal,
+            wal=log,
         )
         if graph is not None:
-            loaded = {}
+            loaded: dict[int, CoreIndex] = {}
             for wanted in service.ks:
                 index = store.load_index(graph, wanted, key=name)
                 if index is not None:
@@ -690,4 +687,6 @@ class StreamingCoreService:
                 service._graph = graph
                 service._indexes = loaded
                 service._pending = len(replayed)
+                if not replayed:
+                    service._pending_since = None
         return service

@@ -34,6 +34,9 @@ aborts the walk at the next per-start-time poll — and the new
 prep-skip in the executor means even the un-walked windows stop
 paying index cuts or Algorithm-2 runs.
 
+Durable ingestion (``append``/``flush``) rides the same lane through one
+:class:`~repro.core.maintenance.StreamingCoreService` per store key.
+
 Graceful drain (SIGTERM, SIGINT, or the ``shutdown`` op): stop
 accepting connections, reject new work with ``draining``, finish every
 admitted request in FIFO order, then persist the registry's resident
@@ -54,8 +57,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.index import CoreIndexRegistry
+from repro.core.maintenance import StreamingCoreService
 from repro.errors import InvalidParameterError, ReproError, StoreError
-from repro.graph.temporal_graph import TemporalGraph
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     get_registry,
@@ -97,26 +100,6 @@ _SAFE_KEY = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 class _ReadOnlyError(ReproError):
     """Durable ingestion is disabled; answered with a ``read-only`` frame."""
 
-
-class _IngestState:
-    """Per-key durable-ingestion state held by the daemon.
-
-    Lives entirely on the single execution lane (work ops run one at a
-    time), so it needs no lock of its own.  ``last_raw_time`` is the
-    ordering watermark — the max of the WAL's last event time and the
-    snapshot's raw span — that out-of-order appends are rejected
-    against.
-    """
-
-    __slots__ = ("key", "wal", "last_raw_time", "pending_since")
-
-    def __init__(self, key: str, wal, last_raw_time: int | None):
-        self.key = key
-        self.wal = wal
-        self.last_raw_time = last_raw_time
-        #: Monotonic clock reading of the first append since the last
-        #: flush — the key's freshness lag is measured from here.
-        self.pending_since: float | None = None
 
 #: Granularity of a bounded outbox put from the execution thread — how
 #: long each wait slice lasts before the peer's liveness and the
@@ -406,10 +389,10 @@ class ServingDaemon:
         self.pool = None
         self._graphs: dict[str, object] = {}
         self._graph_lock = threading.Lock()
-        #: Per-key durable ingestion state; touched only on the
-        #: execution lane.  ``_read_only`` holds the reason ingestion
-        #: was disabled (a WAL disk error), ``None`` while writable.
-        self._ingests: dict[str, _IngestState] = {}
+        #: One streaming service per ingesting key (execution lane
+        #: only).  ``_read_only`` holds the reason ingestion was
+        #: disabled (a WAL disk error), ``None`` while writable.
+        self._streams: dict[str, StreamingCoreService] = {}
         self._read_only: str | None = None
         self._conns: set[_Connection] = set()
         self._queue: asyncio.Queue | None = None
@@ -937,20 +920,30 @@ class ServingDaemon:
             )
         return requested
 
-    def _ingest_state(self, key: str) -> _IngestState:
-        state = self._ingests.get(key)
-        if state is None:
-            wal = self.store.wal(key)
-            last = wal.last_event_time
-            try:
-                span = self.store.manifest(key).get("fingerprint", {}).get("raw_span")
-            except StoreError:
-                span = None
-            if span:
-                last = span[1] if last is None else max(last, span[1])
-            state = _IngestState(key, wal, last)
-            self._ingests[key] = state
-        return state
+    def _stream(self, key: str) -> StreamingCoreService:
+        """The key's streaming service, restored on first use (never at
+        boot) from its snapshot and WAL, maintaining the stored ``k``
+        values — none for a key with no snapshot, a graph-only stream."""
+        service = self._streams.get(key)
+        if service is None:
+            ks = self.store.stored_ks(key) if key in self.store.keys() else ()
+            service = StreamingCoreService.restore(
+                self.store, ks, name=key, wal=True, max_lag=self.max_lag
+            )
+            self._streams[key] = service
+            self._serve_build(key, service)
+        return service
+
+    def _serve_build(self, key: str, service: StreamingCoreService) -> None:
+        """Answer reads of ``key`` from the service's last build; its
+        indexes replace the superseded graph's registry entries."""
+        graph, indexes = service.built
+        if graph is None:
+            return
+        with self._graph_lock:
+            old = self._graphs.get(key)
+            self._graphs[key] = graph
+        self.registry.supersede(old, indexes.values())
 
     def _require_writable(self) -> None:
         if self._read_only is not None:
@@ -965,29 +958,10 @@ class ServingDaemon:
 
     def _answer_append(self, request: Request) -> dict:
         self._require_writable()
-        state = self._ingest_state(self._ingest_key(request.graph))
-        if request.dedupe is not None:
-            # A retried append must answer the original acknowledgement
-            # *before* any ordering validation: its own first delivery
-            # already advanced the watermark, so re-validating would
-            # reject every legitimate retry as out of order.
-            known = state.wal.lookup_token(request.dedupe)
-            if known is not None:
-                return append_done_frame(
-                    request.id, lsn=known[0], appended=known[1]
-                )
-        last = state.last_raw_time
-        for _, _, t in request.edges:
-            if last is not None and t < last:
-                raise ReproError(
-                    f"out-of-order append: {t} < last seen {last} "
-                    f"(streams are raw-timestamp ordered)"
-                )
-            last = t
+        service = self._stream(self._ingest_key(request.graph))
+        before = service.wal.last_lsn
         try:
-            lsn, appended = state.wal.append_edges(
-                request.edges, token=request.dedupe
-            )
+            applied = service.extend(request.edges, token=request.dedupe)
         except OSError as exc:
             # The record may or may not have reached the disk, but it
             # was never acknowledged — the client's retry (same dedupe
@@ -998,119 +972,46 @@ class ServingDaemon:
             raise _ReadOnlyError(
                 f"append not acknowledged, daemon is now read-only: {exc}"
             ) from exc
-        state.last_raw_time = state.wal.last_event_time
-        if appended and state.pending_since is None:
-            state.pending_since = now()
-        self._c_appended.inc(appended)
+        self._c_appended.inc(applied)
+        if applied:
+            return append_done_frame(
+                request.id, lsn=before + 1, appended=applied
+            )
+        # A retried token applies nothing and answers its original ack.
+        lsn, appended = service.wal.lookup_token(request.dedupe)
         return append_done_frame(request.id, lsn=lsn, appended=appended)
 
     def _answer_flush(self, request: Request) -> dict:
         self._require_writable()
-        key = self._ingest_key(request.graph)
-        covered, applied = self._flush_key(key)
+        covered, applied = self._flush(self._ingest_key(request.graph))
         return flush_done_frame(request.id, lsn=covered, applied=applied)
 
-    def _try_incremental_flush(self, key, state, events):
-        """Delta-fold the replayed events onto the cached snapshot.
+    def _flush(self, key: str) -> tuple[int, int]:
+        """Fold the key's pending appends in, snapshot and serve them.
 
-        Returns the folded graph when the fast path applies, ``None``
-        to fall back to the full rebuild.  The fast path needs the
-        cached graph (already fingerprint-consistent with the stored
-        snapshot — the daemon is the store's only writer) and a
-        loadable index for every stored ``k``; the fold itself bails
-        with :class:`FoldFallback` on boundary ties or oversized
-        recompute windows, which are equally a full-rebuild signal.
+        Until a flush, appended edges are durable but not queryable;
+        nothing pending writes nothing.  ``(covered lsn, applied)``.
         """
-        if not events or key not in self.store.keys():
-            return None
-        with self._graph_lock:
-            graph = self._graphs.get(key)
-        if graph is None:
-            return None
-        stored = self.store.stored_ks(key)
-        if not stored:
-            return None
-        indexes = {}
-        for k in stored:
-            index = self.store.load_index(graph, k, key=key)
-            if index is None:
-                return None
-            indexes[k] = index
-        from repro.core.incremental import FoldFallback, delta_fold
-
-        try:
-            result = delta_fold(
-                graph,
-                indexes,
-                [(e.u, e.v, e.t) for e in events],
-                max_window_fraction=0.5,
-            )
-        except FoldFallback:
-            return None
-        covered = state.wal.last_lsn
-        self.store.save_graph(result.graph, name=key, stream_lsn=covered)
-        for k in stored:
-            self.store.save_index(result.indexes[k], name=key)
-        state.wal.trim(covered)
-        return result.graph
-
-    def _flush_key(self, key: str) -> tuple[int, int]:
-        """Fold the WAL into a fresh snapshot: graph, indexes, trim.
-
-        Until a flush, appended edges are durable but not *queryable* —
-        queries answer from the last snapshot.  A flush first attempts
-        an incremental delta-fold of the replayed events onto the
-        cached snapshot (amortized O(|delta|) on the frontier path);
-        when that does not apply it rebuilds the graph from
-        (snapshot ∪ replayed log) and every previously stored ``k``
-        against it.  Either way it persists the result with the
-        covered LSN in one atomic manifest commit, trims covered log
-        segments and swaps the daemon's cached graph — after which
-        queries see the appended edges.  Returns ``(covered lsn,
-        events applied)``.
-        """
-        state = self._ingest_state(key)
-        snapshot_lsn = self.store.stream_lsn(key)
-        try:
-            events = state.wal.replay(after=snapshot_lsn)
-            new_graph = self._try_incremental_flush(key, state, events)
-            if new_graph is not None:
-                covered = state.wal.last_lsn
+        service = self._stream(key)
+        if not service.num_edges:
+            raise ReproError(f"nothing to flush for key {key!r}")
+        applied = service.num_pending
+        if applied:
+            try:
+                mode = service.refresh()
+                service.snapshot(self.store, name=key)
+            except OSError as exc:
+                self._enter_read_only(f"flush failed: {exc}")
+                raise _ReadOnlyError(
+                    f"flush not completed, daemon is now read-only: {exc}"
+                ) from exc
+            if mode == "incremental":
                 self._c_incremental_folds.inc()
             else:
-                edges: list = []
-                stored: list[int] = []
-                if key in self.store.keys():
-                    graph = self.store.load_graph(key)
-                    stored = self.store.stored_ks(key)
-                    edges = [
-                        (
-                            graph.label_of(u),
-                            graph.label_of(v),
-                            graph.raw_time_of(t),
-                        )
-                        for u, v, t in graph.edges
-                    ]
-                edges.extend((e.u, e.v, e.t) for e in events)
-                if not edges:
-                    raise ReproError(f"nothing to flush for key {key!r}")
-                covered = state.wal.last_lsn
-                new_graph = TemporalGraph(edges)
-                self.store.save_graph(new_graph, name=key, stream_lsn=covered)
-                if stored:
-                    self.store.build_all(new_graph, stored, name=key)
-                state.wal.trim(covered)
                 self._c_full_rebuilds.inc()
-        except OSError as exc:
-            self._enter_read_only(f"flush failed: {exc}")
-            raise _ReadOnlyError(
-                f"flush not completed, daemon is now read-only: {exc}"
-            ) from exc
-        with self._graph_lock:
-            self._graphs[key] = new_graph
-        state.pending_since = None
-        self._c_flushes.inc()
-        return covered, len(events)
+            self._serve_build(key, service)
+            self._c_flushes.inc()
+        return service.wal.last_lsn, applied
 
     def _maybe_flush_for_lag(self, requested: str | None) -> None:
         """Flush a key on the query path once its lag budget is blown.
@@ -1129,13 +1030,11 @@ class ServingDaemon:
             key = self.store.only_key(requested)
         except StoreError:
             return
-        state = self._ingests.get(key)
-        if state is None or state.pending_since is None:
-            return
-        if now() - state.pending_since <= self.max_lag:
+        service = self._streams.get(key)
+        if service is None or not service.lag_exceeded:
             return
         try:
-            self._flush_key(key)
+            self._flush(key)
         except _ReadOnlyError:
             # The flush flipped the daemon read-only; the query
             # proceeds against the stale snapshot.
@@ -1165,9 +1064,9 @@ class ServingDaemon:
         }
 
     def _close_wals(self) -> None:
-        for state in self._ingests.values():
+        for service in self._streams.values():
             try:
-                state.wal.close()
+                service.wal.close()
             except OSError:  # pragma: no cover - best-effort seal
                 pass
 
@@ -1191,19 +1090,15 @@ class ServingDaemon:
                 "max_lag": self.max_lag,
                 "keys": {
                     key: {
-                        "last_lsn": state.wal.last_lsn,
+                        "last_lsn": service.wal.last_lsn,
                         "stream_lsn": self.store.stream_lsn(key),
-                        "segments": len(state.wal.segment_paths()),
-                        "lag_seconds": (
-                            0.0
-                            if state.pending_since is None
-                            else now() - state.pending_since
-                        ),
+                        "segments": len(service.wal.segment_paths()),
+                        "lag_seconds": service.lag_seconds,
                     }
                     # stats() runs off-lane; snapshot the dict so a
                     # concurrent first-append insert cannot resize it
                     # mid-iteration.
-                    for key, state in list(self._ingests.items())
+                    for key, service in list(self._streams.items())
                 },
             },
         }

@@ -37,17 +37,14 @@ def main(argv: list[str] | None = None) -> int:
 
     ks = tuple(int(k) for k in args.ks.split(","))
     store = IndexStore(args.store)
-    # Resume from whatever a previous (crashed) run left behind, exactly
-    # like a restarted daemon would — the workload index picks up at the
-    # number of edges already recovered.
-    if store.has_wal(args.key) or args.key in store.keys():
-        service = StreamingCoreService.restore(
-            store, ks, name=args.key, wal=True,
-            wal_segment_bytes=args.segment_bytes,
-        )
-    else:
-        wal = store.wal(args.key, segment_bytes=args.segment_bytes)
-        service = StreamingCoreService(ks, wal=wal)
+    # Resume from whatever a previous (crashed) run left behind (an
+    # empty stream on the first run), exactly like a restarted daemon
+    # would — the workload index picks up at the number of edges
+    # already recovered.
+    service = StreamingCoreService.restore(
+        store, ks, name=args.key, wal=True,
+        wal_segment_bytes=args.segment_bytes,
+    )
 
     workload = campaign_edges(args.seed, args.count)
     start = service.num_edges

@@ -291,8 +291,11 @@ class TestMultiKService:
         assert restored.num_rebuilds == 1  # one shared rebuild, both ks
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            StreamingCoreService([])
+        # An empty k set is a graph-only stream: refresh builds the graph.
+        svc = StreamingCoreService([], [("a", "b", 1), ("b", "c", 2)])
+        assert svc.refresh() == "full"
+        graph, indexes = svc.built
+        assert graph.num_edges == 2 and indexes == {}
         with pytest.raises(InvalidParameterError):
             StreamingCoreService([2, 0])
 

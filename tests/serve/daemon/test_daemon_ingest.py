@@ -3,12 +3,19 @@ restarts, read-only degradation on WAL disk errors."""
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
+from repro.core.index import CoreIndex
+from repro.core.multik import build_core_indexes
+from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.client import DaemonClient, DaemonError
 from repro.store import IndexStore
 from repro.store.fsck import scrub_store
 from tests.serve.daemon.conftest import (
+    STORE_KEY,
+    STORE_KS,
     build_store,
     metric_total,
     scrape_metrics,
@@ -92,6 +99,44 @@ class TestAppendFlush:
                 client.flush(graph="brand-new")
             assert err.value.code == "invalid"
 
+    def test_empty_flush_writes_nothing(self, start_daemon, fresh_store):
+        root, _graph = fresh_store
+        manifest = root / STORE_KEY / "manifest.json"
+        before = manifest.read_bytes()
+        handle = start_daemon(store=root)
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            ack = client.flush()
+            assert ack["applied"] == 0 and ack["lsn"] == 0
+            ingest = client.stats()["ingest"]
+            assert ingest["incremental_folds"] == 0
+            assert ingest["full_rebuilds"] == 0
+        assert manifest.read_bytes() == before
+
+    def test_fresh_key_stream(self, start_daemon, fresh_store):
+        """A key the store does not hold yet starts a graph-only stream:
+        the log first, then the flush writes the first snapshot."""
+        root, _graph = fresh_store
+        edges = [
+            ["f-a", "f-b", 1], ["f-b", "f-c", 2], ["f-a", "f-c", 3],
+            ["f-c", "f-d", 4], ["f-a", "f-d", 5], ["f-b", "f-d", 5],
+        ]
+        handle = start_daemon(store=root)
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            client.append(edges[:3], graph="fresh")
+            last = client.append(edges[3:], graph="fresh")
+            ack = client.flush(graph="fresh")
+            assert ack["applied"] == len(edges) and ack["lsn"] == last["lsn"] + 2
+            graph = TemporalGraph([tuple(edge) for edge in edges])
+            want = CoreIndex(graph, 2).query(1, graph.tmax, collect=True)
+            cores, done = client.query(k=2, ts=1, te=graph.tmax, graph="fresh")
+            assert done["num_results"] == want.num_results
+            assert {
+                (tuple(core["tti"]), frozenset(core["edge_ids"]))
+                for core in cores
+            } == {(core.tti, frozenset(core.edge_ids)) for core in want.cores}
+            stream = client.stats()["ingest"]["keys"]["fresh"]
+            assert stream["stream_lsn"] == ack["lsn"] == len(edges)
+
     def test_flush_persists_and_trims(self, start_daemon, fresh_store):
         root, _graph = fresh_store
         handle = start_daemon(store=root)
@@ -169,6 +214,62 @@ class TestCrashRecovery:
                                        te=graph.tmax + 3)
             assert done["completed"]
             assert any(core["num_edges"] == 3 for core in cores)
+
+
+    def test_crash_mid_snapshot_recovers_exactly_once(self, start_daemon,
+                                                      fresh_store):
+        """A flush runs the service's snapshot, so the crash campaign's
+        points fire inside the daemon too: die between the graph commit
+        and the index writes, restart, and every acked append is there
+        exactly once."""
+        root, graph = fresh_store
+        a, b, c = (graph.label_of(i) for i in range(3))
+        acked = [[a, b, TMAX + 1], [b, c, TMAX + 2], [a, c, TMAX + 3]]
+        handle = start_daemon(
+            store=root,
+            env={"REPRO_CRASHPOINT": "snapshot.post-graph.pre-indexes"},
+        )
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            first = client.append(acked[:2], dedupe="crash-1")
+            second = client.append(acked[2:], dedupe="crash-2")
+            with pytest.raises(DaemonError) as err:
+                client.flush()
+            assert err.value.code == "connection"
+        assert handle.proc.wait(timeout=30) == -signal.SIGKILL
+
+        base = [
+            (graph.label_of(u), graph.label_of(v), graph.raw_time_of(t))
+            for u, v, t in graph.edges
+        ]
+        final = TemporalGraph(base + [tuple(edge) for edge in acked])
+        want = build_core_indexes(final, STORE_KS)
+        top = final.tmax
+        ranges = [(1, top), (top - 10, top), (top - 2, top), (5, top - 5)]
+        restarted = start_daemon(store=root)
+        with DaemonClient("127.0.0.1", restarted.port) as client:
+            # The graph and its LSN committed before the crash: the
+            # retried acks answer as before, and nothing is left to fold.
+            for edges, ack, token in ((acked[:2], first, "crash-1"),
+                                      (acked[2:], second, "crash-2")):
+                again = client.append(edges, dedupe=token)
+                assert (again["lsn"], again["appended"]) \
+                    == (ack["lsn"], ack["appended"])
+            flushed = client.flush()
+            assert (flushed["lsn"], flushed["applied"]) == (3, 0)
+            for k in STORE_KS:
+                answers = client.batch(ranges, k=k)
+                assert [
+                    (answer["num_results"], answer["total_edges"])
+                    for answer in answers
+                ] == [
+                    (result.num_results, result.total_edges)
+                    for result in want[k].query_batch(ranges)
+                ]
+        restarted.sigterm()
+        assert restarted.wait() == 0
+        assert IndexStore(root).load_graph(STORE_KEY).num_edges \
+            == graph.num_edges + len(acked)
+        assert scrub_store(root).clean
 
 
 class TestReadOnly:

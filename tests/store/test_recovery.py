@@ -99,6 +99,20 @@ class TestServiceWal:
         assert resumed.num_edges == 1
         resumed.wal.close()
 
+    def test_dedupe_retry_after_later_append(self, store):
+        """A retried token answers its original LSN even after a later
+        append moved the ordering watermark past its timestamps."""
+        service = StreamingCoreService((2,), wal=store.wal("s"))
+        lsn = service.append("a", "b", 1, token="tok-1")
+        service.append("b", "c", 3)
+        assert service.append("a", "b", 1, token="tok-1") == lsn
+        service.wal.close()
+
+        resumed = StreamingCoreService.restore(store, (2,), name="s", wal=True)
+        assert resumed.append("a", "b", 1, token="tok-1") == lsn
+        assert resumed.num_edges == 2
+        resumed.wal.close()
+
     def test_restore_replays_tail_and_serves(self, store):
         service = StreamingCoreService((2,), wal=store.wal("s"))
         for u, v, t in EDGES[:5]:
