@@ -18,18 +18,28 @@ one-``k``-at-a-time kernel cannot use:
   cascades per level only while both endpoints of a dying pair are still
   alive there.
 
-* **Level-fused fixpoint.**  All core times live in one
-  ``(levels, vertices)`` int64 matrix.  Per start time the expiring
-  batch's seed masks are evaluated for every level in one broadcast,
-  and the chaotic re-evaluation runs as *rounds*: each round's queued
-  ``(level, vertex)`` pairs are evaluated together in one segmented
-  sweep — gather the CSR slices, scatter the availabilities into a
-  padded matrix, one axis sort, read each row's ``k``-th smallest —
-  while short cascade tails fall back to a scalar drain.  Round-based
-  evaluation reaches the same least fixpoint as the single-``k``
-  kernel's per-vertex order, so the harvested output is identical
-  (re-verified entry-by-entry against the single-``k`` kernel and the
-  reference oracle by the property suite).
+* **Level-fused fixpoint, compiled.**  All core times live in one
+  ``(levels, vertices)`` int64 matrix.  Per start time one call into a
+  small C step (``core/_fixpoint.c``, loaded by :mod:`repro.core.native`)
+  seeds the expiring batch's endpoints at every level and drains a
+  chaotic FIFO of ``(level, vertex)`` keys with the single-``k``
+  kernel's operator and re-scheduling filter; it allocates nothing,
+  every buffer being sized once per build.  The library is compiled
+  once with the system ``cc`` and cached in ``__pycache__`` beside the
+  source (or a per-user temp directory), keyed by the source's sha256.
+  If compiling or loading fails, the numpy path runs instead, after one
+  logged warning: the seed masks broadcast over all levels, and the
+  re-evaluation runs as *rounds* — each round's queued keys evaluated in
+  one segmented sweep (gather the CSR slices, scatter the availabilities
+  into a padded matrix, one axis sort, read each row's ``k``-th
+  smallest) and short cascade tails through a scalar drain.  That path
+  is also the compiled step's test oracle.  Every evaluation order
+  reaches the same least fixpoint as the single-``k`` kernel's per-vertex
+  order, so the harvested output is identical (re-verified entry by
+  entry against the single-``k`` kernel and the reference oracle by the
+  property suite, on both paths).  A single ``k`` still runs the numpy
+  single-``k`` kernel: it is the baseline the multi-``k`` speed-up gate
+  measures against, so it does not share the compiled step.
 
 * **Columnar harvesting.**  VCT transitions and finalised skyline
   windows are accumulated as flat ``(key, value)`` array chunks — the
@@ -53,6 +63,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from collections.abc import Iterable
@@ -60,6 +71,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core import native
 from repro.core.coretime import (
     INF_CT,
     CoreTimeResult,
@@ -78,14 +90,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 
 def _validated_ks(ks: Iterable[int]) -> list[int]:
-    """Deduplicated, ascending ``k`` values (>= 1); rejects empty input."""
-    unique = sorted(set(ks))
-    if not unique:
-        raise InvalidParameterError("ks must contain at least one k value")
-    for k in unique:
+    """Deduplicated, ascending ``k`` values (>= 1); rejects empty input.
+
+    Each value is checked before deduplication: a set would compare
+    mixed types (``TypeError``) and merge ``True`` into ``1``.
+    """
+    values = list(ks)
+    for k in values:
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InvalidParameterError(f"k must be an integer >= 1, got {k!r}")
-    return unique
+    if not values:
+        raise InvalidParameterError("ks must contain at least one k value")
+    return sorted(set(values))
 
 
 def _shared_initial_scan(
@@ -246,10 +262,10 @@ class _FusedMultiK:
 
     One instance drives all requested ``k`` values ("levels") through
     the start-time loop: the shared pointer/earliest-time refresh runs
-    once per step via the base :class:`_WindowState`, seed masks are
-    evaluated for all levels in one broadcast, and the fixpoint /
-    harvest work of every level is batched into fused segmented numpy
-    sweeps accumulating columnar output (see the module docstring).
+    once per step via the base :class:`_WindowState`, the fixpoint of
+    every level runs in one compiled step call (or the numpy rounds),
+    and the harvest work of every level is batched into fused segmented
+    numpy sweeps accumulating columnar output (see the module docstring).
     """
 
     #: Frontiers at most this large drain through the scalar chaotic
@@ -287,7 +303,7 @@ class _FusedMultiK:
         self.np_km1 = np.asarray(ks, dtype=np.int64) - 1
         self.with_skyline = with_skyline
         self._inq = bytearray(len(ks) * n)
-        # Columnar VCT accumulation: per step, the sorted changed keys
+        # Columnar VCT accumulation: per step, the changed keys
         # (level * n + vertex) and their new core times.
         self._vct_keys: list[np.ndarray] = []
         self._vct_cts: list[np.ndarray] = []
@@ -303,6 +319,51 @@ class _FusedMultiK:
         # Reusable buffers for the fused sweeps (grown on demand).
         self._iota = np.arange(1024, dtype=np.int64)
         self._pad_buffer = np.empty(1024, dtype=np.int64)
+        self._native_step = self._bind_native_step()
+
+    def _bind_native_step(self):
+        """The compiled fixpoint step bound to this build's arrays, or ``None``.
+
+        Every buffer is sized here once (the step never allocates) and
+        every address is read once, so a step call marshals only the
+        expiring batch's edge-id range.
+        """
+        step = native.fixpoint_step()
+        if step is None:
+            return None
+        cg = self.cg
+        size = self.num_levels * self.num_vertices
+        self._grown = np.empty(size, dtype=np.int64)
+        arrays = (
+            self.np_adj_offsets,
+            cg.np_adj_neighbour,
+            cg.np_edge_u,
+            cg.np_edge_v,
+            cg.np_edge_slot_u,
+            self.base.ett,
+            self.np_km1,
+            self.ct_flat,
+        )
+        buffers = (
+            np.zeros(size, dtype=np.uint8),  # in-queue mask
+            np.zeros(size, dtype=np.uint8),  # grown-key mask
+            np.empty(size, dtype=np.int64),  # ring queue
+            np.empty(max(int(self.np_degree.max(initial=0)), 1), dtype=np.int64),
+            self._grown,
+        )
+        for array in arrays + buffers[2:]:
+            if array.dtype != np.int64 or not array.flags.c_contiguous:
+                raise TypeError("the compiled fixpoint step needs C-contiguous int64 arrays")
+        self._native_arrays = arrays + buffers  # keeps the addresses valid
+        return functools.partial(
+            step,
+            *(array.ctypes.data for array in arrays),
+            self.num_vertices,
+            self.num_levels,
+            self.ts_hi,
+            self.inf,
+            *(buffer.ctypes.data for buffer in buffers),
+        )
 
     def _arange(self, total: int) -> np.ndarray:
         if total > len(self._iota):
@@ -448,14 +509,31 @@ class _FusedMultiK:
     def advance(self, current_ts: int) -> np.ndarray:
         """Move every level's start to ``current_ts``.
 
-        Runs the shared expiry once, then the fixpoint as *rounds*:
-        every queued ``(level, vertex)`` pair of a round is either
+        Runs the shared expiry once, then the fixpoint: one compiled
+        step call when the native library loaded, the numpy rounds
+        otherwise.  Both apply the same seed filter, operator and
+        re-scheduling filter, so the least fixpoint matches
+        :meth:`_WindowState.advance_start` per level.  Returns the
+        deduplicated keys (``level * n + vertex``) whose core time grew
+        this step, in no particular order.
+        """
+        self.base.expire_start(current_ts)
+        time_offset = self.cg.time_offset
+        batch_lo = time_offset[current_ts - 1]
+        batch_hi = time_offset[current_ts]
+        if batch_lo >= batch_hi:
+            return np.empty(0, dtype=np.int64)
+        if self._native_step is not None:
+            return self._grown[: self._native_step(batch_lo, batch_hi)].copy()
+        return self._fixpoint_rounds(batch_lo, batch_hi)
+
+    def _fixpoint_rounds(self, batch_lo: int, batch_hi: int) -> np.ndarray:
+        """The numpy fixpoint: fused rounds, then a scalar drain.
+
+        Every queued ``(level, vertex)`` pair of a round is either
         evaluated in one fused segmented sweep (large rounds) or through
-        the scalar single-k code path (short cascade tails).  Both paths
-        apply the same operator and re-scheduling filter, so the least
-        fixpoint matches :meth:`_WindowState.advance_start` per level.
-        Returns the sorted, deduplicated keys (``level * n + vertex``)
-        whose core time grew this step.
+        the scalar single-k code path (short cascade tails).  This is the
+        fallback when the compiled step is unavailable, and its oracle.
         """
         base = self.base
         cg = self.cg
@@ -463,13 +541,6 @@ class _FusedMultiK:
         ts_hi = self.ts_hi
         ct_matrix = self.ct_matrix
         ct_flat = self.ct_flat
-        base.expire_start(current_ts)
-
-        time_offset = cg.time_offset
-        batch_lo = time_offset[current_ts - 1]
-        batch_hi = time_offset[current_ts]
-        if batch_lo >= batch_hi:
-            return np.empty(0, dtype=np.int64)
         # Seed filter of `_WindowState.seeds_after_expire`, broadcast
         # over all levels at once against the shared earliest-time row.
         batch = slice(batch_lo, batch_hi)
@@ -721,8 +792,8 @@ def compute_core_times_multi(
     :func:`~repro.core.coretime.compute_core_times` once per ``k``
     (property-tested against it and the reference oracle) at a fraction
     of the cost: the decremental scan and pointer maintenance run once,
-    and the per-level fixpoint/harvest work is batched into fused numpy
-    sweeps.  The returned indexes are served from offset-indexed flat
+    the per-level fixpoints run as one compiled step per start time, and
+    the harvest work is batched into fused numpy sweeps.  The returned indexes are served from offset-indexed flat
     arrays (the same views the on-disk store uses), not per-vertex
     Python lists.  Parameters default to the graph's full span; the
     result maps each requested ``k`` (deduplicated) to its

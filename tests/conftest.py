@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import native
 from repro.datasets.paper_example import paper_example_graph
 from repro.graph.generators import uniform_random_temporal
 from repro.graph.temporal_graph import TemporalGraph
@@ -13,6 +14,12 @@ from repro.graph.temporal_graph import TemporalGraph
 def paper_graph() -> TemporalGraph:
     """The 9-vertex running example of the paper (Figure 1)."""
     return paper_example_graph()
+
+
+@pytest.fixture()
+def numpy_fixpoint(monkeypatch):
+    """Multi-k builds run the numpy fixpoint rounds, not the compiled step."""
+    monkeypatch.setattr(native, "fixpoint_step", lambda: None)
 
 
 @pytest.fixture()

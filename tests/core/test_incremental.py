@@ -235,6 +235,11 @@ class TestDeltaFoldIdentity:
         assert base.num_edges == len(base_edges)
 
 
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestDeltaFoldIdentityNumpy(TestDeltaFoldIdentity):
+    """Every fold identity case again on the numpy fixpoint rounds."""
+
+
 class TestFallbacks:
     def test_no_indexes(self):
         base = TemporalGraph(stream(0, 50))

@@ -10,6 +10,8 @@ sub-windows.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro.core.index as index_module
@@ -98,6 +100,39 @@ class TestMultiKEquivalence:
         multi = compute_core_times_multi(property_graph, [2, 50])
         assert multi[50].vct.size() == 0
         assert multi[50].ecs.size() == 0
+        assert_multi_identical(property_graph, [1, 2, 50])
+
+    def test_width_one_windows(self, property_graph):
+        for t in (1, 2, property_graph.tmax // 2, property_graph.tmax):
+            assert_multi_identical(property_graph, [1, 2, 3], t, t)
+
+    def test_large_batch_at_one_timestamp(self):
+        """One timestamp carrying most edges: every level seeds at once."""
+        rng = random.Random(77)
+        triples = [
+            (f"v{rng.randrange(40)}", f"w{rng.randrange(40)}", rng.randint(1, 6))
+            for _ in range(300)
+        ]
+        triples += [(f"v{i}", f"v{j}", 3) for i in range(30) for j in range(i)]
+        graph = TemporalGraph(triples)
+        for ts, te in [(None, None), (2, 5), (3, 6)]:
+            assert_multi_identical(graph, [1, 2, 5, 12], ts, te)
+
+    def test_high_degree_hubs(self):
+        """Degrees well past 16 with few tied times exercise the k-th
+        smallest selection (quickselect in the compiled step)."""
+        rng = random.Random(3)
+        triples = [
+            (f"h{rng.randrange(6)}", f"x{rng.randrange(60)}", rng.randint(1, 400))
+            for _ in range(1200)
+        ]
+        triples += [
+            (f"x{rng.randrange(60)}", f"x{rng.randrange(60)}", rng.randint(1, 400))
+            for _ in range(400)
+        ]
+        graph = TemporalGraph(triples)
+        assert_multi_identical(graph, [1, 3, 8, 20])
+        assert_multi_identical(graph, [2, 5], 100, 300)
 
     def test_validation(self, paper_graph):
         with pytest.raises(InvalidParameterError):
@@ -106,6 +141,17 @@ class TestMultiKEquivalence:
             compute_core_times_multi(paper_graph, [0, 2])
         with pytest.raises(InvalidParameterError):
             compute_core_times_multi(paper_graph, [2], 0, 99)
+
+    def test_validation_checks_values_before_dedup(self, paper_graph):
+        with pytest.raises(InvalidParameterError):
+            compute_core_times_multi(paper_graph, [2, "3"])
+        with pytest.raises(InvalidParameterError):
+            compute_core_times_multi(paper_graph, [1, True])
+
+
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestMultiKEquivalenceNumpy(TestMultiKEquivalence):
+    """Every equivalence case again on the numpy fixpoint rounds."""
 
 
 class TestBuildCoreIndexes:
