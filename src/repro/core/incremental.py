@@ -37,18 +37,20 @@ The fold therefore:
    change-eligibility intervals derived from the old VCT arrays;
 3. reruns the shared multi-k kernel on the **sub-span** ``[s_A, T']``
    only (:func:`repro.core.multik.compute_core_times_multi` — the same
-   level-fused rounds, seeded by the decremental scan over the affected
+   compiled build pass, seeded by the decremental scan over the affected
    window), which is exact there because ``CT_ts`` depends only on edges
    stamped in ``[ts, T']``;
-4. **merges** each level's old and sub-span arrays with one stable
-   vectorised splice per side: old entries with start (or window ``t1``)
-   before ``s_A`` are kept, sub-span entries replace the rest, with two
-   boundary corrections for VCT (drop the sub-span's first entry when
-   the value did not actually change at ``s_A``; insert an explicit
-   ``(s_A, INF)`` transition when a vertex's finite prefix ends exactly
-   there) and one for ECS (a new edge whose endpoints' finite prefixes
-   end below ``s_A`` contributes one minimal window closing at the
-   boundary, synthesised directly).
+4. **merges** each level's old and sub-span arrays with one splice per
+   side (:func:`_splice`: one compiled ``repro_splice`` call, or
+   vectorised gather/scatters when the C kernels did not load): old
+   entries with start (or window ``t1``) before ``s_A`` are kept,
+   sub-span entries replace the rest, with two boundary corrections for
+   VCT (drop the sub-span's first entry when the value did not actually
+   change at ``s_A``; insert an explicit ``(s_A, INF)`` transition when
+   a vertex's finite prefix ends exactly there) and one for ECS (a new
+   edge whose endpoints' finite prefixes end below ``s_A`` contributes
+   one minimal window closing at the boundary, synthesised directly).
+   The cut, drop, insert and pre-window decisions stay in numpy.
 
 Batches that violate the frontier precondition fall back to a full
 rebuild via :class:`FoldFallback` — the fold is *never wrong, only
@@ -68,6 +70,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core import native
 from repro.core.coretime import INF_CT, CoreTimeResult, VertexCoreTimeIndex
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
@@ -623,38 +626,32 @@ def _fold_start(
     exceeds ``max_cascade`` settled vertices.
     """
     adj_offsets = _as_i64(cg2.adj_offsets)
-    adj_neighbour = cg2.np_adj_neighbour
-    slot_times_end = _as_i64(cg2.slot_times_end)
-    pair_times = _as_i64(cg2.pair_times)
-
-    def reach(w: int, k: int) -> int:
-        lo, hi = int(adj_offsets[w]), int(adj_offsets[w + 1])
-        degree = hi - lo
-        if degree < k:
-            return 0
-        last = pair_times[slot_times_end[lo:hi] - 1]
-        if k == 1:
-            return int(last.max())
-        return int(np.partition(last, degree - k)[degree - k])
-
-    f_cache: dict[int, int] = {}
-
-    def f_eff(w: int) -> int:
-        cached = f_cache.get(w)
-        if cached is not None:
-            return cached
-        best = _FAR
-        for k in ks:
-            fi = int(first_inf[k][w])
-            if fi < best and fi <= reach(w, k):
-                best = fi
-        f_cache[w] = best
-        return best
+    degree = adj_offsets[1:] - adj_offsets[:-1]
+    n2 = degree.shape[0]
+    # The last time of each adjacency slot's pair, and per vertex its
+    # slots' last times in descending order (one composite-key sort).
+    slot_last = _as_i64(cg2.pair_times)[_as_i64(cg2.slot_times_end) - 1]
+    owner = np.repeat(np.arange(n2, dtype=np.int64), degree)
+    stride = cg2.tmax + 2
+    descending = slot_last[np.argsort(owner * stride - slot_last)]
+    # f_eff: per vertex, the earliest first_inf over the levels whose
+    # change interval [first_inf, reach] is non-empty.
+    f_eff = np.full(n2, _FAR, dtype=np.int64)
+    for k in ks:
+        has_k = degree >= k
+        reach = np.zeros(n2, dtype=np.int64)
+        reach[has_k] = descending[adj_offsets[:-1][has_k] + k - 1]
+        fi = first_inf[k]
+        np.minimum(f_eff, np.where(fi <= reach, fi, _FAR), out=f_eff)
+    f_eff = f_eff.tolist()
+    offsets = adj_offsets.tolist()
+    neighbour = cg2.np_adj_neighbour.tolist()
+    slot_last = slot_last.tolist()
 
     tentative: dict[int, int] = {}
     heap: list[tuple[int, int]] = []
     for w in {e.u for e in new_edges} | {e.v for e in new_edges}:
-        f = f_eff(w)
+        f = f_eff[w]
         if f <= old_tmax:
             tentative[w] = f
             heapq.heappush(heap, (f, w))
@@ -669,15 +666,15 @@ def _fold_start(
             raise FoldFallback("cascade-limit")
         if lw < fold_start:
             fold_start = lw
-        for slot in range(int(adj_offsets[w]), int(adj_offsets[w + 1])):
-            x = int(adj_neighbour[slot])
+        for slot in range(offsets[w], offsets[w + 1]):
+            x = neighbour[slot]
             if x in settled:
                 continue
-            fx = f_eff(x)
+            fx = f_eff[x]
             candidate = lw if lw > fx else fx
             if candidate > old_tmax:
                 continue
-            if candidate > int(pair_times[int(slot_times_end[slot]) - 1]):
+            if candidate > slot_last[slot]:
                 continue  # pair inactive at every start the change reaches
             current = tentative.get(x)
             if current is None or candidate < current:
@@ -691,23 +688,77 @@ def _fold_start(
 # ----------------------------------------------------------------------
 
 
-def _segment_cut(
-    offsets: np.ndarray, values: np.ndarray, bound: int, stride: int
-) -> np.ndarray:
+def _segment_cut(offsets: np.ndarray, values: np.ndarray, bound: int) -> np.ndarray:
     """Per segment, how many leading entries have ``value < bound``.
 
-    ``values`` must be ascending within each CSR segment; one global
-    ``searchsorted`` over the composite key ``segment * stride + value``
-    answers every segment at once (the key is globally sorted because
-    ``stride`` exceeds every value).
+    ``values`` must be ascending within each CSR segment, so the other
+    entries form a suffix of their segment: locating each of them (few,
+    for a bound near the span end) in the offsets counts them per
+    segment.
     """
-    count = offsets.shape[0] - 1
-    counts = offsets[1:] - offsets[:-1]
-    composite = (
-        np.repeat(np.arange(count, dtype=np.int64), counts) * stride + values
-    )
-    probes = np.arange(count, dtype=np.int64) * stride + bound
-    return np.searchsorted(composite, probes) - offsets[:-1]
+    later = np.flatnonzero(values >= bound)
+    segments = offsets.shape[0] - 1
+    owner = np.searchsorted(offsets, later, side="right") - 1
+    return offsets[1:] - offsets[:-1] - np.bincount(owner, minlength=segments)
+
+
+def _splice(
+    old: tuple[np.ndarray, np.ndarray, np.ndarray],
+    keep: np.ndarray,
+    ins_a: np.ndarray,
+    ins_b: np.ndarray,
+    sub: tuple[np.ndarray, np.ndarray, np.ndarray],
+    skip: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per segment: the first ``keep`` old rows, an inserted row, the sub-span rows.
+
+    ``old`` and ``sub`` are ``(offsets, a, b)`` CSR columns; segment
+    ``i`` of the result holds ``old``'s first ``keep[i]`` rows (segments
+    past the old count keep none), then ``(ins_a[i], ins_b[i])`` when
+    ``ins_a[i] >= 0``, then ``sub``'s rows past its first ``skip[i]``
+    (``None``: skip none).  One call into the compiled ``repro_splice``
+    when the C kernels loaded, vectorised gather/scatters otherwise.
+    """
+    old_off, old_a, old_b = old
+    sub_off, sub_a, sub_b = sub
+    segments = sub_off.shape[0] - 1
+    old_segments = old_off.shape[0] - 1
+    inserted = ins_a >= 0
+    take = sub_off[1:] - sub_off[:-1]
+    if skip is not None:
+        take = take - skip
+    out_off = np.zeros(segments + 1, dtype=np.int64)
+    np.cumsum(keep + inserted + take, out=out_off[1:])
+    total = int(out_off[-1])
+    out_a = np.empty(total, dtype=np.int64)
+    out_b = np.empty(total, dtype=np.int64)
+    kernels = native.library()
+    if kernels is not None:
+        arrays = (old_off, keep, old_a, old_b, ins_a, ins_b, sub_off, skip, sub_a, sub_b,
+                  out_off, out_a, out_b)
+        for array in arrays:
+            if array is not None and (
+                array.dtype != np.int64 or not array.flags.c_contiguous
+            ):
+                raise TypeError("the compiled splice needs C-contiguous int64 arrays")
+        kernels.splice(
+            segments,
+            old_segments,
+            *(None if array is None else array.ctypes.data for array in arrays),
+        )
+        return out_off, out_a, out_b
+    src = _seg_indices(old_off[:-1], keep[:old_segments])
+    dst = _seg_indices(out_off[:old_segments], keep[:old_segments])
+    out_a[dst] = old_a[src]
+    out_b[dst] = old_b[src]
+    at = (out_off[:-1] + keep)[inserted]
+    out_a[at] = ins_a[inserted]
+    out_b[at] = ins_b[inserted]
+    src = _seg_indices(sub_off[:-1] if skip is None else sub_off[:-1] + skip, take)
+    dst = _seg_indices(out_off[:-1] + keep + inserted, take)
+    out_a[dst] = sub_a[src]
+    out_b[dst] = sub_b[src]
+    return out_off, out_a, out_b
 
 
 def _merge_level(
@@ -721,16 +772,14 @@ def _merge_level(
     new_tmax: int,
 ) -> CoreTimeResult:
     """Splice one level's old and sub-span arrays into full-span results."""
-    stride = new_tmax + 2
-
     # ---- VCT ----
-    off_o, st_o, ct_o = (_as_i64(p) for p in old_index.vct.flat_parts())
-    off_s, st_s, ct_s = (_as_i64(p) for p in sub.vct.flat_parts())
+    off_o, st_o, ct_o = old_vct = tuple(_as_i64(p) for p in old_index.vct.flat_parts())
+    off_s, _, ct_s = sub_vct = tuple(_as_i64(p) for p in sub.vct.flat_parts())
     n_old = off_o.shape[0] - 1
     n2 = off_s.shape[0] - 1
 
     cut = np.zeros(n2, dtype=np.int64)
-    cut[:n_old] = _segment_cut(off_o, st_o, fold_start, stride)
+    cut[:n_old] = _segment_cut(off_o, st_o, fold_start)
     # The old value at fold_start - 1 (INF when the prefix is empty).
     old_last = np.full(n2, INF_CT, dtype=np.int64)
     holders = np.flatnonzero(cut[:n_old] > 0)
@@ -743,40 +792,34 @@ def _merge_level(
     # entry *at* fold_start (the initial scan emits every finite vertex),
     # and a vertex infinite there stays infinite for the whole sub-span
     # (monotone finite prefix) — so segment emptiness fully classifies
-    # the boundary.
+    # the boundary: drop the sub-span's first entry when the value did
+    # not change at fold_start, insert (fold_start, INF) when a finite
+    # prefix ends there.
     first_ct = np.full(n2, INF_CT, dtype=np.int64)
     first_ct[has_sub] = ct_s[off_s[:-1][has_sub]]
     drop = (has_sub & (first_ct == old_last)).astype(np.int64)
-    insert = (~has_sub & (old_last != INF_CT)).astype(np.int64)
-
-    out_counts = cut + (sub_counts - drop) + insert
-    out_off = np.zeros(n2 + 1, dtype=np.int64)
-    np.cumsum(out_counts, out=out_off[1:])
-    total = int(out_off[-1])
-    out_st = np.empty(total, dtype=np.int64)
-    out_ct = np.empty(total, dtype=np.int64)
-    src = _seg_indices(off_o[:-1], cut[:n_old])
-    dst = _seg_indices(out_off[:n_old], cut[:n_old])
-    out_st[dst] = st_o[src]
-    out_ct[dst] = ct_o[src]
-    ins_at = (out_off[:-1] + cut)[insert.astype(bool)]
-    out_st[ins_at] = fold_start
-    out_ct[ins_at] = INF_CT
-    take = sub_counts - drop
-    src = _seg_indices(off_s[:-1] + drop, take)
-    dst = _seg_indices(out_off[:-1] + cut + insert, take)
-    out_st[dst] = st_s[src]
-    out_ct[dst] = ct_s[src]
-    vct = VertexCoreTimeIndex.from_flat(out_off, out_st, out_ct, k, (1, new_tmax))
+    insert = ~has_sub & (old_last != INF_CT)
+    vct = VertexCoreTimeIndex.from_flat(
+        *_splice(
+            old_vct,
+            cut,
+            np.where(insert, fold_start, -1),
+            np.full(n2, INF_CT, dtype=np.int64),
+            sub_vct,
+            drop,
+        ),
+        k,
+        (1, new_tmax),
+    )
 
     # ---- ECS ----
     assert sub.ecs is not None
-    off_eo, t1_o, t2_o = (_as_i64(p) for p in old_index.ecs.flat_parts())
-    off_es, t1_s, t2_s = (_as_i64(p) for p in sub.ecs.flat_parts())
-    m2 = off_es.shape[0] - 1
+    off_eo, t1_o, _ = old_ecs = tuple(_as_i64(p) for p in old_index.ecs.flat_parts())
+    sub_ecs = tuple(_as_i64(p) for p in sub.ecs.flat_parts())
+    m2 = sub_ecs[0].shape[0] - 1
 
     ecut = np.zeros(m2, dtype=np.int64)
-    ecut[:old_num_edges] = _segment_cut(off_eo, t1_o, fold_start, stride)
+    ecut[:old_num_edges] = _segment_cut(off_eo, t1_o, fold_start)
     # A new edge whose endpoints were both finite below the boundary has
     # a constant window value equal to its own timestamp there; if the
     # value strictly rises at the boundary, exactly one minimal window
@@ -784,48 +827,25 @@ def _merge_level(
     # fold_start) cannot see it — synthesise it.  The boundary is the
     # earlier of fold_start and the endpoints' finite-prefix end; in the
     # latter case the prefix ends on an unchanged (infinite) value, so
-    # the rise is unconditional.
+    # the rise is unconditional.  A vertex with no sub-span entry is
+    # infinite at fold_start, which always rises.
+    new_u = np.fromiter((e.u for e in new_edges), np.int64, len(new_edges))
+    new_v = np.fromiter((e.v for e in new_edges), np.int64, len(new_edges))
+    new_t = np.fromiter((e.t for e in new_edges), np.int64, len(new_edges))
+    at_start = np.where(has_sub, first_ct, np.int64(1 << 61))
+    finite_end = np.minimum(first_inf_k[new_u], first_inf_k[new_v])
+    boundary = np.minimum(finite_end, fold_start)
+    rises = (finite_end < fold_start) | (
+        np.maximum(at_start[new_u], at_start[new_v]) > new_t
+    )
+    pre = (boundary >= 2) & rises
     pre_t1 = np.full(m2, -1, dtype=np.int64)
-    pre_t2 = np.empty(m2, dtype=np.int64)
-    big = np.int64(1 << 61)
-    at_start = np.where(has_sub, first_ct, big)
-    for j, edge in enumerate(new_edges):
-        eid = old_num_edges + j
-        finite_end = int(min(first_inf_k[edge.u], first_inf_k[edge.v]))
-        boundary = min(finite_end, fold_start)
-        if boundary < 2:
-            continue
-        if finite_end < fold_start:
-            rises = True
-        else:
-            cu = int(at_start[edge.u])
-            cv = int(at_start[edge.v])
-            rises = max(cu, cv, edge.t) > edge.t
-        if rises:
-            pre_t1[eid] = boundary - 1
-            pre_t2[eid] = edge.t
-    pre = (pre_t1 >= 0).astype(np.int64)
-
-    sub_ecounts = off_es[1:] - off_es[:-1]
-    eout_counts = ecut + pre + sub_ecounts
-    eout_off = np.zeros(m2 + 1, dtype=np.int64)
-    np.cumsum(eout_counts, out=eout_off[1:])
-    etotal = int(eout_off[-1])
-    out_t1 = np.empty(etotal, dtype=np.int64)
-    out_t2 = np.empty(etotal, dtype=np.int64)
-    src = _seg_indices(off_eo[:-1], ecut[:old_num_edges])
-    dst = _seg_indices(eout_off[:old_num_edges], ecut[:old_num_edges])
-    out_t1[dst] = t1_o[src]
-    out_t2[dst] = t2_o[src]
-    pre_mask = pre.astype(bool)
-    pre_at = (eout_off[:-1] + ecut)[pre_mask]
-    out_t1[pre_at] = pre_t1[pre_mask]
-    out_t2[pre_at] = pre_t2[pre_mask]
-    src = _seg_indices(off_es[:-1], sub_ecounts)
-    dst = _seg_indices(eout_off[:-1] + ecut + pre, sub_ecounts)
-    out_t1[dst] = t1_s[src]
-    out_t2[dst] = t2_s[src]
-    ecs = EdgeCoreSkyline.from_flat(eout_off, out_t1, out_t2, k, (1, new_tmax))
+    pre_t2 = np.zeros(m2, dtype=np.int64)
+    pre_t1[old_num_edges:] = np.where(pre, boundary - 1, -1)
+    pre_t2[old_num_edges:] = new_t
+    ecs = EdgeCoreSkyline.from_flat(
+        *_splice(old_ecs, ecut, pre_t1, pre_t2, sub_ecs, None), k, (1, new_tmax)
+    )
     return CoreTimeResult(vct=vct, ecs=ecs)
 
 

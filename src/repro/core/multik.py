@@ -18,35 +18,39 @@ one-``k``-at-a-time kernel cannot use:
   cascades per level only while both endpoints of a dying pair are still
   alive there.
 
-* **Level-fused fixpoint, compiled.**  All core times live in one
-  ``(levels, vertices)`` int64 matrix.  Per start time one call into a
-  small C step (``core/_fixpoint.c``, loaded by :mod:`repro.core.native`)
-  seeds the expiring batch's endpoints at every level and drains a
-  chaotic FIFO of ``(level, vertex)`` keys with the single-``k``
-  kernel's operator and re-scheduling filter; it allocates nothing,
-  every buffer being sized once per build.  The library is compiled
-  once with the system ``cc`` and cached in ``__pycache__`` beside the
-  source (or a per-user temp directory), keyed by the source's sha256.
-  If compiling or loading fails, the numpy path runs instead, after one
-  logged warning: the seed masks broadcast over all levels, and the
-  re-evaluation runs as *rounds* — each round's queued keys evaluated in
-  one segmented sweep (gather the CSR slices, scatter the availabilities
-  into a padded matrix, one axis sort, read each row's ``k``-th
-  smallest) and short cascade tails through a scalar drain.  That path
-  is also the compiled step's test oracle.  Every evaluation order
-  reaches the same least fixpoint as the single-``k`` kernel's per-vertex
-  order, so the harvested output is identical (re-verified entry by
-  entry against the single-``k`` kernel and the reference oracle by the
-  property suite, on both paths).  A single ``k`` still runs the numpy
-  single-``k`` kernel: it is the baseline the multi-``k`` speed-up gate
-  measures against, so it does not share the compiled step.
+* **One compiled pass.**  All core times live in one ``(levels,
+  vertices)`` int64 matrix, and the whole advancing phase is one call
+  into ``core/_fixpoint.c`` (loaded by :mod:`repro.core.native`).  Per
+  start time the pass refreshes the expiring batch's pair pointers,
+  seeds its endpoints at every level, drains a chaotic FIFO of
+  ``(level, vertex)`` keys with the single-``k`` kernel's operator and
+  re-scheduling filter, appends a VCT row per grown key, re-derives the
+  grown vertices' incident edge core times (a per-vertex cursor into
+  the incident CSR, shared by all levels, only moves forward) and emits
+  the windows of the batch stamped at that start.  It allocates
+  nothing; when the output space left is below one step's worst case it
+  returns the start time it stopped at and :class:`_FusedMultiK` grows
+  the buffers and resumes.  If compiling or loading fails, the numpy
+  step loop runs instead, after one logged warning: the seed masks
+  broadcast over all levels, the re-evaluation runs as *rounds* — each
+  round's queued keys evaluated in one segmented sweep (gather the CSR
+  slices, scatter the availabilities into a padded matrix, one axis
+  sort, read each row's ``k``-th smallest) and short cascade tails
+  through a scalar drain — and the harvest of all levels batches into
+  one composite-key ``searchsorted`` + gather sweep per step.  That
+  loop is also the compiled pass's test oracle.  Every evaluation order
+  reaches the same least fixpoint as the single-``k`` kernel's
+  per-vertex order, so the harvested output is identical (re-verified
+  entry by entry against the single-``k`` kernel and the reference
+  oracle by the property suite, on both paths).  A single ``k`` still
+  runs the numpy single-``k`` kernel: it is the baseline the multi-``k``
+  speed-up gate measures against, so it does not share the compiled
+  pass.
 
-* **Columnar harvesting.**  VCT transitions and finalised skyline
-  windows are accumulated as flat ``(key, value)`` array chunks — the
-  incident-edge re-derivations of *all* levels batch into one
-  composite-key ``searchsorted`` + gather sweep per step — and the
-  result is assembled at the end with one stable sort per level into
-  the offset-indexed flat arrays that
+* **Columnar output.**  VCT transitions and finalised skyline windows
+  are accumulated as flat ``(key, start, value)`` row chunks and
+  assembled at the end with one stable sort per side into the
+  offset-indexed flat arrays that
   :class:`~repro.core.coretime.VertexCoreTimeIndex` and
   :class:`~repro.core.windows.EdgeCoreSkyline` serve natively (and the
   on-disk store persists), with no per-entry Python tuples anywhere.
@@ -63,7 +67,7 @@ it.
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import time
 from collections import deque
 from collections.abc import Iterable
@@ -73,6 +77,7 @@ import numpy as np
 
 from repro.core import native
 from repro.core.coretime import (
+    _NO_TIME,
     INF_CT,
     CoreTimeResult,
     VertexCoreTimeIndex,
@@ -102,6 +107,13 @@ def _validated_ks(ks: Iterable[int]) -> list[int]:
     if not values:
         raise InvalidParameterError("ks must contain at least one k value")
     return sorted(set(values))
+
+
+def _grown_copy(array: np.ndarray, length: int, capacity: int) -> np.ndarray:
+    """A ``capacity``-long int64 buffer starting with ``array[:length]``."""
+    out = np.empty(capacity, dtype=np.int64)
+    out[:length] = array[:length]
+    return out
 
 
 def _shared_initial_scan(
@@ -261,11 +273,11 @@ class _FusedMultiK:
     """The level-fused advancing phase over a 2-D core-time matrix.
 
     One instance drives all requested ``k`` values ("levels") through
-    the start-time loop: the shared pointer/earliest-time refresh runs
-    once per step via the base :class:`_WindowState`, the fixpoint of
-    every level runs in one compiled step call (or the numpy rounds),
-    and the harvest work of every level is batched into fused segmented
-    numpy sweeps accumulating columnar output (see the module docstring).
+    the start-time loop (:meth:`run`): one compiled build pass, or the
+    numpy :meth:`step` loop — the shared pointer/earliest-time refresh
+    via the base :class:`_WindowState`, the fused fixpoint rounds and
+    the fused harvest sweeps — both accumulating columnar output (see
+    the module docstring).
     """
 
     #: Frontiers at most this large drain through the scalar chaotic
@@ -273,6 +285,12 @@ class _FusedMultiK:
     #: short cascade tails (nearly half of all rounds hold a few percent
     #: of the row volume).
     _SCALAR_FRONTIER = 10
+
+    #: First size of the compiled pass's VCT buffers, in rows per level
+    #: and window edge; the skyline's start four times larger.  Measured
+    #: builds emit about 3 VCT and 8-13 skyline rows per level and edge;
+    #: a short guess only costs a resume.
+    _START_ROWS = 4
 
     def __init__(
         self,
@@ -303,11 +321,11 @@ class _FusedMultiK:
         self.np_km1 = np.asarray(ks, dtype=np.int64) - 1
         self.with_skyline = with_skyline
         self._inq = bytearray(len(ks) * n)
-        # Columnar VCT accumulation: per step, the changed keys
-        # (level * n + vertex) and their new core times.
+        # Columnar VCT accumulation: (level * n + vertex, start, new core
+        # time) chunks.
         self._vct_keys: list[np.ndarray] = []
+        self._vct_starts: list[np.ndarray] = []
         self._vct_cts: list[np.ndarray] = []
-        self._vct_ts: list[int] = []
         # Columnar ECS accumulation: (level * m + edge, t1, t2) chunks.
         self._ecs_keys: list[np.ndarray] = []
         self._ecs_t1: list[np.ndarray] = []
@@ -319,51 +337,6 @@ class _FusedMultiK:
         # Reusable buffers for the fused sweeps (grown on demand).
         self._iota = np.arange(1024, dtype=np.int64)
         self._pad_buffer = np.empty(1024, dtype=np.int64)
-        self._native_step = self._bind_native_step()
-
-    def _bind_native_step(self):
-        """The compiled fixpoint step bound to this build's arrays, or ``None``.
-
-        Every buffer is sized here once (the step never allocates) and
-        every address is read once, so a step call marshals only the
-        expiring batch's edge-id range.
-        """
-        step = native.fixpoint_step()
-        if step is None:
-            return None
-        cg = self.cg
-        size = self.num_levels * self.num_vertices
-        self._grown = np.empty(size, dtype=np.int64)
-        arrays = (
-            self.np_adj_offsets,
-            cg.np_adj_neighbour,
-            cg.np_edge_u,
-            cg.np_edge_v,
-            cg.np_edge_slot_u,
-            self.base.ett,
-            self.np_km1,
-            self.ct_flat,
-        )
-        buffers = (
-            np.zeros(size, dtype=np.uint8),  # in-queue mask
-            np.zeros(size, dtype=np.uint8),  # grown-key mask
-            np.empty(size, dtype=np.int64),  # ring queue
-            np.empty(max(int(self.np_degree.max(initial=0)), 1), dtype=np.int64),
-            self._grown,
-        )
-        for array in arrays + buffers[2:]:
-            if array.dtype != np.int64 or not array.flags.c_contiguous:
-                raise TypeError("the compiled fixpoint step needs C-contiguous int64 arrays")
-        self._native_arrays = arrays + buffers  # keeps the addresses valid
-        return functools.partial(
-            step,
-            *(array.ctypes.data for array in arrays),
-            self.num_vertices,
-            self.num_levels,
-            self.ts_hi,
-            self.inf,
-            *(buffer.ctypes.data for buffer in buffers),
-        )
 
     def _arange(self, total: int) -> np.ndarray:
         if total > len(self._iota):
@@ -392,8 +365,8 @@ class _FusedMultiK:
         time_offset = cg.time_offset
         initial = (ct_flat < inf).nonzero()[0]
         self._vct_keys.append(initial)
+        self._vct_starts.append(np.full(len(initial), ts_lo, dtype=np.int64))
         self._vct_cts.append(ct_flat[initial])
-        self._vct_ts.append(ts_lo)
         if not self.with_skyline:
             return
         m = self.num_edges
@@ -407,17 +380,6 @@ class _FusedMultiK:
                 ct_matrix[:, cg.np_edge_v[window]],
             ),
             cg.np_edge_t[window][None, :],
-        )
-        # Composite sort key over the incident CSR: segments are
-        # per-vertex ascending-time, so `vertex * (tmax + 2) + time` is
-        # *globally* sorted — one vectorised searchsorted then cuts every
-        # changed vertex's incident suffix at once (the fused analogue of
-        # the single-k kernel's per-vertex bisect).
-        inc_counts = self.np_inc_offsets[1:] - self.np_inc_offsets[:-1]
-        self._inc_key = (
-            np.repeat(self._arange(self.num_vertices), inc_counts)
-            * self._inc_stride
-            + cg.np_inc_time
         )
         # Edges stamped with the very first start time leave the window
         # as soon as the start advances: their pending window finalises
@@ -507,12 +469,14 @@ class _FusedMultiK:
             grew_out.append(np.asarray(grew_keys, dtype=np.int64))
 
     def advance(self, current_ts: int) -> np.ndarray:
-        """Move every level's start to ``current_ts``.
+        """Move every level's start to ``current_ts`` (numpy path).
 
-        Runs the shared expiry once, then the fixpoint: one compiled
-        step call when the native library loaded, the numpy rounds
-        otherwise.  Both apply the same seed filter, operator and
-        re-scheduling filter, so the least fixpoint matches
+        Runs the shared expiry once, then the fixpoint as fused rounds:
+        every queued ``(level, vertex)`` pair of a round is either
+        evaluated in one fused segmented sweep (large rounds) or through
+        the scalar single-k code path (short cascade tails).  The seed
+        filter, operator and re-scheduling filter are the single-k
+        kernel's, so the least fixpoint matches
         :meth:`_WindowState.advance_start` per level.  Returns the
         deduplicated keys (``level * n + vertex``) whose core time grew
         this step, in no particular order.
@@ -523,18 +487,6 @@ class _FusedMultiK:
         batch_hi = time_offset[current_ts]
         if batch_lo >= batch_hi:
             return np.empty(0, dtype=np.int64)
-        if self._native_step is not None:
-            return self._grown[: self._native_step(batch_lo, batch_hi)].copy()
-        return self._fixpoint_rounds(batch_lo, batch_hi)
-
-    def _fixpoint_rounds(self, batch_lo: int, batch_hi: int) -> np.ndarray:
-        """The numpy fixpoint: fused rounds, then a scalar drain.
-
-        Every queued ``(level, vertex)`` pair of a round is either
-        evaluated in one fused segmented sweep (large rounds) or through
-        the scalar single-k code path (short cascade tails).  This is the
-        fallback when the compiled step is unavailable, and its oracle.
-        """
         base = self.base
         cg = self.cg
         n = self.num_vertices
@@ -647,15 +599,24 @@ class _FusedMultiK:
         ts_hi = self.ts_hi
         new_cts = self.ct_flat[changed_keys]
         self._vct_keys.append(changed_keys)
+        self._vct_starts.append(np.full(len(changed_keys), current_ts, dtype=np.int64))
         self._vct_cts.append(new_cts)
-        self._vct_ts.append(current_ts)
         if self.ect_flat is None:
             return
         levels = changed_keys // n
         verts = changed_keys - levels * n
+        stride = self._inc_stride
+        if self._inc_key is None:
+            # Composite sort key over the incident CSR: segments are
+            # per-vertex ascending-time, so `vertex * (tmax + 2) + time`
+            # is *globally* sorted — one vectorised searchsorted then
+            # cuts every changed vertex's incident suffix at once.
+            inc_counts = self.np_inc_offsets[1:] - self.np_inc_offsets[:-1]
+            self._inc_key = (
+                np.repeat(self._arange(n), inc_counts) * stride + self.cg.np_inc_time
+            )
         # Exact incident-CSR suffix of every event — time in
         # [current_ts, ts_hi] — via one composite-key searchsorted.
-        stride = self._inc_stride
         cut_lo = np.searchsorted(
             self._inc_key, verts * stride + current_ts, side="left"
         )
@@ -714,6 +675,107 @@ class _FusedMultiK:
         if self.ect_matrix is not None:
             self._emit_batch(current_ts)
 
+    def run(self) -> None:
+        """The advancing phase: every start time past ``ts_lo``.
+
+        One compiled build pass when the C kernels loaded, the numpy
+        :meth:`step` loop (its test oracle) otherwise.
+        """
+        kernels = native.library()
+        if kernels is None:
+            for current_ts in range(self.ts_lo + 1, self.ts_hi + 1):
+                self.step(current_ts)
+        else:
+            self._run_compiled(kernels.build_pass)
+
+    def _run_compiled(self, build_pass) -> None:
+        """Run ``repro_build_pass``, growing its output buffers on demand.
+
+        Every array the pass reads or writes is bound once here (int64
+        and C-contiguous, or :class:`TypeError`).  The pass stops before
+        a start time whose worst-case output would not fit, reporting
+        the lengths it needs; the buffers then grow geometrically and
+        the pass resumes there.  Its rows land as one VCT and one ECS
+        chunk, in ascending step order.
+        """
+        cg = self.cg
+        base = self.base
+        n = self.num_vertices
+        levels = self.num_levels
+        ts_hi = self.ts_hi
+        time_offset = np.asarray(cg.time_offset, dtype=np.int64)
+        skyline = self.ect_flat is not None
+        size = levels * n
+        keep: list[np.ndarray] = []  # holds every bound address valid
+        args = native.BuildArgs(
+            n=n, m=self.num_edges, levels=levels, ts_hi=ts_hi, inf=self.inf, no_time=_NO_TIME
+        )
+
+        def bind(name: str, array: np.ndarray) -> None:
+            if array.dtype not in (np.int64, np.uint8) or not array.flags.c_contiguous:
+                raise TypeError("the compiled build pass needs C-contiguous int64 arrays")
+            keep.append(array)
+            setattr(args, name, array.ctypes.data)
+
+        for name, array in (
+            ("adj_offsets", self.np_adj_offsets),
+            ("adj_neighbour", cg.np_adj_neighbour),
+            ("edge_u", cg.np_edge_u),
+            ("edge_v", cg.np_edge_v),
+            ("edge_slot_u", cg.np_edge_slot_u),
+            ("edge_slot_v", as_int64_array(cg.edge_slot_v)),
+            ("time_offset", time_offset),
+            ("pair_times", as_int64_array(cg.pair_times)),
+            ("slot_times_end", as_int64_array(cg.slot_times_end)),
+            ("inc_offsets", self.np_inc_offsets),
+            ("inc_time", cg.np_inc_time),
+            ("inc_other", cg.np_inc_other),
+            ("inc_eid", cg.np_inc_eid),
+            ("km1", self.np_km1),
+            ("ptr", np.asarray(base.ptr, dtype=np.int64)),
+            ("ett", base.ett),
+            ("ct", self.ct_flat),
+            ("inc_cursor", self.np_inc_offsets[:-1].copy()),
+            ("inq", np.zeros(size, dtype=np.uint8)),
+            ("grown_mask", np.zeros(size, dtype=np.uint8)),
+            ("queue", np.empty(size, dtype=np.int64)),
+            ("scratch", np.empty(max(int(self.np_degree.max(initial=0)), 1), dtype=np.int64)),
+            ("grown", np.empty(size, dtype=np.int64)),
+        ):
+            bind(name, array)
+        if skyline:
+            bind("ect", self.ect_flat)
+
+        columns = {"vct": ("vct_key", "vct_ts", "vct_ct"), "ecs": ("ecs_key", "ecs_t1", "ecs_t2")}
+        out = {side: [np.empty(0, np.int64)] * 3 for side in columns}
+
+        def reserve(side: str, need: int) -> None:
+            if need <= len(out[side][0]):
+                return
+            capacity = max(need, 2 * len(out[side][0]))
+            length = getattr(args, f"{side}_len")
+            out[side] = [_grown_copy(part, length, capacity) for part in out[side]]
+            for name, part in zip(columns[side], out[side]):
+                setattr(args, name, part.ctypes.data)
+            setattr(args, f"{side}_capacity", capacity)
+
+        window = int(time_offset[ts_hi + 1] - time_offset[self.ts_lo])
+        start_vct = self._START_ROWS * levels * window
+        start_ecs = 4 * start_vct if skyline else 0
+        current_ts = self.ts_lo + 1
+        while current_ts <= ts_hi:
+            reserve("vct", max(args.vct_need, start_vct))
+            reserve("ecs", max(args.ecs_need, start_ecs))
+            current_ts = build_pass(ctypes.byref(args), current_ts)
+        vct, ecs = out["vct"], out["ecs"]
+        self._vct_keys.append(vct[0][: args.vct_len])
+        self._vct_starts.append(vct[1][: args.vct_len])
+        self._vct_cts.append(vct[2][: args.vct_len])
+        if skyline:
+            self._ecs_keys.append(ecs[0][: args.ecs_len])
+            self._ecs_t1.append(ecs[1][: args.ecs_len])
+            self._ecs_t2.append(ecs[2][: args.ecs_len])
+
     # ------------------------------------------------------------------
 
     def results(self) -> dict[int, CoreTimeResult]:
@@ -728,16 +790,9 @@ class _FusedMultiK:
         n = self.num_vertices
         m = self.num_edges
         span = (self.ts_lo, self.ts_hi)
-        vct_keys = np.concatenate(self._vct_keys) if self._vct_keys else np.empty(0, np.int64)
-        vct_starts = (
-            np.repeat(
-                np.asarray(self._vct_ts, dtype=np.int64),
-                np.asarray([len(c) for c in self._vct_keys], dtype=np.int64),
-            )
-            if self._vct_keys
-            else np.empty(0, np.int64)
-        )
-        vct_cts = np.concatenate(self._vct_cts) if self._vct_cts else np.empty(0, np.int64)
+        vct_keys = np.concatenate(self._vct_keys)
+        vct_starts = np.concatenate(self._vct_starts)
+        vct_cts = np.concatenate(self._vct_cts)
         order = np.argsort(vct_keys, kind="stable")
         vct_keys = vct_keys[order]
         vct_starts = vct_starts[order]
@@ -792,9 +847,10 @@ def compute_core_times_multi(
     :func:`~repro.core.coretime.compute_core_times` once per ``k``
     (property-tested against it and the reference oracle) at a fraction
     of the cost: the decremental scan and pointer maintenance run once,
-    the per-level fixpoints run as one compiled step per start time, and
-    the harvest work is batched into fused numpy sweeps.  The returned indexes are served from offset-indexed flat
-    arrays (the same views the on-disk store uses), not per-vertex
+    and the advancing phase of every level runs as one compiled pass
+    (or the fused numpy step loop).  The returned indexes are served
+    from offset-indexed flat arrays (the same views the on-disk store
+    uses), not per-vertex
     Python lists.  Parameters default to the graph's full span; the
     result maps each requested ``k`` (deduplicated) to its
     :class:`CoreTimeResult`.
@@ -813,8 +869,7 @@ def compute_core_times_multi(
     fused = _FusedMultiK(graph, unique, ts_lo, ts_hi, with_skyline)
     _shared_initial_scan(fused.base, unique, fused.ct_matrix)
     fused.seed_from_initial_scan()
-    for current_ts in range(ts_lo + 1, ts_hi + 1):
-        fused.step(current_ts)
+    fused.run()
     return fused.results()
 
 

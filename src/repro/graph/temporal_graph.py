@@ -55,7 +55,6 @@ class TemporalGraph:
 
     __slots__ = (
         "_edges",
-        "_edge_ids_by_time",
         "_time_offset",
         "_labels",
         "_label_ids",
@@ -132,12 +131,9 @@ class TemporalGraph:
         self._compiled_cache = None
 
         tmax = self.tmax
-        ids_by_time: list[list[int]] = [[] for _ in range(tmax + 1)]
-        for eid, edge_ in enumerate(self._edges):
-            ids_by_time[edge_.t].append(eid)
-        self._edge_ids_by_time: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ids) for ids in ids_by_time
-        )
+        per_time = [0] * (tmax + 1)
+        for edge_ in self._edges:
+            per_time[edge_.t] += 1
         # Edges are sorted by timestamp, so ``_time_offset[t]`` (the number
         # of edges stamped strictly before ``t``) turns any window into a
         # contiguous edge-id range: ids in ``[ts, te]`` are exactly
@@ -145,7 +141,7 @@ class TemporalGraph:
         offsets = [0] * (tmax + 2)
         running = 0
         for t in range(1, tmax + 2):
-            offsets[t] = running = running + len(ids_by_time[t - 1])
+            offsets[t] = running = running + per_time[t - 1]
         self._time_offset: tuple[int, ...] = tuple(offsets)
 
     # ------------------------------------------------------------------
@@ -237,7 +233,7 @@ class TemporalGraph:
         """Edge ids whose timestamp is exactly ``t``."""
         if t < 1 or t > self.tmax:
             return ()
-        return self._edge_ids_by_time[t]
+        return tuple(range(self._time_offset[t], self._time_offset[t + 1]))
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -351,12 +347,6 @@ class TemporalGraph:
         graph._adjacency_cache = None
         graph._compiled_cache = None
         graph._time_offset = time_offset
-        # Edges are sorted by timestamp, so the ids at time t are the
-        # contiguous range given by the prefix table.
-        graph._edge_ids_by_time = tuple(
-            tuple(range(time_offset[t], time_offset[t + 1]))
-            for t in range(len(time_offset) - 1)
-        )
         return graph
 
     @classmethod

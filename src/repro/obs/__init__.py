@@ -10,8 +10,7 @@ Three small modules with one job each:
   threaded through ``plan → execute → sink``; :data:`NULL_TRACE` is
   the one-branch disabled default.
 * :mod:`repro.obs.timing` — the monotonic clock (:func:`now`) plus
-  :class:`Stopwatch` / :class:`Deadline` / :func:`time_call`, absorbed
-  from ``repro.utils.timer``.
+  :class:`Stopwatch` / :class:`Deadline` / :func:`time_call`.
 
 ``repro.obs.report()`` renders the default registry as a one-shot text
 report.  See ``docs/OBSERVABILITY.md`` for the instrument catalogue

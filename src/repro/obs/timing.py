@@ -5,9 +5,6 @@ histograms, deadlines, benchmark laps — goes through :func:`now`, a
 single process-wide monotonic clock (``time.perf_counter``: monotonic,
 highest available resolution, immune to wall-clock steps).  Nothing in
 the library times work against ``time.time``.
-
-This module absorbed ``repro.utils.timer`` (PR 7); the old import path
-re-exports these names with a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations

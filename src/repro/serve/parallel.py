@@ -9,8 +9,8 @@ arrays by mmap — zero copy, no pickled edges, no per-worker rebuild.
 :class:`WorkerPool` is the executor tier that exploits that:
 
 * **Workers attach, they never build.**  The pool initialiser opens the
-  store directory in each worker; graphs and their
-  ``FlatVertexCoreTimes``/``FlatEdgeSkyline`` views are loaded lazily by
+  store directory in each worker; graphs and their flat
+  ``VertexCoreTimeIndex``/``EdgeCoreSkyline`` arrays are loaded lazily by
   store key straight off the blob mappings and cached in a per-worker
   registry.  The parent persists whatever a plan needs (graph blobs,
   index blobs) before dispatching, so a worker's load is always a

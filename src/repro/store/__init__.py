@@ -9,8 +9,6 @@ indexes are opened from disk in milliseconds —
   reads with a plain-read fallback);
 * :mod:`repro.store.codec` — graph and index encoders/decoders plus the
   graph fingerprint used for staleness detection;
-* :mod:`repro.store.views` — lazy flat-array VCT/ECS views served
-  straight off the file mapping;
 * :mod:`repro.store.index_store` — the :class:`IndexStore` directory
   abstraction (JSON manifest, one directory per graph, one index file
   per ``k``);
@@ -45,14 +43,11 @@ from repro.store.codec import (
 from repro.store.format import FORMAT_VERSION, Blob, read_blob, write_blob
 from repro.store.fsck import FsckIssue, FsckReport, scrub_store
 from repro.store.index_store import IndexStore, StreamRecovery
-from repro.store.views import FlatEdgeSkyline, FlatVertexCoreTimes
 from repro.store.wal import WalEvent, WriteAheadLog, scan_segment
 
 __all__ = [
     "Blob",
     "FORMAT_VERSION",
-    "FlatEdgeSkyline",
-    "FlatVertexCoreTimes",
     "FsckIssue",
     "FsckReport",
     "IndexStore",

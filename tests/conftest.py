@@ -18,8 +18,8 @@ def paper_graph() -> TemporalGraph:
 
 @pytest.fixture()
 def numpy_fixpoint(monkeypatch):
-    """Multi-k builds run the numpy fixpoint rounds, not the compiled step."""
-    monkeypatch.setattr(native, "fixpoint_step", lambda: None)
+    """Multi-k builds and folds run their numpy paths, not the C kernels."""
+    monkeypatch.setattr(native, "library", lambda: None)
 
 
 @pytest.fixture()

@@ -14,7 +14,9 @@ import random
 
 import pytest
 
+import repro.core.incremental as incremental
 from repro.core.coretime import compute_core_times
+from repro.core.coretime_ref import compute_core_times_reference
 from repro.core.incremental import (
     DeltaFold,
     FoldFallback,
@@ -206,6 +208,42 @@ class TestDeltaFoldIdentity:
         oracle = build_core_indexes(TemporalGraph(base_edges + batch), ks)
         assert_indexes_equal(result.indexes, oracle, ks)
         assert result.report.new_vertices == 3
+
+    @pytest.mark.parametrize("seed", [3, 16, 22, 31])
+    def test_new_vertices_hit_every_merge_branch(self, seed, monkeypatch):
+        """A small batch with two fresh degree-1 vertices: the VCT merge
+        inserts (fold_start, INF) and drops unchanged first entries, and
+        the ECS merge synthesises pre-window rows."""
+        seen = {"insert": False, "drop": False, "pre": False}
+        real = incremental._splice
+
+        def recording(old, keep, ins_a, ins_b, sub, skip):
+            if skip is not None:  # the VCT merge
+                seen["insert"] |= bool((ins_a >= 0).any())
+                seen["drop"] |= bool(skip.any())
+            else:
+                seen["pre"] |= bool((ins_a >= 0).any())
+            return real(old, keep, ins_a, ins_b, sub, skip)
+
+        monkeypatch.setattr(incremental, "_splice", recording)
+        ks = (2, 3)
+        base_edges = stream(seed, 150)
+        batch = frontier_batch(base_edges, seed + 50, 3)
+        t = batch[-1][2]
+        batch += [("x1", "n3", t + 1), ("x2", "n5", t + 1)]
+        base = TemporalGraph(base_edges)
+        result = delta_fold(base, build_core_indexes(base, ks), batch)
+        assert seen == {"insert": True, "drop": True, "pre": True}
+        assert result.report.new_vertices == 2
+        assert result.report.fold_start > 1
+        graph = TemporalGraph(base_edges + batch)
+        assert_indexes_equal(result.indexes, build_core_indexes(graph, ks), ks)
+        for k in ks:
+            oracle = compute_core_times_reference(graph, k)
+            for u in range(graph.num_vertices):
+                assert result.indexes[k].vct.entries_of(u) == oracle.vct.entries_of(u)
+            for e in range(graph.num_edges):
+                assert result.indexes[k].ecs.windows_of(e) == oracle.ecs.windows_of(e)
 
     def test_empty_batch_is_a_no_op(self):
         base_edges = stream(1, 80)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.core.index as index_module
+from repro.core import multik, native
 from repro.core.coretime import compute_core_times
 from repro.core.coretime_ref import compute_core_times_reference
 from repro.core.index import CoreIndex, CoreIndexRegistry
@@ -134,6 +136,24 @@ class TestMultiKEquivalence:
         assert_multi_identical(graph, [1, 3, 8, 20])
         assert_multi_identical(graph, [2, 5], 100, 300)
 
+    def test_without_skyline_random(self, property_graph):
+        tmax = property_graph.tmax
+        for ts, te in [(None, None), (3, tmax - 2)]:
+            multi = compute_core_times_multi(
+                property_graph, [1, 3, 5], ts, te, with_skyline=False
+            )
+            for k, got in multi.items():
+                assert got.ecs is None
+                reference = compute_core_times_reference(property_graph, k, ts, te)
+                for u in range(property_graph.num_vertices):
+                    assert got.vct.entries_of(u) == reference.vct.entries_of(u), (k, u)
+
+    def test_span_end_below_tmax(self, property_graph):
+        """An end below tmax bounds every vertex's incident-edge cursor."""
+        tmax = property_graph.tmax
+        for ts, te in [(1, tmax - 1), (1, tmax // 2), (4, tmax - 5)]:
+            assert_multi_identical(property_graph, [1, 2, 4], ts, te, oracle=True)
+
     def test_validation(self, paper_graph):
         with pytest.raises(InvalidParameterError):
             compute_core_times_multi(paper_graph, [])
@@ -152,6 +172,63 @@ class TestMultiKEquivalence:
 @pytest.mark.usefixtures("numpy_fixpoint")
 class TestMultiKEquivalenceNumpy(TestMultiKEquivalence):
     """Every equivalence case again on the numpy fixpoint rounds."""
+
+
+@pytest.mark.skipif(native.library() is None, reason="no working C compiler")
+class TestCompiledBuildPass:
+    """The one-call build pass against the numpy step loop."""
+
+    @pytest.fixture()
+    def pass_calls(self, monkeypatch):
+        """Starts every build with no output space; counts pass calls."""
+        kernels = native.library()
+        calls: list[int] = []
+
+        def counted(args, ts_from):
+            calls.append(ts_from)
+            return kernels.build_pass(args, ts_from)
+
+        monkeypatch.setattr(multik._FusedMultiK, "_START_ROWS", 0)
+        monkeypatch.setattr(native, "library", lambda: kernels._replace(build_pass=counted))
+        return calls
+
+    @staticmethod
+    def _numpy_build(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "library", lambda: None)
+            return compute_core_times_multi(*args, **kwargs)
+
+    def test_resume_matches_numpy_loop(self, pass_calls, monkeypatch, property_graph):
+        tmax = property_graph.tmax
+        for ts, te in [(None, None), (2, tmax - 3)]:
+            pass_calls.clear()
+            got = compute_core_times_multi(property_graph, [1, 2, 4], ts, te)
+            assert len(pass_calls) > 1  # stopped short and resumed
+            assert pass_calls == sorted(pass_calls)
+            want = self._numpy_build(monkeypatch, property_graph, [1, 2, 4], ts, te)
+            for k in (1, 2, 4):
+                for got_part, want_part in zip(
+                    got[k].vct.flat_parts() + got[k].ecs.flat_parts(),
+                    want[k].vct.flat_parts() + want[k].ecs.flat_parts(),
+                ):
+                    assert list(got_part) == list(want_part), k
+            assert_multi_identical(property_graph, [1, 2, 4], ts, te, oracle=True)
+
+    def test_resume_without_skyline(self, pass_calls, paper_graph):
+        got = compute_core_times_multi(paper_graph, [2, 3], with_skyline=False)
+        assert len(pass_calls) > 1
+        for k in (2, 3):
+            reference = compute_core_times_reference(paper_graph, k)
+            for u in range(paper_graph.num_vertices):
+                assert got[k].vct.entries_of(u) == reference.vct.entries_of(u)
+
+    def test_rejects_non_contiguous_state(self, paper_graph):
+        fused = multik._FusedMultiK(paper_graph, [2, 3], 1, paper_graph.tmax, True)
+        multik._shared_initial_scan(fused.base, [2, 3], fused.ct_matrix)
+        fused.seed_from_initial_scan()
+        fused.base.ett = np.repeat(fused.base.ett, 2)[::2]
+        with pytest.raises(TypeError):
+            fused.run()
 
 
 class TestBuildCoreIndexes:

@@ -1,14 +1,15 @@
-"""The compiled fixpoint step's loader (:mod:`repro.core.native`).
+"""The C kernels' loader (:mod:`repro.core.native`).
 
 The cache directory and the compiler command are redirected by
 monkeypatching the module's functions; each test loads through the
-unmemoised ``_load`` or clears :func:`native.fixpoint_step`'s memo.
+unmemoised ``_load`` or clears :func:`native.library`'s memo.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -22,7 +23,7 @@ from repro.graph.generators import uniform_random_temporal
 from repro.obs.metrics import get_registry
 
 pytestmark = pytest.mark.skipif(
-    native.fixpoint_step() is None, reason="no working C compiler"
+    native.library() is None, reason="no working C compiler"
 )
 
 
@@ -45,9 +46,9 @@ def cache(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def fresh_memo():
-    native.fixpoint_step.cache_clear()
+    native.library.cache_clear()
     yield
-    native.fixpoint_step.cache_clear()
+    native.library.cache_clear()
 
 
 def _flat(results):
@@ -76,12 +77,60 @@ class TestCache:
     def test_changed_source_recompiles(self, cache, tmp_path, monkeypatch):
         directory, runs = cache
         assert native._load() is not None
+        (previous,) = directory.glob("*.so")
         edited = tmp_path / "_fixpoint.c"
         edited.write_text(native.SOURCE.read_text() + "\n/* edited */\n")
         monkeypatch.setattr(native, "SOURCE", edited)
         assert native._load() is not None
         assert len(runs) == 2
-        assert len(list(directory.glob("*.so"))) == 2
+        # The previous revision's library is pruned on publish.
+        (current,) = directory.glob("*.so")
+        assert current != previous
+
+    def test_publish_prunes_only_other_revisions(self, cache):
+        directory, _ = cache
+        directory.mkdir()
+        stale = directory / "_fixpoint-0123456789abcdef.so"
+        stale.write_bytes(b"old revision")
+        unrelated = directory / "other.so"
+        unrelated.write_bytes(b"not ours")
+        assert native._load() is not None
+        assert not stale.exists()
+        assert unrelated.exists()
+        assert len(list(directory.glob("_fixpoint-*.so"))) == 1
+
+    def test_reused_library_prunes_nothing(self, cache):
+        directory, runs = cache
+        assert native._load() is not None
+        stale = directory / "_fixpoint-0123456789abcdef.so"
+        stale.write_bytes(b"old revision")
+        assert native._load() is not None
+        assert len(runs) == 1
+        assert stale.exists()
+
+    def test_private_directory_is_not_pruned(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        private = tmp_path / "private"
+        private.mkdir(mode=0o700)
+        stale = private / "_fixpoint-0123456789abcdef.so"
+        stale.write_bytes(b"another checkout's revision")
+        monkeypatch.setattr(native, "cache_dirs", lambda: [blocker / "cache", private])
+        assert native._load() is not None
+        assert stale.exists()
+        assert len(list(private.glob("_fixpoint-*.so"))) == 2
+
+    def test_prune_tolerates_a_racing_remover(self, cache, monkeypatch):
+        directory, _ = cache
+        real_glob = pathlib.Path.glob
+
+        def glob_with_vanished(self, pattern):
+            yield from real_glob(self, pattern)
+            yield self / "_fixpoint-ffffffffffffffff.so"  # already removed
+
+        monkeypatch.setattr(pathlib.Path, "glob", glob_with_vanished)
+        assert native._load() is not None
+        assert len(list(real_glob(directory, "_fixpoint-*.so"))) == 1
 
     def test_unusable_directory_falls_back_to_the_next(self, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"
@@ -109,7 +158,7 @@ def test_racing_processes_on_cold_cache(tmp_path):
         from repro.datasets.paper_example import paper_example_graph
 
         native.cache_dirs = lambda: [pathlib.Path({str(directory)!r})]
-        assert native.fixpoint_step() is not None
+        assert native.library() is not None
         graph = paper_example_graph()
         multi = compute_core_times_multi(graph, [2, 3])
         for k in (2, 3):
@@ -148,9 +197,9 @@ def test_failing_compiler_falls_back(tmp_path, monkeypatch, caplog, fresh_memo):
     ]
     monkeypatch.setattr(native, "cache_dirs", lambda: [tmp_path / "cache"])
     monkeypatch.setattr(native, "compiler_command", lambda source, output: failing)
-    native.fixpoint_step.cache_clear()
+    native.library.cache_clear()
     with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-        assert native.fixpoint_step() is None
+        assert native.library() is None
         fallback = compute_core_times_multi(graph, [1, 2, 4])
         compute_core_times_multi(graph, [2, 3])
     warnings = [r for r in caplog.records if r.name == "repro.core.native"]
@@ -161,5 +210,5 @@ def test_failing_compiler_falls_back(tmp_path, monkeypatch, caplog, fresh_memo):
 
 
 def test_gauge_reports_compiled(fresh_memo):
-    assert native.fixpoint_step() is not None
+    assert native.library() is not None
     assert get_registry().get("repro_kernel_native").value == 1

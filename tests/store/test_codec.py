@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.coretime import VertexCoreTimeIndex
 from repro.core.coretime_ref import compute_core_times_reference
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.index import CoreIndex
+from repro.core.windows import EdgeCoreSkyline
 from repro.errors import StoreError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.store import codec
-from repro.store.views import FlatEdgeSkyline, FlatVertexCoreTimes
 
 
 class TestGraphRoundTrip:
@@ -99,8 +100,8 @@ class TestIndexRoundTrip:
         path = tmp_path / "k2.idx"
         codec.dump_index(path, index)
         loaded = codec.load_index(path, paper_graph)
-        assert isinstance(loaded.vct, FlatVertexCoreTimes)
-        assert isinstance(loaded.ecs, FlatEdgeSkyline)
+        assert isinstance(loaded.vct, VertexCoreTimeIndex)
+        assert isinstance(loaded.ecs, EdgeCoreSkyline)
         tmax = paper_graph.tmax
         for ts in range(1, tmax + 1):
             for te in range(ts, tmax + 1):

@@ -10,26 +10,18 @@ from repro.utils.order import (
     kth_smallest,
     merge_intervals,
 )
-from repro.utils.timer import Deadline, Stopwatch, time_call
+from repro.obs.timing import Deadline, Stopwatch, time_call
 
 
 class TestTimerShim:
-    """``repro.utils.timer`` is a deprecated re-export of ``repro.obs.timing``."""
+    """``repro.utils`` re-exports the timing primitives of ``repro.obs.timing``."""
 
     def test_shim_reexports_same_objects(self):
-        from repro.obs import timing
+        import repro.utils as utils
 
-        assert Deadline is timing.Deadline
-        assert Stopwatch is timing.Stopwatch
-        assert time_call is timing.time_call
-
-    def test_shim_warns_on_import(self):
-        import importlib
-
-        import repro.utils.timer as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.obs.timing"):
-            importlib.reload(shim)
+        assert utils.Deadline is Deadline
+        assert utils.Stopwatch is Stopwatch
+        assert utils.time_call is time_call
 
 
 class TestKthSmallest:
