@@ -22,7 +22,7 @@ from repro import CoreIndex, TemporalGraph
 
 PEOPLE = 150
 MINUTES = 16 * 60  # a 16-hour observed day, minute resolution
-BACKGROUND_CONTACTS = 2_000
+BACKGROUND_CONTACTS = 300  # sparse: the whole day holds ~5k cores, swept in seconds
 SEED = 11
 
 

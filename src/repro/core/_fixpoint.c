@@ -1,5 +1,6 @@
 /*
- * The compiled kernels of the multi-k CoreTime build and the delta-fold.
+ * The compiled kernels of the multi-k CoreTime build, the delta-fold and
+ * the columnar enumeration walk.
  *
  * repro_build_pass runs the advancing phase of a level-fused multi-k
  * build (core/multik.py, _FusedMultiK) in one call: for every start time
@@ -16,7 +17,12 @@
  * _merge_level): the kept old prefix, an optional inserted row, then the
  * sub-span rows past a per-segment skip.
  *
- * Neither function allocates.  The build pass is resumable: before each
+ * repro_walk_step is one visited start time of the columnar walk
+ * (serve/columnar.py, the numpy loop of run_columnar_walk): the cut, the
+ * activation merge and AS-Output (Algorithm 4), plus, for a counting
+ * sink, the per-target counters a slice router would accumulate.
+ *
+ * No function allocates.  The build pass is resumable: before each
  * start time it checks the output space left against the worst case of
  * one step and, when that is short, returns the start time it stopped
  * at with the lengths it needs; the caller grows the output buffers and
@@ -334,4 +340,126 @@ void repro_splice(
             memcpy(out_b + at, sub_b + lo, (size_t)count * sizeof(int64_t));
         }
     }
+}
+
+/*
+ * One columnar walk's arrays and state.  The field order is mirrored by
+ * native.WalkArgs; every array is int64.
+ */
+struct repro_walk {
+    /* the window slice, read only, and its splice order: ascending by
+     * the visit each window activates at, then end, then activation */
+    const int64_t *eid, *start, *end, *active, *order;
+    int64_t size;
+    /* the alive set L_ts, sorted by end: ping-pong buffer sets of size
+     * entries, alive entries in set cur; the eid buffers are NULL when
+     * the sink only counts */
+    int64_t *end_0, *start_0, *eid_0, *end_1, *start_1, *eid_1;
+    int64_t cur, alive, next;
+    /* one step's cores: boundary ends, prefix lengths and their running
+     * sums (size entries each) */
+    int64_t *out_end, *out_len, *out_cum;
+    /* counting targets, sorted by ts: activated up to position, the
+     * unretired ones listed in target_active; accumulated into
+     * target_num / target_edges, and over every core into num_results /
+     * total_edges */
+    const int64_t *target_ts, *target_te;
+    int64_t *target_num, *target_edges, *target_active;
+    int64_t targets, position, num_active, num_results, total_edges;
+};
+
+/*
+ * Move the walk to start time t and report its cores; returns how many.
+ * The windows whose start lies before t expire (they started at the
+ * previous visited start time: no window starts in between), and the
+ * windows activating in (previous, t] -- the next run of the splice
+ * order -- merge in, ahead of alive entries with the same end (the
+ * numpy walk's searchsorted-left insertion).  The first alive entry
+ * starting at t flips the valid flag (Lemma 6); every end-group
+ * boundary from there on is one core, a prefix of the alive run.
+ */
+int64_t repro_walk_step(struct repro_walk *w, int64_t t)
+{
+    const int64_t *order = w->order;
+    const int64_t cur = w->cur, alive = w->alive;
+    const int64_t *src_end = cur ? w->end_1 : w->end_0;
+    const int64_t *src_start = cur ? w->start_1 : w->start_0;
+    const int64_t *src_eid = cur ? w->eid_1 : w->eid_0;
+    int64_t *dst_end = cur ? w->end_0 : w->end_1;
+    int64_t *dst_start = cur ? w->start_0 : w->start_1;
+    int64_t *dst_eid = cur ? w->eid_0 : w->eid_1;
+    int64_t in_lo = w->next, in_hi = in_lo;
+    while (in_hi < w->size && w->active[order[in_hi]] <= t)
+        in_hi++;
+    w->next = in_hi;
+
+    int64_t i = 0, j = in_lo, len = 0, p0 = -1;
+    for (;;) {
+        while (i < alive && src_start[i] < t)
+            i++;
+        const int has_old = i < alive, has_new = j < in_hi;
+        if (!has_old && !has_new)
+            break;
+        if (has_new && (!has_old || w->end[order[j]] <= src_end[i])) {
+            const int64_t row = order[j++];
+            dst_end[len] = w->end[row];
+            dst_start[len] = w->start[row];
+            if (dst_eid)
+                dst_eid[len] = w->eid[row];
+        } else {
+            dst_end[len] = src_end[i];
+            dst_start[len] = src_start[i];
+            if (dst_eid)
+                dst_eid[len] = src_eid[i];
+            i++;
+        }
+        if (p0 < 0 && dst_start[len] == t)
+            p0 = len;
+        len++;
+    }
+    w->cur = !cur;
+    w->alive = len;
+    if (p0 < 0)
+        return 0;
+
+    int64_t cores = 0, sum = 0;
+    for (int64_t p = p0; p < len; p++) {
+        if (p + 1 < len && dst_end[p + 1] == dst_end[p])
+            continue;
+        sum += p + 1;
+        w->out_end[cores] = dst_end[p];
+        w->out_len[cores] = p + 1;
+        w->out_cum[cores] = sum;
+        cores++;
+    }
+    w->num_results += cores;
+    w->total_edges += sum;
+
+    /* Route to the counting targets like the slice router: activate
+     * those with ts <= t, retire those with te < t (reported starts only
+     * grow), then count each one's cores ending by its te. */
+    while (w->position < w->targets && w->target_ts[w->position] <= t)
+        w->target_active[w->num_active++] = w->position++;
+    int64_t kept = 0;
+    for (int64_t a = 0; a < w->num_active; a++) {
+        const int64_t idx = w->target_active[a];
+        const int64_t te = w->target_te[idx];
+        if (te < t)
+            continue;
+        w->target_active[kept++] = idx;
+        int64_t lo = 0, hi = cores;
+        while (lo < hi) {
+            const int64_t mid = lo + (hi - lo) / 2;
+            if (w->out_end[mid] <= te)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo) {
+            w->target_num[idx] += lo;
+            w->target_edges[idx] += w->out_cum[lo - 1];
+        }
+    }
+    w->num_active = kept;
+    return cores;
 }

@@ -3,10 +3,12 @@
 :func:`library` compiles the source with the system C compiler
 (``cc -O2 -shared -fPIC``) the first time a process asks for it, caches
 the shared library under a name carrying the source's sha256, and loads
-it through :mod:`ctypes` with declared argument types.  It holds two
+it through :mod:`ctypes` with declared argument types.  It holds three
 functions: the multi-k build pass (``build_pass``, fed a
-:class:`BuildArgs` block; see :mod:`repro.core.multik`) and the fold's
-per-segment splice (``splice``; see :mod:`repro.core.incremental`).
+:class:`BuildArgs` block; see :mod:`repro.core.multik`), the fold's
+per-segment splice (``splice``; see :mod:`repro.core.incremental`) and
+one visited start time of the columnar enumeration walk (``walk_step``,
+fed a :class:`WalkArgs` block; see :mod:`repro.serve.columnar`).
 
 The cache lives in ``__pycache__`` beside the source, or in a per-user
 temp directory when that one is not writable.  A library is published
@@ -80,6 +82,33 @@ class BuildArgs(ctypes.Structure):
     ]
 
 
+class WalkArgs(ctypes.Structure):
+    """``struct repro_walk``: one columnar walk's arrays, state and counters.
+
+    The field order mirrors the C source; arrays are passed as the
+    addresses of C-contiguous int64 numpy buffers (``None`` for the
+    ones a walk does not use).
+    """
+
+    _fields_ = [
+        (name, _POINTER) for name in ("eid", "start", "end", "active", "order")
+    ] + [("size", _INT64)] + [
+        (name, _POINTER)
+        for name in ("end_0", "start_0", "eid_0", "end_1", "start_1", "eid_1")
+    ] + [
+        (name, _INT64) for name in ("cur", "alive", "next")
+    ] + [
+        (name, _POINTER)
+        for name in (
+            "out_end", "out_len", "out_cum",
+            "target_ts", "target_te", "target_num", "target_edges", "target_active",
+        )
+    ] + [
+        (name, _INT64)
+        for name in ("targets", "position", "num_active", "num_results", "total_edges")
+    ]
+
+
 class Kernels(NamedTuple):
     """The loaded C functions."""
 
@@ -87,6 +116,8 @@ class Kernels(NamedTuple):
     build_pass: Callable[..., int]
     #: ``repro_splice(segments, old_segments, 13 arrays)``
     splice: Callable[..., None]
+    #: ``repro_walk_step(WalkArgs *, t) -> cores reported at t``
+    walk_step: Callable[..., int]
 
 
 def cache_dirs() -> list[pathlib.Path]:
@@ -159,7 +190,10 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     splice = lib.repro_splice
     splice.argtypes = [_INT64] * 2 + [_POINTER] * 13
     splice.restype = None
-    return Kernels(build_pass, splice)
+    walk_step = lib.repro_walk_step
+    walk_step.argtypes = [ctypes.POINTER(WalkArgs), _INT64]
+    walk_step.restype = _INT64
+    return Kernels(build_pass, splice, walk_step)
 
 
 def _load() -> Kernels | None:
@@ -187,6 +221,7 @@ def library() -> Kernels | None:
     kernels = _load()
     get_registry().gauge(
         "repro_kernel_native",
-        "1 when the compiled CoreTime fixpoint step is loaded, 0 on the numpy fallback",
+        "1 when the compiled kernels (CoreTime build pass, fold splice, "
+        "columnar walk step) are loaded, 0 on the numpy fallback",
     ).set(0 if kernels is None else 1)
     return kernels

@@ -216,18 +216,21 @@ class CompiledGraph:
         self.edge_v = edge_v
         self.edge_t = edge_t
         self.time_offset = time_offset
-        self.adj_offsets = adj_offsets
-        self.adj_neighbour = adj_neighbour
-        self.slot_pid = slot_pid
-        self.slot_times_start = slot_times_start
-        self.slot_times_end = slot_times_end
-        self.slot_count = slot_count
-        self.pair_offset = pair_offset
+        # Tuples, not lists: the garbage collector untracks a tuple of
+        # ints the first time it sees one, so these tables never cost a
+        # collection pass again.
+        self.adj_offsets = tuple(adj_offsets)
+        self.adj_neighbour = tuple(adj_neighbour)
+        self.slot_pid = tuple(slot_pid)
+        self.slot_times_start = tuple(slot_times_start)
+        self.slot_times_end = tuple(slot_times_end)
+        self.slot_count = tuple(slot_count)
+        self.pair_offset = tuple(pair_offset)
         self.pair_times = pair_times
-        self.full_degree = full_degree
+        self.full_degree = tuple(full_degree)
         self.edge_slot_u = edge_slot_u
         self.edge_slot_v = edge_slot_v
-        self.inc_offsets = inc_offsets
+        self.inc_offsets = tuple(inc_offsets)
 
         # ---- numpy mirrors feeding the vectorised kernel loops ----
         self.np_adj_neighbour = np.asarray(adj_neighbour, dtype=np.int64)
@@ -316,7 +319,7 @@ class CompiledGraph:
 
     def neighbours_of(self, u: int) -> list[int]:
         """Distinct neighbours of ``u`` over the full span (sorted)."""
-        return self.adj_neighbour[self.adj_offsets[u] : self.adj_offsets[u + 1]]
+        return list(self.adj_neighbour[self.adj_offsets[u] : self.adj_offsets[u + 1]])
 
     def pair_times_of(self, u: int, v: int) -> list[int]:
         """Sorted edge timestamps of the pair ``{u, v}`` (empty if none).

@@ -3,30 +3,37 @@
 The seed enumerator (kept as the oracle in
 :mod:`repro.core.enumerate_ref`) maintains ``L_ts`` as a doubly linked
 list of per-window Python objects and walks it cell by cell.  This
-module replaces both with array operations over the flat
-``(eid, start, end, active)`` window slice the skyline hands over:
+module replaces both with flat arrays over the ``(eid, start, end,
+active)`` window slice the skyline hands over:
 
-* the *alive set* ``L_ts`` is held as three parallel **contiguous**
-  int64 arrays ``(end, start, eid)``, kept sorted by end time
-  (contiguity matters: every step streams these arrays, and a strided
-  layout costs a measured ~4x);
-* moving between start times is an array **cut** (drop the entries
-  whose start just expired — one boolean compress) and an array
-  **merge** (splice the newly activated windows in at their
-  ``searchsorted`` positions — the vectorised form of Algorithm 5's
-  roving-cursor insertion);
-* **AS-Output** (Algorithm 4) becomes a shifted comparison: the cores
-  reported at ``ts`` are the end-group boundaries of the alive suffix
-  at or after the first entry with start time ``ts``, and each is
-  described to the sink as ``(end, prefix length)`` into the shared
-  end-sorted edge run — no per-core accumulation loop.
+* the *alive set* ``L_ts`` is held as three parallel contiguous int64
+  arrays ``(end, start, eid)``, kept sorted by end time;
+* moving between start times is a **cut** (drop the entries whose
+  start just expired) and a **merge** (splice the newly activated
+  windows in, ahead of alive entries with the same end — Algorithm 5's
+  roving-cursor insertion, batched);
+* **AS-Output** (Algorithm 4): the cores reported at ``ts`` are the
+  end-group boundaries of the alive suffix at or after the first entry
+  with start time ``ts``, and each is described to the sink as ``(end,
+  prefix length)`` into the shared end-sorted edge run — no per-core
+  accumulation loop.
 
 Only start times where some window starts are visited (Lemma 4: no
 core starts anywhere else), and between two visited start times every
 activation and expiry is applied in one batch — windows that would
 have been spliced in and dropped again without ever being scanned are
-never touched, preserving the ``O(|L \\ L'|)`` update bound in
-vectorised form.
+never touched, preserving the ``O(|L \\ L'|)`` update bound.
+
+Each visited start time is one call of the compiled step
+(``repro_walk_step`` in ``core/_fixpoint.c``, see
+:mod:`repro.core.native`); the deadline is polled before each.  A sink
+that offers :meth:`~repro.serve.sinks.ResultSink.counting_targets` (a
+bare :class:`~repro.serve.sinks.CountSink`, or a slice router whose
+targets all are) is counted in C, so a counting walk never builds a
+per-step array in Python.  The numpy walk (:func:`_walk_numpy`: a
+boolean compress for the cut, ``searchsorted`` + ``np.insert`` for the
+merge) runs when the library cannot be built, and is the compiled
+walk's oracle: the two emit entry-identical batches at every step.
 
 Emission order, duplicate-freedom and the reported TTIs are exactly
 the oracle's; only the intra-core edge order may differ within groups
@@ -37,8 +44,11 @@ TTI + edge-set identity against the oracle.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from repro.core import native
 from repro.serve.sinks import ResultSink
 from repro.obs.timing import Deadline
 
@@ -63,9 +73,111 @@ def run_columnar_walk(
     time finished before the abort).  The caller is responsible for
     calling ``sink.finish`` with the returned flag.
     """
-    eids, starts, ends, actives = arrays
-    if not len(eids):
+    if not len(arrays[0]):
         return True
+    kernels = native.library()
+    if kernels is None:
+        return _walk_numpy(arrays, sink, deadline)
+    return _walk_compiled(kernels.walk_step, arrays, sink, deadline)
+
+
+def _walk_compiled(walk_step, arrays, sink: ResultSink, deadline) -> bool:
+    """The walk as one ``repro_walk_step`` call per visited start time.
+
+    The splice order (visit a window activates at, then end, then
+    activation) is sorted once, so each step's incoming windows are one
+    contiguous run.  A sink offering :meth:`~ResultSink.counting_targets`
+    is counted in C and credited once, when the walk returns or aborts;
+    any other sink receives fresh copies of each step's arrays, entry
+    for entry what :func:`_walk_numpy` emits.
+    """
+    eids, starts, ends, actives = arrays
+    size = len(eids)
+    visits, order = _schedule(starts, ends, actives)
+    targets = sink.counting_targets()
+    args = native.WalkArgs(size=size)
+    bound: list[np.ndarray] = []  # holds every bound address valid
+
+    def bind(name: str, array: np.ndarray) -> np.ndarray:
+        if array.dtype != np.int64 or not array.flags.c_contiguous:
+            raise TypeError("the compiled walk needs C-contiguous int64 arrays")
+        bound.append(array)
+        setattr(args, name, array.ctypes.data)
+        return array
+
+    for name, array in zip(("eid", "start", "end", "active", "order"), (*arrays, order)):
+        bind(name, array)
+    for name in ("end_0", "start_0", "end_1", "start_1", "out_cum"):
+        bind(name, np.empty(size, dtype=np.int64))
+    out_end = bind("out_end", np.empty(size, dtype=np.int64))
+    out_len = bind("out_len", np.empty(size, dtype=np.int64))
+    if targets is None:
+        alive_eids = [bind(name, np.empty(size, dtype=np.int64)) for name in ("eid_0", "eid_1")]
+    else:
+        for name, array in zip(("target_ts", "target_te", "target_num", "target_edges"), targets):
+            bind(name, array)
+        args.targets = len(targets[0])
+        bind("target_active", np.empty(args.targets, dtype=np.int64))
+
+    step = ctypes.byref(args)
+    completed = True
+    steps = 0
+    try:
+        for t in visits.tolist():
+            if deadline is not None and deadline.expired():
+                completed = False
+                break
+            cores = walk_step(step, t)
+            steps += 1
+            if targets is None:
+                sink.emit(
+                    t,
+                    out_end[:cores].copy(),
+                    out_len[:cores].copy(),
+                    alive_eids[args.cur][: args.alive].copy(),
+                )
+    finally:
+        if targets is not None:
+            sink.add_counted(steps, args.num_results, args.total_edges)
+    return completed
+
+
+def _schedule(
+    starts: np.ndarray, ends: np.ndarray, actives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The visit schedule and the splice order of a non-empty window slice.
+
+    The visits are the distinct start times (Lemma 4).  The splice
+    order sorts the windows by the visit they activate at (the first
+    one at or after their activation time), then end, then activation
+    time, ties in slice order: the order :func:`_walk_numpy` splices
+    them in.  The visits come from a per-instant table when the slice's
+    time span is at most four times its length, else from ``np.unique``;
+    the order is one sort of the four keys packed into an int64, or
+    ``np.lexsort`` when the packed key would overflow.
+    """
+    size = len(starts)
+    base = int(actives.min())
+    width = int(ends.max()) - base + 1
+    if width > 4 * size:
+        visits = np.unique(starts)
+        visit_of = np.searchsorted(visits, actives)
+    else:
+        started = np.zeros(width, dtype=bool)
+        started[starts - base] = True
+        visits = np.flatnonzero(started) + base
+        visits_before = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(started, out=visits_before[1:])
+        visit_of = visits_before[actives - base]
+    if len(visits) * width * width * size >= 1 << 63:  # the packed key overflows
+        return visits, np.lexsort((actives, ends, visit_of))
+    key = (visit_of * width + (ends - base)) * width + (actives - base)
+    return visits, np.argsort(key * size + np.arange(size))
+
+
+def _walk_numpy(arrays, sink: ResultSink, deadline) -> bool:
+    """The walk as numpy array operations — fallback and test oracle."""
+    eids, starts, ends, actives = arrays
     # Activation order drives the batched splice-in; the unique start
     # times drive the visit schedule (Lemma 4).
     by_active = np.argsort(actives, kind="stable")

@@ -92,6 +92,9 @@ class _SliceRouter(ResultSink):
     ``cumsum`` of the batch's prefix lengths gives every cut's edge
     total) and written into the sinks once, at :meth:`finish`.  This is
     what keeps 1000+-request contended batches vectorised end to end.
+    A compiled walk does this routing itself, in C, straight into the
+    same accumulators (:meth:`counting_targets`), and then
+    :meth:`consume` never runs.
     """
 
     def __init__(self, targets: list[tuple[int, int, ResultSink]]):
@@ -142,6 +145,17 @@ class _SliceRouter(ResultSink):
                 # and a narrow range must not pay for the wide window.
                 run = eids[: int(prefix_lens[count - 1])]
                 sinks[idx].emit(t, ends[:count], prefix_lens[:count], run)
+
+    def counting_targets(self):
+        # A router serves one walk: the compiled walk routes from the
+        # first target on, as a fresh router's consume would.
+        if not self._counting:
+            return None
+        return self._ts, self._te, self._num, self._edges
+
+    def add_counted(self, batches: int, num_results: int, total_edges: int) -> None:
+        super().add_counted(batches, num_results, total_edges)
+        self._batches += batches
 
     def finish(self, completed: bool) -> None:
         super().finish(completed)

@@ -32,6 +32,10 @@ producer, so sinks may keep (views of) them without copying.  Sinks
 must not mutate them either.  ``finish(completed)`` is called exactly
 once at the end of a walk (``completed=False`` after a deadline abort);
 ``result()`` packages the counters as an ``EnumerationResult``.
+
+A sink that only counts may offer ``counting_targets()``: the compiled
+walk then counts its cores in C, never calls ``emit``, and credits the
+totals through ``add_counted`` before returning.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from typing import IO
 import numpy as np
 
 from repro.core.results import EnumerationResult, ResultCallback, TemporalKCore
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_NO_TARGETS = (_EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
 class ResultSink:
@@ -81,6 +88,25 @@ class ResultSink:
     ) -> None:
         """Deliver one batch (counters already updated).  Default: drop."""
 
+    def counting_targets(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """What a compiled walk may count in place of :meth:`emit`.
+
+        ``None`` (the default): the sink needs every batch.  Otherwise
+        ``(ts, te, num, edges)``: int64 target ranges sorted by ``ts``
+        and per-target accumulators, into which the walk adds the count
+        and edge total of the cores each target's range contains (the
+        slice router's routing), then reports its totals through
+        :meth:`add_counted`.
+        """
+        return None
+
+    def add_counted(self, batches: int, num_results: int, total_edges: int) -> None:
+        """Account ``batches`` batches a compiled walk counted (see above)."""
+        self.num_results += num_results
+        self.total_edges += total_edges
+
     def finish(self, completed: bool) -> None:
         """Mark the end of the walk feeding this sink."""
         self.completed = self.completed and completed
@@ -101,6 +127,11 @@ class ResultSink:
 
 class CountSink(ResultSink):
     """Counters only — the batch/streaming default (``collect=False``)."""
+
+    def counting_targets(self):
+        # No targets, only the walk's totals; a subclass may deliver
+        # batches, so it takes the emit path.
+        return _NO_TARGETS if type(self) is CountSink else None
 
 
 class MaterializingSink(ResultSink):

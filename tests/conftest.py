@@ -18,7 +18,7 @@ def paper_graph() -> TemporalGraph:
 
 @pytest.fixture()
 def numpy_fixpoint(monkeypatch):
-    """Multi-k builds and folds run their numpy paths, not the C kernels."""
+    """Multi-k builds, folds and columnar walks run their numpy paths, not the C kernels."""
     monkeypatch.setattr(native, "library", lambda: None)
 
 

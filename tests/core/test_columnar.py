@@ -403,3 +403,18 @@ class TestSpillPolicy:
         stats = registry.stats()
         assert stats["evict_spills"] == 0
         assert stats["evict_drops"] == 0  # known-persisted: policy not consulted
+
+
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestBatchOracleNumpy(TestBatchOracle):
+    """The batch oracle cases again on the numpy walk."""
+
+
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestStoreRoundTripNativeNumpy(TestStoreRoundTripNative):
+    """The round-trip cases again on the numpy walk (and numpy builds)."""
+
+
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestEvictionSpillNumpy(TestEvictionSpill):
+    """The eviction cases again on the numpy walk."""

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import native
+from repro.core.index import CoreIndex
 from repro.core.multik import compute_core_times_multi
 from repro.graph.generators import uniform_random_temporal
 from repro.obs.metrics import get_registry
@@ -190,6 +191,13 @@ def test_racing_processes_on_cold_cache(tmp_path):
 def test_failing_compiler_falls_back(tmp_path, monkeypatch, caplog, fresh_memo):
     graph = uniform_random_temporal(20, 220, tmax=18, seed=5)
     compiled = compute_core_times_multi(graph, [1, 2, 4])
+    index = CoreIndex(graph, 2)
+    ranges = [(1, graph.tmax), (3, 12), (3, 12), (5, 9)]
+
+    def answers():
+        return [(r.num_results, r.total_edges) for r in index.query_batch(ranges)]
+
+    compiled_answers = answers()
     failing = [
         sys.executable,
         "-c",
@@ -202,11 +210,13 @@ def test_failing_compiler_falls_back(tmp_path, monkeypatch, caplog, fresh_memo):
         assert native.library() is None
         fallback = compute_core_times_multi(graph, [1, 2, 4])
         compute_core_times_multi(graph, [2, 3])
+        fallback_answers = answers()
     warnings = [r for r in caplog.records if r.name == "repro.core.native"]
     assert len(warnings) == 1
     assert "cc: fatal error: no input" in warnings[0].getMessage()
     assert get_registry().get("repro_kernel_native").value == 0
     assert _same(compiled, fallback)
+    assert fallback_answers == compiled_answers
 
 
 def test_gauge_reports_compiled(fresh_memo):

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import urllib.request
 from pathlib import Path
 
@@ -48,8 +50,29 @@ def daemon_store(tmp_path_factory):
     return root, graph
 
 
+def group_members(pgid: int) -> list[int]:
+    """Pids of the live (not zombie) processes in process group ``pgid``.
+
+    Reads ``/proc``, so it finds nothing where there is none.
+    """
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # state, ppid and pgrp follow the parenthesised command name
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # the process exited meanwhile
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(stat.parent.name))
+    return members
+
+
 class DaemonHandle:
-    """One daemon subprocess: its Popen, bound port, and teardown."""
+    """One daemon subprocess: its Popen, bound port, and teardown.
+
+    The daemon leads its own process group (it is started in a new
+    session), so its forked pool workers belong to that group too.
+    """
 
     def __init__(self, proc: subprocess.Popen, port: int):
         self.proc = proc
@@ -67,63 +90,78 @@ class DaemonHandle:
         return self.proc.poll() is None
 
     def stop(self) -> None:
-        if self.alive():
-            self.proc.kill()
-        # wait(), not communicate(): a hard-killed daemon can orphan
-        # forked pool workers that still hold the stdout/stderr pipe
-        # write ends, and communicate() would block on them until EOF.
+        """SIGKILL the daemon's whole process group and wait until it is gone.
+
+        Killing only the daemon would orphan its forked pool workers.
+        """
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the daemon and all its workers exited
+            pass
         try:
             self.proc.wait(timeout=10)
         except subprocess.TimeoutExpired:  # pragma: no cover
             pass
+        give_up = time.monotonic() + 10
+        while group_members(self.proc.pid) and time.monotonic() < give_up:
+            time.sleep(0.02)
         for stream in (self.proc.stdout, self.proc.stderr):
             if stream is not None:
                 stream.close()
 
 
+def launch_daemon(store, *extra_args, env=None) -> DaemonHandle:
+    """Start ``repro serve`` on ``store`` and an ephemeral port, in a new session.
+
+    ``env`` adds environment variables (the fault hook).  Returns a
+    :class:`DaemonHandle` once the ready line lands.
+    """
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)]
+        + ([environ["PYTHONPATH"]] if environ.get("PYTHONPATH") else [])
+    )
+    if env:
+        environ.update(env)
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "serve",
+            "--store",
+            str(store),
+            "--port",
+            "0",
+            *extra_args,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=environ,
+        start_new_session=True,
+    )
+    line = proc.stdout.readline()
+    if not line:
+        _out, err = proc.communicate(timeout=10)
+        raise RuntimeError(f"daemon failed to start:\n{err}")
+    ready = json.loads(line)
+    assert ready["event"] == "ready"
+    return DaemonHandle(proc, ready["port"])
+
+
 @pytest.fixture
 def start_daemon(daemon_store):
-    """Factory launching ``repro serve`` subprocesses on ephemeral ports.
+    """Factory launching daemons (:func:`launch_daemon`) it stops at teardown.
 
     ``_start(*extra_args)`` serves the session store; pass ``store=``
-    for a different one and ``env=`` for extra environment (the fault
-    hook).  Returns a :class:`DaemonHandle` once the ready line lands.
+    for a different one and ``env=`` for extra environment.
     """
     root, _graph = daemon_store
     handles: list[DaemonHandle] = []
 
     def _start(*extra_args, store=None, env=None) -> DaemonHandle:
-        environ = dict(os.environ)
-        environ["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)]
-            + ([environ["PYTHONPATH"]] if environ.get("PYTHONPATH") else [])
-        )
-        if env:
-            environ.update(env)
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--store",
-                str(store if store is not None else root),
-                "--port",
-                "0",
-                *extra_args,
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=environ,
-        )
-        line = proc.stdout.readline()
-        if not line:
-            _out, err = proc.communicate(timeout=10)
-            raise RuntimeError(f"daemon failed to start:\n{err}")
-        ready = json.loads(line)
-        assert ready["event"] == "ready"
-        handle = DaemonHandle(proc, ready["port"])
+        handle = launch_daemon(store if store is not None else root, *extra_args, env=env)
         handles.append(handle)
         return handle
 

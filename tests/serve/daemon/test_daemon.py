@@ -11,36 +11,16 @@ import pytest
 
 from repro.core.index import CoreIndex
 from repro.serve.client import DaemonClient, DaemonError
-from tests.serve.daemon.conftest import metric_total, scrape_metrics
+from tests.serve.daemon.conftest import launch_daemon, metric_total, scrape_metrics
 from tests.serve.test_executor import overlapping_ranges
 
 
 @pytest.fixture(scope="module")
 def daemon(daemon_store):
     """One shared read-only daemon for this module (the launcher
-    fixture is function-scoped, so this spawns by hand)."""
-    import os
-    import subprocess
-    import sys
-
-    from tests.serve.daemon.conftest import SRC, DaemonHandle
-
+    fixture is function-scoped, so this launches by hand)."""
     root, graph = daemon_store
-    environ = dict(os.environ)
-    environ["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)]
-        + ([environ["PYTHONPATH"]] if environ.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--store", str(root), "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=environ,
-    )
-    line = proc.stdout.readline()
-    if not line:
-        _out, err = proc.communicate(timeout=10)
-        raise RuntimeError(f"daemon failed to start:\n{err}")
-    handle = DaemonHandle(proc, json.loads(line)["port"])
+    handle = launch_daemon(root)
     yield handle, graph
     handle.stop()
 

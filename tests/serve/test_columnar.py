@@ -5,19 +5,31 @@ windows, the columnar walk must report exactly the oracle's cores —
 same count, same TTI set, same edge *set* per TTI, same ``|R|``.
 (Intra-core edge order may differ inside equal-end-time groups; the
 identity of a core is its edge set.)
+
+Every oracle case runs on both walks: the compiled step and the numpy
+loop.  The compiled walk is also held to the numpy walk directly —
+entry-identical emissions at every step, identical counters (slice
+routers included) after completion and after an abort.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
 from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
+from repro.obs.metrics import get_registry
 from repro.obs.timing import Deadline
+from repro.serve import columnar
+from repro.serve.columnar import run_columnar_walk
+from repro.serve.executor import _SliceRouter
+from repro.serve.sinks import CountSink, FlatArraySink, ResultSink
 
 
 class ExpiresAfter:
@@ -170,3 +182,210 @@ class TestDeadline:
         )
         assert not result.completed
         assert not sink.completed
+
+
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestOracleIdentityNumpy(TestOracleIdentity):
+    """Every oracle case again on the numpy walk."""
+
+
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestDeadlineNumpy(TestDeadline):
+    """Every deadline case again on the numpy walk."""
+
+
+class RecordingSink(ResultSink):
+    """Keeps every emission as delivered (the producer never mutates it)."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def consume(self, ts, ends, prefix_lens, eids):
+        self.batches.append((ts, ends, prefix_lens, eids))
+
+
+def router_counters(targets):
+    """A counting router over ``targets``: ``(router, its CountSinks)``."""
+    sinks = [CountSink() for _ in targets]
+    return _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)]), sinks
+
+
+def counters(sinks):
+    return [(s.num_results, s.total_edges, s.completed) for s in sinks]
+
+
+def emitted(sink):
+    """A recording sink's batches as plain lists."""
+    return [(t, *(part.tolist() for part in parts)) for t, *parts in sink.batches]
+
+
+@pytest.mark.skipif(native.library() is None, reason="no working C compiler")
+class TestCompiledWalk:
+    """The compiled walk against the numpy walk it replaces."""
+
+    @staticmethod
+    def walk(monkeypatch, compiled, arrays, sink, deadline=None):
+        """One walk on the chosen path, finished like the executor does."""
+        with monkeypatch.context() as patch:
+            if not compiled:
+                patch.setattr(native, "library", lambda: None)
+            done = run_columnar_walk(0, 0, arrays, sink, deadline=deadline)
+        sink.finish(done)
+        return done
+
+    @staticmethod
+    def slices(seed, count=8):
+        """Window slices of random graphs and ranges, full span first."""
+        graph = uniform_random_temporal(13, 150, tmax=22, seed=seed)
+        index = CoreIndex(graph, 2)
+        rng = random.Random(7000 + seed)
+        ranges = [(1, graph.tmax)] + random_windows(rng, graph.tmax, count)
+        return [index.ecs.active_window_arrays(ts, te) for ts, te in ranges]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_emissions_entry_identical_at_every_step(self, monkeypatch, seed):
+        """Compared after the walk: no emitted array was mutated later."""
+        for arrays in self.slices(seed):
+            got, want = RecordingSink(), RecordingSink()
+            assert self.walk(monkeypatch, True, arrays, got)
+            assert self.walk(monkeypatch, False, arrays, want)
+            assert len(got.batches) == len(want.batches)
+            for (t, *parts), (t_ref, *ref_parts) in zip(got.batches, want.batches):
+                assert t == t_ref
+                for part, ref in zip(parts, ref_parts):
+                    assert part.dtype == ref.dtype == np.int64
+                    assert np.array_equal(part, ref), t
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_count_sink_counters_identical(self, monkeypatch, seed):
+        for arrays in self.slices(seed):
+            got, want = CountSink(), CountSink()
+            self.walk(monkeypatch, True, arrays, got)
+            self.walk(monkeypatch, False, arrays, want)
+            assert counters([got]) == counters([want])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counting_router_with_repeated_targets(self, monkeypatch, seed):
+        """1,200 targets, many repeated, several starting before the slice."""
+        graph = uniform_random_temporal(13, 150, tmax=24, seed=seed)
+        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        rng = random.Random(8100 + seed)
+        targets = random_windows(rng, graph.tmax, 400) * 3
+        rng.shuffle(targets)
+        (got, got_sinks), (want, want_sinks) = (
+            router_counters(targets), router_counters(targets))
+        assert got.counting_targets() is not None
+        self.walk(monkeypatch, True, arrays, got)
+        self.walk(monkeypatch, False, arrays, want)
+        assert counters(got_sinks) == counters(want_sinks)
+        assert (got.num_results, got.total_edges) == (want.num_results, want.total_edges)
+        assert got._batches == want._batches > 0
+
+    def test_router_metrics_count_identically(self, monkeypatch):
+        graph = uniform_random_temporal(13, 150, tmax=24, seed=5)
+        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        targets = random_windows(random.Random(5), graph.tmax, 30)
+        registry = get_registry()
+        names = ("repro_router_batches_total", "repro_router_targets_total")
+        moved = []
+        for compiled in (True, False):
+            before = [registry.get(name).value for name in names]
+            self.walk(monkeypatch, compiled, arrays, router_counters(targets)[0])
+            moved.append([registry.get(n).value - b for n, b in zip(names, before)])
+        assert moved[0] == moved[1]
+        assert moved[0][1] == len(targets)
+
+    def test_mixed_count_and_flat_targets(self, monkeypatch):
+        graph = uniform_random_temporal(13, 150, tmax=24, seed=2)
+        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        targets = random_windows(random.Random(9), graph.tmax, 12)
+        outputs = []
+        for compiled in (True, False):
+            sinks = [FlatArraySink() if i % 3 == 0 else CountSink()
+                     for i in range(len(targets))]
+            router = _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)])
+            assert router.counting_targets() is None
+            self.walk(monkeypatch, compiled, arrays, router)
+            outputs.append((
+                counters(sinks),
+                [[(ts, te, run.tolist()) for ts, te, run in s.iter_cores()]
+                 for s in sinks if isinstance(s, FlatArraySink)],
+            ))
+        assert outputs[0] == outputs[1]
+
+    def test_empty_slice(self, monkeypatch):
+        empty = np.empty(0, dtype=np.int64)
+        arrays = (empty, empty, empty, empty)
+        for sink in (CountSink(), RecordingSink(), router_counters([(1, 5)])[0]):
+            assert self.walk(monkeypatch, True, arrays, sink)
+            assert (sink.num_results, sink.total_edges, sink.completed) == (0, 0, True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_width_one_windows(self, monkeypatch, seed):
+        graph = uniform_random_temporal(12, 160, tmax=10, seed=seed)
+        index = CoreIndex(graph, 1)
+        for t in range(1, graph.tmax + 1):
+            arrays = index.ecs.active_window_arrays(t, t)
+            got, want = RecordingSink(), RecordingSink()
+            self.walk(monkeypatch, True, arrays, got)
+            self.walk(monkeypatch, False, arrays, want)
+            assert emitted(got) == emitted(want)
+            count = CountSink()
+            self.walk(monkeypatch, True, arrays, count)
+            assert (count.num_results, count.total_edges) == (
+                want.num_results, want.total_edges)
+
+    @pytest.mark.parametrize("polls", [0, 1, 2, 3, 7, 30])
+    def test_abort_leaves_identical_partial_counters(self, monkeypatch, polls):
+        graph = uniform_random_temporal(13, 150, tmax=18, seed=11)
+        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        visits = len(np.unique(arrays[1]))
+        targets = random_windows(random.Random(polls), graph.tmax, 40)
+        runs = []
+        for compiled in (True, False):
+            count, recording = CountSink(), RecordingSink()
+            router, router_sinks = router_counters(targets)
+            flags = [
+                self.walk(monkeypatch, compiled, arrays, sink, ExpiresAfter(polls))
+                for sink in (count, recording, router)
+            ]
+            runs.append((
+                flags,
+                counters([count, recording, router, *router_sinks]),
+                len(recording.batches),
+                router._batches,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [polls >= visits] * 3  # 30 polls outlast the walk
+        assert runs[0][2] == runs[0][3] == min(polls, visits)
+
+    @pytest.mark.parametrize("span", [12, 5_000, 1 << 40])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_synthetic_slices_of_every_time_span(self, monkeypatch, span, seed):
+        """Dense, sparse and packed-key-overflowing spans walk identically."""
+        rng = np.random.default_rng(seed)
+        size = 60
+        times = np.sort(rng.integers(0, span, size=(size, 3)), axis=1)
+        actives, starts, ends = (np.ascontiguousarray(times[:, i]) for i in range(3))
+        arrays = (rng.permutation(size).astype(np.int64), starts, ends, actives)
+        visits = np.unique(starts)
+        splice = np.lexsort((actives, ends, np.searchsorted(visits, actives)))
+        got_visits, got_splice = columnar._schedule(starts, ends, actives)
+        assert np.array_equal(got_visits, visits)
+        assert np.array_equal(got_splice, splice)
+        targets = [tuple(sorted(pair)) for pair in rng.integers(0, span, (20, 2)).tolist()]
+        outputs = []
+        for compiled in (True, False):
+            recording = RecordingSink()
+            router, router_sinks = router_counters(targets)
+            for sink in (recording, router):
+                self.walk(monkeypatch, compiled, arrays, sink)
+            outputs.append((emitted(recording), counters([router, *router_sinks])))
+        assert outputs[0] == outputs[1]
+
+    def test_non_int64_slice_is_refused(self, monkeypatch):
+        arrays = self.slices(0)[0]
+        narrowed = tuple(part.astype(np.int32) for part in arrays)
+        with pytest.raises(TypeError):
+            run_columnar_walk(0, 0, narrowed, CountSink())

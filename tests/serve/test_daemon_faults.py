@@ -26,6 +26,7 @@ from repro.serve.client import DaemonClient
 from repro.store.index_store import IndexStore
 from tests.serve.daemon.conftest import (
     STORE_KEY,
+    group_members,
     metric_total,
     scrape_metrics,
 )
@@ -353,6 +354,18 @@ class TestWorkerDeath:
         text = scrape_metrics(handle.port)
         assert metric_total(text, "repro_pool_broken_restarts_total") >= 1
         assert metric_total(text, "repro_daemon_completed_total") == 1
+
+    def test_stop_leaves_no_process_of_the_daemon_group(self, start_daemon, daemon_store):
+        """A hard stop reaps the pool workers along with the daemon."""
+        _root, graph = daemon_store
+        handle = start_daemon("--processes", "2", "--pool-min-windows", "0")
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            client.query(k=2, ts=1, te=graph.tmax)
+        members = group_members(handle.proc.pid)
+        assert handle.proc.pid in members
+        assert len(members) > 1  # the pool's workers joined the group
+        handle.stop()
+        assert group_members(handle.proc.pid) == []
 
 
 class TestSigtermDrain:

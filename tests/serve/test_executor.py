@@ -210,6 +210,11 @@ class TestSliceRouter:
         assert late.num_results == 1  # missed the t=2 emission
 
 
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestSliceRouterNumpy(TestSliceRouter):
+    """The router cases again with the walks on the numpy path."""
+
+
 class TestValidation:
     def test_sub_span_index_rejects_outside_ranges(self, paper_graph):
         from repro.core.coretime import compute_core_times

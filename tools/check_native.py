@@ -1,7 +1,9 @@
 """Strict-warning and sanitizer checks for the C kernels (``core/_fixpoint.c``).
 
 1. Compiles the source with ``-Wall -Wextra -Werror``: any warning fails.
-2. Runs ``tests/core/test_multik.py`` and ``tests/core/test_incremental.py``
+2. Runs the multi-k, fold and columnar-walk suites
+   (``tests/core/test_multik.py``, ``tests/core/test_incremental.py``,
+   ``tests/serve/test_columnar.py``, ``tests/serve/test_executor.py``)
    against an AddressSanitizer + UndefinedBehaviorSanitizer build of the
    library (``-fsanitize=address,undefined -fno-sanitize-recover=all``),
    loaded through :mod:`repro.core.native` with its compiler command and
@@ -38,7 +40,12 @@ SANITIZE = [
     "-fno-omit-frame-pointer",
     "-g",
 ]
-TESTS = ["tests/core/test_multik.py", "tests/core/test_incremental.py"]
+TESTS = [
+    "tests/core/test_multik.py",
+    "tests/core/test_incremental.py",
+    "tests/serve/test_columnar.py",
+    "tests/serve/test_executor.py",
+]
 
 
 def with_flags(flags: list[str]):
