@@ -224,7 +224,11 @@ class TestDeadlineUnderBackpressure:
         )
         # A tiny receive buffer (set before connect) keeps the TCP
         # window small, so the daemon-side buffers fill fast and the
-        # walk really blocks on the outbox.
+        # walk really blocks on the outbox.  The full stream (~9 MB)
+        # is larger than those buffers (a few MB), and the timeout
+        # gives the walk time to fill them first however fast it
+        # streams: with a short one, a slow start could leave
+        # everything it produced, terminal frame too, in the buffers.
         stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         stalled.settimeout(30)
@@ -238,7 +242,7 @@ class TestDeadlineUnderBackpressure:
                     "k": 2,
                     "ts": 1,
                     "te": graph.tmax,
-                    "timeout": 0.3,
+                    "timeout": 2.0,
                 }
             ).encode()
             + b"\n"
@@ -248,7 +252,7 @@ class TestDeadlineUnderBackpressure:
         assert "core" in first
 
         # A second client's query must complete while the first one is
-        # still stalled: the lane frees at timeout + grace (~1.3s),
+        # still stalled: the lane frees at timeout + grace (~3s),
         # far within this client's 30s socket timeout.
         with DaemonClient("127.0.0.1", handle.port) as client:
             _cores, done = client.query(k=2, ts=1, te=10)
