@@ -26,8 +26,11 @@ Standalone script (not a pytest-benchmark module)::
     PYTHONPATH=src python benchmarks/bench_pr7_obs.py --smoke
 
 writes ``BENCH_PR7.json`` next to the repository root.  ``--smoke``
-runs 400 requests and one repetition (CI budget); the default runs
-1200 requests, three repetitions, best kept.
+runs 400 requests and 21 repetitions (CI budget); the default runs
+1200 requests and nine repetitions.  The sides alternate, and the
+overhead is the median over repetitions of the on/off time ratio of
+each adjacent pair: host drift hits both sides of a pair alike, and a
+few lucky or slow shots of a short batch cannot decide the gate.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import argparse
 import json
 import pathlib
 import random
+import statistics
 import sys
 import time
 
@@ -87,24 +91,21 @@ def counters(results):
     return [(r.num_results, r.total_edges) for r in results]
 
 
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def timed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="fewer requests and one repetition (CI budget)",
+        help="fewer requests, more repetitions (CI budget)",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="repetitions per side, best kept (default: 1 smoke, 3 full)",
+        help="alternating repetitions per side (default: 21 smoke, 9 full)",
     )
     parser.add_argument(
         "--out", type=pathlib.Path,
@@ -112,7 +113,7 @@ def main(argv=None):
         help="output JSON path (default: <repo>/BENCH_PR7.json)",
     )
     args = parser.parse_args(argv)
-    repeats = args.repeats if args.repeats else (1 if args.smoke else 3)
+    repeats = args.repeats if args.repeats else (21 if args.smoke else 9)
     batch_size = 400 if args.smoke else 1200
 
     graph = generate_bursty(WORKLOAD)
@@ -162,15 +163,17 @@ def main(argv=None):
             report["identical"] = False
             failures.append("instrumented batch answers diverge")
 
-        # ---- observability off: timing disabled, no trace ----
-        set_timing_enabled(False)
-        off_s = best_of(repeats, lambda: index.query_batch(ranges))
-
-        # ---- observability on: timing + a live span tree ----
-        set_timing_enabled(True)
-        on_s = best_of(repeats, run_instrumented)
+        # ---- off (timing disabled, no trace) vs on (timing + a live
+        # span tree), alternating ----
+        offs, ons = [], []
+        for _ in range(repeats):
+            set_timing_enabled(False)
+            offs.append(timed(lambda: index.query_batch(ranges)))
+            set_timing_enabled(True)
+            ons.append(timed(run_instrumented))
     finally:
         set_timing_enabled(previous)
+    off_s, on_s = statistics.median(offs), statistics.median(ons)
 
     trace = Trace("bench")
     index.query_batch(ranges, trace=trace)
@@ -185,7 +188,7 @@ def main(argv=None):
         "qps": round(batch_size / on_s, 1),
         "spans_per_batch": spans_per_batch,
     }
-    overhead = (on_s - off_s) / off_s if off_s else 0.0
+    overhead = statistics.median(on / off for on, off in zip(ons, offs)) - 1
     report["gate"] = {
         "max_overhead": MAX_OVERHEAD,
         "overhead": round(overhead, 4),
