@@ -151,24 +151,14 @@ def _schedule(
     order sorts the windows by the visit they activate at (the first
     one at or after their activation time), then end, then activation
     time, ties in slice order: the order :func:`_walk_numpy` splices
-    them in.  The visits come from a per-instant table when the slice's
-    time span is at most four times its length, else from ``np.unique``;
-    the order is one sort of the four keys packed into an int64, or
+    them in.  It is one sort of the four keys packed into an int64, or
     ``np.lexsort`` when the packed key would overflow.
     """
     size = len(starts)
+    visits = np.unique(starts)
+    visit_of = np.searchsorted(visits, actives)
     base = int(actives.min())
     width = int(ends.max()) - base + 1
-    if width > 4 * size:
-        visits = np.unique(starts)
-        visit_of = np.searchsorted(visits, actives)
-    else:
-        started = np.zeros(width, dtype=bool)
-        started[starts - base] = True
-        visits = np.flatnonzero(started) + base
-        visits_before = np.zeros(width + 1, dtype=np.int64)
-        np.cumsum(started, out=visits_before[1:])
-        visit_of = visits_before[actives - base]
     if len(visits) * width * width * size >= 1 << 63:  # the packed key overflows
         return visits, np.lexsort((actives, ends, visit_of))
     key = (visit_of * width + (ends - base)) * width + (actives - base)

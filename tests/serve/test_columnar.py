@@ -363,7 +363,7 @@ class TestCompiledWalk:
     @pytest.mark.parametrize("span", [12, 5_000, 1 << 40])
     @pytest.mark.parametrize("seed", range(3))
     def test_synthetic_slices_of_every_time_span(self, monkeypatch, span, seed):
-        """Dense, sparse and packed-key-overflowing spans walk identically."""
+        """Spans sorted by the packed key and spans that overflow it walk identically."""
         rng = np.random.default_rng(seed)
         size = 60
         times = np.sort(rng.integers(0, span, size=(size, 3)), axis=1)
