@@ -1,10 +1,15 @@
 /*
- * The compiled kernels of the multi-k CoreTime build, the delta-fold and
- * the columnar enumeration walk.
+ * The compiled kernels of the CoreTime build, the delta-fold and the
+ * columnar enumeration walk.
  *
- * repro_build_pass runs the advancing phase of a level-fused multi-k
- * build (core/multik.py, _FusedMultiK) in one call: for every start time
- * it refreshes the pair pointers of the expiring edge batch, drains the
+ * repro_initial_scan computes the core times at the first start time of
+ * a level-fused build (core/multik.py, _shared_initial_scan): the nested
+ * peel of the window's k-cores in ascending k, then the decremental
+ * end-time scan over shared per-slot live counts.
+ *
+ * repro_build_pass runs the advancing phase of a level-fused build
+ * (core/multik.py, _FusedMultiK) in one call: for every start time it
+ * refreshes the pair pointers of the expiring edge batch, drains the
  * fused fixpoint, harvests the VCT transitions and finalised skyline
  * windows, and emits the windows of the edge batch stamped at that
  * start.  It is the compiled counterpart of _FusedMultiK.step (expiry as
@@ -59,6 +64,125 @@ struct repro_build {
 
 static inline int64_t max64(int64_t a, int64_t b) { return a > b ? a : b; }
 
+/*
+ * Evict the vertices on stack[0..top) from one level's core (alive,
+ * degree) and cascade: a live-slot neighbour still alive loses one
+ * degree and is pushed when that drops it below k.  Each evicted vertex
+ * gets core time te when ct is not NULL.  A vertex is pushed only when
+ * its degree crosses k - 1, so the stack never holds more than n
+ * entries.
+ */
+static void peel(const int64_t *adj_offsets, const int64_t *adj_neighbour,
+                 const int64_t *live, int64_t k, int64_t *degree, uint8_t *alive,
+                 int64_t *stack, int64_t top, int64_t *ct, int64_t te)
+{
+    while (top) {
+        const int64_t w = stack[--top];
+        if (ct) {
+            if (!alive[w])
+                continue;
+            ct[w] = te;
+        }
+        alive[w] = 0;
+        for (int64_t s = adj_offsets[w]; s < adj_offsets[w + 1]; s++) {
+            if (!live[s])
+                continue;
+            const int64_t x = adj_neighbour[s];
+            if (alive[x] && --degree[x] == k - 1)
+                stack[top++] = x;
+        }
+    }
+}
+
+/*
+ * The core times at start ts_lo of every level over the window [ts_lo,
+ * ts_hi]: the compiled counterpart of multik._shared_initial_scan.
+ * ks holds the levels' k values, ascending.  live (one entry per
+ * adjacency slot), degree and alive (levels * n each) and stack (n) are
+ * scratch.  Row lev of ct (levels * n) must hold inf on entry; a vertex
+ * in the level's k-core of G[ts_lo, ts_hi] gets the end time whose
+ * removal evicts it, or ts_lo if it survives to the end.
+ *
+ * The peel continues from level to level (the (k+1)-core is nested in
+ * the k-core), then the end-time scan deletes the edges stamped te once
+ * and cascades per level while both endpoints of a pair that died are
+ * still alive there: a vertex evicted while shrinking to te - 1 has
+ * core time te.  The k-cores are unique, so the result does not depend
+ * on the eviction order.
+ */
+void repro_initial_scan(
+    int64_t n, int64_t levels, int64_t ts_lo, int64_t ts_hi,
+    const int64_t *adj_offsets, const int64_t *adj_neighbour,
+    const int64_t *edge_u, const int64_t *edge_v,
+    const int64_t *edge_slot_u, const int64_t *edge_slot_v,
+    const int64_t *time_offset, const int64_t *ks,
+    int64_t *live, int64_t *degree, uint8_t *alive, int64_t *stack, int64_t *ct)
+{
+    const int64_t num_slots = adj_offsets[n];
+    if (num_slots)
+        memset(live, 0, (size_t)num_slots * sizeof(int64_t));
+    for (int64_t eid = time_offset[ts_lo]; eid < time_offset[ts_hi + 1]; eid++) {
+        live[edge_slot_u[eid]]++;
+        live[edge_slot_v[eid]]++;
+    }
+    for (int64_t u = 0; u < n; u++) {
+        int64_t d = 0;
+        for (int64_t s = adj_offsets[u]; s < adj_offsets[u + 1]; s++)
+            d += live[s] > 0;
+        degree[u] = d;
+    }
+
+    /* Nested peel of G[ts_lo, ts_hi]: the first level evicts every
+     * vertex below k (the dead ones still discount their neighbours);
+     * later levels continue from a copy of the previous level. */
+    for (int64_t lev = 0; lev < levels; lev++) {
+        const int64_t k = ks[lev];
+        int64_t *deg = degree + lev * n;
+        uint8_t *al = alive + lev * n;
+        int64_t top = 0;
+        if (lev) {
+            memcpy(deg, deg - n, (size_t)n * sizeof(int64_t));
+            memcpy(al, al - n, (size_t)n);
+        }
+        for (int64_t u = 0; u < n; u++) {
+            if (lev == 0)
+                al[u] = deg[u] >= k;
+            if (deg[u] < k && (lev == 0 || al[u]))
+                stack[top++] = u;
+        }
+        peel(adj_offsets, adj_neighbour, live, k, deg, al, stack, top, NULL, 0);
+    }
+
+    for (int64_t te = ts_hi; te > ts_lo; te--) {
+        for (int64_t eid = time_offset[te]; eid < time_offset[te + 1]; eid++) {
+            const int64_t remaining = --live[edge_slot_u[eid]];
+            live[edge_slot_v[eid]]--;
+            if (remaining)
+                continue;
+            const int64_t u = edge_u[eid], v = edge_v[eid];
+            for (int64_t lev = 0; lev < levels; lev++) {
+                const int64_t k = ks[lev];
+                int64_t *deg = degree + lev * n;
+                uint8_t *al = alive + lev * n;
+                /* Nested cores: dead here means dead at every higher
+                 * level too. */
+                if (!(al[u] && al[v]))
+                    break;
+                int64_t top = 0;
+                if (--deg[u] == k - 1)
+                    stack[top++] = u;
+                if (--deg[v] == k - 1)
+                    stack[top++] = v;
+                peel(adj_offsets, adj_neighbour, live, k, deg, al, stack, top, ct + lev * n, te);
+            }
+        }
+    }
+    for (int64_t lev = 0; lev < levels; lev++)
+        for (int64_t u = 0; u < n; u++)
+            if (alive[lev * n + u])
+                ct[lev * n + u] = ts_lo;
+}
+
 /* The rank-th smallest of a[0..len) (0-based), permuting a in place. */
 static int64_t kth_smallest(int64_t *a, int64_t len, int64_t rank)
 {
@@ -112,7 +236,7 @@ static inline void expire_slot(const struct repro_build *b, int64_t s, int64_t t
 /*
  * The fused fixpoint after edges [batch_lo, batch_hi) (stamped ts - 1)
  * expired.  Seeds the batch's endpoints at every level, then drains a
- * FIFO of level * n + vertex keys with the single-k operator (k-th
+ * FIFO of level * n + vertex keys with the core-time operator (k-th
  * smallest of max(ett, neighbour core time), capped at ts_hi), its seed
  * filter and its re-scheduling filter.  The least fixpoint does not
  * depend on evaluation order, so the core times left in ct equal the
@@ -130,7 +254,7 @@ static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int6
     uint8_t *inq = b->inq, *grown_mask = b->grown_mask;
     int64_t head = 0, size = 0, num_grown = 0;
 
-    /* Seed filter of _WindowState.seeds_after_expire, every level: an
+    /* Seed filter (core/coretime.py module docstring), every level: an
      * endpoint needs re-evaluation only if the expiring pair's available
      * time fed its core time and now strictly grows. */
     for (int64_t lev = 0; lev < b->levels; lev++) {

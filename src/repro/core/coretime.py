@@ -42,12 +42,16 @@ The kernel runs entirely over the flat-array graph representation of
 via :meth:`TemporalGraph.compiled`): CSR distinct-neighbour adjacency,
 one flat ``array('q')`` of pair timestamps with per-slot slices, a
 timestamp→edge-id offset table making every window a contiguous edge-id
-range, and a per-vertex incident-edge CSR for the skyline-emission loop.
-Per query the only allocations are the pair-pointer array, the
-earliest-time cache, the live-count array and the core-time array — no
-pair dict, no nested list cells, no closures in inner loops.
+range, and a per-vertex incident-edge CSR for the skyline emission.
 
-Three further devices cut the fixpoint cost:
+A fixed ``k`` is the one-level case of the level-fused build of
+:mod:`repro.core.multik`, which owns the scan, the fixpoint and the
+harvest: :func:`compute_core_times` runs it with one level, so every
+build and every range query takes the same compiled C kernels (or,
+without a C compiler, the same numpy fallback).  This module keeps the
+index classes and :class:`_WindowState`, the per-build pair-pointer
+state the advancing phase starts from.  Two devices cut the fixpoint
+cost:
 
 * **Eager earliest-times** — ``ett[s]``, the first edge time of slot
   ``s`` at or after the current start, is maintained incrementally: it
@@ -58,18 +62,11 @@ Three further devices cut the fixpoint cost:
   ``u`` of an expiring edge ``(u, v)`` needs re-evaluation only if the
   pair's available time was at most ``CT(u)`` and strictly grows, an
   O(1) test (``CT(v) <= CT(u)`` and next pair time ``> CT(v)``).
-* **Vectorised operator** — evaluating ``T(f)(u)`` is a gather of the
-  neighbour core times over the CSR slice, an elementwise max against
-  the slot earliest-times and a k-th-smallest partition, all on int64
-  arrays; neighbour re-scheduling reuses the same slices.
 
-The output side is *columnar*: :class:`_Harvester` accumulates VCT
-transitions and finalised skyline windows as flat ``(id, value)`` array
-chunks and assembles them with one stable sort into the offset-indexed
-flat arrays that :class:`VertexCoreTimeIndex` and
+The output is *columnar*: offset-indexed flat arrays that
+:class:`VertexCoreTimeIndex` and
 :class:`~repro.core.windows.EdgeCoreSkyline` serve natively — the same
-layout the on-disk store persists and the shared-scan multi-``k`` builder
-of :mod:`repro.core.multik` produces, so every index in the system is one
+layout the on-disk store persists, so every index in the system is one
 representation.
 
 The original dict-based kernel is preserved verbatim in
@@ -79,8 +76,7 @@ baseline; the property suite asserts bit-identical VCT and ECS output.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -89,7 +85,7 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.core.windows import EdgeCoreSkyline
-from repro.utils.arrays import as_int64_array, flatten_pairs, offsets_from_keys
+from repro.utils.arrays import as_int64_array, flatten_pairs
 
 #: Sentinel for "no remaining edge time" — larger than any timestamp.
 _NO_TIME = 1 << 62
@@ -259,43 +255,28 @@ class CoreTimeResult:
 
 
 class _WindowState:
-    """Mutable per-query working state over the compiled flat arrays.
+    """Pair-pointer state of a CoreTime build over the compiled flat arrays.
 
-    The compiled graph supplies all immutable structure; per query only
-    four mutable pieces exist: ``ct`` (current core times, int64),
-    ``ptr`` (per adjacency slot, the index into the flat pair-timestamp
-    array of the first time at or after the current start, advanced
-    monotonically), ``ett`` (the timestamp that pointer designates, or a
-    sentinel when the pair has no further edge) and, during the initial
-    scan, per-slot live-edge counts.  Sub-windows need no rebuilt
-    structure: pointers are positioned once at ``ts_lo`` and the end
-    bound is a comparison against ``ts_hi``.
+    The compiled graph supplies all immutable structure; per build the
+    advancing phase keeps two mutable arrays, one entry per adjacency
+    slot: ``ptr``, the index into the flat pair-timestamp array of the
+    pair's first time at or after the current start (advanced
+    monotonically), and ``ett``, the timestamp it designates, or a
+    sentinel when the pair has no further edge.  Both are int64
+    ndarrays.  Sub-windows need no rebuilt structure: pointers are
+    positioned once at ``ts_lo`` and the end bound is a comparison
+    against ``ts_hi``.
     """
 
-    __slots__ = (
-        "graph",
-        "cg",
-        "k",
-        "ts_lo",
-        "ts_hi",
-        "inf",
-        "ct",
-        "ptr",
-        "ett",
-        "_inq",
-        "_inc_end",
-    )
+    __slots__ = ("cg", "ts_lo", "ts_hi", "inf", "ptr", "ett")
 
-    def __init__(self, graph: TemporalGraph, k: int, ts_lo: int, ts_hi: int):
-        self.graph = graph
+    def __init__(self, graph: TemporalGraph, ts_lo: int, ts_hi: int):
         self.cg = cg = graph.compiled()
-        self.k = k
         self.ts_lo = ts_lo
         self.ts_hi = ts_hi
         self.inf = ts_hi + 1
-        self.ct = np.full(cg.num_vertices, self.inf, dtype=np.int64)
         if ts_lo == 1:
-            self.ptr = list(cg.slot_times_start)
+            self.ptr = cg.int64_table("slot_times_start").copy()
             self.ett = cg.np_slot_first_time.copy()
         else:
             # Position each pair's pointer at its first edge time >= ts_lo.
@@ -304,15 +285,15 @@ class _WindowState:
             # composite key ``pid * stride + time`` is globally sorted and
             # one searchsorted answers every pair (both directional slots
             # share the result).
-            pair_times = as_int64_array(cg.pair_times)
-            pair_offset = as_int64_array(cg.pair_offset)
+            pair_times = cg.int64_table("pair_times")
+            pair_offset = cg.int64_table("pair_offset")
             num_pairs = cg.num_pairs
             stride = np.int64(cg.tmax + 2)
             counts = pair_offset[1:] - pair_offset[:-1]
             pids = np.arange(num_pairs, dtype=np.int64)
             composite = np.repeat(pids, counts) * stride + pair_times
             first_index = np.searchsorted(composite, pids * stride + ts_lo)
-            self.ptr = first_index[cg.np_slot_pid].tolist()
+            self.ptr = first_index[cg.np_slot_pid]
             exhausted = first_index >= pair_offset[1:]
             pair_first_time = np.where(
                 exhausted,
@@ -320,108 +301,6 @@ class _WindowState:
                 pair_times[np.minimum(first_index, max(len(pair_times) - 1, 0))],
             )
             self.ett = pair_first_time[cg.np_slot_pid]
-        self._inq = bytearray(cg.num_vertices)
-        self._inc_end: dict[int, int] | None = None if ts_hi >= cg.tmax else {}
-
-    # ------------------------------------------------------------------
-
-    def initial_scan(self) -> None:
-        """Compute ``CT_Ts`` for all vertices by the decremental scan.
-
-        Peels the k-core of the widest window with flat degree/live-count
-        arrays, then shrinks the end time deleting contiguous edge-id
-        batches; per-pair live counts are maintained through the
-        edge→slot maps with two array writes per edge.
-        """
-        cg = self.cg
-        k = self.k
-        ts_lo, ts_hi = self.ts_lo, self.ts_hi
-        n = cg.num_vertices
-        adj_offsets = cg.adj_offsets
-        adj_neighbour = cg.adj_neighbour
-        edge_slot_u = cg.edge_slot_u
-        edge_slot_v = cg.edge_slot_v
-        edge_u = cg.edge_u
-        edge_v = cg.edge_v
-        time_offset = cg.time_offset
-
-        if ts_lo == 1 and ts_hi == cg.tmax:
-            live = list(cg.slot_count)
-            degree = list(cg.full_degree)
-        else:
-            live = [0] * cg.num_slots
-            for eid in range(time_offset[ts_lo], time_offset[ts_hi + 1]):
-                live[edge_slot_u[eid]] += 1
-                live[edge_slot_v[eid]] += 1
-            degree = [0] * n
-            for u in range(n):
-                d = 0
-                for s in range(adj_offsets[u], adj_offsets[u + 1]):
-                    if live[s]:
-                        d += 1
-                degree[u] = d
-
-        # Peel the k-core of G[ts_lo, ts_hi].
-        alive = bytearray(n)
-        stack: list[int] = []
-        for u in range(n):
-            if degree[u] < k:
-                stack.append(u)
-            else:
-                alive[u] = 1
-        while stack:
-            u = stack.pop()
-            if alive[u]:
-                alive[u] = 0
-            for s in range(adj_offsets[u], adj_offsets[u + 1]):
-                if live[s]:
-                    v = adj_neighbour[s]
-                    if alive[v]:
-                        d = degree[v] - 1
-                        degree[v] = d
-                        if d == k - 1:
-                            stack.append(v)
-
-        # Decremental end-time scan: delete the edges stamped te (a
-        # contiguous id range), cascading evictions; a vertex evicted
-        # while shrinking to te - 1 has CT_Ts = te.
-        ct = self.ct
-        for te in range(ts_hi, ts_lo, -1):
-            for eid in range(time_offset[te], time_offset[te + 1]):
-                su = edge_slot_u[eid]
-                remaining = live[su] - 1
-                live[su] = remaining
-                sv = edge_slot_v[eid]
-                live[sv] -= 1
-                if remaining == 0:
-                    u = edge_u[eid]
-                    v = edge_v[eid]
-                    if alive[u] and alive[v]:
-                        du = degree[u] - 1
-                        degree[u] = du
-                        dv = degree[v] - 1
-                        degree[v] = dv
-                        if du == k - 1:
-                            stack.append(u)
-                        if dv == k - 1:
-                            stack.append(v)
-                        while stack:
-                            w = stack.pop()
-                            if not alive[w]:
-                                continue
-                            alive[w] = 0
-                            ct[w] = te
-                            for s in range(adj_offsets[w], adj_offsets[w + 1]):
-                                if live[s]:
-                                    x = adj_neighbour[s]
-                                    if alive[x]:
-                                        d = degree[x] - 1
-                                        degree[x] = d
-                                        if d == k - 1:
-                                            stack.append(x)
-        for u in range(n):
-            if alive[u]:
-                ct[u] = ts_lo
 
     def expire_start(self, ts: int) -> None:
         """Advance pair pointers past the edges stamped ``ts - 1``.
@@ -454,308 +333,6 @@ class _WindowState:
             ptr[s] = p
             ett[s] = times[p] if p < end else _NO_TIME
 
-    def advance_start(self, ts: int) -> dict[int, int]:
-        """Move the start time to ``ts`` (from ``ts - 1``).
-
-        Refreshes the earliest-times of the expiring edge batch, then
-        runs the chaotic fixpoint iteration seeded at the endpoints whose
-        core time can actually grow, and returns ``{vertex: previous core
-        time}`` for every vertex whose core time increased.
-        """
-        self.expire_start(ts)
-        return self.run_fixpoint(self.seeds_after_expire(ts))
-
-    def seeds_after_expire(self, ts: int) -> list[int]:
-        """Fixpoint seeds for the move to start ``ts`` (after expiry).
-
-        Seed filter, vectorised over the expiring batch: endpoint ``u``
-        of pair ``(u, v)`` needs re-evaluation only if the pair's
-        available time ``max(ett, CT(v))`` contributed to ``CT(u)``
-        before (``CT(v) <= CT(u)``, since the expiring time made the max
-        ``CT(v)``) and strictly grows now (next pair time ``> CT(v)``).
-        Must be called after :meth:`expire_start` has advanced the
-        pointers past the edges stamped ``ts - 1``.
-        """
-        cg = self.cg
-        ct = self.ct
-        ett = self.ett
-        ts_hi = self.ts_hi
-        time_offset = cg.time_offset
-        batch_lo = time_offset[ts - 1]
-        batch_hi = time_offset[ts]
-        if batch_lo >= batch_hi:
-            return []
-        batch = slice(batch_lo, batch_hi)
-        endpoint_u = cg.np_edge_u[batch]
-        endpoint_v = cg.np_edge_v[batch]
-        ct_u = ct[endpoint_u]
-        ct_v = ct[endpoint_v]
-        next_time = ett[cg.np_edge_slot_u[batch]]
-        seed_u = (ct_u <= ts_hi) & (ct_v <= ct_u) & (next_time > ct_v)
-        seed_v = (ct_v <= ts_hi) & (ct_u <= ct_v) & (next_time > ct_u)
-        return np.concatenate((endpoint_u[seed_u], endpoint_v[seed_v])).tolist()
-
-    def run_fixpoint(self, seeds: list[int]) -> dict[int, int]:
-        """Chaotic re-evaluation of the core-time operator from ``seeds``.
-
-        Returns ``{vertex: previous core time}`` for every vertex whose
-        core time increased.  Seeds are deduplicated on entry (repeats
-        are harmless); re-scheduling cascades through the CSR slices.
-        """
-        cg = self.cg
-        ct = self.ct
-        ett = self.ett
-        k = self.k
-        inf = self.inf
-        ts_hi = self.ts_hi
-        adj_offsets = cg.adj_offsets
-        np_adj_neighbour = cg.np_adj_neighbour
-        changed: dict[int, int] = {}
-        queue: deque[int] = deque()
-        inq = self._inq
-        for w in seeds:
-            if not inq[w]:
-                inq[w] = 1
-                queue.append(w)
-
-        km1 = k - 1
-        while queue:
-            u = queue.popleft()
-            inq[u] = 0
-            old = int(ct[u])
-            if old >= inf:
-                continue
-            lo = adj_offsets[u]
-            hi = adj_offsets[u + 1]
-            neighbours = np_adj_neighbour[lo:hi]
-            neighbour_ct = ct[neighbours]
-            slot_ett = ett[lo:hi]
-            avail = np.maximum(slot_ett, neighbour_ct)
-            # Entries past ts_hi (neighbour or pair exhausted) sort after
-            # every finite value, so the k-th smallest of the raw array is
-            # either the k-th finite value or a witness that fewer than k
-            # finite values exist.
-            if avail.size <= km1:
-                new = inf
-            else:
-                if k == 1:
-                    candidate = int(avail.min())
-                else:
-                    avail.partition(km1)
-                    candidate = int(avail[km1])
-                new = candidate if candidate <= ts_hi else inf
-            if new <= old:
-                continue
-            if u not in changed:
-                changed[u] = old
-            ct[u] = new
-            # Re-schedule neighbours whose k-th-smallest input may have
-            # grown: only those for which u's available time was at most
-            # their core time before the increase and above it after.
-            push = (np.maximum(slot_ett, old) <= neighbour_ct) & (
-                neighbour_ct <= ts_hi
-            )
-            if new <= ts_hi:
-                push &= np.maximum(slot_ett, new) > neighbour_ct
-            for w in neighbours[push].tolist():
-                if not inq[w]:
-                    inq[w] = 1
-                    queue.append(w)
-        return changed
-
-    def incident_end(self, u: int) -> int:
-        """One past the last incident-CSR index of ``u`` inside the span.
-
-        Incident edges are sorted by ascending time; for full-span
-        queries this is just the CSR offset, for sub-windows the cut at
-        ``ts_hi`` is binary-searched once per vertex and memoised.
-        """
-        cg = self.cg
-        if self._inc_end is None:
-            return cg.inc_offsets[u + 1]
-        cached = self._inc_end.get(u)
-        if cached is not None:
-            return cached
-        inc_time = cg.np_inc_time
-        lo = cg.inc_offsets[u]
-        hi = cg.inc_offsets[u + 1]
-        end = lo + int(np.searchsorted(inc_time[lo:hi], self.ts_hi, side="right"))
-        self._inc_end[u] = end
-        return end
-
-
-class _Harvester:
-    """Per-``k`` columnar accumulation of VCT entries and skyline windows.
-
-    The output side of Algorithm 2, factored out of the driver loop so
-    the single-``k`` path here and the shared-scan multi-``k`` path of
-    :mod:`repro.core.multik` run the *same* emission scheme: seeded from
-    the initial-scan core times, then fed every ``(ts, changed)`` step of
-    the advancing phase via :meth:`harvest`.  Entries are appended as
-    flat ``(id, value)`` array chunks in ascending step order and frozen
-    into the native offset-indexed arrays by one stable sort per side —
-    no per-entry Python tuples anywhere on the build path.
-    """
-
-    __slots__ = (
-        "state",
-        "ect",
-        "_vct_verts",
-        "_vct_cts",
-        "_vct_ts",
-        "_ecs_eids",
-        "_ecs_t1",
-        "_ecs_t2",
-    )
-
-    def __init__(self, state: _WindowState, with_skyline: bool):
-        cg = state.cg
-        inf = state.inf
-        ct = state.ct
-        ts_lo, ts_hi = state.ts_lo, state.ts_hi
-        time_offset = cg.time_offset
-        self.state = state
-        initial = (ct < inf).nonzero()[0]
-        self._vct_verts: list[np.ndarray] = [initial]
-        self._vct_cts: list[np.ndarray] = [ct[initial]]
-        self._vct_ts: list[int] = [ts_lo]
-        self._ecs_eids: list[np.ndarray] = []
-        self._ecs_t1: list[np.ndarray] = []
-        self._ecs_t2: list[np.ndarray] = []
-        self.ect: "np.ndarray | None" = None
-        if with_skyline:
-            self.ect = np.full(cg.num_edges, inf, dtype=np.int64)
-            window = slice(time_offset[ts_lo], time_offset[ts_hi + 1])
-            self.ect[window] = np.maximum(
-                np.maximum(ct[cg.np_edge_u[window]], ct[cg.np_edge_v[window]]),
-                cg.np_edge_t[window],
-            )
-            # Edges stamped with the very first start time leave the
-            # window as soon as the start advances: their pending window
-            # finalises now.
-            self._emit_batch(ts_lo)
-
-    def _emit_batch(self, stamp_ts: int) -> None:
-        """Emit ``(stamp_ts, ect)`` for the edge batch stamped ``stamp_ts``."""
-        time_offset = self.state.cg.time_offset
-        base = time_offset[stamp_ts]
-        batch = self.ect[base : time_offset[stamp_ts + 1]]
-        emit = (batch <= self.state.ts_hi).nonzero()[0]
-        if emit.size:
-            self._ecs_eids.append(emit + base)
-            self._ecs_t1.append(np.full(len(emit), stamp_ts, dtype=np.int64))
-            self._ecs_t2.append(batch[emit])
-
-    def harvest(self, current_ts: int, changed: dict[int, int]) -> None:
-        """Fold in one advancing step: VCT transitions + finalised windows."""
-        state = self.state
-        cg = state.cg
-        ct = state.ct
-        ts_hi = state.ts_hi
-        ect = self.ect
-        if changed:
-            verts = np.fromiter(changed, np.int64, len(changed))
-            self._vct_verts.append(verts)
-            self._vct_cts.append(ct[verts])
-            self._vct_ts.append(current_ts)
-            if ect is not None:
-                # Collect the incident-CSR suffixes (time >= current_ts) of
-                # every changed vertex and re-derive the core times of those
-                # edges in one vectorised pass: any strict increase finalises
-                # the previously pending minimal window at current_ts - 1
-                # (Lemma 2).  An edge with both endpoints changed appears
-                # twice with the same re-derived value (both gathers read the
-                # final cts), so increases are deduplicated per edge id.
-                inc_offsets = cg.inc_offsets
-                inc_time = cg.np_inc_time
-                inc_other = cg.np_inc_other
-                inc_eid = cg.np_inc_eid
-                pieces: list[np.ndarray] = []
-                piece_ct: list[int] = []
-                piece_len: list[int] = []
-                for u in changed:
-                    lo = inc_offsets[u]
-                    hi = state.incident_end(u)
-                    lo += inc_time[lo:hi].searchsorted(current_ts)
-                    if lo < hi:
-                        pieces.append(np.arange(lo, hi))
-                        piece_ct.append(int(ct[u]))
-                        piece_len.append(hi - lo)
-                if pieces:
-                    index = np.concatenate(pieces)
-                    changed_ct = np.repeat(
-                        np.asarray(piece_ct, dtype=np.int64),
-                        np.asarray(piece_len),
-                    )
-                    new_ect = np.maximum(ct[inc_other[index]], inc_time[index])
-                    np.maximum(new_ect, changed_ct, out=new_ect)
-                    edge_ids = inc_eid[index]
-                    old_ect = ect[edge_ids]
-                    grew = (new_ect > old_ect).nonzero()[0]
-                    if grew.size:
-                        grew_ids = edge_ids[grew]
-                        grew_old = old_ect[grew]
-                        unique_ids, first = np.unique(grew_ids, return_index=True)
-                        finalised = grew_old[first]
-                        emit = (finalised <= ts_hi).nonzero()[0]
-                        if emit.size:
-                            self._ecs_eids.append(unique_ids[emit])
-                            self._ecs_t1.append(
-                                np.full(len(emit), current_ts - 1, dtype=np.int64)
-                            )
-                            self._ecs_t2.append(finalised[emit])
-                        ect[grew_ids] = new_ect[grew]
-        if ect is not None:
-            self._emit_batch(current_ts)
-
-    def result(self) -> CoreTimeResult:
-        """Assemble the columnar chunks into the native flat-array result.
-
-        Chunks were appended in ascending step order, so one stable sort
-        by id groups every vertex's transitions (and every edge's
-        windows) contiguously in ascending time — exactly the
-        offset-indexed layout the index classes serve queries from.
-        """
-        state = self.state
-        inf = state.inf
-        span = (state.ts_lo, state.ts_hi)
-        n = state.cg.num_vertices
-
-        verts = np.concatenate(self._vct_verts)
-        starts = np.repeat(
-            np.asarray(self._vct_ts, dtype=np.int64),
-            np.asarray([len(c) for c in self._vct_verts], dtype=np.int64),
-        )
-        cts = np.concatenate(self._vct_cts)
-        order = np.argsort(verts, kind="stable")
-        verts = verts[order]
-        cts = cts[order]
-        vct = VertexCoreTimeIndex.from_flat(
-            offsets_from_keys(verts, n),
-            starts[order],
-            np.where(cts >= inf, INF_CT, cts),
-            state.k,
-            span,
-        )
-
-        skyline = None
-        if self.ect is not None:
-            m = state.cg.num_edges
-            if self._ecs_eids:
-                eids = np.concatenate(self._ecs_eids)
-                t1 = np.concatenate(self._ecs_t1)
-                t2 = np.concatenate(self._ecs_t2)
-            else:
-                eids = np.empty(0, dtype=np.int64)
-                t1 = np.empty(0, dtype=np.int64)
-                t2 = np.empty(0, dtype=np.int64)
-            order = np.argsort(eids, kind="stable")
-            eids = eids[order]
-            skyline = EdgeCoreSkyline.from_flat(
-                offsets_from_keys(eids, m), t1[order], t2[order], state.k, span
-            )
-        return CoreTimeResult(vct=vct, ecs=skyline)
-
 
 def compute_core_times(
     graph: TemporalGraph,
@@ -774,25 +351,21 @@ def compute_core_times(
     Parameters default to the graph's full span.  Complexity:
     ``O(|VCT| * deg_avg)`` plus the ``O(n + m)`` initial scan.  The first
     call on a graph compiles its flat-array representation (cached on the
-    graph); subsequent calls reuse it.  The returned VCT/ECS are served
-    from offset-indexed flat int64 arrays — the same representation the
-    on-disk store persists and :mod:`repro.core.multik` builds.  For
-    several ``k`` values over the same window,
+    graph); subsequent calls reuse it.  The build is the one-level case
+    of the level-fused kernel of :mod:`repro.core.multik`: one compiled
+    scan and one compiled pass (or their numpy fallbacks).  The returned
+    VCT/ECS are served from offset-indexed flat int64 arrays — the same
+    representation the on-disk store persists.  For several ``k`` values
+    over the same window,
     :func:`repro.core.multik.compute_core_times_multi` shares the scan
     across them.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    ts_lo = 1 if ts is None else ts
-    ts_hi = graph.tmax if te is None else te
-    graph.check_window(ts_lo, ts_hi)
+    # The kernel lives in multik, which imports this module.
+    from repro.core.multik import _build_core_times
 
-    state = _WindowState(graph, k, ts_lo, ts_hi)
-    state.initial_scan()
-    harvester = _Harvester(state, with_skyline)
-    for current_ts in range(ts_lo + 1, ts_hi + 1):
-        harvester.harvest(current_ts, state.advance_start(current_ts))
-    return harvester.result()
+    return _build_core_times(graph, [k], ts, te, with_skyline)[k]
 
 
 def compute_vertex_core_times(
@@ -806,10 +379,12 @@ def core_time_by_rescan(graph: TemporalGraph, k: int, ts: int, te: int) -> dict[
     """Reference ``CT_ts`` for a *single* start time by direct scan.
 
     Used by tests and the CoreTime ablation: peel the widest window, then
-    shrink the end time with cascading deletions.  Returns only vertices
-    with finite core time.
+    shrink the end time with cascading deletions (the first-start scan
+    of a one-level build).  Returns only vertices with finite core time.
     """
+    from repro.core.multik import _FusedMultiK
+
     graph.check_window(ts, te)
-    state = _WindowState(graph, k, ts, te)
-    state.initial_scan()
-    return {u: c for u, c in enumerate(state.ct.tolist()) if c < state.inf}
+    fused = _FusedMultiK(graph, [k], ts, te, with_skyline=False)
+    fused.scan_first_start()
+    return {u: c for u, c in enumerate(fused.ct_matrix[0].tolist()) if c < fused.inf}

@@ -268,7 +268,7 @@ def extend_graph(
         time_offset.append(running)
 
     extended = TemporalGraph._from_parts(
-        edges=graph._edges + tuple(new_edges),
+        edges=graph.edges + tuple(new_edges),
         labels=tuple(labels),
         raw_times=tuple(raw_times),
         time_offset=tuple(time_offset),
@@ -557,6 +557,7 @@ def _extend_compiled(
     cg2.np_inc_time = inc_time2
     cg2.np_inc_other = inc_other2
     cg2.np_inc_eid = inc_eid2
+    cg2._int64_tables = {}
     return cg2, bufs
 
 

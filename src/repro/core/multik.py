@@ -1,11 +1,12 @@
-"""Multi-``k`` core-time builds that share one decremental scan.
+"""The CoreTime kernel: level-fused builds that share one decremental scan.
 
-Real serving mixes many ``k`` values against the same graph, and each
-``(graph, k)`` pair used to pay its own full Algorithm-2 run.
+Real serving mixes many ``k`` values against the same graph.
 :func:`compute_core_times_multi` builds the VCT index and the
-edge-core-window skyline for a whole *set* of ``k`` values in a single
-pass over the compiled flat-array graph, with three devices the
-one-``k``-at-a-time kernel cannot use:
+edge-core-window skyline for a whole *set* of ``k`` values ("levels")
+in a single pass over the compiled flat-array graph, and a single ``k``
+(:func:`~repro.core.coretime.compute_core_times`: every one-``k`` build
+and every direct range query) is its one-level case — there is one
+CoreTime kernel.  Three devices:
 
 * **One decremental scan.**  The per-pair live-edge counts maintained by
   the end-time scan, and the pair pointers / eager earliest-times
@@ -16,14 +17,16 @@ one-``k``-at-a-time kernel cannot use:
   *continuing* from the previous level's survivors, so every vertex is
   evicted at most once across all levels; the end-time scan then
   cascades per level only while both endpoints of a dying pair are still
-  alive there.
+  alive there.  The scan is one call into ``core/_fixpoint.c``
+  (``repro_initial_scan``); :func:`_shared_initial_scan` is its pure
+  Python fallback and test oracle.
 
 * **One compiled pass.**  All core times live in one ``(levels,
   vertices)`` int64 matrix, and the whole advancing phase is one call
   into ``core/_fixpoint.c`` (loaded by :mod:`repro.core.native`).  Per
   start time the pass refreshes the expiring batch's pair pointers,
   seeds its endpoints at every level, drains a chaotic FIFO of
-  ``(level, vertex)`` keys with the single-``k`` kernel's operator and
+  ``(level, vertex)`` keys with the core-time operator and its
   re-scheduling filter, appends a VCT row per grown key, re-derives the
   grown vertices' incident edge core times (a per-vertex cursor into
   the incident CSR, shared by all levels, only moves forward) and emits
@@ -39,13 +42,9 @@ one-``k``-at-a-time kernel cannot use:
   through a scalar drain — and the harvest of all levels batches into
   one composite-key ``searchsorted`` + gather sweep per step.  That
   loop is also the compiled pass's test oracle.  Every evaluation order
-  reaches the same least fixpoint as the single-``k`` kernel's
-  per-vertex order, so the harvested output is identical (re-verified
-  entry by entry against the single-``k`` kernel and the reference
-  oracle by the property suite, on both paths).  A single ``k`` still
-  runs the numpy single-``k`` kernel: it is the baseline the multi-``k``
-  speed-up gate measures against, so it does not share the compiled
-  pass.
+  reaches the same least fixpoint, so the harvested output is identical
+  (re-verified entry by entry against the reference oracle
+  :mod:`repro.core.coretime_ref` by the property suites, on both paths).
 
 * **Columnar output.**  VCT transitions and finalised skyline windows
   are accumulated as flat ``(key, start, value)`` row chunks and
@@ -76,6 +75,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import native
+# compute_core_times is unused here but stays bound: code that wraps
+# the kernel entry points resolves it on this module too.
 from repro.core.coretime import (
     _NO_TIME,
     INF_CT,
@@ -109,6 +110,13 @@ def _validated_ks(ks: Iterable[int]) -> list[int]:
     return sorted(set(values))
 
 
+def _address(array: np.ndarray) -> int:
+    """The data address of a C-contiguous int64 or uint8 array for the C kernels."""
+    if array.dtype not in (np.int64, np.uint8) or not array.flags.c_contiguous:
+        raise TypeError("the compiled kernels need C-contiguous int64 arrays")
+    return array.ctypes.data
+
+
 def _grown_copy(array: np.ndarray, length: int, capacity: int) -> np.ndarray:
     """A ``capacity``-long int64 buffer starting with ``array[:length]``."""
     out = np.empty(capacity, dtype=np.int64)
@@ -121,12 +129,16 @@ def _shared_initial_scan(
 ) -> None:
     """``CT_Ts`` for every level in one decremental end-time scan.
 
-    Mirrors :meth:`_WindowState.initial_scan` with two multi-``k``
-    devices: the widest-window peel *continues* from level to level
-    (ascending ``k``, nested cores — each vertex is evicted at most once
-    across all levels), and the end-time scan decrements the shared live
-    counts once per edge, cascading per level only while both endpoints
-    are still alive there.  Results land in the rows of ``ct_matrix``.
+    Peels the k-core of the widest window, then shrinks the end time
+    deleting contiguous edge-id batches; a vertex evicted while
+    shrinking to ``te - 1`` has ``CT_Ts = te``.  Two multi-``k``
+    devices: the peel *continues* from level to level (ascending ``k``,
+    nested cores — each vertex is evicted at most once across all
+    levels), and the end-time scan decrements the shared live counts
+    once per edge, cascading per level only while both endpoints are
+    still alive there.  Results land in the rows of ``ct_matrix``
+    (which must hold ``inf``).  The pure-Python fallback and test oracle
+    of the compiled ``repro_initial_scan``.
     """
     cg = base.cg
     ts_lo, ts_hi = base.ts_lo, base.ts_hi
@@ -167,8 +179,8 @@ def _shared_initial_scan(
 
     # Nested peel of G[ts_lo, ts_hi]: ascending k, continuing from the
     # previous level's k-core.  The first level seeds from the full
-    # degree array exactly like the single-k scan; later levels only
-    # re-examine survivors whose degree fell below the raised threshold.
+    # degree array; later levels only re-examine survivors whose degree
+    # fell below the raised threshold.
     alive = bytearray(n)
     alives: list[bytearray] = []
     degrees: list[list[int]] = []
@@ -273,11 +285,12 @@ class _FusedMultiK:
     """The level-fused advancing phase over a 2-D core-time matrix.
 
     One instance drives all requested ``k`` values ("levels") through
-    the start-time loop (:meth:`run`): one compiled build pass, or the
-    numpy :meth:`step` loop — the shared pointer/earliest-time refresh
-    via the base :class:`_WindowState`, the fused fixpoint rounds and
-    the fused harvest sweeps — both accumulating columnar output (see
-    the module docstring).
+    the first-start scan (:meth:`scan_first_start`) and the start-time
+    loop (:meth:`run`): one compiled build pass, or the numpy
+    :meth:`step` loop — the shared pointer/earliest-time refresh via the
+    base :class:`_WindowState`, the fused fixpoint rounds and the fused
+    harvest sweeps — both accumulating columnar output (see the module
+    docstring).
     """
 
     #: Frontiers at most this large drain through the scalar chaotic
@@ -300,7 +313,7 @@ class _FusedMultiK:
         ts_hi: int,
         with_skyline: bool,
     ):
-        self.base = base = _WindowState(graph, ks[0], ts_lo, ts_hi)
+        self.base = base = _WindowState(graph, ts_lo, ts_hi)
         self.cg = cg = base.cg
         self.ks = ks
         self.ts_lo = ts_lo
@@ -312,11 +325,11 @@ class _FusedMultiK:
         self.num_edges = cg.num_edges
         self.ct_matrix = np.full((len(ks), n), self.inf, dtype=np.int64)
         self.ct_flat = self.ct_matrix.reshape(-1)
-        base.ct = self.ct_matrix[0]
-        # int64 copies of the offset tables feeding fused gathers (the
-        # compiled graph keeps them as plain lists / buffer views).
-        self.np_adj_offsets = np.asarray(cg.adj_offsets, dtype=np.int64)
-        self.np_inc_offsets = np.asarray(cg.inc_offsets, dtype=np.int64)
+        # int64 views of the offset tables feeding fused gathers and
+        # the C kernels.
+        self.np_time_offset = cg.int64_table("time_offset")
+        self.np_adj_offsets = cg.int64_table("adj_offsets")
+        self.np_inc_offsets = cg.int64_table("inc_offsets")
         self.np_degree = self.np_adj_offsets[1:] - self.np_adj_offsets[:-1]
         self.np_km1 = np.asarray(ks, dtype=np.int64) - 1
         self.with_skyline = with_skyline
@@ -355,6 +368,36 @@ class _FusedMultiK:
         return view
 
     # ------------------------------------------------------------------
+
+    def scan_first_start(self) -> None:
+        """Core times at ``ts_lo`` for every level, into ``ct_matrix``.
+
+        One compiled ``repro_initial_scan`` call when the C kernels
+        loaded, :func:`_shared_initial_scan` otherwise.
+        """
+        kernels = native.library()
+        if kernels is None:
+            _shared_initial_scan(self.base, self.ks, self.ct_matrix)
+        else:
+            self._scan_compiled(kernels.initial_scan)
+
+    def _scan_compiled(self, initial_scan) -> None:
+        """Run ``repro_initial_scan`` over the window into ``ct_matrix``."""
+        cg = self.cg
+        n = self.num_vertices
+        levels = self.num_levels
+        arrays = (  # bound here: they must outlive the call
+            self.np_adj_offsets, cg.np_adj_neighbour,
+            cg.np_edge_u, cg.np_edge_v,
+            cg.np_edge_slot_u, cg.int64_table("edge_slot_v"),
+            self.np_time_offset, np.asarray(self.ks, dtype=np.int64),
+            np.empty(cg.num_slots, dtype=np.int64),  # live
+            np.empty(levels * n, dtype=np.int64),  # degree
+            np.empty(levels * n, dtype=np.uint8),  # alive
+            np.empty(n, dtype=np.int64),  # stack
+            self.ct_flat,
+        )
+        initial_scan(n, levels, self.ts_lo, self.ts_hi, *map(_address, arrays))
 
     def seed_from_initial_scan(self) -> None:
         """Record the ``ts_lo`` VCT entries and pending edge core times."""
@@ -406,11 +449,11 @@ class _FusedMultiK:
     # ------------------------------------------------------------------
 
     def _drain_scalar(self, frontier: np.ndarray, grew_out: list[np.ndarray]) -> None:
-        """Chaotic scalar drain of a short frontier (single-k code path).
+        """Chaotic scalar drain of a short frontier.
 
-        Evaluates keys off a deque exactly like
-        :meth:`_WindowState.run_fixpoint`, collecting every grown key
-        into ``grew_out``; returns when the cascade is exhausted.
+        Evaluates keys off a deque one at a time (the order of the
+        compiled pass), collecting every grown key into ``grew_out``;
+        returns when the cascade is exhausted.
         """
         n = self.num_vertices
         ts_hi = self.ts_hi
@@ -474,10 +517,9 @@ class _FusedMultiK:
         Runs the shared expiry once, then the fixpoint as fused rounds:
         every queued ``(level, vertex)`` pair of a round is either
         evaluated in one fused segmented sweep (large rounds) or through
-        the scalar single-k code path (short cascade tails).  The seed
-        filter, operator and re-scheduling filter are the single-k
-        kernel's, so the least fixpoint matches
-        :meth:`_WindowState.advance_start` per level.  Returns the
+        the scalar drain (short cascade tails).  The seed filter,
+        operator and re-scheduling filter are the compiled pass's, so
+        the least fixpoint matches it per level.  Returns the
         deduplicated keys (``level * n + vertex``) whose core time grew
         this step, in no particular order.
         """
@@ -493,8 +535,11 @@ class _FusedMultiK:
         ts_hi = self.ts_hi
         ct_matrix = self.ct_matrix
         ct_flat = self.ct_flat
-        # Seed filter of `_WindowState.seeds_after_expire`, broadcast
-        # over all levels at once against the shared earliest-time row.
+        # Seed filter (see the coretime module docstring), broadcast
+        # over all levels at once against the shared earliest-time row:
+        # endpoint u of an expiring pair (u, v) needs re-evaluation only
+        # if the pair's available time fed CT(u) (CT(v) <= CT(u)) and
+        # strictly grows now (next pair time > CT(v)).
         batch = slice(batch_lo, batch_hi)
         endpoint_u = cg.np_edge_u[batch]
         endpoint_v = cg.np_edge_v[batch]
@@ -553,8 +598,8 @@ class _FusedMultiK:
             grew_out.append(grew_keys)
             ct_flat[grew_keys] = new[grew]
             # Re-schedule neighbours whose k-th-smallest input may have
-            # grown (same filter as the single-k kernel, evaluated
-            # against the post-round core times): only those for which
+            # grown (the compiled pass's filter, evaluated against the
+            # post-round core times): only those for which
             # the grown vertex's available time was at most their core
             # time before the increase and above it after.
             neighbour_ct = ct_flat[target]
@@ -585,8 +630,8 @@ class _FusedMultiK:
     def harvest(self, current_ts: int, changed_keys: np.ndarray) -> None:
         """Record VCT transitions and finalised windows for one step.
 
-        The level-fused, columnar equivalent of single-k harvesting: the
-        changed keys' new core times append one VCT chunk, then one
+        The level-fused, columnar harvest: the changed keys' new core
+        times append one VCT chunk, then one
         segmented sweep over the incident suffixes of every changed
         vertex of every level re-derives edge core times; strict
         increases finalise the previously pending minimal window at
@@ -683,6 +728,8 @@ class _FusedMultiK:
         """
         kernels = native.library()
         if kernels is None:
+            # expire_start's scalar loop reads and writes a list faster.
+            self.base.ptr = self.base.ptr.tolist()
             for current_ts in range(self.ts_lo + 1, self.ts_hi + 1):
                 self.step(current_ts)
         else:
@@ -703,7 +750,7 @@ class _FusedMultiK:
         n = self.num_vertices
         levels = self.num_levels
         ts_hi = self.ts_hi
-        time_offset = np.asarray(cg.time_offset, dtype=np.int64)
+        time_offset = self.np_time_offset
         skyline = self.ect_flat is not None
         size = levels * n
         keep: list[np.ndarray] = []  # holds every bound address valid
@@ -712,10 +759,8 @@ class _FusedMultiK:
         )
 
         def bind(name: str, array: np.ndarray) -> None:
-            if array.dtype not in (np.int64, np.uint8) or not array.flags.c_contiguous:
-                raise TypeError("the compiled build pass needs C-contiguous int64 arrays")
             keep.append(array)
-            setattr(args, name, array.ctypes.data)
+            setattr(args, name, _address(array))
 
         for name, array in (
             ("adj_offsets", self.np_adj_offsets),
@@ -723,16 +768,16 @@ class _FusedMultiK:
             ("edge_u", cg.np_edge_u),
             ("edge_v", cg.np_edge_v),
             ("edge_slot_u", cg.np_edge_slot_u),
-            ("edge_slot_v", as_int64_array(cg.edge_slot_v)),
+            ("edge_slot_v", cg.int64_table("edge_slot_v")),
             ("time_offset", time_offset),
-            ("pair_times", as_int64_array(cg.pair_times)),
-            ("slot_times_end", as_int64_array(cg.slot_times_end)),
+            ("pair_times", cg.int64_table("pair_times")),
+            ("slot_times_end", cg.int64_table("slot_times_end")),
             ("inc_offsets", self.np_inc_offsets),
             ("inc_time", cg.np_inc_time),
             ("inc_other", cg.np_inc_other),
             ("inc_eid", cg.np_inc_eid),
             ("km1", self.np_km1),
-            ("ptr", np.asarray(base.ptr, dtype=np.int64)),
+            ("ptr", base.ptr),
             ("ett", base.ett),
             ("ct", self.ct_flat),
             ("inc_cursor", self.np_inc_offsets[:-1].copy()),
@@ -850,24 +895,33 @@ def compute_core_times_multi(
     and the advancing phase of every level runs as one compiled pass
     (or the fused numpy step loop).  The returned indexes are served
     from offset-indexed flat arrays (the same views the on-disk store
-    uses), not per-vertex
-    Python lists.  Parameters default to the graph's full span; the
-    result maps each requested ``k`` (deduplicated) to its
-    :class:`CoreTimeResult`.
+    uses), not per-vertex Python lists.  Parameters default to the
+    graph's full span; the result maps each requested ``k``
+    (deduplicated) to its :class:`CoreTimeResult`.
     """
-    unique = _validated_ks(ks)
-    if len(unique) == 1:
-        return {
-            unique[0]: compute_core_times(
-                graph, unique[0], ts, te, with_skyline=with_skyline
-            )
-        }
+    return _build_core_times(graph, _validated_ks(ks), ts, te, with_skyline)
+
+
+def _build_core_times(
+    graph: TemporalGraph,
+    ks: list[int],
+    ts: int | None,
+    te: int | None,
+    with_skyline: bool,
+) -> dict[int, CoreTimeResult]:
+    """The CoreTime kernel: the level-fused build of ascending ``ks``.
+
+    Behind both :func:`compute_core_times_multi` and
+    :func:`~repro.core.coretime.compute_core_times` (one level), which
+    call it directly rather than each other, so a traced kernel call is
+    one span.
+    """
     ts_lo = 1 if ts is None else ts
     ts_hi = graph.tmax if te is None else te
     graph.check_window(ts_lo, ts_hi)
 
-    fused = _FusedMultiK(graph, unique, ts_lo, ts_hi, with_skyline)
-    _shared_initial_scan(fused.base, unique, fused.ct_matrix)
+    fused = _FusedMultiK(graph, ks, ts_lo, ts_hi, with_skyline)
+    fused.scan_first_start()
     fused.seed_from_initial_scan()
     fused.run()
     return fused.results()
@@ -883,9 +937,9 @@ def build_core_indexes(
 
     When a ``store`` is given it is probed first (by content
     fingerprint): ``k`` values already persisted are *opened* from disk,
-    and only the remainder is computed — in a single shared pass when
-    more than one is missing.  Nothing is written back; persisting is
-    the caller's policy (see :meth:`IndexStore.build_all
+    and only the remainder is computed, in a single shared pass.
+    Nothing is written back; persisting is the caller's policy (see
+    :meth:`IndexStore.build_all
     <repro.store.index_store.IndexStore.build_all>`).
 
     Returns ``{k: index}`` for the deduplicated ``ks``.
@@ -899,11 +953,7 @@ def build_core_indexes(
             out[k] = index
         else:
             missing.append(k)
-    if len(missing) == 1:
-        # Single miss: the plain constructor keeps the single-k code
-        # path (and its test monkeypatches) authoritative.
-        out[missing[0]] = CoreIndex(graph, missing[0])
-    elif missing:
+    if missing:
         started = time.perf_counter()
         results = compute_core_times_multi(graph, missing)
         # Attribute the shared scan evenly: what each k "cost" to build,

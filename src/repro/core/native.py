@@ -3,9 +3,10 @@
 :func:`library` compiles the source with the system C compiler
 (``cc -O2 -shared -fPIC``) the first time a process asks for it, caches
 the shared library under a name carrying the source's sha256, and loads
-it through :mod:`ctypes` with declared argument types.  It holds three
-functions: the multi-k build pass (``build_pass``, fed a
-:class:`BuildArgs` block; see :mod:`repro.core.multik`), the fold's
+it through :mod:`ctypes` with declared argument types.  It holds four
+functions: the first-start scan of a CoreTime build (``initial_scan``)
+and its advancing phase (``build_pass``, fed a :class:`BuildArgs`
+block; both see :mod:`repro.core.multik`), the fold's
 per-segment splice (``splice``; see :mod:`repro.core.incremental`) and
 one visited start time of the columnar enumeration walk (``walk_step``,
 fed a :class:`WalkArgs` block; see :mod:`repro.serve.columnar`).
@@ -112,6 +113,8 @@ class WalkArgs(ctypes.Structure):
 class Kernels(NamedTuple):
     """The loaded C functions."""
 
+    #: ``repro_initial_scan(n, levels, ts_lo, ts_hi, 13 arrays)``
+    initial_scan: Callable[..., None]
     #: ``repro_build_pass(BuildArgs *, ts_from) -> next start time``
     build_pass: Callable[..., int]
     #: ``repro_splice(segments, old_segments, 13 arrays)``
@@ -184,6 +187,9 @@ def _library(directory: pathlib.Path, *, private: bool) -> pathlib.Path:
 
 
 def _bind(lib: ctypes.CDLL) -> Kernels:
+    initial_scan = lib.repro_initial_scan
+    initial_scan.argtypes = [_INT64] * 4 + [_POINTER] * 13
+    initial_scan.restype = None
     build_pass = lib.repro_build_pass
     build_pass.argtypes = [ctypes.POINTER(BuildArgs), _INT64]
     build_pass.restype = _INT64
@@ -193,7 +199,7 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     walk_step = lib.repro_walk_step
     walk_step.argtypes = [ctypes.POINTER(WalkArgs), _INT64]
     walk_step.restype = _INT64
-    return Kernels(build_pass, splice, walk_step)
+    return Kernels(initial_scan, build_pass, splice, walk_step)
 
 
 def _load() -> Kernels | None:
@@ -221,7 +227,7 @@ def library() -> Kernels | None:
     kernels = _load()
     get_registry().gauge(
         "repro_kernel_native",
-        "1 when the compiled kernels (CoreTime build pass, fold splice, "
-        "columnar walk step) are loaded, 0 on the numpy fallback",
+        "1 when the compiled kernels (CoreTime scan and build pass, fold "
+        "splice, columnar walk step) are loaded, 0 on the numpy fallback",
     ).set(0 if kernels is None else 1)
     return kernels

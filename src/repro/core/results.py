@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.graph.temporal_graph import TemporalGraph
 
 
@@ -48,13 +50,14 @@ class TemporalKCore:
         ]
 
     def vertices(self, graph: TemporalGraph) -> set[int]:
-        """Internal vertex ids spanned by the core's edges."""
-        members: set[int] = set()
-        for eid in self.edge_ids:
-            u, v, _ = graph.edges[eid]
-            members.add(u)
-            members.add(v)
-        return members
+        """Internal vertex ids spanned by the core's edges.
+
+        One gather of both endpoint columns of the compiled graph.
+        """
+        cg = graph.compiled()
+        eids = np.asarray(self.edge_ids, dtype=np.int64)
+        ends = np.concatenate((cg.np_edge_u[eids], cg.np_edge_v[eids]))
+        return set(np.unique(ends).tolist())
 
     def vertex_labels(self, graph: TemporalGraph) -> set[Hashable]:
         return {graph.label_of(u) for u in self.vertices(graph)}

@@ -41,6 +41,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.utils.arrays import as_int64_array
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.graph.temporal_graph import TemporalGraph
 
@@ -92,6 +94,7 @@ class CompiledGraph:
         "np_inc_time",
         "np_inc_other",
         "np_inc_eid",
+        "_int64_tables",
     )
 
     def __init__(self, graph: "TemporalGraph"):
@@ -248,6 +251,7 @@ class CompiledGraph:
         self.np_inc_time = np.frombuffer(inc_time, dtype=np.int64) if running else np.empty(0, np.int64)
         self.np_inc_other = np.frombuffer(inc_other, dtype=np.int64) if running else np.empty(0, np.int64)
         self.np_inc_eid = np.frombuffer(inc_eid, dtype=np.int64) if running else np.empty(0, np.int64)
+        self._int64_tables: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
 
@@ -301,7 +305,20 @@ class CompiledGraph:
         cg.np_slot_first_time = (
             np_pair_times[starts] if cg.num_slots else np.empty(0, np.int64)
         )
+        cg._int64_tables = {}
         return cg
+
+    def int64_table(self, name: str) -> np.ndarray:
+        """The int table attribute ``name`` as an int64 ndarray (do not mutate).
+
+        Converted on first use and cached: the C kernels take every
+        table as an int64 buffer, and the tuple tables would otherwise
+        be converted again on every build.
+        """
+        table = self._int64_tables.get(name)
+        if table is None:
+            table = self._int64_tables[name] = as_int64_array(getattr(self, name))
+        return table
 
     def window_edge_range(self, ts: int, te: int) -> range:
         """Edge ids with timestamp in ``[ts, te]`` as a contiguous range.

@@ -55,6 +55,7 @@ class TemporalGraph:
 
     __slots__ = (
         "_edges",
+        "_edge_columns",
         "_time_offset",
         "_labels",
         "_label_ids",
@@ -122,7 +123,8 @@ class TemporalGraph:
                     unique.append(edge_)
             normalized = unique
 
-        self._edges: tuple[TemporalEdge, ...] = tuple(normalized)
+        self._edges: tuple[TemporalEdge, ...] | None = tuple(normalized)
+        self._edge_columns = None
         self._labels: tuple[Hashable, ...] = tuple(labels)
         self._label_ids = label_ids
         self._raw_times: tuple[int, ...] = tuple(raw_times)
@@ -130,7 +132,7 @@ class TemporalGraph:
         self._adjacency_cache: list[list[tuple[int, int, int]]] | None = None
         self._compiled_cache = None
 
-        tmax = self.tmax
+        tmax = normalized[-1].t if normalized else 0
         per_time = [0] * (tmax + 1)
         for edge_ in self._edges:
             per_time[edge_.t] += 1
@@ -156,17 +158,25 @@ class TemporalGraph:
     @property
     def num_edges(self) -> int:
         """Number of temporal edges (with multiplicity)."""
-        return len(self._edges)
+        return self._time_offset[-1]
 
     @property
     def tmax(self) -> int:
         """Largest (normalised) timestamp; 0 for an empty graph."""
-        return self._edges[-1].t if self._edges else 0
+        return len(self._time_offset) - 2
 
     @property
     def edges(self) -> tuple[TemporalEdge, ...]:
-        """All edges sorted by timestamp; the index is the edge id."""
-        return self._edges
+        """All edges sorted by timestamp; the index is the edge id.
+
+        A graph rebuilt from edge columns (a store load) creates the
+        tuples on first use: serving from the compiled arrays never
+        needs them.
+        """
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = tuple(map(TemporalEdge, *self._edge_columns))
+        return edges
 
     @property
     def num_dropped_self_loops(self) -> int:
@@ -210,7 +220,7 @@ class TemporalGraph:
         ``normalize_time=False`` the mapping is the identity clamped to
         the span.
         """
-        if raw_ts > raw_te or not self._edges:
+        if raw_ts > raw_te or not self.num_edges:
             return None
         if not self._raw_times:
             ts, te = max(raw_ts, 1), min(raw_te, self.tmax)
@@ -249,7 +259,7 @@ class TemporalGraph:
             adjacency: list[list[tuple[int, int, int]]] = [
                 [] for _ in range(self.num_vertices)
             ]
-            for eid, (u, v, t) in enumerate(self._edges):
+            for eid, (u, v, t) in enumerate(self.edges):
                 adjacency[u].append((v, t, eid))
                 adjacency[v].append((u, t, eid))
             self._adjacency_cache = adjacency
@@ -281,7 +291,7 @@ class TemporalGraph:
 
     def window_edges(self, ts: int, te: int) -> Iterator[TemporalEdge]:
         """Yield the edges of the projected graph ``G[ts, te]``."""
-        edges = self._edges
+        edges = self.edges
         for eid in self.window_edge_ids(ts, te):
             yield edges[eid]
 
@@ -304,7 +314,7 @@ class TemporalGraph:
         paper's complexity analysis.
         """
         neighbours: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for u, v, _ in self._edges:
+        for u, v, _ in self.edges:
             neighbours[u].add(v)
             neighbours[v].add(u)
         degrees = [len(s) for s in neighbours]
@@ -324,7 +334,8 @@ class TemporalGraph:
     def _from_parts(
         cls,
         *,
-        edges: tuple[TemporalEdge, ...],
+        edges: tuple[TemporalEdge, ...] | None = None,
+        edge_columns: tuple | None = None,
         labels: tuple[Hashable, ...],
         raw_times: tuple[int, ...],
         time_offset: tuple[int, ...],
@@ -336,10 +347,14 @@ class TemporalGraph:
         describe a graph previously produced by this class (edges sorted
         by timestamp with internal ids matching ``labels`` order, the
         prefix table consistent with the edge timestamps).  Restores the
-        exact internal vertex and edge ids of the persisted graph.
+        exact internal vertex and edge ids of the persisted graph.  The
+        edges come either as ``edges`` or as ``edge_columns``, three
+        ``(u, v, t)`` int sequences from which :attr:`edges` builds the
+        tuples on first use.
         """
         graph = cls.__new__(cls)
         graph._edges = edges
+        graph._edge_columns = edge_columns
         graph._labels = labels
         graph._label_ids = {label: u for u, label in enumerate(labels)}
         graph._raw_times = raw_times
@@ -370,10 +385,10 @@ class TemporalGraph:
         return TemporalGraph(triples, normalize_time=True)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return self.num_edges
 
     def __iter__(self) -> Iterator[TemporalEdge]:
-        return iter(self._edges)
+        return iter(self.edges)
 
     def __repr__(self) -> str:
         return (

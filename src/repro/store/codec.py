@@ -33,7 +33,7 @@ from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import StoreError
 from repro.graph.csr import CompiledGraph
-from repro.graph.temporal_graph import TemporalEdge, TemporalGraph
+from repro.graph.temporal_graph import TemporalGraph
 from repro.store.format import read_blob, write_blob
 
 GRAPH_KIND = "compiled-graph"
@@ -154,7 +154,8 @@ def load_graph(path: str | os.PathLike[str], *, verify: bool = True) -> Temporal
     """Reconstruct a graph blob: exact ids, compiled view attached.
 
     The compiled arrays are zero-copy views of the blob's mapping; the
-    edge tuple and offset tables are materialised (O(m), no sorting).
+    offset tables are materialised (O(tmax), no sorting), and the edge
+    tuples only when first used (:attr:`TemporalGraph.edges`).
     """
     blob = read_blob(path, verify=verify)
     if blob.kind != GRAPH_KIND:
@@ -163,7 +164,7 @@ def load_graph(path: str | os.PathLike[str], *, verify: bool = True) -> Temporal
     parts = blob.sections
     time_offset = tuple(parts["time_offset"])
     graph = TemporalGraph._from_parts(
-        edges=tuple(map(TemporalEdge, parts["edge_u"], parts["edge_v"], parts["edge_t"])),
+        edge_columns=(parts["edge_u"], parts["edge_v"], parts["edge_t"]),
         labels=tuple(meta["labels"]),
         raw_times=tuple(parts["raw_times"]),
         time_offset=time_offset,

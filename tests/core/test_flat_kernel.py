@@ -82,6 +82,11 @@ class TestKernelEquivalence:
                 assert ct is None or type(ct) is int
 
 
+@pytest.mark.usefixtures("numpy_fixpoint")
+class TestKernelEquivalenceNumpy(TestKernelEquivalence):
+    """Every kernel case again on the fallback: Python scan, numpy step loop."""
+
+
 class TestEnginesAgree:
     @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "enum"])
     def test_engine_matches_enum_on_random_graphs(self, property_graph, engine):

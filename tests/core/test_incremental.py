@@ -28,9 +28,12 @@ from repro.graph.csr import CompiledGraph
 from repro.graph.temporal_graph import TemporalGraph
 
 _SCALARS = ("num_vertices", "num_edges", "tmax", "num_slots", "num_pairs")
-#: Every compiled column that must match a fresh compile exactly.
+#: Every compiled column that must match a fresh compile exactly (the
+#: private slots are caches derived from the columns).
 _SECTIONS = [
-    slot for slot in CompiledGraph.__slots__ if slot not in _SCALARS
+    slot
+    for slot in CompiledGraph.__slots__
+    if slot not in _SCALARS and not slot.startswith("_")
 ]
 
 

@@ -18,7 +18,10 @@ import pytest
 import repro.core.index as index_module
 from repro.core import multik, native
 from repro.core.coretime import compute_core_times
-from repro.core.coretime_ref import compute_core_times_reference
+from repro.core.coretime_ref import (
+    compute_core_times_reference,
+    core_time_by_rescan_reference,
+)
 from repro.core.index import CoreIndex, CoreIndexRegistry
 from repro.core.multik import build_core_indexes, compute_core_times_multi
 from repro.errors import InvalidParameterError
@@ -229,6 +232,54 @@ class TestCompiledBuildPass:
         fused.base.ett = np.repeat(fused.base.ett, 2)[::2]
         with pytest.raises(TypeError):
             fused.run()
+
+
+@pytest.mark.skipif(native.library() is None, reason="no working C compiler")
+class TestCompiledInitialScan:
+    """``repro_initial_scan`` against the Python ``_shared_initial_scan``."""
+
+    @staticmethod
+    def assert_scans_identical(graph, ks, ts, te):
+        """Both scans fill the same core-time matrix; each row is the oracle's."""
+        compiled = multik._FusedMultiK(graph, ks, ts, te, False)
+        compiled._scan_compiled(native.library().initial_scan)
+        python = multik._FusedMultiK(graph, ks, ts, te, False)
+        multik._shared_initial_scan(python.base, ks, python.ct_matrix)
+        assert compiled.ct_matrix.tolist() == python.ct_matrix.tolist(), (ks, ts, te)
+        for level, k in enumerate(ks):
+            row = compiled.ct_matrix[level].tolist()
+            finite = {u: ct for u, ct in enumerate(row) if ct <= te}
+            assert finite == core_time_by_rescan_reference(graph, k, ts, te), (k, ts, te)
+        return compiled.ct_matrix
+
+    @pytest.mark.parametrize("ks", [[1], [2], [1, 3, 7], [2, 3, 4, 5], [1, 2, 40]])
+    def test_full_span_and_subwindows(self, property_graph, ks):
+        tmax = property_graph.tmax
+        for ts, te in [(1, tmax), (2, tmax), (1, tmax - 2), (3, tmax - 3), (5, 9)]:
+            ct = self.assert_scans_identical(property_graph, ks, ts, te)
+            if ks[0] == 1 and (ts, te) == (1, tmax):
+                assert (ct[0] <= te).any()  # the case is not vacuous
+
+    @pytest.mark.parametrize("ks", [[1], [1, 2], [2, 4]])
+    def test_single_timestamp_windows(self, property_graph, ks):
+        tmax = property_graph.tmax
+        for t in (1, 4, tmax):
+            self.assert_scans_identical(property_graph, ks, t, t)
+
+    def test_paper_graph(self, paper_graph):
+        for ks in ([1, 2, 3, 4], [2], [3, 5]):
+            self.assert_scans_identical(paper_graph, ks, 1, paper_graph.tmax)
+            self.assert_scans_identical(paper_graph, ks, 2, 6)
+
+    def test_no_vertex_survives(self, property_graph):
+        path = TemporalGraph([("a", "b", 1), ("b", "c", 2), ("c", "d", 3)])
+        ct = self.assert_scans_identical(path, [2, 3], 1, 3)
+        assert (ct == 4).all()
+        tmax = property_graph.tmax
+        ct = self.assert_scans_identical(property_graph, [30, 50], 1, tmax)
+        assert (ct == tmax + 1).all()
+        ct = self.assert_scans_identical(property_graph, [1, 2, 30], 1, tmax)
+        assert (ct[2] == tmax + 1).all() and (ct[0] <= tmax).any()
 
 
 class TestBuildCoreIndexes:

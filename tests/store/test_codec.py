@@ -35,6 +35,17 @@ class TestGraphRoundTrip:
         assert loaded.time_offsets() == paper_graph.time_offsets()
         assert loaded.id_of("v1") == paper_graph.id_of("v1")
 
+    def test_edge_tuples_are_built_on_first_use(self, tmp_path, random_graph):
+        path = tmp_path / "graph.bin"
+        codec.dump_graph(path, random_graph)
+        loaded = codec.load_graph(path)
+        assert loaded.num_edges == random_graph.num_edges
+        assert loaded.tmax == random_graph.tmax and len(loaded) == len(random_graph)
+        assert loaded._edges is None  # counts and spans did not need them
+        assert loaded.edges == random_graph.edges
+        assert all(type(edge) is type(random_graph.edges[0]) for edge in loaded.edges)
+        assert loaded.edges is loaded.edges  # built once
+
     def test_compiled_view_is_attached_and_equal(self, tmp_path, random_graph):
         path = tmp_path / "graph.bin"
         codec.dump_graph(path, random_graph)

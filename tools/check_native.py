@@ -1,8 +1,9 @@
 """Strict-warning and sanitizer checks for the C kernels (``core/_fixpoint.c``).
 
 1. Compiles the source with ``-Wall -Wextra -Werror``: any warning fails.
-2. Runs the multi-k, fold and columnar-walk suites
-   (``tests/core/test_multik.py``, ``tests/core/test_incremental.py``,
+2. Runs the CoreTime kernel, multi-k, fold and columnar-walk suites
+   (``tests/core/test_flat_kernel.py``, ``tests/core/test_multik.py``,
+   ``tests/core/test_incremental.py``,
    ``tests/serve/test_columnar.py``, ``tests/serve/test_executor.py``)
    against an AddressSanitizer + UndefinedBehaviorSanitizer build of the
    library (``-fsanitize=address,undefined -fno-sanitize-recover=all``),
@@ -41,6 +42,7 @@ SANITIZE = [
     "-g",
 ]
 TESTS = [
+    "tests/core/test_flat_kernel.py",
     "tests/core/test_multik.py",
     "tests/core/test_incremental.py",
     "tests/serve/test_columnar.py",
