@@ -660,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--outbox-depth", type=int, default=256, metavar="N",
-        help="per-connection send-buffer bound, in frames (default: 256)",
+        help="per-connection send-buffer bound, in chunks of up to 64 KiB (default: 256)",
     )
     serve.add_argument(
         "--capacity", type=int, default=16, metavar="N",

@@ -106,30 +106,48 @@ class _ReadOnlyError(ReproError):
 #: request's deadline are re-checked.
 _PUT_WAIT_SECONDS = 0.05
 
+#: Size of one outbox entry of a streamed query, in characters (bytes:
+#: frames are ASCII) — the unit ``--outbox-depth`` counts.
+_CHUNK_CHARS = 64 * 1024
+
 
 class _FrameWriter:
     """Pseudo text stream turning NDJSON lines into ``core`` frames.
 
-    :class:`~repro.serve.sinks.NDJSONSink` writes one ``\\n``-terminated
-    line per core; this splices each line *verbatim* (byte-identical to
+    :class:`~repro.serve.sinks.NDJSONSink` writes one start time's
+    batch at a time: text holding many ``\\n``-terminated lines, one
+    per core.  This splices each line *verbatim* (byte-identical to
     in-process NDJSON output) into a core frame for one request id and
-    hands it to the connection outbox.  Called from the execution
-    thread; the outbox put blocks when the client reads slowly, which
-    is exactly the backpressure the walk should feel — but only up to
-    the request's ``deadline``: past it frames are dropped so the walk
-    aborts at its next deadline poll instead of letting a stalled
-    reader pin the execution lane.
+    hands the batch's frames to the connection outbox at once, in
+    chunks of at most :data:`_CHUNK_CHARS` characters cut only between
+    frames — one outbox put per chunk, not per core; a single frame
+    larger than a chunk travels as its own chunk.  Nothing is held
+    across batches.  Called from the execution thread; the outbox put
+    blocks when the client reads slowly, which is exactly the
+    backpressure the walk should feel — but only up to the request's
+    ``deadline``: past it a chunk that finds the outbox full is
+    dropped, and so is everything after it, so the walk aborts at its
+    next deadline poll instead of letting a stalled reader pin the
+    execution lane, and the stream still ends on a whole frame.
     """
 
     def __init__(self, conn: "_Connection", rid, deadline: Deadline | None = None):
         self._conn = conn
         self._prefix = core_frame_prefix(rid)
         self._deadline = deadline
+        self._dropped = False
 
-    def write(self, line: str) -> None:
-        self._conn.send_text_threadsafe(
-            self._prefix + line[:-1] + "}\n", self._deadline
-        )
+    def write(self, text: str) -> None:
+        prefix = self._prefix
+        frames = prefix + text[:-1].replace("\n", "}\n" + prefix) + "}\n"
+        send = self._conn.send_text_threadsafe
+        start, size = 0, len(frames)
+        while start < size and not self._dropped:
+            stop = frames.rfind("\n", start, start + _CHUNK_CHARS) + 1
+            if stop <= start:
+                stop = frames.index("\n", start) + 1
+            self._dropped = not send(frames[start:stop], self._deadline)
+            start = stop
 
 
 class _BridgeSink(NDJSONSink):
@@ -184,13 +202,14 @@ class _Connection:
         in bounded slices: between waits the peer's liveness and the
         request's ``deadline`` are re-checked, so a stalled reader can
         hold the execution lane only until the request's time budget
-        runs out.  Returns ``True`` once the frame is queued, ``False``
-        when it was dropped (peer gone, deadline expired, or the loop
-        already torn down)."""
+        runs out.  The deadline bounds only the waiting: a frame that
+        finds room within one slice is queued even past it, so a
+        reader that keeps up gets every frame the walk produced (and
+        counted) before its abort.  Returns ``True`` once the frame is
+        queued, ``False`` when it was dropped (peer gone, deadline
+        expired on a full outbox, or the loop already torn down)."""
         while True:
             if self.gone.is_set():
-                return False
-            if deadline is not None and deadline.expired():
                 return False
             try:
                 outcome = asyncio.run_coroutine_threadsafe(
@@ -200,6 +219,8 @@ class _Connection:
                 return False
             if outcome is not None:
                 return outcome
+            if deadline is not None and deadline.expired():
+                return False
 
     def send_frame_threadsafe(
         self, frame: dict, deadline: Deadline | None = None
@@ -343,17 +364,19 @@ class ServingDaemon:
     ``processes`` opens a store-attached worker pool for intra-request
     parallelism (``None``/``0`` executes in-process).  ``queue_depth``
     bounds admission; ``outbox_depth`` bounds each connection's send
-    buffer (frames, not bytes).  ``default_timeout`` caps requests that
-    do not bring their own ``timeout``.  ``terminal_grace`` is how long
-    past a request's expired deadline the daemon keeps offering the
-    terminal frame to a full outbox before hanging up on the client
-    (a request's deadline bounds the lane's total occupancy, delivery
-    backpressure included).  ``warm=True`` preloads every stored index
-    at boot.  ``port=0`` binds an ephemeral port — :attr:`port` holds
-    the real one after :meth:`start`.  ``max_lag`` is a freshness
-    budget in seconds: a query against a key whose oldest unflushed
-    append is older than the budget triggers a flush first (``None``
-    flushes only on request).
+    buffer, in entries: control frames, or chunks of up to
+    :data:`_CHUNK_CHARS` of a query's core frames.  ``default_timeout``
+    caps requests that do not bring their own ``timeout``.
+    ``terminal_grace`` is how long past a request's expired deadline
+    the daemon keeps offering the terminal frame to a full outbox
+    before hanging up on the client (a request's deadline bounds the
+    lane's total occupancy, delivery backpressure included).
+    ``warm=True`` preloads every stored index at boot.  ``port=0``
+    binds an ephemeral port — :attr:`port` holds the real one after
+    :meth:`start`.  ``max_lag`` is a freshness budget in seconds: a
+    query against a key whose oldest unflushed append is older than
+    the budget triggers a flush first (``None`` flushes only on
+    request).
     """
 
     def __init__(

@@ -44,6 +44,14 @@ INDEX_KIND = "core-index"
 # Fingerprints
 # ----------------------------------------------------------------------
 
+def raw_time_column(graph: TemporalGraph) -> np.ndarray:
+    """``raw_time_of(t)`` for ``t`` in ``1..tmax`` as one int64 array: the
+    graph's raw-timestamp table, or ``1..tmax`` when it is not normalised."""
+    if graph._raw_times:
+        return np.asarray(graph._raw_times, dtype=np.int64)
+    return np.arange(1, graph.tmax + 1, dtype=np.int64)
+
+
 def graph_fingerprint(graph: TemporalGraph) -> dict:
     """A cheap content fingerprint: counts, spans and content crc32s.
 
@@ -74,9 +82,7 @@ def graph_fingerprint(graph: TemporalGraph) -> dict:
         raw_span = [graph.raw_time_of(1), graph.raw_time_of(graph.tmax)]
     else:
         raw_span = [0, 0]
-    raw_times = np.asarray(
-        [graph.raw_time_of(t) for t in range(1, graph.tmax + 1)], dtype=np.int64
-    )
+    raw_times = raw_time_column(graph)
     # Type-tagged reprs hash any hashable label (fingerprints are also
     # taken of graphs the store could never persist).
     labels_blob = "\x00".join(
@@ -146,7 +152,7 @@ def dump_graph(path: str | os.PathLike[str], graph: TemporalGraph) -> int:
     sections["inc_other"] = cg.np_inc_other
     sections["inc_eid"] = cg.np_inc_eid
     sections["time_offset"] = cg.time_offset
-    sections["raw_times"] = [graph.raw_time_of(t) for t in range(1, cg.tmax + 1)]
+    sections["raw_times"] = raw_time_column(graph)
     return write_blob(path, GRAPH_KIND, meta, sections)
 
 

@@ -11,10 +11,12 @@ seed oracle on randomized graphs, ks and windows.
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import random
 import socket
+import time
 
 import pytest
 
@@ -22,7 +24,9 @@ from repro.bench.batch import run_query_batch
 from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
 from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
+from repro.obs.timing import Deadline
 from repro.serve.client import DaemonClient, DaemonError
+from repro.serve.daemon import _CHUNK_CHARS, _Connection, _FrameWriter
 from repro.serve.executor import execute_plan
 from repro.serve.planner import plan_for_index
 from repro.serve.protocol import (
@@ -344,6 +348,258 @@ class TestDaemonByteIdentity:
         assert done["total_edges"] == want.total_edges
         got = {(tuple(c["tti"]), frozenset(c["edge_ids"])) for c in cores}
         assert got == {(c.tti, frozenset(c.edge_ids)) for c in want.cores}
+
+
+class TestDaemonMultiChunkStream:
+    """A stream spanning many outbox chunks, some frames larger than one."""
+
+    @pytest.fixture(scope="class")
+    def wide_store(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("protocol-wide") / "store"
+        graph = uniform_random_temporal(30, 12000, tmax=16, seed=7)
+        store = IndexStore(root)
+        store.save_graph(graph, name="w")
+        store.save_index(CoreIndex(graph, 2), name="w")
+        return root, graph
+
+    def test_chunked_stream_byte_identical(self, start_daemon, wide_store):
+        root, graph = wide_store
+        handle = start_daemon(store=root)
+        largest = 0
+        for rid, (ts, te) in enumerate([(1, graph.tmax), (3, graph.tmax - 2)]):
+            buffer = io.StringIO()
+            sink = NDJSONSink(buffer)
+            execute_plan(plan_for_index(CoreIndex(graph, 2), [(ts, te)], sinks=[sink]))
+            want = buffer.getvalue().encode("utf-8")
+            cores, done = stream_query_raw(
+                handle.port,
+                {"op": "query", "id": rid, "k": 2, "ts": ts, "te": te, "graph": "w"},
+            )
+            frame_sizes = [
+                len(core_frame_prefix(rid)) + len(core) + 1 for core in cores
+            ]
+            assert sum(frame_sizes) > 8 * _CHUNK_CHARS
+            largest = max(largest, *frame_sizes)
+            assert b"".join(cores) == want
+            assert done["ok"] is True and done["completed"] is True
+            assert done["num_results"] == len(cores) == sink.num_results
+            assert done["total_edges"] == sink.total_edges
+        assert largest > _CHUNK_CHARS  # a frame that is a chunk of its own
+
+    def test_timed_out_stream_delivers_every_counted_core(
+        self, start_daemon, wide_store
+    ):
+        """A deadline abort read by a client that keeps up: the terminal
+        frame counts exactly the cores that arrived, and they are a
+        byte prefix of the full answer."""
+        root, graph = wide_store
+        handle = start_daemon(store=root)
+        query = {"op": "query", "id": 1, "k": 2, "ts": 1, "te": graph.tmax, "graph": "w"}
+        started = time.perf_counter()
+        full, done = stream_query_raw(handle.port, query)  # also warms the index
+        elapsed = time.perf_counter() - started
+        assert done["completed"] is True
+        cores, done = stream_query_raw(handle.port, {**query, "timeout": elapsed / 4})
+        assert done["ok"] is True and done["completed"] is False
+        assert 0 < len(cores) == done["num_results"] < len(full)
+        assert done["total_edges"] == sum(json.loads(c)["num_edges"] for c in cores)
+        assert b"".join(full).startswith(b"".join(cores))
+
+
+class _RecordingConnection:
+    """Stands in for a daemon connection: records the chunks handed over,
+    refusing every one after the first ``accept``."""
+
+    def __init__(self, accept: int | None = None):
+        self.chunks: list[str] = []
+        self.accept = accept
+
+    def send_text_threadsafe(self, text, deadline=None) -> bool:
+        if self.accept is not None and len(self.chunks) >= self.accept:
+            return False
+        self.chunks.append(text)
+        return True
+
+
+class TestFrameWriterChunks:
+    def lines(self, sizes) -> list[str]:
+        return [
+            json.dumps({"tti": [1, i], "num_edges": n, "edge_ids": list(range(n))})
+            + "\n"
+            for i, n in enumerate(sizes)
+        ]
+
+    def frames(self, lines, rid=7) -> str:
+        return "".join(core_frame_prefix(rid) + line[:-1] + "}\n" for line in lines)
+
+    def test_chunks_are_whole_frames_in_order(self):
+        conn = _RecordingConnection()
+        writer = _FrameWriter(conn, 7)
+        lines = self.lines([3, 2000, 1, 40, 0, 15000, 7] * 6)
+        for i in range(0, len(lines), 3):  # batches of three lines
+            writer.write("".join(lines[i : i + 3]))
+        assert "".join(conn.chunks) == self.frames(lines)
+        for chunk in conn.chunks:
+            assert chunk.endswith("}\n")
+            assert len(chunk) <= _CHUNK_CHARS or chunk.count("\n") == 1
+        assert any(len(chunk) > _CHUNK_CHARS for chunk in conn.chunks)
+
+    def test_each_batch_is_handed_over_at_once(self):
+        """Nothing is held across batches: a small batch is one chunk,
+        handed over before the next batch arrives."""
+        conn = _RecordingConnection()
+        writer = _FrameWriter(conn, "q")
+        writer.write("".join(self.lines([1, 2])))
+        assert conn.chunks == [self.frames(self.lines([1, 2]), "q")]
+        writer.write(self.lines([5])[0])
+        assert conn.chunks[1:] == [self.frames(self.lines([5]), "q")]
+
+    def test_a_large_batch_is_cut_between_frames(self):
+        conn = _RecordingConnection()
+        writer = _FrameWriter(conn, 7)
+        lines = self.lines([900] * 40)  # ~4.6 KiB a line, ~180 KiB in all
+        writer.write("".join(lines))
+        assert len(conn.chunks) > 2
+        assert "".join(conn.chunks) == self.frames(lines)
+        assert all(
+            chunk.endswith("}\n") and len(chunk) <= _CHUNK_CHARS
+            for chunk in conn.chunks
+        )
+
+    def test_nothing_follows_a_dropped_chunk(self):
+        conn = _RecordingConnection(accept=2)
+        writer = _FrameWriter(conn, 7)
+        lines = self.lines([9000] * 30)
+        for line in lines:
+            writer.write(line)
+        assert len(conn.chunks) == 2
+        assert self.frames(lines).startswith("".join(conn.chunks))
+
+
+class _StallingWriter:
+    """A stream writer whose ``drain`` waits until ``gate`` is set."""
+
+    transport = None
+
+    def __init__(self):
+        self.data = bytearray()
+        self.gate = asyncio.Event()
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        await self.gate.wait()
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+class TestOutbox:
+    """The connection outbox seen from the execution thread: bounded,
+    ordered, and bounded in waiting by the request's deadline."""
+
+    def run(self, scenario):
+        async def main():
+            writer = _StallingWriter()
+            conn = _Connection(None, writer, 2)
+            try:
+                await asyncio.wait_for(
+                    scenario(conn, writer, asyncio.get_running_loop()), 10
+                )
+            except BaseException:
+                conn.mark_gone()  # release producers still waiting for a slot
+                raise
+            finally:
+                writer.gate.set()
+                await conn.close()
+
+        asyncio.run(main())
+
+    @staticmethod
+    async def fill(conn, loop):
+        """The writer stalls on "0"; "1" and "2" take both slots."""
+        for text in ("0\n", "1\n", "2\n"):
+            assert await loop.run_in_executor(None, conn.send_text_threadsafe, text)
+            await asyncio.sleep(0.05)
+
+    def test_full_outbox_blocks_the_producer_until_the_reader_drains(self):
+        async def scenario(conn, writer, loop):
+            sent = []
+
+            def produce():
+                for i in range(6):
+                    sent.append(conn.send_text_threadsafe(f"{i}\n"))
+
+            producing = loop.run_in_executor(None, produce)
+            await asyncio.sleep(0.3)
+            # "0" is with the stalled writer, "1" and "2" fill both slots.
+            assert (bytes(writer.data), conn.outbox.qsize(), len(sent)) == (
+                b"0\n", 2, 3)
+            writer.gate.set()
+            await producing
+            await asyncio.sleep(0.05)
+            assert sent == [True] * 6
+            assert bytes(writer.data) == b"0\n1\n2\n3\n4\n5\n"
+
+        self.run(scenario)
+
+    def test_expired_deadline_drops_instead_of_waiting(self):
+        async def scenario(conn, writer, loop):
+            await self.fill(conn, loop)
+            dropped = await loop.run_in_executor(
+                None, conn.send_text_threadsafe, "3\n", Deadline(0.1)
+            )
+            assert dropped is False
+            assert conn.outbox.qsize() == 2
+
+        self.run(scenario)
+
+    def test_expired_deadline_still_queues_into_a_free_slot(self):
+        """The deadline bounds waiting, not delivery: a frame the walk
+        produced before its abort reaches a reader that keeps up."""
+        async def scenario(conn, writer, loop):
+            writer.gate.set()
+            queued = await loop.run_in_executor(
+                None, conn.send_text_threadsafe, "0\n", Deadline(0.0)
+            )
+            assert queued is True
+            await asyncio.sleep(0.05)
+            assert bytes(writer.data) == b"0\n"
+
+        self.run(scenario)
+
+    def test_loop_side_frames_wait_for_a_slot_in_order(self):
+        async def scenario(conn, writer, loop):
+            await self.fill(conn, loop)
+            control = asyncio.ensure_future(conn.send({"id": 9, "ok": True}))
+            await asyncio.sleep(0.05)
+            assert not control.done()
+            writer.gate.set()
+            await control
+            await asyncio.sleep(0.05)
+            assert bytes(writer.data).splitlines() == [
+                b"0", b"1", b"2", encode_frame({"id": 9, "ok": True}).rstrip()]
+
+        self.run(scenario)
+
+    def test_gone_peer_unblocks_a_waiting_producer(self):
+        async def scenario(conn, writer, loop):
+            await self.fill(conn, loop)
+            blocked = loop.run_in_executor(None, conn.send_text_threadsafe, "3\n")
+            await asyncio.sleep(0.1)
+            assert not blocked.done()
+            conn.mark_gone()
+            await asyncio.wait_for(blocked, 5)  # freed, whatever it reports
+            dropped = await loop.run_in_executor(
+                None, conn.send_text_threadsafe, "4\n"
+            )
+            assert dropped is False
+
+        self.run(scenario)
 
 
 class TestClientFraming:

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.serve.sinks import (
@@ -120,6 +121,103 @@ class TestNDJSON:
         stream = Spy()
         enumerate_temporal_kcores(paper_graph, 2, sink=NDJSONSink(stream))
         assert sum(written_at) == 13  # one line per core, as emitted
+
+
+def reference_ndjson(batches, *, edge_ids: bool = True) -> str:
+    """The per-core ``json.dumps`` line builder — the NDJSON format oracle."""
+    lines = []
+    for ts, ends, prefix_lens, eids in batches:
+        run = eids.tolist()
+        for te, n in zip(ends.tolist(), prefix_lens.tolist()):
+            core = {"tti": [ts, te], "num_edges": n}
+            if edge_ids:
+                core["edge_ids"] = run[:n]
+            lines.append(json.dumps(core) + "\n")
+    return "".join(lines)
+
+
+def ndjson_of(batches, *, edge_ids: bool = True) -> str:
+    stream = io.StringIO()
+    sink = NDJSONSink(stream, edge_ids=edge_ids)
+    for batch in batches:
+        sink.emit(*batch)
+    sink.finish(True)
+    return stream.getvalue()
+
+
+def batch(ts, ends, prefix_lens, run):
+    return (
+        ts,
+        np.array(ends, dtype=np.int64),
+        np.array(prefix_lens, dtype=np.int64),
+        np.array(run, dtype=np.int64),
+    )
+
+
+#: Edge ids of every decimal width, the boundaries in particular.
+edge_id = st.one_of(
+    st.sampled_from([0, 9, 10, 99, 100, 99999, 100000]),
+    st.integers(0, 2**63 - 1),
+)
+
+
+@st.composite
+def ndjson_batches(draw):
+    out = []
+    ts = draw(st.integers(1, 50))
+    for _ in range(draw(st.integers(0, 4))):
+        run = draw(st.lists(edge_id, min_size=1, max_size=40))
+        cores = draw(st.integers(1, 12))
+        prefix_lens = sorted(
+            draw(st.lists(st.integers(0, len(run)), min_size=cores, max_size=cores))
+        )
+        te = draw(st.integers(ts, ts + 5))
+        out.append(batch(ts, range(te, te + cores), prefix_lens, run))
+        ts += draw(st.integers(1, 3))
+    return out
+
+
+class TestNDJSONOracle:
+    """``NDJSONSink``'s prefix-shared encoder against per-core ``json.dumps``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ndjson_batches(), st.booleans())
+    @example([batch(3, [4], [4], [0, 9, 10, 99999])], True)
+    @example([batch(3, [4], [1], [99999, 0])], True)
+    @example([batch(1, [7], [3], [5, 6, 7])], False)
+    def test_byte_identical_to_json_dumps(self, batches, edge_ids):
+        assert ndjson_of(batches, edge_ids=edge_ids) == reference_ndjson(
+            batches, edge_ids=edge_ids
+        )
+
+    @pytest.mark.parametrize("edge_ids", [True, False])
+    def test_many_cores_share_one_run(self, edge_ids):
+        run = list(range(0, 200_000, 997))
+        prefix_lens = list(range(1, len(run) + 1))
+        batches = [batch(5, range(5, 5 + len(run)), prefix_lens, run)]
+        assert ndjson_of(batches, edge_ids=edge_ids) == reference_ndjson(
+            batches, edge_ids=edge_ids
+        )
+
+    def test_single_core_whose_prefix_is_the_whole_run(self):
+        batches = [batch(2, [9], [4], [0, 9, 10, 99999])]
+        assert ndjson_of(batches) == (
+            '{"tti": [2, 9], "num_edges": 4, "edge_ids": [0, 9, 10, 99999]}\n'
+        )
+        assert ndjson_of(batches) == reference_ndjson(batches)
+
+    def test_one_write_per_batch(self):
+        writes = []
+
+        class Spy(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        sink = NDJSONSink(Spy())
+        emit_batches(sink)
+        assert [text.count("\n") for text in writes] == [2, 1]
+        assert all(text.endswith("\n") for text in writes)
 
 
 class TestFlatArray:

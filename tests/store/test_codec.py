@@ -8,6 +8,9 @@ uses — so a persistence bug cannot hide behind a kernel bug.
 
 from __future__ import annotations
 
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.core.coretime import VertexCoreTimeIndex
@@ -18,6 +21,7 @@ from repro.core.windows import EdgeCoreSkyline
 from repro.errors import StoreError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.store import codec
+from repro.store.format import read_blob
 
 
 class TestGraphRoundTrip:
@@ -76,6 +80,27 @@ class TestGraphRoundTrip:
         codec.dump_graph(path, paper_graph)
         loaded = codec.load_graph(path)
         assert codec.graph_fingerprint(loaded) == codec.graph_fingerprint(paper_graph)
+
+    @pytest.mark.parametrize("normalize_time", [True, False])
+    def test_raw_times_match_per_timestamp_construction(self, tmp_path, normalize_time):
+        graph = TemporalGraph(
+            [("a", "b", 3), ("b", "c", 7), ("a", "c", 7), ("c", "d", 40), ("a", "d", 12)],
+            normalize_time=normalize_time,
+        )
+        per_timestamp = np.asarray(
+            [graph.raw_time_of(t) for t in range(1, graph.tmax + 1)], dtype=np.int64
+        )
+        assert graph.tmax == (4 if normalize_time else 40)
+        fingerprint = codec.graph_fingerprint(graph)
+        assert fingerprint["raw_time_crc32"] == zlib.crc32(
+            per_timestamp.astype("<i8").tobytes()
+        )
+        path = tmp_path / "graph.bin"
+        codec.dump_graph(path, graph)
+        blob = read_blob(path)
+        assert list(blob.sections["raw_times"]) == per_timestamp.tolist()
+        loaded = codec.load_graph(path)
+        assert codec.graph_fingerprint(loaded) == fingerprint
 
     def test_unpersistable_labels_rejected(self, tmp_path):
         graph = TemporalGraph([(("tuple", 1), "b", 1), ("b", "c", 2), (("tuple", 1), "c", 3)])
