@@ -27,6 +27,15 @@
  * activation merge and AS-Output (Algorithm 4), plus, for a counting
  * sink, the per-target counters a slice router would accumulate.
  *
+ * repro_counting_order is the stable counting sort behind the index
+ * assembly (core/multik.py, _FusedMultiK.results) and the skyline's
+ * start order (core/windows.py, EdgeCoreSkyline._by_start).
+ *
+ * repro_crc32_fold is zlib's crc32 by carry-less multiplication, the
+ * checksum every store blob carries (store/format.py): the x86
+ * PCLMULQDQ folding of Gopal et al., "Fast CRC Computation for Generic
+ * Polynomials Using PCLMULQDQ Instruction" (Intel, 2009).
+ *
  * No function allocates.  The build pass is resumable: before each
  * start time it checks the output space left against the worst case of
  * one step and, when that is short, returns the start time it stopped
@@ -36,6 +45,10 @@
 
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 /*
  * One build's arrays and scalars.  The field order is mirrored by
@@ -222,6 +235,13 @@ static int64_t kth_smallest(int64_t *a, int64_t len, int64_t rank)
     return a[rank];
 }
 
+/*
+ * Ranks below this select the rank-th smallest availability by
+ * insertion into a sorted window of rank + 1 values; larger ranks use
+ * kth_smallest.
+ */
+#define INSERTION_RANKS 16
+
 /* Advance the pair pointer of slot s to the first time >= ts. */
 static inline void expire_slot(const struct repro_build *b, int64_t s, int64_t ts)
 {
@@ -297,6 +317,28 @@ static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int6
                     if (a < candidate)
                         candidate = a;
                 }
+            } else if (rank < INSERTION_RANKS) {
+                /* scratch[0..filled) holds the smallest values seen so
+                 * far, ascending, at most rank + 1 of them: a value not
+                 * below the current rank-th cannot change it. */
+                int64_t filled = 0;
+                for (int64_t i = 0; i < deg; i++) {
+                    const int64_t a = max64(ett[lo + i], ct[base + adj_neighbour[lo + i]]);
+                    int64_t j;
+                    if (filled > rank) {
+                        if (a >= scratch[rank])
+                            continue;
+                        j = rank;
+                    } else {
+                        j = filled++;
+                    }
+                    while (j > 0 && scratch[j - 1] > a) {
+                        scratch[j] = scratch[j - 1];
+                        j--;
+                    }
+                    scratch[j] = a;
+                }
+                candidate = scratch[rank];
             } else {
                 for (int64_t i = 0; i < deg; i++)
                     scratch[i] = max64(ett[lo + i], ct[base + adj_neighbour[lo + i]]);
@@ -586,4 +628,125 @@ int64_t repro_walk_step(struct repro_walk *w, int64_t t)
     }
     w->num_active = kept;
     return cores;
+}
+
+/*
+ * The stable counting order of keys[0..len), each in [0, bound): order
+ * receives the positions 0..len sorted by key, equal keys in position
+ * order (numpy's argsort(kind="stable")), and offsets (bound + 1
+ * entries) where each key's run starts, then len.  O(len + bound).
+ * Returns 0, or -1 with order unwritten when a key lies outside
+ * [0, bound).
+ */
+int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
+                             int64_t *offsets, int64_t *order)
+{
+    memset(offsets, 0, (size_t)(bound + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < len; i++) {
+        const int64_t key = keys[i];
+        if (key < 0 || key >= bound)
+            return -1;
+        offsets[key + 1]++;
+    }
+    for (int64_t key = 0; key < bound; key++)
+        offsets[key + 1] += offsets[key];
+    for (int64_t i = 0; i < len; i++)
+        order[offsets[keys[i]]++] = i;
+    /* offsets[key] has moved to the end of its run: shift back. */
+    memmove(offsets + 1, offsets, (size_t)bound * sizeof(int64_t));
+    offsets[0] = 0;
+    return 0;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+/*
+ * The bit-reflected crc32 register of buf[0..len) from the register crc
+ * (pre- and post-inversion are the caller's); len is a multiple of 16,
+ * at least 64.  Four 128-bit lanes fold 64 bytes per round, then fold
+ * into one lane, which is reduced to 64 bits and Barrett-reduced to 32.
+ * The constants are the x^n mod P(x) values and the Barrett pair of the
+ * paper for zlib's polynomial, bit-reflected.
+ */
+__attribute__((target("pclmul,sse4.1")))
+static uint32_t crc32_fold(const unsigned char *buf, int64_t len, uint32_t crc)
+{
+    static const uint64_t k1k2[2] __attribute__((aligned(16))) = {0x0154442bd4, 0x01c6e41596};
+    static const uint64_t k3k4[2] __attribute__((aligned(16))) = {0x01751997d0, 0x00ccaa009e};
+    static const uint64_t k5k0[2] __attribute__((aligned(16))) = {0x0163cd6124, 0x0000000000};
+    static const uint64_t poly[2] __attribute__((aligned(16))) = {0x01db710641, 0x01f7011641};
+    __m128i x0, x1, x2, x3, x4, x5, x6, x7, x8;
+
+    x1 = _mm_loadu_si128((const __m128i *)(buf + 0x00));
+    x2 = _mm_loadu_si128((const __m128i *)(buf + 0x10));
+    x3 = _mm_loadu_si128((const __m128i *)(buf + 0x20));
+    x4 = _mm_loadu_si128((const __m128i *)(buf + 0x30));
+    x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128((int)crc));
+    x0 = _mm_load_si128((const __m128i *)k1k2);
+    for (buf += 64, len -= 64; len >= 64; buf += 64, len -= 64) {
+        x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
+        x6 = _mm_clmulepi64_si128(x2, x0, 0x00);
+        x7 = _mm_clmulepi64_si128(x3, x0, 0x00);
+        x8 = _mm_clmulepi64_si128(x4, x0, 0x00);
+        x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, x0, 0x11), x5);
+        x2 = _mm_xor_si128(_mm_clmulepi64_si128(x2, x0, 0x11), x6);
+        x3 = _mm_xor_si128(_mm_clmulepi64_si128(x3, x0, 0x11), x7);
+        x4 = _mm_xor_si128(_mm_clmulepi64_si128(x4, x0, 0x11), x8);
+        x1 = _mm_xor_si128(x1, _mm_loadu_si128((const __m128i *)(buf + 0x00)));
+        x2 = _mm_xor_si128(x2, _mm_loadu_si128((const __m128i *)(buf + 0x10)));
+        x3 = _mm_xor_si128(x3, _mm_loadu_si128((const __m128i *)(buf + 0x20)));
+        x4 = _mm_xor_si128(x4, _mm_loadu_si128((const __m128i *)(buf + 0x30)));
+    }
+
+    /* Fold the four lanes, then any remaining 16-byte blocks, into x1. */
+    x0 = _mm_load_si128((const __m128i *)k3k4);
+    x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
+    x1 = _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x1, x0, 0x11), x2), x5);
+    x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
+    x1 = _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x1, x0, 0x11), x3), x5);
+    x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
+    x1 = _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x1, x0, 0x11), x4), x5);
+    for (; len >= 16; buf += 16, len -= 16) {
+        x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
+        x1 = _mm_clmulepi64_si128(x1, x0, 0x11);
+        x1 = _mm_xor_si128(_mm_xor_si128(x1, _mm_loadu_si128((const __m128i *)buf)), x5);
+    }
+
+    /* 128 -> 64 bits. */
+    x2 = _mm_clmulepi64_si128(x1, x0, 0x10);
+    x3 = _mm_setr_epi32(~0, 0, ~0, 0);
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), x2);
+    x0 = _mm_loadl_epi64((const __m128i *)k5k0);
+    x2 = _mm_srli_si128(x1, 4);
+    x1 = _mm_and_si128(x1, x3);
+    x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, x0, 0x00), x2);
+
+    /* Barrett reduction to 32 bits. */
+    x0 = _mm_load_si128((const __m128i *)poly);
+    x2 = _mm_and_si128(x1, x3);
+    x2 = _mm_clmulepi64_si128(x2, x0, 0x10);
+    x2 = _mm_and_si128(x2, x3);
+    x2 = _mm_clmulepi64_si128(x2, x0, 0x00);
+    x1 = _mm_xor_si128(x1, x2);
+    return (uint32_t)_mm_extract_epi32(x1, 1);
+}
+
+#endif
+
+/*
+ * zlib's crc32(crc, buf, done) for the leading done = len - len % 16
+ * bytes of buf: the caller continues from the returned value over the
+ * len % 16 bytes left.  Returns -1, having read nothing, when len < 64
+ * or the CPU (or compiler) lacks carry-less multiplication.
+ */
+int64_t repro_crc32_fold(int64_t len, const unsigned char *buf, int64_t crc)
+{
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (len >= 64 && __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1"))
+        return ~crc32_fold(buf, len & ~(int64_t)15, ~(uint32_t)crc) & 0xffffffffu;
+#endif
+    (void)len;
+    (void)buf;
+    (void)crc;
+    return -1;
 }

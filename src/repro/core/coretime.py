@@ -263,21 +263,23 @@ class _WindowState:
     pair's first time at or after the current start (advanced
     monotonically), and ``ett``, the timestamp it designates, or a
     sentinel when the pair has no further edge.  Both are int64
-    ndarrays.  Sub-windows need no rebuilt structure: pointers are
+    ndarrays (the numpy fallback's :meth:`expire_start` turns ``ptr``
+    into a list).  Sub-windows need no rebuilt structure: pointers are
     positioned once at ``ts_lo`` and the end bound is a comparison
     against ``ts_hi``.
     """
 
-    __slots__ = ("cg", "ts_lo", "ts_hi", "inf", "ptr", "ett")
+    __slots__ = ("cg", "ts_lo", "ts_hi", "inf", "ptr", "ett", "_tables")
 
     def __init__(self, graph: TemporalGraph, ts_lo: int, ts_hi: int):
         self.cg = cg = graph.compiled()
         self.ts_lo = ts_lo
         self.ts_hi = ts_hi
         self.inf = ts_hi + 1
+        self._tables = None
         if ts_lo == 1:
-            self.ptr = cg.int64_table("slot_times_start").copy()
-            self.ett = cg.np_slot_first_time.copy()
+            self.ptr = cg.slot_times_start.copy()
+            self.ett = cg.pair_times[cg.slot_times_start]
         else:
             # Position each pair's pointer at its first edge time >= ts_lo.
             # All pairs bisect at once: each pair's slice of ``pair_times``
@@ -285,38 +287,43 @@ class _WindowState:
             # composite key ``pid * stride + time`` is globally sorted and
             # one searchsorted answers every pair (both directional slots
             # share the result).
-            pair_times = cg.int64_table("pair_times")
-            pair_offset = cg.int64_table("pair_offset")
+            pair_times = cg.pair_times
+            pair_offset = cg.pair_offset
             num_pairs = cg.num_pairs
             stride = np.int64(cg.tmax + 2)
             counts = pair_offset[1:] - pair_offset[:-1]
             pids = np.arange(num_pairs, dtype=np.int64)
             composite = np.repeat(pids, counts) * stride + pair_times
             first_index = np.searchsorted(composite, pids * stride + ts_lo)
-            self.ptr = first_index[cg.np_slot_pid]
+            self.ptr = first_index[cg.slot_pid]
             exhausted = first_index >= pair_offset[1:]
             pair_first_time = np.where(
                 exhausted,
                 _NO_TIME,
                 pair_times[np.minimum(first_index, max(len(pair_times) - 1, 0))],
             )
-            self.ett = pair_first_time[cg.np_slot_pid]
+            self.ett = pair_first_time[cg.slot_pid]
 
     def expire_start(self, ts: int) -> None:
         """Advance pair pointers past the edges stamped ``ts - 1``.
 
         The earliest time of a pair changes exactly when the start moves
         past one of its edge times, so only the (contiguous) edge batch at
-        ``ts - 1`` needs its two directional slots refreshed.
+        ``ts - 1`` needs its two directional slots refreshed.  The numpy
+        fallback's scalar loop: on first use ``ptr`` and the tables it
+        reads become Python lists (faster to index one by one), once per
+        build.
         """
-        cg = self.cg
+        if self._tables is None:
+            cg = self.cg
+            self.ptr = self.ptr.tolist()
+            self._tables = tuple(
+                getattr(cg, name).tolist()
+                for name in ("pair_times", "slot_times_end", "edge_slot_u", "edge_slot_v", "time_offset")
+            )
+        times, slot_times_end, edge_slot_u, edge_slot_v, time_offset = self._tables
         ptr = self.ptr
         ett = self.ett
-        times = cg.pair_times
-        slot_times_end = cg.slot_times_end
-        edge_slot_u = cg.edge_slot_u
-        edge_slot_v = cg.edge_slot_v
-        time_offset = cg.time_offset
         for eid in range(time_offset[ts - 1], time_offset[ts]):
             s = edge_slot_u[eid]
             p = ptr[s]

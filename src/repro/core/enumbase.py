@@ -71,6 +71,7 @@ def enumerate_temporal_kcores_base(
         if skyline.windows_of(eid)
     ]
     cursors = [0] * len(tracked)
+    edge_t = graph.edge_columns()[2].tolist()
     seen: set[frozenset[int]] = set()
     stored_edges = 0
     span = ts_hi - ts_lo + 1
@@ -94,14 +95,13 @@ def enumerate_temporal_kcores_base(
         accumulated: list[int] = []
         min_t = ts_hi + 1
         max_t = ts_lo - 1
-        edges = graph.edges
         for offset in range(current_ts - ts_lo, span):
             bucket = buckets[offset]
             if not bucket:
                 continue
             accumulated.extend(bucket)
             for eid in bucket:
-                t = edges[eid].t
+                t = edge_t[eid]
                 if t < min_t:
                     min_t = t
                 if t > max_t:

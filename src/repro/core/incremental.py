@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import defaultdict
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -74,9 +73,9 @@ from repro.core import native
 from repro.core.coretime import INF_CT, CoreTimeResult, VertexCoreTimeIndex
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
-from repro.errors import GraphFormatError
 from repro.graph.csr import CompiledGraph
-from repro.graph.temporal_graph import TemporalEdge, TemporalGraph
+from repro.graph.temporal_graph import TemporalEdge, TemporalGraph, ingest_edges, run_starts
+from repro.utils.arrays import as_int64_array
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     pass
@@ -126,17 +125,6 @@ class DeltaFoldResult:
     bufs: dict = field(repr=False, default_factory=dict)
 
 
-def _as_i64(section) -> np.ndarray:
-    """Zero-copy-where-possible int64 ndarray over any flat int64 section."""
-    if isinstance(section, np.ndarray):
-        return section
-    if isinstance(section, (list, tuple)):
-        return np.asarray(section, dtype=np.int64)
-    if len(section) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.frombuffer(section, dtype=np.int64)
-
-
 def _seg_indices(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ranges ``[base[i], base[i] + counts[i])`` (vectorised)."""
     total = int(counts.sum())
@@ -160,7 +148,7 @@ class _GrowBuf:
     __slots__ = ("_buf", "_len")
 
     def __init__(self, initial):
-        arr = _as_i64(initial)
+        arr = as_int64_array(initial)
         self._len = int(arr.shape[0])
         self._buf = np.empty(max(16, self._len), dtype=np.int64)
         self._buf[: self._len] = arr
@@ -219,89 +207,66 @@ def extend_graph(
 
     label_ids = dict(graph._label_ids)
     labels = list(graph._labels)
-    dropped = graph._num_dropped_self_loops
-    raw_triples: list[tuple[int, int, int]] = []
-    for index, edge in enumerate(batch):
-        try:
-            raw_u, raw_v, raw_t = edge
-        except (TypeError, ValueError) as exc:
-            raise GraphFormatError(
-                f"edge #{index} is not a (u, v, t) triple: {edge!r}"
-            ) from exc
-        if not isinstance(raw_t, int):
-            raise GraphFormatError(f"edge #{index} has non-integer timestamp {raw_t!r}")
-        if raw_u == raw_v:
-            dropped += 1
-            continue
-        u = label_ids.setdefault(raw_u, len(labels))
-        if u == len(labels):
-            labels.append(raw_u)
-        v = label_ids.setdefault(raw_v, len(labels))
-        if v == len(labels):
-            labels.append(raw_v)
-        if u > v:
-            u, v = v, u
-        raw_triples.append((raw_t, u, v))
-
-    if not raw_triples:
+    raw_t, new_u, new_v, dropped = ingest_edges(batch, label_ids, labels)
+    dropped += graph._num_dropped_self_loops
+    if not len(raw_t):
         return graph, [], bufs if bufs is not None else {}
-    raw_triples.sort()
-    if raw_triples[0][0] <= graph._raw_times[-1]:
+    if raw_t[0] <= graph._raw_times[-1]:
         raise FoldFallback("boundary-tie")
 
-    raw_times = list(graph._raw_times)
-    new_edges: list[TemporalEdge] = []
-    for raw_t, u, v in raw_triples:
-        if raw_t != raw_times[-1]:
-            raw_times.append(raw_t)
-        new_edges.append(TemporalEdge(u, v, len(raw_times)))
-
+    # The batch's normalised times continue past the old tmax: a new one
+    # starts at every raw-time change.
+    starts = run_starts(raw_t)
     old_tmax = graph.tmax
-    new_tmax = len(raw_times)
-    time_offset = list(graph._time_offset)
-    counts = [0] * (new_tmax - old_tmax)
-    for e in new_edges:
-        counts[e.t - old_tmax - 1] += 1
-    running = time_offset[-1]
-    for c in counts:
-        running += c
-        time_offset.append(running)
+    new_t = old_tmax + np.cumsum(starts)
+    new_tmax = int(new_t[-1])
+    time_offset = np.empty(new_tmax + 2, dtype=np.int64)
+    time_offset[: old_tmax + 1] = graph.time_offsets()[:-1]
+    np.cumsum(
+        np.bincount(new_t - old_tmax, minlength=new_tmax - old_tmax + 1),
+        out=time_offset[old_tmax + 1 :],
+    )
+    time_offset[old_tmax + 1 :] += graph.num_edges
 
+    compiled, bufs = _extend_compiled(
+        graph.compiled(), len(labels), time_offset, new_u, new_v, new_t, bufs
+    )
     extended = TemporalGraph._from_parts(
-        edges=graph.edges + tuple(new_edges),
+        edge_columns=(compiled.edge_u, compiled.edge_v, compiled.edge_t),
         labels=tuple(labels),
-        raw_times=tuple(raw_times),
-        time_offset=tuple(time_offset),
+        raw_times=graph._raw_times + tuple(raw_t[starts].tolist()),
+        time_offset=compiled.time_offset,
         num_dropped_self_loops=dropped,
     )
-    compiled, bufs = _extend_compiled(graph.compiled(), extended, new_edges, bufs)
     extended._compiled_cache = compiled
+    new_edges = list(map(TemporalEdge, new_u.tolist(), new_v.tolist(), new_t.tolist()))
     return extended, new_edges, bufs
 
 
 def _extend_compiled(
     cg: CompiledGraph,
-    extended: TemporalGraph,
-    new_edges: list[TemporalEdge],
+    n2: int,
+    time_offset: np.ndarray,
+    new_u: np.ndarray,
+    new_v: np.ndarray,
+    new_t: np.ndarray,
     bufs: dict | None,
 ) -> tuple[CompiledGraph, dict]:
     """Extend the compiled flat arrays by the (sorted, frontier) batch.
 
-    Every section of the returned view is value-identical to
-    ``CompiledGraph(extended_graph)`` — including pair numbering and
-    adjacency slot order, because new pairs are assigned ids in the
-    batch's sorted first-occurrence order, exactly where a fresh compile
-    would place them (all old edges sort before all new ones).
+    ``new_u`` / ``new_v`` / ``new_t`` are the batch's edge columns (ids
+    ``m ..``), ``n2`` the extended vertex count and ``time_offset`` the
+    extended prefix table.  Every section of the returned view is
+    value-identical to ``CompiledGraph(extended_graph)`` — including
+    pair numbering and adjacency slot order, because new pairs are
+    assigned ids in the batch's sorted first-occurrence order, exactly
+    where a fresh compile would place them (all old edges sort before
+    all new ones).
     """
     n = cg.num_vertices
-    n2 = extended.num_vertices
     m = cg.num_edges
-    d = len(new_edges)
+    d = len(new_u)
     m2 = m + d
-
-    new_u = np.fromiter((e.u for e in new_edges), np.int64, d)
-    new_v = np.fromiter((e.v for e in new_edges), np.int64, d)
-    new_t = np.fromiter((e.t for e in new_edges), np.int64, d)
 
     # --- edge columns: capacity-doubled appends (amortised O(|delta|)) ---
     if (
@@ -309,7 +274,7 @@ def _extend_compiled(
         or "edge_u" not in bufs
         or len(bufs["edge_u"]) != m
         or bufs["edge_u"].view().base is not None
-        and not np.shares_memory(bufs["edge_u"].view(), _as_i64(cg.edge_u))
+        and not np.shares_memory(bufs["edge_u"].view(), cg.edge_u)
     ):
         bufs = {
             "edge_u": _GrowBuf(cg.edge_u),
@@ -323,172 +288,109 @@ def _extend_compiled(
     edge_v2 = bufs["edge_v"].view()
     edge_t2 = bufs["edge_t"].view()
 
-    adj_offsets = _as_i64(cg.adj_offsets)
-    adj_neighbour = _as_i64(cg.adj_neighbour)
-    slot_pid_old = _as_i64(cg.slot_pid)
-    pair_offset_old = _as_i64(cg.pair_offset)
-    pair_times_old = _as_i64(cg.pair_times)
-    old_esu = _as_i64(cg.edge_slot_u)
-    old_esv = _as_i64(cg.edge_slot_v)
+    adj_offsets = cg.adj_offsets
+    adj_neighbour = cg.adj_neighbour
+    slot_pid_old = cg.slot_pid
+    pair_offset_old = cg.pair_offset
+    old_deg = cg.full_degree
+    # Slots are sorted by (owner, neighbour), so ``owner * n2 +
+    # neighbour`` is one ascending key over all of them.
+    slot_key = np.repeat(np.arange(n, dtype=np.int64) * n2, old_deg) + adj_neighbour
 
-    # --- pair membership of each new edge (ids in first-occurrence order) ---
+    # --- pair membership of each new edge (new ids in first-occurrence order) ---
     P = cg.num_pairs
-    new_pair_ids: dict[tuple[int, int], int] = {}
+    S = cg.num_slots
+    su_old = np.minimum(np.searchsorted(slot_key, new_u * n2 + new_v), max(S - 1, 0))
+    known = slot_key[su_old] == new_u * n2 + new_v if S else np.zeros(d, dtype=bool)
+    sv_old = np.searchsorted(slot_key, new_v * n2 + new_u)
     pid_of_new = np.empty(d, dtype=np.int64)
-    # Old-pair slots located during lookup (reused for the edge→slot maps).
-    su_old = np.full(d, -1, dtype=np.int64)
-    sv_old = np.full(d, -1, dtype=np.int64)
-    for i in range(d):
-        u = int(new_u[i])
-        v = int(new_v[i])
-        pid = -1
-        if u < n and v < n:
-            lo, hi = int(adj_offsets[u]), int(adj_offsets[u + 1])
-            slot = lo + int(np.searchsorted(adj_neighbour[lo:hi], v))
-            if slot < hi and int(adj_neighbour[slot]) == v:
-                pid = int(slot_pid_old[slot])
-                su_old[i] = slot
-                lo_v, hi_v = int(adj_offsets[v]), int(adj_offsets[v + 1])
-                sv_old[i] = lo_v + int(
-                    np.searchsorted(adj_neighbour[lo_v:hi_v], u)
-                )
-        if pid < 0:
-            pid = new_pair_ids.setdefault((u, v), P + len(new_pair_ids))
-        pid_of_new[i] = pid
-    P2 = P + len(new_pair_ids)
+    pid_of_new[known] = slot_pid_old[su_old[known]]
+    fresh = ~known
+    _, first, inverse = np.unique(
+        (new_u * n2 + new_v)[fresh], return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first), dtype=np.int64)
+    pid_of_new[fresh] = P + rank[inverse.reshape(-1)]
+    fresh_first = np.flatnonzero(fresh)[first[by_first]]  # first edge of each new pair
+    P2 = P + len(first)
 
     # --- pair_offset / pair_times: vectorised shift-scatter repack ---
     old_counts = pair_offset_old[1:] - pair_offset_old[:-1]
-    add_counts = np.zeros(P2, dtype=np.int64)
-    np.add.at(add_counts, pid_of_new, 1)
+    order, add_offset = native.counting_order(pid_of_new, P2)
+    add_counts = add_offset[1:] - add_offset[:-1]
     counts2 = add_counts.copy()
     counts2[:P] += old_counts
     pair_offset2 = np.zeros(P2 + 1, dtype=np.int64)
     np.cumsum(counts2, out=pair_offset2[1:])
     pair_times2 = np.empty(int(pair_offset2[-1]), dtype=np.int64)
-    old_total = int(pair_offset_old[-1])
-    if old_total:
-        shift = pair_offset2[:P] - pair_offset_old[:-1]
-        pair_times2[np.arange(old_total) + np.repeat(shift, old_counts)] = (
-            pair_times_old
-        )
-    if d:
-        # New times land at each pair's tail (all are > old times), in
-        # batch order within a pair (nondecreasing — the batch is sorted).
-        order = np.argsort(pid_of_new, kind="stable")
-        sorted_pids = pid_of_new[order]
-        rank = np.arange(d) - np.searchsorted(sorted_pids, sorted_pids)
-        tail = pair_offset2[sorted_pids] + (counts2 - add_counts)[sorted_pids]
-        pair_times2[tail + rank] = new_t[order]
+    pair_times2[_seg_indices(pair_offset2[:P], old_counts)] = cg.pair_times
+    # New times land at each pair's tail (all are > old times), in batch
+    # order within a pair (nondecreasing — the batch is sorted).
+    sorted_pids = pid_of_new[order]
+    within = np.arange(d) - add_offset[sorted_pids]
+    tail = pair_offset2[sorted_pids] + (counts2 - add_counts)[sorted_pids]
+    pair_times2[tail + within] = new_t[order]
 
-    # --- adjacency CSR: untouched unless the batch introduced pairs ---
-    S = cg.num_slots
-    if P2 == P and n2 == n:
-        adj_offsets2 = adj_offsets
-        adj_neighbour2 = adj_neighbour
-        slot_pid2 = slot_pid_old
-        slotmap: np.ndarray | None = None  # identity
-        num_slots2 = S
-        new_slot_of: dict[tuple[int, int], int] = {}
-    else:
-        inserts: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for (u, v), pid in new_pair_ids.items():
-            inserts[u].append((v, pid))
-            inserts[v].append((u, pid))
-        old_deg = adj_offsets[1:] - adj_offsets[:-1]
-        deg2 = np.zeros(n2, dtype=np.int64)
-        deg2[:n] = old_deg
-        for u, lst in inserts.items():
-            deg2[u] += len(lst)
-        adj_offsets2 = np.zeros(n2 + 1, dtype=np.int64)
-        np.cumsum(deg2, out=adj_offsets2[1:])
-        num_slots2 = int(adj_offsets2[-1])
-        adj_neighbour2 = np.empty(num_slots2, dtype=np.int64)
-        slot_pid2 = np.empty(num_slots2, dtype=np.int64)
-        if S:
-            slotmap = np.arange(S, dtype=np.int64) + np.repeat(
-                adj_offsets2[:n] - adj_offsets[:-1], old_deg
-            )
-            adj_neighbour2[slotmap] = adj_neighbour
-            slot_pid2[slotmap] = slot_pid_old
-        else:
-            slotmap = np.empty(0, dtype=np.int64)
-        new_slot_of = {}
-        for u, lst in inserts.items():
-            lst.sort()
-            base = int(adj_offsets2[u])
-            if u < n:
-                lo, hi = int(adj_offsets[u]), int(adj_offsets[u + 1])
-                old_nb = adj_neighbour[lo:hi]
-                old_pd = slot_pid_old[lo:hi]
-            else:
-                lo = hi = 0
-                old_nb = old_pd = np.empty(0, dtype=np.int64)
-            ins_nb = np.fromiter((v for v, _ in lst), np.int64, len(lst))
-            ins_pd = np.fromiter((p for _, p in lst), np.int64, len(lst))
-            ipos = np.searchsorted(old_nb, ins_nb)
-            old_dst = (
-                base
-                + np.arange(old_nb.shape[0], dtype=np.int64)
-                + np.searchsorted(
-                    ipos, np.arange(old_nb.shape[0], dtype=np.int64), side="right"
-                )
-            )
-            new_dst = base + ipos + np.arange(len(lst), dtype=np.int64)
-            adj_neighbour2[old_dst] = old_nb
-            slot_pid2[old_dst] = old_pd
-            adj_neighbour2[new_dst] = ins_nb
-            slot_pid2[new_dst] = ins_pd
-            if u < n:
-                slotmap[lo:hi] = old_dst
-            for j, (v, _pid) in enumerate(lst):
-                new_slot_of[(u, v)] = int(new_dst[j])
-
-    # --- slot-derived sections (pair_offset moved, so always regathered) ---
-    slot_pid2_np = _as_i64(slot_pid2)
-    slot_times_start2 = pair_offset2[slot_pid2_np]
-    slot_times_end2 = pair_offset2[slot_pid2_np + 1]
-    slot_count2 = slot_times_end2 - slot_times_start2
-    adj_offsets2_np = _as_i64(adj_offsets2)
-    full_degree2 = adj_offsets2_np[1:] - adj_offsets2_np[:-1]
-
-    # --- edge → slot maps ---
+    # --- adjacency CSR: untouched unless the batch introduced pairs, else
+    # each new pair's two slots merge into the sorted slots ---
     new_su = np.empty(d, dtype=np.int64)
     new_sv = np.empty(d, dtype=np.int64)
-    for i in range(d):
-        if su_old[i] >= 0:
-            if slotmap is None:
-                new_su[i] = su_old[i]
-                new_sv[i] = sv_old[i]
-            else:
-                new_su[i] = slotmap[su_old[i]]
-                new_sv[i] = slotmap[sv_old[i]]
-        else:
-            u, v = int(new_u[i]), int(new_v[i])
-            new_su[i] = new_slot_of[(u, v)]
-            new_sv[i] = new_slot_of[(v, u)]
-    if slotmap is None:
+    if P2 == P:
+        adj_offsets2, adj_neighbour2, slot_pid2 = adj_offsets, adj_neighbour, slot_pid_old
+        full_degree2 = old_deg
+        num_slots2 = S
+        new_su[:] = su_old
+        new_sv[:] = sv_old
+    else:
+        ins_u = np.concatenate((new_u[fresh_first], new_v[fresh_first]))  # owner
+        ins_v = np.concatenate((new_v[fresh_first], new_u[fresh_first]))  # neighbour
+        sorted_key = np.sort(ins_u * n2 + ins_v)
+        ins_dst = np.searchsorted(slot_key, ins_u * n2 + ins_v) + np.searchsorted(
+            sorted_key, ins_u * n2 + ins_v
+        )
+        slotmap = np.arange(S, dtype=np.int64) + np.searchsorted(sorted_key, slot_key)
+        num_slots2 = S + len(ins_u)
+        full_degree2 = np.bincount(ins_u, minlength=n2)
+        full_degree2[:n] += old_deg
+        adj_offsets2 = np.zeros(n2 + 1, dtype=np.int64)
+        np.cumsum(full_degree2, out=adj_offsets2[1:])
+        adj_neighbour2 = np.empty(num_slots2, dtype=np.int64)
+        slot_pid2 = np.empty(num_slots2, dtype=np.int64)
+        adj_neighbour2[slotmap] = adj_neighbour
+        slot_pid2[slotmap] = slot_pid_old
+        adj_neighbour2[ins_dst] = ins_v
+        slot_pid2[ins_dst] = np.tile(np.arange(P, P2, dtype=np.int64), 2)
+        new_pair = pid_of_new[fresh] - P
+        new_su[known] = slotmap[su_old[known]]
+        new_sv[known] = slotmap[sv_old[known]]
+        new_su[fresh] = ins_dst[new_pair]
+        new_sv[fresh] = ins_dst[P2 - P + new_pair]
+
+    # --- slot-derived sections (pair_offset moved, so always regathered) ---
+    slot_times_start2 = pair_offset2[slot_pid2]
+    slot_times_end2 = pair_offset2[slot_pid2 + 1]
+    slot_count2 = slot_times_end2 - slot_times_start2
+
+    # --- edge -> slot maps ---
+    if P2 == P:  # slots did not move: append in place
         if "edge_slot_u" not in bufs or len(bufs["edge_slot_u"]) != m:
-            bufs["edge_slot_u"] = _GrowBuf(old_esu)
-            bufs["edge_slot_v"] = _GrowBuf(old_esv)
+            bufs["edge_slot_u"] = _GrowBuf(cg.edge_slot_u)
+            bufs["edge_slot_v"] = _GrowBuf(cg.edge_slot_v)
         bufs["edge_slot_u"].extend(new_su)
         bufs["edge_slot_v"].extend(new_sv)
-        edge_slot_u2 = bufs["edge_slot_u"].view()
-        edge_slot_v2 = bufs["edge_slot_v"].view()
     else:
-        edge_slot_u2 = np.concatenate([slotmap[old_esu], new_su])
-        edge_slot_v2 = np.concatenate([slotmap[old_esv], new_sv])
-        bufs["edge_slot_u"] = _GrowBuf(edge_slot_u2)
-        bufs["edge_slot_v"] = _GrowBuf(edge_slot_v2)
-        edge_slot_u2 = bufs["edge_slot_u"].view()
-        edge_slot_v2 = bufs["edge_slot_v"].view()
+        bufs["edge_slot_u"] = _GrowBuf(np.concatenate([slotmap[cg.edge_slot_u], new_su]))
+        bufs["edge_slot_v"] = _GrowBuf(np.concatenate([slotmap[cg.edge_slot_v], new_sv]))
+    edge_slot_u2 = bufs["edge_slot_u"].view()
+    edge_slot_v2 = bufs["edge_slot_v"].view()
 
     # --- incident CSR: shift-scatter old entries, append tails in eid order ---
-    old_inc_off = _as_i64(cg.inc_offsets)
+    old_inc_off = cg.inc_offsets
     old_inc_counts = old_inc_off[1:] - old_inc_off[:-1]
-    add_inc = np.zeros(n2, dtype=np.int64)
-    np.add.at(add_inc, new_u, 1)
-    np.add.at(add_inc, new_v, 1)
+    endpoint = np.concatenate((new_u, new_v))
+    add_inc = np.bincount(endpoint, minlength=n2)
     inc_counts2 = add_inc.copy()
     inc_counts2[:n] += old_inc_counts
     inc_offsets2 = np.zeros(n2 + 1, dtype=np.int64)
@@ -497,67 +399,51 @@ def _extend_compiled(
     inc_time2 = np.empty(total_inc, dtype=np.int64)
     inc_other2 = np.empty(total_inc, dtype=np.int64)
     inc_eid2 = np.empty(total_inc, dtype=np.int64)
-    old_inc_total = int(old_inc_off[-1])
-    if old_inc_total:
-        dst = np.arange(old_inc_total) + np.repeat(
-            inc_offsets2[:n] - old_inc_off[:-1], old_inc_counts
-        )
-        inc_time2[dst] = _as_i64(cg.np_inc_time)
-        inc_other2[dst] = _as_i64(cg.np_inc_other)
-        inc_eid2[dst] = _as_i64(cg.np_inc_eid)
-    cursor = (inc_offsets2[:n2] + inc_counts2 - add_inc).copy()
-    for i in range(d):
-        u, v, t = int(new_u[i]), int(new_v[i]), int(new_t[i])
-        eid = m + i
-        pos = cursor[u]
-        inc_time2[pos] = t
-        inc_other2[pos] = v
-        inc_eid2[pos] = eid
-        cursor[u] = pos + 1
-        pos = cursor[v]
-        inc_time2[pos] = t
-        inc_other2[pos] = u
-        inc_eid2[pos] = eid
-        cursor[v] = pos + 1
+    dst = _seg_indices(inc_offsets2[:n], old_inc_counts)
+    inc_time2[dst] = cg.inc_time
+    inc_other2[dst] = cg.inc_other
+    inc_eid2[dst] = cg.inc_eid
+    eids = np.arange(m, m2, dtype=np.int64)
+    entry_eid = np.concatenate((eids, eids))
+    tails = np.lexsort((entry_eid, endpoint))
+    owners = endpoint[tails]
+    dst = (inc_offsets2[owners] + inc_counts2[owners] - add_inc[owners]
+           + np.arange(2 * d) - np.searchsorted(owners, owners))
+    inc_time2[dst] = np.concatenate((new_t, new_t))[tails]
+    inc_other2[dst] = np.concatenate((new_v, new_u))[tails]
+    inc_eid2[dst] = entry_eid[tails]
 
     # --- assemble the extended compiled view ---
     cg2 = CompiledGraph.__new__(CompiledGraph)
     cg2.num_vertices = n2
     cg2.num_edges = m2
-    cg2.tmax = extended.tmax
+    cg2.tmax = len(time_offset) - 2
     cg2.num_slots = num_slots2
     cg2.num_pairs = P2
-    cg2.edge_u = edge_u2
-    cg2.edge_v = edge_v2
-    cg2.edge_t = edge_t2
-    cg2.time_offset = extended.time_offsets()
-    cg2.adj_offsets = adj_offsets2_np
-    cg2.adj_neighbour = _as_i64(adj_neighbour2)
-    cg2.slot_pid = slot_pid2_np
-    cg2.slot_times_start = slot_times_start2
-    cg2.slot_times_end = slot_times_end2
-    cg2.slot_count = slot_count2
-    cg2.pair_offset = pair_offset2
-    cg2.pair_times = pair_times2
-    cg2.full_degree = full_degree2
-    cg2.edge_slot_u = edge_slot_u2
-    cg2.edge_slot_v = edge_slot_v2
-    cg2.inc_offsets = inc_offsets2
-    cg2.np_adj_neighbour = cg2.adj_neighbour
-    cg2.np_slot_pid = slot_pid2_np
-    cg2.np_slot_first_time = (
-        pair_times2[slot_times_start2]
-        if num_slots2
-        else np.empty(0, dtype=np.int64)
-    )
-    cg2.np_edge_u = edge_u2
-    cg2.np_edge_v = edge_v2
-    cg2.np_edge_t = edge_t2
-    cg2.np_edge_slot_u = edge_slot_u2
-    cg2.np_inc_time = inc_time2
-    cg2.np_inc_other = inc_other2
-    cg2.np_inc_eid = inc_eid2
-    cg2._int64_tables = {}
+    cg2.time_offset = time_offset
+    tables = {
+        "edge_u": edge_u2,
+        "edge_v": edge_v2,
+        "edge_t": edge_t2,
+        "adj_offsets": adj_offsets2,
+        "adj_neighbour": adj_neighbour2,
+        "slot_pid": slot_pid2,
+        "slot_times_start": slot_times_start2,
+        "slot_times_end": slot_times_end2,
+        "slot_count": slot_count2,
+        "pair_offset": pair_offset2,
+        "pair_times": pair_times2,
+        "full_degree": full_degree2,
+        "edge_slot_u": edge_slot_u2,
+        "edge_slot_v": edge_slot_v2,
+        "inc_offsets": inc_offsets2,
+        "inc_time": inc_time2,
+        "inc_other": inc_other2,
+        "inc_eid": inc_eid2,
+    }
+    for name, table in tables.items():
+        table.flags.writeable = False
+        setattr(cg2, name, table)
     return cg2, bufs
 
 
@@ -581,9 +467,7 @@ def _first_inf_by_level(
     """
     out: dict[int, np.ndarray] = {}
     for k in ks:
-        offsets, starts, cts = (
-            _as_i64(part) for part in indexes[k].vct.flat_parts()
-        )
+        offsets, starts, cts = indexes[k].vct.flat_parts()
         n_old = offsets.shape[0] - 1
         first_inf = np.ones(n2, dtype=np.int64)
         counts = offsets[1:] - offsets[:-1]
@@ -601,7 +485,7 @@ def _fold_start(
     cg2: CompiledGraph,
     first_inf: dict[int, np.ndarray],
     ks: list[int],
-    new_edges: list[TemporalEdge],
+    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     old_tmax: int,
     *,
     max_cascade: int,
@@ -626,12 +510,12 @@ def _fold_start(
     :class:`FoldFallback` (``"cascade-limit"``) when the exploration
     exceeds ``max_cascade`` settled vertices.
     """
-    adj_offsets = _as_i64(cg2.adj_offsets)
+    adj_offsets = cg2.adj_offsets
     degree = adj_offsets[1:] - adj_offsets[:-1]
     n2 = degree.shape[0]
     # The last time of each adjacency slot's pair, and per vertex its
     # slots' last times in descending order (one composite-key sort).
-    slot_last = _as_i64(cg2.pair_times)[_as_i64(cg2.slot_times_end) - 1]
+    slot_last = cg2.pair_times[cg2.slot_times_end - 1]
     owner = np.repeat(np.arange(n2, dtype=np.int64), degree)
     stride = cg2.tmax + 2
     descending = slot_last[np.argsort(owner * stride - slot_last)]
@@ -646,12 +530,12 @@ def _fold_start(
         np.minimum(f_eff, np.where(fi <= reach, fi, _FAR), out=f_eff)
     f_eff = f_eff.tolist()
     offsets = adj_offsets.tolist()
-    neighbour = cg2.np_adj_neighbour.tolist()
+    neighbour = cg2.adj_neighbour.tolist()
     slot_last = slot_last.tolist()
 
     tentative: dict[int, int] = {}
     heap: list[tuple[int, int]] = []
-    for w in {e.u for e in new_edges} | {e.v for e in new_edges}:
+    for w in set(batch[0].tolist()) | set(batch[1].tolist()):
         f = f_eff[w]
         if f <= old_tmax:
             tentative[w] = f
@@ -768,14 +652,14 @@ def _merge_level(
     sub: CoreTimeResult,
     fold_start: int,
     first_inf_k: np.ndarray,
-    new_edges: list[TemporalEdge],
+    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     old_num_edges: int,
     new_tmax: int,
 ) -> CoreTimeResult:
     """Splice one level's old and sub-span arrays into full-span results."""
     # ---- VCT ----
-    off_o, st_o, ct_o = old_vct = tuple(_as_i64(p) for p in old_index.vct.flat_parts())
-    off_s, _, ct_s = sub_vct = tuple(_as_i64(p) for p in sub.vct.flat_parts())
+    off_o, st_o, ct_o = old_vct = old_index.vct.flat_parts()
+    off_s, _, ct_s = sub_vct = sub.vct.flat_parts()
     n_old = off_o.shape[0] - 1
     n2 = off_s.shape[0] - 1
 
@@ -815,8 +699,8 @@ def _merge_level(
 
     # ---- ECS ----
     assert sub.ecs is not None
-    off_eo, t1_o, _ = old_ecs = tuple(_as_i64(p) for p in old_index.ecs.flat_parts())
-    sub_ecs = tuple(_as_i64(p) for p in sub.ecs.flat_parts())
+    off_eo, t1_o, _ = old_ecs = old_index.ecs.flat_parts()
+    sub_ecs = sub.ecs.flat_parts()
     m2 = sub_ecs[0].shape[0] - 1
 
     ecut = np.zeros(m2, dtype=np.int64)
@@ -830,9 +714,7 @@ def _merge_level(
     # latter case the prefix ends on an unchanged (infinite) value, so
     # the rise is unconditional.  A vertex with no sub-span entry is
     # infinite at fold_start, which always rises.
-    new_u = np.fromiter((e.u for e in new_edges), np.int64, len(new_edges))
-    new_v = np.fromiter((e.v for e in new_edges), np.int64, len(new_edges))
-    new_t = np.fromiter((e.t for e in new_edges), np.int64, len(new_edges))
+    new_u, new_v, new_t = batch
     at_start = np.where(has_sub, first_ct, np.int64(1 << 61))
     finite_end = np.minimum(first_inf_k[new_u], first_inf_k[new_v])
     boundary = np.minimum(finite_end, fold_start)
@@ -905,9 +787,10 @@ def delta_fold(
     new_tmax = extended.tmax
     m2 = extended.num_edges
     cg2 = extended.compiled()
+    batch_columns = tuple(column[graph.num_edges :] for column in extended.edge_columns())
     first_inf = _first_inf_by_level(indexes, ks, extended.num_vertices, old_tmax)
     fold_start, cascade = _fold_start(
-        cg2, first_inf, ks, new_edges, old_tmax, max_cascade=max_cascade
+        cg2, first_inf, ks, batch_columns, old_tmax, max_cascade=max_cascade
     )
     window_edges = m2 - extended.time_offsets()[fold_start]
     fraction = window_edges / m2
@@ -927,7 +810,7 @@ def delta_fold(
             sub[k],
             fold_start,
             first_inf[k],
-            new_edges,
+            batch_columns,
             graph.num_edges,
             new_tmax,
         )

@@ -89,7 +89,6 @@ from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
-from repro.utils.arrays import as_int64_array, offsets_from_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.store.index_store import IndexStore
@@ -115,6 +114,11 @@ def _address(array: np.ndarray) -> int:
     if array.dtype not in (np.int64, np.uint8) or not array.flags.c_contiguous:
         raise TypeError("the compiled kernels need C-contiguous int64 arrays")
     return array.ctypes.data
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The int64 chunks concatenated (empty when there are none)."""
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
 def _grown_copy(array: np.ndarray, length: int, capacity: int) -> np.ndarray:
@@ -144,17 +148,18 @@ def _shared_initial_scan(
     ts_lo, ts_hi = base.ts_lo, base.ts_hi
     n = cg.num_vertices
     num_levels = len(ks)
-    adj_offsets = cg.adj_offsets
-    adj_neighbour = cg.adj_neighbour
-    edge_slot_u = cg.edge_slot_u
-    edge_slot_v = cg.edge_slot_v
-    edge_u = cg.edge_u
-    edge_v = cg.edge_v
-    time_offset = cg.time_offset
+    # The scan indexes these scalar by scalar: lists, converted once.
+    adj_offsets = cg.adj_offsets.tolist()
+    adj_neighbour = cg.adj_neighbour.tolist()
+    edge_slot_u = cg.edge_slot_u.tolist()
+    edge_slot_v = cg.edge_slot_v.tolist()
+    edge_u = cg.edge_u.tolist()
+    edge_v = cg.edge_v.tolist()
+    time_offset = cg.time_offset.tolist()
 
     if ts_lo == 1 and ts_hi == cg.tmax:
-        live = list(cg.slot_count)
-        degree = list(cg.full_degree)
+        live = cg.slot_count.tolist()
+        degree = cg.full_degree.tolist()
     else:
         # Window live counts and distinct-neighbour degrees, vectorised:
         # one bincount over both slot columns of the window's contiguous
@@ -164,16 +169,11 @@ def _shared_initial_scan(
         lo_eid = time_offset[ts_lo]
         hi_eid = time_offset[ts_hi + 1]
         live_np = np.bincount(
-            as_int64_array(edge_slot_u)[lo_eid:hi_eid],
-            minlength=cg.num_slots,
-        ) + np.bincount(
-            as_int64_array(edge_slot_v)[lo_eid:hi_eid],
-            minlength=cg.num_slots,
-        )
+            cg.edge_slot_u[lo_eid:hi_eid], minlength=cg.num_slots
+        ) + np.bincount(cg.edge_slot_v[lo_eid:hi_eid], minlength=cg.num_slots)
         live_prefix = np.zeros(cg.num_slots + 1, dtype=np.int64)
         np.cumsum(live_np > 0, out=live_prefix[1:])
-        adj_off_np = as_int64_array(adj_offsets)
-        degree_np = live_prefix[adj_off_np[1:]] - live_prefix[adj_off_np[:-1]]
+        degree_np = live_prefix[cg.adj_offsets[1:]] - live_prefix[cg.adj_offsets[:-1]]
         live = live_np.tolist()
         degree = degree_np.tolist()
 
@@ -325,15 +325,10 @@ class _FusedMultiK:
         self.num_edges = cg.num_edges
         self.ct_matrix = np.full((len(ks), n), self.inf, dtype=np.int64)
         self.ct_flat = self.ct_matrix.reshape(-1)
-        # int64 views of the offset tables feeding fused gathers and
-        # the C kernels.
-        self.np_time_offset = cg.int64_table("time_offset")
-        self.np_adj_offsets = cg.int64_table("adj_offsets")
-        self.np_inc_offsets = cg.int64_table("inc_offsets")
-        self.np_degree = self.np_adj_offsets[1:] - self.np_adj_offsets[:-1]
         self.np_km1 = np.asarray(ks, dtype=np.int64) - 1
         self.with_skyline = with_skyline
         self._inq = bytearray(len(ks) * n)
+        self._adj_offsets_list: list[int] | None = None
         # Columnar VCT accumulation: (level * n + vertex, start, new core
         # time) chunks.
         self._vct_keys: list[np.ndarray] = []
@@ -387,10 +382,10 @@ class _FusedMultiK:
         n = self.num_vertices
         levels = self.num_levels
         arrays = (  # bound here: they must outlive the call
-            self.np_adj_offsets, cg.np_adj_neighbour,
-            cg.np_edge_u, cg.np_edge_v,
-            cg.np_edge_slot_u, cg.int64_table("edge_slot_v"),
-            self.np_time_offset, np.asarray(self.ks, dtype=np.int64),
+            cg.adj_offsets, cg.adj_neighbour,
+            cg.edge_u, cg.edge_v,
+            cg.edge_slot_u, cg.edge_slot_v,
+            cg.time_offset, np.asarray(self.ks, dtype=np.int64),
             np.empty(cg.num_slots, dtype=np.int64),  # live
             np.empty(levels * n, dtype=np.int64),  # degree
             np.empty(levels * n, dtype=np.uint8),  # alive
@@ -419,10 +414,10 @@ class _FusedMultiK:
         window = slice(time_offset[ts_lo], time_offset[ts_hi + 1])
         self.ect_matrix[:, window] = np.maximum(
             np.maximum(
-                ct_matrix[:, cg.np_edge_u[window]],
-                ct_matrix[:, cg.np_edge_v[window]],
+                ct_matrix[:, cg.edge_u[window]],
+                ct_matrix[:, cg.edge_v[window]],
             ),
-            cg.np_edge_t[window][None, :],
+            cg.edge_t[window][None, :],
         )
         # Edges stamped with the very first start time leave the window
         # as soon as the start advances: their pending window finalises
@@ -460,8 +455,10 @@ class _FusedMultiK:
         inf = self.inf
         ct_flat = self.ct_flat
         ett = self.base.ett
-        adj_offsets = self.cg.adj_offsets
-        np_adj_neighbour = self.cg.np_adj_neighbour
+        if self._adj_offsets_list is None:  # indexed scalar by scalar
+            self._adj_offsets_list = self.cg.adj_offsets.tolist()
+        adj_offsets = self._adj_offsets_list
+        adj_neighbour = self.cg.adj_neighbour
         ks = self.ks
         inq = self._inq
         grew_keys: list[int] = []
@@ -480,7 +477,7 @@ class _FusedMultiK:
                 continue
             lo = adj_offsets[u]
             hi = adj_offsets[u + 1]
-            neighbours = np_adj_neighbour[lo:hi]
+            neighbours = adj_neighbour[lo:hi]
             neighbour_ct = ct_flat[level_base + neighbours]
             slot_ett = ett[lo:hi]
             avail = np.maximum(slot_ett, neighbour_ct)
@@ -541,11 +538,11 @@ class _FusedMultiK:
         # if the pair's available time fed CT(u) (CT(v) <= CT(u)) and
         # strictly grows now (next pair time > CT(v)).
         batch = slice(batch_lo, batch_hi)
-        endpoint_u = cg.np_edge_u[batch]
-        endpoint_v = cg.np_edge_v[batch]
+        endpoint_u = cg.edge_u[batch]
+        endpoint_v = cg.edge_v[batch]
         ct_u = ct_matrix[:, endpoint_u]
         ct_v = ct_matrix[:, endpoint_v]
-        next_time = base.ett[cg.np_edge_slot_u[batch]]
+        next_time = base.ett[cg.edge_slot_u[batch]]
         seed_u = (ct_u <= ts_hi) & (ct_v <= ct_u) & (next_time > ct_v)
         seed_v = (ct_v <= ts_hi) & (ct_u <= ct_v) & (next_time > ct_u)
         lev_u, col_u = seed_u.nonzero()
@@ -554,9 +551,9 @@ class _FusedMultiK:
             np.concatenate((lev_u * n + endpoint_u[col_u], lev_v * n + endpoint_v[col_v]))
         )
 
-        adj_offsets = self.np_adj_offsets
-        np_adj_neighbour = cg.np_adj_neighbour
-        degree = self.np_degree
+        adj_offsets = cg.adj_offsets
+        adj_neighbour = cg.adj_neighbour
+        degree = cg.full_degree
         km1 = self.np_km1
         max_km1 = int(km1[-1])
         ett = base.ett
@@ -581,7 +578,7 @@ class _FusedMultiK:
             total = int(prefix[-1]) + int(counts[-1])
             pos = self._arange(total) - prefix[row]
             flat = pos + adj_offsets[vert][row]
-            target = (lev * n)[row] + np_adj_neighbour[flat]
+            target = (lev * n)[row] + adj_neighbour[flat]
             slot_ett = ett[flat]
             avail = np.maximum(slot_ett, ct_flat[target])
             pad = max(int(counts.max()), max_km1 + 1)
@@ -656,9 +653,9 @@ class _FusedMultiK:
             # per-vertex ascending-time, so `vertex * (tmax + 2) + time`
             # is *globally* sorted — one vectorised searchsorted then
             # cuts every changed vertex's incident suffix at once.
-            inc_counts = self.np_inc_offsets[1:] - self.np_inc_offsets[:-1]
+            inc_counts = self.cg.inc_offsets[1:] - self.cg.inc_offsets[:-1]
             self._inc_key = (
-                np.repeat(self._arange(n), inc_counts) * stride + self.cg.np_inc_time
+                np.repeat(self._arange(n), inc_counts) * stride + self.cg.inc_time
             )
         # Exact incident-CSR suffix of every event — time in
         # [current_ts, ts_hi] — via one composite-key searchsorted.
@@ -666,7 +663,7 @@ class _FusedMultiK:
             self._inc_key, verts * stride + current_ts, side="left"
         )
         if ts_hi == self.cg.tmax:
-            cut_hi = self.np_inc_offsets[verts + 1]
+            cut_hi = self.cg.inc_offsets[verts + 1]
         else:
             cut_hi = np.searchsorted(
                 self._inc_key, verts * stride + ts_hi, side="right"
@@ -687,7 +684,7 @@ class _FusedMultiK:
         # the filter loses no growth and skips the gathers for the
         # (many) incident edges whose pending windows are unaffected.
         lev_flat = levels[row]
-        edge_key = lev_flat * m + self.cg.np_inc_eid[flat]
+        edge_key = lev_flat * m + self.cg.inc_eid[flat]
         old_ect = self.ect_flat[edge_key]
         candidate = old_ect < new_cts[row]
         if not candidate.any():
@@ -697,10 +694,10 @@ class _FusedMultiK:
         edge_key = edge_key[candidate]
         old_ect = old_ect[candidate]
         other_ct = self.ct_flat[
-            lev_flat[candidate] * n + self.cg.np_inc_other[flat]
+            lev_flat[candidate] * n + self.cg.inc_other[flat]
         ]
         new_ect = np.maximum(
-            np.maximum(other_ct, self.cg.np_inc_time[flat]), new_cts[row]
+            np.maximum(other_ct, self.cg.inc_time[flat]), new_cts[row]
         )
         # new_ect >= new_ct > old_ect: every candidate grows.
         unique_keys, first = np.unique(edge_key, return_index=True)
@@ -728,8 +725,6 @@ class _FusedMultiK:
         """
         kernels = native.library()
         if kernels is None:
-            # expire_start's scalar loop reads and writes a list faster.
-            self.base.ptr = self.base.ptr.tolist()
             for current_ts in range(self.ts_lo + 1, self.ts_hi + 1):
                 self.step(current_ts)
         else:
@@ -750,7 +745,7 @@ class _FusedMultiK:
         n = self.num_vertices
         levels = self.num_levels
         ts_hi = self.ts_hi
-        time_offset = self.np_time_offset
+        time_offset = cg.time_offset
         skyline = self.ect_flat is not None
         size = levels * n
         keep: list[np.ndarray] = []  # holds every bound address valid
@@ -763,28 +758,28 @@ class _FusedMultiK:
             setattr(args, name, _address(array))
 
         for name, array in (
-            ("adj_offsets", self.np_adj_offsets),
-            ("adj_neighbour", cg.np_adj_neighbour),
-            ("edge_u", cg.np_edge_u),
-            ("edge_v", cg.np_edge_v),
-            ("edge_slot_u", cg.np_edge_slot_u),
-            ("edge_slot_v", cg.int64_table("edge_slot_v")),
+            ("adj_offsets", cg.adj_offsets),
+            ("adj_neighbour", cg.adj_neighbour),
+            ("edge_u", cg.edge_u),
+            ("edge_v", cg.edge_v),
+            ("edge_slot_u", cg.edge_slot_u),
+            ("edge_slot_v", cg.edge_slot_v),
             ("time_offset", time_offset),
-            ("pair_times", cg.int64_table("pair_times")),
-            ("slot_times_end", cg.int64_table("slot_times_end")),
-            ("inc_offsets", self.np_inc_offsets),
-            ("inc_time", cg.np_inc_time),
-            ("inc_other", cg.np_inc_other),
-            ("inc_eid", cg.np_inc_eid),
+            ("pair_times", cg.pair_times),
+            ("slot_times_end", cg.slot_times_end),
+            ("inc_offsets", self.cg.inc_offsets),
+            ("inc_time", cg.inc_time),
+            ("inc_other", cg.inc_other),
+            ("inc_eid", cg.inc_eid),
             ("km1", self.np_km1),
             ("ptr", base.ptr),
             ("ett", base.ett),
             ("ct", self.ct_flat),
-            ("inc_cursor", self.np_inc_offsets[:-1].copy()),
+            ("inc_cursor", self.cg.inc_offsets[:-1].copy()),
             ("inq", np.zeros(size, dtype=np.uint8)),
             ("grown_mask", np.zeros(size, dtype=np.uint8)),
             ("queue", np.empty(size, dtype=np.int64)),
-            ("scratch", np.empty(max(int(self.np_degree.max(initial=0)), 1), dtype=np.int64)),
+            ("scratch", np.empty(max(int(self.cg.full_degree.max(initial=0)), 1), dtype=np.int64)),
             ("grown", np.empty(size, dtype=np.int64)),
         ):
             bind(name, array)
@@ -826,53 +821,43 @@ class _FusedMultiK:
     def results(self) -> dict[int, CoreTimeResult]:
         """Assemble per-level flat VCT/ECS views from the columnar chunks.
 
-        Chunks were appended in ascending step order, so one stable sort
-        by ``(level, id)`` key groups every vertex's transitions (and
-        every edge's windows) contiguously in ascending time — the exact
-        offset-indexed layout :class:`VertexCoreTimeIndex` and
-        :class:`EdgeCoreSkyline` serve queries from natively.
+        Chunks were appended in ascending step order, so one stable
+        counting sort by ``(level, id)`` key per side
+        (:func:`native.counting_order`, O(rows + levels * ids)) groups
+        every vertex's transitions (and every edge's windows)
+        contiguously in ascending time and yields the offsets with them
+        — the exact offset-indexed layout :class:`VertexCoreTimeIndex`
+        and :class:`EdgeCoreSkyline` serve queries from natively.
         """
         n = self.num_vertices
         m = self.num_edges
         span = (self.ts_lo, self.ts_hi)
-        vct_keys = np.concatenate(self._vct_keys)
-        vct_starts = np.concatenate(self._vct_starts)
-        vct_cts = np.concatenate(self._vct_cts)
-        order = np.argsort(vct_keys, kind="stable")
-        vct_keys = vct_keys[order]
-        vct_starts = vct_starts[order]
-        vct_cts = np.where(vct_cts[order] >= self.inf, INF_CT, vct_cts[order])
-
+        order, vct_offsets = native.counting_order(
+            np.concatenate(self._vct_keys), self.num_levels * n
+        )
+        vct_starts = np.concatenate(self._vct_starts)[order]
+        vct_cts = np.concatenate(self._vct_cts)[order]
+        vct_cts[vct_cts >= self.inf] = INF_CT
         if self.with_skyline:
-            ecs_keys = (
-                np.concatenate(self._ecs_keys) if self._ecs_keys else np.empty(0, np.int64)
+            order, ecs_offsets = native.counting_order(
+                _joined(self._ecs_keys), self.num_levels * m
             )
-            ecs_t1 = np.concatenate(self._ecs_t1) if self._ecs_t1 else np.empty(0, np.int64)
-            ecs_t2 = np.concatenate(self._ecs_t2) if self._ecs_t2 else np.empty(0, np.int64)
-            order = np.argsort(ecs_keys, kind="stable")
-            ecs_keys = ecs_keys[order]
-            ecs_t1 = ecs_t1[order]
-            ecs_t2 = ecs_t2[order]
+            ecs_t1 = _joined(self._ecs_t1)[order]
+            ecs_t2 = _joined(self._ecs_t2)[order]
 
         out: dict[int, CoreTimeResult] = {}
         for level, k in enumerate(self.ks):
-            lo, hi = np.searchsorted(vct_keys, [level * n, (level + 1) * n])
+            offsets = vct_offsets[level * n : (level + 1) * n + 1]
+            lo, hi = offsets[0], offsets[-1]
             vct = VertexCoreTimeIndex.from_flat(
-                offsets_from_keys(vct_keys[lo:hi] - level * n, n),
-                vct_starts[lo:hi],
-                vct_cts[lo:hi],
-                k,
-                span,
+                offsets - lo, vct_starts[lo:hi], vct_cts[lo:hi], k, span
             )
             skyline = None
             if self.with_skyline:
-                lo, hi = np.searchsorted(ecs_keys, [level * m, (level + 1) * m])
+                offsets = ecs_offsets[level * m : (level + 1) * m + 1]
+                lo, hi = offsets[0], offsets[-1]
                 skyline = EdgeCoreSkyline.from_flat(
-                    offsets_from_keys(ecs_keys[lo:hi] - level * m, m),
-                    ecs_t1[lo:hi],
-                    ecs_t2[lo:hi],
-                    k,
-                    span,
+                    offsets - lo, ecs_t1[lo:hi], ecs_t2[lo:hi], k, span
                 )
             out[k] = CoreTimeResult(vct=vct, ecs=skyline)
         return out

@@ -3,13 +3,15 @@
 :func:`library` compiles the source with the system C compiler
 (``cc -O2 -shared -fPIC``) the first time a process asks for it, caches
 the shared library under a name carrying the source's sha256, and loads
-it through :mod:`ctypes` with declared argument types.  It holds four
+it through :mod:`ctypes` with declared argument types.  It holds six
 functions: the first-start scan of a CoreTime build (``initial_scan``)
 and its advancing phase (``build_pass``, fed a :class:`BuildArgs`
 block; both see :mod:`repro.core.multik`), the fold's
-per-segment splice (``splice``; see :mod:`repro.core.incremental`) and
+per-segment splice (``splice``; see :mod:`repro.core.incremental`),
 one visited start time of the columnar enumeration walk (``walk_step``,
-fed a :class:`WalkArgs` block; see :mod:`repro.serve.columnar`).
+fed a :class:`WalkArgs` block; see :mod:`repro.serve.columnar`), the
+stable counting sort behind :func:`counting_order` and the carry-less
+multiplication crc32 behind :func:`crc32`.
 
 The cache lives in ``__pycache__`` beside the source, or in a per-user
 temp directory when that one is not writable.  A library is published
@@ -36,10 +38,14 @@ import pathlib
 import stat
 import subprocess
 import tempfile
+import zlib
 from collections.abc import Callable
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.obs.metrics import get_registry
+from repro.utils.arrays import offsets_from_keys
 
 log = logging.getLogger("repro.core.native")
 
@@ -121,6 +127,10 @@ class Kernels(NamedTuple):
     splice: Callable[..., None]
     #: ``repro_walk_step(WalkArgs *, t) -> cores reported at t``
     walk_step: Callable[..., int]
+    #: ``repro_counting_order(len, keys, bound, offsets, order) -> 0 or -1``
+    counting_order: Callable[..., int]
+    #: ``repro_crc32_fold(len, buf, crc) -> crc of the 16-byte blocks, or -1``
+    crc32_fold: Callable[..., int]
 
 
 def cache_dirs() -> list[pathlib.Path]:
@@ -199,7 +209,13 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     walk_step = lib.repro_walk_step
     walk_step.argtypes = [ctypes.POINTER(WalkArgs), _INT64]
     walk_step.restype = _INT64
-    return Kernels(initial_scan, build_pass, splice, walk_step)
+    counting_order = lib.repro_counting_order
+    counting_order.argtypes = [_INT64, _POINTER, _INT64, _POINTER, _POINTER]
+    counting_order.restype = _INT64
+    crc32_fold = lib.repro_crc32_fold
+    crc32_fold.argtypes = [_INT64, _POINTER, _INT64]
+    crc32_fold.restype = _INT64
+    return Kernels(initial_scan, build_pass, splice, walk_step, counting_order, crc32_fold)
 
 
 def _load() -> Kernels | None:
@@ -228,6 +244,49 @@ def library() -> Kernels | None:
     get_registry().gauge(
         "repro_kernel_native",
         "1 when the compiled kernels (CoreTime scan and build pass, fold "
-        "splice, columnar walk step) are loaded, 0 on the numpy fallback",
+        "splice, columnar walk step, counting order, crc32) are loaded, 0 on "
+        "the numpy fallback",
     ).set(0 if kernels is None else 1)
     return kernels
+
+
+def counting_order(keys, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of int ``keys`` in ``[0, bound)`` and their CSR offsets.
+
+    Returns ``(order, offsets)``: ``order`` equals
+    ``np.argsort(keys, kind="stable")`` and ``keys[order][offsets[b] :
+    offsets[b + 1]]`` is the run of key ``b`` (``bound + 1`` offsets).
+    One O(len + bound) ``repro_counting_order`` call when the C kernels
+    loaded, the numpy stable argsort otherwise.  Raises
+    :class:`ValueError` when a key lies outside ``[0, bound)``.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    kernels = library()
+    if kernels is None:
+        if len(keys) and not (0 <= keys.min() and keys.max() < bound):
+            raise ValueError(f"counting-order keys outside [0, {bound})")
+        return np.argsort(keys, kind="stable"), offsets_from_keys(keys, bound)
+    order = np.empty(len(keys), dtype=np.int64)
+    offsets = np.empty(bound + 1, dtype=np.int64)
+    if kernels.counting_order(
+        len(keys), keys.ctypes.data, bound, offsets.ctypes.data, order.ctypes.data
+    ):
+        raise ValueError(f"counting-order keys outside [0, {bound})")
+    return order, offsets
+
+
+def crc32(data, value: int = 0) -> int:
+    """``zlib.crc32(data, value)`` of a bytes-like object.
+
+    The 16-byte blocks go through one ``repro_crc32_fold`` call when the
+    C kernels loaded and the CPU multiplies carry-less (several times
+    zlib's speed on large buffers), the few bytes left through zlib.
+    """
+    view = memoryview(data).cast("B")
+    kernels = library()
+    if kernels is not None and len(view) >= 64:
+        address = np.frombuffer(view, dtype=np.uint8).ctypes.data
+        folded = kernels.crc32_fold(len(view), address, value)
+        if folded >= 0:
+            return zlib.crc32(view[len(view) & ~15 :], folded)
+    return zlib.crc32(view, value)

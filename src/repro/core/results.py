@@ -56,7 +56,7 @@ class TemporalKCore:
         """
         cg = graph.compiled()
         eids = np.asarray(self.edge_ids, dtype=np.int64)
-        ends = np.concatenate((cg.np_edge_u[eids], cg.np_edge_v[eids]))
+        ends = np.concatenate((cg.edge_u[eids], cg.edge_v[eids]))
         return set(np.unique(ends).tolist())
 
     def vertex_labels(self, graph: TemporalGraph) -> set[Hashable]:

@@ -22,11 +22,12 @@ built skylines are one representation and a store load is zero-copy.
 
 Per-query work is vectorised on top of it.  Restricting to a sub-range
 ``[ts, te]`` cuts a once-per-skyline *start-sorted permutation* of the
-windows with two ``searchsorted`` calls (``ts <= t1 <= te``) and masks
-``t2 <= te`` — no per-edge Python loop.  Because each edge's skyline is
-bi-monotone, the surviving windows of an edge are one contiguous run of
-flat indices, which also yields every window's activation time
-(Definition 6) from its flat predecessor in one vectorised step.
+windows (a stable counting sort by start time) at two offsets
+(``ts <= t1 <= te``) and masks ``t2 <= te`` — no per-edge Python loop.
+Because each edge's skyline is bi-monotone, the surviving windows of an
+edge are one contiguous run of flat indices, which also yields every
+window's activation time (Definition 6) from its flat predecessor in
+one vectorised step.
 
 The list-of-tuples constructor is kept as the conversion surface for the
 reference oracle, the text loaders and hand-written tests; it converts
@@ -39,6 +40,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro.core import native
 from repro.errors import InvalidParameterError
 from repro.utils.arrays import as_int64_array, flatten_pairs, offsets_from_keys
 
@@ -65,7 +67,7 @@ class EdgeCoreSkyline:
         "_t1",
         "_t2",
         "_start_order",
-        "_t1_by_start",
+        "_start_offsets",
         "_eids",
     )
 
@@ -79,7 +81,7 @@ class EdgeCoreSkyline:
         self.span = span
         self._offsets, self._t1, self._t2 = flatten_pairs(windows_by_edge)
         self._start_order = None
-        self._t1_by_start = None
+        self._start_offsets = None
         self._eids = None
 
     @classmethod
@@ -98,7 +100,7 @@ class EdgeCoreSkyline:
         skyline._t1 = as_int64_array(t1)
         skyline._t2 = as_int64_array(t2)
         skyline._start_order = None
-        skyline._t1_by_start = None
+        skyline._start_offsets = None
         skyline._eids = None
         return skyline
 
@@ -164,23 +166,27 @@ class EdgeCoreSkyline:
     # ------------------------------------------------------------------
 
     def _by_start(self) -> tuple[np.ndarray, np.ndarray]:
-        """The start-sorted permutation ``(order, t1[order])``; cached.
+        """The start-sorted permutation and its per-start offsets; cached.
 
-        Built once per skyline (O(|ECS| log |ECS|)) and reused by every
-        query against it — the per-query cost of a restriction drops to
-        two binary searches plus work proportional to the windows that
-        start inside the query range.
+        ``(order, offsets)``: ``order`` lists the windows by ascending
+        start (ties in flat order) and ``order[offsets[t]:offsets[t +
+        1]]`` are the windows starting at ``t``.  Built once per skyline
+        by one stable counting sort over the start times, which lie in
+        ``[1, span end]`` (O(|ECS| + span)), and reused by every query
+        against it: the per-query cost of a restriction drops to two
+        offset lookups plus work proportional to the windows that start
+        inside the query range.
         """
         order = self._start_order
         if order is None:
-            order = np.argsort(self._t1, kind="stable")
-            # Sorted values are published before the order array: a
+            order, offsets = native.counting_order(self._t1, self.span[1] + 1)
+            # The offsets are published before the order array: a
             # concurrent reader that observes _start_order non-None is
-            # then guaranteed to see _t1_by_start as well (serving
+            # then guaranteed to see _start_offsets as well (serving
             # threads share indexes; see CoreIndexRegistry).
-            self._t1_by_start = self._t1[order]
+            self._start_offsets = offsets
             self._start_order = order
-        return order, self._t1_by_start
+        return order, self._start_offsets
 
     def _check_range(self, ts: int, te: int) -> None:
         span_ts, span_te = self.span
@@ -194,13 +200,14 @@ class EdgeCoreSkyline:
 
         ``(lo, hi)`` arrays such that the windows with start time inside
         ``[ts_values[i], te_values[i]]`` are ``order[lo[i]:hi[i]]`` of
-        the cached start-sorted permutation — one vectorised
-        ``searchsorted`` pair for the entire batch, shared by
+        the cached start-sorted permutation — one vectorised lookup in
+        its per-start offsets for the entire batch, shared by
         :meth:`repro.core.index.CoreIndex.query_batch`.
         """
-        _order, t1_sorted = self._by_start()
-        lo = np.searchsorted(t1_sorted, np.asarray(ts_values, dtype=np.int64), "left")
-        hi = np.searchsorted(t1_sorted, np.asarray(te_values, dtype=np.int64), "right")
+        _order, offsets = self._by_start()
+        last = len(offsets) - 1
+        lo = offsets[np.clip(np.asarray(ts_values, dtype=np.int64), 0, last)]
+        hi = offsets[np.clip(np.asarray(te_values, dtype=np.int64) + 1, 0, last)]
         return lo, hi
 
     def selection_from_cut(self, lo: int, hi: int, ts: int, te: int) -> np.ndarray:
@@ -214,7 +221,7 @@ class EdgeCoreSkyline:
         span_ts, span_te = self.span
         if ts == span_ts and te == span_te:
             return np.arange(len(self._t1), dtype=np.int64)
-        order, _t1_sorted = self._by_start()
+        order, _offsets = self._by_start()
         candidates = order[lo:hi]
         selected = candidates[self._t2[candidates] <= te]
         selected.sort()
@@ -231,8 +238,8 @@ class EdgeCoreSkyline:
         Minimal core windows are intrinsic to the graph (Definition 5 does
         not depend on the query range), so the skyline of a sub-range is
         exactly the subset of windows inside it.  Fully vectorised: two
-        ``searchsorted`` cuts over the cached start-sorted permutation
-        plus an end-time mask — no per-edge scan.
+        offset cuts of the cached start-sorted permutation plus an
+        end-time mask — no per-edge scan.
         """
         selected = self._selection(ts, te)
         offsets = offsets_from_keys(self.window_eids()[selected], self.num_edges)

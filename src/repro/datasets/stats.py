@@ -31,7 +31,8 @@ class DatasetStats:
 def compute_stats(graph: TemporalGraph) -> DatasetStats:
     """Compute the Table III statistics of a temporal graph."""
     adjacency: dict[int, set[int]] = {}
-    for u, v, _ in graph.edges:
+    edge_u, edge_v, _ = graph.edge_columns()
+    for u, v in zip(edge_u.tolist(), edge_v.tolist()):
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
     cores = core_decomposition(adjacency)

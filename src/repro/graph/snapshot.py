@@ -38,8 +38,10 @@ class Snapshot:
         snapshot = cls(graph.num_vertices, (ts, te))
         adj = snapshot._adj
         pair_ids = snapshot._pair_edge_ids
-        for eid in graph.window_edge_ids(ts, te):
-            u, v, _ = graph.edges[eid]
+        window = graph.window_edge_ids(ts, te)
+        edge_u, edge_v, _ = graph.edge_columns()
+        rows = slice(window.start, window.stop)
+        for eid, u, v in zip(window, edge_u[rows].tolist(), edge_v[rows].tolist()):
             pair = (u, v)
             ids = pair_ids.get(pair)
             if ids is None:

@@ -23,7 +23,10 @@ import bisect
 from collections.abc import Hashable, Iterable, Iterator
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.errors import EmptyGraphError, GraphFormatError, InvalidParameterError
+from repro.utils.arrays import as_int64_array
 
 
 class TemporalEdge(NamedTuple):
@@ -32,6 +35,65 @@ class TemporalEdge(NamedTuple):
     u: int
     v: int
     t: int
+
+
+def ingest_edges(
+    edges: Iterable[tuple[Hashable, Hashable, int]],
+    label_ids: dict[Hashable, int],
+    labels: list[Hashable],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Validate and label ``(u, v, t)`` triples, sorted as int64 columns.
+
+    New vertex labels get the next ids, appended to ``labels`` and
+    ``label_ids`` in place.  Returns ``(raw_t, u, v, dropped)``: the
+    kept edges' columns with ``u < v``, sorted by ``(raw_t, u, v)``, and
+    the number of self-loops dropped.  Raises :class:`GraphFormatError`
+    for a malformed triple, a non-integer timestamp or one outside
+    int64.
+    """
+    flat: list[int] = []  # (raw_t, u, v) per kept edge, interleaved
+    dropped = 0
+    for index, edge in enumerate(edges):
+        try:
+            raw_u, raw_v, raw_t = edge
+        except (TypeError, ValueError) as exc:
+            raise GraphFormatError(f"edge #{index} is not a (u, v, t) triple: {edge!r}") from exc
+        if not isinstance(raw_t, int):
+            raise GraphFormatError(f"edge #{index} has non-integer timestamp {raw_t!r}")
+        if raw_u == raw_v:
+            dropped += 1
+            continue
+        u = label_ids.setdefault(raw_u, len(labels))
+        if u == len(labels):
+            labels.append(raw_u)
+        v = label_ids.setdefault(raw_v, len(labels))
+        if v == len(labels):
+            labels.append(raw_v)
+        flat += (raw_t, u, v)
+    try:
+        triples = np.array(flat, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        bad = next(t for t in flat[0::3] if not -(1 << 63) <= t < 1 << 63)
+        raise GraphFormatError(f"timestamp {bad} does not fit in a signed 64-bit integer") from None
+    raw_t, first, second = triples[:, 0], triples[:, 1], triples[:, 2]
+    u, v = np.minimum(first, second), np.maximum(first, second)
+    order = np.lexsort((v, u, raw_t))
+    return raw_t[order], u[order], v[order], dropped
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``values`` that differ from their predecessor."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column`` as a read-only C-contiguous int64 array."""
+    column = np.ascontiguousarray(column, dtype=np.int64)
+    column.flags.writeable = False
+    return column
 
 
 class TemporalGraph:
@@ -63,6 +125,7 @@ class TemporalGraph:
         "_num_dropped_self_loops",
         "_adjacency_cache",
         "_compiled_cache",
+        "_fingerprint",
     )
 
     def __init__(
@@ -74,77 +137,45 @@ class TemporalGraph:
     ):
         label_ids: dict[Hashable, int] = {}
         labels: list[Hashable] = []
-        raw_triples: list[tuple[int, int, int]] = []
-        dropped = 0
-        for index, edge in enumerate(edges):
-            try:
-                raw_u, raw_v, raw_t = edge
-            except (TypeError, ValueError) as exc:
-                raise GraphFormatError(f"edge #{index} is not a (u, v, t) triple: {edge!r}") from exc
-            if not isinstance(raw_t, int):
-                raise GraphFormatError(f"edge #{index} has non-integer timestamp {raw_t!r}")
-            if raw_u == raw_v:
-                dropped += 1
-                continue
-            u = label_ids.setdefault(raw_u, len(labels))
-            if u == len(labels):
-                labels.append(raw_u)
-            v = label_ids.setdefault(raw_v, len(labels))
-            if v == len(labels):
-                labels.append(raw_v)
-            if u > v:
-                u, v = v, u
-            raw_triples.append((raw_t, u, v))
-
-        raw_triples.sort()
+        raw_t, u, v, dropped = ingest_edges(edges, label_ids, labels)
         if normalize_time:
-            raw_times: list[int] = []
-            normalized: list[TemporalEdge] = []
-            for raw_t, u, v in raw_triples:
-                if not raw_times or raw_t != raw_times[-1]:
-                    raw_times.append(raw_t)
-                normalized.append(TemporalEdge(u, v, len(raw_times)))
+            # A new normalised time starts at every raw-time change.
+            starts = run_starts(raw_t)
+            t = np.cumsum(starts)
+            raw_times = tuple(raw_t[starts].tolist())
         else:
-            raw_times = []
-            normalized = []
-            for raw_t, u, v in raw_triples:
-                if raw_t < 1:
-                    raise GraphFormatError(
-                        f"timestamp {raw_t} < 1; pass normalize_time=True for raw timestamps"
-                    )
-                normalized.append(TemporalEdge(u, v, raw_t))
+            if len(raw_t) and raw_t[0] < 1:
+                raise GraphFormatError(
+                    f"timestamp {int(raw_t[0])} < 1; pass normalize_time=True for raw timestamps"
+                )
+            t = raw_t
+            raw_times = ()
 
-        if deduplicate:
-            seen: set[TemporalEdge] = set()
-            unique: list[TemporalEdge] = []
-            for edge_ in normalized:
-                if edge_ not in seen:
-                    seen.add(edge_)
-                    unique.append(edge_)
-            normalized = unique
+        if deduplicate and len(t):
+            # Sorted by (t, u, v): exact duplicates are adjacent.
+            keep = np.empty(len(t), dtype=bool)
+            keep[0] = True
+            keep[1:] = (t[1:] != t[:-1]) | (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+            u, v, t = u[keep], v[keep], t[keep]
 
-        self._edges: tuple[TemporalEdge, ...] | None = tuple(normalized)
-        self._edge_columns = None
-        self._labels: tuple[Hashable, ...] = tuple(labels)
-        self._label_ids = label_ids
-        self._raw_times: tuple[int, ...] = tuple(raw_times)
-        self._num_dropped_self_loops = dropped
-        self._adjacency_cache: list[list[tuple[int, int, int]]] | None = None
-        self._compiled_cache = None
-
-        tmax = normalized[-1].t if normalized else 0
-        per_time = [0] * (tmax + 1)
-        for edge_ in self._edges:
-            per_time[edge_.t] += 1
+        tmax = int(t[-1]) if len(t) else 0
         # Edges are sorted by timestamp, so ``_time_offset[t]`` (the number
         # of edges stamped strictly before ``t``) turns any window into a
         # contiguous edge-id range: ids in ``[ts, te]`` are exactly
         # ``range(_time_offset[ts], _time_offset[te + 1])``.
-        offsets = [0] * (tmax + 2)
-        running = 0
-        for t in range(1, tmax + 2):
-            offsets[t] = running = running + per_time[t - 1]
-        self._time_offset: tuple[int, ...] = tuple(offsets)
+        time_offset = np.zeros(tmax + 2, dtype=np.int64)
+        np.cumsum(np.bincount(t, minlength=tmax + 1), out=time_offset[1:])
+
+        self._edges: tuple[TemporalEdge, ...] | None = None
+        self._edge_columns = tuple(_frozen(column) for column in (u, v, t))
+        self._labels: tuple[Hashable, ...] = tuple(labels)
+        self._label_ids = label_ids
+        self._raw_times: tuple[int, ...] = raw_times
+        self._num_dropped_self_loops = dropped
+        self._adjacency_cache: list[list[tuple[int, int, int]]] | None = None
+        self._compiled_cache = None
+        self._fingerprint = None
+        self._time_offset = _frozen(time_offset)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -158,7 +189,7 @@ class TemporalGraph:
     @property
     def num_edges(self) -> int:
         """Number of temporal edges (with multiplicity)."""
-        return self._time_offset[-1]
+        return len(self._edge_columns[0])
 
     @property
     def tmax(self) -> int:
@@ -169,14 +200,23 @@ class TemporalGraph:
     def edges(self) -> tuple[TemporalEdge, ...]:
         """All edges sorted by timestamp; the index is the edge id.
 
-        A graph rebuilt from edge columns (a store load) creates the
-        tuples on first use: serving from the compiled arrays never
-        needs them.
+        The graph holds its edges as int64 columns (:meth:`edge_columns`);
+        the tuples are created on first use and cached.  Building,
+        compiling, persisting and serving never need them.
         """
         edges = self._edges
         if edges is None:
-            edges = self._edges = tuple(map(TemporalEdge, *self._edge_columns))
+            columns = (column.tolist() for column in self._edge_columns)
+            edges = self._edges = tuple(map(TemporalEdge, *columns))
         return edges
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as three read-only int64 columns ``(u, v, t)``.
+
+        Row ``eid`` of the columns is edge ``eid`` (``u < v``, sorted by
+        ``(t, u, v)``); the compiled view shares these arrays.
+        """
+        return self._edge_columns
 
     @property
     def num_dropped_self_loops(self) -> int:
@@ -229,13 +269,14 @@ class TemporalGraph:
         hi = bisect.bisect_right(self._raw_times, raw_te)
         return (lo, hi) if lo <= hi else None
 
-    def time_offsets(self) -> tuple[int, ...]:
+    def time_offsets(self) -> np.ndarray:
         """The timestamp→edge-id prefix table (length ``tmax + 2``).
 
         ``time_offsets()[t]`` is the number of edges stamped strictly
         before ``t``; edge ids in ``[ts, te]`` are exactly
-        ``range(table[ts], table[te + 1])``.  Shared with the compiled
-        flat-array view so the table exists once per graph.
+        ``range(table[ts], table[te + 1])``.  A read-only int64 array
+        shared with the compiled flat-array view, so the table exists
+        once per graph.
         """
         return self._time_offset
 
@@ -243,7 +284,7 @@ class TemporalGraph:
         """Edge ids whose timestamp is exactly ``t``."""
         if t < 1 or t > self.tmax:
             return ()
-        return tuple(range(self._time_offset[t], self._time_offset[t + 1]))
+        return tuple(range(int(self._time_offset[t]), int(self._time_offset[t + 1])))
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -287,7 +328,7 @@ class TemporalGraph:
         nothing), and iteration is proportional to the matches alone.
         """
         self.check_window(ts, te)
-        return range(self._time_offset[ts], self._time_offset[te + 1])
+        return range(int(self._time_offset[ts]), int(self._time_offset[te + 1]))
 
     def window_edges(self, ts: int, te: int) -> Iterator[TemporalEdge]:
         """Yield the edges of the projected graph ``G[ts, te]``."""
@@ -313,17 +354,15 @@ class TemporalGraph:
         vertex pairs), matching the ``deg_avg`` quantity used by the
         paper's complexity analysis.
         """
-        neighbours: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for u, v, _ in self.edges:
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-        degrees = [len(s) for s in neighbours]
-        num_pairs = sum(degrees) // 2
-        n = max(1, self.num_vertices)
+        u, v, _ = self._edge_columns
+        n = self.num_vertices
+        keys = np.sort(u * n + v)
+        pairs = keys[run_starts(keys)]
+        degrees = np.bincount(pairs // n, minlength=n) + np.bincount(pairs % n, minlength=n)
         return {
-            "avg": sum(degrees) / n,
-            "max": max(degrees, default=0),
-            "num_pairs": num_pairs,
+            "avg": int(degrees.sum()) / max(1, n),
+            "max": int(degrees.max(initial=0)),
+            "num_pairs": len(pairs),
         }
 
     # ------------------------------------------------------------------
@@ -334,34 +373,32 @@ class TemporalGraph:
     def _from_parts(
         cls,
         *,
-        edges: tuple[TemporalEdge, ...] | None = None,
-        edge_columns: tuple | None = None,
+        edge_columns: tuple,
         labels: tuple[Hashable, ...],
         raw_times: tuple[int, ...],
-        time_offset: tuple[int, ...],
+        time_offset,
         num_dropped_self_loops: int = 0,
     ) -> "TemporalGraph":
         """Rebuild a graph from persisted parts, skipping normalisation.
 
-        Trusted fast path used by :mod:`repro.store`: the parts must
-        describe a graph previously produced by this class (edges sorted
-        by timestamp with internal ids matching ``labels`` order, the
-        prefix table consistent with the edge timestamps).  Restores the
-        exact internal vertex and edge ids of the persisted graph.  The
-        edges come either as ``edges`` or as ``edge_columns``, three
-        ``(u, v, t)`` int sequences from which :attr:`edges` builds the
-        tuples on first use.
+        Trusted fast path used by :mod:`repro.store` and the fold: the
+        parts must describe a graph previously produced by this class
+        (``edge_columns`` three ``(u, v, t)`` int64 sequences sorted by
+        timestamp with internal ids matching ``labels`` order, the prefix
+        table consistent with the edge timestamps).  Restores the exact
+        internal vertex and edge ids of the persisted graph.
         """
         graph = cls.__new__(cls)
-        graph._edges = edges
-        graph._edge_columns = edge_columns
+        graph._edges = None
+        graph._edge_columns = tuple(_frozen(as_int64_array(c)) for c in edge_columns)
         graph._labels = labels
         graph._label_ids = {label: u for u, label in enumerate(labels)}
         graph._raw_times = raw_times
         graph._num_dropped_self_loops = num_dropped_self_loops
         graph._adjacency_cache = None
         graph._compiled_cache = None
-        graph._time_offset = time_offset
+        graph._fingerprint = None
+        graph._time_offset = _frozen(as_int64_array(time_offset))
         return graph
 
     @classmethod

@@ -32,7 +32,7 @@ from repro.core.coretime import VertexCoreTimeIndex
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import StoreError
-from repro.graph.csr import CompiledGraph
+from repro.graph.csr import TABLES, CompiledGraph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.store.format import read_blob, write_blob
 
@@ -55,73 +55,48 @@ def raw_time_column(graph: TemporalGraph) -> np.ndarray:
 def graph_fingerprint(graph: TemporalGraph) -> dict:
     """A cheap content fingerprint: counts, spans and content crc32s.
 
-    Computed straight from the edge triples (no compile needed) in one
-    numpy pass, plus crc32s of the vertex labels and the raw-timestamp
-    table.  Two graphs with equal fingerprints hold the same edges with
-    the same internal ids *and* the same labels and raw times — without
-    the label/raw coverage, two structurally identical graphs over
-    different vertex sets would silently share one store entry and a
-    restore would resurrect the wrong labels.
+    Computed straight from the graph's edge columns (no compile needed)
+    in one numpy pass, plus crc32s of the vertex labels and the
+    raw-timestamp table.  Two graphs with equal fingerprints hold the
+    same edges with the same internal ids *and* the same labels and raw
+    times — without the label/raw coverage, two structurally identical
+    graphs over different vertex sets would silently share one store
+    entry and a restore would resurrect the wrong labels.  A graph opened
+    by :func:`load_graph` from a verified blob returns (a copy of) the
+    fingerprint the blob recorded for it instead of rehashing.
     """
+    stored = graph._fingerprint
+    if stored is not None:
+        return {**stored, "raw_span": list(stored["raw_span"])}
     m = graph.num_edges
-    cg = graph._compiled_cache
-    if cg is not None:
-        # Already-compiled graphs (every loaded graph, most served ones)
-        # have the edge columns as flat arrays: interleave vectorised
-        # instead of converting m namedtuples in Python.
-        triples = np.column_stack(
-            (
-                np.frombuffer(cg.edge_u, dtype=np.int64) if m else np.empty(0, np.int64),
-                np.frombuffer(cg.edge_v, dtype=np.int64) if m else np.empty(0, np.int64),
-                np.frombuffer(cg.edge_t, dtype=np.int64) if m else np.empty(0, np.int64),
-            )
-        )
-    else:
-        triples = np.asarray(graph.edges, dtype=np.int64).reshape(m, 3)
     if m:
         raw_span = [graph.raw_time_of(1), graph.raw_time_of(graph.tmax)]
     else:
         raw_span = [0, 0]
-    raw_times = raw_time_column(graph)
     # Type-tagged reprs hash any hashable label (fingerprints are also
     # taken of graphs the store could never persist).
     labels_blob = "\x00".join(
-        f"{type(graph.label_of(u)).__name__}:{graph.label_of(u)!r}"
-        for u in range(graph.num_vertices)
+        [f"{type(label).__name__}:{label!r}" for label in graph._labels]
     ).encode("utf-8", "backslashreplace")
     return {
         "num_vertices": graph.num_vertices,
         "num_edges": m,
         "tmax": graph.tmax,
         "raw_span": raw_span,
-        "edge_crc32": zlib.crc32(triples.astype("<i8", copy=False).tobytes()),
+        "edge_crc32": _crc32(np.column_stack(graph.edge_columns())),
         "label_crc32": zlib.crc32(labels_blob),
-        "raw_time_crc32": zlib.crc32(raw_times.astype("<i8", copy=False).tobytes()),
+        "raw_time_crc32": _crc32(raw_time_column(graph)),
     }
+
+
+def _crc32(values: np.ndarray) -> int:
+    """crc32 of an int array's little-endian int64 bytes."""
+    return zlib.crc32(np.ascontiguousarray(values, dtype="<i8"))
 
 
 # ----------------------------------------------------------------------
 # Graph blobs
 # ----------------------------------------------------------------------
-
-_COMPILED_SECTIONS = (
-    "edge_u",
-    "edge_v",
-    "edge_t",
-    "adj_offsets",
-    "adj_neighbour",
-    "slot_pid",
-    "slot_times_start",
-    "slot_times_end",
-    "slot_count",
-    "pair_offset",
-    "pair_times",
-    "full_degree",
-    "edge_slot_u",
-    "edge_slot_v",
-    "inc_offsets",
-)
-
 
 def _json_safe_labels(graph: TemporalGraph) -> list:
     labels = [graph.label_of(u) for u in range(graph.num_vertices)]
@@ -147,10 +122,7 @@ def dump_graph(path: str | os.PathLike[str], graph: TemporalGraph) -> int:
         "labels": _json_safe_labels(graph),
         "fingerprint": graph_fingerprint(graph),
     }
-    sections = {name: getattr(cg, name) for name in _COMPILED_SECTIONS}
-    sections["inc_time"] = cg.np_inc_time
-    sections["inc_other"] = cg.np_inc_other
-    sections["inc_eid"] = cg.np_inc_eid
+    sections = {name: getattr(cg, name) for name in TABLES}
     sections["time_offset"] = cg.time_offset
     sections["raw_times"] = raw_time_column(graph)
     return write_blob(path, GRAPH_KIND, meta, sections)
@@ -159,24 +131,30 @@ def dump_graph(path: str | os.PathLike[str], graph: TemporalGraph) -> int:
 def load_graph(path: str | os.PathLike[str], *, verify: bool = True) -> TemporalGraph:
     """Reconstruct a graph blob: exact ids, compiled view attached.
 
-    The compiled arrays are zero-copy views of the blob's mapping; the
-    offset tables are materialised (O(tmax), no sorting), and the edge
-    tuples only when first used (:attr:`TemporalGraph.edges`).
+    The graph's edge columns and prefix table and every compiled table
+    are zero-copy views of the blob's mapping; only the raw-time table is
+    materialised (O(tmax), no sorting).  With ``verify`` the graph keeps
+    the fingerprint the blob recorded, so opening its indexes does not
+    rehash the edges and labels.
     """
     blob = read_blob(path, verify=verify)
     if blob.kind != GRAPH_KIND:
         raise StoreError(f"{blob.path}: expected a {GRAPH_KIND} blob, got {blob.kind!r}")
     meta = blob.meta
     parts = blob.sections
-    time_offset = tuple(parts["time_offset"])
     graph = TemporalGraph._from_parts(
         edge_columns=(parts["edge_u"], parts["edge_v"], parts["edge_t"]),
         labels=tuple(meta["labels"]),
         raw_times=tuple(parts["raw_times"]),
-        time_offset=time_offset,
+        time_offset=parts["time_offset"],
         num_dropped_self_loops=meta.get("num_dropped_self_loops", 0),
     )
-    graph._compiled_cache = CompiledGraph._from_parts(meta, parts, time_offset)
+    graph._compiled_cache = CompiledGraph._from_parts(meta, parts, graph.time_offsets())
+    stored = meta.get("fingerprint")
+    if verify and stored is not None:
+        # The payload (edges, raw times) passed its checksum, so this is
+        # the fingerprint dump_graph took of exactly these parts.
+        graph._fingerprint = stored
     return graph
 
 

@@ -37,12 +37,12 @@ import json
 import mmap
 import os
 import sys
-import zlib
 from array import array
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.core import native
 from repro.errors import StoreCorruptionError, StoreError
 from repro.testing.crashpoints import crashpoint
 
@@ -116,7 +116,7 @@ def write_blob(
             "meta": dict(meta),
             "sections": table,
             "payload_bytes": len(payload),
-            "crc32": zlib.crc32(payload),
+            "crc32": native.crc32(payload),
         },
         separators=(",", ":"),
         sort_keys=True,
@@ -205,7 +205,7 @@ def read_blob(path: str | os.PathLike[str], *, verify: bool = True) -> Blob:
             f"{max(0, len(buffer) - payload_start)})"
         )
     payload_view = memoryview(buffer)[payload_start : payload_start + payload_bytes]
-    if verify and zlib.crc32(payload_view) != header.get("crc32"):
+    if verify and native.crc32(payload_view) != header.get("crc32"):
         raise StoreCorruptionError(f"{final}: payload checksum mismatch")
 
     sections: dict = {}

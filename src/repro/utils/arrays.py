@@ -59,11 +59,13 @@ def flatten_pairs(
 
 
 def offsets_from_keys(keys: np.ndarray, count: int) -> np.ndarray:
-    """CSR offsets (``count + 1`` entries) for sorted segment ``keys``.
+    """CSR offsets (``count + 1`` entries) for segment ``keys``.
 
-    ``keys[i]`` is the segment id of flat element ``i`` (ascending);
-    the result ``o`` satisfies ``keys[o[s]:o[s+1]] == s`` for every
-    segment ``s`` in ``range(count)``.
+    ``keys[i]`` is the segment id of element ``i``; once the elements
+    are grouped by key in ascending order (``keys`` already sorted, or
+    after a stable sort by key), the result ``o`` satisfies
+    ``keys[o[s]:o[s+1]] == s`` for every segment ``s`` in
+    ``range(count)``.
     """
     offsets = np.zeros(count + 1, dtype=np.int64)
     if len(keys):

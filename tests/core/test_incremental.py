@@ -24,6 +24,7 @@ from repro.core.incremental import (
     extend_graph,
 )
 from repro.core.multik import build_core_indexes
+from repro.errors import GraphFormatError
 from repro.graph.csr import CompiledGraph
 from repro.graph.temporal_graph import TemporalGraph
 
@@ -136,6 +137,11 @@ class TestExtendGraph:
         with pytest.raises(FoldFallback) as err:
             extend_graph(TemporalGraph(base_edges), [("n0", "n1", t)])
         assert err.value.reason == "boundary-tie"
+
+    def test_timestamp_outside_int64_raises(self):
+        base = TemporalGraph(stream(8, 60))
+        with pytest.raises(GraphFormatError, match=str(2**70)):
+            extend_graph(base, [("n0", "n1", 2**70)])
 
     def test_empty_base_falls_back(self):
         with pytest.raises(FoldFallback) as err:

@@ -11,6 +11,7 @@ sub-windows.
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -124,8 +125,10 @@ class TestMultiKEquivalence:
             assert_multi_identical(graph, [1, 2, 5, 12], ts, te)
 
     def test_high_degree_hubs(self):
-        """Degrees well past 16 with few tied times exercise the k-th
-        smallest selection (quickselect in the compiled step)."""
+        """Degrees well past 16 with few tied times exercise both k-th
+        smallest selections of the compiled step: insertion into a
+        sorted window for ranks below ``INSERTION_RANKS``, quickselect
+        from there on (ks R - 1, R and R + 1 straddle the switch)."""
         rng = random.Random(3)
         triples = [
             (f"h{rng.randrange(6)}", f"x{rng.randrange(60)}", rng.randint(1, 400))
@@ -138,6 +141,20 @@ class TestMultiKEquivalence:
         graph = TemporalGraph(triples)
         assert_multi_identical(graph, [1, 3, 8, 20])
         assert_multi_identical(graph, [2, 5], 100, 300)
+        limit = int(
+            re.search(r"#define INSERTION_RANKS (\d+)", native.SOURCE.read_text()).group(1)
+        )
+        # A dense block keeps cores at those ks alive over wide windows.
+        triples += [
+            (f"y{rng.randrange(30)}", f"y{rng.randrange(30)}", rng.randint(1, 400))
+            for _ in range(1500)
+        ]
+        graph = TemporalGraph(triples)
+        ks = [limit - 1, limit, limit + 1]
+        assert (graph.compiled().full_degree > limit + 1).sum() >= 36
+        assert all(result.vct.size() for result in compute_core_times_multi(graph, ks).values())
+        assert_multi_identical(graph, ks, oracle=True)
+        assert_multi_identical(graph, ks, 50, 350, oracle=True)
 
     def test_without_skyline_random(self, property_graph):
         tmax = property_graph.tmax

@@ -79,6 +79,15 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             TemporalGraph([("a", "b", "noon")])
 
+    @pytest.mark.parametrize("raw_t", [2**70, 2**63, -(2**63) - 1])
+    def test_timestamp_outside_int64_raises(self, raw_t):
+        with pytest.raises(GraphFormatError, match=str(raw_t)):
+            TemporalGraph([("a", "b", 5), ("b", "c", raw_t)])
+
+    def test_int64_extreme_timestamps_accepted(self):
+        g = TemporalGraph([("a", "b", 2**63 - 1), ("b", "c", -(2**63))])
+        assert [g.raw_time_of(t) for t in (1, 2)] == [-(2**63), 2**63 - 1]
+
     def test_empty_graph(self):
         g = TemporalGraph([])
         assert g.num_edges == 0

@@ -19,6 +19,7 @@ from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import StoreError
+from repro.graph.csr import TABLES
 from repro.graph.temporal_graph import TemporalGraph
 from repro.store import codec
 from repro.store.format import read_blob
@@ -36,7 +37,7 @@ class TestGraphRoundTrip:
         for t in range(1, paper_graph.tmax + 1):
             assert loaded.raw_time_of(t) == paper_graph.raw_time_of(t)
             assert loaded.edge_ids_at(t) == paper_graph.edge_ids_at(t)
-        assert loaded.time_offsets() == paper_graph.time_offsets()
+        assert loaded.time_offsets().tolist() == paper_graph.time_offsets().tolist()
         assert loaded.id_of("v1") == paper_graph.id_of("v1")
 
     def test_edge_tuples_are_built_on_first_use(self, tmp_path, random_graph):
@@ -55,11 +56,8 @@ class TestGraphRoundTrip:
         codec.dump_graph(path, random_graph)
         loaded = codec.load_graph(path)
         original, restored = random_graph.compiled(), loaded.compiled()
-        for name in ("adj_offsets", "adj_neighbour", "pair_times", "slot_pid",
-                     "edge_slot_u", "edge_slot_v", "inc_offsets", "full_degree"):
-            assert list(getattr(restored, name)) == list(getattr(original, name)), name
-        assert restored.np_inc_time.tolist() == original.np_inc_time.tolist()
-        assert restored.np_slot_first_time.tolist() == original.np_slot_first_time.tolist()
+        for name in ("time_offset", *TABLES):
+            assert getattr(restored, name).tolist() == getattr(original, name).tolist(), name
 
     def test_kernel_runs_on_loaded_graph(self, tmp_path, random_graph):
         """Full Algorithm 2 over the mmap-backed arrays matches the oracle."""
@@ -80,6 +78,22 @@ class TestGraphRoundTrip:
         codec.dump_graph(path, paper_graph)
         loaded = codec.load_graph(path)
         assert codec.graph_fingerprint(loaded) == codec.graph_fingerprint(paper_graph)
+
+    def test_recorded_fingerprint_equals_a_rehash(self, tmp_path, random_graph, triangle_graph):
+        """A verified load keeps the blob's fingerprint; it is the one a rehash gives."""
+        path = tmp_path / "graph.bin"
+        codec.dump_graph(path, random_graph)
+        recorded = codec.load_graph(path)
+        rehashed = codec.load_graph(path, verify=False)  # unverified: hashed afresh
+        assert recorded._fingerprint is not None and rehashed._fingerprint is None
+        fingerprint = codec.graph_fingerprint(recorded)
+        assert fingerprint == codec.graph_fingerprint(rehashed)
+        fingerprint["raw_span"].append(0)  # callers get a copy
+        assert codec.graph_fingerprint(recorded) == codec.graph_fingerprint(random_graph)
+        # A foreign index is still refused against the loaded graph.
+        codec.dump_index(tmp_path / "k2.idx", CoreIndex(triangle_graph, 2))
+        with pytest.raises(StoreError, match="fingerprint"):
+            codec.load_index(tmp_path / "k2.idx", recorded)
 
     @pytest.mark.parametrize("normalize_time", [True, False])
     def test_raw_times_match_per_timestamp_construction(self, tmp_path, normalize_time):

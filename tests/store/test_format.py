@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import pytest
 
 from repro.errors import StoreCorruptionError, StoreError
@@ -69,6 +72,16 @@ class TestIntegrity:
         blob_path.write_bytes(bytes(raw))
         with pytest.raises(StoreCorruptionError, match="checksum"):
             read_blob(blob_path)
+
+    def test_checksum_is_zlib_crc32(self, blob_path):
+        """The header carries zlib's crc32 of the payload (format compatibility)."""
+        write_blob(blob_path, "k", {}, {"v": list(range(-300, 300)), "w": [7] * 41})
+        raw = blob_path.read_bytes()
+        header_len = int.from_bytes(raw[12:16], "little")
+        header = json.loads(raw[16 : 16 + header_len])
+        start = 16 + header_len + (-(16 + header_len) % 16)
+        payload = raw[start : start + header["payload_bytes"]]
+        assert header["crc32"] == zlib.crc32(payload)
 
     def test_verify_false_skips_checksum(self, blob_path):
         write_blob(blob_path, "k", {}, {"v": list(range(64))})

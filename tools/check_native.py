@@ -1,10 +1,13 @@
 """Strict-warning and sanitizer checks for the C kernels (``core/_fixpoint.c``).
 
 1. Compiles the source with ``-Wall -Wextra -Werror``: any warning fails.
-2. Runs the CoreTime kernel, multi-k, fold and columnar-walk suites
+2. Runs the CoreTime kernel, multi-k, fold, counting-order, checksum,
+   skyline, blob-store and columnar-walk suites
    (``tests/core/test_flat_kernel.py``, ``tests/core/test_multik.py``,
-   ``tests/core/test_incremental.py``,
-   ``tests/serve/test_columnar.py``, ``tests/serve/test_executor.py``)
+   ``tests/core/test_incremental.py``, ``tests/core/test_counting_order.py``,
+   ``tests/core/test_crc32.py``, ``tests/core/test_windows.py``,
+   ``tests/store/test_format.py``, ``tests/serve/test_columnar.py``,
+   ``tests/serve/test_executor.py``)
    against an AddressSanitizer + UndefinedBehaviorSanitizer build of the
    library (``-fsanitize=address,undefined -fno-sanitize-recover=all``),
    loaded through :mod:`repro.core.native` with its compiler command and
@@ -45,6 +48,10 @@ TESTS = [
     "tests/core/test_flat_kernel.py",
     "tests/core/test_multik.py",
     "tests/core/test_incremental.py",
+    "tests/core/test_counting_order.py",
+    "tests/core/test_crc32.py",
+    "tests/core/test_windows.py",
+    "tests/store/test_format.py",
     "tests/serve/test_columnar.py",
     "tests/serve/test_executor.py",
 ]
