@@ -580,16 +580,16 @@ class StreamingCoreService:
         atomic — a crash mid-snapshot leaves the previous snapshot
         intact.  Returns the store key.
 
-        With a write-ahead log attached, the snapshot also advances the
-        durable *recovery point*: the graph is committed together with
-        the log position it covers (one atomic manifest replace — see
-        :meth:`IndexStore.save_graph
-        <repro.store.index_store.IndexStore.save_graph>`), and log
-        segments the snapshot now covers are trimmed.  A crash anywhere
-        in between is safe: before the manifest commit, recovery
-        replays against the *old* snapshot; after it, replay starts
-        past the new position; before the trim, replay simply filters
-        out the already-covered records.
+        The graph, every index and — with a write-ahead log attached —
+        the log position they cover (the durable *recovery point*) are
+        committed together in one atomic manifest replace
+        (:meth:`IndexStore.commit
+        <repro.store.index_store.IndexStore.commit>`), then log segments
+        the snapshot now covers are trimmed.  A crash anywhere in
+        between is safe: before the manifest commit, recovery replays
+        against the *old* snapshot, whose indexes are all still there;
+        after it, replay starts past the new position; before the trim,
+        replay simply filters out the already-covered records.
         """
         from repro.testing.crashpoints import crashpoint
 
@@ -598,10 +598,12 @@ class StreamingCoreService:
         assert self._graph is not None
         covered = self.wal.last_lsn if self.wal is not None else None
         crashpoint("snapshot.pre-graph")
-        key = store.save_graph(self._graph, name=name, stream_lsn=covered)
-        crashpoint("snapshot.post-graph.pre-indexes")
-        for k in self.ks:
-            store.save_index(self._indexes[k], name=key)
+        key = store.commit(
+            self._graph,
+            (self._indexes[k] for k in self.ks),
+            name=name,
+            stream_lsn=covered,
+        )
         crashpoint("snapshot.post-indexes.pre-trim")
         if self.wal is not None and covered is not None:
             self.wal.trim(covered)

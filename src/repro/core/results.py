@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.utils.arrays import unique_sorted
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class TemporalKCore:
         cg = graph.compiled()
         eids = np.asarray(self.edge_ids, dtype=np.int64)
         ends = np.concatenate((cg.edge_u[eids], cg.edge_v[eids]))
-        return set(np.unique(ends).tolist())
+        return set(unique_sorted(ends).tolist())
 
     def vertex_labels(self, graph: TemporalGraph) -> set[Hashable]:
         return {graph.label_of(u) for u in self.vertices(graph)}

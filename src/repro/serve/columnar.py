@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core import native
 from repro.serve.sinks import ResultSink
+from repro.utils.arrays import unique_sorted
 from repro.obs.timing import Deadline
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -155,7 +156,7 @@ def _schedule(
     ``np.lexsort`` when the packed key would overflow.
     """
     size = len(starts)
-    visits = np.unique(starts)
+    visits = unique_sorted(starts)
     visit_of = np.searchsorted(visits, actives)
     base = int(actives.min())
     width = int(ends.max()) - base + 1
@@ -172,7 +173,7 @@ def _walk_numpy(arrays, sink: ResultSink, deadline) -> bool:
     # times drive the visit schedule (Lemma 4).
     by_active = np.argsort(actives, kind="stable")
     actives_sorted = actives[by_active]
-    emit_times = np.unique(starts)
+    emit_times = unique_sorted(starts)
 
     alive_ends = _EMPTY
     alive_starts = _EMPTY

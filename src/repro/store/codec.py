@@ -109,8 +109,14 @@ def _json_safe_labels(graph: TemporalGraph) -> list:
     return labels
 
 
-def dump_graph(path: str | os.PathLike[str], graph: TemporalGraph) -> int:
-    """Write a graph (and its compiled flat arrays) as one blob."""
+def dump_graph(
+    path: str | os.PathLike[str], graph: TemporalGraph, *, fingerprint: dict | None = None
+) -> int:
+    """Write a graph (and its compiled flat arrays) as one blob.
+
+    ``fingerprint`` passes the graph's :func:`graph_fingerprint` when the
+    caller already holds it.
+    """
     cg = graph.compiled()
     meta = {
         "num_vertices": cg.num_vertices,
@@ -120,7 +126,7 @@ def dump_graph(path: str | os.PathLike[str], graph: TemporalGraph) -> int:
         "num_pairs": cg.num_pairs,
         "num_dropped_self_loops": graph.num_dropped_self_loops,
         "labels": _json_safe_labels(graph),
-        "fingerprint": graph_fingerprint(graph),
+        "fingerprint": fingerprint or graph_fingerprint(graph),
     }
     sections = {name: getattr(cg, name) for name in TABLES}
     sections["time_offset"] = cg.time_offset
@@ -162,11 +168,15 @@ def load_graph(path: str | os.PathLike[str], *, verify: bool = True) -> Temporal
 # Index blobs
 # ----------------------------------------------------------------------
 
-def dump_index(path: str | os.PathLike[str], index: CoreIndex) -> int:
+def dump_index(
+    path: str | os.PathLike[str], index: CoreIndex, *, fingerprint: dict | None = None
+) -> int:
     """Write a CoreIndex (VCT + ECS) as one flat-array blob.
 
     The flat arrays *are* the index classes' native representation, so
     this is a straight copy-out — no per-entry conversion loop.
+    ``fingerprint`` passes the graph's :func:`graph_fingerprint` when the
+    caller already holds it.
     """
     vct, ecs = index.vct, index.ecs
     vct_offsets, vct_starts, vct_cts = vct.flat_parts()
@@ -181,7 +191,7 @@ def dump_index(path: str | os.PathLike[str], index: CoreIndex) -> int:
         "num_edges": ecs.num_edges,
         "vct_size": vct.size(),
         "ecs_size": ecs.size(),
-        "fingerprint": graph_fingerprint(index.graph),
+        "fingerprint": fingerprint or graph_fingerprint(index.graph),
     }
     sections = {
         "vct_offsets": vct_offsets,

@@ -56,12 +56,6 @@ FORMAT_VERSION = 1
 _ALIGN = 16
 
 
-def _int64_bytes(values: Sequence[int] | np.ndarray) -> bytes:
-    """Little-endian int64 encoding of any integer sequence or buffer."""
-    arr = np.asarray(values, dtype=np.int64)
-    return arr.astype("<i8", copy=False).tobytes()
-
-
 def _section_view(buffer, start: int, stop: int):
     """An int64 sequence over ``buffer[start:stop]`` — zero-copy where possible."""
     view = memoryview(buffer)[start:stop]
@@ -100,23 +94,30 @@ def write_blob(
     meta: Mapping,
     sections: Mapping[str, Sequence[int] | np.ndarray],
 ) -> int:
-    """Atomically write a blob; returns the number of bytes written."""
+    """Atomically write a blob; returns the number of bytes written.
+
+    Each section is written straight from its little-endian int64 array
+    and the payload crc32 is chained section by section, so the payload
+    is never assembled in memory.  The blob's bytes are fsynced before
+    the rename; making the rename itself durable is the caller's
+    :func:`fsync_dir` of the blob's directory — once for every blob of
+    a store commit, not once per blob.
+    """
+    arrays = [np.ascontiguousarray(values, dtype="<i8") for values in sections.values()]
     table = []
-    parts: list[bytes] = []
     offset = 0
-    for name, values in sections.items():
-        data = _int64_bytes(values)
-        table.append({"name": name, "offset": offset, "count": len(data) // 8})
-        parts.append(data)
-        offset += len(data)
-    payload = b"".join(parts)
+    crc = 0
+    for name, arr in zip(sections, arrays):
+        table.append({"name": name, "offset": offset, "count": arr.size})
+        offset += arr.nbytes
+        crc = native.crc32(arr, crc)
     header = json.dumps(
         {
             "kind": kind,
             "meta": dict(meta),
             "sections": table,
-            "payload_bytes": len(payload),
-            "crc32": native.crc32(payload),
+            "payload_bytes": offset,
+            "crc32": crc,
         },
         separators=(",", ":"),
         sort_keys=True,
@@ -127,32 +128,31 @@ def write_blob(
         + len(header).to_bytes(4, "little")
         + header
     )
-    padding = b"\x00" * (-len(prefix) % _ALIGN)
-    blob = prefix + padding + payload
+    prefix += b"\x00" * (-len(prefix) % _ALIGN)
 
     final = os.fspath(path)
     tmp = f"{final}.tmp.{os.getpid()}"
     with open(tmp, "wb") as handle:
-        handle.write(blob)
+        handle.write(prefix)
+        for arr in arrays:
+            handle.write(arr)
         handle.flush()
         os.fsync(handle.fileno())
     crashpoint("blob.post-temp.pre-rename")
     os.replace(tmp, final)
     crashpoint("blob.post-rename")
-    _fsync_parent_dir(final)
-    return len(blob)
+    return len(prefix) + offset
 
 
-def _fsync_parent_dir(final: str) -> None:
-    """Durably record the rename in the directory entry.
+def fsync_dir(directory: str | os.PathLike[str]) -> None:
+    """Durably record the renames made in ``directory``.
 
     Without this a crash after ``os.replace`` can roll the directory
     back to the temp name (or to nothing) on some filesystems; with it
-    the rename is as durable as the blob bytes.
+    every rename made so far is as durable as the renamed bytes.
     """
-    parent = os.path.dirname(final) or "."
     try:
-        fd = os.open(parent, os.O_RDONLY)
+        fd = os.open(os.fspath(directory), os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir-open
         return
     try:

@@ -7,18 +7,20 @@ verifying three layers of consistency:
   and pass its crc32 (`:func:`repro.store.format.read_blob``);
 * **Manifest ↔ files** — every referenced file must exist, every index
   blob's recorded fingerprint and ``k`` must agree with the manifest
-  that points at it; stray temp files and unreferenced blobs are
-  reported as orphans;
+  that points at it; stray temp files are reported as orphans and
+  unreferenced blobs (a commit that crashed before its manifest
+  replace, a superseded blob whose unlink did not run) quarantined;
 * **WAL segments** — every segment must scan cleanly
   (:func:`repro.store.wal.scan_segment`); a torn *tail* on the final
   segment is the expected crash artefact, damage earlier in the log is
   not.
 
 The repair philosophy mirrors the loader's: **quarantine, never
-delete**.  A corrupt file is renamed to ``<name>.corrupt`` (numbered
-``.corrupt.1``, ``.corrupt.2``… if taken) so the bytes stay available
-for post-mortems; a torn WAL tail is copied to ``<segment>.corrupt``
-before the segment is truncated back to its valid prefix.  The only
+delete**.  A corrupt or unreferenced file is renamed to
+``<name>.corrupt`` (numbered ``.corrupt.1``, ``.corrupt.2``… if taken)
+so the bytes stay available for post-mortems; a torn WAL tail is
+copied to ``<segment>.corrupt`` before the segment is truncated back to
+its valid prefix.  The only
 thing ever *removed* is a manifest **entry** whose blob is gone or
 quarantined — the entry is rebuildable from the graph, the bytes are
 not.  With ``repair=False`` (the CLI's ``--dry-run``) everything is
@@ -356,8 +358,10 @@ class _Scrubber:
                             "leftover temporary file from an interrupted write",
                             "reported")
             elif manifest is not None:
-                self._issue(key, "orphan", entry,
-                            "file not referenced by the manifest", "reported")
+                # A blob a crashed commit wrote but never referenced, or
+                # a superseded one whose unlink did not run: set aside.
+                self._quarantine(key, "orphan", entry,
+                                 "file not referenced by the manifest")
 
 
 def scrub_store(

@@ -8,6 +8,11 @@ Layout (one sub-directory per graph)::
             graph.bin           # compiled-graph blob
             k3.idx              # core-index blob for k = 3
             k5.idx              # ...one per persisted k
+            wal/                # write-ahead log of a streamed key
+
+A streamed key's snapshots name their blobs after the WAL position they
+cover (``graph-<lsn>.bin``, ``k3-<lsn>.idx``) and record it as
+``"stream": {"lsn": ...}`` in the manifest.
 
 ``manifest.json`` schema::
 
@@ -24,8 +29,9 @@ k)`` fingerprints the live graph, finds the matching directory and opens
 the blob — so any process holding an equal graph gets the cached index
 regardless of how either process named it.  Integrity failures
 (truncation, checksum, fingerprint drift) make an entry read as absent;
-callers rebuild and overwrite, they never serve corrupt data.  Manifest
-and blob writes are atomic (temp file + ``os.replace``).
+callers rebuild and overwrite, they never serve corrupt data.  Every
+write goes through :meth:`IndexStore.commit`: blobs first (temp file +
+``os.replace``), then one atomic manifest replace.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.obs.metrics import MetricsRegistry, get_registry, next_instance, timing_enabled
 from repro.obs.timing import now
 from repro.store import codec
-from repro.store.format import FORMAT_VERSION, _fsync_parent_dir
+from repro.store.format import FORMAT_VERSION, fsync_dir
 from repro.store.wal import WalEvent, WriteAheadLog
 from repro.testing.crashpoints import crashpoint
 
@@ -91,6 +97,13 @@ def _read_lock_owner(path: pathlib.Path) -> dict | None:
     if not isinstance(payload, dict) or "pid" not in payload:
         return None
     return payload
+
+
+def _blob_files(manifest: dict) -> set[str]:
+    """The blob file names a manifest references."""
+    files = {manifest.get("graph_file", GRAPH_FILE)}
+    files.update(entry["file"] for entry in manifest.get("indexes", {}).values())
+    return files
 
 
 @dataclass
@@ -209,6 +222,18 @@ class IndexStore:
         )
         self._c_corrupt_graph = corrupt.labels(inst, "graph")
         self._c_corrupt_index = corrupt.labels(inst, "index")
+        blob_bytes = m.counter(
+            "repro_store_blob_bytes_written_total",
+            "Blob bytes written by commits, by blob kind",
+            ("store", "kind"),
+        )
+        self._c_blob_bytes_graph = blob_bytes.labels(inst, "graph")
+        self._c_blob_bytes_index = blob_bytes.labels(inst, "index")
+        self._h_commit = m.histogram(
+            "repro_store_commit_seconds",
+            "Time per commit: blob writes, fsyncs and the manifest replace",
+            ("store",),
+        ).labels(inst)
 
     def __repr__(self) -> str:
         return f"IndexStore({str(self.root)!r}, graphs={len(self.keys())})"
@@ -293,7 +318,7 @@ class IndexStore:
         crashpoint("manifest.post-temp.pre-rename")
         os.replace(tmp, final)
         crashpoint("manifest.post-rename")
-        _fsync_parent_dir(os.fspath(final))
+        fsync_dir(final.parent)
 
     @contextlib.contextmanager
     def _dir_lock(self, key: str):
@@ -448,7 +473,9 @@ class IndexStore:
 
     def find(self, graph: TemporalGraph) -> str | None:
         """The key whose stored fingerprint matches ``graph``, if any."""
-        fingerprint = codec.graph_fingerprint(graph)
+        return self._find(codec.graph_fingerprint(graph))
+
+    def _find(self, fingerprint: dict) -> str | None:
         for key in self.keys():
             manifest = self._read_manifest(key)
             if manifest is not None and manifest.get("fingerprint") == fingerprint:
@@ -459,91 +486,113 @@ class IndexStore:
     # Saving
     # ------------------------------------------------------------------
 
-    def save_graph(
+    def commit(
         self,
         graph: TemporalGraph,
+        indexes: "Iterable[CoreIndex]" = (),
         *,
         name: str | None = None,
         stream_lsn: int | None = None,
     ) -> str:
+        """Persist ``graph`` and ``indexes`` in one manifest replace.
+
+        The store's one write primitive; returns the key (``name``,
+        else the fingerprint match, else the fingerprint-derived
+        default).  ``indexes`` must be built over ``graph``.  Under the
+        key's writer lock it:
+
+        1. writes the graph blob (unless the stored fingerprint already
+           matches) and every index blob, each fsynced — named
+           ``graph-<lsn>.bin`` / ``k<k>-<lsn>.idx`` for a streamed
+           commit (``stream_lsn`` given), ``graph.bin`` / ``k<k>.idx``
+           otherwise — then fsyncs the directory once;
+        2. commits the graph, every index entry and, with
+           ``stream_lsn``, ``"stream": {"lsn"}`` in a single manifest
+           replace: a crash leaves the old manifest or the new one,
+           never a mix;
+        3. unlinks the files only the superseded manifest referenced.
+
+        A different graph under an existing key replaces it and its
+        index entries.  Under an unchanged fingerprint a streamed commit
+        keeps every index the manifest lists, so it rewrites only the
+        manifest; an offline commit rewrites the indexes it is given
+        (how a corrupt entry is rebuilt).  Blobs replace files by
+        rename, never in place, so readers' mappings stay valid.
+        """
+        started = now() if timing_enabled() else None
+        fingerprint = codec.graph_fingerprint(graph)
+        if name is None:
+            key = self._find(fingerprint) or self._default_key(fingerprint)
+        else:
+            key = name
+        directory = self.root / key
+        suffix = "" if stream_lsn is None else f"-{stream_lsn:016d}"
+        with self._dir_lock(key):
+            old = self._read_manifest(key)
+            kept = old is not None and old.get("fingerprint") == fingerprint
+            if kept:
+                manifest = {**old, "indexes": dict(old.get("indexes", {}))}
+            else:
+                manifest = {
+                    "format_version": FORMAT_VERSION,
+                    "fingerprint": fingerprint,
+                    "graph_file": f"graph{suffix}.bin",
+                    "indexes": {},
+                }
+                written = codec.dump_graph(
+                    directory / manifest["graph_file"], graph, fingerprint=fingerprint
+                )
+                self._c_blob_bytes_graph.inc(written)
+                self._c_graph_saves.inc()
+            entries = manifest["indexes"]
+            wrote = not kept
+            for index in indexes:
+                if stream_lsn is not None and kept and str(index.k) in entries:
+                    continue
+                filename = f"k{index.k}{suffix}.idx"
+                written = codec.dump_index(
+                    directory / filename, index, fingerprint=fingerprint
+                )
+                self._c_blob_bytes_index.inc(written)
+                self._c_index_saves.inc()
+                entries[str(index.k)] = {
+                    "file": filename,
+                    "vct_size": index.vct.size(),
+                    "ecs_size": index.ecs.size(),
+                }
+                wrote = True
+            if stream_lsn is not None:
+                manifest["stream"] = {"lsn": stream_lsn}
+            if wrote:
+                fsync_dir(directory)
+                if stream_lsn is not None:
+                    crashpoint("snapshot.post-blobs.pre-commit")
+            if manifest != old:
+                self._write_manifest(key, manifest)
+            if old is not None:
+                # Unreferenced once the manifest commits; a crash before
+                # these unlinks leaves orphans fsck sets aside, never a
+                # dangling reference.
+                for stale in _blob_files(old) - _blob_files(manifest):
+                    with contextlib.suppress(OSError):
+                        os.unlink(directory / stale)
+        if started is not None:
+            self._h_commit.observe(now() - started)
+        return key
+
+    def save_graph(self, graph: TemporalGraph, *, name: str | None = None) -> str:
         """Persist ``graph`` (idempotent), returning its key.
 
         A directory whose fingerprint already matches is reused as-is.
         Reusing a ``name`` for a *different* graph resets the directory:
         the graph blob is rewritten and all index entries are dropped
         (their files deleted), since they describe the old graph.
-
-        ``stream_lsn`` records which WAL position this graph covers —
-        the streaming snapshot path passes the log's last LSN so
-        recovery replays only records past it.  The graph blob is then
-        written under an LSN-stamped name (``graph-<lsn>.bin``) and the
-        manifest — carrying *both* the file name and the LSN — commits
-        them in one ``os.replace``: there is no instant where a crash
-        could pair the new graph with the old replay point (which would
-        double-apply appends) or vice versa (which would lose them).
         """
-        fingerprint = codec.graph_fingerprint(graph)
-        key = name if name is not None else None
-        if key is None:
-            key = self.find(graph) or self._default_key(fingerprint)
-        directory = self.root / key
-        with self._dir_lock(key):
-            manifest = self._read_manifest(key)
-            if manifest is not None and manifest.get("fingerprint") == fingerprint:
-                if (
-                    stream_lsn is not None
-                    and manifest.get("stream", {}).get("lsn") != stream_lsn
-                ):
-                    manifest["stream"] = {"lsn": stream_lsn}
-                    self._write_manifest(key, manifest)
-                return key
-            old_graph_file = (
-                manifest.get("graph_file", GRAPH_FILE) if manifest is not None else None
-            )
-            if manifest is not None:
-                for entry in manifest.get("indexes", {}).values():
-                    try:
-                        os.unlink(directory / entry["file"])
-                    except OSError:
-                        pass
-            graph_file = (
-                f"graph-{stream_lsn:016d}.bin" if stream_lsn is not None else GRAPH_FILE
-            )
-            codec.dump_graph(directory / graph_file, graph)
-            new_manifest = {
-                "format_version": FORMAT_VERSION,
-                "fingerprint": fingerprint,
-                "graph_file": graph_file,
-                "indexes": {},
-            }
-            if stream_lsn is not None:
-                new_manifest["stream"] = {"lsn": stream_lsn}
-            self._write_manifest(key, new_manifest)
-            if old_graph_file is not None and old_graph_file != graph_file:
-                # The old blob is unreferenced once the manifest commits;
-                # a crash before this unlink leaves an orphan that fsck
-                # reports — never a dangling reference.
-                with contextlib.suppress(OSError):
-                    os.unlink(directory / old_graph_file)
-            self._c_graph_saves.inc()
-        return key
+        return self.commit(graph, name=name)
 
     def save_index(self, index: CoreIndex, *, name: str | None = None) -> str:
         """Persist an index (and its graph if absent), returning the key."""
-        key = self.save_graph(index.graph, name=name)
-        directory = self.root / key
-        filename = f"k{index.k}.idx"
-        with self._dir_lock(key):
-            codec.dump_index(directory / filename, index)
-            manifest = self.manifest(key)
-            manifest.setdefault("indexes", {})[str(index.k)] = {
-                "file": filename,
-                "vct_size": index.vct.size(),
-                "ecs_size": index.ecs.size(),
-            }
-            self._write_manifest(key, manifest)
-            self._c_index_saves.inc()
-        return key
+        return self.commit(index.graph, (index,), name=name)
 
     def build_all(
         self,
@@ -571,9 +620,10 @@ class IndexStore:
         were served from disk rather than computed — callers report
         reuse without probing the store a second time.
 
-        Concurrent writers are serialised per graph directory by the
-        advisory lock of :meth:`save_index`; the method itself is
-        stateless and safe to call from several processes.
+        The missing indexes (and the graph blob, if absent) land in one
+        :meth:`commit`: one manifest write.  Concurrent writers are
+        serialised per graph directory by its advisory lock; the method
+        itself is stateless and safe to call from several processes.
         """
         key = name if name is not None else self.find(graph)
         out: dict[int, CoreIndex] = {}
@@ -590,9 +640,8 @@ class IndexStore:
                 missing.append(k)
         if missing:
             built = build_core_indexes(graph, missing)
-            for k in missing:
-                self.save_index(built[k], name=key)
-                out[k] = built[k]
+            self.commit(graph, (built[k] for k in missing), name=key)
+            out.update(built)
         return out
 
     # ------------------------------------------------------------------
@@ -633,19 +682,6 @@ class IndexStore:
             return 0
         lsn = manifest.get("stream", {}).get("lsn", 0)
         return lsn if isinstance(lsn, int) and lsn >= 0 else 0
-
-    def set_stream_lsn(self, key: str, lsn: int) -> None:
-        """Record that the stored snapshot of ``key`` covers ``lsn``.
-
-        For callers that advanced the durable state without rewriting
-        the graph blob (e.g. a snapshot that found the fingerprint
-        unchanged).  Raises if the key has no manifest — a bare LSN
-        with no snapshot to anchor it would corrupt recovery.
-        """
-        with self._dir_lock(key):
-            manifest = self.manifest(key)
-            manifest["stream"] = {"lsn": int(lsn)}
-            self._write_manifest(key, manifest)
 
     def recover(self, key: str, *, segment_bytes: int | None = None) -> StreamRecovery:
         """Reassemble the durable state of ``key``: snapshot + WAL replay.

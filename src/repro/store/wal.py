@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 from repro.errors import StoreCorruptionError, StoreError
 from repro.obs.metrics import MetricsRegistry, get_registry, next_instance
+from repro.store.format import fsync_dir
 from repro.testing.crashpoints import crashpoint, faultpoint
 
 #: First eight bytes of every WAL segment.
@@ -99,20 +100,6 @@ def _segment_base_lsn(name: str) -> int | None:
         return None
     digits = name[len(_SEG_PREFIX) : -len(_SEG_SUFFIX)]
     return int(digits) if digits.isdigit() else None
-
-
-def _fsync_dir(path: pathlib.Path) -> None:
-    """Durably record directory-entry changes (create/rename/unlink)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync on dirs unsupported
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -331,7 +318,7 @@ class WriteAheadLog:
             self._handle.write(_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0))
             self._handle.flush()
             os.fsync(self._handle.fileno())
-            _fsync_dir(self.directory)
+            fsync_dir(self.directory)
 
     def _absorb_scan(self, scan: SegmentScan) -> None:
         for record in scan.records:
@@ -470,7 +457,7 @@ class WriteAheadLog:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         crashpoint("wal.rotate.post-create")
-        _fsync_dir(self.directory)
+        fsync_dir(self.directory)
         self._c_rotations.inc()
 
     # ------------------------------------------------------------------
@@ -526,7 +513,7 @@ class WriteAheadLog:
                 removed += 1
                 crashpoint("wal.trim.mid")
         if removed:
-            _fsync_dir(self.directory)
+            fsync_dir(self.directory)
         return removed
 
     # ------------------------------------------------------------------

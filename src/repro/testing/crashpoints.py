@@ -59,7 +59,7 @@ CRASHPOINTS: dict[str, str] = {
     "manifest.post-temp.pre-rename": "manifest temp complete, final name stale",
     "manifest.post-rename": "manifest renamed, directory not yet fsynced",
     "snapshot.pre-graph": "snapshot refresh done, nothing persisted yet",
-    "snapshot.post-graph.pre-indexes": "graph+LSN committed, indexes absent",
+    "snapshot.post-blobs.pre-commit": "every new blob durable, manifest still old",
     "snapshot.post-indexes.pre-trim": "snapshot complete, old WAL not trimmed",
     "fold.merge": "incremental fold mid-flight: sub-span computed, merge pending",
 }

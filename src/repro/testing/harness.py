@@ -189,6 +189,8 @@ def audit_recovery(
       or reordered);
     * **correctness** — a graph built from the recovered edges answers
       the seed oracle's enumeration for every ``k`` in ``ks``;
+    * **indexes** — a recovered snapshot opens a stored index for every
+      ``k`` in ``ks`` (a crash never leaves the graph without them);
     * **scrub** — ``fsck`` repairs whatever the crash tore (quarantine
       or repair, never delete), and a second pass right after is clean.
 
@@ -220,6 +222,13 @@ def audit_recovery(
         )
     if recovery.wal is not None:
         recovery.wal.close()
+    if recovery.graph is not None:
+        missing = [
+            k for k in ks
+            if store.load_index(recovery.graph, k, key=CAMPAIGN_KEY) is None
+        ]
+        if missing:
+            problems.append(f"snapshot recovered without its indexes for k={missing}")
 
     recovered: list[tuple[str, str, int]] = []
     if recovery.graph is not None:

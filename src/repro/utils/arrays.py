@@ -32,6 +32,20 @@ def as_int64_array(values) -> np.ndarray:
         return np.asarray(values, dtype=np.int64).reshape(-1)
 
 
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``: the distinct values, ascending.
+
+    One sort and a neighbour mask.  numpy 2.4's plain ``np.unique``
+    imports ``numpy.ma`` on its first call in a process (tens of
+    milliseconds), which a process's first query would pay.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def flatten_pairs(
     pairs_by_segment,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

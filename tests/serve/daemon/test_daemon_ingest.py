@@ -219,19 +219,41 @@ class TestCrashRecovery:
     def test_crash_mid_snapshot_recovers_exactly_once(self, start_daemon,
                                                       fresh_store):
         """A flush runs the service's snapshot, so the crash campaign's
-        points fire inside the daemon too: die between the graph commit
-        and the index writes, restart, and every acked append is there
-        exactly once."""
+        points fire inside the daemon too.  Die on both sides of the
+        snapshot's one manifest commit — first with every new blob
+        durable but the manifest still old, then (restarted) right after
+        the commit — restart, and every acked append is there exactly
+        once, with every stored ``k`` still stored."""
         root, graph = fresh_store
         a, b, c = (graph.label_of(i) for i in range(3))
         acked = [[a, b, TMAX + 1], [b, c, TMAX + 2], [a, c, TMAX + 3]]
         handle = start_daemon(
             store=root,
-            env={"REPRO_CRASHPOINT": "snapshot.post-graph.pre-indexes"},
+            env={"REPRO_CRASHPOINT": "snapshot.post-blobs.pre-commit"},
         )
         with DaemonClient("127.0.0.1", handle.port) as client:
             first = client.append(acked[:2], dedupe="crash-1")
             second = client.append(acked[2:], dedupe="crash-2")
+            with pytest.raises(DaemonError) as err:
+                client.flush()
+            assert err.value.code == "connection"
+        assert handle.proc.wait(timeout=30) == -signal.SIGKILL
+        # The old manifest still commits the graph with every k (no
+        # graph-only window), and the three records await replay.
+        assert IndexStore(root).stored_ks(STORE_KEY) == list(STORE_KS)
+        assert IndexStore(root).stream_lsn(STORE_KEY) == 0
+
+        # Restart and die again, this time just after the commit.
+        handle = start_daemon(
+            store=root,
+            env={"REPRO_CRASHPOINT": "snapshot.post-indexes.pre-trim"},
+        )
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            for edges, ack, token in ((acked[:2], first, "crash-1"),
+                                      (acked[2:], second, "crash-2")):
+                again = client.append(edges, dedupe=token)
+                assert (again["lsn"], again["appended"]) \
+                    == (ack["lsn"], ack["appended"])
             with pytest.raises(DaemonError) as err:
                 client.flush()
             assert err.value.code == "connection"
@@ -247,8 +269,9 @@ class TestCrashRecovery:
         ranges = [(1, top), (top - 10, top), (top - 2, top), (5, top - 5)]
         restarted = start_daemon(store=root)
         with DaemonClient("127.0.0.1", restarted.port) as client:
-            # The graph and its LSN committed before the crash: the
-            # retried acks answer as before, and nothing is left to fold.
+            # The graph, its indexes and its LSN committed before the
+            # crash: the retried acks answer as before, and nothing is
+            # left to fold.
             for edges, ack, token in ((acked[:2], first, "crash-1"),
                                       (acked[2:], second, "crash-2")):
                 again = client.append(edges, dedupe=token)
@@ -256,6 +279,7 @@ class TestCrashRecovery:
                     == (ack["lsn"], ack["appended"])
             flushed = client.flush()
             assert (flushed["lsn"], flushed["applied"]) == (3, 0)
+            assert IndexStore(root).stored_ks(STORE_KEY) == list(STORE_KS)
             for k in STORE_KS:
                 answers = client.batch(ranges, k=k)
                 assert [
@@ -312,6 +336,28 @@ class TestReadOnly:
 
 class TestIncrementalFlush:
     """PR 10: flushes delta-fold onto the cached snapshot when they can."""
+
+    def test_flush_persist_is_observable(self, start_daemon, fresh_store):
+        """``/metrics`` shows what a flush persisted and its commit time."""
+        root, graph = fresh_store
+        handle = start_daemon(store=root)
+        a, b, c = (graph.label_of(i) for i in range(3))
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            client.append([[a, b, TMAX + 1], [b, c, TMAX + 2]])
+            client.flush()
+        metrics = scrape_metrics(handle.port)
+        manifest = IndexStore(root).manifest(STORE_KEY)
+        directory = root / STORE_KEY
+        assert metric_total(
+            metrics, "repro_store_blob_bytes_written_total", kind="graph"
+        ) == (directory / manifest["graph_file"]).stat().st_size
+        assert metric_total(
+            metrics, "repro_store_blob_bytes_written_total", kind="index"
+        ) == sum(
+            (directory / entry["file"]).stat().st_size
+            for entry in manifest["indexes"].values()
+        )
+        assert metric_total(metrics, "repro_store_commit_seconds_count") == 1.0
 
     def test_frontier_flush_folds(self, start_daemon, fresh_store):
         root, graph = fresh_store

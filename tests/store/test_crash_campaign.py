@@ -41,7 +41,7 @@ class TestCampaignMatrix:
     @pytest.mark.parametrize("point", [
         "wal.append.post-fsync:7",
         "wal.append.post-write.pre-fsync:13",
-        "snapshot.post-graph.pre-indexes:2",
+        "snapshot.post-blobs.pre-commit:2",
         "snapshot.post-indexes.pre-trim:3",
         "manifest.post-rename:4",
     ])

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import zlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreCorruptionError, StoreError
 from repro.store.format import FORMAT_VERSION, MAGIC, read_blob, write_blob
@@ -107,3 +110,66 @@ class TestIntegrity:
     def test_no_temp_file_left_behind(self, blob_path, tmp_path):
         write_blob(blob_path, "k", {}, {"v": [1]})
         assert [p.name for p in tmp_path.iterdir()] == ["test.bin"]
+
+
+def joined_blob(kind, meta, sections) -> bytes:
+    """Frozen reference writer: every section encoded to bytes, joined
+    into one payload, checksummed whole and appended to the header
+    (the layout ``write_blob`` streams section by section)."""
+    table = []
+    parts = []
+    offset = 0
+    for name, values in sections.items():
+        data = np.asarray(values, dtype=np.int64).astype("<i8", copy=False).tobytes()
+        table.append({"name": name, "offset": offset, "count": len(data) // 8})
+        parts.append(data)
+        offset += len(data)
+    payload = b"".join(parts)
+    header = json.dumps(
+        {
+            "kind": kind,
+            "meta": dict(meta),
+            "sections": table,
+            "payload_bytes": len(payload),
+            "crc32": zlib.crc32(payload),
+        },
+        separators=(",", ":"),
+        sort_keys=True,
+    ).encode("utf-8")
+    prefix = (
+        MAGIC
+        + FORMAT_VERSION.to_bytes(4, "little")
+        + len(header).to_bytes(4, "little")
+        + header
+    )
+    return prefix + b"\x00" * (-len(prefix) % 16) + payload
+
+
+INT64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+AS_INPUT = {  # every section source the store hands the writer
+    "list": list,
+    "ndarray": lambda values: np.asarray(values, dtype=np.int64),
+    "view": lambda values: memoryview(np.asarray(values, dtype=np.int64)).cast("B").cast("q"),
+}
+
+
+class TestStreamedWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sections=st.dictionaries(
+            st.text("abcxyz_", min_size=1, max_size=6),
+            st.lists(INT64, max_size=40) | st.lists(INT64, min_size=60, max_size=300),
+            max_size=5,
+        ),
+        source=st.sampled_from(sorted(AS_INPUT)),
+        meta=st.dictionaries(st.sampled_from("kmn"), st.integers(0, 99), max_size=3),
+    )
+    def test_bytes_identical_to_joined_payload_writer(
+        self, tmp_path_factory, sections, source, meta
+    ):
+        path = tmp_path_factory.mktemp("blob") / "b.bin"
+        given_sections = {name: AS_INPUT[source](v) for name, v in sections.items()}
+        written = write_blob(path, "k", meta, given_sections)
+        want = joined_blob("k", meta, sections)
+        assert path.read_bytes() == want
+        assert written == len(want)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 import repro.core.index as index_module
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.index import CoreIndex, CoreIndexRegistry, get_core_index
 from repro.datasets.paper_example import paper_example_graph
 from repro.errors import InvalidParameterError
+from repro.graph.generators import uniform_random_temporal
 from repro.store import IndexStore
 
 
@@ -154,3 +160,33 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
+
+
+class TestFirstQueryImports:
+    def test_store_backed_query_does_not_import_numpy_ma(self, tmp_path):
+        """numpy 2.4's plain ``np.unique`` imports ``numpy.ma`` (tens of
+        milliseconds) on its first call: a fresh process's first
+        store-backed query must not pay that."""
+        root = tmp_path / "store"
+        graph = uniform_random_temporal(30, 300, tmax=40, seed=2)
+        IndexStore(root).build_all(graph, (2, 3), name="g")
+        script = (
+            "import sys\n"
+            "from repro.store import IndexStore\n"
+            f"store = IndexStore({str(root)!r})\n"
+            "graph = store.load_graph('g')\n"
+            "index = store.load_index(graph, 3, key='g')\n"
+            "assert index.query(1, graph.tmax).num_results > 0\n"
+            "assert index.query_batch([(1, 20), (10, 40)])[1].num_results > 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-1500:]
+        assert proc.stdout.strip() == "False"
