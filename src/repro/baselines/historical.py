@@ -23,13 +23,14 @@ from repro.graph.temporal_graph import TemporalGraph
 def historical_core_vertices(
     graph: TemporalGraph, vct: VertexCoreTimeIndex, ts: int, te: int
 ) -> set[int]:
-    """Vertices of the k-core of ``G[ts, te]`` answered from the index."""
+    """Vertices of the k-core of ``G[ts, te]`` answered from the index.
+
+    One vectorised sweep over the flat VCT arrays
+    (:meth:`VertexCoreTimeIndex.core_members`), as
+    :meth:`CoreIndex.historical_core <repro.core.index.CoreIndex.historical_core>`.
+    """
     graph.check_window(ts, te)
-    return {
-        u
-        for u in range(graph.num_vertices)
-        if vct.in_core(u, ts, te)
-    }
+    return set(vct.core_members(ts, te).tolist())
 
 
 def historical_core_edge_ids(

@@ -2,7 +2,6 @@
 
 from repro.bench.batch import (
     BatchAnswer,
-    run_engine_batch,
     run_mixed_batch,
     run_query_batch,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "orders_of_magnitude",
     "range_has_core",
     "run_dataset_point",
-    "run_engine_batch",
     "run_mixed_batch",
     "run_query_batch",
     "run_workload",

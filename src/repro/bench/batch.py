@@ -23,9 +23,6 @@ query, and one vectorised ``searchsorted`` sweep locates all covering
 windows in the shared start-sorted skyline view.  An
 :class:`~repro.store.index_store.IndexStore` may be supplied so cache
 misses warm-start from disk before computing.
-:func:`run_engine_batch` routes every range through the
-:class:`~repro.core.query.TimeRangeCoreQuery` façade instead, which
-exercises any engine (``engine="index"`` by default).
 
 Real batch traffic also mixes *many* ``k`` values and graphs:
 :func:`run_mixed_batch` takes heterogeneous ``(graph, k, range)``
@@ -48,7 +45,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.index import CoreIndexRegistry, DEFAULT_REGISTRY, get_core_index
-from repro.core.query import TimeRangeCoreQuery
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.executor import execute_plan
@@ -190,34 +186,3 @@ def run_mixed_batch(
         BatchAnswer(query[2], result.num_results, result.total_edges, query[1])
         for query, result in zip(queries, results)
     ]
-
-
-def run_engine_batch(
-    graph: TemporalGraph,
-    k: int,
-    ranges: list[tuple[int, int]],
-    *,
-    engine: str = "index",
-    registry: CoreIndexRegistry | None = None,
-) -> list[BatchAnswer]:
-    """Answer every range (count-only) through the query façade.
-
-    Routes each range through :class:`TimeRangeCoreQuery` with the given
-    engine — by default ``"index"``, the shared-index serving path — so a
-    batch measures exactly what a query front-end would execute.  Answers
-    come back in input order.
-    """
-    if not ranges:
-        return []
-    answers = []
-    for ts, te in ranges:
-        result = TimeRangeCoreQuery(
-            graph,
-            k,
-            time_range=(ts, te),
-            engine=engine,
-            collect=False,
-            registry=registry,
-        ).run()
-        answers.append(BatchAnswer((ts, te), result.num_results, result.total_edges))
-    return answers

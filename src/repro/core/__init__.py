@@ -14,10 +14,7 @@ from repro.core.index import (
     CoreIndex,
     CoreIndexRegistry,
     DEFAULT_REGISTRY,
-    SpillPolicy,
     get_core_index,
-    load_skyline,
-    load_vct,
 )
 from repro.core.linkedlist import WindowList
 from repro.core.maintenance import StreamingCoreService
@@ -40,7 +37,6 @@ __all__ = [
     "EdgeCoreSkyline",
     "ENGINES",
     "EnumerationResult",
-    "SpillPolicy",
     "StreamingCoreService",
     "TemporalKCore",
     "TimeRangeCoreQuery",
@@ -58,7 +54,5 @@ __all__ = [
     "enumerate_temporal_kcores_ref",
     "enumerate_vertex_sets",
     "get_core_index",
-    "load_skyline",
-    "load_vct",
     "vertex_set_compression",
 ]

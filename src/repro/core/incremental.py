@@ -116,7 +116,7 @@ class FoldReport:
 
 
 @dataclass
-class DeltaFoldResult:
+class FoldResult:
     """An extended graph + merged indexes, entry-identical to a rebuild."""
 
     graph: TemporalGraph
@@ -745,7 +745,7 @@ def delta_fold(
     max_window_fraction: float | None = None,
     max_cascade: int = DEFAULT_MAX_CASCADE,
     bufs: dict | None = None,
-) -> DeltaFoldResult:
+) -> FoldResult:
     """Fold a frontier batch into existing full-span multi-k indexes.
 
     ``indexes`` maps every registered ``k`` to its current
@@ -782,7 +782,7 @@ def delta_fold(
             cascade_vertices=0,
             seconds=time.perf_counter() - started,
         )
-        return DeltaFoldResult(graph, dict(indexes), report, bufs)
+        return FoldResult(graph, dict(indexes), report, bufs)
 
     new_tmax = extended.tmax
     m2 = extended.num_edges
@@ -801,7 +801,6 @@ def delta_fold(
         extended, ks, ts=fold_start, te=new_tmax, with_skyline=True
     )
     crashpoint("fold.merge")
-    per_level = (time.perf_counter() - started) / len(ks)
     merged: dict[int, CoreIndex] = {}
     for k in ks:
         result = _merge_level(
@@ -814,9 +813,7 @@ def delta_fold(
             graph.num_edges,
             new_tmax,
         )
-        merged[k] = CoreIndex.from_core_times(
-            extended, k, result, build_seconds=per_level
-        )
+        merged[k] = CoreIndex.from_core_times(extended, k, result)
     report = FoldReport(
         delta_edges=len(new_edges),
         new_vertices=extended.num_vertices - graph.num_vertices,
@@ -827,41 +824,4 @@ def delta_fold(
         cascade_vertices=cascade,
         seconds=time.perf_counter() - started,
     )
-    return DeltaFoldResult(extended, merged, report, bufs)
-
-
-class DeltaFold:
-    """Stateful folder: carries the snapshot and append buffers between folds.
-
-    The streaming service owns one of these per built graph generation;
-    each :meth:`fold` advances ``graph``/``indexes`` to fresh immutable
-    snapshots (earlier ones remain valid — readers never see a
-    half-merged index) while the internal capacity-doubled buffers
-    absorb the edge columns with amortised O(|delta|) copying.
-    """
-
-    def __init__(self, graph: TemporalGraph, indexes: dict[int, CoreIndex]):
-        self.graph = graph
-        self.indexes = dict(indexes)
-        self._bufs: dict | None = None
-
-    def fold(
-        self,
-        batch: Iterable[tuple[Hashable, Hashable, int]],
-        *,
-        max_window_fraction: float | None = None,
-        max_cascade: int = DEFAULT_MAX_CASCADE,
-    ) -> FoldReport:
-        """Fold ``batch`` in; adopt the extended snapshot on success."""
-        result = delta_fold(
-            self.graph,
-            self.indexes,
-            batch,
-            max_window_fraction=max_window_fraction,
-            max_cascade=max_cascade,
-            bufs=self._bufs,
-        )
-        self.graph = result.graph
-        self.indexes = result.indexes
-        self._bufs = result.bufs
-        return result.report
+    return FoldResult(extended, merged, report, bufs)

@@ -9,21 +9,19 @@ are re-derived by the enumerator.  This module packages that pattern —
 :class:`CoreIndex` for one ``(graph, k)``, :class:`CoreIndexRegistry`
 for an LRU-bounded pool of them serving many graphs and ``k`` values.
 
-Persistence lives in :mod:`repro.store`: the binary index store is the
-primary path (mmap-able flat arrays, fingerprint staleness checks,
-registry warm-up).  The text serialisation kept here (``dumps_vct`` /
-``dump_skyline`` and the ``load_*`` parsers) is a human-readable debug
-format only.
+Persistence lives in :mod:`repro.store`: the binary index store
+(mmap-able flat arrays, fingerprint staleness checks, registry warm-up)
+is the index's one persisted form.  :meth:`CoreIndex.dump_skyline`
+writes a human-readable text listing of the skyline for inspection;
+nothing reads it back.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.coretime import CoreTimeResult, VertexCoreTimeIndex, compute_core_times
@@ -60,8 +58,7 @@ class CoreIndex:
         self.k = k
         started = now()
         result: CoreTimeResult = compute_core_times(graph, k)
-        self.build_seconds = now() - started
-        _build_seconds_histogram().labels(str(k)).observe(self.build_seconds)
+        _build_seconds_histogram().labels(str(k)).observe(now() - started)
         assert result.ecs is not None
         self.vct: VertexCoreTimeIndex = result.vct
         self.ecs: EdgeCoreSkyline = result.ecs
@@ -72,18 +69,14 @@ class CoreIndex:
         graph: TemporalGraph,
         k: int,
         result: CoreTimeResult,
-        *,
-        build_seconds: float = 0.0,
     ) -> "CoreIndex":
         """Wrap an already-computed full-span result as an index.
 
         Used by the shared-scan multi-``k`` builder
-        (:func:`repro.core.multik.build_core_indexes`) and the store
-        codec, which produce VCT/ECS without going through this class's
-        constructor.  The result must carry a skyline.  ``build_seconds``
-        records what computing it cost (``0.0`` for store loads — an
-        index that was cheap to obtain is cheap to drop), consulted by
-        the registry's eviction spill policy.
+        (:func:`repro.core.multik.build_core_indexes`), the incremental
+        fold and the store codec, which produce VCT/ECS without going
+        through this class's constructor.  The result must carry a
+        skyline.
         """
         if result.ecs is None:
             raise InvalidParameterError(
@@ -92,7 +85,6 @@ class CoreIndex:
         index = cls.__new__(cls)
         index.graph = graph
         index.k = k
-        index.build_seconds = build_seconds
         index.vct = result.vct
         index.ecs = result.ecs
         return index
@@ -187,104 +179,21 @@ class CoreIndex:
     # ------------------------------------------------------------------
 
     def dump_skyline(self, path: str | os.PathLike[str]) -> None:
-        """Serialise the skyline as text: ``eid: t1,t2 t1,t2 ...``."""
-        with open(os.fspath(path), "w", encoding="utf-8") as handle:
-            self._write_skyline(handle)
+        """Write the skyline as text: ``eid: t1,t2 t1,t2 ...``.
 
-    def dumps_skyline(self) -> str:
-        buffer = io.StringIO()
-        self._write_skyline(buffer)
-        return buffer.getvalue()
-
-    def _write_skyline(self, handle: io.TextIOBase) -> None:
-        lo, hi = self.ecs.span
-        handle.write(f"# ecs k={self.k} span={lo},{hi} edges={self.ecs.num_edges}\n")
-        for eid in range(self.ecs.num_edges):
-            windows = self.ecs.windows_of(eid)
-            if not windows:
-                continue
-            rendered = " ".join(f"{t1},{t2}" for t1, t2 in windows)
-            handle.write(f"{eid}: {rendered}\n")
-
-    def dumps_vct(self) -> str:
-        """Serialise the VCT index: ``vertex: start,ct start,ct ...``.
-
-        Infinite core times are rendered as ``inf``.
+        One line per edge that has windows, under a ``# ecs k=.. span=..
+        edges=..`` header.
         """
-        lo, hi = self.vct.span
-        buffer = io.StringIO()
-        buffer.write(
-            f"# vct k={self.k} span={lo},{hi} vertices={self.vct.num_vertices}\n"
-        )
-        for u in range(self.vct.num_vertices):
-            entries = self.vct.entries_of(u)
-            if not entries:
-                continue
-            rendered = " ".join(
-                f"{start},{'inf' if ct is None else ct}" for start, ct in entries
+        lo, hi = self.ecs.span
+        with open(os.fspath(path), "w", encoding="utf-8") as handle:
+            handle.write(
+                f"# ecs k={self.k} span={lo},{hi} edges={self.ecs.num_edges}\n"
             )
-            buffer.write(f"{u}: {rendered}\n")
-        return buffer.getvalue()
-
-
-@dataclass(frozen=True)
-class SpillPolicy:
-    """When eviction should persist an index to the attached store.
-
-    ``mode``:
-
-    * ``"always"`` — every evicted, not-yet-persisted index is spilled
-      (the pre-policy behaviour, and the default);
-    * ``"never"`` — evictions simply drop;
-    * ``"cost"`` — spill only when the index cost at least
-      ``min_build_seconds`` of compute to produce: cheap builds are
-      cheaper to redo than to write and keep on disk, while an index
-      that took seconds of Algorithm 2 is worth a blob.  Store-loaded
-      indexes record a build cost of ``0.0`` — they are already
-      persisted and never re-spill regardless.
-
-    :meth:`parse` accepts a ready policy, the mode strings, or a bare
-    number (shorthand for ``cost`` with that threshold).
-    """
-
-    mode: str = "always"
-    min_build_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("always", "never", "cost"):
-            raise InvalidParameterError(
-                f"unknown spill mode {self.mode!r}; "
-                "choose 'always', 'never' or 'cost'"
-            )
-        if self.min_build_seconds < 0:
-            raise InvalidParameterError(
-                f"min_build_seconds must be >= 0, got {self.min_build_seconds}"
-            )
-
-    @classmethod
-    def parse(cls, value: "SpillPolicy | str | float | int") -> "SpillPolicy":
-        if isinstance(value, SpillPolicy):
-            return value
-        if isinstance(value, str):
-            return cls(mode=value)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return cls(mode="cost", min_build_seconds=float(value))
-        raise InvalidParameterError(
-            f"cannot parse spill policy from {value!r}; pass a SpillPolicy, "
-            "'always'/'never'/'cost', or a cost threshold in seconds"
-        )
-
-    def should_spill(self, index: "CoreIndex") -> bool:
-        if self.mode == "always":
-            return True
-        if self.mode == "never":
-            return False
-        return getattr(index, "build_seconds", 0.0) >= self.min_build_seconds
-
-    def __str__(self) -> str:
-        if self.mode == "cost":
-            return f"cost>={self.min_build_seconds:g}s"
-        return self.mode
+            for eid in range(self.ecs.num_edges):
+                windows = self.ecs.windows_of(eid)
+                if windows:
+                    rendered = " ".join(f"{t1},{t2}" for t1, t2 in windows)
+                    handle.write(f"{eid}: {rendered}\n")
 
 
 class CoreIndexRegistry:
@@ -321,11 +230,8 @@ class CoreIndexRegistry:
     ``(graph, k)`` is not yet persisted is saved to disk before being
     dropped (best effort — unpersistable graphs and I/O failures are
     swallowed), so capacity pressure downgrades an index from RAM to
-    disk instead of discarding the build.  The constructor's
-    ``spill_policy`` (:class:`SpillPolicy`: ``"always"`` default,
-    ``"never"``, or a build-cost threshold in seconds) decides which
-    evictions are worth persisting; ``evict_spills`` / ``evict_drops``
-    in :meth:`stats` count the outcomes.
+    disk instead of discarding the build; ``evict_spills`` in
+    :meth:`stats` counts the writes.
 
     Thread-safe: all cache operations hold an internal lock, so a
     warm-up thread plus serving threads is a supported pattern.  The
@@ -339,14 +245,12 @@ class CoreIndexRegistry:
         capacity: int = 8,
         *,
         store: "IndexStore | None" = None,
-        spill_policy: "SpillPolicy | str | float" = "always",
         metrics: "MetricsRegistry | None" = None,
     ):
         if capacity < 1:
             raise InvalidParameterError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.store = store
-        self.spill_policy = SpillPolicy.parse(spill_policy)
         # All bookkeeping lives in the metrics registry (the process
         # default unless ``metrics=`` isolates it); this instance's
         # series carry a unique ``registry`` label, and the legacy
@@ -384,13 +288,11 @@ class CoreIndexRegistry:
             "Indexes produced by shared multi-k builds, by k",
             ("registry", "k"),
         )
-        evictions = m.counter(
+        self._c_evict_spills = m.counter(
             "repro_registry_evictions_total",
-            "LRU evictions by outcome (spill=persisted, drop=discarded)",
+            "LRU evictions persisted to the attached store (action=spill)",
             ("registry", "action"),
-        )
-        self._c_evict_spills = evictions.labels(inst, "spill")
-        self._c_evict_drops = evictions.labels(inst, "drop")
+        ).labels(inst, "spill")
         self._g_size = m.gauge(
             "repro_registry_size",
             "Resident cached indexes",
@@ -435,10 +337,6 @@ class CoreIndexRegistry:
     def evict_spills(self) -> int:
         return int(self._c_evict_spills.value)
 
-    @property
-    def evict_drops(self) -> int:
-        return int(self._c_evict_drops.value)
-
     def _by_k_view(self, counter) -> dict[int, int]:
         """This instance's children of a ``(registry, k)`` counter."""
         return {
@@ -464,34 +362,36 @@ class CoreIndexRegistry:
     def _spill(self, index: CoreIndex) -> None:
         """Persist an evicted index to the attached store, best effort.
 
-        Skips silently when no store is attached or the store already
-        holds a fingerprint-matching entry for the ``(graph, k)`` —
-        keys known persisted (loaded from or previously spilled to the
-        attached store) skip even the manifest probe.  The configured
-        :class:`SpillPolicy` then decides whether the build is worth
-        persisting (vetoes are counted in ``evict_drops``); store
-        failures (unpersistable labels, I/O errors) are swallowed —
-        eviction must never raise.  Successful writes are counted in
+        Keys known persisted (loaded from or previously spilled to the
+        attached store) skip even the manifest probe; see
+        :meth:`_save_if_absent` for the rest.  Writes are counted in
         ``evict_spills``.
         """
         store = self.store
-        if store is None:
+        if store is None or (id(index.graph), index.k) in self._persisted:
             return
-        key = (id(index.graph), index.k)
-        if key in self._persisted:
-            return
-        if not self.spill_policy.should_spill(index):
-            self._c_evict_drops.inc()
-            return
+        if self._save_if_absent(store, index):
+            self._c_evict_spills.inc()
+
+    def _save_if_absent(self, store: "IndexStore", index: CoreIndex) -> bool:
+        """Save ``index`` unless ``store`` already holds its ``(graph, k)``.
+
+        Returns whether a blob was written.  Store failures (label types
+        the store rejects, I/O errors) are swallowed and read as not
+        written — eviction and shutdown must never raise because one
+        entry cannot be persisted.
+        """
         from repro.errors import StoreError
 
         try:
-            if not store.has_index(index.graph, index.k):
+            written = not store.has_index(index.graph, index.k)
+            if written:
                 store.save_index(index)
-                self._c_evict_spills.inc()
-            self._persisted.add(key)
         except (StoreError, OSError):
-            pass
+            return False
+        if store is self.store:
+            self._persisted.add((id(index.graph), index.k))
+        return written
 
     def peek(self, graph: TemporalGraph, k: int) -> "CoreIndex | None":
         """The cached index for ``(graph, k)``, or ``None`` — no side effects.
@@ -509,6 +409,48 @@ class CoreIndexRegistry:
                 return index
         return None
 
+    def _lookup(
+        self,
+        graph: TemporalGraph,
+        ks: list[int],
+        store: "IndexStore | None",
+    ) -> tuple[dict[int, CoreIndex], list[int]]:
+        """Resolve ``ks`` from the cache, then the store; call under the lock.
+
+        ``store`` defaults to the attached one.  Every ``k`` counts one
+        hit or one miss; a miss the store serves also counts a store hit
+        and is cached.  Returns the resolved indexes and, in request
+        order, the ``k`` values left to build.
+        """
+        if store is None:
+            store = self.store
+        out: dict[int, CoreIndex] = {}
+        missing: list[int] = []
+        for k in ks:
+            key = (id(graph), k)
+            index = self._entries.get(key)
+            if index is not None and index.graph is graph:
+                self._entries.move_to_end(key)
+                self._c_hits.inc()
+                out[k] = index
+            else:
+                self._c_misses.inc()
+                missing.append(k)
+        to_build: list[int] = []
+        for k in missing:
+            index = store.load_index(graph, k) if store is not None else None
+            if index is None:
+                to_build.append(k)
+                continue
+            self._c_store_hits.inc()
+            self._store_hits_by_k_counter.labels(self.instance, str(k)).inc()
+            key = (id(graph), k)
+            if store is self.store:
+                self._persisted.add(key)
+            self._insert(key, index)
+            out[k] = index
+        return out, to_build
+
     def get(
         self,
         graph: TemporalGraph,
@@ -523,29 +465,12 @@ class CoreIndexRegistry:
         build.  Least-recently-used entries are evicted beyond
         ``capacity``.
         """
-        if store is None:
-            store = self.store
-        key = (id(graph), k)
         with self._lock:
-            index = self._entries.get(key)
-            if index is not None and index.graph is graph:
-                self._entries.move_to_end(key)
-                self._c_hits.inc()
-                return index
-            self._c_misses.inc()
-            if store is not None:
-                index = store.load_index(graph, k)
-                if index is not None:
-                    self._c_store_hits.inc()
-                    self._store_hits_by_k_counter.labels(
-                        self.instance, str(k)
-                    ).inc()
-                    if store is self.store:
-                        self._persisted.add(key)
-                    self._insert(key, index)
-                    return index
+            found, missing = self._lookup(graph, [k], store)
+            if not missing:
+                return found[k]
             index = CoreIndex(graph, k)
-            self._insert(key, index)
+            self._insert((id(graph), k), index)
             return index
 
     def get_many(
@@ -583,35 +508,8 @@ class CoreIndexRegistry:
                 ordered.append(k)
         if not ordered:
             raise InvalidParameterError("ks must contain at least one k value")
-        if store is None:
-            store = self.store
-        out: dict[int, CoreIndex] = {}
         with self._lock:
-            missing: list[int] = []
-            for k in ordered:
-                key = (id(graph), k)
-                index = self._entries.get(key)
-                if index is not None and index.graph is graph:
-                    self._entries.move_to_end(key)
-                    self._c_hits.inc()
-                    out[k] = index
-                else:
-                    self._c_misses.inc()
-                    missing.append(k)
-            to_build: list[int] = []
-            for k in missing:
-                index = store.load_index(graph, k) if store is not None else None
-                if index is not None:
-                    self._c_store_hits.inc()
-                    self._store_hits_by_k_counter.labels(
-                        self.instance, str(k)
-                    ).inc()
-                    if store is self.store:
-                        self._persisted.add((id(graph), k))
-                    self._insert((id(graph), k), index)
-                    out[k] = index
-                else:
-                    to_build.append(k)
+            out, to_build = self._lookup(graph, ordered, store)
             if to_build:
                 from repro.core.multik import build_core_indexes
 
@@ -714,33 +612,20 @@ class CoreIndexRegistry:
             )
         with self._lock:
             resident = list(self._entries.values())
-        from repro.errors import StoreError
-
-        persisted = 0
-        for index in resident:
-            try:
-                if not store.has_index(index.graph, index.k):
-                    store.save_index(index)
-                    persisted += 1
-                self._persisted.add((id(index.graph), index.k))
-            except (StoreError, OSError):
-                pass
-        return persisted
+        return sum(self._save_if_absent(store, index) for index in resident)
 
     def stats(self) -> dict:
         """Hit/miss/size counters for observability.
 
-        Since PR 7 this dict is a *view* over the process metrics
-        registry (series labelled with this instance's ``registry``
-        label) — same shape as before, one source of truth.  Beyond the
-        aggregate counters, ``store_hits_by_k`` and
+        This dict is a *view* over the metrics registry (series
+        labelled with this instance's ``registry`` label), one source
+        of truth.  Beyond the aggregate counters, ``store_hits_by_k`` and
         ``multik_builds_by_k`` break down, per ``k``, how many misses
         were served from disk versus computed by the shared multi-``k``
         build — a warm-serving deployment asserts the latter stays at
         zero.  ``multik_builds`` counts shared-build invocations;
         ``evict_spills`` counts LRU evictions persisted to the attached
-        store before dropping, ``evict_drops`` the evictions the
-        configured ``spill_policy`` declined to persist.
+        store before dropping.
         """
         with self._lock:
             size = len(self._entries)
@@ -750,8 +635,6 @@ class CoreIndexRegistry:
             "store_hits": self.store_hits,
             "multik_builds": self.multik_builds,
             "evict_spills": self.evict_spills,
-            "evict_drops": self.evict_drops,
-            "spill_policy": str(self.spill_policy),
             "store_hits_by_k": self._by_k_view(self._store_hits_by_k_counter),
             "multik_builds_by_k": self._by_k_view(self._multik_built_counter),
             "size": size,
@@ -778,132 +661,3 @@ def get_core_index(
     """
     target = registry if registry is not None else DEFAULT_REGISTRY
     return target.get(graph, k, store=store)
-
-
-def _parse_text_header(
-    lines: list[str], tag: str, count_field: str, what: str
-) -> tuple[int, int, int, int]:
-    """Parse ``# <tag> k=... span=lo,hi <count_field>=N`` → (k, lo, hi, N)."""
-    prefix = f"# {tag} "
-    if not lines or not lines[0].startswith(prefix):
-        raise InvalidParameterError(f"not a serialised {what}")
-    header = dict(
-        field.split("=", 1) for field in lines[0][len(prefix):].split() if "=" in field
-    )
-    try:
-        k = int(header["k"])
-        lo, hi = (int(x) for x in header["span"].split(","))
-        count = int(header[count_field])
-    except (KeyError, ValueError) as exc:
-        raise InvalidParameterError(f"{tag} header is malformed: {lines[0]!r}") from exc
-    if k < 1 or count < 0 or lo > hi:
-        raise InvalidParameterError(
-            f"{tag} header values out of range: k={k} span=({lo},{hi}) "
-            f"{count_field}={count}"
-        )
-    return k, lo, hi, count
-
-
-def _payload_lines(lines: list[str]):
-    """Yield ``(line_number, id_part, rest)`` for every payload line."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        id_part, sep, rest = line.partition(":")
-        if not sep:
-            raise InvalidParameterError(f"line {lineno}: missing ':' separator")
-        yield lineno, id_part, rest
-
-
-def load_vct(text: str) -> VertexCoreTimeIndex:
-    """Parse a VCT index produced by :meth:`CoreIndex.dumps_vct`.
-
-    The payload is validated against the header: vertex ids must lie
-    within the declared vertex count, appear at most once, and every
-    ``start,ct`` entry must fall inside the declared span.  Violations
-    raise :class:`InvalidParameterError` naming the offending line.
-    """
-    lines = text.splitlines()
-    k, lo, hi, num_vertices = _parse_text_header(
-        lines, "vct", "vertices", "vertex core time index"
-    )
-    entries: list[list[tuple[int, int | None]]] = [[] for _ in range(num_vertices)]
-    for lineno, vertex_part, rest in _payload_lines(lines):
-        try:
-            u = int(vertex_part)
-        except ValueError:
-            raise InvalidParameterError(
-                f"line {lineno}: vertex id {vertex_part.strip()!r} is not an integer"
-            ) from None
-        if not 0 <= u < num_vertices:
-            raise InvalidParameterError(
-                f"line {lineno}: vertex {u} outside the {num_vertices} vertices "
-                f"declared by the header"
-            )
-        if entries[u]:
-            raise InvalidParameterError(f"line {lineno}: vertex {u} listed twice")
-        for token in rest.split():
-            try:
-                start_str, ct_str = token.split(",")
-                start = int(start_str)
-                ct = None if ct_str == "inf" else int(ct_str)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"line {lineno}: malformed entry {token!r}"
-                ) from None
-            if not lo <= start <= hi:
-                raise InvalidParameterError(
-                    f"line {lineno}: start {start} outside span [{lo}, {hi}]"
-                )
-            if ct is not None and not start <= ct <= hi:
-                raise InvalidParameterError(
-                    f"line {lineno}: core time {ct} outside [{start}, {hi}]"
-                )
-            entries[u].append((start, ct))
-    return VertexCoreTimeIndex(entries, k, (lo, hi))
-
-
-def load_skyline(text: str) -> EdgeCoreSkyline:
-    """Parse a skyline produced by :meth:`CoreIndex.dumps_skyline`.
-
-    The payload is validated against the header: edge ids must lie
-    within the declared edge count, appear at most once, and every
-    window must fall inside the declared span with ``t1 <= t2``.
-    Violations raise :class:`InvalidParameterError` naming the
-    offending line.
-    """
-    lines = text.splitlines()
-    k, lo, hi, num_edges = _parse_text_header(
-        lines, "ecs", "edges", "edge core skyline"
-    )
-    windows: list[tuple[tuple[int, int], ...]] = [() for _ in range(num_edges)]
-    for lineno, eid_part, rest in _payload_lines(lines):
-        try:
-            eid = int(eid_part)
-        except ValueError:
-            raise InvalidParameterError(
-                f"line {lineno}: edge id {eid_part.strip()!r} is not an integer"
-            ) from None
-        if not 0 <= eid < num_edges:
-            raise InvalidParameterError(
-                f"line {lineno}: edge {eid} outside the {num_edges} edges "
-                f"declared by the header"
-            )
-        if windows[eid]:
-            raise InvalidParameterError(f"line {lineno}: edge {eid} listed twice")
-        parsed = []
-        for token in rest.split():
-            try:
-                t1, t2 = (int(x) for x in token.split(","))
-            except ValueError:
-                raise InvalidParameterError(
-                    f"line {lineno}: malformed window {token!r}"
-                ) from None
-            if not (lo <= t1 <= t2 <= hi):
-                raise InvalidParameterError(
-                    f"line {lineno}: window ({t1}, {t2}) outside span [{lo}, {hi}]"
-                )
-            parsed.append((t1, t2))
-        windows[eid] = tuple(parsed)
-    return EdgeCoreSkyline(windows, k, (lo, hi))

@@ -67,10 +67,8 @@ it.
 from __future__ import annotations
 
 import ctypes
-import time
 from collections import deque
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -89,9 +87,6 @@ from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.store.index_store import IndexStore
 
 
 def _validated_ks(ks: Iterable[int]) -> list[int]:
@@ -913,39 +908,19 @@ def _build_core_times(
 
 
 def build_core_indexes(
-    graph: TemporalGraph,
-    ks: Iterable[int],
-    *,
-    store: "IndexStore | None" = None,
+    graph: TemporalGraph, ks: Iterable[int]
 ) -> dict[int, CoreIndex]:
     """Full-span :class:`CoreIndex` for every ``k`` in ``ks``, one pass.
 
-    When a ``store`` is given it is probed first (by content
-    fingerprint): ``k`` values already persisted are *opened* from disk,
-    and only the remainder is computed, in a single shared pass.
-    Nothing is written back; persisting is the caller's policy (see
-    :meth:`IndexStore.build_all
-    <repro.store.index_store.IndexStore.build_all>`).
-
-    Returns ``{k: index}`` for the deduplicated ``ks``.
+    Always computes; callers that can open stored indexes first probe
+    the store themselves (:meth:`IndexStore.build_all
+    <repro.store.index_store.IndexStore.build_all>`,
+    :meth:`CoreIndexRegistry.get_many
+    <repro.core.index.CoreIndexRegistry.get_many>`).  Returns
+    ``{k: index}`` for the deduplicated ``ks``, ascending.
     """
-    unique = _validated_ks(ks)
-    out: dict[int, CoreIndex] = {}
-    missing: list[int] = []
-    for k in unique:
-        index = store.load_index(graph, k) if store is not None else None
-        if index is not None:
-            out[k] = index
-        else:
-            missing.append(k)
-    if missing:
-        started = time.perf_counter()
-        results = compute_core_times_multi(graph, missing)
-        # Attribute the shared scan evenly: what each k "cost" to build,
-        # consulted by the registry's eviction spill policy.
-        per_k_seconds = (time.perf_counter() - started) / len(missing)
-        for k in missing:
-            out[k] = CoreIndex.from_core_times(
-                graph, k, results[k], build_seconds=per_k_seconds
-            )
-    return out
+    results = compute_core_times_multi(graph, ks)
+    return {
+        k: CoreIndex.from_core_times(graph, k, result)
+        for k, result in results.items()
+    }

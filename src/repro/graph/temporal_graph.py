@@ -401,15 +401,6 @@ class TemporalGraph:
         graph._time_offset = _frozen(as_int64_array(time_offset))
         return graph
 
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[Hashable, Hashable, int]],
-        **kwargs: bool,
-    ) -> "TemporalGraph":
-        """Build a graph from an iterable of ``(u, v, t)`` triples."""
-        return cls(edges, **kwargs)
-
     def subgraph_in_window(self, ts: int, te: int) -> "TemporalGraph":
         """A new, independently normalised graph of the edges in ``[ts, te]``.
 

@@ -29,8 +29,9 @@ Typical use::
     registry.warm(store)                         # daemon boot
     index = registry.get(graph, 3, store=store)  # disk before compute
 
-The text skyline dump (``CoreIndex.dump_skyline``) remains available
-for debugging; this binary store is the primary persistence path.
+This binary store is the index's one persisted form;
+``CoreIndex.dump_skyline`` (``repro index -o``) writes a text listing
+of the skyline for inspection that nothing reads back.
 """
 
 from repro.store.codec import (

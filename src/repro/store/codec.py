@@ -28,7 +28,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.coretime import VertexCoreTimeIndex
+from repro.core.coretime import CoreTimeResult, VertexCoreTimeIndex
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import StoreError
@@ -224,18 +224,13 @@ def load_index(
             f"{blob.path}: index fingerprint does not match the graph "
             f"(stale or foreign index)"
         )
+    k = meta["k"]
     span = tuple(meta["span"])
     parts = blob.sections
-    index = CoreIndex.__new__(CoreIndex)
-    index.graph = graph
-    index.k = meta["k"]
-    # Opening from disk is (near-)free: the eviction spill policy must
-    # never consider a loaded index worth re-persisting.
-    index.build_seconds = 0.0
-    index.vct = VertexCoreTimeIndex.from_flat(
-        parts["vct_offsets"], parts["vct_starts"], parts["vct_cts"], meta["k"], span
+    vct = VertexCoreTimeIndex.from_flat(
+        parts["vct_offsets"], parts["vct_starts"], parts["vct_cts"], k, span
     )
-    index.ecs = EdgeCoreSkyline.from_flat(
-        parts["ecs_offsets"], parts["ecs_t1"], parts["ecs_t2"], meta["k"], span
+    ecs = EdgeCoreSkyline.from_flat(
+        parts["ecs_offsets"], parts["ecs_t1"], parts["ecs_t2"], k, span
     )
-    return index
+    return CoreIndex.from_core_times(graph, k, CoreTimeResult(vct, ecs))

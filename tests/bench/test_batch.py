@@ -52,27 +52,6 @@ class TestParallelBatch:
 
 
 class TestEngineBatch:
-    def test_index_engine_matches_default_runner(self, paper_graph):
-        from repro.bench.batch import run_engine_batch
-
-        ranges = [(1, 4), (2, 3), (1, 7), (5, 5)]
-        assert run_engine_batch(paper_graph, 2, ranges) == run_query_batch(
-            paper_graph, 2, ranges
-        )
-
-    def test_enum_engine_agrees(self, paper_graph):
-        from repro.bench.batch import run_engine_batch
-
-        ranges = [(1, 7), (2, 6)]
-        assert run_engine_batch(paper_graph, 2, ranges, engine="enum") == (
-            run_engine_batch(paper_graph, 2, ranges)
-        )
-
-    def test_empty(self, paper_graph):
-        from repro.bench.batch import run_engine_batch
-
-        assert run_engine_batch(paper_graph, 2, []) == []
-
     def test_batch_reuses_registry_index(self, paper_graph):
         from repro.core.index import CoreIndexRegistry
 

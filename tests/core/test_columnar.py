@@ -322,89 +322,6 @@ class TestEvictionSpill:
         assert registry.stats()["evict_spills"] == 0
 
 
-class TestSpillPolicy:
-    """Configurable eviction spill: always / never / build-cost threshold."""
-
-    def test_parse_accepts_strings_policies_and_thresholds(self):
-        from repro.core.index import SpillPolicy
-        from repro.errors import InvalidParameterError
-
-        assert SpillPolicy.parse("never").mode == "never"
-        assert SpillPolicy.parse(SpillPolicy("cost", 2.0)).min_build_seconds == 2.0
-        parsed = SpillPolicy.parse(0.5)
-        assert parsed.mode == "cost" and parsed.min_build_seconds == 0.5
-        with pytest.raises(InvalidParameterError):
-            SpillPolicy.parse("sometimes")
-        with pytest.raises(InvalidParameterError):
-            SpillPolicy("cost", -1.0)
-        with pytest.raises(InvalidParameterError):
-            SpillPolicy.parse(None)
-
-    def test_never_policy_drops_instead_of_spilling(self, tmp_path, columnar_graph):
-        store = IndexStore(tmp_path / "store")
-        registry = CoreIndexRegistry(
-            capacity=1, store=store, spill_policy="never"
-        )
-        registry.get(columnar_graph, 2)
-        registry.get(columnar_graph, 3)  # evicts k=2
-        stats = registry.stats()
-        assert stats["evict_spills"] == 0
-        assert stats["evict_drops"] == 1
-        assert stats["spill_policy"] == "never"
-        assert store.has_index(columnar_graph, 2) is False
-
-    def test_cost_threshold_vetoes_cheap_builds(self, tmp_path, columnar_graph):
-        store = IndexStore(tmp_path / "store")
-        registry = CoreIndexRegistry(
-            capacity=1, store=store, spill_policy=3600.0
-        )
-        registry.get(columnar_graph, 2)  # tiny build, far below an hour
-        registry.get(columnar_graph, 3)
-        stats = registry.stats()
-        assert stats["evict_spills"] == 0
-        assert stats["evict_drops"] == 1
-        assert stats["spill_policy"] == "cost>=3600s"
-
-    def test_cost_threshold_spills_expensive_builds(self, tmp_path, columnar_graph):
-        store = IndexStore(tmp_path / "store")
-        registry = CoreIndexRegistry(
-            capacity=1, store=store, spill_policy=0.0
-        )
-        registry.get(columnar_graph, 2)
-        registry.get(columnar_graph, 3)
-        stats = registry.stats()
-        assert stats["evict_spills"] == 1
-        assert stats["evict_drops"] == 0
-        assert store.has_index(columnar_graph, 2) is True
-
-    def test_build_seconds_recorded_on_every_construction_path(
-        self, tmp_path, columnar_graph
-    ):
-        from repro.core.multik import build_core_indexes
-
-        direct = CoreIndex(columnar_graph, 2)
-        assert direct.build_seconds > 0.0
-        built = build_core_indexes(columnar_graph, [2, 3])
-        assert all(index.build_seconds > 0.0 for index in built.values())
-        store = IndexStore(tmp_path / "store")
-        store.save_index(direct)
-        loaded = store.load_index(columnar_graph, 2)
-        assert loaded is not None
-        assert loaded.build_seconds == 0.0  # disk loads are free to re-lose
-
-    def test_store_loaded_entries_never_respill(self, tmp_path, columnar_graph):
-        store = IndexStore(tmp_path / "store")
-        store.save_index(CoreIndex(columnar_graph, 2))
-        registry = CoreIndexRegistry(
-            capacity=1, store=store, spill_policy=0.0
-        )
-        registry.get(columnar_graph, 2)  # store hit
-        registry.get(columnar_graph, 3)  # evicts the store-loaded k=2
-        stats = registry.stats()
-        assert stats["evict_spills"] == 0
-        assert stats["evict_drops"] == 0  # known-persisted: policy not consulted
-
-
 @pytest.mark.usefixtures("numpy_fixpoint")
 class TestBatchOracleNumpy(TestBatchOracle):
     """The batch oracle cases again on the numpy walk."""

@@ -18,7 +18,6 @@ import repro.core.incremental as incremental
 from repro.core.coretime import compute_core_times
 from repro.core.coretime_ref import compute_core_times_reference
 from repro.core.incremental import (
-    DeltaFold,
     FoldFallback,
     delta_fold,
     extend_graph,
@@ -171,15 +170,17 @@ class TestDeltaFoldIdentity:
     def test_chained_folds_match_full_build(self, seed):
         ks = (2, 3)
         edges = stream(seed, 120)
-        folder = DeltaFold(
-            TemporalGraph(edges), build_core_indexes(TemporalGraph(edges), ks)
-        )
+        graph = TemporalGraph(edges)
+        indexes = build_core_indexes(graph, ks)
+        bufs = None
         for round_no in range(4):
             batch = frontier_batch(edges, seed * 31 + round_no, 20)
-            folder.fold(batch)
+            # Each fold hands its append buffers to the next.
+            result = delta_fold(graph, indexes, batch, bufs=bufs)
+            graph, indexes, bufs = result.graph, result.indexes, result.bufs
             edges = edges + batch
             oracle = build_core_indexes(TemporalGraph(edges), ks)
-            assert_indexes_equal(folder.indexes, oracle, ks)
+            assert_indexes_equal(indexes, oracle, ks)
 
     def test_matches_seed_oracle(self):
         ks = (2, 3)

@@ -1,11 +1,11 @@
-"""CoreIndex: prebuilt-index queries vs fresh runs; serialisation."""
+"""CoreIndex: prebuilt-index queries vs fresh runs; the index registry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.enumerate import enumerate_temporal_kcores
-from repro.core.index import CoreIndex, load_skyline
+from repro.core.index import CoreIndex
 from repro.errors import InvalidParameterError
 
 
@@ -48,154 +48,6 @@ class TestIndexQueries:
         assert result.num_results == 13
 
 
-class TestSerialisation:
-    def test_round_trip(self, paper_graph):
-        index = CoreIndex(paper_graph, 2)
-        text = index.dumps_skyline()
-        loaded = load_skyline(text)
-        assert loaded.k == index.ecs.k
-        assert loaded.span == index.ecs.span
-        for eid in range(paper_graph.num_edges):
-            assert loaded.windows_of(eid) == index.ecs.windows_of(eid)
-
-    def test_file_round_trip(self, tmp_path, paper_graph):
-        index = CoreIndex(paper_graph, 2)
-        path = tmp_path / "skyline.txt"
-        index.dump_skyline(path)
-        loaded = load_skyline(path.read_text())
-        assert loaded.size() == index.ecs.size()
-
-    def test_loaded_skyline_usable_for_queries(self, paper_graph):
-        index = CoreIndex(paper_graph, 2)
-        loaded = load_skyline(index.dumps_skyline())
-        result = enumerate_temporal_kcores(paper_graph, 2, skyline=loaded)
-        assert result.num_results == 13
-
-    def test_reject_garbage(self):
-        with pytest.raises(InvalidParameterError):
-            load_skyline("not a skyline")
-
-
-class TestSkylineValidation:
-    """The parser rejects payloads that disagree with their header."""
-
-    HEADER = "# ecs k=2 span=1,5 edges=3\n"
-
-    def test_edge_id_beyond_declared_count(self):
-        with pytest.raises(InvalidParameterError, match="line 2.*edge 7"):
-            load_skyline(self.HEADER + "7: 1,2\n")
-
-    def test_window_outside_span(self):
-        with pytest.raises(InvalidParameterError, match="line 3.*outside span"):
-            load_skyline(self.HEADER + "0: 1,2\n1: 2,9\n")
-
-    def test_inverted_window(self):
-        with pytest.raises(InvalidParameterError, match="line 2"):
-            load_skyline(self.HEADER + "0: 4,2\n")
-
-    def test_malformed_token(self):
-        with pytest.raises(InvalidParameterError, match="line 2.*malformed"):
-            load_skyline(self.HEADER + "0: 1-2\n")
-
-    def test_non_integer_edge_id(self):
-        with pytest.raises(InvalidParameterError, match="line 2.*not an integer"):
-            load_skyline(self.HEADER + "x: 1,2\n")
-
-    def test_duplicate_edge_line(self):
-        with pytest.raises(InvalidParameterError, match="line 3.*twice"):
-            load_skyline(self.HEADER + "0: 1,2\n0: 2,3\n")
-
-    def test_missing_separator(self):
-        with pytest.raises(InvalidParameterError, match="line 2.*':'"):
-            load_skyline(self.HEADER + "0 1,2\n")
-
-    def test_malformed_header_values(self):
-        with pytest.raises(InvalidParameterError, match="header"):
-            load_skyline("# ecs k=2 span=oops edges=3\n")
-
-    def test_comments_and_blanks_skipped(self):
-        loaded = load_skyline(self.HEADER + "\n# comment\n0: 1,2\n")
-        assert loaded.windows_of(0) == ((1, 2),)
-
-
-class TestVctSerialisation:
-    def test_round_trip(self, paper_graph):
-        from repro.core.index import load_vct
-
-        index = CoreIndex(paper_graph, 2)
-        loaded = load_vct(index.dumps_vct())
-        assert loaded.k == 2
-        assert loaded.span == index.vct.span
-        for u in range(paper_graph.num_vertices):
-            assert loaded.entries_of(u) == index.vct.entries_of(u)
-
-    def test_infinite_entries_survive(self, paper_graph):
-        from repro.core.index import load_vct
-
-        index = CoreIndex(paper_graph, 2)
-        loaded = load_vct(index.dumps_vct())
-        v9 = paper_graph.id_of("v9")
-        assert loaded.core_time(v9, 2) is None
-        assert loaded.core_time(v9, 1) == 4
-
-    def test_loaded_vct_answers_queries(self, random_graph):
-        from repro.core.index import load_vct
-
-        index = CoreIndex(random_graph, 2)
-        loaded = load_vct(index.dumps_vct())
-        for ts in range(1, random_graph.tmax + 1):
-            for u in range(random_graph.num_vertices):
-                assert loaded.core_time(u, ts) == index.vct.core_time(u, ts)
-
-    def test_reject_garbage(self):
-        from repro.core.index import load_vct
-
-        with pytest.raises(InvalidParameterError):
-            load_vct("nope")
-
-
-class TestVctValidation:
-    """The parser rejects payloads that disagree with their header."""
-
-    HEADER = "# vct k=2 span=1,5 vertices=4\n"
-
-    def test_vertex_beyond_declared_count(self):
-        from repro.core.index import load_vct
-
-        with pytest.raises(InvalidParameterError, match="line 2.*vertex 9"):
-            load_vct(self.HEADER + "9: 1,3\n")
-
-    def test_start_outside_span(self):
-        from repro.core.index import load_vct
-
-        with pytest.raises(InvalidParameterError, match="line 2.*outside span"):
-            load_vct(self.HEADER + "0: 7,7\n")
-
-    def test_core_time_before_start(self):
-        from repro.core.index import load_vct
-
-        with pytest.raises(InvalidParameterError, match="line 2.*core time"):
-            load_vct(self.HEADER + "0: 3,2\n")
-
-    def test_malformed_entry(self):
-        from repro.core.index import load_vct
-
-        with pytest.raises(InvalidParameterError, match="line 3.*malformed"):
-            load_vct(self.HEADER + "0: 1,3\n1: 1;3\n")
-
-    def test_duplicate_vertex_line(self):
-        from repro.core.index import load_vct
-
-        with pytest.raises(InvalidParameterError, match="line 3.*twice"):
-            load_vct(self.HEADER + "0: 1,3\n0: 2,4\n")
-
-    def test_infinity_entries_still_accepted(self):
-        from repro.core.index import load_vct
-
-        loaded = load_vct(self.HEADER + "0: 1,inf\n")
-        assert loaded.core_time(0, 1) is None
-
-
 class TestCoreIndexRegistry:
     def test_hit_and_miss_counters(self, paper_graph):
         from repro.core.index import CoreIndexRegistry
@@ -206,8 +58,7 @@ class TestCoreIndexRegistry:
         assert first is second
         assert registry.stats() == {
             "hits": 1, "misses": 1, "store_hits": 0, "multik_builds": 0,
-            "evict_spills": 0, "evict_drops": 0, "spill_policy": "always",
-            "store_hits_by_k": {}, "multik_builds_by_k": {},
+            "evict_spills": 0, "store_hits_by_k": {}, "multik_builds_by_k": {},
             "size": 1, "capacity": 4,
         }
 

@@ -330,7 +330,7 @@ class TestBuildCoreIndexes:
         import repro.core.multik as multik_module
 
         monkeypatch.setattr(multik_module, "compute_core_times_multi", explode)
-        indexes = build_core_indexes(paper_graph, [2, 3], store=store)
+        indexes = CoreIndexRegistry(store=store).get_many(paper_graph, [2, 3])
         assert sorted(indexes) == [2, 3]
 
     def test_partial_store_builds_only_missing(self, paper_graph, tmp_path):
@@ -338,7 +338,7 @@ class TestBuildCoreIndexes:
 
         store = IndexStore(tmp_path / "store")
         store.save_index(CoreIndex(paper_graph, 2), name="paper")
-        indexes = build_core_indexes(paper_graph, [2, 3, 4], store=store)
+        indexes = CoreIndexRegistry(store=store).get_many(paper_graph, [2, 3, 4])
         assert sorted(indexes) == [2, 3, 4]
         # The store only ever held k=2; nothing was written back.
         assert store.stored_ks("paper") == [2]

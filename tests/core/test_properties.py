@@ -212,20 +212,6 @@ def test_result_counters_consistent(case):
 
 @settings(max_examples=20, deadline=None)
 @given(case=graph_and_k())
-def test_ecs_serialisation_round_trip(case):
-    """Dump/load of the skyline preserves query answers."""
-    from repro.core.index import CoreIndex, load_skyline
-
-    graph, k = case
-    index = CoreIndex(graph, k)
-    loaded = load_skyline(index.dumps_skyline())
-    via_loaded = enumerate_temporal_kcores(graph, k, skyline=loaded)
-    fresh = enumerate_temporal_kcores(graph, k)
-    assert via_loaded.edge_sets() == fresh.edge_sets()
-
-
-@settings(max_examples=20, deadline=None)
-@given(case=graph_and_k())
 def test_active_times_partition_start_times(case):
     """Per edge, the [active, start] intervals of its windows tile a
     prefix of the start-time axis without gaps or overlaps."""

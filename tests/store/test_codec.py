@@ -196,14 +196,17 @@ class TestIndexRoundTrip:
             codec.load_index(path, triangle_graph)
 
     def test_text_dump_works_from_flat_views(self, tmp_path, paper_graph):
-        """The debug text format still renders from an mmap-backed index."""
-        from repro.core.index import load_skyline, load_vct
-
+        """The text skyline dump renders the same from an mmap-backed index."""
         index = CoreIndex(paper_graph, 2)
         path = tmp_path / "k2.idx"
         codec.dump_index(path, index)
         loaded = codec.load_index(path, paper_graph)
-        assert loaded.dumps_skyline() == index.dumps_skyline()
-        assert loaded.dumps_vct() == index.dumps_vct()
-        load_vct(loaded.dumps_vct())
-        load_skyline(loaded.dumps_skyline())
+        for a, b in zip(loaded.vct.flat_parts(), index.vct.flat_parts()):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+        for a, b in zip(loaded.ecs.flat_parts(), index.ecs.flat_parts()):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+        loaded.dump_skyline(tmp_path / "loaded.ecs")
+        index.dump_skyline(tmp_path / "built.ecs")
+        assert (tmp_path / "loaded.ecs").read_bytes() == (
+            tmp_path / "built.ecs"
+        ).read_bytes()

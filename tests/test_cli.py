@@ -298,10 +298,25 @@ class TestGenerateAndIndex:
         out_file = tmp_path / "skyline.ecs"
         assert main(["index", "--input", graph_file, "-k", "2",
                      "-o", str(out_file)]) == 0
-        from repro.core.index import load_skyline
+        from repro.core.index import CoreIndex
+        from repro.graph.io import load_edge_list
 
-        skyline = load_skyline(out_file.read_text())
-        assert skyline.size() == 18  # Table II window count
+        ecs = CoreIndex(load_edge_list(graph_file), 2).ecs
+        header, *lines = out_file.read_text().splitlines()
+        assert header == f"# ecs k=2 span=1,{ecs.span[1]} edges={ecs.num_edges}"
+        listed = {}
+        for line in lines:
+            eid, windows = line.split(": ")
+            listed[int(eid)] = tuple(
+                tuple(int(t) for t in window.split(","))
+                for window in windows.split()
+            )
+        assert listed == {
+            eid: ecs.windows_of(eid)
+            for eid in range(ecs.num_edges)
+            if ecs.windows_of(eid)
+        }
+        assert sum(map(len, listed.values())) == 18  # Table II window count
 
 
 class TestIndexStoreCli:
