@@ -9,7 +9,7 @@ Subcommands::
     python -m repro stats     --input edges.txt          (or --dataset CM)
     python -m repro generate  --dataset CM -o cm.txt
     python -m repro index     --input edges.txt -k 2,3,5 --save-store var/idx
-    python -m repro warm      --store var/idx --dataset CM --ks 2,3,5
+    python -m repro warm      --store var/idx --dataset CM -k 2,3,5
     python -m repro experiments fig6 --profile quick
 
 ``query`` prints each temporal k-core's TTI, vertex count and edge count
@@ -436,11 +436,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_warm(args: argparse.Namespace) -> int:
     """Prebuild a store so serving processes open indexes instead of computing."""
-    ks = sorted(
-        {k for group in (args.k or []) for k in group} | set(args.ks or [])
-    )
+    ks = sorted({k for group in args.k or [] for k in group})
     if not ks:
-        raise ReproError("provide -k K [K ...] and/or --ks K,K,...")
+        raise ReproError("provide -k K[,K...] [K[,K...] ...]")
     store = IndexStore(args.store)
     graph = _load_graph(args)
     # Missing k values are built together in one shared decremental scan;
@@ -625,12 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--store", required=True, metavar="DIR")
     warm.add_argument(
         "-k", type=_parse_k_list, nargs="+", metavar="K[,K...]",
-        help="k values to prebuild (space- and/or comma-separated)",
-    )
-    warm.add_argument(
-        "--ks", type=_parse_k_list, metavar="K,K,...",
-        help="comma-separated k values (merged with -k); missing entries "
-             "are built together in one shared scan",
+        help="k values to prebuild (space- and/or comma-separated); missing "
+             "entries are built together in one shared scan",
     )
     warm.add_argument(
         "--name", help="store key to save under (default: dataset name or "

@@ -26,11 +26,11 @@ spelled out in ``docs/STREAMING.md``):
 The fold therefore:
 
 1. **extends** the graph and its :class:`~repro.graph.csr.CompiledGraph`
-   in place of a recompile — edge/timestamp columns grow through
-   capacity-doubled append buffers, pair/adjacency/incident sections are
-   repacked with vectorised scatters (O(m) memory moves, no Python
-   per-edge work) — yielding arrays value-identical to compiling the
-   concatenated edge list from scratch (property-tested);
+   in place of a recompile — edge columns are concatenated,
+   pair/adjacency/incident sections are repacked with vectorised
+   scatters (O(m) memory moves, no Python per-edge work) — yielding
+   arrays value-identical to compiling the concatenated edge list from
+   scratch (property-tested);
 2. computes the **fold start** ``s_A``: the earliest start time at which
    any vertex's core time can differ, by a bounded Dijkstra-style
    cascade from the new edges' endpoints over per-(vertex, level)
@@ -64,8 +64,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +73,7 @@ from repro.core.coretime import INF_CT, CoreTimeResult, VertexCoreTimeIndex
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.graph.csr import CompiledGraph
-from repro.graph.temporal_graph import TemporalEdge, TemporalGraph, ingest_edges, run_starts
-from repro.utils.arrays import as_int64_array
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    pass
+from repro.graph.temporal_graph import TemporalGraph, ingest_edges, run_starts
 
 #: Sentinel "no change possible before this start" — beyond any span.
 _FAR = 1 << 60
@@ -122,7 +117,6 @@ class FoldResult:
     graph: TemporalGraph
     indexes: dict[int, CoreIndex]
     report: FoldReport
-    bufs: dict = field(repr=False, default_factory=dict)
 
 
 def _seg_indices(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -135,43 +129,6 @@ def _seg_indices(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(base, counts) + within
 
 
-class _GrowBuf:
-    """Capacity-doubling int64 append buffer (amortised O(1)/element).
-
-    ``view()`` is a zero-copy window over the filled prefix.  Appends
-    never move committed entries within a capacity generation, and a
-    growth reallocation leaves earlier views pointing at the old buffer
-    — so compiled-graph snapshots handed out before an append stay
-    immutable while the buffer keeps absorbing the stream.
-    """
-
-    __slots__ = ("_buf", "_len")
-
-    def __init__(self, initial):
-        arr = as_int64_array(initial)
-        self._len = int(arr.shape[0])
-        self._buf = np.empty(max(16, self._len), dtype=np.int64)
-        self._buf[: self._len] = arr
-
-    def __len__(self) -> int:
-        return self._len
-
-    def extend(self, values: np.ndarray) -> None:
-        need = self._len + int(values.shape[0])
-        if need > self._buf.shape[0]:
-            capacity = int(self._buf.shape[0])
-            while capacity < need:
-                capacity *= 2
-            fresh = np.empty(capacity, dtype=np.int64)
-            fresh[: self._len] = self._buf[: self._len]
-            self._buf = fresh
-        self._buf[self._len : need] = values
-        self._len = need
-
-    def view(self) -> np.ndarray:
-        return self._buf[: self._len]
-
-
 # ----------------------------------------------------------------------
 # Step 1: graph + compiled-array extension
 # ----------------------------------------------------------------------
@@ -180,18 +137,16 @@ class _GrowBuf:
 def extend_graph(
     graph: TemporalGraph,
     batch: Iterable[tuple[Hashable, Hashable, int]],
-    *,
-    bufs: dict | None = None,
-) -> tuple[TemporalGraph, list[TemporalEdge], dict]:
+) -> TemporalGraph:
     """Extend a normalised graph with strictly-newer raw-timestamped edges.
 
-    Returns ``(extended_graph, new_edges, bufs)`` where the extended
-    graph's vertex ids, edge ids, normalised timestamps and compiled
-    flat arrays are **identical** to ``TemporalGraph(old_raw + batch)``
-    — guaranteed because every batch timestamp is strictly greater than
-    the old last raw time, so the global ``(raw_t, u, v)`` sort is the
-    old order followed by the sorted batch.  ``bufs`` carries the
-    capacity-doubled append buffers between folds.
+    The extended graph's vertex ids, edge ids, normalised timestamps,
+    self-loop count and compiled flat arrays are **identical** to
+    ``TemporalGraph(old_raw + batch)`` — guaranteed because every batch
+    timestamp is strictly greater than the old last raw time, so the
+    global ``(raw_t, u, v)`` sort is the old order followed by the
+    sorted batch.  Its new edges are the ids from ``graph.num_edges``
+    on; ``graph`` itself comes back for a batch of nothing at all.
 
     Raises :class:`FoldFallback` when the precondition fails:
     ``"empty-base"`` (nothing built yet), ``"unnormalised-graph"``
@@ -209,9 +164,9 @@ def extend_graph(
     labels = list(graph._labels)
     raw_t, new_u, new_v, dropped = ingest_edges(batch, label_ids, labels)
     dropped += graph._num_dropped_self_loops
-    if not len(raw_t):
-        return graph, [], bufs if bufs is not None else {}
-    if raw_t[0] <= graph._raw_times[-1]:
+    if not len(raw_t) and dropped == graph._num_dropped_self_loops:
+        return graph
+    if len(raw_t) and raw_t[0] <= graph._raw_times[-1]:
         raise FoldFallback("boundary-tie")
 
     # The batch's normalised times continue past the old tmax: a new one
@@ -219,7 +174,7 @@ def extend_graph(
     starts = run_starts(raw_t)
     old_tmax = graph.tmax
     new_t = old_tmax + np.cumsum(starts)
-    new_tmax = int(new_t[-1])
+    new_tmax = old_tmax + int(starts.sum())
     time_offset = np.empty(new_tmax + 2, dtype=np.int64)
     time_offset[: old_tmax + 1] = graph.time_offsets()[:-1]
     np.cumsum(
@@ -228,8 +183,8 @@ def extend_graph(
     )
     time_offset[old_tmax + 1 :] += graph.num_edges
 
-    compiled, bufs = _extend_compiled(
-        graph.compiled(), len(labels), time_offset, new_u, new_v, new_t, bufs
+    compiled = _extend_compiled(
+        graph.compiled(), len(labels), time_offset, new_u, new_v, new_t
     )
     extended = TemporalGraph._from_parts(
         edge_columns=(compiled.edge_u, compiled.edge_v, compiled.edge_t),
@@ -239,8 +194,7 @@ def extend_graph(
         num_dropped_self_loops=dropped,
     )
     extended._compiled_cache = compiled
-    new_edges = list(map(TemporalEdge, new_u.tolist(), new_v.tolist(), new_t.tolist()))
-    return extended, new_edges, bufs
+    return extended
 
 
 def _extend_compiled(
@@ -250,8 +204,7 @@ def _extend_compiled(
     new_u: np.ndarray,
     new_v: np.ndarray,
     new_t: np.ndarray,
-    bufs: dict | None,
-) -> tuple[CompiledGraph, dict]:
+) -> CompiledGraph:
     """Extend the compiled flat arrays by the (sorted, frontier) batch.
 
     ``new_u`` / ``new_v`` / ``new_t`` are the batch's edge columns (ids
@@ -267,26 +220,6 @@ def _extend_compiled(
     m = cg.num_edges
     d = len(new_u)
     m2 = m + d
-
-    # --- edge columns: capacity-doubled appends (amortised O(|delta|)) ---
-    if (
-        bufs is None
-        or "edge_u" not in bufs
-        or len(bufs["edge_u"]) != m
-        or bufs["edge_u"].view().base is not None
-        and not np.shares_memory(bufs["edge_u"].view(), cg.edge_u)
-    ):
-        bufs = {
-            "edge_u": _GrowBuf(cg.edge_u),
-            "edge_v": _GrowBuf(cg.edge_v),
-            "edge_t": _GrowBuf(cg.edge_t),
-        }
-    bufs["edge_u"].extend(new_u)
-    bufs["edge_v"].extend(new_v)
-    bufs["edge_t"].extend(new_t)
-    edge_u2 = bufs["edge_u"].view()
-    edge_v2 = bufs["edge_v"].view()
-    edge_t2 = bufs["edge_t"].view()
 
     adj_offsets = cg.adj_offsets
     adj_neighbour = cg.adj_neighbour
@@ -373,18 +306,10 @@ def _extend_compiled(
     slot_times_end2 = pair_offset2[slot_pid2 + 1]
     slot_count2 = slot_times_end2 - slot_times_start2
 
-    # --- edge -> slot maps ---
-    if P2 == P:  # slots did not move: append in place
-        if "edge_slot_u" not in bufs or len(bufs["edge_slot_u"]) != m:
-            bufs["edge_slot_u"] = _GrowBuf(cg.edge_slot_u)
-            bufs["edge_slot_v"] = _GrowBuf(cg.edge_slot_v)
-        bufs["edge_slot_u"].extend(new_su)
-        bufs["edge_slot_v"].extend(new_sv)
-    else:
-        bufs["edge_slot_u"] = _GrowBuf(np.concatenate([slotmap[cg.edge_slot_u], new_su]))
-        bufs["edge_slot_v"] = _GrowBuf(np.concatenate([slotmap[cg.edge_slot_v], new_sv]))
-    edge_slot_u2 = bufs["edge_slot_u"].view()
-    edge_slot_v2 = bufs["edge_slot_v"].view()
+    # --- edge -> slot maps (old slots moved when the batch added pairs) ---
+    edge_slot_u, edge_slot_v = cg.edge_slot_u, cg.edge_slot_v
+    if P2 != P:
+        edge_slot_u, edge_slot_v = slotmap[edge_slot_u], slotmap[edge_slot_v]
 
     # --- incident CSR: shift-scatter old entries, append tails in eid order ---
     old_inc_off = cg.inc_offsets
@@ -422,9 +347,9 @@ def _extend_compiled(
     cg2.num_pairs = P2
     cg2.time_offset = time_offset
     tables = {
-        "edge_u": edge_u2,
-        "edge_v": edge_v2,
-        "edge_t": edge_t2,
+        "edge_u": np.concatenate((cg.edge_u, new_u)),
+        "edge_v": np.concatenate((cg.edge_v, new_v)),
+        "edge_t": np.concatenate((cg.edge_t, new_t)),
         "adj_offsets": adj_offsets2,
         "adj_neighbour": adj_neighbour2,
         "slot_pid": slot_pid2,
@@ -434,8 +359,8 @@ def _extend_compiled(
         "pair_offset": pair_offset2,
         "pair_times": pair_times2,
         "full_degree": full_degree2,
-        "edge_slot_u": edge_slot_u2,
-        "edge_slot_v": edge_slot_v2,
+        "edge_slot_u": np.concatenate((edge_slot_u, new_su)),
+        "edge_slot_v": np.concatenate((edge_slot_v, new_sv)),
         "inc_offsets": inc_offsets2,
         "inc_time": inc_time2,
         "inc_other": inc_other2,
@@ -444,7 +369,7 @@ def _extend_compiled(
     for name, table in tables.items():
         table.flags.writeable = False
         setattr(cg2, name, table)
-    return cg2, bufs
+    return cg2
 
 
 # ----------------------------------------------------------------------
@@ -744,7 +669,6 @@ def delta_fold(
     *,
     max_window_fraction: float | None = None,
     max_cascade: int = DEFAULT_MAX_CASCADE,
-    bufs: dict | None = None,
 ) -> FoldResult:
     """Fold a frontier batch into existing full-span multi-k indexes.
 
@@ -770,8 +694,9 @@ def delta_fold(
             raise FoldFallback("index-graph-mismatch")
 
     old_tmax = graph.tmax
-    extended, new_edges, bufs = extend_graph(graph, batch, bufs=bufs)
-    if not new_edges:
+    extended = extend_graph(graph, batch)
+    delta_edges = extended.num_edges - graph.num_edges
+    if not delta_edges:
         report = FoldReport(
             delta_edges=0,
             new_vertices=0,
@@ -782,7 +707,12 @@ def delta_fold(
             cascade_vertices=0,
             seconds=time.perf_counter() - started,
         )
-        return FoldResult(graph, dict(indexes), report, bufs)
+        # A batch of self-loops only moves the extended graph's dropped count.
+        kept = {
+            k: CoreIndex.from_core_times(extended, k, CoreTimeResult(index.vct, index.ecs))
+            for k, index in indexes.items()
+        }
+        return FoldResult(extended, kept, report)
 
     new_tmax = extended.tmax
     m2 = extended.num_edges
@@ -815,7 +745,7 @@ def delta_fold(
         )
         merged[k] = CoreIndex.from_core_times(extended, k, result)
     report = FoldReport(
-        delta_edges=len(new_edges),
+        delta_edges=delta_edges,
         new_vertices=extended.num_vertices - graph.num_vertices,
         fold_start=fold_start,
         span_end=new_tmax,
@@ -824,4 +754,4 @@ def delta_fold(
         cascade_vertices=cascade,
         seconds=time.perf_counter() - started,
     )
-    return FoldResult(extended, merged, report, bufs)
+    return FoldResult(extended, merged, report)

@@ -16,11 +16,14 @@ that pattern:
   decremental scan (:func:`repro.core.multik.build_core_indexes`);
 * queries can be asked in raw timestamps, translated through the
   current normalisation;
+* the built :class:`~repro.graph.temporal_graph.TemporalGraph` is the
+  service's only record of what it has ingested: the service holds that
+  graph plus the raw edges appended since it was built, nothing more;
 * the service can :meth:`~StreamingCoreService.snapshot` its graph and
   every index into an :class:`~repro.store.index_store.IndexStore` and a
   restarted process can :meth:`~StreamingCoreService.restore` from it —
-  resuming from the last persisted indexes (fingerprint-checked) so only
-  the edges appended after the snapshot need folding in.
+  resuming from the last persisted graph and indexes (fingerprint-checked)
+  so only the edges appended after the snapshot need folding in.
 
 Incrementally *maintaining* the skyline under general insertions is an
 open problem the paper leaves to future work — but the append-only
@@ -120,7 +123,7 @@ class StreamingCoreService:
         Optional :class:`~repro.store.wal.WriteAheadLog` making appends
         durable: every :meth:`append`/:meth:`extend` is written (and,
         in the log's ``sync="always"`` mode, fsynced) to the log
-        *before* it reaches the in-memory edge list, so an
+        *before* it reaches the in-memory pending list, so an
         acknowledged append survives any crash — :meth:`restore`
         replays the log past the last snapshot.  ``initial_edges``
         are **not** written to the log (they are assumed to predate
@@ -149,17 +152,15 @@ class StreamingCoreService:
         self.max_lag = max_lag
         self.max_window_fraction = max_window_fraction
         self.wal = wal
-        self._edges: list[tuple[Hashable, Hashable, int]] = list(initial_edges)
-        self._pending = len(self._edges)
+        # Raw edges appended since ``_graph`` was built; the graph holds
+        # everything before them.
+        self._pending: list[tuple[Hashable, Hashable, int]] = list(initial_edges)
         self._pending_since: float | None = (
             _time.monotonic() if self._pending else None
         )
-        self._last_raw_time = max((t for _, _, t in self._edges), default=None)
+        self._last_raw_time = max((t for _, _, t in self._pending), default=None)
         self._graph: TemporalGraph | None = None
         self._indexes: dict[int, CoreIndex] = {}
-        self._fold_bufs: dict | None = None
-        self._window_cache: dict[tuple[int, int], dict[int, CoreIndex]] = {}
-        self._window_cache_edges = -1
         self.num_rebuilds = 0
         self.num_full_rebuilds = 0
         self.num_incremental_folds = 0
@@ -186,7 +187,7 @@ class StreamingCoreService:
         leaves the in-memory state untouched — nothing was
         acknowledged, nothing is half-applied.  ``token`` passes a
         dedupe token through to the log; a duplicate token is absorbed
-        without growing the edge list and answers with the *original*
+        without growing the pending list and answers with the *original*
         LSN, so a retried acknowledgement is byte-identical.
         """
         first, _count = self._ingest([(u, v, raw_t)], token=token)
@@ -221,8 +222,8 @@ class StreamingCoreService:
             known = self.wal.lookup_token(token)
             if known is not None:
                 # A retry of an acknowledged append: its first delivery
-                # already moved the ordering watermark (and is in the
-                # edge list), so answer the original LSN before any
+                # already moved the ordering watermark (and is pending
+                # or built), so answer the original LSN before any
                 # validation and apply nothing.
                 return known[0], 0
         last = self._last_raw_time
@@ -235,30 +236,29 @@ class StreamingCoreService:
         first: int | None = None
         if self.wal is not None:
             first, _n = self.wal.append_edges(batch, token=token)
-        self._edges.extend(batch)
+        self._pending.extend(batch)
         self._last_raw_time = batch[-1][2]
-        self._pending += len(batch)
         if self._pending_since is None:
             self._pending_since = _time.monotonic()
-        _lag_edges_gauge().set(self._pending)
+        _lag_edges_gauge().set(len(self._pending))
         return first, len(batch)
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        """Edges ingested so far: built (self-loops included) plus pending."""
+        graph = self._graph
+        built = 0 if graph is None else graph.num_edges + graph.num_dropped_self_loops
+        return built + len(self._pending)
 
     @property
     def num_pending(self) -> int:
-        """Edges appended since the indexes were last built."""
-        return self._pending
+        """Edges appended since the graph was last built."""
+        return len(self._pending)
 
     @property
     def is_stale(self) -> bool:
         """Whether a strict query would trigger a rebuild right now."""
-        return (
-            self._pending > 0
-            or any(k not in self._indexes for k in self.ks)
-        )
+        return bool(self._pending) or any(k not in self._indexes for k in self.ks)
 
     @property
     def lag_seconds(self) -> float:
@@ -282,9 +282,12 @@ class StreamingCoreService:
         ``mode`` selects the maintenance strategy and the resolved mode
         is returned:
 
-        * ``"full"`` — re-normalise the graph and rebuild all registered
-          ``k`` values in one shared decremental scan (the only strategy
-          before incremental folds existed).
+        * ``"full"`` — merge the pending edges into the graph
+          (:meth:`TemporalGraph.with_edges
+          <repro.graph.temporal_graph.TemporalGraph.with_edges>`: vertex
+          ids are kept, the result equals a graph built from every
+          ingested edge) and rebuild all registered ``k`` values in one
+          shared decremental scan.
         * ``"incremental"`` — fold the pending batch through
           :func:`repro.core.incremental.delta_fold`: extend the compiled
           arrays in place, recompute only the fold window, splice.  The
@@ -306,49 +309,47 @@ class StreamingCoreService:
             raise InvalidParameterError(
                 f"refresh mode must be auto|incremental|full, got {mode!r}"
             )
-        if not self._edges:
+        if not self.num_edges:
             raise InvalidParameterError("no edges ingested yet")
         started = _time.perf_counter()
         resolved = "full"
         if (
             mode != "full"
             and self._graph is not None
-            and self._pending > 0
-            and self._pending < len(self._edges)
+            and self._pending
             and all(k in self._indexes for k in self.ks)
         ):
             from repro.core.incremental import FoldFallback, delta_fold
 
-            batch = self._edges[len(self._edges) - self._pending :]
             try:
                 result = delta_fold(
                     self._graph,
                     self._indexes,
-                    batch,
+                    self._pending,
                     max_window_fraction=(
                         self.max_window_fraction if mode == "auto" else None
                     ),
-                    bufs=self._fold_bufs,
                 )
             except FoldFallback as fallback:
                 self.last_fallback_reason = fallback.reason
             else:
                 self._graph = result.graph
                 self._indexes = result.indexes
-                self._fold_bufs = result.bufs
                 self.last_fold_report = result.report
                 self.num_incremental_folds += 1
                 resolved = "incremental"
         if resolved == "full":
             from repro.core.multik import build_core_indexes
 
-            self._graph = TemporalGraph(self._edges)
+            if self._graph is None:
+                self._graph = TemporalGraph(self._pending)
+            elif self._pending:
+                self._graph = self._graph.with_edges(self._pending)
             self._indexes = (
                 build_core_indexes(self._graph, self.ks) if self.ks else {}
             )
-            self._fold_bufs = None
             self.num_full_rebuilds += 1
-        self._pending = 0
+        self._pending = []
         self._pending_since = None
         self.num_rebuilds += 1
         _fold_seconds_histogram().labels(resolved).observe(
@@ -362,7 +363,7 @@ class StreamingCoreService:
         if self.is_stale and (
             strict
             or any(k not in self._indexes for k in self.ks)
-            or self._pending > self.max_pending
+            or len(self._pending) > self.max_pending
             or self.lag_exceeded
         ):
             self.refresh()
@@ -379,8 +380,11 @@ class StreamingCoreService:
         """The graph and indexes of the last build (``(None, {})`` before one).
 
         Unlike :attr:`graph` this never refreshes — for a host that
-        decides freshness itself, as the daemon does with ``flush``.
+        decides freshness itself, as the daemon does with ``flush``.  A
+        restored graph whose indexes did not all load is not a build.
         """
+        if any(k not in self._indexes for k in self.ks):
+            return None, {}
         return self._graph, self._indexes
 
     # ------------------------------------------------------------------
@@ -482,81 +486,20 @@ class StreamingCoreService:
         return self.query(window[0], window[1], k=k, strict=False, collect=collect)
 
     # ------------------------------------------------------------------
-    # Restricted-window serving (sub-span builds)
-    # ------------------------------------------------------------------
-
-    def window_indexes(self, ts: int, te: int) -> dict[int, CoreIndex]:
-        """Fresh indexes restricted to the normalised window ``[ts, te]``.
-
-        Builds every registered ``k`` over just the requested sub-span
-        (:func:`repro.core.multik.compute_core_times_multi` with
-        ``ts``/``te`` bounds) against a graph containing **all** ingested
-        edges — pending ones included — so the answer is always fresh
-        without paying for a full-span rebuild.  Results are cached per
-        window and invalidated by the next append or refresh.  Core
-        times depend only on edges inside the window, so the sub-span
-        arrays are exact over it (oracle-tested).
-        """
-        if not self._edges:
-            raise InvalidParameterError("no edges ingested yet")
-        if self._window_cache_edges != len(self._edges):
-            self._window_cache.clear()
-            self._window_cache_edges = len(self._edges)
-        cached = self._window_cache.get((ts, te))
-        if cached is not None:
-            return cached
-        from repro.core.multik import compute_core_times_multi
-
-        if self._pending == 0 and self._graph is not None:
-            graph = self._graph
-        else:
-            graph = TemporalGraph(self._edges)
-        results = compute_core_times_multi(graph, self.ks, ts=ts, te=te)
-        built = {
-            k: CoreIndex.from_core_times(graph, k, results[k]) for k in self.ks
-        }
-        self._window_cache[(ts, te)] = built
-        return built
-
-    def query_window(
-        self,
-        ts: int,
-        te: int,
-        *,
-        k: int | None = None,
-        collect: bool = True,
-        sink: "ResultSink | None" = None,
-    ) -> EnumerationResult:
-        """Temporal k-cores of ``[ts, te]`` via a restricted sub-span build.
-
-        Unlike :meth:`query` this never consults (or builds) the
-        full-span indexes: the window's own indexes are computed on
-        demand (and cached), covering pending edges immediately.  The
-        right tool when a stale service gets a narrow query and a whole
-        backlog fold would cost more than answering directly.
-        """
-        chosen = self.k if k is None else k
-        if chosen not in self.ks:
-            raise InvalidParameterError(
-                f"k={chosen} is not served by this service (registered: {self.ks})"
-            )
-        index = self.window_indexes(ts, te)[chosen]
-        return index.query(ts, te, collect=collect, sink=sink)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
         """Freshness and maintenance counters (registry-backed views)."""
         lag_seconds = self.lag_seconds
-        _lag_edges_gauge().set(self._pending)
+        pending = len(self._pending)
+        _lag_edges_gauge().set(pending)
         _lag_seconds_gauge().set(lag_seconds)
         report = self.last_fold_report
         return {
-            "num_edges": len(self._edges),
-            "num_pending": self._pending,
-            "lag_edges": self._pending,
+            "num_edges": self.num_edges,
+            "num_pending": pending,
+            "lag_edges": pending,
             "lag_seconds": lag_seconds,
             "max_pending": self.max_pending,
             "max_lag": self.max_lag,
@@ -624,21 +567,20 @@ class StreamingCoreService:
         """Resume a service from the last durable state in ``store``.
 
         ``name`` selects the stored graph; when omitted the store must
-        hold exactly one.  The ingested edge log is reconstructed from
-        the persisted graph (labels and raw timestamps round-trip), and
+        hold exactly one.  The persisted graph is attached as it is
+        (vertex ids, edge ids and the self-loop count round-trip), and
         the persisted indexes are attached when their fingerprints still
         match — when **every** requested ``k`` loads, the first query
         runs with **zero** core-time computation.  Any missing, stale or
         corrupt index leaves the restored service stale: the next query
-        folds everything in with one shared rebuild, never serving bad
-        data.
+        rebuilds every ``k`` in one shared pass, never serving bad data.
 
         ``wal`` controls the write-ahead log: ``"auto"`` (default)
         attaches and replays one iff the key already has log segments;
         ``True`` always attaches (creating an empty log — how a fresh
         service opts into durability); ``False`` never touches it.
         Replayed records past the snapshot's recovery point re-enter
-        the edge list as *pending* edges — they are **not** re-written
+        the service as *pending* edges — they are **not** re-written
         to the log (they are already durable there) — so a restored
         service with attached indexes answers immediately at the
         snapshot's freshness and folds the replayed tail in under the
@@ -664,20 +606,13 @@ class StreamingCoreService:
             replayed = [(e.u, e.v, e.t) for e in recovery.events]
         else:
             graph, log, replayed = store.load_graph(name), None, []
-        base_edges: list[tuple[Hashable, Hashable, int]] = []
-        if graph is not None:
-            base_edges = [
-                (graph.label_of(u), graph.label_of(v), graph.raw_time_of(t))
-                for u, v, t in graph.edges
-            ]
         service = cls(
-            k,
-            base_edges + replayed,
-            max_pending=max_pending,
-            max_lag=max_lag,
-            wal=log,
+            k, replayed, max_pending=max_pending, max_lag=max_lag, wal=log
         )
         if graph is not None:
+            service._graph = graph
+            if service._last_raw_time is None and graph.num_edges:
+                service._last_raw_time = graph.raw_time_of(graph.tmax)
             loaded: dict[int, CoreIndex] = {}
             for wanted in service.ks:
                 index = store.load_index(graph, wanted, key=name)
@@ -686,9 +621,5 @@ class StreamingCoreService:
             if len(loaded) == len(service.ks):
                 # Serve from the snapshot immediately; the replayed tail
                 # stays pending under the normal staleness contract.
-                service._graph = graph
                 service._indexes = loaded
-                service._pending = len(replayed)
-                if not replayed:
-                    service._pending_since = None
         return service

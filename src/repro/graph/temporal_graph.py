@@ -138,6 +138,20 @@ class TemporalGraph:
         label_ids: dict[Hashable, int] = {}
         labels: list[Hashable] = []
         raw_t, u, v, dropped = ingest_edges(edges, label_ids, labels)
+        self._assign(raw_t, u, v, labels, label_ids, dropped, normalize_time, deduplicate)
+
+    def _assign(
+        self,
+        raw_t: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        labels: list[Hashable],
+        label_ids: dict[Hashable, int],
+        dropped: int,
+        normalize_time: bool = True,
+        deduplicate: bool = False,
+    ) -> None:
+        """Normalise ``(raw_t, u, v)`` columns sorted by ``(raw_t, u, v)`` into this graph."""
         if normalize_time:
             # A new normalised time starts at every raw-time change.
             starts = run_starts(raw_t)
@@ -221,6 +235,34 @@ class TemporalGraph:
     @property
     def num_dropped_self_loops(self) -> int:
         return self._num_dropped_self_loops
+
+    def with_edges(
+        self, edges: Iterable[tuple[Hashable, Hashable, int]]
+    ) -> "TemporalGraph":
+        """A new graph of this graph's edges plus ``edges``; labels keep their ids.
+
+        Only ``edges`` are labelled (against a copy of this graph's label
+        map); they are merged with this graph's raw-time columns and
+        normalised as the constructor does, so the result equals
+        ``TemporalGraph(raw + edges)`` for the raw triples ``raw`` this
+        graph was built from.  The edges may interleave with this
+        graph's in time.
+        """
+        label_ids = dict(self._label_ids)
+        labels = list(self._labels)
+        raw_t, u, v, dropped = ingest_edges(edges, label_ids, labels)
+        old_u, old_v, t = self._edge_columns
+        old_raw = np.asarray(self._raw_times, dtype=np.int64)[t - 1] if self._raw_times else t
+        raw_t = np.concatenate((old_raw, raw_t))
+        u = np.concatenate((old_u, u))
+        v = np.concatenate((old_v, v))
+        order = np.lexsort((v, u, raw_t))
+        graph = TemporalGraph.__new__(TemporalGraph)
+        graph._assign(
+            raw_t[order], u[order], v[order], labels, label_ids,
+            dropped + self._num_dropped_self_loops,
+        )
+        return graph
 
     def label_of(self, vertex: int) -> Hashable:
         """Original label of internal vertex id ``vertex``."""

@@ -96,8 +96,8 @@ class TestExtendGraph:
             batch = frontier_batch(base_edges, seed + 100, 25)
             base = TemporalGraph(base_edges)
             base.compiled()
-            extended, new_edges, _bufs = extend_graph(base, batch)
-            assert len(new_edges) == len(batch)
+            extended = extend_graph(base, batch)
+            assert extended.num_edges - base.num_edges == len(batch)
             fresh = TemporalGraph(base_edges + batch)
             assert extended.num_edges == fresh.num_edges
             assert extended.tmax == fresh.tmax
@@ -106,7 +106,7 @@ class TestExtendGraph:
     def test_raw_times_round_trip(self):
         base_edges = stream(3, 80)
         batch = frontier_batch(base_edges, 4, 20)
-        extended, _, _ = extend_graph(TemporalGraph(base_edges), batch)
+        extended = extend_graph(TemporalGraph(base_edges), batch)
         fresh = TemporalGraph(base_edges + batch)
         for t in range(1, extended.tmax + 1):
             assert extended.raw_time_of(t) == fresh.raw_time_of(t)
@@ -115,7 +115,7 @@ class TestExtendGraph:
         base_edges = stream(5, 60)
         t = max(e[2] for e in base_edges)
         batch = [("zz1", "zz2", t + 1), ("zz1", "n0", t + 2)]
-        extended, _, _ = extend_graph(TemporalGraph(base_edges), batch)
+        extended = extend_graph(TemporalGraph(base_edges), batch)
         fresh = TemporalGraph(base_edges + batch)
         assert extended.num_vertices == fresh.num_vertices
         assert_compiled_equal(extended.compiled(), fresh.compiled())
@@ -123,12 +123,12 @@ class TestExtendGraph:
     def test_self_loops_dropped(self):
         base_edges = stream(6, 60)
         t = max(e[2] for e in base_edges)
-        extended, new_edges, _ = extend_graph(
+        extended = extend_graph(
             TemporalGraph(base_edges),
             [("n0", "n0", t + 1), ("n0", "n1", t + 2)],
         )
-        assert len(new_edges) == 1
         assert extended.num_edges == len(base_edges) + 1
+        assert extended.num_dropped_self_loops == 1
 
     def test_boundary_tie_falls_back(self):
         base_edges = stream(7, 60)
@@ -172,15 +172,15 @@ class TestDeltaFoldIdentity:
         edges = stream(seed, 120)
         graph = TemporalGraph(edges)
         indexes = build_core_indexes(graph, ks)
-        bufs = None
         for round_no in range(4):
             batch = frontier_batch(edges, seed * 31 + round_no, 20)
-            # Each fold hands its append buffers to the next.
-            result = delta_fold(graph, indexes, batch, bufs=bufs)
-            graph, indexes, bufs = result.graph, result.indexes, result.bufs
+            # Each fold extends the graph the previous one returned.
+            result = delta_fold(graph, indexes, batch)
+            graph, indexes = result.graph, result.indexes
             edges = edges + batch
-            oracle = build_core_indexes(TemporalGraph(edges), ks)
-            assert_indexes_equal(indexes, oracle, ks)
+            fresh = TemporalGraph(edges)
+            assert_indexes_equal(indexes, build_core_indexes(fresh, ks), ks)
+            assert_compiled_equal(graph.compiled(), fresh.compiled())
 
     def test_matches_seed_oracle(self):
         ks = (2, 3)
@@ -263,6 +263,19 @@ class TestDeltaFoldIdentity:
         assert result.graph is base
         assert result.report.delta_edges == 0
         assert result.report.window_edges == 0
+
+    def test_self_loop_batch_only_moves_the_dropped_count(self):
+        base_edges = stream(1, 80)
+        batch = [("n0", "n0", max(e[2] for e in base_edges) + 1)]
+        base = TemporalGraph(base_edges)
+        indexes = build_core_indexes(base, (2,))
+        result = delta_fold(base, indexes, batch)
+        fresh = TemporalGraph(base_edges + batch)
+        assert result.graph.num_dropped_self_loops == fresh.num_dropped_self_loops == 1
+        assert result.report.delta_edges == 0
+        assert_compiled_equal(result.graph.compiled(), fresh.compiled())
+        assert_indexes_equal(result.indexes, indexes, (2,))
+        assert result.indexes[2].graph is result.graph
 
     def test_inputs_not_mutated(self):
         ks = (2,)

@@ -215,6 +215,47 @@ class TestSnapshotRestore:
             restored.query_raw(50, 450, strict=True), restored.graph
         ) == self._canonical(scratch.query_raw(50, 450), scratch.graph)
 
+    LOOPED = [("x", "y", 5), ("z", "w", 1), ("w", "x", 1), ("y", "z", 3),
+              ("q", "q", 2), ("x", "z", 4), ("w", "y", 5)]
+
+    def test_restore_counts_the_snapshots_self_loops(self, tmp_path):
+        from repro.core.maintenance import StreamingCoreService
+
+        svc = StreamingCoreService(2, self.LOOPED)
+        svc.snapshot(store := self._store(tmp_path), name="svc")
+        restored = StreamingCoreService.restore(store, 2, name="svc")
+        assert restored.num_edges == svc.num_edges == 7
+        assert restored.stats()["num_edges"] == svc.stats()["num_edges"] == 7
+
+    def test_full_rebuild_after_restore_keeps_labels(self, tmp_path):
+        """A tie on the last raw time forces the full rebuild; it must equal
+        a graph built from every ingested edge, ids and all."""
+        from repro.core.maintenance import StreamingCoreService
+        from repro.store.codec import graph_fingerprint
+
+        StreamingCoreService(2, self.LOOPED).snapshot(
+            store := self._store(tmp_path), name="svc"
+        )
+        restored = StreamingCoreService.restore(store, 2, name="svc")
+        stored_graph, _ = restored.built
+        assert stored_graph._edges is None
+        restored.append("w", "x", 5)
+        assert restored.refresh() == "full"
+        assert restored.last_fallback_reason == "boundary-tie"
+        rebuilt, expected = restored.graph, TemporalGraph(self.LOOPED + [("w", "x", 5)])
+        assert rebuilt._labels == expected._labels == ("x", "y", "z", "w")
+        for got, want in zip(rebuilt.edge_columns(), expected.edge_columns()):
+            assert got.tolist() == want.tolist()
+        assert rebuilt.time_offsets().tolist() == expected.time_offsets().tolist()
+        assert rebuilt._raw_times == expected._raw_times
+        assert rebuilt.num_dropped_self_loops == expected.num_dropped_self_loops == 1
+        assert graph_fingerprint(rebuilt) == graph_fingerprint(expected)
+        assert restored.num_edges == 8
+        restored.append("x", "q", 6)
+        assert restored.refresh(mode="incremental") == "incremental"
+        assert stored_graph._edges is None
+        assert restored.num_edges == 9
+
 
 class TestMultiKService:
     """Several registered k values rebuild together in one shared pass."""
@@ -438,47 +479,3 @@ class TestMaxLag:
         resumed = StreamingCoreService.restore(store, 2, max_lag=5.0)
         assert resumed.max_lag == 5.0
 
-
-class TestWindowQueries:
-    """PR 10 satellite: restricted sub-span builds from the serving layer."""
-
-    def test_window_indexes_match_full_restriction(self, service):
-        service.refresh()
-        full = service.query(2, 5, strict=True)
-        window = service.query_window(2, 5)
-        assert window.edge_sets() == full.edge_sets()
-
-    def test_window_query_sees_pending_edges(self, service):
-        service.refresh()
-        service.extend([("v1", "v9", 8), ("v9", "v5", 8), ("v1", "v5", 9)])
-        before = service.num_rebuilds
-        tmax = TemporalGraph(
-            list(PAPER_EXAMPLE_EDGES)
-            + [("v1", "v9", 8), ("v9", "v5", 8), ("v1", "v5", 9)]
-        ).tmax
-        result = service.query_window(1, tmax)
-        offline = enumerate_temporal_kcores(
-            TemporalGraph(
-                list(PAPER_EXAMPLE_EDGES)
-                + [("v1", "v9", 8), ("v9", "v5", 8), ("v1", "v5", 9)]
-            ),
-            2,
-        )
-        assert result.edge_sets() == offline.edge_sets()
-        # The sub-span build never touched the full-span indexes.
-        assert service.num_rebuilds == before
-        assert service.num_pending == 3
-
-    def test_window_cache_invalidated_by_append(self, service):
-        service.refresh()
-        first = service.window_indexes(1, 7)
-        again = service.window_indexes(1, 7)
-        assert again is first  # cached
-        service.append("v1", "v9", 8)
-        rebuilt = service.window_indexes(1, 7)
-        assert rebuilt is not first
-
-    def test_window_validation(self, service):
-        service.refresh()
-        with pytest.raises(InvalidParameterError):
-            service.query_window(5, 2)

@@ -371,7 +371,7 @@ class TestIndexStoreCli:
     def test_warm_ks_flag(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "--ks", "2,3"]) == 0
+                     "-k", "2", "3"]) == 0
         out = capsys.readouterr().out
         assert "k=2" in out and "k=3" in out
         from repro.store import IndexStore
@@ -381,10 +381,10 @@ class TestIndexStoreCli:
     def test_warm_is_idempotent_and_reports_reuse(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "--ks", "2"]) == 0
+                     "-k", "2"]) == 0
         capsys.readouterr()
         assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "--ks", "2,3"]) == 0
+                     "-k", "2,3"]) == 0
         out = capsys.readouterr().out
         assert "already stored" in out and "k=3" in out
 
@@ -393,12 +393,12 @@ class TestIndexStoreCli:
     ):
         store_dir = tmp_path / "store"
         assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "--ks", "2"]) == 0
+                     "-k", "2"]) == 0
         capsys.readouterr()
         path = store_dir / "FB" / "k2.idx"
         path.write_bytes(path.read_bytes()[:-32])  # truncate: crc fails
         assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "--ks", "2"]) == 0
+                     "-k", "2"]) == 0
         out = capsys.readouterr().out
         assert "already stored" not in out  # it was rebuilt, say so
         assert "k=2" in out

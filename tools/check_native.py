@@ -1,10 +1,11 @@
 """Strict-warning and sanitizer checks for the C kernels (``core/_fixpoint.c``).
 
 1. Compiles the source with ``-Wall -Wextra -Werror``: any warning fails.
-2. Runs the CoreTime kernel, multi-k, fold, counting-order, checksum,
-   skyline, blob-store and columnar-walk suites
+2. Runs the CoreTime kernel, multi-k, fold, streaming-service,
+   counting-order, checksum, skyline, blob-store and columnar-walk suites
    (``tests/core/test_flat_kernel.py``, ``tests/core/test_multik.py``,
-   ``tests/core/test_incremental.py``, ``tests/core/test_counting_order.py``,
+   ``tests/core/test_incremental.py``, ``tests/core/test_maintenance.py``,
+   ``tests/core/test_counting_order.py``,
    ``tests/core/test_crc32.py``, ``tests/core/test_windows.py``,
    ``tests/store/test_format.py``, ``tests/serve/test_columnar.py``,
    ``tests/serve/test_executor.py``)
@@ -48,6 +49,7 @@ TESTS = [
     "tests/core/test_flat_kernel.py",
     "tests/core/test_multik.py",
     "tests/core/test_incremental.py",
+    "tests/core/test_maintenance.py",
     "tests/core/test_counting_order.py",
     "tests/core/test_crc32.py",
     "tests/core/test_windows.py",
