@@ -49,7 +49,7 @@ import numpy as np  # noqa: E402
 from repro.core.index import CoreIndex  # noqa: E402
 from repro.graph.generators import BurstyConfig, generate_bursty  # noqa: E402
 from repro.serve.columnar import run_columnar_walk  # noqa: E402
-from repro.serve.executor import _group_window_arrays  # noqa: E402
+from repro.serve.executor import _group_window_arrays, execute_plan  # noqa: E402
 from repro.serve.parallel import open_pool  # noqa: E402
 from repro.serve.planner import plan_for_index  # noqa: E402
 from repro.serve.sinks import CountSink, ResultSink  # noqa: E402
@@ -259,16 +259,17 @@ def main(argv=None):
     # warm-up batch, which is also the identity check) ----
     best_pool_qps = 0.0
     for workers in worker_counts:
-        with open_pool(workers, min_parallel_windows=0) as pool:
+        with open_pool(workers) as pool:
             pool.prestart()
-            warm = index.query_batch(ranges, parallel=pool)
+            warm = execute_plan(plan_for_index(index, ranges), parallel=pool)
             if counters(warm) != baseline:
                 report["identical"] = False
                 failures.append(
                     f"{workers}-worker answers diverge from the PR 5 baseline"
                 )
             pool_s = best_of(
-                repeats, lambda: index.query_batch(ranges, parallel=pool)
+                repeats,
+                lambda: execute_plan(plan_for_index(index, ranges), parallel=pool),
             )
             entry = {
                 "seconds": round(pool_s, 4),

@@ -1,10 +1,5 @@
 """Benchmark harness: workloads, timing/memory measurement, experiments."""
 
-from repro.bench.batch import (
-    BatchAnswer,
-    run_mixed_batch,
-    run_query_batch,
-)
 from repro.bench.harness import (
     EngineSummary,
     FIG6_ENGINES,
@@ -22,7 +17,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "BatchAnswer",
     "EngineSummary",
     "FIG6_ENGINES",
     "QueryRecord",
@@ -34,8 +28,6 @@ __all__ = [
     "orders_of_magnitude",
     "range_has_core",
     "run_dataset_point",
-    "run_mixed_batch",
-    "run_query_batch",
     "run_workload",
     "sample_query_ranges",
     "speedup",

@@ -53,7 +53,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.report import report as obs_report
 from repro.obs.timing import Deadline
 from repro.obs.trace import Trace
-from repro.serve import CountSink, NDJSONSink, QueryRequest, execute_plan, plan_queries
+from repro.serve import CountSink, NDJSONSink, QueryRequest, execute_batch
 from repro.store import IndexStore
 from repro.store.index_store import _pid_alive
 
@@ -241,36 +241,24 @@ def cmd_batch(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     queries = _parse_query_file(args.queries)
     store = IndexStore(args.store) if args.store else None
-    distinct_ks = sorted({k for k, _, _ in queries})
-    # A dedicated registry sized for the file: every distinct k stays
-    # resident from the prefetch through execution (the process-wide
-    # default holds 8 and would evict — and then rebuild — beyond that).
-    registry = CoreIndexRegistry(
-        capacity=max(len(distinct_ks), 1), store=store
-    )
-    # Resolve every distinct k first: store fallthrough, then one shared
-    # scan for whatever is missing — never one Algorithm-2 run per k.
-    registry.get_many(graph, distinct_ks)
     try:
         requests = [QueryRequest(graph, k, ts, te) for k, ts, te in queries]
     except ReproError as exc:
         raise ReproError(f"invalid query: {exc}") from exc
     trace = Trace("batch") if args.trace_out else None
-    plan = plan_queries(
-        requests, engine="index", merge_overlaps=not args.no_merge,
+    # A dedicated registry sized for the file: every distinct k stays
+    # resident from the prefetch through execution (the process-wide
+    # default holds 8 and would evict — and then rebuild — beyond that).
+    # With --processes, workers attach to --store when given (mmap, zero
+    # copy); an ephemeral store backs the pool otherwise.
+    plan, results = execute_batch(
+        requests,
+        registry=CoreIndexRegistry(capacity=len({k for k, _, _ in queries}), store=store),
+        store=store,
+        merge_overlaps=not args.no_merge,
         trace=trace,
+        processes=args.processes,
     )
-    if args.processes:
-        from repro.serve.parallel import open_pool
-
-        # Workers attach to --store when given (mmap, zero copy); an
-        # ephemeral store backs the pool otherwise.
-        with open_pool(args.processes, store=store) as pool:
-            results = execute_plan(
-                plan, registry=registry, store=store, parallel=pool
-            )
-    else:
-        results = execute_plan(plan, registry=registry, store=store)
     if trace is not None:
         _write_trace(trace, args.trace_out)
     if args.metrics_out:
@@ -488,7 +476,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         default_timeout=args.deadline,
         terminal_grace=args.terminal_grace,
-        pool_min_windows=args.pool_min_windows,
         warm=not args.no_warm,
         max_lag=args.max_lag,
     )
@@ -670,10 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after a request's deadline expires, how long a client "
              "gets to accept the terminal frame before the daemon "
              "hangs up on it (default: 5)",
-    )
-    serve.add_argument(
-        "--pool-min-windows", type=int, default=2, metavar="N",
-        help="smallest plan the worker pool dispatches (default: 2)",
     )
     serve.add_argument(
         "--no-warm", action="store_true",

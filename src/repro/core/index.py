@@ -34,7 +34,6 @@ from repro.obs.timing import Deadline, now
 from repro.obs.trace import NULL_TRACE, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.serve.parallel import WorkerPool
     from repro.serve.sinks import ResultSink
     from repro.store.index_store import IndexStore
 
@@ -122,15 +121,12 @@ class CoreIndex:
         sinks: "list[ResultSink | None] | None" = None,
         deadline: Deadline | None = None,
         merge_overlaps: bool = True,
-        parallel: "WorkerPool | None" = None,
         trace: Trace | None = None,
     ) -> list[EnumerationResult]:
         """Answer many ranges from the shared index in one planned pass.
 
-        The batch serving primitive behind
-        :func:`repro.bench.batch.run_query_batch` /
-        :func:`~repro.bench.batch.run_mixed_batch`: the ranges are
-        planned against this index (identical ranges deduped,
+        The batch serving primitive: the ranges are planned against
+        this index (identical ranges deduped,
         overlapping windows merged and enumerated once, each answer
         sliced out by TTI containment — ``merge_overlaps=False``
         disables the merging) and the executor locates every covering
@@ -138,11 +134,10 @@ class CoreIndex:
         cached sorted skyline view.  Results come back in input order;
         ``collect`` defaults to ``False`` (count only), matching batch
         traffic.  ``sinks``, when given, carries one optional
-        per-range delivery sink.  ``parallel`` hands the planned
-        windows to a :class:`~repro.serve.parallel.WorkerPool`, which
-        executes them across store-attached worker processes (this
-        index is persisted into the pool store, so workers mmap the
-        identical blob rather than rebuild).  ``trace``, when given,
+        per-range delivery sink (to fan the windows out over a
+        :class:`~repro.serve.parallel.WorkerPool`, hand
+        :func:`~repro.serve.planner.plan_for_index`'s plan to
+        ``execute_plan(plan, parallel=pool)``).  ``trace``, when given,
         records a span tree for the batch — ``query_batch`` wrapping
         ``plan`` and ``execute`` (see :mod:`repro.obs.trace`).
         """
@@ -161,9 +156,7 @@ class CoreIndex:
                 merge_overlaps=merge_overlaps,
                 trace=trace,
             )
-            return execute_plan(
-                plan, collect=collect, deadline=deadline, parallel=parallel
-            )
+            return execute_plan(plan, collect=collect, deadline=deadline)
 
     def historical_core(self, ts: int, te: int) -> set[int]:
         """Single-window (historical) k-core members, index-only.

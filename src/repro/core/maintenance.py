@@ -55,7 +55,6 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.obs.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.serve.parallel import WorkerPool
     from repro.serve.sinks import ResultSink
     from repro.store.index_store import IndexStore
     from repro.store.wal import WriteAheadLog
@@ -432,7 +431,6 @@ class StreamingCoreService:
         collect: bool = False,
         sinks: "Sequence[ResultSink | None] | None" = None,
         deadline: "Deadline | None" = None,
-        parallel: "WorkerPool | None" = None,
     ) -> list[EnumerationResult]:
         """Answer many ranges against the service's index, in input order.
 
@@ -444,11 +442,6 @@ class StreamingCoreService:
         ``sinks`` optionally streams per-range results through caller
         sinks (one entry per range, ``None`` falling back to the
         ``collect`` default), exactly as on ``CoreIndex.query_batch``.
-        ``parallel`` fans the covering windows out over a
-        :class:`~repro.serve.parallel.WorkerPool`; the service's
-        current index is persisted into the pool store so workers mmap
-        it (a rebuilt index after further appends is a new fingerprint
-        — workers attach to the new blob, never a stale one).
         """
         self._ensure_fresh(strict)
         return self._index_for(k).query_batch(
@@ -456,7 +449,6 @@ class StreamingCoreService:
             collect=collect,
             sinks=sinks,
             deadline=deadline,
-            parallel=parallel,
         )
 
     def query_raw(

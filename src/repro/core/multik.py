@@ -59,7 +59,7 @@ set of ``k`` values against an optional on-disk store first and builds
 the remainder in one shared pass.  The serving layers
 (:meth:`CoreIndexRegistry.get_many <repro.core.index.CoreIndexRegistry.get_many>`,
 :meth:`IndexStore.build_all <repro.store.index_store.IndexStore.build_all>`,
-:func:`~repro.bench.batch.run_mixed_batch`,
+:func:`~repro.serve.executor.execute_batch`,
 :class:`~repro.core.maintenance.StreamingCoreService`) all route through
 it.
 """

@@ -29,8 +29,9 @@ Prometheus-style names and frozen label tuples:
   per-worker metrics back into the parent process.
 
 The process-wide default registry (:func:`get_registry`) is what the
-library's built-in instrumentation writes to; components accept a
-``metrics=`` constructor argument for isolation.  Latency measurement
+library's built-in instrumentation writes to; the store, the WAL and
+the index registry accept a ``metrics=`` constructor argument for
+isolation.  Latency measurement
 (the ``perf_counter`` calls around plan/execute/enumerate boundaries)
 can be switched off process-wide with :func:`set_timing_enabled` — the
 instrumented code then pays a single branch per boundary.

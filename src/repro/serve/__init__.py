@@ -19,6 +19,9 @@ A fourth, optional axis fans execution out across processes
 workers (mmap, zero copy) executes the plan's covering windows in
 parallel — ``execute_plan(parallel=pool)`` — and the parent stitches
 the columnar results back into input order through the same sinks.
+:func:`execute_batch` answers a mixed ``(graph, k, range)`` batch in
+one call (prefetch every ``k``, plan, execute; ``processes=`` for a
+pool).
 
 The network front door (:mod:`repro.serve.daemon`,
 :mod:`repro.serve.protocol`, :mod:`repro.serve.client`) puts the whole
@@ -30,7 +33,7 @@ control, streamed NDJSON-identical answers, graceful drain and an HTTP
 from repro.serve.client import DaemonClient
 from repro.serve.columnar import run_columnar_walk
 from repro.serve.daemon import ServingDaemon
-from repro.serve.executor import execute_plan
+from repro.serve.executor import execute_batch, execute_plan
 from repro.serve.parallel import WorkerPool, open_pool
 from repro.serve.planner import (
     CoveringWindow,
@@ -65,6 +68,7 @@ __all__ = [
     "ResultSink",
     "TeeSink",
     "WorkerPool",
+    "execute_batch",
     "execute_plan",
     "make_sink",
     "open_pool",

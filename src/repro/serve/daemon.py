@@ -391,7 +391,6 @@ class ServingDaemon:
         capacity: int = 16,
         default_timeout: float | None = None,
         terminal_grace: float = 5.0,
-        pool_min_windows: int = 2,
         warm: bool = True,
         max_lag: float | None = None,
     ):
@@ -406,7 +405,6 @@ class ServingDaemon:
         self.outbox_depth = outbox_depth
         self.default_timeout = default_timeout
         self.terminal_grace = terminal_grace
-        self.pool_min_windows = pool_min_windows
         self.warm = warm
         self.registry = CoreIndexRegistry(capacity=capacity, store=self.store)
         self.pool = None
@@ -517,7 +515,6 @@ class ServingDaemon:
             self.pool = WorkerPool(
                 self.store,
                 processes=self.processes,
-                min_parallel_windows=self.pool_min_windows,
                 _fault_path=os.environ.get(FAULT_PATH_ENV) or None,
             )
         self._queue = asyncio.Queue(maxsize=self.queue_depth)

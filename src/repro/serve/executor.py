@@ -22,7 +22,10 @@ per request, in request order; requests that carry their own sink are
 delivered through it (and the returned result reflects that sink's
 counters).  ``execute_plan(parallel=...)`` hands the whole plan to a
 :class:`~repro.serve.parallel.WorkerPool` instead, which partitions the
-covering windows across store-attached worker processes.
+covering windows across store-attached worker processes and runs each
+chunk of them through the same sequential loop.  :func:`execute_batch`
+is the mixed ``(graph, k, range)`` batch in one call: prefetch every
+graph's ``k`` values, plan, execute.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry, timing_enabled
 from repro.obs.timing import Deadline, now
 from repro.serve.columnar import run_columnar_walk
-from repro.serve.planner import PlanGroup, QueryPlan
+from repro.serve.planner import PlanGroup, QueryPlan, QueryRequest, plan_queries
 from repro.serve.sinks import MaterializingSink, CountSink, ResultSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.index import CoreIndexRegistry
+    from repro.graph.temporal_graph import TemporalGraph
+    from repro.obs.trace import Trace
     from repro.serve.parallel import WorkerPool
     from repro.store.index_store import IndexStore
 
@@ -260,8 +265,8 @@ def execute_plan(
     :class:`~repro.serve.parallel.WorkerPool`: covering windows are
     partitioned by estimated work and executed across store-attached
     worker processes, with results stitched back into input order
-    through the same sink interface.  The pool falls back to this
-    sequential path for plans too small to amortise the dispatch.
+    through the same sink interface.  The pool runs plans too small to
+    amortise the dispatch in-process, through the same loop.
 
     Execution records into the plan's trace (an ``execute`` span
     wrapping one ``enumerate`` and ``sink_flush`` span per covering
@@ -357,3 +362,46 @@ def _execute_sequential(
         sink.result("enum", request.k, request.time_range)
         for request, sink in zip(plan.requests, sinks)
     ]
+
+
+def execute_batch(
+    requests: list[QueryRequest],
+    *,
+    registry: "CoreIndexRegistry | None" = None,
+    store: "IndexStore | None" = None,
+    merge_overlaps: bool = True,
+    trace: "Trace | None" = None,
+    processes: int | None = None,
+) -> tuple[QueryPlan, list[EnumerationResult]]:
+    """Answer a mixed ``(graph, k, range)`` batch; ``(plan, results)``.
+
+    Each graph's distinct ``k`` values are resolved first, in one
+    :meth:`~repro.core.index.CoreIndexRegistry.get_many` call per graph
+    (registry cache, then ``store``, then **one** shared multi-``k``
+    build for whatever is still missing — never one Algorithm-2 run per
+    ``k``).  The requests are then planned on the ``index`` engine and
+    executed from the warm registry; results come back in request order
+    (count-only unless a request brings its own sink).  ``processes``
+    runs the plan on a :class:`~repro.serve.parallel.WorkerPool` of
+    that many workers attached to ``store`` (an ephemeral store when
+    none is given).
+    """
+    from repro.core.index import DEFAULT_REGISTRY
+
+    target = registry if registry is not None else DEFAULT_REGISTRY
+    ks_by_graph: dict[int, tuple["TemporalGraph", list[int]]] = {}
+    for request in requests:
+        graph, ks = ks_by_graph.setdefault(id(request.graph), (request.graph, []))
+        if request.k not in ks:
+            ks.append(request.k)
+    for graph, ks in ks_by_graph.values():
+        target.get_many(graph, ks, store=store)
+    plan = plan_queries(
+        requests, engine="index", merge_overlaps=merge_overlaps, trace=trace
+    )
+    if not processes:
+        return plan, execute_plan(plan, registry=target, store=store)
+    from repro.serve.parallel import open_pool
+
+    with open_pool(processes, store=store) as pool:
+        return plan, execute_plan(plan, registry=target, store=store, parallel=pool)

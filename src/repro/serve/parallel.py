@@ -14,30 +14,35 @@ arrays by mmap — zero copy, no pickled edges, no per-worker rebuild.
   store key straight off the blob mappings and cached in a per-worker
   registry.  The parent persists whatever a plan needs (graph blobs,
   index blobs) before dispatching, so a worker's load is always a
-  fingerprint-matched mmap open.
+  fingerprint-matched mmap open.  A chunk names its graph by store key
+  *and* fingerprint: a streamed snapshot commits a new graph under the
+  same key, and a worker reloads rather than serve the one it cached.
 * **Work is partitioned by estimated cost.**  Covering windows are
-  packed into chunks greedily, largest first (LPT): an ``index``
-  window's cost is the number of skyline windows inside its vectorised
-  cut (``start_cuts``), a ``direct`` window's its length.  Chunks are
+  packed into up to ``processes * _CHUNKS_PER_WORKER`` chunks per plan
+  group, greedily, largest first (LPT): an ``index`` window's cost is
+  the number of skyline windows inside its vectorised cut
+  (``start_cuts``), a ``direct`` window's its length.  Chunks are
   dispatched in descending cost order, so one giant window runs on one
   worker while the others drain the rest of the batch instead of
   queueing behind it.
-* **Results come back columnar.**  A counting request ships three ints;
-  a collecting request (or one carrying its own sink) ships the walk's
-  per-start-time batches ``(t, ends, prefix_lens, eids)``, which the
-  parent replays through the request's sink — custom sinks (NDJSON,
-  flat arrays, callbacks) keep working unchanged, in input order.
-* **Small plans stay sequential.**  A plan with fewer covering windows
-  than ``min_parallel_windows`` (or whose graph cannot be persisted to
-  the store) is executed in-process by the ordinary
-  :func:`~repro.serve.executor.execute_plan` path — the pool dispatch
+* **One executor loop.**  A chunk runs as a one-group
+  :class:`~repro.serve.planner.QueryPlan` through the sequential
+  executor, whose requests carry a :class:`CountSink` (counting
+  requests: three ints ship home) or a :class:`_RecordingSink` (a
+  collecting request, or one carrying its own sink: the walk's
+  per-start-time batches ``(t, ends, prefix_lens, eids)`` ship home and
+  the parent replays them through the request's sink — custom sinks
+  keep working unchanged, in input order).
+* **Small plans stay sequential.**  A plan with fewer than
+  ``_MIN_PARALLEL_WINDOWS`` covering windows (or whose graph cannot be
+  persisted to the store) is executed in-process — the pool dispatch
   only pays when there is enough independent work to amortise it.
 * **Dead workers do not lose the batch.**  A worker SIGKILL'd mid-chunk
   breaks the pool; the pool is rebuilt and the unfinished chunks are
   re-dispatched (chunks are idempotent — nothing escapes a worker until
-  its chunk returns).  After ``max_restarts`` rebuilds the remaining
-  chunks run sequentially in the parent instead — a crashing batch
-  degrades to slow, never to wrong or lost.
+  its chunk returns).  After ``_MAX_RESTARTS`` rebuilds the remaining
+  chunks run in the parent instead — a crashing batch degrades to
+  slow, never to wrong or lost.
 
 Deadlines travel as remaining-seconds: each chunk is stamped at
 dispatch time and workers construct their own :class:`Deadline`, so an
@@ -64,15 +69,33 @@ import numpy as np
 from repro.core.index import CoreIndex, get_core_index
 from repro.core.results import EnumerationResult
 from repro.errors import InvalidParameterError, StoreError
-from repro.obs.metrics import MetricsRegistry, get_registry, next_instance, timing_enabled
+from repro.obs.metrics import get_registry, next_instance, timing_enabled
 from repro.obs.timing import Deadline, now
-from repro.serve.planner import CoveringWindow, PlanGroup, QueryPlan
+from repro.serve.executor import _execute_sequential
+from repro.serve.planner import CoveringWindow, PlanGroup, QueryPlan, QueryRequest
 from repro.serve.sinks import CountSink, MaterializingSink, ResultSink
+from repro.store.codec import graph_fingerprint
 from repro.store.index_store import IndexStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.index import CoreIndexRegistry
     from repro.graph.temporal_graph import TemporalGraph
+
+#: Plans with fewer covering windows run in-process: dispatch only pays
+#: once a batch holds several independent windows.
+_MIN_PARALLEL_WINDOWS = 2
+#: Windows are packed into up to ``processes * _CHUNKS_PER_WORKER``
+#: chunks per plan group: few enough to bound per-chunk dispatch cost,
+#: enough to balance.
+_CHUNKS_PER_WORKER = 2
+#: Each worker's registry capacity (attached indexes kept live).
+_WORKER_CAPACITY = 16
+#: Pool rebuilds tolerated per :meth:`WorkerPool.execute` before the
+#: remaining chunks run in the parent.
+_MAX_RESTARTS = 2
+#: Blocked in the thread that forks the workers until each worker has
+#: reset its inherited signal state (see :func:`_worker_init`).
+_FORK_BLOCKED = {signal.SIGTERM, signal.SIGINT}
 
 #: Request spec inside a chunk: (request id, ts, te, ship_batches).
 _ReqSpec = tuple[int, int, int, bool]
@@ -82,16 +105,22 @@ _ReqSpec = tuple[int, int, int, bool]
 class _Chunk:
     """One dispatchable unit: some covering windows of one plan group.
 
-    Everything here is plain data (store key instead of graph object,
-    request ids instead of sinks), so a chunk pickles in microseconds
-    and the worker resolves the heavy state through its own mmap-backed
-    store attachment.
+    Everything here is plain data (store key and fingerprint instead of
+    a graph object, request ids instead of sinks), so a chunk pickles in
+    microseconds and the worker resolves the heavy state through its
+    own mmap-backed store attachment.
     """
 
     engine: str  # "index" | "direct"
     key: str  # store key of the graph directory
+    fingerprint: dict  # the graph's store fingerprint under ``key``
     k: int
     windows: tuple[tuple[int, int, tuple[_ReqSpec, ...]], ...]
+
+    @property
+    def rids(self) -> list[int]:
+        """Request ids in the order :func:`_run_chunk` answers them."""
+        return [spec[0] for _ts, _te, specs in self.windows for spec in specs]
 
 
 class _RecordingSink(ResultSink):
@@ -113,63 +142,51 @@ class _RecordingSink(ResultSink):
 def _run_chunk(
     chunk: _Chunk,
     graph: "TemporalGraph",
-    timeout: float | None,
+    deadline: Deadline | None,
     *,
     registry: "CoreIndexRegistry | None",
     store: IndexStore | None,
     index: CoreIndex | None = None,
-):
-    """Execute a chunk's windows; returns one result tuple per request.
+) -> list[tuple[int, int, bool, list | None]]:
+    """Execute a chunk as a one-group plan through the sequential executor.
 
     Shared by the worker processes (graph resolved by store key) and the
-    parent's degraded sequential retry (graph passed directly, with the
-    already-resolved ``index`` pinned).  Result tuples are
-    ``(rid, num_results, total_edges, completed, batches | None)``.
+    parent's degraded retry (graph passed directly, with the
+    already-resolved ``index`` pinned).  Returns one
+    ``(num_results, total_edges, completed, batches | None)`` per
+    request, in :attr:`_Chunk.rids` order.
     """
-    from repro.serve.columnar import run_columnar_walk
-    from repro.serve.executor import _SliceRouter, _group_window_arrays
-
-    deadline = Deadline(timeout) if timeout is not None else None
-    specs: list[_ReqSpec] = []
-    local_windows: list[CoveringWindow] = []
-    for ts, te, reqs in chunk.windows:
-        first = len(specs)
-        specs.extend(reqs)
-        local_windows.append(
-            CoveringWindow(ts, te, list(range(first, first + len(reqs))))
+    requests: list[QueryRequest] = []
+    windows: list[CoveringWindow] = []
+    for ts, te, specs in chunk.windows:
+        windows.append(
+            CoveringWindow(ts, te, list(range(len(requests), len(requests) + len(specs))))
         )
-    sinks: list[ResultSink] = [
-        _RecordingSink() if ship else CountSink() for _, _, _, ship in specs
-    ]
-    group = PlanGroup(graph, chunk.k, chunk.engine, local_windows, index=index)
-    for window, arrays in _group_window_arrays(
-        group, registry=registry, store=store, deadline=deadline
-    ):
-        if window.is_shared:
-            target: ResultSink = _SliceRouter(
-                [
-                    (specs[i][1], specs[i][2], sinks[i])
-                    for i in window.requests
-                ]
+        requests.extend(
+            QueryRequest(
+                graph, chunk.k, rts, rte, _RecordingSink() if ship else CountSink()
             )
-        else:
-            target = sinks[window.requests[0]]
-        if arrays is None:
-            target.finish(False)
-            continue
-        completed = run_columnar_walk(
-            window.ts, window.te, arrays, target, deadline=deadline
+            for _rid, rts, rte, ship in specs
         )
-        target.finish(completed)
+    plan = QueryPlan(
+        requests, [PlanGroup(graph, chunk.k, chunk.engine, windows, index=index)]
+    )
+    results = _execute_sequential(
+        plan,
+        registry=registry,
+        store=store,
+        collect=False,
+        deadline=deadline,
+        timed=timing_enabled(),
+    )
     return [
         (
-            rid,
-            sink.num_results,
-            sink.total_edges,
-            sink.completed,
-            sink.batches if isinstance(sink, _RecordingSink) else None,
+            result.num_results,
+            result.total_edges,
+            result.completed,
+            getattr(request.sink, "batches", None),
         )
-        for (rid, _ts, _te, _ship), sink in zip(specs, sinks)
+        for request, result in zip(requests, results)
     ]
 
 
@@ -184,26 +201,33 @@ _FAULT_PATH: str | None = None
 class _WorkerState:
     """Per-worker attachment: store handle, registry, graph cache."""
 
-    def __init__(self, root: str, verify: bool, capacity: int):
+    def __init__(self, root: str):
         from repro.core.index import CoreIndexRegistry
 
-        self.store = IndexStore(root, verify=verify)
-        self.registry = CoreIndexRegistry(capacity=capacity, store=self.store)
+        self.store = IndexStore(root)
+        self.registry = CoreIndexRegistry(capacity=_WORKER_CAPACITY, store=self.store)
         self.graphs: dict[str, "TemporalGraph"] = {}
 
-    def graph(self, key: str) -> "TemporalGraph":
+    def graph(self, key: str, fingerprint: dict) -> "TemporalGraph":
+        """The graph under ``key``, as long as it is the dispatched one.
+
+        A graph opened from a verified blob carries its recorded
+        fingerprint, so the cache check costs a dict compare.
+        """
         graph = self.graphs.get(key)
-        if graph is None:
+        if graph is None or graph_fingerprint(graph) != fingerprint:
             graph = self.store.load_graph(key)
+            if graph_fingerprint(graph) != fingerprint:
+                raise StoreError(
+                    f"store key {key!r} no longer holds the dispatched graph"
+                )
             self.graphs[key] = graph
         return graph
 
 
 def _worker_init(
     root: str,
-    verify: bool,
-    capacity: int,
-    warm: tuple[tuple[str, int | None], ...],
+    warm: tuple[tuple[str, dict, tuple[int, ...]], ...],
     fault_path: str | None,
 ) -> None:
     """Pool initialiser: attach to the store, pre-open the warm set."""
@@ -214,16 +238,19 @@ def _worker_init(
     # fork, so a signal delivered to a *worker* (e.g. the executor
     # terminating siblings after a broken-pool event) would write into
     # the parent's shared wakeup pipe and masquerade as a parent
-    # shutdown request.  Sever that inheritance before doing anything.
+    # shutdown request.  The parent forks with both signals blocked;
+    # sever the inheritance, then let a signal that arrived meanwhile
+    # take its default action here.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _WORKER = _WorkerState(root, verify, capacity)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _FORK_BLOCKED)
+    _WORKER = _WorkerState(root)
     _FAULT_PATH = fault_path
-    for key, k in warm:
+    for key, fingerprint, ks in warm:
         try:
-            graph = _WORKER.graph(key)
-            if k is not None:
+            graph = _WORKER.graph(key, fingerprint)
+            for k in ks:
                 _WORKER.registry.get(graph, k)
         except (StoreError, OSError):  # pragma: no cover - racing writer
             continue  # lazy load will retry (or rebuild) at task time
@@ -285,8 +312,8 @@ def _worker_run(chunk: _Chunk, timeout: float | None):
     started = now()
     entries = _run_chunk(
         chunk,
-        state.graph(chunk.key),
-        timeout,
+        state.graph(chunk.key, chunk.fingerprint),
+        Deadline(timeout) if timeout is not None else None,
         registry=state.registry,
         store=state.store,
     )
@@ -310,6 +337,21 @@ def _worker_ping(delay: float) -> int:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _signals_blocked():
+    """Block :data:`_FORK_BLOCKED` in this thread for the duration.
+
+    Workers fork inside ``submit`` and inherit this thread's mask, so a
+    SIGTERM that reaches a worker before :func:`_worker_init` resets
+    its handlers stays pending instead of running the parent's.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _FORK_BLOCKED)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _partition(
@@ -349,32 +391,15 @@ class WorkerPool:
         into it before dispatching, so workers always mmap, never build.
     processes:
         Worker count (default: the machine's CPU count).
-    min_parallel_windows:
-        Plans with fewer covering windows than this run sequentially
-        in-process — pool dispatch only pays off once a batch holds
-        several independent windows (set to ``0`` to force dispatch).
-    chunks_per_worker:
-        Partitioning granularity: windows are packed into up to
-        ``processes * chunks_per_worker`` chunks per plan group, which
-        bounds per-chunk dispatch overhead while leaving enough pieces
-        for balancing.
-    verify:
-        Whether workers checksum blob payloads on open (see
-        :class:`IndexStore`).
-    worker_capacity:
-        Each worker's registry capacity (attached indexes kept live).
-    max_restarts:
-        Pool rebuilds tolerated per :meth:`execute` before the remaining
-        chunks degrade to sequential parent-side execution.
 
     Counters: ``tasks_dispatched``, ``sequential_fallbacks`` and
     ``broken_restarts`` expose what the pool actually did — benchmarks
-    and tests assert against them.  Since PR 7 they are views over the
-    process metrics registry (series labelled with this pool's
-    ``pool`` instance label); :meth:`stats` returns the whole
-    bookkeeping as one dict, including the per-worker counters each
-    chunk ships home and the ``tasks_dispatched == chunks_completed +
-    chunks_lost`` crash accounting.
+    and tests assert against them.  They are views over the process
+    metrics registry (series labelled with this pool's ``pool``
+    instance label); :meth:`stats` returns the whole bookkeeping as one
+    dict, including the per-worker counters each chunk ships home and
+    the ``tasks_dispatched == chunks_completed + chunks_lost`` crash
+    accounting.
 
     The pool is a context manager; :meth:`close` shuts the workers down.
     Thread-safety: like the executor it is a single-dispatcher object —
@@ -386,45 +411,24 @@ class WorkerPool:
         store: IndexStore | str | os.PathLike,
         *,
         processes: int | None = None,
-        min_parallel_windows: int = 2,
-        chunks_per_worker: int = 2,
-        verify: bool = True,
-        worker_capacity: int = 16,
-        max_restarts: int = 2,
-        metrics: "MetricsRegistry | None" = None,
         _fault_path: str | None = None,
     ):
         if processes is not None and processes < 1:
             raise InvalidParameterError(
                 f"processes must be >= 1, got {processes}"
             )
-        if min_parallel_windows < 0:
-            raise InvalidParameterError(
-                f"min_parallel_windows must be >= 0, got {min_parallel_windows}"
-            )
-        if chunks_per_worker < 1:
-            raise InvalidParameterError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         self.store = store if isinstance(store, IndexStore) else IndexStore(store)
         self.processes = processes if processes else max(1, os.cpu_count() or 1)
-        self.min_parallel_windows = min_parallel_windows
-        self.chunks_per_worker = chunks_per_worker
-        self.verify = verify
-        self.worker_capacity = worker_capacity
-        self.max_restarts = max_restarts
         self._fault_path = _fault_path
         self._executor: ProcessPoolExecutor | None = None
-        # id(graph) -> (graph, key); holding the graph pins the id.
-        self._keys: dict[int, tuple["TemporalGraph", str]] = {}
+        # store key -> (graph, fingerprint) last persisted under it: one
+        # entry per key, so a graph a snapshot superseded is released.
+        self._graphs: dict[str, tuple["TemporalGraph", dict]] = {}
+        # (key, k) whose index is persisted for the graph now under key.
         self._persisted: set[tuple[str, int]] = set()
-        self._warm: list[tuple[str, int | None]] = []
-        # Pool bookkeeping lives in the metrics registry (the process
-        # default unless ``metrics=`` isolates it); the legacy counter
-        # attributes read back through it.
-        self.metrics = metrics if metrics is not None else get_registry()
+        m = get_registry()
         self.instance = next_instance("pool")
-        m, inst = self.metrics, self.instance
+        inst = self.instance
         self._c_tasks_dispatched = m.counter(
             "repro_pool_tasks_dispatched_total",
             "Chunks submitted to worker processes",
@@ -549,15 +553,17 @@ class WorkerPool:
 
         Raises :class:`StoreError` for graphs the store cannot hold
         (non-``str``/``int`` labels) — :meth:`execute` catches that and
-        degrades to sequential in-process execution.
+        degrades to sequential in-process execution.  A graph persisted
+        under a key that held another one (a streamed snapshot commits
+        its new graph under the old key) replaces that key's entry, and
+        the old graph's persisted indexes are forgotten with it.
         """
-        cached = self._keys.get(id(graph))
-        if cached is not None and cached[0] is graph:
-            return cached[1]
+        for key, (stored, _fingerprint) in self._graphs.items():
+            if stored is graph:
+                return key
         key = self.store.save_graph(graph)
-        self._keys[id(graph)] = (graph, key)
-        if (key, None) not in self._warm:
-            self._warm.append((key, None))
+        self._graphs[key] = (graph, graph_fingerprint(graph))
+        self._persisted = {pair for pair in self._persisted if pair[0] != key}
         return key
 
     def ensure_index(self, index: CoreIndex) -> str:
@@ -565,8 +571,8 @@ class WorkerPool:
 
         Already-persisted ``(key, k)`` pairs are remembered, so the
         steady state costs one set lookup — no manifest probe, no blob
-        write.  Freshly persisted pairs join the warm list handed to
-        newly spawned workers.
+        write.  Persisted pairs join the warm set handed to newly
+        spawned workers.
         """
         key = self.ensure_graph(index.graph)
         pair = (key, index.k)
@@ -574,7 +580,6 @@ class WorkerPool:
             if not self.store.has_index(index.graph, index.k, key=key):
                 self.store.save_index(index, name=key)
             self._persisted.add(pair)
-            self._warm.append(pair)
         return key
 
     # ------------------------------------------------------------------
@@ -583,16 +588,18 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            warm = tuple(
+                (
+                    key,
+                    fingerprint,
+                    tuple(sorted(k for held, k in self._persisted if held == key)),
+                )
+                for key, (_graph, fingerprint) in self._graphs.items()
+            )
             self._executor = ProcessPoolExecutor(
                 max_workers=self.processes,
                 initializer=_worker_init,
-                initargs=(
-                    str(self.store.root),
-                    self.verify,
-                    self.worker_capacity,
-                    tuple(self._warm),
-                    self._fault_path,
-                ),
+                initargs=(str(self.store.root), warm, self._fault_path),
             )
         return self._executor
 
@@ -605,9 +612,10 @@ class WorkerPool:
         from serving all probes from one eagerly recycled worker.
         """
         executor = self._ensure_executor()
-        futures = [
-            executor.submit(_worker_ping, 0.05) for _ in range(self.processes)
-        ]
+        with _signals_blocked():
+            futures = [
+                executor.submit(_worker_ping, 0.05) for _ in range(self.processes)
+            ]
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
@@ -655,20 +663,21 @@ class WorkerPool:
 
         The parallel twin of :func:`~repro.serve.executor.execute_plan`
         (which forwards here when called with ``parallel=``): same
-        arguments, same results, same sink semantics.  Plans below the
-        ``min_parallel_windows`` threshold — and plans whose graph the
-        store cannot persist — run sequentially in-process instead.
+        arguments, same results, same sink semantics.  Plans with fewer
+        than ``_MIN_PARALLEL_WINDOWS`` covering windows — and plans
+        whose graph the store cannot persist — run sequentially
+        in-process instead.
         """
-        from repro.serve.executor import execute_plan
-
-        if plan.num_windows < self.min_parallel_windows:
+        timed = timing_enabled()
+        if plan.num_windows < _MIN_PARALLEL_WINDOWS:
             self._c_sequential_fallbacks.inc()
-            return execute_plan(
+            return _execute_sequential(
                 plan,
                 registry=registry,
                 store=self.store,
                 collect=collect,
                 deadline=deadline,
+                timed=timed,
             )
         try:
             prepared = [
@@ -678,21 +687,27 @@ class WorkerPool:
             # The store cannot hold this plan's graphs (labels, disk):
             # serve correctly in-process rather than fail the batch.
             self._c_sequential_fallbacks.inc()
-            return execute_plan(
-                plan, registry=registry, collect=collect, deadline=deadline
+            return _execute_sequential(
+                plan,
+                registry=registry,
+                store=None,
+                collect=collect,
+                deadline=deadline,
+                timed=timed,
             )
 
         chunks: list[_Chunk] = []
         context: list[tuple["TemporalGraph", CoreIndex | None]] = []
         for group, (key, index, costs) in zip(plan.groups, prepared):
             num_chunks = min(
-                len(group.windows), self.processes * self.chunks_per_worker
+                len(group.windows), self.processes * _CHUNKS_PER_WORKER
             )
             for windows, _cost in _partition(group.windows, costs, num_chunks):
                 chunks.append(
                     _Chunk(
                         group.engine,
                         key,
+                        self._graphs[key][1],
                         group.k,
                         tuple(
                             (
@@ -743,13 +758,13 @@ class WorkerPool:
         context: list[tuple["TemporalGraph", CoreIndex | None]],
         registry: "CoreIndexRegistry | None",
         deadline: Deadline | None,
-    ) -> dict[int, tuple[int, int, int | bool, list | None]]:
+    ) -> dict[int, tuple[int, int, bool, list | None]]:
         """Run every chunk, surviving worker deaths; results per request.
 
         Chunks are idempotent (nothing leaves a worker until its chunk
         returns), so a :class:`BrokenProcessPool` simply re-dispatches
         whatever had not finished on a fresh pool; after
-        ``max_restarts`` rebuilds the leftovers run in the parent.
+        ``_MAX_RESTARTS`` rebuilds the leftovers run in the parent.
 
         Accounting survives the crashes: every dispatched-but-broken
         chunk is recorded in ``chunks_lost`` (whether its future broke
@@ -765,20 +780,19 @@ class WorkerPool:
         pending = list(range(len(chunks)))
         restarts = 0
         while pending:
-            if restarts > self.max_restarts:
+            if restarts > _MAX_RESTARTS:
                 for ci in pending:
                     graph, index = context[ci]
-                    timeout = deadline.remaining if deadline else None
                     started = now()
-                    for entry in _run_chunk(
+                    entries = _run_chunk(
                         chunks[ci],
                         graph,
-                        timeout,
+                        deadline,
                         registry=registry,
                         store=self.store,
                         index=index,
-                    ):
-                        results[entry[0]] = entry[1:]
+                    )
+                    results.update(zip(chunks[ci].rids, entries))
                     self._c_chunks_parent.inc()
                     if timing_enabled():
                         self._h_chunk_seconds.observe(now() - started)
@@ -787,12 +801,13 @@ class WorkerPool:
             broken: list[int] = []
             futures = []
             try:
-                for ci in pending:
-                    timeout = deadline.remaining if deadline else None
-                    futures.append(
-                        (executor.submit(_worker_run, chunks[ci], timeout), ci)
-                    )
-                    self._c_tasks_dispatched.inc()
+                with _signals_blocked():
+                    for ci in pending:
+                        timeout = deadline.remaining if deadline else None
+                        futures.append(
+                            (executor.submit(_worker_run, chunks[ci], timeout), ci)
+                        )
+                        self._c_tasks_dispatched.inc()
             except BrokenProcessPool:
                 # The pool died while we were still submitting: whatever
                 # was not yet submitted retries with the rest.  The
@@ -809,14 +824,13 @@ class WorkerPool:
                     broken.append(ci)
                     self._c_chunks_lost.inc()
                     continue
-                for entry in entries:
-                    results[entry[0]] = entry[1:]
+                results.update(zip(chunks[ci].rids, entries))
                 self._c_chunks_worker.inc()
                 self._merge_worker_delta(delta)
             if broken:
                 restarts += 1
                 self._c_broken_restarts.inc()
-                self.close()  # rebuild on next loop with the warm list
+                self.close()  # rebuild on next loop with the warm set
             pending = broken
         return results
 
@@ -826,22 +840,20 @@ def open_pool(
     processes: int | None = None,
     *,
     store: IndexStore | str | os.PathLike | None = None,
-    **kwargs,
 ):
     """A :class:`WorkerPool` as a context — over ``store`` or a temp one.
 
     Without ``store`` an ephemeral store directory is created for the
-    pool's lifetime and removed afterwards — the shape behind the legacy
-    ``run_query_batch(processes=N)`` signature, where the caller has no
-    store of their own but still wants the zero-copy fan-out (the
-    parent persists once; workers attach by mmap).
+    pool's lifetime and removed afterwards — for callers with no store
+    of their own that still want the zero-copy fan-out (the parent
+    persists once; workers attach by mmap).
     """
     tmp = None
     if store is None:
         tmp = tempfile.mkdtemp(prefix="repro-pool-")
         store = tmp
     try:
-        pool = WorkerPool(store, processes=processes, **kwargs)
+        pool = WorkerPool(store, processes=processes)
         try:
             yield pool
         finally:

@@ -1,24 +1,41 @@
-"""Parallel batch query runner."""
+"""Batch answering: fixed-``k`` batches through a registry-resolved index,
+mixed batches through :func:`repro.serve.execute_batch`."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.batch import BatchAnswer, run_query_batch
 from repro.core.enumerate import enumerate_temporal_kcores
+from repro.core.index import CoreIndex, CoreIndexRegistry, get_core_index
 from repro.errors import InvalidParameterError
+from repro.serve import QueryRequest, execute_batch, execute_plan
+from repro.serve.parallel import open_pool
+from repro.serve.planner import plan_for_index
+
+
+def counters(results):
+    return [(r.time_range, r.num_results, r.total_edges) for r in results]
+
+
+def mixed(queries, **kwargs):
+    """``execute_batch`` over ``(graph, k, (ts, te))`` triples; the results."""
+    _plan, results = execute_batch(
+        [QueryRequest(graph, k, ts, te) for graph, k, (ts, te) in queries],
+        **kwargs,
+    )
+    return results
 
 
 class TestSequentialBatch:
     def test_answers_in_order(self, paper_graph):
         ranges = [(1, 4), (2, 3), (1, 7), (5, 5)]
-        answers = run_query_batch(paper_graph, 2, ranges)
+        answers = CoreIndex(paper_graph, 2).query_batch(ranges)
         assert [a.time_range for a in answers] == ranges
         assert [a.num_results for a in answers] == [2, 1, 13, 1]
 
     def test_counters_match_direct_runs(self, random_graph):
         ranges = [(1, random_graph.tmax), (2, random_graph.tmax - 1)]
-        answers = run_query_batch(random_graph, 2, ranges)
+        answers = CoreIndex(random_graph, 2).query_batch(ranges)
         for answer in answers:
             direct = enumerate_temporal_kcores(
                 random_graph, 2, *answer.time_range, collect=False
@@ -27,46 +44,47 @@ class TestSequentialBatch:
             assert answer.total_edges == direct.total_edges
 
     def test_empty_batch(self, paper_graph):
-        assert run_query_batch(paper_graph, 2, []) == []
+        assert CoreIndex(paper_graph, 2).query_batch([]) == []
 
     def test_validation(self, paper_graph):
         with pytest.raises(InvalidParameterError):
-            run_query_batch(paper_graph, 0, [(1, 2)])
+            CoreIndex(paper_graph, 0)
         with pytest.raises(InvalidParameterError):
-            run_query_batch(paper_graph, 2, [(0, 3)])
+            CoreIndex(paper_graph, 2).query_batch([(0, 3)])
         with pytest.raises(InvalidParameterError):
-            run_query_batch(paper_graph, 2, [(1, 3)], processes=0)
+            with open_pool(0):
+                pass
 
 
 class TestParallelBatch:
     def test_parallel_equals_sequential(self, paper_graph):
         ranges = [(1, 4), (2, 6), (1, 7), (3, 5), (5, 5), (2, 3)]
-        sequential = run_query_batch(paper_graph, 2, ranges)
-        parallel = run_query_batch(paper_graph, 2, ranges, processes=2)
-        assert parallel == sequential
-
-    def test_answer_is_comparable_dataclass(self):
-        a = BatchAnswer((1, 2), 3, 9)
-        b = BatchAnswer((1, 2), 3, 9)
-        assert a == b
+        index = CoreIndex(paper_graph, 2)
+        sequential = index.query_batch(ranges)
+        with open_pool(2) as pool:
+            parallel = execute_plan(
+                plan_for_index(index, ranges, merge_overlaps=False),
+                parallel=pool,
+            )
+            assert pool.tasks_dispatched > 0
+        assert counters(parallel) == counters(sequential)
 
 
 class TestEngineBatch:
     def test_batch_reuses_registry_index(self, paper_graph):
-        from repro.core.index import CoreIndexRegistry
-
         registry = CoreIndexRegistry(capacity=2)
-        run_query_batch(paper_graph, 2, [(1, 4), (2, 6)], registry=registry)
-        run_query_batch(paper_graph, 2, [(1, 7)], registry=registry)
+        get_core_index(paper_graph, 2, registry=registry).query_batch(
+            [(1, 4), (2, 6)]
+        )
+        get_core_index(paper_graph, 2, registry=registry).query_batch([(1, 7)])
         assert registry.misses == 1
         assert registry.hits == 1
 
     def test_batch_store_fallthrough_computes_nothing(
         self, paper_graph, tmp_path, monkeypatch
     ):
-        """Satellite: store-backed run_query_batch warm-starts from disk."""
+        """A store-backed batch warm-starts from disk."""
         import repro.core.index as index_module
-        from repro.core.index import CoreIndex, CoreIndexRegistry
         from repro.store import IndexStore
 
         store = IndexStore(tmp_path / "store")
@@ -77,18 +95,15 @@ class TestEngineBatch:
 
         monkeypatch.setattr(index_module, "compute_core_times", explode)
         registry = CoreIndexRegistry(capacity=2)
-        answers = run_query_batch(
-            paper_graph, 2, [(1, 4), (2, 3)], registry=registry, store=store
-        )
+        answers = get_core_index(
+            paper_graph, 2, registry=registry, store=store
+        ).query_batch([(1, 4), (2, 3)])
         assert [a.num_results for a in answers] == [2, 1]
         assert registry.stats()["store_hits"] == 1
 
 
 class TestMixedBatch:
     def test_matches_fixed_k_batches(self, paper_graph):
-        from repro.bench.batch import run_mixed_batch
-        from repro.core.index import CoreIndexRegistry
-
         registry = CoreIndexRegistry(capacity=8)
         queries = [
             (paper_graph, 2, (1, 4)),
@@ -96,20 +111,17 @@ class TestMixedBatch:
             (paper_graph, 2, (2, 3)),
             (paper_graph, 3, (2, 6)),
         ]
-        answers = run_mixed_batch(queries, registry=registry)
+        answers = mixed(queries, registry=registry)
         assert [a.k for a in answers] == [2, 3, 2, 3]
         for answer, (graph, k, time_range) in zip(answers, queries):
-            expected = run_query_batch(graph, k, [time_range])[0]
+            expected = CoreIndex(graph, k).query_batch([time_range])[0]
             assert answer.time_range == expected.time_range
             assert answer.num_results == expected.num_results
             assert answer.total_edges == expected.total_edges
 
     def test_one_shared_build_per_graph(self, paper_graph):
-        from repro.bench.batch import run_mixed_batch
-        from repro.core.index import CoreIndexRegistry
-
         registry = CoreIndexRegistry(capacity=8)
-        run_mixed_batch(
+        mixed(
             [
                 (paper_graph, 2, (1, 4)),
                 (paper_graph, 3, (1, 4)),
@@ -123,11 +135,8 @@ class TestMixedBatch:
         assert stats["multik_builds_by_k"] == {2: 1, 3: 1, 4: 1}
 
     def test_groups_by_graph_identity(self, paper_graph, triangle_graph):
-        from repro.bench.batch import run_mixed_batch
-        from repro.core.index import CoreIndexRegistry
-
         registry = CoreIndexRegistry(capacity=8)
-        answers = run_mixed_batch(
+        answers = mixed(
             [
                 (paper_graph, 2, (1, 7)),
                 (triangle_graph, 2, (1, 3)),
@@ -143,8 +152,6 @@ class TestMixedBatch:
         """Acceptance: a prebuilt store serves a mixed batch, zero compute."""
         import repro.core.index as index_module
         import repro.core.multik as multik_module
-        from repro.bench.batch import run_mixed_batch
-        from repro.core.index import CoreIndex, CoreIndexRegistry
         from repro.store import IndexStore
 
         store = IndexStore(tmp_path / "store")
@@ -156,7 +163,7 @@ class TestMixedBatch:
         monkeypatch.setattr(index_module, "compute_core_times", explode)
         monkeypatch.setattr(multik_module, "compute_core_times_multi", explode)
         registry = CoreIndexRegistry(capacity=8)
-        answers = run_mixed_batch(
+        answers = mixed(
             [(paper_graph, 2, (1, 4)), (paper_graph, 3, (1, 7))],
             registry=registry,
             store=store,
@@ -167,12 +174,8 @@ class TestMixedBatch:
         assert stats["multik_builds"] == 0
 
     def test_empty_and_validation(self, paper_graph):
-        import pytest as _pytest
-
-        from repro.bench.batch import run_mixed_batch
-
-        assert run_mixed_batch([]) == []
-        with _pytest.raises(InvalidParameterError):
-            run_mixed_batch([(paper_graph, 0, (1, 2))])
-        with _pytest.raises(InvalidParameterError):
-            run_mixed_batch([(paper_graph, 2, (0, 3))])
+        assert mixed([]) == []
+        with pytest.raises(InvalidParameterError):
+            mixed([(paper_graph, 0, (1, 2))])
+        with pytest.raises(InvalidParameterError):
+            mixed([(paper_graph, 2, (0, 3))])

@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.batch import run_mixed_batch, run_query_batch
 from repro.core.coretime import compute_core_times
-from repro.core.index import CoreIndex, CoreIndexRegistry
+from repro.core.index import CoreIndex, CoreIndexRegistry, get_core_index
 from repro.core.query import TimeRangeCoreQuery
 from repro.graph.generators import uniform_random_temporal
+from repro.serve.executor import execute_batch
+from repro.serve.planner import QueryRequest
 from repro.store.index_store import IndexStore
 
 
@@ -169,7 +170,8 @@ class TestBatchOracle:
     def test_run_query_batch_counts(self, columnar_graph):
         ranges = query_windows(columnar_graph.tmax)
         registry = CoreIndexRegistry(capacity=2)
-        answers = run_query_batch(columnar_graph, 2, ranges, registry=registry)
+        index = get_core_index(columnar_graph, 2, registry=registry)
+        answers = index.query_batch(ranges)
         for (ts, te), answer in zip(ranges, answers):
             fresh = TimeRangeCoreQuery(
                 columnar_graph, 2, time_range=(ts, te), engine="enum", collect=False
@@ -186,7 +188,10 @@ class TestBatchOracle:
                 for ts, te in query_windows(graph.tmax)[:4]:
                     queries.append((graph, k, (ts, te)))
         registry = CoreIndexRegistry(capacity=8)
-        answers = run_mixed_batch(queries, registry=registry)
+        _plan, answers = execute_batch(
+            [QueryRequest(g, k, ts, te) for g, k, (ts, te) in queries],
+            registry=registry,
+        )
         assert len(answers) == len(queries)
         for (graph, k, (ts, te)), answer in zip(queries, answers):
             fresh = TimeRangeCoreQuery(

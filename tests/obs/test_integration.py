@@ -14,11 +14,12 @@ import os
 
 import pytest
 
-from repro.bench.batch import run_mixed_batch, run_query_batch
 from repro.core.index import CoreIndex, CoreIndexRegistry
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Trace
+from repro.serve.executor import execute_batch, execute_plan
 from repro.serve.parallel import WorkerPool
+from repro.serve.planner import QueryRequest, plan_for_index, plan_queries
 from repro.store import IndexStore
 
 
@@ -28,6 +29,10 @@ def sample(snap: dict, name: str, **labels) -> dict | None:
         if all(candidate["labels"].get(k) == v for k, v in labels.items()):
             return candidate
     return None
+
+
+def counters(results):
+    return [(r.num_results, r.total_edges, r.completed) for r in results]
 
 
 def series_value(snap: dict, name: str, **labels) -> float:
@@ -48,11 +53,15 @@ class TestSnapshotCrossCheck:
             (paper_graph, 2, (2, 6)),
             (paper_graph, 2, (1, 4)),  # identical: dedup + registry hit
         ]
-        with WorkerPool(
-            store, processes=2, min_parallel_windows=0
-        ) as pool:
-            answers = run_mixed_batch(queries, registry=registry, parallel=pool)
-            assert answers == run_mixed_batch(queries, registry=registry)
+        requests = [QueryRequest(g, k, ts, te) for g, k, (ts, te) in queries]
+        with WorkerPool(store, processes=2) as pool:
+            answers = execute_plan(
+                plan_queries(requests, engine="index"),
+                registry=registry,
+                parallel=pool,
+            )
+            _plan, sequential = execute_batch(requests, registry=registry)
+            assert counters(answers) == counters(sequential)
             pool_stats = pool.stats()
             pool_instance = pool.instance
 
@@ -203,15 +212,16 @@ class TestPoolCrashAccounting:
         fault = tmp_path / "kill-exactly-one-worker"
         fault.touch()
         ranges = [(1, 4), (2, 6), (1, 7), (3, 5), (5, 5), (2, 3)]
+        index = CoreIndex(paper_graph, 2)
         with WorkerPool(
-            tmp_path / "store",
-            processes=2,
-            min_parallel_windows=0,
-            _fault_path=os.fspath(fault),
+            tmp_path / "store", processes=2, _fault_path=os.fspath(fault)
         ) as pool:
-            answers = run_query_batch(paper_graph, 2, ranges, parallel=pool)
+            answers = execute_plan(
+                plan_for_index(index, ranges, merge_overlaps=False),
+                parallel=pool,
+            )
             stats = pool.stats()
-        assert answers == run_query_batch(paper_graph, 2, ranges)
+        assert counters(answers) == counters(index.query_batch(ranges))
         # The SIGKILLed chunk was really lost and really re-dispatched:
         # every dispatch is accounted for as finished-by-a-worker or lost.
         assert stats["broken_restarts"] >= 1
@@ -221,10 +231,12 @@ class TestPoolCrashAccounting:
         )
 
     def test_healthy_pool_loses_nothing(self, tmp_path, paper_graph):
-        with WorkerPool(
-            tmp_path / "store", processes=2, min_parallel_windows=0
-        ) as pool:
-            run_query_batch(paper_graph, 2, [(1, 2), (3, 4), (5, 7)], parallel=pool)
+        index = CoreIndex(paper_graph, 2)
+        with WorkerPool(tmp_path / "store", processes=2) as pool:
+            execute_plan(
+                plan_for_index(index, [(1, 2), (3, 4), (5, 7)]), parallel=pool
+            )
             stats = pool.stats()
         assert stats["chunks_lost"] == 0
+        assert stats["tasks_dispatched"] > 0
         assert stats["tasks_dispatched"] == stats["chunks_completed"]["worker"]

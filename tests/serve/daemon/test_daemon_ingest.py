@@ -3,6 +3,8 @@ restarts, read-only degradation on WAL disk errors."""
 
 from __future__ import annotations
 
+import asyncio
+import random
 import signal
 
 import pytest
@@ -11,6 +13,7 @@ from repro.core.index import CoreIndex
 from repro.core.multik import build_core_indexes
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.client import DaemonClient, DaemonError
+from repro.serve.daemon import ServingDaemon
 from repro.store import IndexStore
 from repro.store.fsck import scrub_store
 from tests.serve.daemon.conftest import (
@@ -467,3 +470,39 @@ class TestMaxLagFlush:
             assert stats["ingest"]["lag_flushes"] == 0
             (key_stats,) = stats["ingest"]["keys"].values()
             assert key_stats["lag_seconds"] > 0.0
+
+
+class TestPooledReadsAfterFlush:
+    def test_pooled_batch_reads_the_flushed_graph(self, tmp_path):
+        """A flush commits the grown graph under the key the pool's
+        workers already loaded; a pooled batch over the new span must
+        answer from it, exactly as an in-process daemon does."""
+        rng = random.Random(3)
+        appended = sorted(
+            (
+                [rng.randrange(24), rng.randrange(24), rng.randint(41, 80)]
+                for _ in range(500)
+            ),
+            key=lambda edge: edge[2],
+        )
+
+        def serve(processes):
+            root = tmp_path / f"store-{processes}"
+            build_store(root, tmax=40)
+
+            def drive(port):
+                with DaemonClient("127.0.0.1", port) as client:
+                    # Two disjoint windows: the pool dispatches (and its
+                    # workers load the 40-timestamp graph).
+                    client.batch([[1, 10], [20, 30]], k=2)
+                    client.append(appended)
+                    client.flush()
+                    return client.batch([[1, 10], [50, 75]], k=2)
+
+            async def scenario():
+                async with ServingDaemon(root, processes=processes) as daemon:
+                    return await asyncio.to_thread(drive, daemon.port)
+
+            return asyncio.run(scenario())
+
+        assert serve(2) == serve(None)

@@ -36,7 +36,7 @@ def graph():
 @pytest.fixture(scope="module")
 def pool(tmp_path_factory):
     store = tmp_path_factory.mktemp("deadline-pool")
-    with WorkerPool(store, processes=2, min_parallel_windows=0) as pool:
+    with WorkerPool(store, processes=2) as pool:
         yield pool
 
 
@@ -73,9 +73,13 @@ class TestServiceStreamingSinks:
             for u, v, t in graph.edges
         ]
         service = StreamingCoreService(2, edges)
-        sinks = [MaterializingSink() for _ in RANGES]
-        streamed = service.query_batch(RANGES, sinks=sinks, parallel=pool)
         collected = service.query_batch(RANGES, collect=True)
+        sinks = [MaterializingSink() for _ in RANGES]
+        _graph, indexes = service.built
+        streamed = execute_plan(
+            plan_for_index(indexes[2], RANGES, sinks=sinks, merge_overlaps=False),
+            parallel=pool,
+        )
         for sink, through_sink, result in zip(sinks, streamed, collected):
             assert through_sink.num_results == result.num_results
             assert {(c.tti, frozenset(c.edge_ids)) for c in sink.cores} == {
@@ -109,21 +113,28 @@ class TestExpiredDeadlineSequential:
 
 
 class TestExpiredDeadlineParallel:
+    # RANGES merge into one covering window; unmerged, each range is a
+    # window of its own and the plan is big enough to dispatch.
     def test_pool_with_streaming_sinks_aborts(self, graph, pool):
         index = CoreIndex(graph, 2)
         sinks = [io.StringIO() for _ in RANGES]
         plan = plan_for_index(
-            index, RANGES, sinks=[NDJSONSink(s) for s in sinks]
+            index, RANGES, sinks=[NDJSONSink(s) for s in sinks],
+            merge_overlaps=False,
         )
+        before = pool.tasks_dispatched
         results = execute_plan(plan, parallel=pool, deadline=Deadline(0.0))
+        assert pool.tasks_dispatched > before
         assert all(not r.completed for r in results)
         assert all(r.num_results == 0 for r in results)
         assert all(s.getvalue() == "" for s in sinks)
 
     def test_pool_count_only_aborts(self, graph, pool):
         index = CoreIndex(graph, 2)
-        plan = plan_for_index(index, RANGES)
+        plan = plan_for_index(index, RANGES, merge_overlaps=False)
+        before = pool.tasks_dispatched
         results = execute_plan(plan, parallel=pool, deadline=Deadline(0.0))
+        assert pool.tasks_dispatched > before
         assert all(not r.completed for r in results)
 
 

@@ -5,7 +5,7 @@ round-trips over randomized payloads and the full validation error
 matrix.  The second half proves the strongest end-to-end property the
 daemon offers: the core lines it streams over a socket are **byte
 identical** to what an in-process :class:`NDJSONSink` writes for the
-same query, and its counters match :func:`run_query_batch` and the
+same query, and its counters match ``CoreIndex.query_batch`` and the
 seed oracle on randomized graphs, ks and windows.
 """
 
@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from repro.bench.batch import run_query_batch
 from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
 from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
@@ -329,7 +328,7 @@ class TestDaemonByteIdentity:
                     b = rng.randint(1, graph.tmax)
                     ranges.append((min(a, b), max(a, b)))
                 answers = client.batch(ranges, k=2, graph=name)
-                want = run_query_batch(graph, 2, ranges)
+                want = CoreIndex(graph, 2).query_batch(ranges)
                 assert len(answers) == len(want)
                 for answer, result in zip(answers, want):
                     assert tuple(answer["range"]) == result.time_range
