@@ -1,27 +1,16 @@
-"""PR 6 serving benchmark: process-parallel batches vs the PR 5 path.
+"""PR 6 serving benchmark: the vectorised slice router vs the PR 5 path.
 
-Measures the two levers this PR moves on the contended-batch workload
-(1000+ requests hammering a handful of hot regions, the shape where
-PR 5 measured 314 q/s on a single process):
+Measures the slice router on the contended-batch workload (1000+
+requests hammering a handful of hot regions, the shape where PR 5
+measured 314 q/s): the PR 5 executor walked a Python list of active
+targets and bisected per request per start time; the PR 6 router holds
+all target ranges as flat interval arrays and routes each emission
+batch with one ``searchsorted`` (counting-only batches accumulate in
+arrays and never re-enter Python).  The PR 5 router is replicated
+verbatim below as the baseline.
 
-* **vectorised slice routing** — the PR 5 executor walked a Python
-  list of active targets and bisected per request per start time; the
-  PR 6 router holds all target ranges as flat interval arrays and
-  routes each emission batch with one ``searchsorted`` (counting-only
-  batches accumulate in arrays and never re-enter Python).  The PR 5
-  router is replicated verbatim below as the baseline.
-* **process-parallel execution** — the same planned batch fanned out
-  over a :class:`~repro.serve.parallel.WorkerPool` at 1/2/4 workers:
-  workers attach to the shared ``IndexStore`` by mmap (no per-worker
-  build), covering windows are LPT-packed by estimated work, and
-  per-range counters come back to the parent.  Worker scaling beyond
-  the router win depends on the machine's core count — the report
-  records both, and the gate takes the best multi-process
-  configuration.
-
-Per-range answers are asserted identical across *all* paths (PR 5
-baseline, vectorised sequential, every worker count) before anything
-is timed.  Gate: best worker-pool qps >= 2x the single-process PR 5
+Per-range answers are asserted identical across both paths before
+anything is timed.  Gate: vectorised router qps >= 2x the PR 5
 baseline qps.
 
 Standalone script (not a pytest-benchmark module)::
@@ -29,8 +18,8 @@ Standalone script (not a pytest-benchmark module)::
     PYTHONPATH=src python benchmarks/bench_pr6_parallel.py --smoke
 
 writes ``BENCH_PR6.json`` next to the repository root.  ``--smoke``
-runs fewer requests, one repetition and workers {1, 2} (CI budget);
-the default runs three repetitions at 1/2/4 workers, best kept.
+runs fewer requests and one repetition (CI budget); the default runs
+three repetitions, best kept.
 """
 
 from __future__ import annotations
@@ -49,8 +38,7 @@ import numpy as np  # noqa: E402
 from repro.core.index import CoreIndex  # noqa: E402
 from repro.graph.generators import BurstyConfig, generate_bursty  # noqa: E402
 from repro.serve.columnar import run_columnar_walk  # noqa: E402
-from repro.serve.executor import _group_window_arrays, execute_plan  # noqa: E402
-from repro.serve.parallel import open_pool  # noqa: E402
+from repro.serve.executor import _group_window_arrays  # noqa: E402
 from repro.serve.planner import plan_for_index  # noqa: E402
 from repro.serve.sinks import CountSink, ResultSink  # noqa: E402
 
@@ -69,8 +57,8 @@ WORKLOAD = BurstyConfig(
 )
 
 K = 3
-TARGET = 2.0  # best pool qps vs the single-process PR 5 baseline
-NUM_HOT = 8  # hot regions -> covering windows available for fan-out
+TARGET = 2.0  # vectorised router qps vs the PR 5 baseline
+NUM_HOT = 8  # hot regions -> covering windows
 
 
 class _PR5SliceRouter(ResultSink):
@@ -113,7 +101,7 @@ class _PR5SliceRouter(ResultSink):
 
 
 def pr5_query_batch(index: CoreIndex, ranges):
-    """The single-process PR 5 serving path: plan + bisect routing."""
+    """The PR 5 serving path: plan + bisect routing."""
     plan = plan_for_index(index, ranges)
     sinks = [CountSink() for _ in plan.requests]
     for group in plan.groups:
@@ -142,8 +130,7 @@ def contended_ranges(rng: random.Random, tmax: int, count: int):
 
     Requests pile onto the hot regions (plus exact repeats — dashboard
     traffic), so the planner merges them into roughly one covering
-    window per region: enough shared work for the router to dominate
-    and enough independent windows for the pool to fan out.
+    window per region: enough shared work for the router to dominate.
     """
     span = tmax // NUM_HOT
     hots = [span // 2 + i * span for i in range(NUM_HOT)]
@@ -177,7 +164,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="fewer requests, one repetition, workers {1,2} (CI budget)",
+        help="fewer requests, one repetition (CI budget)",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
@@ -191,7 +178,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     repeats = args.repeats if args.repeats else (1 if args.smoke else 3)
     batch_size = 400 if args.smoke else 1200
-    worker_counts = (1, 2) if args.smoke else (1, 2, 4)
 
     graph = generate_bursty(WORKLOAD)
     tmax = graph.tmax
@@ -224,7 +210,6 @@ def main(argv=None):
         "plan": plan_stats,
         "pr5_single_process": {},
         "vectorised_router": {},
-        "worker_pool": {},
         "identical": True,
     }
     failures = []
@@ -235,7 +220,7 @@ def main(argv=None):
         report["identical"] = False
         failures.append("vectorised router diverges from the PR 5 baseline")
 
-    # ---- single-process sides ----
+    # ---- both sides ----
     old_s = best_of(repeats, lambda: pr5_query_batch(index, ranges))
     new_s = best_of(repeats, lambda: index.query_batch(ranges))
     report["pr5_single_process"] = {
@@ -255,54 +240,20 @@ def main(argv=None):
         f"{old_s / new_s:5.2f}x"
     )
 
-    # ---- worker pool at each count (prestarted; store persisted by the
-    # warm-up batch, which is also the identity check) ----
-    best_pool_qps = 0.0
-    for workers in worker_counts:
-        with open_pool(workers) as pool:
-            pool.prestart()
-            warm = execute_plan(plan_for_index(index, ranges), parallel=pool)
-            if counters(warm) != baseline:
-                report["identical"] = False
-                failures.append(
-                    f"{workers}-worker answers diverge from the PR 5 baseline"
-                )
-            pool_s = best_of(
-                repeats,
-                lambda: execute_plan(plan_for_index(index, ranges), parallel=pool),
-            )
-            entry = {
-                "seconds": round(pool_s, 4),
-                "qps": round(batch_size / pool_s, 1),
-                "speedup_vs_pr5": round(old_s / pool_s, 2)
-                if pool_s
-                else float("inf"),
-                "tasks_dispatched": pool.tasks_dispatched,
-                "sequential_fallbacks": pool.sequential_fallbacks,
-            }
-            report["worker_pool"][str(workers)] = entry
-            best_pool_qps = max(best_pool_qps, entry["qps"])
-            print(
-                f"pool ({workers} worker{'s' if workers > 1 else ' '})    : "
-                f"{pool_s:7.3f}s  {batch_size / pool_s:8.1f} q/s  "
-                f"{old_s / pool_s:5.2f}x  "
-                f"[{pool.tasks_dispatched} chunks]"
-            )
-
-    gate = best_pool_qps / (batch_size / old_s) if old_s else float("inf")
+    gate = old_s / new_s if new_s else float("inf")
     report["gate"] = {
         "target": TARGET,
-        "best_pool_qps": best_pool_qps,
+        "router_qps": report["vectorised_router"]["qps"],
         "pr5_qps": report["pr5_single_process"]["qps"],
         "speedup": round(gate, 2),
     }
-    print(f"gate: best pool {best_pool_qps:.1f} q/s vs pr5 "
+    print(f"gate: vectorised router {report['gate']['router_qps']:.1f} q/s vs pr5 "
           f"{report['pr5_single_process']['qps']:.1f} q/s = {gate:.2f}x "
           f"(target {TARGET:.0f}x)")
     if gate < TARGET:
         failures.append(
-            f"contended multi-process batch {gate:.2f}x below the "
-            f"{TARGET:.0f}x target vs the single-process PR 5 baseline"
+            f"contended batch {gate:.2f}x below the {TARGET:.0f}x target "
+            f"vs the PR 5 baseline"
         )
 
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -1,7 +1,7 @@
 """PR 7 observability benchmark: what does instrumentation cost?
 
 PR 7 threads a metrics registry and span tracing through the serving
-stack — counters at every registry/store/pool boundary, latency
+stack — counters at every registry/store boundary, latency
 histograms around plan/execute/enumerate/sink-flush, and per-query
 span trees.  The design bet is that the hot path pays almost nothing:
 counters are bound children incrementing under a lock, timing is one

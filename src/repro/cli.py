@@ -249,15 +249,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # A dedicated registry sized for the file: every distinct k stays
     # resident from the prefetch through execution (the process-wide
     # default holds 8 and would evict — and then rebuild — beyond that).
-    # With --processes, workers attach to --store when given (mmap, zero
-    # copy); an ephemeral store backs the pool otherwise.
     plan, results = execute_batch(
         requests,
         registry=CoreIndexRegistry(capacity=len({k for k, _, _ in queries}), store=store),
         store=store,
         merge_overlaps=not args.no_merge,
         trace=trace,
-        processes=args.processes,
     )
     if trace is not None:
         _write_trace(trace, args.trace_out)
@@ -470,7 +467,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.store,
         host=args.host,
         port=args.port,
-        processes=args.processes or None,
         queue_depth=args.queue_depth,
         outbox_depth=args.outbox_depth,
         capacity=args.capacity,
@@ -542,11 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--no-merge", action="store_true",
         help="disable overlap merging (only identical ranges share work)",
-    )
-    batch.add_argument(
-        "--processes", type=int, default=0, metavar="N",
-        help="fan the planned windows out over N worker processes "
-             "attached to the shared index store by mmap (0 = in-process)",
     )
     batch.add_argument("--format", choices=("text", "json"), default="text")
     batch.add_argument(
@@ -628,11 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=7471,
         help="TCP port (0 binds an ephemeral port; default: 7471)",
-    )
-    serve.add_argument(
-        "--processes", type=int, default=0, metavar="N",
-        help="worker-pool processes for intra-request parallelism "
-             "(default: 0, execute in-process)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",

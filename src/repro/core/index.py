@@ -134,12 +134,9 @@ class CoreIndex:
         cached sorted skyline view.  Results come back in input order;
         ``collect`` defaults to ``False`` (count only), matching batch
         traffic.  ``sinks``, when given, carries one optional
-        per-range delivery sink (to fan the windows out over a
-        :class:`~repro.serve.parallel.WorkerPool`, hand
-        :func:`~repro.serve.planner.plan_for_index`'s plan to
-        ``execute_plan(plan, parallel=pool)``).  ``trace``, when given,
-        records a span tree for the batch — ``query_batch`` wrapping
-        ``plan`` and ``execute`` (see :mod:`repro.obs.trace`).
+        per-range delivery sink.  ``trace``, when given, records a span
+        tree for the batch — ``query_batch`` wrapping ``plan`` and
+        ``execute`` (see :mod:`repro.obs.trace`).
         """
         from repro.serve.executor import execute_plan
         from repro.serve.planner import plan_for_index

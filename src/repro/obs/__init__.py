@@ -4,7 +4,7 @@ Three small modules with one job each:
 
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
   (counters, gauges, fixed-bucket histograms; Prometheus-text and JSON
-  export) that the registry/store/pool/planner/executor instruments
+  export) that the registry/store/planner/executor instruments
   write to.
 * :mod:`repro.obs.trace` — per-query span trees (:class:`Trace`)
   threaded through ``plan → execute → sink``; :data:`NULL_TRACE` is

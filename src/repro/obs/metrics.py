@@ -1,7 +1,7 @@
 """A thread-safe, process-wide metrics registry.
 
 The serving stack grew its telemetry organically: the index registry,
-the store, the worker pool and the planner each kept ad-hoc dicts and
+the store, the executor and the planner each kept ad-hoc dicts and
 bare ints.  This module gives them one schema — named *instruments*
 (:class:`Counter`, :class:`Gauge`, fixed-bucket :class:`Histogram`)
 living in a :class:`MetricsRegistry`, addressed by dotted-free
@@ -22,11 +22,6 @@ Prometheus-style names and frozen label tuples:
   snapshotted under its own lock, so a snapshot taken mid-write is
   internally consistent per instrument (histogram bucket counts always
   sum to the observation count).
-* **Worker deltas merge** — :meth:`MetricsRegistry.merge_snapshot`
-  folds counter and histogram values from another registry's snapshot
-  in (gauges are overwritten), the shape the
-  :class:`~repro.serve.parallel.WorkerPool` uses to aggregate
-  per-worker metrics back into the parent process.
 
 The process-wide default registry (:func:`get_registry`) is what the
 library's built-in instrumentation writes to; the store, the WAL and
@@ -369,8 +364,7 @@ class MetricsRegistry:
 
     Thread-safe: instrument creation holds the registry lock, value
     updates hold the owning instrument's lock.  The registry itself is
-    process-local — worker processes keep their own and ship snapshot
-    deltas to the parent (see :meth:`merge_snapshot`).
+    process-local.
     """
 
     def __init__(self) -> None:
@@ -482,53 +476,6 @@ class MetricsRegistry:
                         f"{_render_number(sample['value'])}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram series are *added* (count, sum and
-        per-bucket counts), gauges are overwritten — the semantics a
-        parent process wants when aggregating worker deltas.  Unknown
-        instruments are created on the fly with the snapshot's declared
-        kind, labels and buckets.
-        """
-        for name, inst in snap.items():
-            kind = inst.get("kind")
-            labelnames = tuple(inst.get("labelnames", ()))
-            if kind == "counter":
-                target = self.counter(name, inst.get("help", ""), labelnames)
-                for sample in inst["values"]:
-                    key = tuple(sample["labels"][ln] for ln in labelnames)
-                    target.labels(*key).inc(sample["value"])
-            elif kind == "gauge":
-                target = self.gauge(name, inst.get("help", ""), labelnames)
-                for sample in inst["values"]:
-                    key = tuple(sample["labels"][ln] for ln in labelnames)
-                    target.labels(*key).set(sample["value"])
-            elif kind == "histogram":
-                target = self.histogram(
-                    name,
-                    inst.get("help", ""),
-                    labelnames,
-                    buckets=inst.get("buckets", DEFAULT_BUCKETS),
-                )
-                for sample in inst["values"]:
-                    key = tuple(sample["labels"][ln] for ln in labelnames)
-                    child = target.labels(*key)
-                    cumulative = sample["bucket_counts"]
-                    with child._lock:
-                        previous = 0
-                        for i, cum in enumerate(cumulative):
-                            child._counts[i] += cum - previous
-                            previous = cum
-                        child._count += sample["count"]
-                        child._sum += sample["sum"]
-            else:  # pragma: no cover - foreign snapshot kinds are skipped
-                continue
 
 
 def _escape_help(text: str) -> str:

@@ -84,9 +84,7 @@ class Deadline:
     second code path, it already polls the deadline per start time.  The
     callable must be cheap and thread-safe to *read* (a ``bool`` flag,
     an ``Event.is_set``); it is polled from whichever thread runs the
-    walk.  Cancellation does not travel across process boundaries: a
-    :class:`~repro.serve.parallel.WorkerPool` chunk carries only the
-    remaining seconds.
+    walk.
     """
 
     def __init__(

@@ -21,8 +21,7 @@ Design points:
 * **Spans nest by enter order.**  ``Trace.span`` is a context manager;
   the enclosing span at ``__enter__`` time becomes the parent.  A
   per-trace stack tracks the open chain, so nesting needs no explicit
-  parent plumbing.  (A trace belongs to one thread of execution — the
-  worker-pool path traces parent-side dispatch, not inside workers.)
+  parent plumbing.  (A trace belongs to one thread of execution.)
 * **Export is NDJSON.**  One JSON object per finished span —
   ``name``, ``start``/``duration`` on the trace-relative monotonic
   clock, ``parent``/``depth``, free-form ``attrs`` — written by

@@ -14,14 +14,8 @@ Serving splits into three stages (see ``docs/SERVING.md``):
   core objects, streaming callbacks, counters, NDJSON lines or flat
   arrays.
 
-A fourth, optional axis fans execution out across processes
-(:mod:`repro.serve.parallel`): a :class:`WorkerPool` of store-attached
-workers (mmap, zero copy) executes the plan's covering windows in
-parallel — ``execute_plan(parallel=pool)`` — and the parent stitches
-the columnar results back into input order through the same sinks.
 :func:`execute_batch` answers a mixed ``(graph, k, range)`` batch in
-one call (prefetch every ``k``, plan, execute; ``processes=`` for a
-pool).
+one call (prefetch every ``k``, plan, execute).
 
 The network front door (:mod:`repro.serve.daemon`,
 :mod:`repro.serve.protocol`, :mod:`repro.serve.client`) puts the whole
@@ -34,7 +28,6 @@ from repro.serve.client import DaemonClient
 from repro.serve.columnar import run_columnar_walk
 from repro.serve.daemon import ServingDaemon
 from repro.serve.executor import execute_batch, execute_plan
-from repro.serve.parallel import WorkerPool, open_pool
 from repro.serve.planner import (
     CoveringWindow,
     PlanGroup,
@@ -67,11 +60,9 @@ __all__ = [
     "QueryRequest",
     "ResultSink",
     "TeeSink",
-    "WorkerPool",
     "execute_batch",
     "execute_plan",
     "make_sink",
-    "open_pool",
     "plan_queries",
     "run_columnar_walk",
 ]

@@ -2,9 +2,8 @@
 
 :class:`ServingDaemon` is a long-lived asyncio process that attaches an
 :class:`~repro.store.index_store.IndexStore`, warms a
-:class:`~repro.core.index.CoreIndexRegistry` from it, optionally opens
-a store-attached :class:`~repro.serve.parallel.WorkerPool`, and
-answers the newline-delimited JSON protocol of
+:class:`~repro.core.index.CoreIndexRegistry` from it, and answers the
+newline-delimited JSON protocol of
 :mod:`repro.serve.protocol` (plus HTTP ``GET /metrics`` on the same
 port, sniffed per connection).
 
@@ -22,10 +21,8 @@ Layout — three kinds of task around one execution lane:
   request's time budget: past its deadline the walk aborts, and the
   terminal frame waits at most ``terminal_grace`` longer before the
   daemon hangs up, so one stalled reader cannot pin the execution lane.
-* **one drain task** feeding a single execution thread — the
-  :class:`~repro.serve.parallel.WorkerPool` is single-dispatcher, so
-  requests execute one at a time in admission order; parallelism lives
-  *inside* a request (covering windows fan out across pool workers).
+* **one drain task** feeding a single execution thread, so requests
+  execute one at a time in admission order.
 
 Cancellation rides the executor's existing deadline machinery: each
 request's :class:`~repro.obs.timing.Deadline` carries the connection's
@@ -84,10 +81,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.sinks import NDJSONSink
 from repro.store.index_store import IndexStore
-
-#: Environment variable carrying a :class:`WorkerPool` ``_fault_path``
-#: into a daemon subprocess — the fault-injection tests' SIGKILL hook.
-FAULT_PATH_ENV = "REPRO_POOL_FAULT_PATH"
 
 _STOP = object()  # drain-task sentinel, queued behind all admitted work
 
@@ -361,11 +354,9 @@ class _Job:
 class ServingDaemon:
     """The long-lived serving process behind ``repro serve``.
 
-    ``processes`` opens a store-attached worker pool for intra-request
-    parallelism (``None``/``0`` executes in-process).  ``queue_depth``
-    bounds admission; ``outbox_depth`` bounds each connection's send
-    buffer, in entries: control frames, or chunks of up to
-    :data:`_CHUNK_CHARS` of a query's core frames.  ``default_timeout``
+    ``queue_depth`` bounds admission; ``outbox_depth`` bounds each
+    connection's send buffer, in entries: control frames, or chunks of
+    up to :data:`_CHUNK_CHARS` of a query's core frames.  ``default_timeout``
     caps requests that do not bring their own ``timeout``.
     ``terminal_grace`` is how long past a request's expired deadline
     the daemon keeps offering the terminal frame to a full outbox
@@ -385,7 +376,6 @@ class ServingDaemon:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        processes: int | None = None,
         queue_depth: int = 64,
         outbox_depth: int = 256,
         capacity: int = 16,
@@ -400,14 +390,12 @@ class ServingDaemon:
         self.max_lag = max_lag
         self.host = host
         self.port = port
-        self.processes = processes or None
         self.queue_depth = queue_depth
         self.outbox_depth = outbox_depth
         self.default_timeout = default_timeout
         self.terminal_grace = terminal_grace
         self.warm = warm
         self.registry = CoreIndexRegistry(capacity=capacity, store=self.store)
-        self.pool = None
         self._graphs: dict[str, object] = {}
         self._graph_lock = threading.Lock()
         #: One streaming service per ingesting key (execution lane
@@ -509,14 +497,6 @@ class ServingDaemon:
             await asyncio.get_running_loop().run_in_executor(
                 self._exec, self._boot_warm
             )
-        if self.processes:
-            from repro.serve.parallel import WorkerPool
-
-            self.pool = WorkerPool(
-                self.store,
-                processes=self.processes,
-                _fault_path=os.environ.get(FAULT_PATH_ENV) or None,
-            )
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -576,8 +556,6 @@ class ServingDaemon:
         await asyncio.get_running_loop().run_in_executor(
             self._exec, self._close_wals
         )
-        if self.pool is not None:
-            self.pool.close()
         for conn in list(self._conns):
             await conn.close()
         if self._server is not None:
@@ -895,7 +873,6 @@ class ServingDaemon:
             registry=self.registry,
             store=self.store,
             deadline=deadline,
-            parallel=self.pool,
         )
         if request.op == "query":
             result = results[0]
@@ -1091,11 +1068,10 @@ class ServingDaemon:
                 pass
 
     def stats(self) -> dict:
-        """The ``stats`` op payload: daemon, registry, pool, store."""
+        """The ``stats`` op payload: daemon, registry, store, ingest."""
         return {
             "daemon": self.counters(),
             "registry": self.registry.stats(),
-            "pool": self.pool.stats() if self.pool is not None else None,
             "store": {
                 "root": str(self.store.root),
                 "keys": self.store.keys(),

@@ -20,12 +20,8 @@ Execution walks the plan group by group:
 Results come back as one :class:`~repro.core.results.EnumerationResult`
 per request, in request order; requests that carry their own sink are
 delivered through it (and the returned result reflects that sink's
-counters).  ``execute_plan(parallel=...)`` hands the whole plan to a
-:class:`~repro.serve.parallel.WorkerPool` instead, which partitions the
-covering windows across store-attached worker processes and runs each
-chunk of them through the same sequential loop.  :func:`execute_batch`
-is the mixed ``(graph, k, range)`` batch in one call: prefetch every
-graph's ``k`` values, plan, execute.
+counters).  :func:`execute_batch` is the mixed ``(graph, k, range)``
+batch in one call: prefetch every graph's ``k`` values, plan, execute.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.index import CoreIndexRegistry
     from repro.graph.temporal_graph import TemporalGraph
     from repro.obs.trace import Trace
-    from repro.serve.parallel import WorkerPool
     from repro.store.index_store import IndexStore
 
 _NO_ACTIVE = np.empty(0, dtype=np.int64)
@@ -249,7 +244,6 @@ def execute_plan(
     store: "IndexStore | None" = None,
     collect: bool = False,
     deadline: Deadline | None = None,
-    parallel: "WorkerPool | None" = None,
 ) -> list[EnumerationResult]:
     """Run ``plan``; one :class:`EnumerationResult` per request, in order.
 
@@ -261,13 +255,6 @@ def execute_plan(
     requests come back with ``completed=False`` and whatever was
     delivered before the abort.
 
-    ``parallel`` hands the plan to a
-    :class:`~repro.serve.parallel.WorkerPool`: covering windows are
-    partitioned by estimated work and executed across store-attached
-    worker processes, with results stitched back into input order
-    through the same sink interface.  The pool runs plans too small to
-    amortise the dispatch in-process, through the same loop.
-
     Execution records into the plan's trace (an ``execute`` span
     wrapping one ``enumerate`` and ``sink_flush`` span per covering
     window) and into the process metrics registry (the
@@ -277,91 +264,64 @@ def execute_plan(
     trace = plan.trace
     timed = timing_enabled()
     started = now() if timed else 0.0
-    with trace.span(
-        "execute", windows=plan.num_windows, pooled=parallel is not None
-    ):
-        if parallel is not None:
-            results = parallel.execute(
-                plan, registry=registry, collect=collect, deadline=deadline
-            )
-        else:
-            results = _execute_sequential(
-                plan,
-                registry=registry,
-                store=store,
-                collect=collect,
-                deadline=deadline,
-                timed=timed,
-            )
-    if timed:
-        _EXECUTE_SECONDS.observe(now() - started)
-    return results
-
-
-def _execute_sequential(
-    plan: QueryPlan,
-    *,
-    registry: "CoreIndexRegistry | None",
-    store: "IndexStore | None",
-    collect: bool,
-    deadline: Deadline | None,
-    timed: bool,
-) -> list[EnumerationResult]:
-    trace = plan.trace
     sinks: list[ResultSink] = [
         request.sink
         if request.sink is not None
         else (MaterializingSink() if collect else CountSink())
         for request in plan.requests
     ]
-    for group in plan.groups:
-        for window, arrays in _group_window_arrays(
-            group, registry=registry, store=store, deadline=deadline
-        ):
-            if window.is_shared:
-                target: ResultSink = _SliceRouter(
-                    [
-                        (
-                            plan.requests[rid].ts,
-                            plan.requests[rid].te,
-                            sinks[rid],
-                        )
-                        for rid in window.requests
-                    ]
-                )
-            else:
-                target = sinks[window.requests[0]]
-            if arrays is None:
-                # Deadline expired (or the request was cancelled) before
-                # this window's prep — skip the walk entirely, the sink
-                # just learns it did not complete.
-                _WINDOWS_EXECUTED.labels("skipped").inc()
-                target.finish(False)
-                continue
-            _WINDOWS_EXECUTED.labels(
-                "shared" if window.is_shared else "single"
-            ).inc()
-            with trace.span(
-                "enumerate",
-                ts=window.ts,
-                te=window.te,
-                requests=len(window.requests),
+    with trace.span("execute", windows=plan.num_windows):
+        for group in plan.groups:
+            for window, arrays in _group_window_arrays(
+                group, registry=registry, store=store, deadline=deadline
             ):
-                walk_started = now() if timed else 0.0
-                completed = run_columnar_walk(
-                    window.ts, window.te, arrays, target, deadline=deadline
-                )
-                if timed:
-                    _ENUMERATE_SECONDS.observe(now() - walk_started)
-            with trace.span("sink_flush", requests=len(window.requests)):
-                flush_started = now() if timed else 0.0
-                target.finish(completed)
-                if timed:
-                    _SINK_FLUSH_SECONDS.observe(now() - flush_started)
-    return [
-        sink.result("enum", request.k, request.time_range)
-        for request, sink in zip(plan.requests, sinks)
-    ]
+                if window.is_shared:
+                    target: ResultSink = _SliceRouter(
+                        [
+                            (
+                                plan.requests[rid].ts,
+                                plan.requests[rid].te,
+                                sinks[rid],
+                            )
+                            for rid in window.requests
+                        ]
+                    )
+                else:
+                    target = sinks[window.requests[0]]
+                if arrays is None:
+                    # Deadline expired (or the request was cancelled)
+                    # before this window's prep — skip the walk entirely,
+                    # the sink just learns it did not complete.
+                    _WINDOWS_EXECUTED.labels("skipped").inc()
+                    target.finish(False)
+                    continue
+                _WINDOWS_EXECUTED.labels(
+                    "shared" if window.is_shared else "single"
+                ).inc()
+                with trace.span(
+                    "enumerate",
+                    ts=window.ts,
+                    te=window.te,
+                    requests=len(window.requests),
+                ):
+                    walk_started = now() if timed else 0.0
+                    completed = run_columnar_walk(
+                        window.ts, window.te, arrays, target, deadline=deadline
+                    )
+                    if timed:
+                        _ENUMERATE_SECONDS.observe(now() - walk_started)
+                with trace.span("sink_flush", requests=len(window.requests)):
+                    flush_started = now() if timed else 0.0
+                    target.finish(completed)
+                    if timed:
+                        _SINK_FLUSH_SECONDS.observe(now() - flush_started)
+        results = [
+            sink.result("enum", request.k, request.time_range)
+            for request, sink in zip(plan.requests, sinks)
+        ]
+    if timed:
+        _EXECUTE_SECONDS.observe(now() - started)
+    return results
 
 
 def execute_batch(
@@ -371,7 +331,6 @@ def execute_batch(
     store: "IndexStore | None" = None,
     merge_overlaps: bool = True,
     trace: "Trace | None" = None,
-    processes: int | None = None,
 ) -> tuple[QueryPlan, list[EnumerationResult]]:
     """Answer a mixed ``(graph, k, range)`` batch; ``(plan, results)``.
 
@@ -381,10 +340,7 @@ def execute_batch(
     build for whatever is still missing — never one Algorithm-2 run per
     ``k``).  The requests are then planned on the ``index`` engine and
     executed from the warm registry; results come back in request order
-    (count-only unless a request brings its own sink).  ``processes``
-    runs the plan on a :class:`~repro.serve.parallel.WorkerPool` of
-    that many workers attached to ``store`` (an ephemeral store when
-    none is given).
+    (count-only unless a request brings its own sink).
     """
     from repro.core.index import DEFAULT_REGISTRY
 
@@ -399,9 +355,4 @@ def execute_batch(
     plan = plan_queries(
         requests, engine="index", merge_overlaps=merge_overlaps, trace=trace
     )
-    if not processes:
-        return plan, execute_plan(plan, registry=target, store=store)
-    from repro.serve.parallel import open_pool
-
-    with open_pool(processes, store=store) as pool:
-        return plan, execute_plan(plan, registry=target, store=store, parallel=pool)
+    return plan, execute_plan(plan, registry=target, store=store)

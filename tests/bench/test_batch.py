@@ -8,9 +8,7 @@ import pytest
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.index import CoreIndex, CoreIndexRegistry, get_core_index
 from repro.errors import InvalidParameterError
-from repro.serve import QueryRequest, execute_batch, execute_plan
-from repro.serve.parallel import open_pool
-from repro.serve.planner import plan_for_index
+from repro.serve import QueryRequest, execute_batch
 
 
 def counters(results):
@@ -51,23 +49,6 @@ class TestSequentialBatch:
             CoreIndex(paper_graph, 0)
         with pytest.raises(InvalidParameterError):
             CoreIndex(paper_graph, 2).query_batch([(0, 3)])
-        with pytest.raises(InvalidParameterError):
-            with open_pool(0):
-                pass
-
-
-class TestParallelBatch:
-    def test_parallel_equals_sequential(self, paper_graph):
-        ranges = [(1, 4), (2, 6), (1, 7), (3, 5), (5, 5), (2, 3)]
-        index = CoreIndex(paper_graph, 2)
-        sequential = index.query_batch(ranges)
-        with open_pool(2) as pool:
-            parallel = execute_plan(
-                plan_for_index(index, ranges, merge_overlaps=False),
-                parallel=pool,
-            )
-            assert pool.tasks_dispatched > 0
-        assert counters(parallel) == counters(sequential)
 
 
 class TestEngineBatch:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (
     EngineSummary,
     QueryRecord,
@@ -11,7 +12,7 @@ from repro.bench.harness import (
     run_dataset_point,
     run_workload,
 )
-from repro.bench.workloads import build_workload
+from repro.bench.workloads import Workload, build_workload
 from repro.errors import BenchmarkError
 
 
@@ -93,6 +94,32 @@ class TestRunWorkload:
             paper_graph, workload, ("enum",), timeout=5.0, measure_memory=True
         )
         assert summaries["enum"].records[0].peak_bytes > 0
+
+    def test_no_compile_inside_a_timed_engine_call(self, paper_graph, monkeypatch):
+        """The graph's one-off compile stays out of every engine's timing."""
+        from repro.graph.csr import CompiledGraph
+
+        timing = []
+        compiled_while_timing = []
+        run_engine_once = harness._run_engine_once
+        compile_graph = CompiledGraph.__init__
+
+        def timed_run(*args):
+            timing.append(True)
+            try:
+                return run_engine_once(*args)
+            finally:
+                timing.pop()
+
+        def compile_spy(self, graph):
+            compiled_while_timing.append(bool(timing))
+            compile_graph(self, graph)
+
+        monkeypatch.setattr(harness, "_run_engine_once", timed_run)
+        monkeypatch.setattr(CompiledGraph, "__init__", compile_spy)
+        workload = Workload("example", 2, 4, ((1, 4), (2, 6)), 1.0, 0.6)
+        run_workload(paper_graph, workload, ("coretime", "enum"), timeout=5.0)
+        assert compiled_while_timing == [False]
 
 
 class TestRunDatasetPoint:

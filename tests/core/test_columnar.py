@@ -167,7 +167,7 @@ class TestBatchOracle:
             assert got.num_results == fresh.num_results
             assert got.total_edges == fresh.total_edges
 
-    def test_run_query_batch_counts(self, columnar_graph):
+    def test_query_batch_counts_match_enum(self, columnar_graph):
         ranges = query_windows(columnar_graph.tmax)
         registry = CoreIndexRegistry(capacity=2)
         index = get_core_index(columnar_graph, 2, registry=registry)

@@ -1,16 +1,14 @@
 """End-to-end observability: the registry and traces versus real serving.
 
 The acceptance test of the unified observability layer: after a mixed,
-store-backed, process-parallel batch, ONE ``snapshot()`` of the process
-metrics registry must report registry hits/misses, store loads, pool
-dispatch counters and the plan/execute latency histograms — and every
-component's legacy ``stats()`` dict must agree with the registry series
-it claims to be a view of.
+store-backed batch, ONE ``snapshot()`` of the process metrics registry
+must report registry hits/misses, store saves and loads, and the
+plan/execute latency histograms — and every component's legacy
+``stats()`` dict must agree with the registry series it claims to be a
+view of.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -18,14 +16,13 @@ from repro.core.index import CoreIndex, CoreIndexRegistry
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Trace
 from repro.serve.executor import execute_batch, execute_plan
-from repro.serve.parallel import WorkerPool
-from repro.serve.planner import QueryRequest, plan_for_index, plan_queries
+from repro.serve.planner import QueryRequest, plan_queries
 from repro.store import IndexStore
 
 
 def sample(snap: dict, name: str, **labels) -> dict | None:
     """The snapshot sample of ``name`` whose labels include ``labels``."""
-    for candidate in snap[name]["values"]:
+    for candidate in snap.get(name, {"values": ()})["values"]:
         if all(candidate["labels"].get(k) == v for k, v in labels.items()):
             return candidate
     return None
@@ -41,7 +38,7 @@ def series_value(snap: dict, name: str, **labels) -> float:
 
 
 class TestSnapshotCrossCheck:
-    def test_mixed_store_backed_parallel_batch(
+    def test_mixed_store_backed_batch(
         self, tmp_path, paper_graph, triangle_graph
     ):
         store = IndexStore(tmp_path / "store")
@@ -54,16 +51,12 @@ class TestSnapshotCrossCheck:
             (paper_graph, 2, (1, 4)),  # identical: dedup + registry hit
         ]
         requests = [QueryRequest(g, k, ts, te) for g, k, (ts, te) in queries]
-        with WorkerPool(store, processes=2) as pool:
-            answers = execute_plan(
-                plan_queries(requests, engine="index"),
-                registry=registry,
-                parallel=pool,
-            )
-            _plan, sequential = execute_batch(requests, registry=registry)
-            assert counters(answers) == counters(sequential)
-            pool_stats = pool.stats()
-            pool_instance = pool.instance
+        _plan, answers = execute_batch(requests, registry=registry, store=store)
+        registry.persist_all()
+        replayed = execute_plan(
+            plan_queries(requests, engine="index"), registry=registry, store=store
+        )
+        assert counters(replayed) == counters(answers)
 
         snap = get_registry().snapshot()
 
@@ -114,43 +107,12 @@ class TestSnapshotCrossCheck:
         assert store_stats["stale_takeovers"] == series_value(
             snap, "repro_store_stale_takeovers_total", store=store_instance
         )
-        assert store_stats["index_saves"] > 0  # the batch persisted misses
-
-        # -- the pool's stats() is a faithful view ----------------------
-        assert pool_stats["tasks_dispatched"] == series_value(
-            snap, "repro_pool_tasks_dispatched_total", pool=pool_instance
-        )
-        assert pool_stats["chunks_lost"] == series_value(
-            snap, "repro_pool_chunks_lost_total", pool=pool_instance
-        )
-        assert pool_stats["chunks_completed"]["worker"] == series_value(
-            snap, "repro_pool_chunks_completed_total",
-            pool=pool_instance, where="worker",
-        )
-        assert pool_stats["chunks_completed"]["parent"] == series_value(
-            snap, "repro_pool_chunks_completed_total",
-            pool=pool_instance, where="parent",
-        )
-        for counter, count in pool_stats["worker_counters"].items():
-            assert count == series_value(
-                snap, "repro_pool_worker_counters_total",
-                pool=pool_instance, counter=counter,
-            )
-        assert pool_stats["tasks_dispatched"] > 0
-
-        # -- worker-side activity came home over the chunk protocol -----
-        # Workers answer from the shared store, so their shipped deltas
-        # must include store/registry counter activity.
-        assert sum(pool_stats["worker_counters"].values()) > 0
+        assert store_stats["index_saves"] > 0  # the misses were persisted
 
         # -- the serving latency histograms saw the batch ---------------
         assert sample(snap, "repro_plan_seconds")["count"] > 0
         assert sample(snap, "repro_execute_seconds")["count"] > 0
         assert snap["repro_enumerate_seconds"]["values"][0]["count"] > 0
-        chunk_seconds = sample(
-            snap, "repro_pool_chunk_seconds", pool=pool_instance
-        )
-        assert chunk_seconds is not None and chunk_seconds["count"] > 0
 
         # -- plan counters moved, including the dedup ------------------
         assert series_value(snap, "repro_plan_requests_total") > 0
@@ -203,40 +165,3 @@ class TestTraceIntegration:
         index = CoreIndex(paper_graph, 2)
         index.query_batch([(1, 4)])
         assert NULL_TRACE.spans() == []
-
-
-class TestPoolCrashAccounting:
-    def test_lost_chunks_keep_the_dispatch_invariant(
-        self, tmp_path, paper_graph
-    ):
-        fault = tmp_path / "kill-exactly-one-worker"
-        fault.touch()
-        ranges = [(1, 4), (2, 6), (1, 7), (3, 5), (5, 5), (2, 3)]
-        index = CoreIndex(paper_graph, 2)
-        with WorkerPool(
-            tmp_path / "store", processes=2, _fault_path=os.fspath(fault)
-        ) as pool:
-            answers = execute_plan(
-                plan_for_index(index, ranges, merge_overlaps=False),
-                parallel=pool,
-            )
-            stats = pool.stats()
-        assert counters(answers) == counters(index.query_batch(ranges))
-        # The SIGKILLed chunk was really lost and really re-dispatched:
-        # every dispatch is accounted for as finished-by-a-worker or lost.
-        assert stats["broken_restarts"] >= 1
-        assert stats["chunks_lost"] >= 1
-        assert stats["tasks_dispatched"] == (
-            stats["chunks_completed"]["worker"] + stats["chunks_lost"]
-        )
-
-    def test_healthy_pool_loses_nothing(self, tmp_path, paper_graph):
-        index = CoreIndex(paper_graph, 2)
-        with WorkerPool(tmp_path / "store", processes=2) as pool:
-            execute_plan(
-                plan_for_index(index, [(1, 2), (3, 4), (5, 7)]), parallel=pool
-            )
-            stats = pool.stats()
-        assert stats["chunks_lost"] == 0
-        assert stats["tasks_dispatched"] > 0
-        assert stats["tasks_dispatched"] == stats["chunks_completed"]["worker"]

@@ -175,43 +175,6 @@ class TestRegistry:
         assert 'c_total{p="a\\"b\\\\c"} 1' in registry.render_prometheus()
 
 
-class TestMergeSnapshot:
-    def test_counters_add_gauges_overwrite_histograms_add(self):
-        source = MetricsRegistry()
-        source.counter("c_total", "", ("k",)).labels("3").inc(2)
-        source.gauge("g").set(7)
-        source.histogram("h_seconds", buckets=(1.0, 2.0)).observe(1.5)
-
-        target = MetricsRegistry()
-        target.counter("c_total", "", ("k",)).labels("3").inc(1)
-        target.gauge("g").set(100)
-        target.histogram("h_seconds", buckets=(1.0, 2.0)).observe(0.5)
-
-        target.merge_snapshot(source.snapshot())
-        assert target.get("c_total").labels("3").value == 3
-        assert target.get("g").value == 7
-        hist = target.get("h_seconds").labels()
-        assert hist.count == 2
-        assert hist.sum == pytest.approx(2.0)
-        assert hist.cumulative() == [1, 2, 2]
-
-    def test_unknown_instruments_created_on_the_fly(self):
-        source = MetricsRegistry()
-        source.counter("fresh_total").inc(4)
-        target = MetricsRegistry()
-        target.merge_snapshot(source.snapshot())
-        assert target.get("fresh_total").value == 4
-
-    def test_double_merge_doubles_counters(self):
-        source = MetricsRegistry()
-        source.counter("c_total").inc(3)
-        snap = source.snapshot()
-        target = MetricsRegistry()
-        target.merge_snapshot(snap)
-        target.merge_snapshot(snap)
-        assert target.get("c_total").value == 6
-
-
 class TestConcurrency:
     def test_parallel_increments_are_exact(self):
         registry = MetricsRegistry()

@@ -1,10 +1,9 @@
 """Fixtures for the daemon test campaign.
 
 Every test here drives a **real** daemon subprocess over a real TCP
-socket — signals (SIGTERM drain, SIGKILL'd workers) and disconnect
-semantics only mean anything across a process boundary.  The session
-store is built once; tests that mutate the store (the drain-snapshot
-test) copy it first.
+socket — signals (SIGTERM drain) and disconnect semantics only mean
+anything across a process boundary.  The session store is built once;
+tests that mutate the store (the drain-snapshot test) copy it first.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
-import time
 import urllib.request
 from pathlib import Path
 
@@ -50,29 +47,8 @@ def daemon_store(tmp_path_factory):
     return root, graph
 
 
-def group_members(pgid: int) -> list[int]:
-    """Pids of the live (not zombie) processes in process group ``pgid``.
-
-    Reads ``/proc``, so it finds nothing where there is none.
-    """
-    members = []
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            # state, ppid and pgrp follow the parenthesised command name
-            fields = stat.read_text().rsplit(")", 1)[1].split()
-        except (OSError, IndexError):  # the process exited meanwhile
-            continue
-        if fields[0] != "Z" and int(fields[2]) == pgid:
-            members.append(int(stat.parent.name))
-    return members
-
-
 class DaemonHandle:
-    """One daemon subprocess: its Popen, bound port, and teardown.
-
-    The daemon leads its own process group (it is started in a new
-    session), so its forked pool workers belong to that group too.
-    """
+    """One daemon subprocess: its Popen, bound port, and teardown."""
 
     def __init__(self, proc: subprocess.Popen, port: int):
         self.proc = proc
@@ -90,30 +66,22 @@ class DaemonHandle:
         return self.proc.poll() is None
 
     def stop(self) -> None:
-        """SIGKILL the daemon's whole process group and wait until it is gone.
-
-        Killing only the daemon would orphan its forked pool workers.
-        """
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except ProcessLookupError:  # the daemon and all its workers exited
-            pass
+        """SIGKILL the daemon and wait until it is gone."""
+        if self.alive():
+            self.proc.kill()
         try:
             self.proc.wait(timeout=10)
         except subprocess.TimeoutExpired:  # pragma: no cover
             pass
-        give_up = time.monotonic() + 10
-        while group_members(self.proc.pid) and time.monotonic() < give_up:
-            time.sleep(0.02)
         for stream in (self.proc.stdout, self.proc.stderr):
             if stream is not None:
                 stream.close()
 
 
 def launch_daemon(store, *extra_args, env=None) -> DaemonHandle:
-    """Start ``repro serve`` on ``store`` and an ephemeral port, in a new session.
+    """Start ``repro serve`` on ``store`` and an ephemeral port.
 
-    ``env`` adds environment variables (the fault hook).  Returns a
+    ``env`` adds environment variables (the fault hooks).  Returns a
     :class:`DaemonHandle` once the ready line lands.
     """
     environ = dict(os.environ)
@@ -139,7 +107,6 @@ def launch_daemon(store, *extra_args, env=None) -> DaemonHandle:
         stderr=subprocess.PIPE,
         text=True,
         env=environ,
-        start_new_session=True,
     )
     line = proc.stdout.readline()
     if not line:

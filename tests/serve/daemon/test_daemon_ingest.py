@@ -472,11 +472,10 @@ class TestMaxLagFlush:
             assert key_stats["lag_seconds"] > 0.0
 
 
-class TestPooledReadsAfterFlush:
-    def test_pooled_batch_reads_the_flushed_graph(self, tmp_path):
-        """A flush commits the grown graph under the key the pool's
-        workers already loaded; a pooled batch over the new span must
-        answer from it, exactly as an in-process daemon does."""
+class TestReadsAfterFlush:
+    def test_batch_reads_the_flushed_graph(self, tmp_path):
+        """A flush commits the grown graph under the key the daemon
+        already loaded; a batch over the new span must answer from it."""
         rng = random.Random(3)
         appended = sorted(
             (
@@ -485,24 +484,26 @@ class TestPooledReadsAfterFlush:
             ),
             key=lambda edge: edge[2],
         )
+        root = tmp_path / "store"
+        build_store(root, tmax=40)
 
-        def serve(processes):
-            root = tmp_path / f"store-{processes}"
-            build_store(root, tmax=40)
+        def drive(port):
+            with DaemonClient("127.0.0.1", port) as client:
+                before = client.batch([[1, 10], [20, 30]], k=2)
+                client.append(appended)
+                client.flush()
+                return before, client.batch([[1, 10], [50, 75]], k=2)
 
-            def drive(port):
-                with DaemonClient("127.0.0.1", port) as client:
-                    # Two disjoint windows: the pool dispatches (and its
-                    # workers load the 40-timestamp graph).
-                    client.batch([[1, 10], [20, 30]], k=2)
-                    client.append(appended)
-                    client.flush()
-                    return client.batch([[1, 10], [50, 75]], k=2)
+        async def scenario():
+            async with ServingDaemon(root) as daemon:
+                return await asyncio.to_thread(drive, daemon.port)
 
-            async def scenario():
-                async with ServingDaemon(root, processes=processes) as daemon:
-                    return await asyncio.to_thread(drive, daemon.port)
-
-            return asyncio.run(scenario())
-
-        assert serve(2) == serve(None)
+        before, after = asyncio.run(scenario())
+        grown = IndexStore(root).load_graph(STORE_KEY)
+        want = CoreIndex(grown, 2).query_batch([(1, 10), (50, 75)])
+        assert want[1].num_results > 0
+        assert [
+            (tuple(a["range"]), a["num_results"], a["total_edges"], a["completed"])
+            for a in after
+        ] == [(r.time_range, r.num_results, r.total_edges, True) for r in want]
+        assert after[0] == before[0]

@@ -2,10 +2,8 @@
 
 Every fault a serving process meets in production, injected for real
 against a daemon subprocess: clients that vanish mid-stream, clients
-that read too slowly, garbage on the wire, a SIGKILL'd pool worker in
-the middle of a pooled batch (the ``_fault_path`` hook), and
-a SIGTERM drain that must finish in-flight work and land the store
-snapshot.  After every fault the daemon must still answer, and its
+that read too slowly, garbage on the wire, and a SIGTERM drain that
+must finish in-flight work and land the store snapshot.  After every fault the daemon must still answer, and its
 outcome counters must reconcile:
 ``accepted == completed + cancelled + failed``.
 """
@@ -24,12 +22,8 @@ from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
 from repro.serve.client import DaemonClient
 from repro.store.index_store import IndexStore
-from tests.serve.daemon.conftest import (
-    STORE_KEY,
-    group_members,
-    metric_total,
-    scrape_metrics,
-)
+from tests.serve.daemon.conftest import STORE_KEY
+
 
 def reconciled(counters: dict) -> bool:
     return counters["accepted"] == (
@@ -325,49 +319,6 @@ class TestWireGarbage:
             counters = client.stats()["daemon"]
             assert counters["rejected"].get("protocol", 0) >= 1
             assert reconciled(counters)
-
-
-class TestWorkerDeath:
-    #: Disjoint ranges: three covering windows, so a default daemon
-    #: dispatches the batch to its pool.
-    RANGES = [(1, 12), (15, 28), (31, 48)]
-
-    def test_sigkilled_pool_worker_during_batch(
-        self, start_daemon, daemon_store, tmp_path
-    ):
-        _root, graph = daemon_store
-        fault = tmp_path / "kill-one-worker"
-        fault.touch()
-        handle = start_daemon(
-            "--processes", "2", env={"REPRO_POOL_FAULT_PATH": str(fault)}
-        )
-        want = CoreIndex(graph, 2).query_batch(self.RANGES)
-        with DaemonClient("127.0.0.1", handle.port) as client:
-            answers = client.batch(self.RANGES, k=2)
-        # The fault fired exactly once, the pool recovered, and the
-        # answers are complete and correct regardless.
-        assert not fault.exists()
-        assert [
-            (tuple(a["range"]), a["num_results"], a["total_edges"], a["completed"])
-            for a in answers
-        ] == [
-            (time_range, r.num_results, r.total_edges, True)
-            for time_range, r in zip(self.RANGES, want)
-        ]
-        text = scrape_metrics(handle.port)
-        assert metric_total(text, "repro_pool_broken_restarts_total") >= 1
-        assert metric_total(text, "repro_daemon_completed_total") == 1
-
-    def test_stop_leaves_no_process_of_the_daemon_group(self, start_daemon, daemon_store):
-        """A hard stop reaps the pool workers along with the daemon."""
-        handle = start_daemon("--processes", "2")
-        with DaemonClient("127.0.0.1", handle.port) as client:
-            client.batch(self.RANGES, k=2)
-        members = group_members(handle.proc.pid)
-        assert handle.proc.pid in members
-        assert len(members) > 1  # the pool's workers joined the group
-        handle.stop()
-        assert group_members(handle.proc.pid) == []
 
 
 class TestSigtermDrain:

@@ -1,11 +1,10 @@
-"""Deadline aborts through the streaming-sink path, sequential and pooled.
+"""Deadline aborts through the streaming-sink path.
 
 PR 7 wired deadlines into the columnar walk; this suite closes the gap
 the daemon exposed: a deadline that expires (or a client that cancels)
-while results stream through caller-provided sinks must abort cleanly
-on **both** the sequential and the ``parallel=`` pool paths — windows
-whose preparation never started are skipped outright (counted under
-``repro_execute_windows_total{mode="skipped"}``), every affected
+while results stream through caller-provided sinks must abort cleanly:
+windows whose preparation never started are skipped outright (counted
+under ``repro_execute_windows_total{mode="skipped"}``), every affected
 request reports ``completed=False``, and whatever was already streamed
 is a valid prefix of the full answer.
 """
@@ -23,7 +22,6 @@ from repro.graph.generators import uniform_random_temporal
 from repro.obs.metrics import get_registry
 from repro.obs.timing import Deadline
 from repro.serve.executor import execute_plan
-from repro.serve.parallel import WorkerPool
 from repro.serve.planner import plan_for_index
 from repro.serve.sinks import MaterializingSink, NDJSONSink
 
@@ -31,13 +29,6 @@ from repro.serve.sinks import MaterializingSink, NDJSONSink
 @pytest.fixture(scope="module")
 def graph():
     return uniform_random_temporal(24, 700, tmax=48, seed=11)
-
-
-@pytest.fixture(scope="module")
-def pool(tmp_path_factory):
-    store = tmp_path_factory.mktemp("deadline-pool")
-    with WorkerPool(store, processes=2) as pool:
-        yield pool
 
 
 RANGES = [(1, 20), (5, 30), (2, 44)]
@@ -67,25 +58,6 @@ class TestServiceStreamingSinks:
             assert through_sink.total_edges == result.total_edges
             assert sink.cores == result.cores
 
-    def test_service_sinks_with_pool_match_collect(self, graph, pool):
-        edges = [
-            (graph.label_of(u), graph.label_of(v), t)
-            for u, v, t in graph.edges
-        ]
-        service = StreamingCoreService(2, edges)
-        collected = service.query_batch(RANGES, collect=True)
-        sinks = [MaterializingSink() for _ in RANGES]
-        _graph, indexes = service.built
-        streamed = execute_plan(
-            plan_for_index(indexes[2], RANGES, sinks=sinks, merge_overlaps=False),
-            parallel=pool,
-        )
-        for sink, through_sink, result in zip(sinks, streamed, collected):
-            assert through_sink.num_results == result.num_results
-            assert {(c.tti, frozenset(c.edge_ids)) for c in sink.cores} == {
-                (c.tti, frozenset(c.edge_ids)) for c in result.cores
-            }
-
 
 class TestExpiredDeadlineSequential:
     def test_all_windows_skipped_and_incomplete(self, graph):
@@ -109,32 +81,6 @@ class TestExpiredDeadlineSequential:
         ]
         service = StreamingCoreService(2, edges)
         results = service.query_batch(RANGES, deadline=Deadline(0.0))
-        assert all(not r.completed for r in results)
-
-
-class TestExpiredDeadlineParallel:
-    # RANGES merge into one covering window; unmerged, each range is a
-    # window of its own and the plan is big enough to dispatch.
-    def test_pool_with_streaming_sinks_aborts(self, graph, pool):
-        index = CoreIndex(graph, 2)
-        sinks = [io.StringIO() for _ in RANGES]
-        plan = plan_for_index(
-            index, RANGES, sinks=[NDJSONSink(s) for s in sinks],
-            merge_overlaps=False,
-        )
-        before = pool.tasks_dispatched
-        results = execute_plan(plan, parallel=pool, deadline=Deadline(0.0))
-        assert pool.tasks_dispatched > before
-        assert all(not r.completed for r in results)
-        assert all(r.num_results == 0 for r in results)
-        assert all(s.getvalue() == "" for s in sinks)
-
-    def test_pool_count_only_aborts(self, graph, pool):
-        index = CoreIndex(graph, 2)
-        plan = plan_for_index(index, RANGES, merge_overlaps=False)
-        before = pool.tasks_dispatched
-        results = execute_plan(plan, parallel=pool, deadline=Deadline(0.0))
-        assert pool.tasks_dispatched > before
         assert all(not r.completed for r in results)
 
 

@@ -316,7 +316,7 @@ class TestDaemonByteIdentity:
             assert done["ok"] is True and done["completed"] is True
             assert done["num_results"] == len(cores)
 
-    def test_counters_match_run_query_batch(self, start_daemon, multi_store):
+    def test_counters_match_query_batch(self, start_daemon, multi_store):
         root, graphs = multi_store
         handle = start_daemon(store=root)
         rng = random.Random(55)
