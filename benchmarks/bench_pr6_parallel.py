@@ -105,9 +105,7 @@ def pr5_query_batch(index: CoreIndex, ranges):
     plan = plan_for_index(index, ranges)
     sinks = [CountSink() for _ in plan.requests]
     for group in plan.groups:
-        for window, arrays in _group_window_arrays(
-            group, registry=None, store=None
-        ):
+        for window, arrays in _group_window_arrays(group, registry=None):
             if window.is_shared:
                 target = _PR5SliceRouter(
                     [

@@ -8,8 +8,7 @@ Subcommands::
     python -m repro batch     --input edges.txt --queries q.txt
     python -m repro stats     --input edges.txt          (or --dataset CM)
     python -m repro generate  --dataset CM -o cm.txt
-    python -m repro index     --input edges.txt -k 2,3,5 --save-store var/idx
-    python -m repro warm      --store var/idx --dataset CM -k 2,3,5
+    python -m repro index     --dataset CM -k 2,3,5 --save-store var/idx
     python -m repro experiments fig6 --profile quick
 
 ``query`` prints each temporal k-core's TTI, vertex count and edge count
@@ -26,11 +25,12 @@ persisted.
 ``batch`` answers a whole query file (one ``k ts te`` triple per line)
 through the query planner (``repro.serve.planner``): identical ranges
 are answered once, overlapping ranges share one enumeration, and all
-``k`` values missing from the registry are built in one shared scan.
+``k`` values missing from the registry are built in one shared scan
+(with ``--store``, loaded from and persisted to it, like ``query``).
 
-``index`` and ``warm`` accept several ``k`` values and build all the
-missing ones in a single shared decremental scan (``repro.core.multik``);
-``warm`` prebuilds a store for a dataset so daemons cold-start warm.
+``index`` accepts several ``k`` values and builds all the missing ones
+in a single shared decremental scan (``repro.core.multik``); with
+``--save-store`` it prebuilds a store so daemons cold-start warm.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.bench.experiments import main as experiments_main
-from repro.core.index import CoreIndex, CoreIndexRegistry
+from repro.core.index import CoreIndexRegistry
 from repro.core.multik import build_core_indexes
 from repro.core.query import ENGINES, TimeRangeCoreQuery
 from repro.datasets.registry import ALL_DATASETS, load_dataset
@@ -106,19 +106,18 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 def _query_via_store(args: argparse.Namespace, sink):
     """Resolve (graph, result) for ``query --store``: disk before compute."""
     store = IndexStore(args.store)
-    key = None
     if args.input or args.dataset:
         graph = _load_graph(args)
+        # The graph is served from wherever it is stored; ``--store-graph``
+        # names the key only for a graph the store does not hold yet.
+        key = store.find(graph) or args.store_graph
     else:
         try:
             key = store.only_key(args.store_graph)
         except ReproError as exc:
             raise ReproError(f"{exc} (--store-graph NAME)") from None
         graph = store.load_graph(key)
-    index = store.load_index(graph, args.k, key=key)
-    if index is None:
-        index = CoreIndex(graph, args.k)
-        store.save_index(index, name=args.store_graph)
+    index = store.build_all(graph, [args.k], name=key)[args.k]
     ts, te = tuple(args.range) if args.range else (1, graph.tmax)
     deadline = Deadline(args.timeout) if args.timeout is not None else None
     result = index.query(
@@ -252,7 +251,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     plan, results = execute_batch(
         requests,
         registry=CoreIndexRegistry(capacity=len({k for k, _, _ in queries}), store=store),
-        store=store,
         merge_overlaps=not args.no_merge,
         trace=trace,
     )
@@ -399,10 +397,14 @@ def cmd_index(args: argparse.Namespace) -> int:
     if args.output and len(ks) > 1:
         raise ReproError("-o writes a single text dump; use it with exactly one -k")
     graph = _load_graph(args)
+    # `reused` holds the ks that actually loaded from disk (fingerprint +
+    # checksum pass): a manifest row whose blob rotted is rebuilt and
+    # reported as such, not as reused.
+    reused: set[int] = set()
     if args.save_store:
         # One shared scan for every missing k; existing entries reused.
         indexes = IndexStore(args.save_store).build_all(
-            graph, ks, name=args.name or args.dataset
+            graph, ks, name=args.name or args.dataset, reused=reused
         )
     else:
         indexes = build_core_indexes(graph, ks)
@@ -412,32 +414,12 @@ def cmd_index(args: argparse.Namespace) -> int:
         if args.output:
             index.dump_skyline(args.output)
             sinks.append(f"{args.output} (debug text)")
-        if args.save_store:
+        if k in reused:
+            sinks.append(f"{args.save_store} (already stored, reused)")
+        elif args.save_store:
             sinks.append(f"{args.save_store} (binary store)")
         print(f"k={k}: |VCT| = {index.vct.size()}, |ECS| = {index.ecs.size()} "
               f"-> {'; '.join(sinks)}")
-    return 0
-
-
-def cmd_warm(args: argparse.Namespace) -> int:
-    """Prebuild a store so serving processes open indexes instead of computing."""
-    ks = sorted({k for group in args.k or [] for k in group})
-    if not ks:
-        raise ReproError("provide -k K[,K...] [K[,K...] ...]")
-    store = IndexStore(args.store)
-    graph = _load_graph(args)
-    # Missing k values are built together in one shared decremental scan;
-    # `already` is filled with the ks that actually loaded from disk
-    # (fingerprint + checksum pass) — a manifest row whose blob rotted
-    # is rebuilt and reported as such, not as reused.
-    already: set[int] = set()
-    indexes = store.build_all(
-        graph, ks, name=args.name or args.dataset, reused=already
-    )
-    for k in ks:
-        index = indexes[k]
-        note = " (already stored, reused)" if k in already else f" -> {args.store}"
-        print(f"k={k}: |VCT| = {index.vct.size()}, |ECS| = {index.ecs.size()}{note}")
     return 0
 
 
@@ -533,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--store", metavar="DIR",
         help="index store consulted before computing missing (graph, k) "
-             "indexes",
+             "indexes; missing entries are built once and persisted",
     )
     batch.add_argument(
         "--no-merge", action="store_true",
@@ -594,27 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index.set_defaults(func=cmd_index)
 
-    warm = sub.add_parser(
-        "warm", help="prebuild an index store for a dataset (daemon warm-up)"
-    )
-    _add_graph_source(warm)
-    warm.add_argument("--store", required=True, metavar="DIR")
-    warm.add_argument(
-        "-k", type=_parse_k_list, nargs="+", metavar="K[,K...]",
-        help="k values to prebuild (space- and/or comma-separated); missing "
-             "entries are built together in one shared scan",
-    )
-    warm.add_argument(
-        "--name", help="store key to save under (default: dataset name or "
-                       "a fingerprint-derived key)",
-    )
-    warm.set_defaults(func=cmd_warm)
-
     serve = sub.add_parser(
         "serve", help="run the serving daemon (NDJSON protocol + /metrics)"
     )
     serve.add_argument("--store", required=True, metavar="DIR",
-                       help="index store to serve (see `repro warm`)")
+                       help="index store to serve (see `repro index "
+                            "--save-store`)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=7471,

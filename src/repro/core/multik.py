@@ -83,10 +83,11 @@ from repro.core.coretime import (
     _WindowState,
     compute_core_times,
 )
-from repro.core.index import CoreIndex
+from repro.core.index import CoreIndex, _build_seconds_histogram
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.obs.timing import now
 
 
 def _validated_ks(ks: Iterable[int]) -> list[int]:
@@ -912,14 +913,18 @@ def build_core_indexes(
 ) -> dict[int, CoreIndex]:
     """Full-span :class:`CoreIndex` for every ``k`` in ``ks``, one pass.
 
-    Always computes; callers that can open stored indexes first probe
-    the store themselves (:meth:`IndexStore.build_all
-    <repro.store.index_store.IndexStore.build_all>`,
-    :meth:`CoreIndexRegistry.get_many
-    <repro.core.index.CoreIndexRegistry.get_many>`).  Returns
-    ``{k: index}`` for the deduplicated ``ks``, ascending.
+    Always computes; :meth:`IndexStore.build_all
+    <repro.store.index_store.IndexStore.build_all>` opens stored indexes
+    first and calls this for the rest.  Each call observes one
+    ``repro_index_build_seconds`` sample labelled with the built ``k``
+    values (``"2,4"``).  Returns ``{k: index}`` for the deduplicated
+    ``ks``, ascending.
     """
+    started = now()
     results = compute_core_times_multi(graph, ks)
+    _build_seconds_histogram().labels(",".join(map(str, results))).observe(
+        now() - started
+    )
     return {
         k: CoreIndex.from_core_times(graph, k, result)
         for k, result in results.items()

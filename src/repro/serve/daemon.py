@@ -34,12 +34,15 @@ paying index cuts or Algorithm-2 runs.
 Durable ingestion (``append``/``flush``) rides the same lane through one
 :class:`~repro.core.maintenance.StreamingCoreService` per store key.
 
+Indexes the daemon builds (a queried ``k`` the store lacks) are
+committed to the store by the registry before they are served, so the
+next boot warms instead of recomputing, however this process ends.
+
 Graceful drain (SIGTERM, SIGINT, or the ``shutdown`` op): stop
 accepting connections, reject new work with ``draining``, finish every
-admitted request in FIFO order, then persist the registry's resident
-indexes back to the store (:meth:`CoreIndexRegistry.persist_all
-<repro.core.index.CoreIndexRegistry.persist_all>`) so the next boot
-warms instead of recomputing.  See ``docs/DAEMON.md``.
+admitted request in FIFO order, seal the ingestion logs, then give open
+connections a short grace to hang up (late work still gets
+``draining``) before closing them.  See ``docs/DAEMON.md``.
 """
 
 from __future__ import annotations
@@ -98,6 +101,12 @@ class _ReadOnlyError(ReproError):
 #: long each wait slice lasts before the peer's liveness and the
 #: request's deadline are re-checked.
 _PUT_WAIT_SECONDS = 0.05
+
+#: How long a finished drain keeps open connections reading before it
+#: closes them: a request that crossed the ``shutdown`` ack on the wire
+#: is still answered ``draining`` instead of meeting a closed socket.
+#: A client that hangs up ends the wait early.
+_CLOSE_GRACE_SECONDS = 1.0
 
 #: Size of one outbox entry of a streamed query, in characters (bytes:
 #: frames are ASCII) — the unit ``--outbox-depth`` counts.
@@ -168,6 +177,8 @@ class _Connection:
     ):
         self.daemon = daemon
         self.writer = writer
+        #: The ``_handle_conn`` task reading this connection.
+        self.handler = asyncio.current_task()
         self.loop = asyncio.get_running_loop()
         self.outbox: asyncio.Queue = asyncio.Queue(maxsize=outbox_depth)
         #: Set once the peer is unreachable (reset, broken pipe) — the
@@ -546,16 +557,14 @@ class ServingDaemon:
         """Wait for the drain to finish, then tear everything down."""
         await self._stopped.wait()
         await self._drain_task
-        # Snapshot on the way down: everything the registry built (or
-        # gap-filled) lands in the store so the next boot warms.
-        await asyncio.get_running_loop().run_in_executor(
-            self._exec, self.registry.persist_all
-        )
         # Seal the ingestion logs on the lane's own thread (appends ran
         # there, so this orders after the last acknowledged write).
         await asyncio.get_running_loop().run_in_executor(
             self._exec, self._close_wals
         )
+        handlers = {conn.handler for conn in self._conns}
+        if handlers:
+            await asyncio.wait(handlers, timeout=_CLOSE_GRACE_SECONDS)
         for conn in list(self._conns):
             await conn.close()
         if self._server is not None:
@@ -578,8 +587,9 @@ class ServingDaemon:
     def _boot_warm(self) -> None:
         for key in self.store.keys():
             graph = self._graph(key)
-            for k in self.store.stored_ks(key):
-                self.registry.get(graph, k, store=self.store)
+            ks = self.store.stored_ks(key)
+            if ks:
+                self.registry.get_many(graph, ks)
 
     def _graph(self, key: str | None):
         key = self.store.only_key(key)
@@ -855,7 +865,7 @@ class ServingDaemon:
             return self._answer_flush(request)
         self._maybe_flush_for_lag(request.graph)
         graph = self._graph(request.graph)
-        index = self.registry.get(graph, request.k, store=self.store)
+        index = self.registry.get(graph, request.k)
         ranges = list(request.ranges)
         sinks = None
         if request.op == "query":
@@ -868,12 +878,7 @@ class ServingDaemon:
                 )
             ]
         plan = plan_for_index(index, ranges, sinks=sinks)
-        results = execute_plan(
-            plan,
-            registry=self.registry,
-            store=self.store,
-            deadline=deadline,
-        )
+        results = execute_plan(plan, registry=self.registry, deadline=deadline)
         if request.op == "query":
             result = results[0]
             return done_frame(

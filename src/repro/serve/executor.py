@@ -4,7 +4,7 @@ Execution walks the plan group by group:
 
 * an ``index`` group resolves its shared
   :class:`~repro.core.index.CoreIndex` (pinned on the group, else
-  registry → store → build) and cuts the columnar window slice of
+  through the registry, which loads or builds it) and cuts the columnar window slice of
   *all* its covering windows with one vectorised ``searchsorted``
   sweep over the skyline's cached start-sorted permutation;
 * a ``direct`` group runs Algorithm 2 over each covering window and
@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.index import CoreIndexRegistry
     from repro.graph.temporal_graph import TemporalGraph
     from repro.obs.trace import Trace
-    from repro.store.index_store import IndexStore
 
 _NO_ACTIVE = np.empty(0, dtype=np.int64)
 
@@ -173,7 +172,6 @@ def _group_window_arrays(
     group: PlanGroup,
     *,
     registry: "CoreIndexRegistry | None",
-    store: "IndexStore | None",
     deadline: Deadline | None = None,
 ):
     """Yield ``(window, arrays)`` for every covering window of ``group``.
@@ -199,9 +197,7 @@ def _group_window_arrays(
         if index is None:
             from repro.core.index import get_core_index
 
-            index = get_core_index(
-                group.graph, group.k, registry=registry, store=store
-            )
+            index = get_core_index(group.graph, group.k, registry=registry)
         span_lo, span_hi = index.ecs.span
         for window in group.windows:
             if window.ts < span_lo or window.te > span_hi:
@@ -241,16 +237,15 @@ def execute_plan(
     plan: QueryPlan,
     *,
     registry: "CoreIndexRegistry | None" = None,
-    store: "IndexStore | None" = None,
     collect: bool = False,
     deadline: Deadline | None = None,
 ) -> list[EnumerationResult]:
     """Run ``plan``; one :class:`EnumerationResult` per request, in order.
 
     ``collect`` picks the default sink (materialising vs counting) for
-    requests that did not bring their own.  ``registry``/``store``
-    resolve the shared indexes of ``index`` groups (falling back to the
-    process-wide default registry).  ``deadline`` is shared by every
+    requests that did not bring their own.  ``registry`` resolves the
+    shared indexes of ``index`` groups (falling back to the process-wide
+    default registry).  ``deadline`` is shared by every
     walk: on expiry the remaining windows abort immediately and their
     requests come back with ``completed=False`` and whatever was
     delivered before the abort.
@@ -273,7 +268,7 @@ def execute_plan(
     with trace.span("execute", windows=plan.num_windows):
         for group in plan.groups:
             for window, arrays in _group_window_arrays(
-                group, registry=registry, store=store, deadline=deadline
+                group, registry=registry, deadline=deadline
             ):
                 if window.is_shared:
                     target: ResultSink = _SliceRouter(
@@ -328,7 +323,6 @@ def execute_batch(
     requests: list[QueryRequest],
     *,
     registry: "CoreIndexRegistry | None" = None,
-    store: "IndexStore | None" = None,
     merge_overlaps: bool = True,
     trace: "Trace | None" = None,
 ) -> tuple[QueryPlan, list[EnumerationResult]]:
@@ -336,11 +330,12 @@ def execute_batch(
 
     Each graph's distinct ``k`` values are resolved first, in one
     :meth:`~repro.core.index.CoreIndexRegistry.get_many` call per graph
-    (registry cache, then ``store``, then **one** shared multi-``k``
-    build for whatever is still missing — never one Algorithm-2 run per
-    ``k``).  The requests are then planned on the ``index`` engine and
-    executed from the warm registry; results come back in request order
-    (count-only unless a request brings its own sink).
+    (registry cache, then the registry's store, then **one** shared
+    multi-``k`` build for whatever is still missing — never one
+    Algorithm-2 run per ``k``).  The requests are then planned on the
+    ``index`` engine and executed from the warm registry; results come
+    back in request order (count-only unless a request brings its own
+    sink).
     """
     from repro.core.index import DEFAULT_REGISTRY
 
@@ -351,8 +346,6 @@ def execute_batch(
         if request.k not in ks:
             ks.append(request.k)
     for graph, ks in ks_by_graph.values():
-        target.get_many(graph, ks, store=store)
-    plan = plan_queries(
-        requests, engine="index", merge_overlaps=merge_overlaps, trace=trace
-    )
-    return plan, execute_plan(plan, registry=target, store=store)
+        target.get_many(graph, ks)
+    plan = plan_queries(requests, merge_overlaps=merge_overlaps, trace=trace)
+    return plan, execute_plan(plan, registry=target)

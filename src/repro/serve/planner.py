@@ -12,18 +12,18 @@ no window enumerated — and does three things:
 2. **Dedupe and merge**: identical ranges collapse onto one covering
    window; contained ranges ride along for free; overlapping ranges
    are merged into one covering window when the overlap is worth it
-   (``min_overlap`` — merging windows that barely touch would pay for
-   boundary-straddling cores nobody asked for).  Each covering window
-   is enumerated **once** by the executor and sliced per request: a
-   core of the covering walk belongs to request ``[ts, te]`` exactly
-   when its TTI is contained in ``[ts, te]`` (Definition 3 puts cores
-   and TTIs in bijection, so sub-range answers are TTI filters — the
-   same fact that lets one full-span index serve arbitrary ranges).
-3. **Pick the engine** per group: ``index`` (cut the shared
-   :class:`~repro.core.index.CoreIndex` skyline) when one is already
-   cached, pinned, or the group's traffic warrants building one;
-   ``direct`` (run Algorithm 2 over each covering window) for one-shot
-   traffic that should not pay a full-span build.
+   (:data:`DEFAULT_MIN_OVERLAP` — merging windows that barely touch
+   would pay for boundary-straddling cores nobody asked for).  Each
+   covering window is enumerated **once** by the executor and sliced
+   per request: a core of the covering walk belongs to request
+   ``[ts, te]`` exactly when its TTI is contained in ``[ts, te]``
+   (Definition 3 puts cores and TTIs in bijection, so sub-range answers
+   are TTI filters — the same fact that lets one full-span index serve
+   arbitrary ranges).
+3. **Tag the engine** of every group: ``index`` (cut the shared
+   :class:`~repro.core.index.CoreIndex` skyline, the default) or
+   ``direct`` (run Algorithm 2 over each covering window, the paper's
+   per-query pipeline).
 
 The resulting :class:`QueryPlan` is inert data; hand it to
 :func:`repro.serve.executor.execute_plan`.
@@ -41,11 +41,11 @@ from repro.obs.timing import now
 from repro.obs.trace import NULL_TRACE, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.index import CoreIndex, CoreIndexRegistry
+    from repro.core.index import CoreIndex
     from repro.serve.sinks import ResultSink
 
 #: Engine names a plan group can carry.
-PLAN_ENGINES = ("auto", "index", "direct")
+PLAN_ENGINES = ("index", "direct")
 
 # Planner instruments on the process metrics registry.  The counters
 # mirror the per-plan ``stats`` dict cumulatively; the histogram times
@@ -66,8 +66,8 @@ _PLAN_MERGED = get_registry().counter(
     "repro_plan_merged_total", "Distinct ranges folded into a shared window"
 )
 
-#: Default minimum overlap fraction (of the smaller window) for merging
-#: two overlapping-but-not-nested ranges into one covering window.
+#: Minimum overlap fraction (of the smaller window) for merging two
+#: overlapping-but-not-nested ranges into one covering window.
 DEFAULT_MIN_OVERLAP = 0.5
 
 
@@ -154,13 +154,13 @@ class QueryPlan:
 
 
 def _merge_ranges(
-    ranges: list[tuple[tuple[int, int], list[int]]], min_overlap: float
+    ranges: list[tuple[tuple[int, int], list[int]]]
 ) -> list[CoveringWindow]:
     """Merge deduped ranges (sorted by ``(ts, -te)``) into covering windows.
 
     Containment always merges (the contained range adds no new work);
-    plain overlap merges when it spans at least ``min_overlap`` of the
-    smaller range.
+    plain overlap merges when it spans at least
+    :data:`DEFAULT_MIN_OVERLAP` of the smaller range.
     """
     windows: list[CoveringWindow] = []
     for (ts, te), request_ids in ranges:
@@ -171,7 +171,7 @@ def _merge_ranges(
                 continue
             overlap = current.te - ts + 1
             smaller = min(current.te - current.ts, te - ts) + 1
-            if overlap > 0 and overlap >= min_overlap * smaller:
+            if overlap > 0 and overlap >= DEFAULT_MIN_OVERLAP * smaller:
                 current.te = te
                 current.requests.extend(request_ids)
                 continue
@@ -185,7 +185,6 @@ def plan_for_index(
     *,
     sinks: "list[ResultSink | None] | None" = None,
     merge_overlaps: bool = True,
-    min_overlap: float = DEFAULT_MIN_OVERLAP,
     trace: Trace | None = None,
 ) -> QueryPlan:
     """Plan a batch of ranges pinned to an already-resolved index.
@@ -210,13 +209,7 @@ def plan_for_index(
         )
         for position, (ts, te) in enumerate(ranges)
     ]
-    plan = plan_queries(
-        requests,
-        engine="index",
-        merge_overlaps=merge_overlaps,
-        min_overlap=min_overlap,
-        trace=trace,
-    )
+    plan = plan_queries(requests, merge_overlaps=merge_overlaps, trace=trace)
     for group in plan.groups:
         group.index = index
     return plan
@@ -225,22 +218,14 @@ def plan_for_index(
 def plan_queries(
     requests: "list[QueryRequest]",
     *,
-    engine: str = "auto",
-    registry: "CoreIndexRegistry | None" = None,
+    engine: str = "index",
     merge_overlaps: bool = True,
-    min_overlap: float = DEFAULT_MIN_OVERLAP,
     trace: Trace | None = None,
 ) -> QueryPlan:
     """Normalise ``requests`` into a :class:`QueryPlan`.
 
-    ``engine`` forces ``"index"`` or ``"direct"`` for every group;
-    ``"auto"`` picks per group: ``index`` when ``registry`` already
-    caches the ``(graph, k)`` or the group holds more than one request
-    or covering window (shared prep amortises the build — and with an
-    attached store the build is usually a disk load), ``direct`` for a
-    lone one-shot request, which pays Algorithm 2 over just its window
-    instead of a full-span index build.  The registry is only *peeked*
-    at plan time, never populated.
+    ``engine`` (``"index"`` or ``"direct"``) is the engine of every
+    group.
 
     ``merge_overlaps=False`` limits sharing to identical ranges
     (every distinct range gets its own covering window).
@@ -254,15 +239,11 @@ def plan_queries(
         raise InvalidParameterError(
             f"unknown plan engine {engine!r}; choose one of {PLAN_ENGINES}"
         )
-    if not 0.0 <= min_overlap <= 1.0:
-        raise InvalidParameterError(
-            f"min_overlap must be within [0, 1], got {min_overlap}"
-        )
     trace = trace if trace is not None else NULL_TRACE
     timed = timing_enabled()
     started = now() if timed else 0.0
     with trace.span("plan", requests=len(requests), engine=engine) as span:
-        plan = _plan(requests, engine, registry, merge_overlaps, min_overlap)
+        plan = _plan(requests, engine, merge_overlaps)
         span.set(
             windows=plan.stats["windows"],
             deduped=plan.stats["deduped"],
@@ -281,9 +262,7 @@ def plan_queries(
 def _plan(
     requests: "list[QueryRequest]",
     engine: str,
-    registry: "CoreIndexRegistry | None",
     merge_overlaps: bool,
-    min_overlap: float,
 ) -> QueryPlan:
     # Group by (graph identity, k), preserving first-seen order.
     grouped: dict[tuple[int, int], list[int]] = {}
@@ -305,22 +284,13 @@ def _plan(
         deduped += len(positions) - len(by_range)
         ordered = sorted(by_range.items(), key=lambda item: (item[0][0], -item[0][1]))
         if merge_overlaps:
-            windows = _merge_ranges(ordered, min_overlap)
+            windows = _merge_ranges(ordered)
         else:
             windows = [
                 CoveringWindow(ts, te, list(ids)) for (ts, te), ids in ordered
             ]
         merged += len(by_range) - len(windows)
-
-        chosen = engine
-        if chosen == "auto":
-            cached = registry is not None and registry.peek(graph, k) is not None
-            chosen = (
-                "index"
-                if cached or len(positions) > 1 or len(windows) > 1
-                else "direct"
-            )
-        groups.append(PlanGroup(graph, k, chosen, windows))
+        groups.append(PlanGroup(graph, k, engine, windows))
 
     return QueryPlan(
         list(requests),

@@ -24,10 +24,10 @@ Typical use::
     from repro.store import IndexStore
 
     store = IndexStore("var/indexes")
-    store.save_index(CoreIndex(graph, 3))        # offline prebuild
+    store.build_all(graph, [2, 3])               # offline prebuild
     ...
-    registry.warm(store)                         # daemon boot
-    index = registry.get(graph, 3, store=store)  # disk before compute
+    registry = CoreIndexRegistry(store=store)
+    index = registry.get(graph, 3)               # disk before compute
 
 This binary store is the index's one persisted form;
 ``CoreIndex.dump_skyline`` (``repro index -o``) writes a text listing

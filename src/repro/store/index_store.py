@@ -601,10 +601,13 @@ class IndexStore:
         *,
         name: str | None = None,
         reused: set[int] | None = None,
+        into: dict[int, CoreIndex] | None = None,
     ) -> dict[int, CoreIndex]:
         """Ensure a stored index exists for every ``k``; returns them all.
 
-        The offline prebuild primitive: all ``k`` values live in **one**
+        The one load-else-build path: ``repro index --save-store``,
+        ``query --store`` and every registry miss with this store
+        attached run it.  All ``k`` values live in **one**
         graph directory — ``name`` when given, else the fingerprint
         match, else the fingerprint-derived default key.  Entries
         already persisted there are opened as-is; the missing ones are
@@ -618,7 +621,10 @@ class IndexStore:
 
         ``reused``, when passed, is filled with the ``k`` values that
         were served from disk rather than computed — callers report
-        reuse without probing the store a second time.
+        reuse without probing the store a second time.  ``into``, when
+        passed, is the dict filled and returned: it holds every index
+        loaded or built even when the final :meth:`commit` raises, so a
+        caller that serves without persisting need not build again.
 
         The missing indexes (and the graph blob, if absent) land in one
         :meth:`commit`: one manifest write.  Concurrent writers are
@@ -626,7 +632,7 @@ class IndexStore:
         itself is stateless and safe to call from several processes.
         """
         key = name if name is not None else self.find(graph)
-        out: dict[int, CoreIndex] = {}
+        out: dict[int, CoreIndex] = {} if into is None else into
         missing: list[int] = []
         for k in _validated_ks(ks):
             index = (
@@ -640,8 +646,8 @@ class IndexStore:
                 missing.append(k)
         if missing:
             built = build_core_indexes(graph, missing)
-            self.commit(graph, (built[k] for k in missing), name=key)
             out.update(built)
+            self.commit(graph, (built[k] for k in missing), name=key)
         return out
 
     # ------------------------------------------------------------------
@@ -740,24 +746,6 @@ class IndexStore:
         """The ``k`` values with a persisted index under ``key``."""
         return sorted(int(k) for k in self.manifest(key).get("indexes", {}))
 
-    def has_index(
-        self, graph: TemporalGraph, k: int, *, key: str | None = None
-    ) -> bool:
-        """Does a manifest entry exist for ``(graph, k)``?  Manifest-only.
-
-        A cheap existence probe (no blob is opened or checksummed) used
-        by the registry's eviction spill to skip re-persisting.  A
-        ``True`` answer can still read as absent later if the blob rots
-        on disk — callers that must *serve* the entry use
-        :meth:`load_index`.
-        """
-        if key is None:
-            key = self.find(graph)
-            if key is None:
-                return False
-        manifest = self._read_manifest(key)
-        return manifest is not None and str(k) in manifest.get("indexes", {})
-
     def load_index(
         self, graph: TemporalGraph, k: int, *, key: str | None = None
     ) -> CoreIndex | None:
@@ -811,8 +799,7 @@ class IndexStore:
         Each key's graph blob is opened once and shared by its indexes;
         unreadable graphs are skipped and unreadable indexes are left
         out of the dict, both silently (warm-up must never fail because
-        one entry rotted on disk).  This is the grouped primitive behind
-        :meth:`iter_indexes` and registry warm-up.
+        one entry rotted on disk).
         """
         for key in self.keys():
             try:
@@ -825,13 +812,3 @@ class IndexStore:
                 if index is not None:
                     indexes[k] = index
             yield key, graph, indexes
-
-    def iter_indexes(self) -> Iterator[tuple[str, TemporalGraph, CoreIndex]]:
-        """Yield ``(key, graph, index)`` for every loadable stored index.
-
-        Flat view over :meth:`iter_graphs` (same silent-skip
-        semantics), ascending ``k`` within each key.
-        """
-        for key, graph, indexes in self.iter_graphs():
-            for k in sorted(indexes):
-                yield key, graph, indexes[k]

@@ -58,14 +58,15 @@ class TestEngineBatch:
             [(1, 4), (2, 6)]
         )
         get_core_index(paper_graph, 2, registry=registry).query_batch([(1, 7)])
-        assert registry.misses == 1
-        assert registry.hits == 1
+        stats = registry.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
 
     def test_batch_store_fallthrough_computes_nothing(
         self, paper_graph, tmp_path, monkeypatch
     ):
         """A store-backed batch warm-starts from disk."""
         import repro.core.index as index_module
+        import repro.core.multik as multik_module
         from repro.store import IndexStore
 
         store = IndexStore(tmp_path / "store")
@@ -75,10 +76,11 @@ class TestEngineBatch:
             raise AssertionError("store-backed batch recomputed the index")
 
         monkeypatch.setattr(index_module, "compute_core_times", explode)
-        registry = CoreIndexRegistry(capacity=2)
-        answers = get_core_index(
-            paper_graph, 2, registry=registry, store=store
-        ).query_batch([(1, 4), (2, 3)])
+        monkeypatch.setattr(multik_module, "compute_core_times_multi", explode)
+        registry = CoreIndexRegistry(capacity=2, store=store)
+        answers = get_core_index(paper_graph, 2, registry=registry).query_batch(
+            [(1, 4), (2, 3)]
+        )
         assert [a.num_results for a in answers] == [2, 1]
         assert registry.stats()["store_hits"] == 1
 
@@ -143,11 +145,10 @@ class TestMixedBatch:
 
         monkeypatch.setattr(index_module, "compute_core_times", explode)
         monkeypatch.setattr(multik_module, "compute_core_times_multi", explode)
-        registry = CoreIndexRegistry(capacity=8)
+        registry = CoreIndexRegistry(capacity=8, store=store)
         answers = mixed(
             [(paper_graph, 2, (1, 4)), (paper_graph, 3, (1, 7))],
             registry=registry,
-            store=store,
         )
         assert [a.k for a in answers] == [2, 3]
         stats = registry.stats()

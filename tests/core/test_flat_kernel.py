@@ -113,8 +113,8 @@ class TestEnginesAgree:
                 engine="index",
                 registry=registry,
             ).run()
-        assert registry.misses == 1
-        assert registry.hits == 2
+        stats = registry.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 2)
 
 
 class TestMultigraphEdgeCases:

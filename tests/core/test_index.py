@@ -57,8 +57,8 @@ class TestCoreIndexRegistry:
         second = registry.get(paper_graph, 2)
         assert first is second
         assert registry.stats() == {
-            "hits": 1, "misses": 1, "store_hits": 0, "multik_builds": 0,
-            "evict_spills": 0, "store_hits_by_k": {}, "multik_builds_by_k": {},
+            "hits": 1, "misses": 1, "store_hits": 0, "multik_builds": 1,
+            "store_hits_by_k": {}, "multik_builds_by_k": {2: 1},
             "size": 1, "capacity": 4,
         }
 
@@ -90,7 +90,7 @@ class TestCoreIndexRegistry:
         other = paper_example_graph()  # equal content, different object
         built = registry.get(other, 2)
         assert built.graph is other
-        assert registry.misses == 2
+        assert registry.stats()["misses"] == 2
 
     def test_invalid_capacity(self):
         from repro.core.index import CoreIndexRegistry

@@ -340,8 +340,9 @@ class TestBuildCoreIndexes:
         store.save_index(CoreIndex(paper_graph, 2), name="paper")
         indexes = CoreIndexRegistry(store=store).get_many(paper_graph, [2, 3, 4])
         assert sorted(indexes) == [2, 3, 4]
-        # The store only ever held k=2; nothing was written back.
-        assert store.stored_ks("paper") == [2]
+        # k=2 was opened as stored; the two built ks landed in one commit.
+        assert store.stats()["index_saves"] == 3
+        assert store.stored_ks("paper") == [2, 3, 4]
 
     def test_from_core_times_requires_skyline(self, paper_graph):
         result = compute_core_times(paper_graph, 2, with_skyline=False)
@@ -385,6 +386,7 @@ class TestRegistryGetMany:
             raise AssertionError("warm path computed an index")
 
         monkeypatch.setattr(index_module, "compute_core_times", explode)
+        monkeypatch.setattr(multik, "compute_core_times_multi", explode)
         registry = CoreIndexRegistry(capacity=8, store=store)
         fresh = paper_example_graph()  # equal content, different object
         out = registry.get_many(fresh, [2, 3])
@@ -451,68 +453,3 @@ class TestRegistryEvictionUnderPressure:
         registry = CoreIndexRegistry(capacity=2)
         registry.get_many(paper_graph, [4, 3, 2])
         assert [k for (_gid, k) in registry._entries] == [3, 2]
-
-
-class TestRegistryWarmKs:
-    @pytest.fixture()
-    def populated(self, tmp_path, paper_graph):
-        from repro.store import IndexStore
-
-        store = IndexStore(tmp_path / "store")
-        store.save_index(CoreIndex(paper_graph, 2), name="paper")
-        return store
-
-    def test_warm_builds_requested_missing_ks(self, populated):
-        registry = CoreIndexRegistry(capacity=8)
-        loaded = registry.warm(populated, ks=[2, 3])
-        assert loaded == 2  # one loaded from disk + one built
-        assert len(registry) == 2
-        assert registry.stats()["multik_builds"] == 1
-
-    def test_warm_without_ks_only_loads(self, populated):
-        registry = CoreIndexRegistry(capacity=8)
-        assert registry.warm(populated) == 1
-        assert registry.stats()["multik_builds"] == 0
-
-    def test_warm_gap_fill_uses_the_warmed_store(self, populated, tmp_path):
-        """warm(B, ks=...) must not resolve gaps from the attached store."""
-        from repro.datasets.paper_example import paper_example_graph
-        from repro.store import IndexStore
-
-        attached = IndexStore(tmp_path / "attached")
-        attached.save_index(CoreIndex(paper_example_graph(), 3), name="paper")
-        registry = CoreIndexRegistry(capacity=8, store=attached)
-        registry.warm(populated, ks=[2, 3])  # k=3 absent from `populated`
-        stats = registry.stats()
-        # The gap was built, not served from the attached store.
-        assert stats["store_hits"] == 0
-        assert stats["multik_builds_by_k"] == {3: 1}
-
-    def test_warm_counts_only_freshly_resolved_ks(self, populated):
-        registry = CoreIndexRegistry(capacity=8)
-        assert registry.warm(populated, ks=[2, 3]) == 2  # 1 load + 1 build
-        # The gap-fill count derives from get_many misses, and cached
-        # entries produce hits, not misses — so cached ks can never
-        # inflate a warm count.
-        graph = next(
-            index.graph for (_gid, _k), index in registry._entries.items()
-        )
-        misses_before = registry.misses
-        registry.get_many(graph, [2, 3])  # pure cache hits
-        assert registry.misses == misses_before
-
-    def test_warmed_ks_serve_without_compute(self, populated, monkeypatch):
-        from repro.datasets.paper_example import paper_example_graph
-
-        registry = CoreIndexRegistry(capacity=8, store=populated)
-        registry.warm(ks=[2, 3])
-
-        def explode(*args, **kwargs):
-            raise AssertionError("served k recomputed after warm(ks=...)")
-
-        monkeypatch.setattr(index_module, "compute_core_times", explode)
-        # The same graph object warm() loaded is cached; an equal fresh
-        # graph hits the store for stored ks.
-        fresh = paper_example_graph()
-        index = registry.get(fresh, 2)
-        assert index.query(1, 4).num_results > 0

@@ -51,11 +51,8 @@ class TestSnapshotCrossCheck:
             (paper_graph, 2, (1, 4)),  # identical: dedup + registry hit
         ]
         requests = [QueryRequest(g, k, ts, te) for g, k, (ts, te) in queries]
-        _plan, answers = execute_batch(requests, registry=registry, store=store)
-        registry.persist_all()
-        replayed = execute_plan(
-            plan_queries(requests, engine="index"), registry=registry, store=store
-        )
+        _plan, answers = execute_batch(requests, registry=registry)
+        replayed = execute_plan(plan_queries(requests), registry=registry)
         assert counters(replayed) == counters(answers)
 
         snap = get_registry().snapshot()
@@ -127,6 +124,18 @@ class TestSnapshotCrossCheck:
         after = get_registry().snapshot()
         assert (
             sample(after, "repro_index_build_seconds", k="2")["count"]
+            == count_before + 1
+        )
+
+    def test_index_build_histogram_observes_shared_builds(self, paper_graph):
+        before = get_registry().snapshot()
+        count_before = (
+            sample(before, "repro_index_build_seconds", k="2,4") or {"count": 0}
+        )["count"]
+        CoreIndexRegistry().get_many(paper_graph, [2, 4])
+        after = get_registry().snapshot()
+        assert (
+            sample(after, "repro_index_build_seconds", k="2,4")["count"]
             == count_before + 1
         )
 

@@ -2,8 +2,9 @@
 
 Every fault a serving process meets in production, injected for real
 against a daemon subprocess: clients that vanish mid-stream, clients
-that read too slowly, garbage on the wire, and a SIGTERM drain that
-must finish in-flight work and land the store snapshot.  After every fault the daemon must still answer, and its
+that read too slowly, garbage on the wire, a SIGTERM drain that must
+finish in-flight work, and a SIGKILL that must not lose an index the
+daemon built.  After every fault the daemon must still answer, and its
 outcome counters must reconcile:
 ``accepted == completed + cancelled + failed``.
 """
@@ -339,8 +340,8 @@ class TestSigtermDrain:
         sock = socket.create_connection(("127.0.0.1", handle.port), timeout=30)
         reader = sock.makefile("rb")
         # Pipeline: a k=4 query (index not in the store — the registry
-        # builds it, and the drain snapshot must land it) plus three
-        # batches; SIGTERM arrives while they are queued/in-flight.
+        # builds and commits it) plus three batches; SIGTERM arrives
+        # while they are queued/in-flight.
         sock.sendall(
             json.dumps(
                 {"op": "query", "id": 0, "k": 4, "ts": 1, "te": graph.tmax,
@@ -376,5 +377,25 @@ class TestSigtermDrain:
         sock.close()
 
         assert handle.wait(timeout=30) == 0
-        # The drain snapshot landed the freshly built k=4 index.
+        # The freshly built k=4 index is in the store.
         assert 4 in IndexStore(drain_root).stored_ks(STORE_KEY)
+
+
+class TestSigkillDurability:
+    def test_built_index_survives_sigkill(
+        self, start_daemon, daemon_store, tmp_path
+    ):
+        root, graph = daemon_store
+        kill_root = tmp_path / "store"
+        shutil.copytree(root, kill_root)
+        assert 4 not in IndexStore(kill_root).stored_ks(STORE_KEY)
+
+        handle = start_daemon(store=kill_root)
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            _cores, done = client.query(k=4, ts=1, te=graph.tmax)
+        assert done["num_results"] == CoreIndex(graph, 4).query(
+            1, graph.tmax, collect=False
+        ).num_results
+        handle.stop()  # SIGKILL: no drain, no shutdown hook runs
+        assert not handle.alive()
+        assert 4 in IndexStore(kill_root).stored_ks(STORE_KEY)

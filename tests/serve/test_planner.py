@@ -1,10 +1,9 @@
-"""Planner unit tests: grouping, dedup, merge policy, engine choice."""
+"""Planner unit tests: grouping, dedup, merge policy, engine tags."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.index import CoreIndexRegistry
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.planner import (
@@ -85,16 +84,6 @@ class TestGrouping:
         assert plan.num_windows == 2
         assert plan.stats["merged"] == 0
 
-    def test_min_overlap_zero_merges_any_overlap(self, graph):
-        plan = plan_queries(
-            [
-                QueryRequest(graph, 2, 1, 40),
-                QueryRequest(graph, 2, 40, 80),
-            ],
-            min_overlap=0.0,
-        )
-        assert plan.num_windows == 1
-
     def test_merge_overlaps_false_keeps_distinct_ranges(self, graph):
         plan = plan_queries(
             [
@@ -120,33 +109,8 @@ class TestGrouping:
 
 
 class TestEngineChoice:
-    def test_single_cold_request_goes_direct(self, graph):
+    def test_default_engine_is_index(self, graph):
         plan = plan_queries([QueryRequest(graph, 2, 1, 10)])
-        assert plan.groups[0].engine == "direct"
-
-    def test_cached_index_flips_to_index(self, graph):
-        registry = CoreIndexRegistry(capacity=2)
-        registry.get(graph, 2)
-        plan = plan_queries(
-            [QueryRequest(graph, 2, 1, 10)], registry=registry
-        )
-        assert plan.groups[0].engine == "index"
-
-    def test_peek_does_not_touch_counters(self, graph):
-        registry = CoreIndexRegistry(capacity=2)
-        registry.get(graph, 2)
-        before = registry.stats()
-        plan_queries([QueryRequest(graph, 2, 1, 10)], registry=registry)
-        after = registry.stats()
-        assert (before["hits"], before["misses"]) == (
-            after["hits"], after["misses"]
-        )
-
-    def test_multiple_requests_warrant_an_index(self, graph):
-        plan = plan_queries([
-            QueryRequest(graph, 2, 1, 10),
-            QueryRequest(graph, 2, 30, 40),
-        ])
         assert plan.groups[0].engine == "index"
 
     def test_forced_engines(self, graph):
@@ -169,12 +133,9 @@ class TestValidation:
             QueryRequest(graph, 2, 0, 10)
 
     def test_unknown_engine_rejected(self, graph):
-        with pytest.raises(InvalidParameterError):
-            plan_queries([QueryRequest(graph, 2, 1, 10)], engine="magic")
-
-    def test_min_overlap_range_checked(self, graph):
-        with pytest.raises(InvalidParameterError):
-            plan_queries([QueryRequest(graph, 2, 1, 10)], min_overlap=1.5)
+        for engine in ("magic", "auto"):
+            with pytest.raises(InvalidParameterError):
+                plan_queries([QueryRequest(graph, 2, 1, 10)], engine=engine)
 
     def test_default_min_overlap_is_half(self):
         assert DEFAULT_MIN_OVERLAP == 0.5

@@ -102,12 +102,14 @@ class TestLoading:
         with pytest.raises(StoreError):
             store.load_graph("nope")
 
-    def test_iter_indexes(self, store, paper_graph, triangle_graph):
+    def test_iter_graphs(self, store, paper_graph, triangle_graph):
         store.save_index(CoreIndex(paper_graph, 2), name="paper")
         store.save_index(CoreIndex(paper_graph, 3), name="paper")
         store.save_index(CoreIndex(triangle_graph, 2), name="tri")
-        seen = [(key, index.k) for key, _graph, index in store.iter_indexes()]
-        assert sorted(seen) == [("paper", 2), ("paper", 3), ("tri", 2)]
+        seen = [
+            (key, sorted(indexes)) for key, _graph, indexes in store.iter_graphs()
+        ]
+        assert seen == [("paper", [2, 3]), ("tri", [2])]
 
 
 class TestCorruption:

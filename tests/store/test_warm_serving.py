@@ -1,4 +1,4 @@
-"""Registry warm-up and store fallthrough: the daemon cold-start path."""
+"""Registry store fallthrough and warm-up: the daemon cold-start path."""
 
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ import pytest
 
 import repro
 import repro.core.index as index_module
+import repro.core.multik as multik_module
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.index import CoreIndex, CoreIndexRegistry, get_core_index
 from repro.datasets.paper_example import paper_example_graph
-from repro.errors import InvalidParameterError
 from repro.graph.generators import uniform_random_temporal
 from repro.store import IndexStore
 
@@ -38,15 +38,16 @@ def _forbid_compute(monkeypatch, message):
         raise AssertionError(message)
 
     monkeypatch.setattr(index_module, "compute_core_times", explode)
+    monkeypatch.setattr(multik_module, "compute_core_times_multi", explode)
 
 
 class TestStoreFallthrough:
     def test_get_with_store_computes_nothing(self, populated, monkeypatch):
         """Acceptance: a populated store answers with zero compute_core_times."""
         _forbid_compute(monkeypatch, "compute_core_times called on the warm path")
-        registry = CoreIndexRegistry(capacity=4)
+        registry = CoreIndexRegistry(capacity=4, store=populated)
         fresh = paper_example_graph()  # equal content, different object
-        index = registry.get(fresh, 2, store=populated)
+        index = registry.get(fresh, 2)
         assert registry.stats()["store_hits"] == 1
         expected = enumerate_temporal_kcores(paper_example_graph(), 2, 1, 4).edge_sets()
         assert index.query(1, 4).edge_sets() == expected
@@ -56,6 +57,7 @@ class TestStoreFallthrough:
         registry = CoreIndexRegistry(capacity=4, store=populated)
         registry.get(paper_example_graph(), 3)
         assert registry.stats()["store_hits"] == 1
+        assert populated.stats()["index_saves"] == 2  # nothing rewritten
 
     def test_second_get_is_a_cache_hit(self, populated):
         registry = CoreIndexRegistry(capacity=4, store=populated)
@@ -70,45 +72,14 @@ class TestStoreFallthrough:
         index = registry.get(paper_example_graph(), 5)  # k=5 never stored
         assert registry.stats()["store_hits"] == 0
         assert index.k == 5
+        # The build is committed before it is served, under the same key.
+        assert populated.stored_ks("paper") == [2, 3, 5]
 
     def test_helper_passes_store_through(self, populated, monkeypatch):
         _forbid_compute(monkeypatch, "compute_core_times called on the warm path")
-        registry = CoreIndexRegistry(capacity=4)
-        index = get_core_index(
-            paper_example_graph(), 2, registry=registry, store=populated
-        )
+        registry = CoreIndexRegistry(capacity=4, store=populated)
+        index = get_core_index(paper_example_graph(), 2, registry=registry)
         assert index.k == 2
-
-
-class TestWarm:
-    def test_warm_preloads_every_entry(self, populated):
-        registry = CoreIndexRegistry(capacity=8)
-        assert registry.warm(populated) == 2
-        assert len(registry) == 2
-
-    def test_warm_requires_a_store(self):
-        with pytest.raises(InvalidParameterError):
-            CoreIndexRegistry().warm()
-
-    def test_warm_respects_capacity(self, populated):
-        registry = CoreIndexRegistry(capacity=1)
-        registry.warm(populated)
-        assert len(registry) == 1
-
-    def test_warm_skips_corrupt_entries(self, populated, paper_graph):
-        path = populated.root / "paper" / "k2.idx"
-        path.write_bytes(path.read_bytes()[:-32])
-        registry = CoreIndexRegistry(capacity=8)
-        assert registry.warm(populated) == 1  # only k=3 loads
-
-    def test_warmed_entries_serve_queries(self, populated, monkeypatch):
-        registry = CoreIndexRegistry(capacity=8, store=populated)
-        registry.warm()
-        _forbid_compute(monkeypatch, "compute after warm")
-        # A fresh equal graph (new identity) still resolves with zero
-        # compute: the store fingerprint match backs the cache miss.
-        index = registry.get(paper_example_graph(), 2)
-        assert index.query(2, 6).num_results > 0
 
 
 class TestThreadSafety:
@@ -142,7 +113,8 @@ class TestThreadSafety:
 
         def warm() -> None:
             try:
-                registry.warm()
+                for key, graph, _indexes in populated.iter_graphs():
+                    registry.get_many(graph, populated.stored_ks(key))
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 

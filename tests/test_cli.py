@@ -120,6 +120,21 @@ class TestBatch:
         assert payload["plan"]["merged"] == 0
         assert [a["num_results"] for a in payload["answers"]] == [2, 1, 2, 0]
 
+    def test_store_persists_missing_entries(
+        self, graph_file, query_file, tmp_path, capsys
+    ):
+        from repro.store import IndexStore
+
+        store_dir = tmp_path / "store"
+        for _ in range(2):  # cold (build + commit), then warm (load)
+            assert main(["batch", "--input", graph_file, "--queries", query_file,
+                         "--store", str(store_dir), "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert [a["num_results"] for a in payload["answers"]] == [2, 1, 2, 0]
+        store = IndexStore(store_dir)
+        (key,) = store.keys()
+        assert store.stored_ks(key) == [2, 3]
+
     def test_malformed_line_names_line_number(self, graph_file, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 4\nnot a query\n", encoding="utf-8")
@@ -335,15 +350,33 @@ class TestIndexStoreCli:
         assert store.keys() == ["paper"]
         assert store.stored_ks("paper") == [2]
 
-    def test_warm_prebuilds_multiple_ks(self, tmp_path, capsys):
+    def test_index_save_store_prebuilds_a_dataset(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "-k", "2", "3"]) == 0
+        assert main(["index", "--save-store", str(store_dir), "--dataset", "FB",
+                     "-k", "2,3"]) == 0
         out = capsys.readouterr().out
         assert "k=2" in out and "k=3" in out
         from repro.store import IndexStore
 
         assert IndexStore(store_dir).stored_ks("FB") == [2, 3]
+
+    def test_index_save_store_sorts_and_dedups_comma_ks(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        assert main(["index", "--save-store", str(store_dir), "--dataset", "FB",
+                     "-k", "3,2,3"]) == 0
+        from repro.store import IndexStore
+
+        assert IndexStore(store_dir).stored_ks("FB") == [2, 3]
+
+    def test_index_rejects_space_separated_ks(self, tmp_path, capsys):
+        # "-k 2 3" must fail loudly, not silently build k=2 alone.
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as exited:
+            main(["index", "--save-store", str(store_dir), "--dataset", "FB",
+                  "-k", "2", "3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: 3" in capsys.readouterr().err
+        assert not store_dir.exists()
 
     def test_index_comma_separated_ks(self, graph_file, tmp_path, capsys):
         store_dir = tmp_path / "store"
@@ -360,52 +393,38 @@ class TestIndexStoreCli:
                      "-o", str(tmp_path / "dump.ecs")]) == 2
         assert "exactly one" in capsys.readouterr().err
 
-    def test_warm_k_accepts_comma_lists_like_index(self, tmp_path, capsys):
+    def test_index_save_store_is_idempotent_and_reports_reuse(
+        self, tmp_path, capsys
+    ):
         store_dir = tmp_path / "store"
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "-k", "2,3"]) == 0
-        from repro.store import IndexStore
-
-        assert IndexStore(store_dir).stored_ks("FB") == [2, 3]
-
-    def test_warm_ks_flag(self, tmp_path, capsys):
-        store_dir = tmp_path / "store"
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
-                     "-k", "2", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "k=2" in out and "k=3" in out
-        from repro.store import IndexStore
-
-        assert IndexStore(store_dir).stored_ks("FB") == [2, 3]
-
-    def test_warm_is_idempotent_and_reports_reuse(self, tmp_path, capsys):
-        store_dir = tmp_path / "store"
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
+        assert main(["index", "--save-store", str(store_dir), "--dataset", "FB",
                      "-k", "2"]) == 0
         capsys.readouterr()
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
+        assert main(["index", "--save-store", str(store_dir), "--dataset", "FB",
                      "-k", "2,3"]) == 0
         out = capsys.readouterr().out
         assert "already stored" in out and "k=3" in out
 
-    def test_warm_reports_rebuild_not_reuse_for_corrupt_entry(
+    def test_index_save_store_reports_rebuild_not_reuse_for_corrupt_entry(
         self, tmp_path, capsys
     ):
         store_dir = tmp_path / "store"
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
+        assert main(["index", "--save-store", str(store_dir), "--dataset", "FB",
                      "-k", "2"]) == 0
         capsys.readouterr()
         path = store_dir / "FB" / "k2.idx"
         path.write_bytes(path.read_bytes()[:-32])  # truncate: crc fails
-        assert main(["warm", "--store", str(store_dir), "--dataset", "FB",
+        assert main(["index", "--save-store", str(store_dir), "--dataset", "FB",
                      "-k", "2"]) == 0
         out = capsys.readouterr().out
         assert "already stored" not in out  # it was rebuilt, say so
         assert "k=2" in out
 
-    def test_warm_requires_some_k(self, tmp_path, capsys):
-        assert main(["warm", "--store", str(tmp_path / "s"),
-                     "--dataset", "FB"]) == 2
+    def test_index_requires_some_k(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["index", "--save-store", str(tmp_path / "s"),
+                  "--dataset", "FB"])
+        assert exited.value.code == 2
         assert "-k" in capsys.readouterr().err
 
     def test_query_from_store_without_input(self, graph_file, tmp_path, capsys):
@@ -433,6 +452,28 @@ class TestIndexStoreCli:
         store = IndexStore(store_dir)
         assert len(store.keys()) == 1
         assert store.stored_ks(store.keys()[0]) == [2]
+
+    def test_query_with_store_graph_finds_graph_under_another_key(
+        self, graph_file, tmp_path, capsys, monkeypatch
+    ):
+        store_dir = tmp_path / "store"
+        assert main(["index", "--input", graph_file, "-k", "2",
+                     "--save-store", str(store_dir), "--name", "paper"]) == 0
+        capsys.readouterr()
+        import repro.core.multik as multik_module
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a stored index was rebuilt")
+
+        monkeypatch.setattr(multik_module, "compute_core_times_multi", explode)
+        assert main(["query", "--input", graph_file, "-k", "2",
+                     "--store", str(store_dir), "--store-graph", "other"]) == 0
+        assert "13 temporal 2-core(s)" in capsys.readouterr().out
+        from repro.store import IndexStore
+
+        store = IndexStore(store_dir)
+        assert store.keys() == ["paper"]
+        assert store.stored_ks("paper") == [2]
 
     def test_query_empty_store_without_input_errors(self, tmp_path, capsys):
         assert main(["query", "--store", str(tmp_path / "store"), "-k", "2"]) == 2
