@@ -17,8 +17,9 @@ Standalone script (not a pytest-benchmark module)::
     PYTHONPATH=src python benchmarks/bench_pr2_store.py --smoke
 
 writes ``BENCH_PR2.json`` next to the repository root.  ``--smoke``
-runs one repetition per side (CI budget); the default runs three and
-keeps the best of each.
+times five repetitions per side (CI budget), the default nine; the
+speedup gate compares the two sides' medians, and the JSON carries
+each side's quartiles as its spread.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import tempfile
 import time
@@ -68,15 +70,23 @@ def canonical(result, graph) -> set[frozenset]:
     }
 
 
+def quartiles(times: list[float]) -> list[float]:
+    """The first and third quartiles of ``times``, in seconds."""
+    if len(times) < 2:
+        return [round(times[0], 4)] * 2
+    q1, _median, q3 = statistics.quantiles(times, n=4)
+    return [round(q1, 4), round(q3, 4)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="single repetition per side (CI budget)",
+        help="five repetitions per side (CI budget)",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="repetitions per side, best kept (default: 1 smoke, 3 full)",
+        help="repetitions per side, median kept (default: 5 smoke, 9 full)",
     )
     parser.add_argument(
         "--out", type=pathlib.Path,
@@ -84,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default: <repo>/BENCH_PR2.json)",
     )
     args = parser.parse_args(argv)
-    repeats = args.repeats if args.repeats else (1 if args.smoke else 3)
+    repeats = args.repeats if args.repeats else (5 if args.smoke else 9)
 
     source = generate_bursty(WORKLOAD)
     triples = [
@@ -93,14 +103,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"graph: n={source.num_vertices} m={source.num_edges} tmax={source.tmax}")
 
     # ---- cold path: fresh graph object, compile + Algorithm 2 + query ----
-    cold_seconds = float("inf")
+    cold_times: list[float] = []
     cold_cores: set[frozenset] | None = None
     for _ in range(repeats):
         cold_graph = TemporalGraph(triples)  # no caches carried over
         start = time.perf_counter()
         cold_index = CoreIndex(cold_graph, K)
         cold_answer = cold_index.query(*QUERY_RANGE)
-        cold_seconds = min(cold_seconds, time.perf_counter() - start)
+        cold_times.append(time.perf_counter() - start)
         cold_cores = canonical(cold_answer, cold_graph)
 
     with tempfile.TemporaryDirectory(prefix="bench_pr2_store_") as tmp:
@@ -110,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         store_bytes = sum(p.stat().st_size for p in directory.iterdir())
 
         # ---- warm path: open graph + index blobs, answer from disk ----
-        warm_seconds = float("inf")
+        warm_times: list[float] = []
         warm_cores: set[frozenset] | None = None
         num_results = 0
         for _ in range(repeats):
@@ -120,11 +130,13 @@ def main(argv: list[str] | None = None) -> int:
             warm_index = warm_store.load_index(warm_graph, K, key=key)
             assert warm_index is not None
             warm_answer = warm_index.query(*QUERY_RANGE)
-            warm_seconds = min(warm_seconds, time.perf_counter() - start)
+            warm_times.append(time.perf_counter() - start)
             warm_cores = canonical(warm_answer, warm_graph)
             num_results = warm_answer.num_results
 
     identical = cold_cores is not None and cold_cores == warm_cores
+    cold_seconds = statistics.median(cold_times)
+    warm_seconds = statistics.median(warm_times)
     speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
 
     report = {
@@ -140,7 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         "k": K,
         "query_range": list(QUERY_RANGE),
         "cold_build_seconds": round(cold_seconds, 4),
+        "cold_build_quartiles": quartiles(cold_times),
         "warm_open_seconds": round(warm_seconds, 4),
+        "warm_open_quartiles": quartiles(warm_times),
         "speedup": round(speedup, 1),
         "store_bytes": store_bytes,
         "num_results": num_results,
@@ -148,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(
-        f"k={K} range={QUERY_RANGE}: cold {cold_seconds:.3f}s  "
+        f"k={K} range={QUERY_RANGE}, median of {repeats}: cold {cold_seconds:.3f}s  "
         f"warm {warm_seconds:.4f}s  speedup {speedup:.0f}x  "
         f"store {store_bytes / 1e6:.1f} MB  identical={identical}"
     )

@@ -115,7 +115,7 @@ def pr5_query_batch(index: CoreIndex, ranges):
                 )
             else:
                 target = sinks[window.requests[0]]
-            done = run_columnar_walk(window.ts, window.te, arrays, target)
+            done = run_columnar_walk(arrays, target)
             target.finish(done)
     return [
         sink.result("enum", request.k, request.time_range)

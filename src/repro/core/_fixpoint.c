@@ -23,9 +23,15 @@
  * sub-span rows past a per-segment skip.
  *
  * repro_walk_step is one visited start time of the columnar walk
- * (serve/columnar.py, the numpy loop of run_columnar_walk): the cut, the
- * activation merge and AS-Output (Algorithm 4), plus, for a counting
- * sink, the per-target counters a slice router would accumulate.
+ * (serve/columnar.py, the numpy loop of run_columnar_walk) for a sink
+ * that receives the cores: the cut, the activation merge and AS-Output
+ * (Algorithm 4) over the end-sorted alive run, O(alive) per visit.
+ *
+ * repro_count_init and repro_count_visits are the walk for a sink that
+ * only counts (a CountSink, or a slice router over CountSinks): the
+ * alive set is a histogram of window counts per end time, so a visit
+ * costs O(changes + width of [e0, top end]) and the per-target counters
+ * a slice router would accumulate are two lookups each.
  *
  * repro_counting_order is the stable counting sort behind the index
  * assembly (core/multik.py, _FusedMultiK.results) and the skyline's
@@ -518,20 +524,12 @@ struct repro_walk {
     const int64_t *eid, *start, *end, *active, *order;
     int64_t size;
     /* the alive set L_ts, sorted by end: ping-pong buffer sets of size
-     * entries, alive entries in set cur; the eid buffers are NULL when
-     * the sink only counts */
+     * entries, alive entries in set cur */
     int64_t *end_0, *start_0, *eid_0, *end_1, *start_1, *eid_1;
     int64_t cur, alive, next;
-    /* one step's cores: boundary ends, prefix lengths and their running
-     * sums (size entries each) */
-    int64_t *out_end, *out_len, *out_cum;
-    /* counting targets, sorted by ts: activated up to position, the
-     * unretired ones listed in target_active; accumulated into
-     * target_num / target_edges, and over every core into num_results /
-     * total_edges */
-    const int64_t *target_ts, *target_te;
-    int64_t *target_num, *target_edges, *target_active;
-    int64_t targets, position, num_active, num_results, total_edges;
+    /* one step's cores: boundary ends and prefix lengths (size entries
+     * each) */
+    int64_t *out_end, *out_len;
 };
 
 /*
@@ -570,13 +568,11 @@ int64_t repro_walk_step(struct repro_walk *w, int64_t t)
             const int64_t row = order[j++];
             dst_end[len] = w->end[row];
             dst_start[len] = w->start[row];
-            if (dst_eid)
-                dst_eid[len] = w->eid[row];
+            dst_eid[len] = w->eid[row];
         } else {
             dst_end[len] = src_end[i];
             dst_start[len] = src_start[i];
-            if (dst_eid)
-                dst_eid[len] = src_eid[i];
+            dst_eid[len] = src_eid[i];
             i++;
         }
         if (p0 < 0 && dst_start[len] == t)
@@ -588,62 +584,58 @@ int64_t repro_walk_step(struct repro_walk *w, int64_t t)
     if (p0 < 0)
         return 0;
 
-    int64_t cores = 0, sum = 0;
+    int64_t cores = 0;
     for (int64_t p = p0; p < len; p++) {
         if (p + 1 < len && dst_end[p + 1] == dst_end[p])
             continue;
-        sum += p + 1;
         w->out_end[cores] = dst_end[p];
         w->out_len[cores] = p + 1;
-        w->out_cum[cores] = sum;
         cores++;
     }
-    w->num_results += cores;
-    w->total_edges += sum;
-
-    /* Route to the counting targets like the slice router: activate
-     * those with ts <= t, retire those with te < t (reported starts only
-     * grow), then count each one's cores ending by its te. */
-    while (w->position < w->targets && w->target_ts[w->position] <= t)
-        w->target_active[w->num_active++] = w->position++;
-    int64_t kept = 0;
-    for (int64_t a = 0; a < w->num_active; a++) {
-        const int64_t idx = w->target_active[a];
-        const int64_t te = w->target_te[idx];
-        if (te < t)
-            continue;
-        w->target_active[kept++] = idx;
-        int64_t lo = 0, hi = cores;
-        while (lo < hi) {
-            const int64_t mid = lo + (hi - lo) / 2;
-            if (w->out_end[mid] <= te)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo) {
-            w->target_num[idx] += lo;
-            w->target_edges[idx] += w->out_cum[lo - 1];
-        }
-    }
-    w->num_active = kept;
     return cores;
 }
 
 /*
- * The stable counting order of keys[0..len), each in [0, bound): order
- * receives the positions 0..len sorted by key, equal keys in position
- * order (numpy's argsort(kind="stable")), and offsets (bound + 1
- * entries) where each key's run starts, then len.  O(len + bound).
- * Returns 0, or -1 with order unwritten when a key lies outside
- * [0, bound).
+ * One counting walk's arrays and state.  The field order is mirrored by
+ * native.CountArgs; every array is int64.  Times are domain positions
+ * in [0, width): the slice's times minus base.
  */
-int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
-                             int64_t *offsets, int64_t *order)
+struct repro_count {
+    /* the window slice, read only */
+    const int64_t *start, *end, *active;
+    int64_t size, base, width;
+    /* the windows' ends bucketed by activation and by start (size
+     * entries each; width + 1 offsets each), the alive windows per end
+     * (width entries), and per end e of one visit the cores and edge
+     * total of the cores ending after e (width entries each) */
+    int64_t *by_active, *active_offsets, *by_start, *start_offsets;
+    int64_t *alive_at, *cores_after, *edges_after;
+    /* walk state: the next position to look for a visit at, the last
+     * visit (-1 before the first), the alive windows and their top end */
+    int64_t next, prev, alive, top;
+    /* counting targets in domain positions, sorted by ts: activated up
+     * to position, the unretired ones listed in target_active;
+     * accumulated into target_num / target_edges, and over every core
+     * into num_results / total_edges */
+    const int64_t *target_ts, *target_te;
+    int64_t *target_num, *target_edges, *target_active;
+    int64_t targets, position, num_active, num_results, total_edges;
+};
+
+/*
+ * The stable counting order of keys[0..len) - base, each in [0, bound):
+ * order receives the positions 0..len sorted by key, equal keys in
+ * position order (numpy's argsort(kind="stable")), and offsets (bound +
+ * 1 entries) where each key's run starts, then len.  O(len + bound).
+ * Returns 0, or -1 with order unwritten when a key lies outside [0,
+ * bound).
+ */
+static int64_t counting_sort(int64_t len, const int64_t *keys, int64_t base,
+                             int64_t bound, int64_t *offsets, int64_t *order)
 {
     memset(offsets, 0, (size_t)(bound + 1) * sizeof(int64_t));
     for (int64_t i = 0; i < len; i++) {
-        const int64_t key = keys[i];
+        const int64_t key = keys[i] - base;
         if (key < 0 || key >= bound)
             return -1;
         offsets[key + 1]++;
@@ -651,11 +643,136 @@ int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
     for (int64_t key = 0; key < bound; key++)
         offsets[key + 1] += offsets[key];
     for (int64_t i = 0; i < len; i++)
-        order[offsets[keys[i]]++] = i;
+        order[offsets[keys[i] - base]++] = i;
     /* offsets[key] has moved to the end of its run: shift back. */
     memmove(offsets + 1, offsets, (size_t)bound * sizeof(int64_t));
     offsets[0] = 0;
     return 0;
+}
+
+/* Bucket the windows' ends, as domain positions, by key (counting sort). */
+static void bucket_ends(const struct repro_count *c, const int64_t *keys,
+                        int64_t *offsets, int64_t *ends)
+{
+    counting_sort(c->size, keys, c->base, c->width, offsets, ends);
+    for (int64_t i = 0; i < c->size; i++)
+        ends[i] = c->end[ends[i]] - c->base;
+}
+
+/*
+ * Prepare a counting walk: bucket the windows' ends by activation and
+ * by start, clear the histogram.  Returns the number of visits (the
+ * distinct start times), or -1 unless every window has base <= active
+ * <= start <= end < base + width.
+ */
+int64_t repro_count_init(struct repro_count *c)
+{
+    const int64_t width = c->width;
+    for (int64_t i = 0; i < c->size; i++)
+        if (c->active[i] < c->base || c->active[i] > c->start[i]
+            || c->start[i] > c->end[i] || c->end[i] - c->base >= width)
+            return -1;
+    bucket_ends(c, c->active, c->active_offsets, c->by_active);
+    bucket_ends(c, c->start, c->start_offsets, c->by_start);
+    memset(c->alive_at, 0, (size_t)width * sizeof(int64_t));
+    c->next = 0;
+    c->prev = -1;
+    c->alive = 0;
+    c->top = 0;
+    int64_t visits = 0;
+    for (int64_t t = 0; t < width; t++)
+        visits += c->start_offsets[t + 1] > c->start_offsets[t];
+    return visits;
+}
+
+/*
+ * Count up to max_visits more visited start times; returns how many ran.
+ * The alive set L_ts is a histogram of window counts per end.  At visit
+ * t the windows activating in (prev, t] are added and those starting at
+ * prev removed: one bucket each.  The cores at t are the distinct alive
+ * ends at or above e0, the least end of a window starting at t (Lemma
+ * 6), and the core ending at e holds every alive window ending by e.
+ * One descending scan from the top end to e0 counts them and records,
+ * per end, what lies above it, so each target's count is two lookups at
+ * its cut.  O(changes + top - e0 + active targets) per visit.
+ */
+int64_t repro_count_visits(struct repro_count *c, int64_t max_visits)
+{
+    const int64_t width = c->width;
+    const int64_t *active_offsets = c->active_offsets, *start_offsets = c->start_offsets;
+    int64_t *alive_at = c->alive_at;
+    int64_t done = 0;
+    while (done < max_visits) {
+        int64_t t = c->next;
+        while (t < width && start_offsets[t + 1] == start_offsets[t])
+            t++;
+        if (t == width)
+            break;
+        if (c->prev >= 0)
+            for (int64_t i = start_offsets[c->prev]; i < start_offsets[c->prev + 1]; i++) {
+                alive_at[c->by_start[i]]--;
+                c->alive--;
+            }
+        for (int64_t i = active_offsets[c->prev + 1]; i < active_offsets[t + 1]; i++) {
+            const int64_t e = c->by_active[i];
+            alive_at[e]++;
+            c->alive++;
+            if (e > c->top)
+                c->top = e;
+        }
+        /* the windows starting at t are alive, so the top end is found */
+        while (!alive_at[c->top])
+            c->top--;
+        int64_t e0 = c->top;
+        for (int64_t i = start_offsets[t]; i < start_offsets[t + 1]; i++)
+            if (c->by_start[i] < e0)
+                e0 = c->by_start[i];
+
+        int64_t cores = 0, sum = 0, above = 0;
+        for (int64_t e = c->top; e >= e0; e--) {
+            c->cores_after[e] = cores;
+            c->edges_after[e] = sum;
+            if (alive_at[e]) {
+                cores++;
+                sum += c->alive - above;
+                above += alive_at[e];
+            }
+        }
+        c->num_results += cores;
+        c->total_edges += sum;
+
+        /* Route like the slice router: activate the targets with ts <=
+         * t, retire those with te < t (reported starts only grow), then
+         * credit each the cores ending by its te. */
+        while (c->position < c->targets && c->target_ts[c->position] <= t)
+            c->target_active[c->num_active++] = c->position++;
+        int64_t kept = 0;
+        for (int64_t a = 0; a < c->num_active; a++) {
+            const int64_t idx = c->target_active[a];
+            const int64_t te = c->target_te[idx];
+            if (te < t)
+                continue;
+            c->target_active[kept++] = idx;
+            if (te >= e0) {
+                const int64_t cut = te < c->top ? te : c->top;
+                c->target_num[idx] += cores - c->cores_after[cut];
+                c->target_edges[idx] += sum - c->edges_after[cut];
+            }
+        }
+        c->num_active = kept;
+        c->prev = t;
+        c->next = t + 1;
+        done++;
+    }
+    return done;
+}
+
+/* The stable counting order of keys[0..len), each in [0, bound); see
+ * counting_sort. */
+int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
+                             int64_t *offsets, int64_t *order)
+{
+    return counting_sort(len, keys, 0, bound, offsets, order);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)

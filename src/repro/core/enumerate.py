@@ -131,6 +131,6 @@ def enumerate_active_window_arrays(
     """
     if sink is None:
         sink = make_sink(collect=collect, on_result=on_result)
-    completed = run_columnar_walk(ts_lo, ts_hi, arrays, sink, deadline=deadline)
+    completed = run_columnar_walk(arrays, sink, deadline=deadline)
     sink.finish(completed)
     return sink.result("enum", k, (ts_lo, ts_hi))

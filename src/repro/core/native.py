@@ -3,15 +3,20 @@
 :func:`library` compiles the source with the system C compiler
 (``cc -O2 -shared -fPIC``) the first time a process asks for it, caches
 the shared library under a name carrying the source's sha256, and loads
-it through :mod:`ctypes` with declared argument types.  It holds six
+it through :mod:`ctypes` with declared argument types.  It holds eight
 functions: the first-start scan of a CoreTime build (``initial_scan``)
 and its advancing phase (``build_pass``, fed a :class:`BuildArgs`
 block; both see :mod:`repro.core.multik`), the fold's
 per-segment splice (``splice``; see :mod:`repro.core.incremental`),
-one visited start time of the columnar enumeration walk (``walk_step``,
-fed a :class:`WalkArgs` block; see :mod:`repro.serve.columnar`), the
-stable counting sort behind :func:`counting_order` and the carry-less
-multiplication crc32 behind :func:`crc32`.
+the two columnar enumeration walks of :mod:`repro.serve.columnar` —
+one visited start time for a sink that receives the cores
+(``walk_step``, fed a :class:`WalkArgs` block, O(alive windows) per
+visit) and, for a sink that only counts, ``count_init`` then
+``count_visits`` (fed a :class:`CountArgs` block: the alive set as a
+histogram of windows per end time, O(changes + width of the reported
+end range) per visit) — the stable counting sort behind
+:func:`counting_order` and the carry-less multiplication crc32 behind
+:func:`crc32`.
 
 The cache lives in ``__pycache__`` beside the source, or in a per-user
 temp directory when that one is not writable.  A library is published
@@ -90,11 +95,10 @@ class BuildArgs(ctypes.Structure):
 
 
 class WalkArgs(ctypes.Structure):
-    """``struct repro_walk``: one columnar walk's arrays, state and counters.
+    """``struct repro_walk``: one emitting columnar walk's arrays and state.
 
     The field order mirrors the C source; arrays are passed as the
-    addresses of C-contiguous int64 numpy buffers (``None`` for the
-    ones a walk does not use).
+    addresses of C-contiguous int64 numpy buffers.
     """
 
     _fields_ = [
@@ -105,9 +109,32 @@ class WalkArgs(ctypes.Structure):
     ] + [
         (name, _INT64) for name in ("cur", "alive", "next")
     ] + [
+        (name, _POINTER) for name in ("out_end", "out_len")
+    ]
+
+
+class CountArgs(ctypes.Structure):
+    """``struct repro_count``: one counting walk's arrays, state and counters.
+
+    The field order mirrors the C source; arrays are passed as the
+    addresses of C-contiguous int64 numpy buffers.
+    """
+
+    _fields_ = [
+        (name, _POINTER) for name in ("start", "end", "active")
+    ] + [
+        (name, _INT64) for name in ("size", "base", "width")
+    ] + [
         (name, _POINTER)
         for name in (
-            "out_end", "out_len", "out_cum",
+            "by_active", "active_offsets", "by_start", "start_offsets",
+            "alive_at", "cores_after", "edges_after",
+        )
+    ] + [
+        (name, _INT64) for name in ("next", "prev", "alive", "top")
+    ] + [
+        (name, _POINTER)
+        for name in (
             "target_ts", "target_te", "target_num", "target_edges", "target_active",
         )
     ] + [
@@ -127,6 +154,10 @@ class Kernels(NamedTuple):
     splice: Callable[..., None]
     #: ``repro_walk_step(WalkArgs *, t) -> cores reported at t``
     walk_step: Callable[..., int]
+    #: ``repro_count_init(CountArgs *) -> visits, or -1 on a malformed slice``
+    count_init: Callable[..., int]
+    #: ``repro_count_visits(CountArgs *, max_visits) -> visits counted``
+    count_visits: Callable[..., int]
     #: ``repro_counting_order(len, keys, bound, offsets, order) -> 0 or -1``
     counting_order: Callable[..., int]
     #: ``repro_crc32_fold(len, buf, crc) -> crc of the 16-byte blocks, or -1``
@@ -209,13 +240,22 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     walk_step = lib.repro_walk_step
     walk_step.argtypes = [ctypes.POINTER(WalkArgs), _INT64]
     walk_step.restype = _INT64
+    count_init = lib.repro_count_init
+    count_init.argtypes = [ctypes.POINTER(CountArgs)]
+    count_init.restype = _INT64
+    count_visits = lib.repro_count_visits
+    count_visits.argtypes = [ctypes.POINTER(CountArgs), _INT64]
+    count_visits.restype = _INT64
     counting_order = lib.repro_counting_order
     counting_order.argtypes = [_INT64, _POINTER, _INT64, _POINTER, _POINTER]
     counting_order.restype = _INT64
     crc32_fold = lib.repro_crc32_fold
     crc32_fold.argtypes = [_INT64, _POINTER, _INT64]
     crc32_fold.restype = _INT64
-    return Kernels(initial_scan, build_pass, splice, walk_step, counting_order, crc32_fold)
+    return Kernels(
+        initial_scan, build_pass, splice, walk_step, count_init, count_visits,
+        counting_order, crc32_fold,
+    )
 
 
 def _load() -> Kernels | None:
@@ -244,8 +284,8 @@ def library() -> Kernels | None:
     get_registry().gauge(
         "repro_kernel_native",
         "1 when the compiled kernels (CoreTime scan and build pass, fold "
-        "splice, columnar walk step, counting order, crc32) are loaded, 0 on "
-        "the numpy fallback",
+        "splice, columnar walk step and counting walk, counting order, crc32) "
+        "are loaded, 0 on the numpy fallback",
     ).set(0 if kernels is None else 1)
     return kernels
 

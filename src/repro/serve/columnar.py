@@ -24,16 +24,29 @@ activation and expiry is applied in one batch — windows that would
 have been spliced in and dropped again without ever being scanned are
 never touched, preserving the ``O(|L \\ L'|)`` update bound.
 
-Each visited start time is one call of the compiled step
-(``repro_walk_step`` in ``core/_fixpoint.c``, see
-:mod:`repro.core.native`); the deadline is polled before each.  A sink
-that offers :meth:`~repro.serve.sinks.ResultSink.counting_targets` (a
-bare :class:`~repro.serve.sinks.CountSink`, or a slice router whose
-targets all are) is counted in C, so a counting walk never builds a
-per-step array in Python.  The numpy walk (:func:`_walk_numpy`: a
-boolean compress for the cut, ``searchsorted`` + ``np.insert`` for the
-merge) runs when the library cannot be built, and is the compiled
-walk's oracle: the two emit entry-identical batches at every step.
+A sink that receives the cores takes one call of the compiled step
+per visited start time (``repro_walk_step`` in ``core/_fixpoint.c``,
+see :mod:`repro.core.native`), which merge-copies the alive run:
+O(alive windows) per visit.  A sink that offers
+:meth:`~repro.serve.sinks.ResultSink.counting_targets` (a bare
+:class:`~repro.serve.sinks.CountSink`, or a slice router whose targets
+all are) takes the counting kernel (``repro_count_init``, then
+``repro_count_visits``) instead.  It holds ``L_ts`` as a histogram of
+window counts per end time: a visit adds and removes one bucket each
+of a per-walk counting sort by activation and by start, and the cores
+at ``t`` are the distinct alive ends at or above ``e0``, the least end
+of a window starting at ``t``, the one ending at ``e`` holding every
+alive window that ends by ``e``.  One descending scan from the top end
+to ``e0`` counts them and leaves each slice-router target's count two
+lookups away: O(changes + width of ``[e0, top]``) per visit.  The
+histogram is indexed by time, so a slice whose time span exceeds
+``2 * size + 64`` (raw timestamps) is counted over the ranks of its
+times.  Either way the deadline is polled before every visit.  The
+numpy walk (:func:`_walk_numpy`: a boolean compress for the cut,
+``searchsorted`` + ``np.insert`` for the merge) runs when the library
+cannot be built, and is the oracle of both: the emitting walk emits
+entry-identical batches at every step, and the counting walk leaves
+identical counters.
 
 Emission order, duplicate-freedom and the reported TTIs are exactly
 the oracle's; only the intra-core edge order may differ within groups
@@ -57,14 +70,12 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def run_columnar_walk(
-    ts_lo: int,
-    ts_hi: int,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     sink: ResultSink,
     *,
     deadline: Deadline | None = None,
 ) -> bool:
-    """Enumerate the cores of ``[ts_lo, ts_hi]`` into ``sink``.
+    """Enumerate the cores of a window slice into ``sink``.
 
     ``arrays`` is the columnar ``(eid, start, end, active)`` window
     slice for the range (:meth:`EdgeCoreSkyline.active_window_arrays
@@ -79,68 +90,113 @@ def run_columnar_walk(
     kernels = native.library()
     if kernels is None:
         return _walk_numpy(arrays, sink, deadline)
-    return _walk_compiled(kernels.walk_step, arrays, sink, deadline)
+    if any(part.dtype != np.int64 or not part.flags.c_contiguous for part in arrays):
+        raise TypeError("the compiled walk needs C-contiguous int64 arrays")
+    targets = sink.counting_targets()
+    if targets is None:
+        return _walk_compiled(kernels.walk_step, arrays, sink, deadline)
+    return _count_compiled(kernels, arrays, targets, sink, deadline)
 
 
 def _walk_compiled(walk_step, arrays, sink: ResultSink, deadline) -> bool:
-    """The walk as one ``repro_walk_step`` call per visited start time.
+    """The emitting walk as one ``repro_walk_step`` call per visited start time.
 
     The splice order (visit a window activates at, then end, then
     activation) is sorted once, so each step's incoming windows are one
-    contiguous run.  A sink offering :meth:`~ResultSink.counting_targets`
-    is counted in C and credited once, when the walk returns or aborts;
-    any other sink receives fresh copies of each step's arrays, entry
-    for entry what :func:`_walk_numpy` emits.
+    contiguous run.  The sink receives fresh copies of each step's
+    arrays, entry for entry what :func:`_walk_numpy` emits.
     """
-    eids, starts, ends, actives = arrays
-    size = len(eids)
-    visits, order = _schedule(starts, ends, actives)
-    targets = sink.counting_targets()
+    size = len(arrays[0])
+    visits, order = _schedule(*arrays[1:])
     args = native.WalkArgs(size=size)
     bound: list[np.ndarray] = []  # holds every bound address valid
 
     def bind(name: str, array: np.ndarray) -> np.ndarray:
-        if array.dtype != np.int64 or not array.flags.c_contiguous:
-            raise TypeError("the compiled walk needs C-contiguous int64 arrays")
         bound.append(array)
         setattr(args, name, array.ctypes.data)
         return array
 
     for name, array in zip(("eid", "start", "end", "active", "order"), (*arrays, order)):
         bind(name, array)
-    for name in ("end_0", "start_0", "end_1", "start_1", "out_cum"):
+    for name in ("end_0", "start_0", "end_1", "start_1"):
         bind(name, np.empty(size, dtype=np.int64))
+    alive_eids = [bind(name, np.empty(size, dtype=np.int64)) for name in ("eid_0", "eid_1")]
     out_end = bind("out_end", np.empty(size, dtype=np.int64))
     out_len = bind("out_len", np.empty(size, dtype=np.int64))
-    if targets is None:
-        alive_eids = [bind(name, np.empty(size, dtype=np.int64)) for name in ("eid_0", "eid_1")]
-    else:
-        for name, array in zip(("target_ts", "target_te", "target_num", "target_edges"), targets):
-            bind(name, array)
-        args.targets = len(targets[0])
-        bind("target_active", np.empty(args.targets, dtype=np.int64))
 
     step = ctypes.byref(args)
-    completed = True
-    steps = 0
+    for t in visits.tolist():
+        if deadline is not None and deadline.expired():
+            return False
+        cores = walk_step(step, t)
+        sink.emit(
+            t,
+            out_end[:cores].copy(),
+            out_len[:cores].copy(),
+            alive_eids[args.cur][: args.alive].copy(),
+        )
+    return True
+
+
+def _count_compiled(kernels, arrays, targets, sink: ResultSink, deadline) -> bool:
+    """The counting walk: ``repro_count_init``, then ``repro_count_visits``.
+
+    The kernel indexes its histograms by time, so a slice whose span is
+    at most ``2 * size + 64`` is counted over its own times, offset by
+    the least activation; a wider one (raw timestamps) over the ranks
+    of its distinct times, with the targets' bounds mapped to the ranks
+    that keep every comparison the kernel makes.  One call counts the
+    whole walk, or, under a deadline, one call per visited start time
+    after each poll.  The sink is credited once, when the walk returns
+    or aborts.
+    """
+    times = arrays[1:]
+    target_ts, target_te, target_num, target_edges = targets
+    size = len(arrays[0])
+    lo, hi = int(times[2].min()), int(times[1].max())
+    if hi - lo < 2 * size + 64:
+        base, width = lo, hi - lo + 1
+        target_ts, target_te = (
+            np.clip(bounds, lo - 1, hi + 1) - lo for bounds in (target_ts, target_te)
+        )
+    else:
+        distinct = unique_sorted(np.concatenate(times))
+        times = [np.searchsorted(distinct, part) for part in times]
+        base, width = 0, len(distinct)
+        target_ts = np.searchsorted(distinct, target_ts)
+        target_te = np.searchsorted(distinct, target_te, side="right") - 1
+    args = native.CountArgs(size=size, base=base, width=width, targets=len(target_ts))
+    bound = [*times, target_ts, target_te, target_num, target_edges]
+    for name, array in zip(
+        ("start", "end", "active", "target_ts", "target_te", "target_num", "target_edges"),
+        bound,
+    ):
+        setattr(args, name, array.ctypes.data)
+    for name, length in (
+        ("by_active", size), ("active_offsets", width + 1),
+        ("by_start", size), ("start_offsets", width + 1),
+        ("alive_at", width), ("cores_after", width), ("edges_after", width),
+        ("target_active", len(target_ts)),
+    ):
+        bound.append(np.empty(length, dtype=np.int64))
+        setattr(args, name, bound[-1].ctypes.data)
+
+    walk = ctypes.byref(args)
+    visits = kernels.count_init(walk)
+    if visits < 0:
+        raise ValueError("window slice needs activation <= start <= end")
+    counted = 0
     try:
-        for t in visits.tolist():
-            if deadline is not None and deadline.expired():
-                completed = False
-                break
-            cores = walk_step(step, t)
-            steps += 1
-            if targets is None:
-                sink.emit(
-                    t,
-                    out_end[:cores].copy(),
-                    out_len[:cores].copy(),
-                    alive_eids[args.cur][: args.alive].copy(),
-                )
+        if deadline is None:
+            counted = kernels.count_visits(walk, visits)
+        else:
+            for _ in range(visits):
+                if deadline.expired():
+                    break
+                counted += kernels.count_visits(walk, 1)
     finally:
-        if targets is not None:
-            sink.add_counted(steps, args.num_results, args.total_edges)
-    return completed
+        sink.add_counted(counted, args.num_results, args.total_edges)
+    return counted == visits
 
 
 def _schedule(

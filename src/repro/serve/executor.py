@@ -300,9 +300,7 @@ def execute_plan(
                     requests=len(window.requests),
                 ):
                     walk_started = now() if timed else 0.0
-                    completed = run_columnar_walk(
-                        window.ts, window.te, arrays, target, deadline=deadline
-                    )
+                    completed = run_columnar_walk(arrays, target, deadline=deadline)
                     if timed:
                         _ENUMERATE_SECONDS.observe(now() - walk_started)
                 with trace.span("sink_flush", requests=len(window.requests)):

@@ -35,8 +35,10 @@ once at the end of a walk (``completed=False`` after a deadline abort);
 ``result()`` packages the counters as an ``EnumerationResult``.
 
 A sink that only counts may offer ``counting_targets()``: the compiled
-walk then counts its cores in C, never calls ``emit``, and credits the
-totals through ``add_counted`` before returning.
+walk then runs its counting kernel (the alive set as a histogram of
+windows per end time, O(changes + width of the reported end range) per
+visited start time instead of O(alive windows)), never calls ``emit``,
+and credits the totals through ``add_counted`` before returning.
 """
 
 from __future__ import annotations
@@ -98,10 +100,14 @@ class ResultSink:
 
         ``None`` (the default): the sink needs every batch.  Otherwise
         ``(ts, te, num, edges)``: int64 target ranges sorted by ``ts``
-        and per-target accumulators, into which the walk adds the count
-        and edge total of the cores each target's range contains (the
-        slice router's routing), then reports its totals through
-        :meth:`add_counted`.
+        and per-target accumulators.  The counting kernel adds into
+        them, at every visited start time ``t`` with ``ts <= t <= te``,
+        the count and edge total of the cores ending by ``te`` (the
+        slice router's routing, two lookups per target), then reports
+        its totals and visits through :meth:`add_counted`.  ``num`` and
+        ``edges`` are written in place, so they must be C-contiguous
+        int64; ``ts`` and ``te`` are only compared with the slice's
+        times, so any int64 values will do.
         """
         return None
 

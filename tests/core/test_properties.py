@@ -7,13 +7,19 @@ oracle and respect the paper's structural lemmas.
 
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import enumerate_bruteforce
 from repro.baselines.otcd import enumerate_otcd
+from repro.core import native
 from repro.core.coretime import compute_core_times
 from repro.core.enumbase import enumerate_temporal_kcores_base
 from repro.core.enumerate import enumerate_temporal_kcores
+from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
+from repro.core.index import CoreIndex
 from repro.graph.snapshot import Snapshot
 from repro.graph.static_core import snapshot_k_core
 from repro.graph.temporal_graph import TemporalGraph
@@ -47,6 +53,19 @@ def graph_and_k(draw):
     graph = draw(temporal_graphs())
     k = draw(st.integers(min_value=2, max_value=4))
     return graph, k
+
+
+@st.composite
+def graph_k_and_ranges(draw):
+    """A graph, ``k`` and a batch of ranges with exact repeats and overlaps."""
+    graph, k = draw(graph_and_k())
+    bounds = st.integers(min_value=1, max_value=graph.tmax)
+    ranges = [
+        tuple(sorted(draw(st.tuples(bounds, bounds))))
+        for _ in range(draw(st.integers(min_value=1, max_value=6)))
+    ]
+    repeats = draw(st.lists(st.sampled_from(ranges), min_size=1, max_size=4))
+    return graph, k, draw(st.permutations(ranges + repeats))
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,6 +154,21 @@ def test_subrange_query_consistent_with_full(case, data):
         if ts <= core.tti[0] and core.tti[1] <= te
     }
     assert sub.edge_sets() == expected
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@settings(max_examples=40, deadline=None)
+@given(case=graph_k_and_ranges())
+def test_query_batch_counters_equal_oracle(compiled, case):
+    """Deduped, merged and routed batch answers count what the oracle counts."""
+    graph, k, ranges = case
+    with mock.patch.object(native, "library", native.library if compiled else lambda: None):
+        results = CoreIndex(graph, k).query_batch(ranges)
+    for (ts, te), result in zip(ranges, results):
+        oracle = enumerate_temporal_kcores_ref(graph, k, ts, te, collect=False)
+        assert (result.num_results, result.total_edges, result.completed) == (
+            oracle.num_results, oracle.total_edges, True
+        )
 
 
 @settings(max_examples=30, deadline=None)

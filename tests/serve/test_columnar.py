@@ -230,7 +230,7 @@ class TestCompiledWalk:
         with monkeypatch.context() as patch:
             if not compiled:
                 patch.setattr(native, "library", lambda: None)
-            done = run_columnar_walk(0, 0, arrays, sink, deadline=deadline)
+            done = run_columnar_walk(arrays, sink, deadline=deadline)
         sink.finish(done)
         return done
 
@@ -242,6 +242,34 @@ class TestCompiledWalk:
         rng = random.Random(7000 + seed)
         ranges = [(1, graph.tmax)] + random_windows(rng, graph.tmax, count)
         return [index.ecs.active_window_arrays(ts, te) for ts, te in ranges]
+
+    @staticmethod
+    def raw_index(seed):
+        """An index over raw timestamps 997 apart: slices far wider than they are long."""
+        from repro.graph.temporal_graph import TemporalGraph
+
+        dense = uniform_random_temporal(13, 150, tmax=22, seed=seed)
+        u, v, t = dense.edge_columns()
+        graph = TemporalGraph(
+            zip(u.tolist(), v.tolist(), (t * 997).tolist()), normalize_time=False
+        )
+        return graph, CoreIndex(graph, 2)
+
+    @staticmethod
+    def raw_slices(seed):
+        """The raw graph's full-span slice and random sub-range slices.
+
+        Each spans more than ``2 * size + 64`` time units, so the
+        counting walk runs over the ranks of the slice's times.
+        """
+        graph, index = TestCompiledWalk.raw_index(seed)
+        rng = random.Random(7500 + seed)
+        ranges = [(1, graph.tmax)] + random_windows(rng, graph.tmax, 4)
+        slices = [index.ecs.active_window_arrays(ts, te) for ts, te in ranges]
+        slices = [arrays for arrays in slices if len(arrays[0])]
+        for _eids, _starts, ends, actives in slices:
+            assert ends.max() - actives.min() >= 2 * len(ends) + 64
+        return slices
 
     @pytest.mark.parametrize("seed", range(4))
     def test_emissions_entry_identical_at_every_step(self, monkeypatch, seed):
@@ -281,6 +309,34 @@ class TestCompiledWalk:
         assert counters(got_sinks) == counters(want_sinks)
         assert (got.num_results, got.total_edges) == (want.num_results, want.total_edges)
         assert got._batches == want._batches > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counting_over_raw_times(self, monkeypatch, seed):
+        """Count sinks and router targets between, before and after raw times count alike."""
+        graph, index = self.raw_index(seed)
+        for arrays in self.raw_slices(seed):
+            got, want = CountSink(), CountSink()
+            self.walk(monkeypatch, True, arrays, got)
+            self.walk(monkeypatch, False, arrays, want)
+            assert counters([got]) == counters([want])
+            _eids, starts, ends, actives = arrays
+            first_end = int(ends[starts == starts.min()].min())
+            last_visit = int(starts.max())
+            rng = random.Random(8200 + seed)
+            targets = random_windows(rng, graph.tmax, 60) + [
+                (int(actives.min()), first_end - 1),  # ends before the first e0
+                (1, int(actives.min()) - 1),  # ends before the slice
+                (last_visit + 1, graph.tmax),  # starts after the last visit
+                (int(starts.min()), int(ends.max())),  # the whole slice
+            ]
+            (got, got_sinks), (want, want_sinks) = (
+                router_counters(targets), router_counters(targets))
+            self.walk(monkeypatch, True, arrays, got)
+            self.walk(monkeypatch, False, arrays, want)
+            assert counters(got_sinks) == counters(want_sinks)
+            assert counters(got_sinks)[-1][:2] == (got.num_results, got.total_edges)
+            assert counters(got_sinks)[-3:-1] == [(0, 0, True)] * 2
+            assert got._batches == want._batches
 
     def test_router_metrics_count_identically(self, monkeypatch):
         graph = uniform_random_temporal(13, 150, tmax=24, seed=5)
@@ -384,8 +440,14 @@ class TestCompiledWalk:
             outputs.append((emitted(recording), counters([router, *router_sinks])))
         assert outputs[0] == outputs[1]
 
+    def test_counting_walk_refuses_windows_out_of_order(self):
+        eids, starts, ends, actives = (part.copy() for part in self.slices(0)[0])
+        actives[0] = starts[0] + 1
+        with pytest.raises(ValueError):
+            run_columnar_walk((eids, starts, ends, actives), CountSink())
+
     def test_non_int64_slice_is_refused(self, monkeypatch):
         arrays = self.slices(0)[0]
         narrowed = tuple(part.astype(np.int32) for part in arrays)
         with pytest.raises(TypeError):
-            run_columnar_walk(0, 0, narrowed, CountSink())
+            run_columnar_walk(narrowed, CountSink())
