@@ -43,6 +43,7 @@ from repro.errors import (
     EmptyGraphError,
     GraphFormatError,
     InvalidParameterError,
+    KernelBuildError,
     ReproError,
     StoreCorruptionError,
     StoreError,
@@ -65,6 +66,7 @@ __all__ = [
     "GraphFormatError",
     "IndexStore",
     "InvalidParameterError",
+    "KernelBuildError",
     "PHCIndex",
     "ReproError",
     "StoreCorruptionError",

@@ -1,31 +1,34 @@
 /*
  * The compiled kernels of the CoreTime build, the delta-fold and the
- * columnar enumeration walk.
+ * columnar enumeration walk.  They are the only implementation of these
+ * steps; their oracles are the seed implementations,
+ * core/coretime_ref.py (the CoreTime build, Algorithm 2) and
+ * core/enumerate_ref.py (the Enum walk, Algorithms 4-5), which the test
+ * suites hold them to entry for entry.
  *
  * repro_initial_scan computes the core times at the first start time of
- * a level-fused build (core/multik.py, _shared_initial_scan): the nested
- * peel of the window's k-cores in ascending k, then the decremental
- * end-time scan over shared per-slot live counts.
+ * a level-fused build (core/multik.py, _FusedMultiK.scan_first_start):
+ * the nested peel of the window's k-cores in ascending k, then the
+ * decremental end-time scan over shared per-slot live counts.  Its
+ * oracle is coretime_ref.core_time_by_rescan_reference, per level.
  *
  * repro_build_pass runs the advancing phase of a level-fused build
- * (core/multik.py, _FusedMultiK) in one call: for every start time it
- * refreshes the pair pointers of the expiring edge batch, drains the
+ * (core/multik.py, _FusedMultiK.run) in one call: for every start time
+ * it refreshes the pair pointers of the expiring edge batch, drains the
  * fused fixpoint, harvests the VCT transitions and finalised skyline
  * windows, and emits the windows of the edge batch stamped at that
- * start.  It is the compiled counterpart of _FusedMultiK.step (expiry as
- * _WindowState.expire_start, the fixpoint as the fused rounds of advance
- * and _drain_scalar, then harvest and _emit_batch) and appends the same
- * output rows in the same per-key order, so the assembled indexes are
- * identical entry for entry.
+ * start.  The assembled indexes equal coretime_ref's VCT and skyline
+ * entry for entry.
  *
  * repro_splice is the fold's per-segment merge (core/incremental.py,
  * _merge_level): the kept old prefix, an optional inserted row, then the
  * sub-span rows past a per-segment skip.
  *
  * repro_walk_step is one visited start time of the columnar walk
- * (serve/columnar.py, the numpy loop of run_columnar_walk) for a sink
- * that receives the cores: the cut, the activation merge and AS-Output
- * (Algorithm 4) over the end-sorted alive run, O(alive) per visit.
+ * (serve/columnar.py, run_columnar_walk) for a sink that receives the
+ * cores: the cut, the activation merge and AS-Output (Algorithm 4) over
+ * the end-sorted alive run, O(alive) per visit.  It reports the cores
+ * enumerate_ref's linked-list walk reports, in the same order.
  *
  * repro_count_init and repro_count_visits are the walk for a sink that
  * only counts (a CountSink, or a slice router over CountSinks): the
@@ -115,7 +118,8 @@ static void peel(const int64_t *adj_offsets, const int64_t *adj_neighbour,
 
 /*
  * The core times at start ts_lo of every level over the window [ts_lo,
- * ts_hi]: the compiled counterpart of multik._shared_initial_scan.
+ * ts_hi], each row what coretime_ref.core_time_by_rescan_reference
+ * gives for its k.
  * ks holds the levels' k values, ascending.  live (one entry per
  * adjacency slot), degree and alive (levels * n each) and stack (n) are
  * scratch.  Row lev of ct (levels * n) must hold inf on entry; a vertex
@@ -266,7 +270,7 @@ static inline void expire_slot(const struct repro_build *b, int64_t s, int64_t t
  * smallest of max(ett, neighbour core time), capped at ts_hi), its seed
  * filter and its re-scheduling filter.  The least fixpoint does not
  * depend on evaluation order, so the core times left in ct equal the
- * numpy rounds' entry for entry.  Returns the number of keys written to
+ * seed kernel's entry for entry.  Returns the number of keys written to
  * grown: every key whose core time grew, once each, in no particular
  * order.  Both masks are all-zero on entry and on return.
  */
@@ -537,8 +541,8 @@ struct repro_walk {
  * The windows whose start lies before t expire (they started at the
  * previous visited start time: no window starts in between), and the
  * windows activating in (previous, t] -- the next run of the splice
- * order -- merge in, ahead of alive entries with the same end (the
- * numpy walk's searchsorted-left insertion).  The first alive entry
+ * order -- merge in, ahead of alive entries with the same end (as the
+ * oracle's roving cursor inserts them).  The first alive entry
  * starting at t flips the valid flag (Lemma 6); every end-group
  * boundary from there on is one core, a prefix of the alive run.
  */

@@ -47,11 +47,10 @@ range, and a per-vertex incident-edge CSR for the skyline emission.
 A fixed ``k`` is the one-level case of the level-fused build of
 :mod:`repro.core.multik`, which owns the scan, the fixpoint and the
 harvest: :func:`compute_core_times` runs it with one level, so every
-build and every range query takes the same compiled C kernels (or,
-without a C compiler, the same numpy fallback).  This module keeps the
-index classes and :class:`_WindowState`, the per-build pair-pointer
-state the advancing phase starts from.  Two devices cut the fixpoint
-cost:
+build and every range query takes the same compiled C kernels.  This
+module keeps the index classes and :class:`_WindowState`, the per-build
+pair-pointer state the advancing phase starts from.  Two devices cut
+the fixpoint cost:
 
 * **Eager earliest-times** — ``ett[s]``, the first edge time of slot
   ``s`` at or after the current start, is maintained incrementally: it
@@ -263,20 +262,18 @@ class _WindowState:
     pair's first time at or after the current start (advanced
     monotonically), and ``ett``, the timestamp it designates, or a
     sentinel when the pair has no further edge.  Both are int64
-    ndarrays (the numpy fallback's :meth:`expire_start` turns ``ptr``
-    into a list).  Sub-windows need no rebuilt structure: pointers are
-    positioned once at ``ts_lo`` and the end bound is a comparison
-    against ``ts_hi``.
+    ndarrays, advanced in place by the compiled build pass.  Sub-windows
+    need no rebuilt structure: pointers are positioned once at ``ts_lo``
+    and the end bound is a comparison against ``ts_hi``.
     """
 
-    __slots__ = ("cg", "ts_lo", "ts_hi", "inf", "ptr", "ett", "_tables")
+    __slots__ = ("cg", "ts_lo", "ts_hi", "inf", "ptr", "ett")
 
     def __init__(self, graph: TemporalGraph, ts_lo: int, ts_hi: int):
         self.cg = cg = graph.compiled()
         self.ts_lo = ts_lo
         self.ts_hi = ts_hi
         self.inf = ts_hi + 1
-        self._tables = None
         if ts_lo == 1:
             self.ptr = cg.slot_times_start.copy()
             self.ett = cg.pair_times[cg.slot_times_start]
@@ -304,42 +301,6 @@ class _WindowState:
             )
             self.ett = pair_first_time[cg.slot_pid]
 
-    def expire_start(self, ts: int) -> None:
-        """Advance pair pointers past the edges stamped ``ts - 1``.
-
-        The earliest time of a pair changes exactly when the start moves
-        past one of its edge times, so only the (contiguous) edge batch at
-        ``ts - 1`` needs its two directional slots refreshed.  The numpy
-        fallback's scalar loop: on first use ``ptr`` and the tables it
-        reads become Python lists (faster to index one by one), once per
-        build.
-        """
-        if self._tables is None:
-            cg = self.cg
-            self.ptr = self.ptr.tolist()
-            self._tables = tuple(
-                getattr(cg, name).tolist()
-                for name in ("pair_times", "slot_times_end", "edge_slot_u", "edge_slot_v", "time_offset")
-            )
-        times, slot_times_end, edge_slot_u, edge_slot_v, time_offset = self._tables
-        ptr = self.ptr
-        ett = self.ett
-        for eid in range(time_offset[ts - 1], time_offset[ts]):
-            s = edge_slot_u[eid]
-            p = ptr[s]
-            end = slot_times_end[s]
-            while p < end and times[p] < ts:
-                p += 1
-            ptr[s] = p
-            ett[s] = times[p] if p < end else _NO_TIME
-            s = edge_slot_v[eid]
-            p = ptr[s]
-            end = slot_times_end[s]
-            while p < end and times[p] < ts:
-                p += 1
-            ptr[s] = p
-            ett[s] = times[p] if p < end else _NO_TIME
-
 
 def compute_core_times(
     graph: TemporalGraph,
@@ -360,7 +321,7 @@ def compute_core_times(
     call on a graph compiles its flat-array representation (cached on the
     graph); subsequent calls reuse it.  The build is the one-level case
     of the level-fused kernel of :mod:`repro.core.multik`: one compiled
-    scan and one compiled pass (or their numpy fallbacks).  The returned
+    scan and one compiled pass.  The returned
     VCT/ECS are served from offset-indexed flat int64 arrays — the same
     representation the on-disk store persists.  For several ``k`` values
     over the same window,

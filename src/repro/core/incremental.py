@@ -41,8 +41,7 @@ The fold therefore:
    window), which is exact there because ``CT_ts`` depends only on edges
    stamped in ``[ts, T']``;
 4. **merges** each level's old and sub-span arrays with one splice per
-   side (:func:`_splice`: one compiled ``repro_splice`` call, or
-   vectorised gather/scatters when the C kernels did not load): old
+   side (:func:`_splice`: one compiled ``repro_splice`` call): old
    entries with start (or window ``t1``) before ``s_A`` are kept,
    sub-span entries replace the rest, with two boundary corrections for
    VCT (drop the sub-span's first entry when the value did not actually
@@ -526,8 +525,7 @@ def _splice(
     ``i`` of the result holds ``old``'s first ``keep[i]`` rows (segments
     past the old count keep none), then ``(ins_a[i], ins_b[i])`` when
     ``ins_a[i] >= 0``, then ``sub``'s rows past its first ``skip[i]``
-    (``None``: skip none).  One call into the compiled ``repro_splice``
-    when the C kernels loaded, vectorised gather/scatters otherwise.
+    (``None``: skip none).  One call into the compiled ``repro_splice``.
     """
     old_off, old_a, old_b = old
     sub_off, sub_a, sub_b = sub
@@ -542,32 +540,16 @@ def _splice(
     total = int(out_off[-1])
     out_a = np.empty(total, dtype=np.int64)
     out_b = np.empty(total, dtype=np.int64)
-    kernels = native.library()
-    if kernels is not None:
-        arrays = (old_off, keep, old_a, old_b, ins_a, ins_b, sub_off, skip, sub_a, sub_b,
-                  out_off, out_a, out_b)
-        for array in arrays:
-            if array is not None and (
-                array.dtype != np.int64 or not array.flags.c_contiguous
-            ):
-                raise TypeError("the compiled splice needs C-contiguous int64 arrays")
-        kernels.splice(
-            segments,
-            old_segments,
-            *(None if array is None else array.ctypes.data for array in arrays),
-        )
-        return out_off, out_a, out_b
-    src = _seg_indices(old_off[:-1], keep[:old_segments])
-    dst = _seg_indices(out_off[:old_segments], keep[:old_segments])
-    out_a[dst] = old_a[src]
-    out_b[dst] = old_b[src]
-    at = (out_off[:-1] + keep)[inserted]
-    out_a[at] = ins_a[inserted]
-    out_b[at] = ins_b[inserted]
-    src = _seg_indices(sub_off[:-1] if skip is None else sub_off[:-1] + skip, take)
-    dst = _seg_indices(out_off[:-1] + keep + inserted, take)
-    out_a[dst] = sub_a[src]
-    out_b[dst] = sub_b[src]
+    arrays = (old_off, keep, old_a, old_b, ins_a, ins_b, sub_off, skip, sub_a, sub_b,
+              out_off, out_a, out_b)
+    for array in arrays:
+        if array is not None and (array.dtype != np.int64 or not array.flags.c_contiguous):
+            raise TypeError("the compiled splice needs C-contiguous int64 arrays")
+    native.library().splice(
+        segments,
+        old_segments,
+        *(None if array is None else array.ctypes.data for array in arrays),
+    )
     return out_off, out_a, out_b
 
 

@@ -26,10 +26,12 @@ cold cache each load a complete library.  After publishing in
 removed there; the shared per-user temp directory is left alone, since
 several checkouts may use it.
 
-When compiling or loading fails, :func:`library` returns ``None`` and
-logs one warning carrying the compiler's stderr; callers then run their
-numpy paths.  The ``repro_kernel_native`` gauge records which path this
-process took (1 compiled, 0 fallback).
+There is no other implementation of these kernels: when compiling or
+loading fails, :func:`library` raises :class:`KernelBuildError` carrying
+the compiler's stderr.  The outcome is memoised either way, so a process
+runs the compiler at most once.  Their oracles are the seed
+implementations, :mod:`repro.core.coretime_ref` and
+:mod:`repro.core.enumerate_ref`, which the test suites hold them to.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import pathlib
 import stat
@@ -49,10 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
-from repro.utils.arrays import offsets_from_keys
-
-log = logging.getLogger("repro.core.native")
+from repro.errors import KernelBuildError
 
 SOURCE = pathlib.Path(__file__).with_name("_fixpoint.c")
 
@@ -258,8 +256,8 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     )
 
 
-def _load() -> Kernels | None:
-    """Compile (or reuse) and load the library; ``None`` on failure."""
+def _load() -> Kernels:
+    """Compile (or reuse) and load the library, or raise :class:`KernelBuildError`."""
     problems: list[str] = []
     for position, directory in enumerate(cache_dirs()):
         try:
@@ -270,23 +268,30 @@ def _load() -> Kernels | None:
             break  # the compiler itself failed: another directory won't help
         except (OSError, AttributeError) as exc:  # unusable dir or library
             problems.append(f"{directory}: {exc}")
-    log.warning(
-        "compiled CoreTime kernels unavailable, using the numpy path: %s",
-        "; ".join(problems),
+    raise KernelBuildError(
+        "cannot build the compiled kernels (a C compiler, cc, is required): "
+        + "; ".join(problems)
     )
-    return None
 
 
 @functools.cache
-def library() -> Kernels | None:
-    """The loaded C kernels, or ``None`` when they cannot be built (memoised)."""
-    kernels = _load()
-    get_registry().gauge(
-        "repro_kernel_native",
-        "1 when the compiled kernels (CoreTime scan and build pass, fold "
-        "splice, columnar walk step and counting walk, counting order, crc32) "
-        "are loaded, 0 on the numpy fallback",
-    ).set(0 if kernels is None else 1)
+def _loaded() -> Kernels | str:
+    """The loaded kernels, or the reason they could not be built.
+
+    Memoised either way: :func:`functools.cache` does not cache a raised
+    exception, so a failure is kept as its message.
+    """
+    try:
+        return _load()
+    except KernelBuildError as exc:
+        return str(exc)
+
+
+def library() -> Kernels:
+    """The loaded C kernels; raises :class:`KernelBuildError` when they cannot be built."""
+    kernels = _loaded()
+    if isinstance(kernels, str):
+        raise KernelBuildError(kernels)
     return kernels
 
 
@@ -296,19 +301,13 @@ def counting_order(keys, bound: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(order, offsets)``: ``order`` equals
     ``np.argsort(keys, kind="stable")`` and ``keys[order][offsets[b] :
     offsets[b + 1]]`` is the run of key ``b`` (``bound + 1`` offsets).
-    One O(len + bound) ``repro_counting_order`` call when the C kernels
-    loaded, the numpy stable argsort otherwise.  Raises
+    One O(len + bound) ``repro_counting_order`` call.  Raises
     :class:`ValueError` when a key lies outside ``[0, bound)``.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    kernels = library()
-    if kernels is None:
-        if len(keys) and not (0 <= keys.min() and keys.max() < bound):
-            raise ValueError(f"counting-order keys outside [0, {bound})")
-        return np.argsort(keys, kind="stable"), offsets_from_keys(keys, bound)
     order = np.empty(len(keys), dtype=np.int64)
     offsets = np.empty(bound + 1, dtype=np.int64)
-    if kernels.counting_order(
+    if library().counting_order(
         len(keys), keys.ctypes.data, bound, offsets.ctypes.data, order.ctypes.data
     ):
         raise ValueError(f"counting-order keys outside [0, {bound})")
@@ -319,14 +318,14 @@ def crc32(data, value: int = 0) -> int:
     """``zlib.crc32(data, value)`` of a bytes-like object.
 
     The 16-byte blocks go through one ``repro_crc32_fold`` call when the
-    C kernels loaded and the CPU multiplies carry-less (several times
-    zlib's speed on large buffers), the few bytes left through zlib.
+    CPU multiplies carry-less (several times zlib's speed on large
+    buffers), the few bytes left through zlib; short buffers, and every
+    buffer on a CPU without PCLMULQDQ, go through zlib whole.
     """
     view = memoryview(data).cast("B")
-    kernels = library()
-    if kernels is not None and len(view) >= 64:
+    if len(view) >= 64:
         address = np.frombuffer(view, dtype=np.uint8).ctypes.data
-        folded = kernels.crc32_fold(len(view), address, value)
+        folded = library().crc32_fold(len(view), address, value)
         if folded >= 0:
             return zlib.crc32(view[len(view) & ~15 :], folded)
     return zlib.crc32(view, value)

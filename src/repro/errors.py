@@ -31,6 +31,15 @@ class DatasetError(ReproError):
     """Raised when a dataset recipe is unknown or cannot be generated."""
 
 
+class KernelBuildError(ReproError):
+    """Raised when the C kernels (``core/_fixpoint.c``) cannot be compiled or loaded.
+
+    The message carries the compiler's stderr.  Every CoreTime build,
+    fold, columnar walk and store checksum needs these kernels, so a
+    host without a working C compiler (``cc``) cannot run them.
+    """
+
+
 class BenchmarkError(ReproError):
     """Raised by the benchmark harness on misconfiguration."""
 

@@ -29,9 +29,7 @@ of per-query dicts, nested list cells and closures:
 Every table is one read-only int64 ndarray, built by a few whole-array
 numpy passes (one ``np.unique`` for the pairs, one ``lexsort`` per CSR)
 from the graph's edge columns, which the compiled view shares.  The C
-kernels take the tables' buffers as they are; the numpy fallback
-converts the ones it walks scalar by scalar with ``.tolist()`` once per
-build.  The compiled form is immutable, built once per graph and cached
+kernels take the tables' buffers as they are.  The compiled form is immutable, built once per graph and cached
 on the graph by :meth:`TemporalGraph.compiled`.
 """
 

@@ -41,18 +41,14 @@ to ``e0`` counts them and leaves each slice-router target's count two
 lookups away: O(changes + width of ``[e0, top]``) per visit.  The
 histogram is indexed by time, so a slice whose time span exceeds
 ``2 * size + 64`` (raw timestamps) is counted over the ranks of its
-times.  Either way the deadline is polled before every visit.  The
-numpy walk (:func:`_walk_numpy`: a boolean compress for the cut,
-``searchsorted`` + ``np.insert`` for the merge) runs when the library
-cannot be built, and is the oracle of both: the emitting walk emits
-entry-identical batches at every step, and the counting walk leaves
-identical counters.
+times.  Either way the deadline is polled before every visit.
 
 Emission order, duplicate-freedom and the reported TTIs are exactly
 the oracle's; only the intra-core edge order may differ within groups
 of equal end times (the emitted prefix at a group boundary contains
 the whole group either way).  The property suite asserts per-core
-TTI + edge-set identity against the oracle.
+TTI + edge-set identity against the oracle, and the counting walk's
+counters (slice-router targets included) against the oracle's cores.
 """
 
 from __future__ import annotations
@@ -65,8 +61,6 @@ from repro.core import native
 from repro.serve.sinks import ResultSink
 from repro.utils.arrays import unique_sorted
 from repro.obs.timing import Deadline
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def run_columnar_walk(
@@ -88,8 +82,6 @@ def run_columnar_walk(
     if not len(arrays[0]):
         return True
     kernels = native.library()
-    if kernels is None:
-        return _walk_numpy(arrays, sink, deadline)
     if any(part.dtype != np.int64 or not part.flags.c_contiguous for part in arrays):
         raise TypeError("the compiled walk needs C-contiguous int64 arrays")
     targets = sink.counting_targets()
@@ -104,7 +96,7 @@ def _walk_compiled(walk_step, arrays, sink: ResultSink, deadline) -> bool:
     The splice order (visit a window activates at, then end, then
     activation) is sorted once, so each step's incoming windows are one
     contiguous run.  The sink receives fresh copies of each step's
-    arrays, entry for entry what :func:`_walk_numpy` emits.
+    arrays.
     """
     size = len(arrays[0])
     visits, order = _schedule(*arrays[1:])
@@ -207,8 +199,9 @@ def _schedule(
     The visits are the distinct start times (Lemma 4).  The splice
     order sorts the windows by the visit they activate at (the first
     one at or after their activation time), then end, then activation
-    time, ties in slice order: the order :func:`_walk_numpy` splices
-    them in.  It is one sort of the four keys packed into an int64, or
+    time, ties in slice order: new windows land ahead of alive ones
+    with the same end, as the oracle's roving cursor inserts them.  It
+    is one sort of the four keys packed into an int64, or
     ``np.lexsort`` when the packed key would overflow.
     """
     size = len(starts)
@@ -220,68 +213,3 @@ def _schedule(
         return visits, np.lexsort((actives, ends, visit_of))
     key = (visit_of * width + (ends - base)) * width + (actives - base)
     return visits, np.argsort(key * size + np.arange(size))
-
-
-def _walk_numpy(arrays, sink: ResultSink, deadline) -> bool:
-    """The walk as numpy array operations — fallback and test oracle."""
-    eids, starts, ends, actives = arrays
-    # Activation order drives the batched splice-in; the unique start
-    # times drive the visit schedule (Lemma 4).
-    by_active = np.argsort(actives, kind="stable")
-    actives_sorted = actives[by_active]
-    emit_times = unique_sorted(starts)
-
-    alive_ends = _EMPTY
-    alive_starts = _EMPTY
-    alive_eids = _EMPTY
-    act_pos = 0
-    prev_t: int | None = None
-    for t in emit_times.tolist():
-        if deadline is not None and deadline.expired():
-            return False
-        # Cut: windows whose start time was the previous visited start
-        # expired the step after it (no other start lies in between).
-        if prev_t is not None:
-            keep = alive_starts != prev_t
-            if not keep.all():
-                alive_ends = alive_ends[keep]
-                alive_starts = alive_starts[keep]
-                alive_eids = alive_eids[keep]
-        # Merge: windows with activation time in (prev_t, t], pre-sorted
-        # by end, spliced at their searchsorted positions (stable: new
-        # entries land before existing equal-end entries, like the
-        # oracle's roving cursor).
-        hi = int(np.searchsorted(actives_sorted, t, side="right"))
-        if hi > act_pos:
-            incoming = by_active[act_pos:hi]
-            act_pos = hi
-            incoming = incoming[np.argsort(ends[incoming], kind="stable")]
-            incoming_ends = ends[incoming]
-            if len(alive_ends):
-                positions = np.searchsorted(
-                    alive_ends, incoming_ends, side="left"
-                )
-                alive_ends = np.insert(alive_ends, positions, incoming_ends)
-                alive_starts = np.insert(
-                    alive_starts, positions, starts[incoming]
-                )
-                alive_eids = np.insert(alive_eids, positions, eids[incoming])
-            else:
-                alive_ends = incoming_ends
-                alive_starts = starts[incoming]
-                alive_eids = eids[incoming]
-        # AS-Output: the first entry starting exactly at t flips the
-        # valid flag (Lemma 6); every end-group boundary from there on
-        # reports one core as a prefix of the shared end-sorted run.
-        # t is some window's start time and that window is alive (its
-        # activation time never exceeds its start time), so a True
-        # exists for argmax to find.
-        p0 = int(np.argmax(alive_starts == t))
-        suffix = alive_ends[p0:]
-        boundary = np.empty(len(suffix), dtype=bool)
-        boundary[-1] = True
-        np.not_equal(suffix[1:], suffix[:-1], out=boundary[:-1])
-        emit_pos = np.flatnonzero(boundary) + p0
-        sink.emit(t, alive_ends[emit_pos], emit_pos + 1, alive_eids)
-        prev_t = t
-    return True

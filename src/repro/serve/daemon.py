@@ -56,6 +56,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.core import native
 from repro.core.index import CoreIndexRegistry
 from repro.core.maintenance import StreamingCoreService
 from repro.errors import InvalidParameterError, ReproError, StoreError
@@ -503,7 +504,13 @@ class ServingDaemon:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket, warm the store, start the drain task."""
+        """Load the C kernels, warm the store, bind the socket, start the drain task.
+
+        The kernels load first, so a host that cannot compile them fails
+        here with :class:`~repro.errors.KernelBuildError` (the
+        compiler's stderr), before anything is bound or warmed.
+        """
+        native.library()
         if self.warm:
             await asyncio.get_running_loop().run_in_executor(
                 self._exec, self._boot_warm

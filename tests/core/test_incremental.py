@@ -296,9 +296,9 @@ class TestDeltaFoldIdentity:
         assert base.num_edges == len(base_edges)
 
 
-@pytest.mark.usefixtures("numpy_fixpoint")
+@pytest.mark.failed_compile
 class TestDeltaFoldIdentityNumpy(TestDeltaFoldIdentity):
-    """Every fold identity case again on the numpy fixpoint rounds."""
+    """Every fold identity case on a host whose compile failed: it raises, it never computes."""
 
 
 class TestFallbacks:

@@ -2,30 +2,24 @@
 
 The cache directory and the compiler command are redirected by
 monkeypatching the module's functions; each test loads through the
-unmemoised ``_load`` or clears :func:`native.library`'s memo.
+unmemoised ``_load`` or clears the memo behind :func:`native.library`.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
+from repro import cli
 from repro.core import native
-from repro.core.index import CoreIndex
 from repro.core.multik import compute_core_times_multi
+from repro.errors import KernelBuildError
 from repro.graph.generators import uniform_random_temporal
-from repro.obs.metrics import get_registry
-
-pytestmark = pytest.mark.skipif(
-    native.library() is None, reason="no working C compiler"
-)
 
 
 @pytest.fixture()
@@ -47,21 +41,9 @@ def cache(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def fresh_memo():
-    native.library.cache_clear()
+    native._loaded.cache_clear()
     yield
-    native.library.cache_clear()
-
-
-def _flat(results):
-    return [
-        part
-        for k in sorted(results)
-        for part in results[k].vct.flat_parts() + results[k].ecs.flat_parts()
-    ]
-
-
-def _same(left, right) -> bool:
-    return all(np.array_equal(a, b) for a, b in zip(_flat(left), _flat(right), strict=True))
+    native._loaded.cache_clear()
 
 
 class TestCache:
@@ -159,7 +141,7 @@ def test_racing_processes_on_cold_cache(tmp_path):
         from repro.datasets.paper_example import paper_example_graph
 
         native.cache_dirs = lambda: [pathlib.Path({str(directory)!r})]
-        assert native.library() is not None
+        native.library()
         graph = paper_example_graph()
         multi = compute_core_times_multi(graph, [2, 3])
         for k in (2, 3):
@@ -188,37 +170,36 @@ def test_racing_processes_on_cold_cache(tmp_path):
     assert [p for p in directory.iterdir() if not p.name.endswith(".so")] == []
 
 
-def test_failing_compiler_falls_back(tmp_path, monkeypatch, caplog, fresh_memo):
-    graph = uniform_random_temporal(20, 220, tmax=18, seed=5)
-    compiled = compute_core_times_multi(graph, [1, 2, 4])
-    index = CoreIndex(graph, 2)
-    ranges = [(1, graph.tmax), (3, 12), (3, 12), (5, 9)]
-
-    def answers():
-        return [(r.num_results, r.total_edges) for r in index.query_batch(ranges)]
-
-    compiled_answers = answers()
+def test_failing_compiler_raises_once(tmp_path, monkeypatch, fresh_memo):
+    """The compiler's stderr reaches the error; a failure is memoised like a success."""
+    runs = []
     failing = [
         sys.executable,
         "-c",
         "import sys; sys.stderr.write('cc: fatal error: no input\\n'); sys.exit(1)",
     ]
+
+    def command(source, output):
+        runs.append(output)
+        return failing
+
+    monkeypatch.setattr(native, "cache_dirs", lambda: [tmp_path / "cache"])
+    monkeypatch.setattr(native, "compiler_command", command)
+    graph = uniform_random_temporal(20, 220, tmax=18, seed=5)
+    with pytest.raises(KernelBuildError, match="cc: fatal error: no input"):
+        native.library()
+    with pytest.raises(KernelBuildError, match="cc: fatal error: no input"):
+        compute_core_times_multi(graph, [1, 2, 4])
+    assert len(runs) == 1
+    assert not list((tmp_path / "cache").glob("*.so"))
+
+
+def test_serve_exits_at_boot_without_kernels(tmp_path, monkeypatch, capsys, fresh_memo):
+    """``repro serve`` fails before it binds, with the compiler's stderr."""
+    failing = [sys.executable, "-c", "import sys; sys.exit('cc: fatal error: no input')"]
     monkeypatch.setattr(native, "cache_dirs", lambda: [tmp_path / "cache"])
     monkeypatch.setattr(native, "compiler_command", lambda source, output: failing)
-    native.library.cache_clear()
-    with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-        assert native.library() is None
-        fallback = compute_core_times_multi(graph, [1, 2, 4])
-        compute_core_times_multi(graph, [2, 3])
-        fallback_answers = answers()
-    warnings = [r for r in caplog.records if r.name == "repro.core.native"]
-    assert len(warnings) == 1
-    assert "cc: fatal error: no input" in warnings[0].getMessage()
-    assert get_registry().get("repro_kernel_native").value == 0
-    assert _same(compiled, fallback)
-    assert fallback_answers == compiled_answers
-
-
-def test_gauge_reports_compiled(fresh_memo):
-    assert native.library() is not None
-    assert get_registry().get("repro_kernel_native").value == 1
+    assert cli.main(["serve", "--store", str(tmp_path / "store"), "--port", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert "ready" not in out
+    assert "cc: fatal error: no input" in err

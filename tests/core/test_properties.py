@@ -7,14 +7,11 @@ oracle and respect the paper's structural lemmas.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import enumerate_bruteforce
 from repro.baselines.otcd import enumerate_otcd
-from repro.core import native
 from repro.core.coretime import compute_core_times
 from repro.core.enumbase import enumerate_temporal_kcores_base
 from repro.core.enumerate import enumerate_temporal_kcores
@@ -24,6 +21,8 @@ from repro.graph.snapshot import Snapshot
 from repro.graph.static_core import snapshot_k_core
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validation import exact_core_edge_ids
+
+from tests.conftest import ON_BOTH_PATHS
 
 
 @st.composite
@@ -156,14 +155,13 @@ def test_subrange_query_consistent_with_full(case, data):
     assert sub.edge_sets() == expected
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("path", ON_BOTH_PATHS)
 @settings(max_examples=40, deadline=None)
 @given(case=graph_k_and_ranges())
-def test_query_batch_counters_equal_oracle(compiled, case):
+def test_query_batch_counters_equal_oracle(path, case):
     """Deduped, merged and routed batch answers count what the oracle counts."""
     graph, k, ranges = case
-    with mock.patch.object(native, "library", native.library if compiled else lambda: None):
-        results = CoreIndex(graph, k).query_batch(ranges)
+    results = CoreIndex(graph, k).query_batch(ranges)
     for (ts, te), result in zip(ranges, results):
         oracle = enumerate_temporal_kcores_ref(graph, k, ts, te, collect=False)
         assert (result.num_results, result.total_edges, result.completed) == (

@@ -6,10 +6,10 @@ same count, same TTI set, same edge *set* per TTI, same ``|R|``.
 (Intra-core edge order may differ inside equal-end-time groups; the
 identity of a core is its edge set.)
 
-Every oracle case runs on both walks: the compiled step and the numpy
-loop.  The compiled walk is also held to the numpy walk directly —
-entry-identical emissions at every step, identical counters (slice
-routers included) after completion and after an abort.
+The compiled walks are also held to the seed walk over raw window
+slices: the emitting walk's cores (TTI and edge set) at every step,
+and the counting walk's counters, slice-router targets included, after
+completion and after an abort.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import native
 from repro.core.enumerate import enumerate_temporal_kcores
-from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
+from repro.core.enumerate_ref import (
+    enumerate_active_window_arrays_ref,
+    enumerate_temporal_kcores_ref,
+)
 from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
 from repro.obs.metrics import get_registry
@@ -184,14 +186,14 @@ class TestDeadline:
         assert not sink.completed
 
 
-@pytest.mark.usefixtures("numpy_fixpoint")
+@pytest.mark.failed_compile
 class TestOracleIdentityNumpy(TestOracleIdentity):
-    """Every oracle case again on the numpy walk."""
+    """Every oracle case on a host whose compile failed: it raises, it never computes."""
 
 
-@pytest.mark.usefixtures("numpy_fixpoint")
+@pytest.mark.failed_compile
 class TestDeadlineNumpy(TestDeadline):
-    """Every deadline case again on the numpy walk."""
+    """Every deadline case on a host whose compile failed: it raises, it never computes."""
 
 
 class RecordingSink(ResultSink):
@@ -216,21 +218,53 @@ def counters(sinks):
 
 
 def emitted(sink):
-    """A recording sink's batches as plain lists."""
-    return [(t, *(part.tolist() for part in parts)) for t, *parts in sink.batches]
+    """A recording sink's batches as cores: ``[(ts, te, edge set)]`` in emission order."""
+    return [
+        (t, end, frozenset(eids[:length].tolist()))
+        for t, ends, lengths, eids in sink.batches
+        for end, length in zip(ends.tolist(), lengths.tolist())
+    ]
 
 
-@pytest.mark.skipif(native.library() is None, reason="no working C compiler")
+def oracle_cores(arrays):
+    """The seed linked-list walk's cores of a window slice, as :func:`emitted` lists them.
+
+    The seed walk steps through every time unit of its span, so it runs
+    over the ranks of the slice's times (it only compares them) and the
+    cores' TTIs are mapped back.
+    """
+    eids, *times = arrays
+    distinct = np.unique(np.concatenate(times))
+    ranked = [np.searchsorted(distinct, part) for part in times]
+    cores = []
+    enumerate_active_window_arrays_ref(
+        1, 0, len(distinct) - 1, (eids, *ranked), collect=False,
+        on_result=lambda ts, te, edges: cores.append(
+            (int(distinct[ts]), int(distinct[te]), frozenset(edges))),
+    )
+    return cores
+
+
+def oracle_counters(cores, targets, completed=True):
+    """What each target ``(ts, te)`` counts of ``cores``: those whose TTI fits inside."""
+    out = []
+    for lo, hi in targets:
+        inside = [edges for ts, te, edges in cores if lo <= ts and te <= hi]
+        out.append((len(inside), sum(map(len, inside)), completed))
+    return out
+
+
+def visits(cores):
+    return len({ts for ts, _te, _edges in cores})
+
+
 class TestCompiledWalk:
-    """The compiled walk against the numpy walk it replaces."""
+    """The compiled walks, emitting and counting, against the seed linked-list walk."""
 
     @staticmethod
-    def walk(monkeypatch, compiled, arrays, sink, deadline=None):
-        """One walk on the chosen path, finished like the executor does."""
-        with monkeypatch.context() as patch:
-            if not compiled:
-                patch.setattr(native, "library", lambda: None)
-            done = run_columnar_walk(arrays, sink, deadline=deadline)
+    def walk(arrays, sink, deadline=None):
+        """One walk, finished like the executor does."""
+        done = run_columnar_walk(arrays, sink, deadline=deadline)
         sink.finish(done)
         return done
 
@@ -271,54 +305,59 @@ class TestCompiledWalk:
             assert ends.max() - actives.min() >= 2 * len(ends) + 64
         return slices
 
+    def test_oracle_cores_match_the_enum_engine(self):
+        """The ranked seed walk reports what the seed engine reports over the range."""
+        graph = uniform_random_temporal(13, 150, tmax=22, seed=0)
+        index = CoreIndex(graph, 2)
+        for ts, te in [(1, graph.tmax)] + random_windows(random.Random(3), graph.tmax, 4):
+            reference = enumerate_temporal_kcores_ref(graph, 2, ts, te, skyline=index.ecs)
+            cores = oracle_cores(index.ecs.active_window_arrays(ts, te))
+            assert sorted((ts, te, edges) for ts, te, edges in cores) == sorted(
+                (*core.tti, core.edge_set()) for core in reference
+            )
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_emissions_entry_identical_at_every_step(self, monkeypatch, seed):
+    def test_emissions_entry_identical_at_every_step(self, seed):
         """Compared after the walk: no emitted array was mutated later."""
         for arrays in self.slices(seed):
-            got, want = RecordingSink(), RecordingSink()
-            assert self.walk(monkeypatch, True, arrays, got)
-            assert self.walk(monkeypatch, False, arrays, want)
-            assert len(got.batches) == len(want.batches)
-            for (t, *parts), (t_ref, *ref_parts) in zip(got.batches, want.batches):
-                assert t == t_ref
-                for part, ref in zip(parts, ref_parts):
-                    assert part.dtype == ref.dtype == np.int64
-                    assert np.array_equal(part, ref), t
+            got = RecordingSink()
+            assert self.walk(arrays, got)
+            for _t, *parts in got.batches:
+                assert all(part.dtype == np.int64 for part in parts)
+            assert emitted(got) == oracle_cores(arrays)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_count_sink_counters_identical(self, monkeypatch, seed):
+    def test_count_sink_counters_identical(self, seed):
         for arrays in self.slices(seed):
-            got, want = CountSink(), CountSink()
-            self.walk(monkeypatch, True, arrays, got)
-            self.walk(monkeypatch, False, arrays, want)
-            assert counters([got]) == counters([want])
+            got = CountSink()
+            self.walk(arrays, got)
+            assert counters([got]) == oracle_counters(oracle_cores(arrays), [(0, 1 << 62)])
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_counting_router_with_repeated_targets(self, monkeypatch, seed):
+    def test_counting_router_with_repeated_targets(self, seed):
         """1,200 targets, many repeated, several starting before the slice."""
         graph = uniform_random_temporal(13, 150, tmax=24, seed=seed)
         arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
         rng = random.Random(8100 + seed)
         targets = random_windows(rng, graph.tmax, 400) * 3
         rng.shuffle(targets)
-        (got, got_sinks), (want, want_sinks) = (
-            router_counters(targets), router_counters(targets))
+        got, got_sinks = router_counters(targets)
         assert got.counting_targets() is not None
-        self.walk(monkeypatch, True, arrays, got)
-        self.walk(monkeypatch, False, arrays, want)
-        assert counters(got_sinks) == counters(want_sinks)
-        assert (got.num_results, got.total_edges) == (want.num_results, want.total_edges)
-        assert got._batches == want._batches > 0
+        self.walk(arrays, got)
+        cores = oracle_cores(arrays)
+        assert counters(got_sinks) == oracle_counters(cores, targets)
+        assert counters([got]) == oracle_counters(cores, [(1, graph.tmax)])
+        assert got._batches == visits(cores) > 0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_counting_over_raw_times(self, monkeypatch, seed):
+    def test_counting_over_raw_times(self, seed):
         """Count sinks and router targets between, before and after raw times count alike."""
         graph, index = self.raw_index(seed)
         for arrays in self.raw_slices(seed):
-            got, want = CountSink(), CountSink()
-            self.walk(monkeypatch, True, arrays, got)
-            self.walk(monkeypatch, False, arrays, want)
-            assert counters([got]) == counters([want])
+            cores = oracle_cores(arrays)
+            got = CountSink()
+            self.walk(arrays, got)
+            assert counters([got]) == oracle_counters(cores, [(1, graph.tmax)])
             _eids, starts, ends, actives = arrays
             first_end = int(ends[starts == starts.min()].min())
             last_visit = int(starts.max())
@@ -329,116 +368,107 @@ class TestCompiledWalk:
                 (last_visit + 1, graph.tmax),  # starts after the last visit
                 (int(starts.min()), int(ends.max())),  # the whole slice
             ]
-            (got, got_sinks), (want, want_sinks) = (
-                router_counters(targets), router_counters(targets))
-            self.walk(monkeypatch, True, arrays, got)
-            self.walk(monkeypatch, False, arrays, want)
-            assert counters(got_sinks) == counters(want_sinks)
+            got, got_sinks = router_counters(targets)
+            self.walk(arrays, got)
+            assert counters(got_sinks) == oracle_counters(cores, targets)
             assert counters(got_sinks)[-1][:2] == (got.num_results, got.total_edges)
             assert counters(got_sinks)[-3:-1] == [(0, 0, True)] * 2
-            assert got._batches == want._batches
+            assert got._batches == visits(cores)
 
-    def test_router_metrics_count_identically(self, monkeypatch):
+    def test_router_metrics_count_identically(self):
         graph = uniform_random_temporal(13, 150, tmax=24, seed=5)
         arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
         targets = random_windows(random.Random(5), graph.tmax, 30)
         registry = get_registry()
         names = ("repro_router_batches_total", "repro_router_targets_total")
-        moved = []
-        for compiled in (True, False):
-            before = [registry.get(name).value for name in names]
-            self.walk(monkeypatch, compiled, arrays, router_counters(targets)[0])
-            moved.append([registry.get(n).value - b for n, b in zip(names, before)])
-        assert moved[0] == moved[1]
-        assert moved[0][1] == len(targets)
+        before = [registry.get(name).value for name in names]
+        self.walk(arrays, router_counters(targets)[0])
+        moved = [registry.get(n).value - b for n, b in zip(names, before)]
+        assert moved == [visits(oracle_cores(arrays)), len(targets)]
 
-    def test_mixed_count_and_flat_targets(self, monkeypatch):
+    def test_mixed_count_and_flat_targets(self):
         graph = uniform_random_temporal(13, 150, tmax=24, seed=2)
         arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
         targets = random_windows(random.Random(9), graph.tmax, 12)
-        outputs = []
-        for compiled in (True, False):
-            sinks = [FlatArraySink() if i % 3 == 0 else CountSink()
-                     for i in range(len(targets))]
-            router = _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)])
-            assert router.counting_targets() is None
-            self.walk(monkeypatch, compiled, arrays, router)
-            outputs.append((
-                counters(sinks),
-                [[(ts, te, run.tolist()) for ts, te, run in s.iter_cores()]
-                 for s in sinks if isinstance(s, FlatArraySink)],
-            ))
-        assert outputs[0] == outputs[1]
+        sinks = [FlatArraySink() if i % 3 == 0 else CountSink() for i in range(len(targets))]
+        router = _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)])
+        assert router.counting_targets() is None
+        self.walk(arrays, router)
+        cores = oracle_cores(arrays)
+        assert counters(sinks) == oracle_counters(cores, targets)
+        for (lo, hi), sink in zip(targets, sinks):
+            if isinstance(sink, FlatArraySink):
+                assert [
+                    (ts, te, frozenset(run.tolist())) for ts, te, run in sink.iter_cores()
+                ] == [(ts, te, edges) for ts, te, edges in cores if lo <= ts and te <= hi]
 
-    def test_empty_slice(self, monkeypatch):
+    def test_empty_slice(self):
         empty = np.empty(0, dtype=np.int64)
         arrays = (empty, empty, empty, empty)
         for sink in (CountSink(), RecordingSink(), router_counters([(1, 5)])[0]):
-            assert self.walk(monkeypatch, True, arrays, sink)
+            assert self.walk(arrays, sink)
             assert (sink.num_results, sink.total_edges, sink.completed) == (0, 0, True)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_width_one_windows(self, monkeypatch, seed):
+    def test_width_one_windows(self, seed):
         graph = uniform_random_temporal(12, 160, tmax=10, seed=seed)
         index = CoreIndex(graph, 1)
         for t in range(1, graph.tmax + 1):
             arrays = index.ecs.active_window_arrays(t, t)
-            got, want = RecordingSink(), RecordingSink()
-            self.walk(monkeypatch, True, arrays, got)
-            self.walk(monkeypatch, False, arrays, want)
-            assert emitted(got) == emitted(want)
+            cores = oracle_cores(arrays)
+            got = RecordingSink()
+            self.walk(arrays, got)
+            assert emitted(got) == cores
             count = CountSink()
-            self.walk(monkeypatch, True, arrays, count)
-            assert (count.num_results, count.total_edges) == (
-                want.num_results, want.total_edges)
+            self.walk(arrays, count)
+            assert counters([count]) == oracle_counters(cores, [(t, t)])
 
     @pytest.mark.parametrize("polls", [0, 1, 2, 3, 7, 30])
-    def test_abort_leaves_identical_partial_counters(self, monkeypatch, polls):
+    def test_abort_leaves_identical_partial_counters(self, polls):
+        """An abort keeps the oracle's cores of every visit finished before it."""
         graph = uniform_random_temporal(13, 150, tmax=18, seed=11)
         arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
-        visits = len(np.unique(arrays[1]))
+        cores = oracle_cores(arrays)
+        finished = sorted({ts for ts, _te, _edges in cores})[:polls]
+        done = polls >= visits(cores)  # 30 polls outlast the walk
+        kept = [core for core in cores if core[0] in finished]
         targets = random_windows(random.Random(polls), graph.tmax, 40)
-        runs = []
-        for compiled in (True, False):
-            count, recording = CountSink(), RecordingSink()
-            router, router_sinks = router_counters(targets)
-            flags = [
-                self.walk(monkeypatch, compiled, arrays, sink, ExpiresAfter(polls))
-                for sink in (count, recording, router)
-            ]
-            runs.append((
-                flags,
-                counters([count, recording, router, *router_sinks]),
-                len(recording.batches),
-                router._batches,
-            ))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == [polls >= visits] * 3  # 30 polls outlast the walk
-        assert runs[0][2] == runs[0][3] == min(polls, visits)
+        count, recording = CountSink(), RecordingSink()
+        router, router_sinks = router_counters(targets)
+        flags = [
+            self.walk(arrays, sink, ExpiresAfter(polls)) for sink in (count, recording, router)
+        ]
+        assert flags == [done] * 3
+        everything = oracle_counters(kept, [(1, graph.tmax)], done)
+        assert counters([count, recording, router]) == everything * 3
+        assert counters(router_sinks) == oracle_counters(kept, targets, done)
+        assert emitted(recording) == kept
+        assert len(recording.batches) == router._batches == len(finished)
 
     @pytest.mark.parametrize("span", [12, 5_000, 1 << 40])
     @pytest.mark.parametrize("seed", range(3))
-    def test_synthetic_slices_of_every_time_span(self, monkeypatch, span, seed):
-        """Spans sorted by the packed key and spans that overflow it walk identically."""
+    def test_synthetic_slices_of_every_time_span(self, span, seed):
+        """Spans sorted by the packed key and spans that overflow it walk like the oracle."""
         rng = np.random.default_rng(seed)
         size = 60
         times = np.sort(rng.integers(0, span, size=(size, 3)), axis=1)
         actives, starts, ends = (np.ascontiguousarray(times[:, i]) for i in range(3))
         arrays = (rng.permutation(size).astype(np.int64), starts, ends, actives)
-        visits = np.unique(starts)
-        splice = np.lexsort((actives, ends, np.searchsorted(visits, actives)))
+        visit_times = np.unique(starts)
+        splice = np.lexsort((actives, ends, np.searchsorted(visit_times, actives)))
         got_visits, got_splice = columnar._schedule(starts, ends, actives)
-        assert np.array_equal(got_visits, visits)
+        assert np.array_equal(got_visits, visit_times)
         assert np.array_equal(got_splice, splice)
         targets = [tuple(sorted(pair)) for pair in rng.integers(0, span, (20, 2)).tolist()]
-        outputs = []
-        for compiled in (True, False):
-            recording = RecordingSink()
-            router, router_sinks = router_counters(targets)
-            for sink in (recording, router):
-                self.walk(monkeypatch, compiled, arrays, sink)
-            outputs.append((emitted(recording), counters([router, *router_sinks])))
-        assert outputs[0] == outputs[1]
+        cores = oracle_cores(arrays)
+        recording = RecordingSink()
+        router, router_sinks = router_counters(targets)
+        for sink in (recording, router):
+            self.walk(arrays, sink)
+        assert emitted(recording) == cores
+        assert counters([router, *router_sinks]) == oracle_counters(
+            cores, [(0, span)] + targets
+        )
 
     def test_counting_walk_refuses_windows_out_of_order(self):
         eids, starts, ends, actives = (part.copy() for part in self.slices(0)[0])
@@ -446,7 +476,7 @@ class TestCompiledWalk:
         with pytest.raises(ValueError):
             run_columnar_walk((eids, starts, ends, actives), CountSink())
 
-    def test_non_int64_slice_is_refused(self, monkeypatch):
+    def test_non_int64_slice_is_refused(self):
         arrays = self.slices(0)[0]
         narrowed = tuple(part.astype(np.int32) for part in arrays)
         with pytest.raises(TypeError):
