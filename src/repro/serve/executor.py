@@ -86,14 +86,13 @@ class _SliceRouter(ResultSink):
     are the range's cores (TTI containment, see the planner notes).
 
     When every target delivers to a bare :class:`CountSink` (the batch
-    default), routing never re-enters Python per target: the per-target
-    result and edge counters are accumulated as flat arrays (one
-    ``cumsum`` of the batch's prefix lengths gives every cut's edge
-    total) and written into the sinks once, at :meth:`finish`.  This is
-    what keeps 1000+-request contended batches vectorised end to end.
-    A compiled walk does this routing itself, in C, straight into the
-    same accumulators (:meth:`counting_targets`), and then
-    :meth:`consume` never runs.
+    default), routing never re-enters Python per target: the compiled
+    counting walk routes in C, straight into flat per-target result
+    and edge accumulators (:meth:`counting_targets`), which
+    :meth:`finish` writes into the sinks once.  This is what keeps
+    1000+-request contended batches vectorised end to end; such a
+    router's :meth:`consume` never runs (an emission handed to it by
+    hand still reaches each counter through its own ``emit``).
     """
 
     def __init__(self, targets: list[tuple[int, int, ResultSink]]):
@@ -129,13 +128,6 @@ class _SliceRouter(ResultSink):
         if not len(active):
             return
         counts = np.searchsorted(ends, self._te[active], side="right")
-        if self._counting:
-            totals = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(prefix_lens))
-            )
-            self._num[active] += counts  # active indices are distinct
-            self._edges[active] += totals[counts]
-            return
         sinks = self._sinks
         for idx, count in zip(active.tolist(), counts.tolist()):
             if count:

@@ -13,7 +13,7 @@ verifying three layers of consistency:
 * **WAL segments** — every segment must scan cleanly
   (:func:`repro.store.wal.scan_segment`); a torn *tail* on the final
   segment is the expected crash artefact, damage earlier in the log is
-  not.
+  not.  The log's file of trimmed dedupe tokens must parse.
 
 The repair philosophy mirrors the loader's: **quarantine, never
 delete**.  A corrupt or unreferenced file is renamed to
@@ -34,7 +34,7 @@ import os
 import pathlib
 from dataclasses import dataclass, field
 
-from repro.errors import StoreError
+from repro.errors import StoreCorruptionError, StoreError
 from repro.obs.metrics import get_registry, next_instance
 from repro.store import codec
 from repro.store.format import read_blob
@@ -45,7 +45,7 @@ from repro.store.index_store import (
     WAL_DIR,
     IndexStore,
 )
-from repro.store.wal import scan_segment
+from repro.store.wal import TOKENS_NAME, read_trimmed_tokens, scan_segment
 
 #: Issue kinds, for stable grouping in reports and metrics.
 KINDS = (
@@ -302,6 +302,15 @@ class _Scrubber:
     def _scrub_wal(self, key: str, wal_dir: pathlib.Path) -> None:
         if not wal_dir.is_dir():
             return
+        if (wal_dir / TOKENS_NAME).exists():
+            self._saw_file()
+            try:
+                read_trimmed_tokens(wal_dir)
+            except StoreCorruptionError:
+                # The log opens without it: retries of trimmed appends
+                # are no longer recognised, every record still is.
+                self._quarantine(key, "wal", wal_dir / TOKENS_NAME,
+                                 "unreadable dedupe tokens")
         segments = sorted(
             p for p in wal_dir.iterdir()
             if p.name.startswith("wal-") and p.name.endswith(".seg")

@@ -43,7 +43,7 @@ import os
 import pathlib
 import time
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 try:  # POSIX advisory locking; absent on some platforms
@@ -790,25 +790,3 @@ class IndexStore:
             return None
         except (StoreError, OSError):
             return None
-
-    def iter_graphs(
-        self,
-    ) -> Iterator[tuple[str, TemporalGraph, dict[int, CoreIndex]]]:
-        """Yield ``(key, graph, {k: index})`` for every readable graph.
-
-        Each key's graph blob is opened once and shared by its indexes;
-        unreadable graphs are skipped and unreadable indexes are left
-        out of the dict, both silently (warm-up must never fail because
-        one entry rotted on disk).
-        """
-        for key in self.keys():
-            try:
-                graph = self.load_graph(key)
-            except (StoreError, OSError):
-                continue
-            indexes: dict[int, CoreIndex] = {}
-            for k in self.stored_ks(key):
-                index = self.load_index(graph, k, key=key)
-                if index is not None:
-                    indexes[k] = index
-            yield key, graph, indexes

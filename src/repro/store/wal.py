@@ -28,7 +28,11 @@ per edge, so a batch of ``n`` edges occupies LSNs ``first .. first +
 n - 1``.  Tokens make retried appends idempotent: the token →
 ``(first_lsn, count)`` map is rebuilt from the log on open, so dedupe
 survives a crash (a client retrying an acknowledged-but-lost answer
-gets byte-identical numbers back).
+gets byte-identical numbers back).  A trim that drops segments first
+writes the tokens of their records to ``wal/tokens.json`` (the most
+recent :data:`TRIMMED_TOKENS` of them), so a retry still finds its
+original answer after the snapshot that covers it trimmed the log and
+the process restarted.
 
 **Torn-tail discipline.**  Records are only ever appended; a crash can
 therefore damage at most the tail of the *last* segment (rotation
@@ -84,8 +88,18 @@ _FRAME = struct.Struct("<II")
 #: as damage, not as a 4 GiB allocation.
 MAX_RECORD_BYTES = 16 << 20
 
-#: Default segment rotation threshold.
+#: Segment rotation threshold of a log opened without ``segment_bytes``
+#: (read when the log opens, not bound at import).
 DEFAULT_SEGMENT_BYTES = 4 << 20
+
+#: How many dedupe tokens of trimmed records the log keeps: retrying
+#: any of the last ``TRIMMED_TOKENS`` token-carrying appends a trim
+#: dropped still answers the original acknowledgement.
+TRIMMED_TOKENS = 4096
+
+#: The file in ``wal/`` holding those tokens: ``{"tokens": [[token,
+#: first_lsn, count], ...]}``, oldest first, replaced atomically.
+TOKENS_NAME = "tokens.json"
 
 _SEG_PREFIX = "wal-"
 _SEG_SUFFIX = ".seg"
@@ -178,6 +192,31 @@ def scan_segment(path: str | os.PathLike[str]) -> SegmentScan:
     return SegmentScan(path, records, offset, None)
 
 
+def read_trimmed_tokens(
+    directory: str | os.PathLike[str],
+) -> dict[str, tuple[int, int]]:
+    """The tokens past trims kept in ``directory`` (``{}`` if none).
+
+    Raises :class:`StoreCorruptionError` for an unreadable file, which
+    ``repro fsck`` quarantines.
+    """
+    path = pathlib.Path(directory) / TOKENS_NAME
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    try:
+        return {
+            token: (first, count)
+            for token, first, count in json.loads(data)["tokens"]
+        }
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StoreCorruptionError(
+            f"{path}: unreadable dedupe tokens ({exc}); "
+            f"run `repro fsck` to quarantine it"
+        ) from None
+
+
 def _encode_record(first_lsn: int, edges: Sequence[tuple], token: str | None) -> bytes:
     record: dict = {"l": first_lsn, "e": [[u, v, t] for u, v, t in edges]}
     if token is not None:
@@ -197,7 +236,8 @@ class WriteAheadLog:
         <repro.store.index_store.IndexStore.wal>`.
     segment_bytes:
         Rotation threshold — a segment at or past this size is sealed
-        (fsynced) and a successor created before the next record.
+        (fsynced) and a successor created before the next record;
+        :data:`DEFAULT_SEGMENT_BYTES` when omitted.
     sync:
         ``"always"`` — every append call is durable before returning
         (group-committed across threads); ``"batch"`` — durability is
@@ -212,12 +252,14 @@ class WriteAheadLog:
         self,
         directory: str | os.PathLike[str],
         *,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        segment_bytes: int | None = None,
         sync: str = "always",
         metrics: "MetricsRegistry | None" = None,
     ):
         if sync not in ("always", "batch"):
             raise StoreError(f"sync must be 'always' or 'batch', got {sync!r}")
+        if segment_bytes is None:
+            segment_bytes = DEFAULT_SEGMENT_BYTES
         if segment_bytes < 256:
             raise StoreError(f"segment_bytes must be >= 256, got {segment_bytes}")
         self.directory = pathlib.Path(directory)
@@ -282,7 +324,9 @@ class WriteAheadLog:
         """Scan existing segments, truncate the torn tail, resume LSNs."""
         self.last_lsn = 0
         self.last_event_time: int | None = None
-        self._tokens: dict[str, tuple[int, int]] = {}
+        # Token -> (first_lsn, count), in LSN order: the trimmed tokens
+        # predate every surviving segment.
+        self._tokens = read_trimmed_tokens(self.directory)
         segments = self._segments()
         for position, segment in enumerate(segments):
             scan = scan_segment(segment)
@@ -319,6 +363,16 @@ class WriteAheadLog:
             self._handle.flush()
             os.fsync(self._handle.fileno())
             fsync_dir(self.directory)
+
+    def _write_trimmed_tokens(self, tokens: dict[str, tuple[int, int]]) -> None:
+        final = self.directory / TOKENS_NAME
+        tmp = final.with_name(f"{TOKENS_NAME}.tmp.{os.getpid()}")
+        payload = {"tokens": [[token, *ack] for token, ack in tokens.items()]}
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, separators=(",", ":")))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, final)
 
     def _absorb_scan(self, scan: SegmentScan) -> None:
         for record in scan.records:
@@ -498,31 +552,43 @@ class WriteAheadLog:
 
         The checkpoint truncation that follows a durable snapshot: a
         segment is removable once the snapshot covers all of it.  The
-        live segment is never removed.  Returns the number of segments
-        dropped.
+        live segment is never removed.  Before anything is unlinked the
+        tokens of the dropped records are written to
+        :data:`TOKENS_NAME` (the last :data:`TRIMMED_TOKENS` of them,
+        older trimmed tokens included), and the in-memory map keeps
+        exactly those plus the surviving segments' — so a retried token
+        answers the same before and after a restart.  Returns the
+        number of segments dropped.
         """
         segments = self._segments()
-        removed = 0
-        for position, segment in enumerate(segments):
-            if position == len(segments) - 1:
-                break  # the live segment stays
+        doomed = []
+        for position in range(len(segments) - 1):  # the live segment stays
             next_base = _segment_base_lsn(segments[position + 1].name)
             assert next_base is not None
-            if next_base - 1 <= upto_lsn:
-                os.unlink(segment)
-                removed += 1
-                crashpoint("wal.trim.mid")
-        if removed:
-            fsync_dir(self.directory)
-        return removed
+            if next_base - 1 > upto_lsn:
+                break
+            doomed.append(segments[position])
+        if not doomed:
+            return 0
+        floor = _segment_base_lsn(segments[len(doomed)].name)
+        with self._write_lock:
+            # The map is in LSN order, and at most TRIMMED_TOKENS long
+            # past the surviving segments' tokens.
+            tokens = list(self._tokens.items())
+            dropped = [item for item in tokens if item[1][0] < floor]
+            trimmed = dict(dropped[-TRIMMED_TOKENS:])
+            self._tokens = {**trimmed, **dict(tokens[len(dropped):])}
+        self._write_trimmed_tokens(trimmed)
+        fsync_dir(self.directory)
+        for segment in doomed:
+            os.unlink(segment)
+            crashpoint("wal.trim.mid")
+        fsync_dir(self.directory)
+        return len(doomed)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-
-    def pending_after(self, lsn: int) -> int:
-        """How many durable events sit past ``lsn`` (cheap, in-memory)."""
-        return max(0, self.last_lsn - lsn)
 
     def segment_paths(self) -> list[pathlib.Path]:
         """The live segment files, oldest first."""

@@ -1,22 +1,18 @@
-"""Reusable fault-injection harnesses for durability testing.
+"""Crash and fault injection points for durability testing.
 
 This package ships *with* the library (not under ``tests/``) because the
-production modules cooperate with it: the write-ahead log, the blob
-writer, the manifest writer and the streaming snapshot path all call
-:func:`repro.testing.crashpoints.crashpoint` at the instants where a
-crash is interesting.  In normal operation those calls are a single
-module-global read; under ``REPRO_CRASHPOINT=<name>`` the named call
-SIGKILLs the process mid-operation — which is how the crash campaign
-(:mod:`repro.testing.harness`) proves that no acknowledged append can
-be lost and no crash instant can leave an unopenable store.
+production modules call it: the write-ahead log, the blob writer, the
+manifest writer, the streaming snapshot path and the incremental fold
+all call :func:`repro.testing.crashpoints.crashpoint` at the instants
+where a crash is interesting.  In normal operation those calls are a
+single module-global read; under ``REPRO_CRASHPOINT=<name>`` the named
+call SIGKILLs the process mid-operation — which is how the crash
+campaign (``tests/store/test_crash_campaign.py``, killing ``repro
+serve`` itself) proves that every acknowledged append lands exactly
+once and no crash instant can leave an unopenable store.
 
 * :mod:`repro.testing.crashpoints` — the named crash/fault point
-  catalogue and the env-var-driven triggers;
-* :mod:`repro.testing.harness` — subprocess campaign utilities: run an
-  ingestion child that dies at a chosen point, collect what it
-  acknowledged before dying;
-* :mod:`repro.testing.crash_driver` — the ingestion child itself
-  (``python -m repro.testing.crash_driver``).
+  catalogue and the env-var-driven triggers.
 """
 
 from repro.testing.crashpoints import (

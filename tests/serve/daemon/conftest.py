@@ -53,13 +53,14 @@ class DaemonHandle:
     def __init__(self, proc: subprocess.Popen, port: int):
         self.proc = proc
         self.port = port
+        self.stderr = ""  # what the daemon wrote there, once it exited
 
     def sigterm(self) -> None:
         self.proc.send_signal(15)
 
     def wait(self, timeout: float = 30.0) -> int:
         """Wait for exit; returns the return code (pipes drained)."""
-        self.proc.communicate(timeout=timeout)
+        _out, self.stderr = self.proc.communicate(timeout=timeout)
         return self.proc.returncode
 
     def alive(self) -> bool:
@@ -78,11 +79,25 @@ class DaemonHandle:
                 stream.close()
 
 
-def launch_daemon(store, *extra_args, env=None) -> DaemonHandle:
+#: ``repro serve`` behind one assignment: the WAL segment size read
+#: from ``argv[1]`` replaces :data:`repro.store.wal.DEFAULT_SEGMENT_BYTES`
+#: before the CLI runs — how a test reaches rotation and trim in a real
+#: daemon without a production option.
+_SERVE_WITH_SEGMENT_BYTES = (
+    "import sys\n"
+    "from repro.store import wal\n"
+    "wal.DEFAULT_SEGMENT_BYTES = int(sys.argv.pop(1))\n"
+    "from repro.cli import main\n"
+    "sys.exit(main())\n"
+)
+
+
+def launch_daemon(store, *extra_args, env=None, segment_bytes=None) -> DaemonHandle:
     """Start ``repro serve`` on ``store`` and an ephemeral port.
 
-    ``env`` adds environment variables (the fault hooks).  Returns a
-    :class:`DaemonHandle` once the ready line lands.
+    ``env`` adds environment variables (the crash and fault hooks);
+    ``segment_bytes`` overrides the daemon's WAL segment size.  Returns
+    a :class:`DaemonHandle` once the ready line lands.
     """
     environ = dict(os.environ)
     environ["PYTHONPATH"] = os.pathsep.join(
@@ -91,11 +106,14 @@ def launch_daemon(store, *extra_args, env=None) -> DaemonHandle:
     )
     if env:
         environ.update(env)
+    if segment_bytes is None:
+        entry = ["-m", "repro.cli"]
+    else:
+        entry = ["-c", _SERVE_WITH_SEGMENT_BYTES, str(segment_bytes)]
     proc = subprocess.Popen(
         [
             sys.executable,
-            "-m",
-            "repro.cli",
+            *entry,
             "serve",
             "--store",
             str(store),

@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import asyncio
 import random
-import signal
 
 import pytest
 
 from repro.core.index import CoreIndex
-from repro.core.multik import build_core_indexes
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.client import DaemonClient, DaemonError
 from repro.serve.daemon import ServingDaemon
@@ -217,86 +215,6 @@ class TestCrashRecovery:
                                        te=graph.tmax + 3)
             assert done["completed"]
             assert any(core["num_edges"] == 3 for core in cores)
-
-
-    def test_crash_mid_snapshot_recovers_exactly_once(self, start_daemon,
-                                                      fresh_store):
-        """A flush runs the service's snapshot, so the crash campaign's
-        points fire inside the daemon too.  Die on both sides of the
-        snapshot's one manifest commit — first with every new blob
-        durable but the manifest still old, then (restarted) right after
-        the commit — restart, and every acked append is there exactly
-        once, with every stored ``k`` still stored."""
-        root, graph = fresh_store
-        a, b, c = (graph.label_of(i) for i in range(3))
-        acked = [[a, b, TMAX + 1], [b, c, TMAX + 2], [a, c, TMAX + 3]]
-        handle = start_daemon(
-            store=root,
-            env={"REPRO_CRASHPOINT": "snapshot.post-blobs.pre-commit"},
-        )
-        with DaemonClient("127.0.0.1", handle.port) as client:
-            first = client.append(acked[:2], dedupe="crash-1")
-            second = client.append(acked[2:], dedupe="crash-2")
-            with pytest.raises(DaemonError) as err:
-                client.flush()
-            assert err.value.code == "connection"
-        assert handle.proc.wait(timeout=30) == -signal.SIGKILL
-        # The old manifest still commits the graph with every k (no
-        # graph-only window), and the three records await replay.
-        assert IndexStore(root).stored_ks(STORE_KEY) == list(STORE_KS)
-        assert IndexStore(root).stream_lsn(STORE_KEY) == 0
-
-        # Restart and die again, this time just after the commit.
-        handle = start_daemon(
-            store=root,
-            env={"REPRO_CRASHPOINT": "snapshot.post-indexes.pre-trim"},
-        )
-        with DaemonClient("127.0.0.1", handle.port) as client:
-            for edges, ack, token in ((acked[:2], first, "crash-1"),
-                                      (acked[2:], second, "crash-2")):
-                again = client.append(edges, dedupe=token)
-                assert (again["lsn"], again["appended"]) \
-                    == (ack["lsn"], ack["appended"])
-            with pytest.raises(DaemonError) as err:
-                client.flush()
-            assert err.value.code == "connection"
-        assert handle.proc.wait(timeout=30) == -signal.SIGKILL
-
-        base = [
-            (graph.label_of(u), graph.label_of(v), graph.raw_time_of(t))
-            for u, v, t in graph.edges
-        ]
-        final = TemporalGraph(base + [tuple(edge) for edge in acked])
-        want = build_core_indexes(final, STORE_KS)
-        top = final.tmax
-        ranges = [(1, top), (top - 10, top), (top - 2, top), (5, top - 5)]
-        restarted = start_daemon(store=root)
-        with DaemonClient("127.0.0.1", restarted.port) as client:
-            # The graph, its indexes and its LSN committed before the
-            # crash: the retried acks answer as before, and nothing is
-            # left to fold.
-            for edges, ack, token in ((acked[:2], first, "crash-1"),
-                                      (acked[2:], second, "crash-2")):
-                again = client.append(edges, dedupe=token)
-                assert (again["lsn"], again["appended"]) \
-                    == (ack["lsn"], ack["appended"])
-            flushed = client.flush()
-            assert (flushed["lsn"], flushed["applied"]) == (3, 0)
-            assert IndexStore(root).stored_ks(STORE_KEY) == list(STORE_KS)
-            for k in STORE_KS:
-                answers = client.batch(ranges, k=k)
-                assert [
-                    (answer["num_results"], answer["total_edges"])
-                    for answer in answers
-                ] == [
-                    (result.num_results, result.total_edges)
-                    for result in want[k].query_batch(ranges)
-                ]
-        restarted.sigterm()
-        assert restarted.wait() == 0
-        assert IndexStore(root).load_graph(STORE_KEY).num_edges \
-            == graph.num_edges + len(acked)
-        assert scrub_store(root).clean
 
 
 class TestReadOnly:

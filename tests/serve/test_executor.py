@@ -10,6 +10,7 @@ from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
 from repro.core.index import CoreIndex, CoreIndexRegistry
 from repro.errors import InvalidParameterError
 from repro.graph.generators import uniform_random_temporal
+from repro.serve.columnar import run_columnar_walk
 from repro.serve.executor import execute_plan
 from repro.serve.planner import QueryRequest, plan_for_index, plan_queries
 from repro.serve.sinks import CountSink, FlatArraySink
@@ -125,6 +126,25 @@ class TestMixedPlans:
         assert [r.num_results for r in results] == [2, 2]
 
 
+def counting_router(targets):
+    """A slice router over ``targets``, each delivering to a bare CountSink."""
+    from repro.serve.executor import _SliceRouter
+
+    sinks = [CountSink() for _ in targets]
+    router = _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)])
+    return router, sinks
+
+
+def oracle_counts(graph, k, targets):
+    """``(num_results, total_edges, completed)`` of the seed enumerator per range."""
+    return [
+        (want.num_results, want.total_edges, True)
+        for want in (
+            enumerate_temporal_kcores_ref(graph, k, ts, te) for ts, te in targets
+        )
+    ]
+
+
 class TestSliceRouter:
     """The vectorised flat-interval router (PR 6 satellite)."""
 
@@ -146,30 +166,21 @@ class TestSliceRouter:
             assert got.total_edges == want.total_edges, time_range
 
     def test_counting_fast_path_defers_sink_updates_to_finish(self):
-        """All-CountSink routing accumulates in arrays, not per emission."""
-        from repro.serve.executor import _SliceRouter
-
-        sinks = [CountSink() for _ in range(3)]
-        router = _SliceRouter(
-            [(1, 6, sinks[0]), (2, 4, sinks[1]), (5, 9, sinks[2])]
-        )
-        assert router._counting
-        import numpy as np
-
-        router.emit(
-            2,
-            np.array([3, 5], dtype=np.int64),
-            np.array([2, 4], dtype=np.int64),
-            np.array([10, 11, 12, 13], dtype=np.int64),
-        )
-        # nothing delivered yet: the fast path writes once, at finish
+        """All-CountSink routing accumulates in arrays, not per emission:
+        the counting walk fills them, :meth:`finish` writes the sinks."""
+        graph = uniform_random_temporal(13, 150, tmax=24, seed=4)
+        targets = [(1, 20), (3, 12), (8, 24)]
+        router, sinks = counting_router(targets)
+        assert router.counting_targets() is not None
+        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        done = run_columnar_walk(arrays, router)
+        # nothing delivered yet: the sinks are written once, at finish
         assert [s.num_results for s in sinks] == [0, 0, 0]
-        router.finish(True)
-        # target [1,6] sees both cut ends (3 and 5); [2,4] only end 3;
-        # [5,9] is not active at t=2 (ts=5 > 2).
-        assert [s.num_results for s in sinks] == [2, 1, 0]
-        assert [s.total_edges for s in sinks] == [4 + 2, 2, 0]
-        assert all(s.completed for s in sinks)
+        router.finish(done)
+        assert [
+            (s.num_results, s.total_edges, s.completed) for s in sinks
+        ] == oracle_counts(graph, 2, targets)
+        assert sinks[0].num_results > 0
 
     def test_mixed_sinks_slice_prefixes_per_target(self):
         """A custom sink alongside counters still receives its own cut."""
@@ -195,19 +206,18 @@ class TestSliceRouter:
         ] == [(1, 3, [4, 5]), (1, 7, [4, 5, 6, 7, 8])]
 
     def test_targets_starting_later_activate_later(self):
-        from repro.serve.executor import _SliceRouter
-
-        import numpy as np
-
-        early = CountSink()
-        late = CountSink()
-        router = _SliceRouter([(1, 9, early), (5, 9, late)])
-        one = np.array([6], dtype=np.int64)
-        router.emit(2, one, one, np.array([0], dtype=np.int64))
-        router.emit(5, one, one, np.array([1], dtype=np.int64))
-        router.finish(True)
-        assert early.num_results == 2
-        assert late.num_results == 1  # missed the t=2 emission
+        """A target whose range starts later than the window misses the
+        earlier start times' cores, exactly as its own query would."""
+        graph = uniform_random_temporal(13, 150, tmax=24, seed=1)
+        targets = [(1, 18), (6, 18)]
+        router, sinks = counting_router(targets)
+        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, 18)
+        router.finish(run_columnar_walk(arrays, router))
+        want = oracle_counts(graph, 2, targets)
+        assert [
+            (s.num_results, s.total_edges, s.completed) for s in sinks
+        ] == want
+        assert want[0][0] > want[1][0] > 0
 
 
 @pytest.mark.failed_compile

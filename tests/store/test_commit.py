@@ -14,11 +14,14 @@ from repro.graph.generators import uniform_random_temporal
 from repro.obs.metrics import MetricsRegistry
 from repro.store import IndexStore, codec, scrub_store
 from repro.store.index_store import LOCK_NAME, MANIFEST_NAME, WAL_DIR
-from repro.testing.harness import (
+from repro.testing.crashpoints import CRASHPOINT_ENV
+from tests.store.crash_harness import (
     CAMPAIGN_KEY,
-    CAMPAIGN_SEGMENT_BYTES,
+    KILLED,
+    CampaignRun,
+    campaign_base,
     campaign_store,
-    run_crash_child,
+    seed_store,
 )
 
 KS = (2, 3, 4)
@@ -169,13 +172,32 @@ class TestGenerations:
         assert scrub_store(store.root).clean
 
     def test_crash_before_commit_leaves_orphans_fsck_sets_aside(self, tmp_path):
-        root = campaign_store(tmp_path)
-        outcome = run_crash_child(root, "snapshot.post-blobs.pre-commit:2")
-        assert outcome.crashed
+        root = seed_store(campaign_store(tmp_path))
+        run = CampaignRun(root)
         directory = root / CAMPAIGN_KEY
+        # The daemon dies in the second snapshot (a read's lag flush),
+        # with the new generation's blobs durable and the manifest still
+        # the first flush's.
+        life = run.live(
+            {CRASHPOINT_ENV: "snapshot.post-blobs.pre-commit:2"}
+        )
+        assert life.returncode == KILLED
+        first, second = [
+            position for position, step in enumerate(run.plan)
+            if step.op != "append"
+        ][:2]
+        assert run.position == second
+
+        def lsn(position):
+            """The stream LSN once every append before ``position`` landed."""
+            return sum(len(step.edges) for step in run.plan[:position])
+
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        assert manifest["stream"] == {"lsn": 10}
-        uncommitted = {"graph-0000000000000020.bin", "k2-0000000000000020.idx"}
+        assert manifest["stream"] == {"lsn": lsn(first)}
+        uncommitted = {
+            f"{name}-{lsn(second):016d}.{ext}"
+            for name, ext in (("graph", "bin"), ("k2", "idx"), ("k4", "idx"))
+        }
         assert uncommitted <= set(os.listdir(directory))
         assert not uncommitted & referenced(manifest)
 
@@ -186,10 +208,8 @@ class TestGenerations:
         } == {(name, "orphan", "quarantined") for name in uncommitted}
         assert scrub_store(root).clean
         # The old snapshot plus the WAL still hold every acked append.
-        recovery = IndexStore(root).recover(
-            CAMPAIGN_KEY, segment_bytes=CAMPAIGN_SEGMENT_BYTES
-        )
+        recovery = IndexStore(root).recover(CAMPAIGN_KEY)
         recovery.wal.close()
-        assert recovery.snapshot_lsn == 10
-        assert recovery.graph.num_edges + recovery.replayed \
-            >= max(outcome.acked) + 1
+        assert recovery.snapshot_lsn == lsn(first)
+        assert recovery.graph.num_edges - len(campaign_base()) \
+            + recovery.replayed == lsn(second)

@@ -1,126 +1,180 @@
-"""The crash-point matrix: SIGKILL a child at every registered point,
-then prove recovery holds (tests of :mod:`repro.testing.harness`)."""
+"""The crash-point matrix: SIGKILL ``repro serve`` at every registered
+point, restart it, and prove recovery holds (tests of
+:mod:`tests.store.crash_harness`)."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.store import IndexStore
-from repro.store.fsck import scrub_store
-from repro.testing.crashpoints import registered_crashpoints
-from repro.testing.harness import (
+from repro.testing.crashpoints import (
+    CRASHPOINT_ENV,
+    FAULTPOINT_ENV,
+    registered_crashpoints,
+    registered_faultpoints,
+)
+from tests.store.crash_harness import (
     CAMPAIGN_KEY,
-    CAMPAIGN_SEGMENT_BYTES,
-    audit_recovery,
+    COUNT,
+    KILLED,
+    CampaignRun,
+    campaign_base,
     campaign_edges,
+    campaign_plan,
     campaign_store,
+    campaign_workload,
     run_campaign_point,
-    run_crash_child,
+    seed_store,
 )
 
 
-def fail_report(audit) -> str:
-    return (
-        f"problems={audit.problems}\n"
-        f"acked={len(audit.outcome.acked)} recovered={audit.recovered_count}\n"
-        f"stderr tail:\n{audit.outcome.stderr[-1500:]}"
+#: Later crashes, after snapshots landed; the blob one lands while the
+#: registry commits the ``k=3`` index a read built under the streamed key.
+DEEP_HITS = (
+    "wal.append.post-fsync:7",
+    "wal.append.post-write.pre-fsync:13",
+    "snapshot.post-blobs.pre-commit:2",
+    "snapshot.post-indexes.pre-trim:3",
+    "manifest.post-rename:4",
+    "blob.post-temp.pre-rename:7",
+)
+
+#: An arm-count past the plan: the daemon finishes it undamaged.
+CLEAN = "wal.append.post-fsync:9999"
+
+#: The crash the resume test restarts from.
+RESUME = "wal.append.post-fsync:15"
+
+
+def crash(point: str) -> dict:
+    return {CRASHPOINT_ENV: point}
+
+
+def fault(point: str) -> dict:
+    """Arm a fault point from the sixth append on."""
+    return {FAULTPOINT_ENV: f"{point}:6"}
+
+
+#: The armed environment of every :func:`campaign` case, in test order.
+CASES = (
+    [crash(point) for point in registered_crashpoints() + DEEP_HITS]
+    + [fault(point) for point in registered_faultpoints()]
+    + [crash(CLEAN), crash(RESUME)]
+)
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """``campaign(armed)``: the finished :class:`CampaignRun` of a case.
+
+    Cases share nothing (each has its own store and daemons), so while a
+    test waits for its own case the next one in :data:`CASES` order
+    runs in the background: two cases at a time, each one's daemon
+    lives strictly in turn.
+    """
+    futures = {}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+
+        def submit(index: int) -> None:
+            if index < len(CASES) and index not in futures:
+                root = campaign_store(tmp_path_factory.mktemp("case"))
+                futures[index] = pool.submit(run_campaign_point, root, CASES[index])
+
+        def case(armed: dict) -> CampaignRun:
+            index = CASES.index(armed)
+            submit(index)
+            submit(index + 1)
+            return futures[index].result()
+
+        yield case
+        for future in futures.values():
+            future.cancel()
+
+
+def assert_recovered(run: CampaignRun, returncodes: list[int]) -> None:
+    """Every audit passed, each daemon ended as expected, the plan finished,
+    and the restarted daemon applied exactly what the wreck was missing."""
+    assert run.ok, run.report()
+    assert run.returncodes == returncodes, run.report()
+    assert all(
+        life.stopped == "connection"
+        for life in run.lives if life.returncode == KILLED
     )
+    assert run.position == len(run.plan)
+    appended = run.lives[-1].stats["ingest"]["appended_edges"]
+    total = len(campaign_base()) + COUNT
+    assert run.wreck_edges[-1] + appended == total
 
 
 class TestCampaignMatrix:
     @pytest.mark.parametrize("point", registered_crashpoints())
-    def test_first_hit(self, tmp_path, point):
-        """Crash at the very first time each point is reached."""
-        audit = run_campaign_point(campaign_store(tmp_path), point)
-        assert audit.ok, fail_report(audit)
+    def test_first_hit(self, campaign, point):
+        """Crash the daemon the first time each point is reached."""
+        run = campaign(crash(point))
+        lives = 3 if point == "wal.open.post-truncate" else 2
+        assert_recovered(run, [KILLED] * (lives - 1) + [0])
 
-    @pytest.mark.parametrize("point", [
-        "wal.append.post-fsync:7",
-        "wal.append.post-write.pre-fsync:13",
-        "snapshot.post-blobs.pre-commit:2",
-        "snapshot.post-indexes.pre-trim:3",
-        "manifest.post-rename:4",
-    ])
-    def test_deep_hits(self, tmp_path, point):
-        """Crash later in the run, after snapshots have already landed."""
-        audit = run_campaign_point(campaign_store(tmp_path), point)
-        assert audit.ok, fail_report(audit)
+    @pytest.mark.parametrize("point", DEEP_HITS)
+    def test_deep_hits(self, campaign, point):
+        """Crash later in the run, after snapshots have already landed —
+        the last one while the registry commits the ``k=3`` index a read
+        built under the streamed key."""
+        run = campaign(crash(point))
+        assert_recovered(run, [KILLED, 0])
+        if point.startswith("blob."):
+            assert run.plan[run.lives[0].position].op == "read"
 
-    def test_clean_run_satisfies_every_invariant(self, tmp_path):
-        """An arm-count past the workload means the child runs to DONE —
-        the invariants must hold for the undamaged store too."""
-        audit = run_campaign_point(
-            campaign_store(tmp_path), "wal.append.post-fsync:9999"
-        )
-        assert audit.ok, fail_report(audit)
-        assert not audit.outcome.crashed
-        assert audit.recovered_count == 40
+    @pytest.mark.parametrize("point", registered_faultpoints())
+    def test_fault_then_restart(self, campaign, point):
+        """A WAL disk error turns the daemon read-only mid-append; it
+        drains, restarts, and the retried token lands exactly once."""
+        run = campaign(fault(point))
+        assert_recovered(run, [0, 0])
+        assert run.lives[0].stopped == "read-only"
+
+    def test_clean_run_satisfies_every_invariant(self, campaign):
+        """An arm-count past the workload means the daemon finishes the
+        plan — the invariants must hold for the undamaged store too, and
+        the first daemon took every path the plan aims at."""
+        run = campaign(crash(CLEAN))
+        assert run.ok, run.report()
+        assert run.returncodes == [0, 0]
+        ingest = run.lives[0].stats["ingest"]
+        assert ingest["appended_edges"] == COUNT
+        assert ingest["incremental_folds"] == ingest["flushes"] > 0
+        assert ingest["lag_flushes"] > 0
+        assert run.lives[0].stats["registry"]["multik_builds_by_k"]["3"] > 0
+        # ... and committed it under the streamed key.
+        assert IndexStore(run.root).stored_ks(CAMPAIGN_KEY) == [2, 3, 4]
+        # The restart re-sent every acknowledged token and applied nothing.
+        assert run.lives[1].stats["ingest"]["appended_edges"] == 0
 
 
 class TestCrashThenResume:
-    def test_killed_child_resumes_to_completion(self, tmp_path):
-        """The real recovery story: crash mid-run, restart the *same*
-        driver against the wreck, and it finishes the workload exactly —
-        acknowledged appends are never re-sent, none are lost."""
-        root = campaign_store(tmp_path)
-        outcome = run_crash_child(root, "wal.append.post-fsync:15")
-        assert outcome.crashed
-
-        env = dict(os.environ)
-        env.pop("REPRO_CRASHPOINT", None)
-        env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.testing.crash_driver",
-                "--store", str(root),
-                "--key", CAMPAIGN_KEY,
-                "--seed", "11", "--count", "40",
-                "--snapshot-every", "10",
-                "--segment-bytes", str(CAMPAIGN_SEGMENT_BYTES),
-            ],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr[-1500:]
-        assert "DONE" in proc.stdout
-        resumed_acks = [
-            int(line.split()[1])
-            for line in proc.stdout.splitlines()
-            if line.startswith("ACK ")
-        ]
-        # The resumed run picked up where the recovered store ended —
-        # strictly after every append the first run acknowledged.
-        if resumed_acks and outcome.acked:
-            assert min(resumed_acks) > max(outcome.acked)
-        assert resumed_acks[-1] == 39
-
-        store = IndexStore(root)
-        recovery = store.recover(
-            CAMPAIGN_KEY, segment_bytes=CAMPAIGN_SEGMENT_BYTES
-        )
-        recovery.wal.close()
-        total = (
-            (recovery.graph.num_edges if recovery.graph is not None else 0)
-            + len(recovery.events)
-        )
-        assert total == 40
-        assert scrub_store(root).clean
+    def test_killed_child_resumes_to_completion(self, campaign):
+        """The real recovery story: crash mid-run, restart the daemon on
+        the wreck, and it finishes the workload exactly — every
+        acknowledged append retried answers its first ack and applies
+        nothing, none are lost."""
+        run = campaign(crash(RESUME))
+        assert_recovered(run, [KILLED, 0])
+        assert len(run.acks) == sum(step.op == "append" for step in run.plan)
 
     def test_audit_flags_lost_acknowledged_appends(self, tmp_path):
         """The harness itself must catch a durability hole: wreck the
         store behind its back and the audit must go red."""
-        root = campaign_store(tmp_path)
-        outcome = run_crash_child(root, "wal.append.post-fsync:20")
-        assert outcome.crashed
+        root = seed_store(campaign_store(tmp_path))
+        run = CampaignRun(root)
+        life = run.live({CRASHPOINT_ENV: "wal.append.post-fsync:20"})
+        assert life.returncode == KILLED
+        assert run.audit_wreck() == [], run.report()
         # Sabotage: delete the whole WAL — acknowledged appends vanish.
         for segment in (root / CAMPAIGN_KEY / "wal").glob("wal-*.seg"):
             segment.unlink()
-        audit = audit_recovery(root, outcome)
-        assert not audit.ok
-        assert any("lost acknowledged" in p for p in audit.problems)
+        problems = run.audit_wreck()
+        assert any("lost acknowledged" in p for p in problems)
 
 
 class TestWorkload:
@@ -135,3 +189,12 @@ class TestWorkload:
 
     def test_different_seeds_differ(self):
         assert campaign_edges(11, 40) != campaign_edges(12, 40)
+
+    def test_plan_appends_the_workload_once_with_unique_tokens(self):
+        plan = campaign_plan()
+        appends = [step for step in plan if step.op == "append"]
+        assert [edge for step in appends for edge in step.edges] \
+            == campaign_workload()
+        assert len({step.token for step in appends}) == len(appends)
+        assert {step.op for step in plan} == {"append", "flush", "read"}
+        assert plan[-1].op == "flush"

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.core.index import CoreIndex
+from repro.errors import StoreCorruptionError
 from repro.store import IndexStore, scrub_store
 from repro.store.index_store import MANIFEST_NAME
-from repro.store.wal import WriteAheadLog
+from repro.store.wal import TOKENS_NAME, WriteAheadLog
 
 
 @pytest.fixture()
@@ -164,6 +165,26 @@ class TestWalScrub:
         # were quarantined; nothing was deleted.
         assert not segments[0].exists()
         assert list(wal_dir.glob("*.corrupt*"))
+
+    def test_unreadable_tokens_quarantined(self, tmp_path):
+        root = tmp_path / "store"
+        wal_dir = root / "g" / "wal"
+        with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
+            for i in range(40):
+                wal.append_edges([("a", "b", i + 1)], token=f"t{i}")
+            wal.trim(wal.last_lsn)
+            last = wal.last_lsn
+        (wal_dir / TOKENS_NAME).write_text("{not json")
+        with pytest.raises(StoreCorruptionError):
+            WriteAheadLog(wal_dir)
+        report = scrub_store(root)
+        assert [(i.kind, i.action) for i in report.issues] \
+            == [("wal", "quarantined")]
+        # Every record still opens; only the trimmed tokens are gone.
+        with WriteAheadLog(wal_dir) as wal:
+            assert wal.last_lsn == last
+            assert wal.lookup_token("t0") is None
+        assert scrub_store(root).clean
 
 
 class TestDryRun:

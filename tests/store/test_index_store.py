@@ -102,14 +102,17 @@ class TestLoading:
         with pytest.raises(StoreError):
             store.load_graph("nope")
 
-    def test_iter_graphs(self, store, paper_graph, triangle_graph):
+    def test_stored_ks_open_per_key(self, store, paper_graph, triangle_graph):
+        """Every key lists its stored ``k`` values, and each one opens."""
         store.save_index(CoreIndex(paper_graph, 2), name="paper")
         store.save_index(CoreIndex(paper_graph, 3), name="paper")
         store.save_index(CoreIndex(triangle_graph, 2), name="tri")
-        seen = [
-            (key, sorted(indexes)) for key, _graph, indexes in store.iter_graphs()
-        ]
+        seen = [(key, store.stored_ks(key)) for key in store.keys()]
         assert seen == [("paper", [2, 3]), ("tri", [2])]
+        for key, ks in seen:
+            graph = store.load_graph(key)
+            for k in ks:
+                assert store.load_index(graph, k, key=key).k == k
 
 
 class TestCorruption:

@@ -162,7 +162,8 @@ class TestServiceWal:
         service.snapshot(store, name="s")
         assert len(service.wal.segment_paths()) == 1
         # Everything lives in the snapshot now; replay past it is empty.
-        assert service.wal.pending_after(store.stream_lsn("s")) == 0
+        assert store.stream_lsn("s") == service.wal.last_lsn == 40
+        assert service.wal.replay(after=store.stream_lsn("s")) == []
         service.wal.close()
 
     def test_snapshot_then_restore_without_new_appends(self, store):
@@ -175,6 +176,37 @@ class TestServiceWal:
         assert resumed.num_edges == len(EDGES)
         assert resumed.num_pending == 0
         resumed.wal.close()
+
+
+class TestTokensPastTrim:
+    def test_retry_after_trim_and_restart_answers_original_ack(self, store):
+        """A snapshot trims the segment holding an acknowledged token;
+        after a restart its retry still answers the original LSN and
+        applies nothing — neither a second copy nor an out-of-order
+        refusal."""
+        service = StreamingCoreService.restore(
+            store, (2,), name="s", wal=True, wal_segment_bytes=256
+        )
+        early = service.append("n0", "n1", 10, token="E")
+        for i in range(28):
+            service.append(f"n{i % 6}", f"n{(i + 1) % 6}", 11 + i // 2)
+        late = service.append("n0", "n3", 30, token="T")
+        for i in range(29):
+            service.append(f"n{i % 5}", f"n{(i + 2) % 6}", 30)
+        assert (early, late) == (1, 30)
+        service.snapshot(store, name="s")
+        assert service.wal.segment_paths()[0].name > "wal-0000000000000030"
+        service.wal.close()
+
+        restored = StreamingCoreService.restore(
+            store, (2,), name="s", wal=True, wal_segment_bytes=256
+        )
+        assert restored.num_edges == 59
+        assert restored.append("n0", "n3", 30, token="T") == 30
+        assert restored.append("n0", "n1", 10, token="E") == 1
+        assert restored.num_edges == 59
+        assert restored.wal.last_lsn == 59
+        restored.wal.close()
 
 
 class TestCorruptBlobCounters:

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.errors import StoreCorruptionError
+from repro.store import wal as wal_module
 from repro.store.wal import (
     _HEADER,
     WriteAheadLog,
@@ -45,7 +46,7 @@ class TestAppendReplay:
             for i in range(5):
                 wal.append("a", "b", i + 1)
             assert [e.lsn for e in wal.replay(after=3)] == [4, 5]
-            assert wal.pending_after(3) == 2
+            assert wal.last_lsn == 5
             assert wal.replay(after=5) == []
 
     def test_reopen_resumes_lsn_and_watermark(self, wal_dir):
@@ -97,6 +98,28 @@ class TestTokens:
             )
             assert (first, count) == (1, 2)
             assert wal.last_lsn == 2
+
+
+class TestTrimmedTokens:
+    """A trim keeps the tokens of the records it drops, up to a bound."""
+
+    def test_kept_tokens_are_bounded(self, wal_dir, monkeypatch):
+        """Past the bound the oldest trimmed tokens go, in memory and on
+        disk alike: a retry answers the same before and after a restart."""
+        monkeypatch.setattr(wal_module, "TRIMMED_TOKENS", 3)
+        with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
+            for i in range(40):
+                wal.append_edges([("a", "b", i + 1)], token=f"t{i}")
+            wal.trim(wal.last_lsn)
+            floor = int(wal.segment_paths()[0].name[len("wal-"):-len(".seg")])
+            live = {f"t{i}" for i in range(floor - 1, 40)}
+            kept = {f"t{i}" for i in range(floor - 4, floor - 1)}
+            known = {f"t{i}" for i in range(40) if wal.lookup_token(f"t{i}")}
+            assert known == live | kept
+        with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
+            assert {
+                f"t{i}" for i in range(40) if wal.lookup_token(f"t{i}")
+            } == known
 
 
 class TestRotationAndTrim:

@@ -113,7 +113,8 @@ class TestThreadSafety:
 
         def warm() -> None:
             try:
-                for key, graph, _indexes in populated.iter_graphs():
+                for key in populated.keys():
+                    graph = populated.load_graph(key)
                     registry.get_many(graph, populated.stored_ks(key))
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
