@@ -38,7 +38,7 @@ import numpy as np  # noqa: E402
 from repro.core.index import CoreIndex  # noqa: E402
 from repro.graph.generators import BurstyConfig, generate_bursty  # noqa: E402
 from repro.serve.columnar import run_columnar_walk  # noqa: E402
-from repro.serve.executor import _group_window_arrays  # noqa: E402
+from repro.serve.executor import _group_cuts  # noqa: E402
 from repro.serve.planner import plan_for_index  # noqa: E402
 from repro.serve.sinks import CountSink, ResultSink  # noqa: E402
 
@@ -105,7 +105,7 @@ def pr5_query_batch(index: CoreIndex, ranges):
     plan = plan_for_index(index, ranges)
     sinks = [CountSink() for _ in plan.requests]
     for group in plan.groups:
-        for window, arrays in _group_window_arrays(group, registry=None):
+        for window, cut in _group_cuts(group, registry=None):
             if window.is_shared:
                 target = _PR5SliceRouter(
                     [
@@ -115,7 +115,7 @@ def pr5_query_batch(index: CoreIndex, ranges):
                 )
             else:
                 target = sinks[window.requests[0]]
-            done = run_columnar_walk(arrays, target)
+            done = run_columnar_walk(cut, target)
             target.finish(done)
     return [
         sink.result("enum", request.k, request.time_range)

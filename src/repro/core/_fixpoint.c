@@ -31,14 +31,18 @@
  * enumerate_ref's linked-list walk reports, in the same order.
  *
  * repro_count_init and repro_count_visits are the walk for a sink that
- * only counts (a CountSink, or a slice router over CountSinks): the
+ * only counts (a CountSink, or a slice router over CountSinks).  The
+ * init reads a skyline's start-ordered cut itself: it drops the windows
+ * ending after the range and activates each other one from its flat
+ * predecessor (Definition 6), so no window slice is materialised.  The
  * alive set is a histogram of window counts per end time, so a visit
  * costs O(changes + width of [e0, top end]) and the per-target counters
  * a slice router would accumulate are two lookups each.
  *
  * repro_counting_order is the stable counting sort behind the index
- * assembly (core/multik.py, _FusedMultiK.results) and the skyline's
- * start order (core/windows.py, EdgeCoreSkyline._by_start).
+ * assembly (core/multik.py, _FusedMultiK.results), the skyline's start
+ * order (core/windows.py, EdgeCoreSkyline._by_start) and the counting
+ * walk's activation buckets.
  *
  * repro_crc32_fold is zlib's crc32 by carry-less multiplication, the
  * checksum every store blob carries (store/format.py): the x86
@@ -601,18 +605,30 @@ int64_t repro_walk_step(struct repro_walk *w, int64_t t)
 
 /*
  * One counting walk's arrays and state.  The field order is mirrored by
- * native.CountArgs; every array is int64.  Times are domain positions
- * in [0, width): the slice's times minus base.
+ * native.CountArgs; every array is int64 except the first-window flags.
+ * The walk reads its windows straight from a skyline: the cut
+ * order[lo:hi] of the skyline's start order lists the windows starting
+ * in [ts, te], ascending by start, and those ending by te are counted.
+ * Times are domain positions in [0, width): a time's offset from base,
+ * or, when ranks is not NULL (a cut far wider in time than it is long),
+ * the number of ranks, the sorted distinct times of the counted
+ * windows, below it.
  */
 struct repro_count {
-    /* the window slice, read only */
-    const int64_t *start, *end, *active;
-    int64_t size, base, width;
-    /* the windows' ends bucketed by activation and by start (size
-     * entries each; width + 1 offsets each), the alive windows per end
-     * (width entries), and per end e of one visit the cores and edge
-     * total of the cores ending after e (width entries each) */
-    int64_t *by_active, *active_offsets, *by_start, *start_offsets;
+    /* the skyline, read only: per window its start and end and whether
+     * it is its edge's first (edges' windows are flat runs, ascending),
+     * and the start order (windows entries) */
+    const int64_t *start, *end, *order;
+    const uint8_t *first;
+    int64_t windows, lo, hi, ts, te;
+    const int64_t *ranks;
+    int64_t base, width;
+    /* the counted windows' activation positions (hi - lo entries), their
+     * ends bucketed by activation and by start (hi - lo entries each;
+     * width + 1 offsets each), the alive windows per end (width
+     * entries), and per end e of one visit the cores and edge total of
+     * the cores ending after e (width entries each) */
+    int64_t *keys, *by_active, *active_offsets, *by_start, *start_offsets;
     int64_t *alive_at, *cores_after, *edges_after;
     /* walk state: the next position to look for a visit at, the last
      * visit (-1 before the first), the alive windows and their top end */
@@ -627,65 +643,107 @@ struct repro_count {
 };
 
 /*
- * The stable counting order of keys[0..len) - base, each in [0, bound):
- * order receives the positions 0..len sorted by key, equal keys in
- * position order (numpy's argsort(kind="stable")), and offsets (bound +
- * 1 entries) where each key's run starts, then len.  O(len + bound).
+ * The stable counting order of keys[0..len), each in [0, bound): order
+ * receives the positions 0..len sorted by key, equal keys in position
+ * order (numpy's argsort(kind="stable")), and offsets (bound + 1
+ * entries) where each key's run starts, then len.  O(len + bound).
  * Returns 0, or -1 with order unwritten when a key lies outside [0,
  * bound).
  */
-static int64_t counting_sort(int64_t len, const int64_t *keys, int64_t base,
-                             int64_t bound, int64_t *offsets, int64_t *order)
+int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
+                             int64_t *offsets, int64_t *order)
 {
     memset(offsets, 0, (size_t)(bound + 1) * sizeof(int64_t));
     for (int64_t i = 0; i < len; i++) {
-        const int64_t key = keys[i] - base;
-        if (key < 0 || key >= bound)
+        if (keys[i] < 0 || keys[i] >= bound)
             return -1;
-        offsets[key + 1]++;
+        offsets[keys[i] + 1]++;
     }
     for (int64_t key = 0; key < bound; key++)
         offsets[key + 1] += offsets[key];
     for (int64_t i = 0; i < len; i++)
-        order[offsets[keys[i] - base]++] = i;
+        order[offsets[keys[i]]++] = i;
     /* offsets[key] has moved to the end of its run: shift back. */
     memmove(offsets + 1, offsets, (size_t)bound * sizeof(int64_t));
     offsets[0] = 0;
     return 0;
 }
 
-/* Bucket the windows' ends, as domain positions, by key (counting sort). */
-static void bucket_ends(const struct repro_count *c, const int64_t *keys,
-                        int64_t *offsets, int64_t *ends)
+/* The domain position of time t: its offset, or the ranks below it. */
+static inline int64_t position(const struct repro_count *c, int64_t t)
 {
-    counting_sort(c->size, keys, c->base, c->width, offsets, ends);
-    for (int64_t i = 0; i < c->size; i++)
-        ends[i] = c->end[ends[i]] - c->base;
+    if (!c->ranks)
+        return t - c->base;
+    int64_t lo = 0, hi = c->width;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (c->ranks[mid] < t)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
 }
 
 /*
- * Prepare a counting walk: bucket the windows' ends by activation and
- * by start, clear the histogram.  Returns the number of visits (the
- * distinct start times), or -1 unless every window has base <= active
- * <= start <= end < base + width.
+ * Prepare a counting walk over the cut: drop the windows ending after
+ * te and activate the rest (Definition 6).  An edge's windows inside
+ * [ts, te] are one contiguous flat run, so a window activates at ts
+ * when it is its edge's first or its flat predecessor starts before ts,
+ * else one past that predecessor's start: max(ts, predecessor's start
+ * + 1).  The cut's windows lie scattered over the skyline, so the
+ * windows ending by te are selected without branching on their ends (a
+ * branch on each read would serialise the reads' cache misses).  The
+ * cut is in start order, so the selected windows' ends land bucketed
+ * by start as they come; one counting sort buckets them by activation.
+ * Clears the histogram.  Returns the number of visits (the distinct
+ * start times), or -1 unless 0 <= lo <= hi <= windows and every counted
+ * window has ts <= activation <= start <= end, inside the domain, and
+ * starts no earlier than the one before it.
  */
 int64_t repro_count_init(struct repro_count *c)
 {
-    const int64_t width = c->width;
-    for (int64_t i = 0; i < c->size; i++)
-        if (c->active[i] < c->base || c->active[i] > c->start[i]
-            || c->start[i] > c->end[i] || c->end[i] - c->base >= width)
+    const int64_t *start = c->start, *end = c->end;
+    const int64_t ts = c->ts, te = c->te, width = c->width;
+    if (c->lo < 0 || c->lo > c->hi || c->hi > c->windows)
+        return -1;
+    /* the selected windows and their ends, overwritten below by their
+     * activations and ends as domain positions */
+    int64_t *selected = c->keys, *selected_end = c->by_start, size = 0;
+    for (int64_t i = c->lo; i < c->hi; i++) {
+        const int64_t w = c->order[i];
+        if (w < 0 || w >= c->windows)
             return -1;
-    bucket_ends(c, c->active, c->active_offsets, c->by_active);
-    bucket_ends(c, c->start, c->start_offsets, c->by_start);
+        const int64_t t2 = end[w];
+        selected[size] = w;
+        selected_end[size] = t2;
+        size += t2 <= te;
+    }
+    int64_t visits = 0, at = -1; /* start offsets set up to at */
+    for (int64_t i = 0; i < size; i++) {
+        const int64_t w = selected[i], t1 = start[w], t2 = selected_end[i];
+        const int64_t floor = c->first[w] ? ts : start[w - (w > 0)] + 1;
+        const int64_t active = floor > ts ? floor : ts;
+        const int64_t s = position(c, t1), e = position(c, t2);
+        if (t1 < ts || t1 > t2 || active > t1 || s < at || e >= width)
+            return -1;
+        if (s > at)
+            visits++;
+        while (at < s)
+            c->start_offsets[++at] = i;
+        c->by_start[i] = e;
+        c->keys[i] = position(c, active);
+    }
+    while (at < width)
+        c->start_offsets[++at] = size;
+    repro_counting_order(size, c->keys, width, c->active_offsets, c->by_active);
+    for (int64_t i = 0; i < size; i++)
+        c->by_active[i] = c->by_start[c->by_active[i]];
     memset(c->alive_at, 0, (size_t)width * sizeof(int64_t));
     c->next = 0;
     c->prev = -1;
     c->alive = 0;
     c->top = 0;
-    int64_t visits = 0;
-    for (int64_t t = 0; t < width; t++)
-        visits += c->start_offsets[t + 1] > c->start_offsets[t];
     return visits;
 }
 
@@ -769,14 +827,6 @@ int64_t repro_count_visits(struct repro_count *c, int64_t max_visits)
         done++;
     }
     return done;
-}
-
-/* The stable counting order of keys[0..len), each in [0, bound); see
- * counting_sort. */
-int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
-                             int64_t *offsets, int64_t *order)
-{
-    return counting_sort(len, keys, 0, bound, offsets, order);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)

@@ -14,18 +14,17 @@ in time bounded by the total result size ``O(|R|)`` (Theorem 3):
   (**Enum**, Algorithm 5).
 
 The walk itself is the *columnar* core of the serving layer
-(:mod:`repro.serve.columnar`): ``L_ts`` is an end-sorted int64 matrix
-updated by array cuts and ``searchsorted`` merges, and each start
-time's cores are emitted as ``(end, prefix-length)`` pairs into a
-result sink (:mod:`repro.serve.sinks`) — no per-window Python objects
-at all.  The seed linked-list enumerator is preserved verbatim in
+(:mod:`repro.serve.columnar`), handed the range as a cut of the
+skyline's start order: ``L_ts`` is an end-sorted run of flat arrays
+updated by cuts and merges, and each start time's cores are emitted as
+``(end, prefix-length)`` pairs into a result sink
+(:mod:`repro.serve.sinks`), or only counted — no per-window Python
+objects at all.  The seed linked-list enumerator is preserved verbatim in
 :mod:`repro.core.enumerate_ref` as the oracle the property suite
 checks this path against.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.coretime import compute_core_times
 from repro.core.results import EnumerationResult, ResultCallback
@@ -96,41 +95,8 @@ def enumerate_temporal_kcores(
             "span must contain the query range"
         )
 
-    arrays = skyline.active_window_arrays(ts_lo, ts_hi)
-    return enumerate_active_window_arrays(
-        k,
-        ts_lo,
-        ts_hi,
-        arrays,
-        collect=collect,
-        on_result=on_result,
-        sink=sink,
-        deadline=deadline,
-    )
-
-
-def enumerate_active_window_arrays(
-    k: int,
-    ts_lo: int,
-    ts_hi: int,
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    *,
-    collect: bool = True,
-    on_result: ResultCallback | None = None,
-    sink: ResultSink | None = None,
-    deadline: Deadline | None = None,
-) -> EnumerationResult:
-    """Run Enum over a prepared columnar ``(eid, start, end, active)`` slice.
-
-    The inner half of :func:`enumerate_temporal_kcores`, exposed so
-    callers that already cut a slice (the plan executor, benchmarks)
-    can run the walk directly.  ``arrays`` must describe exactly the
-    minimal core windows inside ``[ts_lo, ts_hi]`` with their
-    activation times
-    (:meth:`EdgeCoreSkyline.active_window_arrays`).
-    """
     if sink is None:
         sink = make_sink(collect=collect, on_result=on_result)
-    completed = run_columnar_walk(arrays, sink, deadline=deadline)
+    completed = run_columnar_walk(skyline.cut(ts_lo, ts_hi), sink, deadline=deadline)
     sink.finish(completed)
     return sink.result("enum", k, (ts_lo, ts_hi))

@@ -12,9 +12,11 @@ the two columnar enumeration walks of :mod:`repro.serve.columnar` —
 one visited start time for a sink that receives the cores
 (``walk_step``, fed a :class:`WalkArgs` block, O(alive windows) per
 visit) and, for a sink that only counts, ``count_init`` then
-``count_visits`` (fed a :class:`CountArgs` block: the alive set as a
-histogram of windows per end time, O(changes + width of the reported
-end range) per visit) — the stable counting sort behind
+``count_visits`` (fed a :class:`CountArgs` block: ``count_init`` reads
+a skyline's start-ordered cut itself and activates each window from its
+flat predecessor, then the alive set is a histogram of windows per end
+time, O(changes + width of the reported end range) per visit) — the
+stable counting sort behind
 :func:`counting_order` and the carry-less multiplication crc32 behind
 :func:`crc32`.
 
@@ -112,20 +114,23 @@ class WalkArgs(ctypes.Structure):
 
 
 class CountArgs(ctypes.Structure):
-    """``struct repro_count``: one counting walk's arrays, state and counters.
+    """``struct repro_count``: one counting walk's cut, arrays, state and counters.
 
     The field order mirrors the C source; arrays are passed as the
-    addresses of C-contiguous int64 numpy buffers.
+    addresses of C-contiguous numpy buffers (int64, the first-window
+    flags uint8).
     """
 
     _fields_ = [
-        (name, _POINTER) for name in ("start", "end", "active")
+        (name, _POINTER) for name in ("start", "end", "order", "first")
     ] + [
-        (name, _INT64) for name in ("size", "base", "width")
+        (name, _INT64) for name in ("windows", "lo", "hi", "ts", "te")
+    ] + [("ranks", _POINTER)] + [
+        (name, _INT64) for name in ("base", "width")
     ] + [
         (name, _POINTER)
         for name in (
-            "by_active", "active_offsets", "by_start", "start_offsets",
+            "keys", "by_active", "active_offsets", "by_start", "start_offsets",
             "alive_at", "cores_after", "edges_after",
         )
     ] + [
@@ -152,7 +157,7 @@ class Kernels(NamedTuple):
     splice: Callable[..., None]
     #: ``repro_walk_step(WalkArgs *, t) -> cores reported at t``
     walk_step: Callable[..., int]
-    #: ``repro_count_init(CountArgs *) -> visits, or -1 on a malformed slice``
+    #: ``repro_count_init(CountArgs *) -> visits, or -1 on a malformed cut``
     count_init: Callable[..., int]
     #: ``repro_count_visits(CountArgs *, max_visits) -> visits counted``
     count_visits: Callable[..., int]

@@ -23,11 +23,17 @@ built skylines are one representation and a store load is zero-copy.
 Per-query work is vectorised on top of it.  Restricting to a sub-range
 ``[ts, te]`` cuts a once-per-skyline *start-sorted permutation* of the
 windows (a stable counting sort by start time) at two offsets
-(``ts <= t1 <= te``) and masks ``t2 <= te`` — no per-edge Python loop.
-Because each edge's skyline is bi-monotone, the surviving windows of an
-edge are one contiguous run of flat indices, which also yields every
-window's activation time (Definition 6) from its flat predecessor in
-one vectorised step.
+(``ts <= t1 <= te``): a :class:`SkylineCut`, whose windows ending by
+``te`` are the range's — no per-edge Python loop.  Because each edge's
+skyline is bi-monotone, the surviving windows of an edge are one
+contiguous run of flat indices, so every window's activation time
+(Definition 6) follows from its flat predecessor: ``max(ts, predecessor's
+start + 1)`` when the predecessor belongs to the same edge, ``ts``
+otherwise.  A counting walk reads the cut and derives activation itself
+(``repro_count_init``), needing only a once-per-skyline byte per window
+that flags each edge's first window; :meth:`SkylineCut.arrays`
+materialises the ``(eid, start, end, active)`` slice an emitting walk
+needs, in one vectorised step.
 
 The list-of-tuples constructor is kept as the conversion surface for the
 reference oracle, the text loaders and hand-written tests; it converts
@@ -37,6 +43,7 @@ eagerly, so every live skyline is columnar.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +75,7 @@ class EdgeCoreSkyline:
         "_t2",
         "_start_order",
         "_start_offsets",
+        "_first",
         "_eids",
     )
 
@@ -82,6 +90,7 @@ class EdgeCoreSkyline:
         self._offsets, self._t1, self._t2 = flatten_pairs(windows_by_edge)
         self._start_order = None
         self._start_offsets = None
+        self._first = None
         self._eids = None
 
     @classmethod
@@ -101,6 +110,7 @@ class EdgeCoreSkyline:
         skyline._t2 = as_int64_array(t2)
         skyline._start_order = None
         skyline._start_offsets = None
+        skyline._first = None
         skyline._eids = None
         return skyline
 
@@ -188,12 +198,39 @@ class EdgeCoreSkyline:
             self._start_order = order
         return order, self._start_offsets
 
+    def counting_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What a counting walk reads of the skyline: ``(t1, t2, order, first)``.
+
+        ``order`` is the start-sorted permutation (:meth:`_by_start`) and
+        ``first`` flags, one byte per window, the first window of each
+        edge: a window's flat predecessor belongs to the same edge unless
+        it is flagged.  Both are derived once per skyline; every column
+        is C-contiguous.
+        """
+        order, _offsets = self._by_start()
+        first = self._first
+        if first is None:
+            first = np.zeros(len(self._t1), dtype=np.uint8)
+            heads = self._offsets[:-1]
+            # An edge without windows shares its offset with the next
+            # edge's first window (or lies past the last window).
+            first[heads[heads < len(first)]] = 1
+            self._first = first
+        t1, t2 = (np.ascontiguousarray(column) for column in (self._t1, self._t2))
+        return t1, t2, order, first
+
     def _check_range(self, ts: int, te: int) -> None:
         span_ts, span_te = self.span
         if ts < span_ts or te > span_te:
             raise InvalidParameterError(
                 f"[{ts}, {te}] is not inside the computed span [{span_ts}, {span_te}]"
             )
+
+    def cut(self, ts: int, te: int) -> "SkylineCut":
+        """The :class:`SkylineCut` of the windows inside ``[ts, te]``."""
+        self._check_range(ts, te)
+        (lo,), (hi,) = self.start_cuts([ts], [te])
+        return SkylineCut(self, int(lo), int(hi), ts, te)
 
     def start_cuts(self, ts_values, te_values) -> tuple[np.ndarray, np.ndarray]:
         """Start-sorted cut positions for a whole batch of ranges at once.
@@ -215,8 +252,13 @@ class EdgeCoreSkyline:
 
         ``lo``/``hi`` are the start-sorted cut positions for the range
         (see :meth:`start_cuts`).  Ascending flat order groups the
-        selection by edge with per-edge ascending start times — the
-        layout every consumer expects.
+        selection by edge with per-edge ascending start times, each
+        edge's windows one contiguous flat run — the layout a restricted
+        skyline and an emitting walk's slice
+        (:meth:`active_arrays_from_selection`) take.  A counting walk
+        needs neither the gather nor the sort: it reads the cut and
+        tells a window's activation from its flat predecessor
+        (:meth:`counting_columns`).
         """
         span_ts, span_te = self.span
         if ts == span_ts and te == span_te:
@@ -227,11 +269,6 @@ class EdgeCoreSkyline:
         selected.sort()
         return selected
 
-    def _selection(self, ts: int, te: int) -> np.ndarray:
-        self._check_range(ts, te)
-        (lo,), (hi,) = self.start_cuts([ts], [te])
-        return self.selection_from_cut(int(lo), int(hi), ts, te)
-
     def restricted_to(self, ts: int, te: int) -> "EdgeCoreSkyline":
         """Skyline filtered to windows contained in ``[ts, te]``.
 
@@ -241,7 +278,7 @@ class EdgeCoreSkyline:
         offset cuts of the cached start-sorted permutation plus an
         end-time mask — no per-edge scan.
         """
-        selected = self._selection(ts, te)
+        selected = self.selection_from_cut(*self.cut(ts, te)[1:])
         offsets = offsets_from_keys(self.window_eids()[selected], self.num_edges)
         return EdgeCoreSkyline.from_flat(
             offsets, self._t1[selected], self._t2[selected], self.k, (ts, te)
@@ -261,7 +298,7 @@ class EdgeCoreSkyline:
         makes each edge's surviving windows a contiguous flat run, so the
         predecessor test is one shifted comparison.
         """
-        return self.active_arrays_from_selection(self._selection(ts, te), ts)
+        return self.cut(ts, te).arrays()
 
     def active_arrays_from_selection(
         self, selected: np.ndarray, ts: int
@@ -270,8 +307,9 @@ class EdgeCoreSkyline:
 
         ``selected`` are ascending flat window indices as produced by the
         selection machinery; ``ts`` is the query start the first window
-        of each edge activates at.  Split out so the batch path can cut
-        all its ranges first and activate each slice independently.
+        of each edge activates at.  A window whose flat predecessor is
+        selected and of the same edge activates one past that
+        predecessor's start instead.
         """
         eids = self.window_eids()[selected]
         starts = self._t1[selected]
@@ -281,6 +319,30 @@ class EdgeCoreSkyline:
             follows = (selected[1:] == selected[:-1] + 1) & (eids[1:] == eids[:-1])
             active[1:][follows] = starts[:-1][follows] + 1
         return eids, starts, ends, active
+
+
+class SkylineCut(NamedTuple):
+    """The windows of ``skyline`` inside ``[ts, te]``, as a cut of its start order.
+
+    ``order[lo:hi]`` of the skyline's start-sorted permutation lists the
+    windows starting inside ``[ts, te]`` (:meth:`EdgeCoreSkyline.start_cuts`);
+    those ending by ``te`` are the range's windows.  This is what the
+    columnar walk is handed (:func:`repro.serve.columnar.run_columnar_walk`):
+    a counting walk reads the cut itself, an emitting one the
+    :meth:`arrays` it materialises.
+    """
+
+    skyline: EdgeCoreSkyline
+    lo: int
+    hi: int
+    ts: int
+    te: int
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Columnar ``(eid, start, end, active)`` of the cut's windows inside ``[ts, te]``."""
+        skyline = self.skyline
+        selected = skyline.selection_from_cut(self.lo, self.hi, self.ts, self.te)
+        return skyline.active_arrays_from_selection(selected, self.ts)
 
 
 class ActiveWindow:

@@ -6,10 +6,10 @@ Serving splits into three stages (see ``docs/SERVING.md``):
   queries into a :class:`QueryPlan`: group by ``(graph, k)``, dedupe
   identical ranges, merge overlapping windows so shared work is
   enumerated once, pick the engine per group;
-* **execute** (:mod:`repro.serve.executor`) — cut each group's columnar
-  window slice (shared index or direct compute) and run the columnar
-  Algorithm-5 walk (:mod:`repro.serve.columnar`) once per covering
-  window, slicing emissions per request;
+* **execute** (:mod:`repro.serve.executor`) — cut each covering window
+  from its group's skyline (shared index or direct compute) and run the
+  columnar Algorithm-5 walk (:mod:`repro.serve.columnar`) once per
+  covering window, slicing emissions per request;
 * **sink** (:mod:`repro.serve.sinks`) — deliver results: materialised
   core objects, streaming callbacks, counters, NDJSON lines or flat
   arrays.

@@ -3,8 +3,11 @@
 The seed enumerator (kept as the oracle in
 :mod:`repro.core.enumerate_ref`) maintains ``L_ts`` as a doubly linked
 list of per-window Python objects and walks it cell by cell.  This
-module replaces both with flat arrays over the ``(eid, start, end,
-active)`` window slice the skyline hands over:
+module replaces both with flat arrays over the windows of a
+:class:`~repro.core.windows.SkylineCut` (the range's windows as two
+offsets into the skyline's start order).  A sink that receives the
+cores walks the ``(eid, start, end, active)`` slice the cut
+materialises:
 
 * the *alive set* ``L_ts`` is held as three parallel contiguous int64
   arrays ``(end, start, eid)``, kept sorted by end time;
@@ -31,17 +34,26 @@ O(alive windows) per visit.  A sink that offers
 :meth:`~repro.serve.sinks.ResultSink.counting_targets` (a bare
 :class:`~repro.serve.sinks.CountSink`, or a slice router whose targets
 all are) takes the counting kernel (``repro_count_init``, then
-``repro_count_visits``) instead.  It holds ``L_ts`` as a histogram of
-window counts per end time: a visit adds and removes one bucket each
-of a per-walk counting sort by activation and by start, and the cores
-at ``t`` are the distinct alive ends at or above ``e0``, the least end
-of a window starting at ``t``, the one ending at ``e`` holding every
-alive window that ends by ``e``.  One descending scan from the top end
-to ``e0`` counts them and leaves each slice-router target's count two
+``repro_count_visits``) instead, and no slice is materialised.
+``repro_count_init`` reads the cut ``order[lo:hi]`` from the skyline's
+columns: it drops the windows ending after ``te`` and activates each
+other one from its flat predecessor (Definition 6: an edge's windows
+inside the range are one contiguous flat run, so a window activates at
+``max(ts, predecessor's start + 1)`` when that predecessor belongs to
+the same edge, at ``ts`` otherwise — a byte per window flags each
+edge's first).  The cut arrives in start order, so the windows' ends
+are bucketed by start as they come; one counting sort buckets them by
+activation.  The walk holds ``L_ts`` as a histogram of window counts
+per end time: a visit adds one bucket and removes one, and the cores at
+``t`` are the distinct alive ends at or above ``e0``, the least end of
+a window starting at ``t``, the one ending at ``e`` holding every alive
+window that ends by ``e``.  One descending scan from the top end to
+``e0`` counts them and leaves each slice-router target's count two
 lookups away: O(changes + width of ``[e0, top]``) per visit.  The
-histogram is indexed by time, so a slice whose time span exceeds
-``2 * size + 64`` (raw timestamps) is counted over the ranks of its
-times.  Either way the deadline is polled before every visit.
+histogram is indexed by time, so a cut whose range spans at least
+``2 * (hi - lo) + 64`` time units (raw timestamps) is counted over the
+ranks of its windows' times.  Either way the deadline is polled before
+every visit.
 
 Emission order, duplicate-freedom and the reported TTIs are exactly
 the oracle's; only the intra-core edge order may differ within groups
@@ -58,36 +70,46 @@ import ctypes
 import numpy as np
 
 from repro.core import native
+from repro.core.windows import SkylineCut
 from repro.serve.sinks import ResultSink
 from repro.utils.arrays import unique_sorted
 from repro.obs.timing import Deadline
 
 
 def run_columnar_walk(
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    cut: SkylineCut,
     sink: ResultSink,
     *,
     deadline: Deadline | None = None,
 ) -> bool:
-    """Enumerate the cores of a window slice into ``sink``.
+    """Enumerate the cores of a skyline cut into ``sink``.
 
-    ``arrays`` is the columnar ``(eid, start, end, active)`` window
-    slice for the range (:meth:`EdgeCoreSkyline.active_window_arrays
-    <repro.core.windows.EdgeCoreSkyline.active_window_arrays>`).
-    Returns ``True`` when the walk ran to completion, ``False`` on a
-    deadline abort (the sink then holds the results of every start
-    time finished before the abort).  The caller is responsible for
-    calling ``sink.finish`` with the returned flag.
+    ``cut`` holds the windows of a range as a cut of the skyline's
+    start order (:meth:`EdgeCoreSkyline.cut
+    <repro.core.windows.EdgeCoreSkyline.cut>`).  A counting sink's walk
+    reads it directly; an emitting sink's walk takes the columnar
+    ``(eid, start, end, active)`` slice it materialises.  Returns
+    ``True`` when the walk ran to completion, ``False`` on a deadline
+    abort (the sink then holds the results of every start time finished
+    before the abort).  The caller is responsible for calling
+    ``sink.finish`` with the returned flag.  Raises :class:`ValueError`
+    on a cut outside the skyline's start order, before reading it.
     """
-    if not len(arrays[0]):
+    skyline, lo, hi, _ts, _te = cut
+    if not 0 <= lo <= hi <= skyline.size():
+        raise ValueError(
+            f"cut [{lo}, {hi}) lies outside the {skyline.size()} windows of the skyline"
+        )
+    if lo == hi:
         return True
     kernels = native.library()
-    if any(part.dtype != np.int64 or not part.flags.c_contiguous for part in arrays):
-        raise TypeError("the compiled walk needs C-contiguous int64 arrays")
     targets = sink.counting_targets()
-    if targets is None:
-        return _walk_compiled(kernels.walk_step, arrays, sink, deadline)
-    return _count_compiled(kernels, arrays, targets, sink, deadline)
+    if targets is not None:
+        return _count_compiled(kernels, cut, targets, sink, deadline)
+    arrays = cut.arrays()
+    if not len(arrays[0]):
+        return True
+    return _walk_compiled(kernels.walk_step, arrays, sink, deadline)
 
 
 def _walk_compiled(walk_step, arrays, sink: ResultSink, deadline) -> bool:
@@ -130,53 +152,67 @@ def _walk_compiled(walk_step, arrays, sink: ResultSink, deadline) -> bool:
     return True
 
 
-def _count_compiled(kernels, arrays, targets, sink: ResultSink, deadline) -> bool:
+def _count_compiled(kernels, cut: SkylineCut, targets, sink: ResultSink, deadline) -> bool:
     """The counting walk: ``repro_count_init``, then ``repro_count_visits``.
 
-    The kernel indexes its histograms by time, so a slice whose span is
-    at most ``2 * size + 64`` is counted over its own times, offset by
-    the least activation; a wider one (raw timestamps) over the ranks
-    of its distinct times, with the targets' bounds mapped to the ranks
-    that keep every comparison the kernel makes.  One call counts the
-    whole walk, or, under a deadline, one call per visited start time
-    after each poll.  The sink is credited once, when the walk returns
-    or aborts.
+    The kernel reads the cut from the skyline's columns and indexes its
+    histograms by time: a cut whose range ``[ts, te]`` spans fewer than
+    ``2 * (hi - lo) + 64`` time units is counted over the range's own
+    times, offset by ``ts``; a wider one (raw timestamps) is cut here
+    first and counted over the ranks of its windows' distinct times,
+    with the targets' bounds mapped to the ranks that keep every
+    comparison the kernel makes.  One call counts the whole walk, or,
+    under a deadline, one call per visited start time after each poll.
+    The sink is credited once, when the walk returns or aborts.
     """
-    times = arrays[1:]
+    skyline, lo, hi, ts, te = cut
+    starts, ends, order, first = skyline.counting_columns()
     target_ts, target_te, target_num, target_edges = targets
-    size = len(arrays[0])
-    lo, hi = int(times[2].min()), int(times[1].max())
-    if hi - lo < 2 * size + 64:
-        base, width = lo, hi - lo + 1
-        target_ts, target_te = (
-            np.clip(bounds, lo - 1, hi + 1) - lo for bounds in (target_ts, target_te)
-        )
+    ranks = None
+    if te - ts + 1 < 2 * (hi - lo) + 64:
+        base, width = ts, te - ts + 1
+        target_ts, target_te = target_ts - ts, target_te - ts
     else:
-        distinct = unique_sorted(np.concatenate(times))
-        times = [np.searchsorted(distinct, part) for part in times]
-        base, width = 0, len(distinct)
-        target_ts = np.searchsorted(distinct, target_ts)
-        target_te = np.searchsorted(distinct, target_te, side="right") - 1
-    args = native.CountArgs(size=size, base=base, width=width, targets=len(target_ts))
-    bound = [*times, target_ts, target_te, target_num, target_edges]
+        candidates = order[lo:hi]
+        cut_ends = ends[candidates]
+        counted = cut_ends <= te
+        ranks = unique_sorted(np.concatenate((starts[candidates[counted]], cut_ends[counted])))
+        base, width = 0, len(ranks)
+        target_ts = np.searchsorted(ranks, target_ts)
+        target_te = np.searchsorted(ranks, target_te, side="right") - 1
+    args = native.CountArgs(
+        windows=len(order), lo=lo, hi=hi, ts=ts, te=te, base=base, width=width,
+        targets=len(target_ts),
+    )
+    bound = [starts, ends, order, first, target_ts, target_te, target_num, target_edges]
     for name, array in zip(
-        ("start", "end", "active", "target_ts", "target_te", "target_num", "target_edges"),
+        ("start", "end", "order", "first", "target_ts", "target_te", "target_num", "target_edges"),
         bound,
     ):
         setattr(args, name, array.ctypes.data)
-    for name, length in (
-        ("by_active", size), ("active_offsets", width + 1),
-        ("by_start", size), ("start_offsets", width + 1),
+    if ranks is not None:
+        bound.append(ranks)
+        args.ranks = ranks.ctypes.data
+    size = hi - lo
+    layout = (
+        ("keys", size), ("by_active", size), ("by_start", size),
+        ("active_offsets", width + 1), ("start_offsets", width + 1),
         ("alive_at", width), ("cores_after", width), ("edges_after", width),
         ("target_active", len(target_ts)),
-    ):
-        bound.append(np.empty(length, dtype=np.int64))
-        setattr(args, name, bound[-1].ctypes.data)
+    )
+    scratch = np.empty(sum(length for _name, length in layout), dtype=np.int64)
+    address = scratch.ctypes.data
+    for name, length in layout:
+        setattr(args, name, address)
+        address += scratch.itemsize * length
 
     walk = ctypes.byref(args)
     visits = kernels.count_init(walk)
     if visits < 0:
-        raise ValueError("window slice needs activation <= start <= end")
+        raise ValueError(
+            "malformed skyline cut: its windows must start inside [ts, te], "
+            "in start order, each no later than it ends"
+        )
     counted = 0
     try:
         if deadline is None:

@@ -4,18 +4,22 @@ Execution walks the plan group by group:
 
 * an ``index`` group resolves its shared
   :class:`~repro.core.index.CoreIndex` (pinned on the group, else
-  through the registry, which loads or builds it) and cuts the columnar window slice of
-  *all* its covering windows with one vectorised ``searchsorted``
-  sweep over the skyline's cached start-sorted permutation;
+  through the registry, which loads or builds it) and cuts *all* its
+  covering windows with one vectorised lookup in the per-start offsets
+  of the skyline's cached start-sorted permutation: each window is a
+  :class:`~repro.core.windows.SkylineCut`, two offsets into it;
 * a ``direct`` group runs Algorithm 2 over each covering window and
-  takes the slice from the freshly computed skyline;
+  hands over the full-span cut of the freshly computed skyline;
 * every covering window is enumerated **once** by the columnar core
-  (:func:`~repro.serve.columnar.run_columnar_walk`); when several
-  requests share the window, a slice router fans each emission batch
-  out to the requests whose range contains the reported TTIs — the
-  target ranges are held as flat interval arrays, so each batch is
-  routed with one vectorised ``searchsorted`` over all active targets
-  (and a counting-only batch never re-enters Python at all).
+  (:func:`~repro.serve.columnar.run_columnar_walk`), which reads a
+  counting sink's cut straight from the skyline (activation included)
+  and materialises the ``(eid, start, end, active)`` slice only for a
+  sink that receives the cores; when several requests share the
+  window, a slice router fans each emission batch out to the requests
+  whose range contains the reported TTIs — the target ranges are held
+  as flat interval arrays, so each batch is routed with one vectorised
+  ``searchsorted`` over all active targets (and a counting-only batch
+  never re-enters Python at all).
 
 Results come back as one :class:`~repro.core.results.EnumerationResult`
 per request, in request order; requests that carry their own sink are
@@ -31,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.results import EnumerationResult
+from repro.core.windows import SkylineCut
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry, timing_enabled
 from repro.obs.timing import Deadline, now
@@ -160,19 +165,22 @@ class _SliceRouter(ResultSink):
         _ROUTER_BATCHES.inc(self._batches)
 
 
-def _group_window_arrays(
+def _group_cuts(
     group: PlanGroup,
     *,
     registry: "CoreIndexRegistry | None",
     deadline: Deadline | None = None,
 ):
-    """Yield ``(window, arrays)`` for every covering window of ``group``.
+    """Yield ``(window, cut)`` for every covering window of ``group``.
 
-    Window preparation is where the executor's *other* costs live — a
-    cold index resolve (possibly a build), the vectorised skyline cut,
-    or a full Algorithm-2 run per ``direct`` window.  An expired (or
-    cancelled) ``deadline`` therefore short-circuits *before* each
-    window's prep: the window is yielded with ``arrays=None`` and the
+    ``cut`` is the window's :class:`~repro.core.windows.SkylineCut`:
+    two offsets into the start order of the group's index skyline, or
+    the full span of a ``direct`` window's fresh skyline.  Window
+    preparation is where the executor's *other* costs live — a cold
+    index resolve (possibly a build), or a full Algorithm-2 run per
+    ``direct`` window.  An expired (or cancelled) ``deadline`` therefore
+    short-circuits *before* each window's prep: the window is yielded
+    with ``cut=None`` and the
     caller marks its requests ``completed=False`` without enumerating.
     Without this, a deadline abort would keep paying per-window prep
     for every remaining window — prompt cancellation (the daemon's
@@ -205,10 +213,7 @@ def _group_window_arrays(
             if expired():
                 yield window, None
                 continue
-            selected = index.ecs.selection_from_cut(lo, hi, window.ts, window.te)
-            yield window, index.ecs.active_arrays_from_selection(
-                selected, window.ts
-            )
+            yield window, SkylineCut(index.ecs, lo, hi, window.ts, window.te)
     elif group.engine == "direct":
         from repro.core.coretime import compute_core_times
 
@@ -220,7 +225,7 @@ def _group_window_arrays(
                 group.graph, group.k, window.ts, window.te
             ).ecs
             assert skyline is not None
-            yield window, skyline.active_window_arrays(window.ts, window.te)
+            yield window, skyline.cut(window.ts, window.te)
     else:  # pragma: no cover - the planner validates engines
         raise InvalidParameterError(f"plan group has unknown engine {group.engine!r}")
 
@@ -259,9 +264,7 @@ def execute_plan(
     ]
     with trace.span("execute", windows=plan.num_windows):
         for group in plan.groups:
-            for window, arrays in _group_window_arrays(
-                group, registry=registry, deadline=deadline
-            ):
+            for window, cut in _group_cuts(group, registry=registry, deadline=deadline):
                 if window.is_shared:
                     target: ResultSink = _SliceRouter(
                         [
@@ -275,7 +278,7 @@ def execute_plan(
                     )
                 else:
                     target = sinks[window.requests[0]]
-                if arrays is None:
+                if cut is None:
                     # Deadline expired (or the request was cancelled)
                     # before this window's prep — skip the walk entirely,
                     # the sink just learns it did not complete.
@@ -292,7 +295,7 @@ def execute_plan(
                     requests=len(window.requests),
                 ):
                     walk_started = now() if timed else 0.0
-                    completed = run_columnar_walk(arrays, target, deadline=deadline)
+                    completed = run_columnar_walk(cut, target, deadline=deadline)
                     if timed:
                         _ENUMERATE_SECONDS.observe(now() - walk_started)
                 with trace.span("sink_flush", requests=len(window.requests)):

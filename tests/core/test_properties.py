@@ -169,6 +169,48 @@ def test_query_batch_counters_equal_oracle(path, case):
         )
 
 
+@st.composite
+def cut_batches(draw):
+    """A graph, ``k``, a time scale and a batch of its ranges.
+
+    The batch mixes the full span, single timestamps and random ranges
+    (cuts that begin past an edge's first window among them; empty cuts
+    wherever ``k`` or the range leaves no window).  At scale 997 the
+    graph is queried through a raw-timestamp twin, whose cuts are
+    counted over the ranks of their times.
+    """
+    graph, k = draw(graph_and_k())
+    bounds = st.integers(min_value=1, max_value=graph.tmax)
+    ranges = [(1, graph.tmax)]
+    ranges += [(t, t) for t in draw(st.lists(bounds, min_size=1, max_size=3))]
+    ranges += [
+        tuple(sorted(draw(st.tuples(bounds, bounds))))
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
+    return graph, k, draw(st.sampled_from([1, 997])), draw(st.permutations(ranges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cut_batches())
+def test_fused_count_equals_oracle(case):
+    """Counting batches read skyline cuts; every request counts what the oracle counts."""
+    graph, k, scale, ranges = case
+    queried, asked = graph, ranges
+    if scale > 1:
+        u, v, t = graph.edge_columns()
+        queried = TemporalGraph(
+            zip(u.tolist(), v.tolist(), (t * scale).tolist()), normalize_time=False
+        )
+        # [ts * scale - 500, te * scale] holds exactly the raw times of [ts, te].
+        asked = [(ts * scale - 500, te * scale) for ts, te in ranges]
+    results = CoreIndex(queried, k).query_batch(asked)
+    for (ts, te), result in zip(ranges, results):
+        oracle = enumerate_temporal_kcores_ref(graph, k, ts, te, collect=False)
+        assert (result.num_results, result.total_edges, result.completed) == (
+            oracle.num_results, oracle.total_edges, True
+        ), (ts, te)
+
+
 @settings(max_examples=30, deadline=None)
 @given(graph=temporal_graphs())
 def test_core_times_monotone_everywhere(graph):

@@ -208,9 +208,11 @@ class TestCrashRecovery:
         restarted = start_daemon(store=root)
         with DaemonClient("127.0.0.1", restarted.port) as client:
             stats = client.stats()
-            assert stats["ingest"]["keys"] == {} or True  # lazily opened
+            assert stats["ingest"]["keys"] == {}  # opened lazily, by the flush
             ack = client.flush()
             assert ack["applied"] == 4
+            (key_stats,) = client.stats()["ingest"]["keys"].values()
+            assert key_stats["last_lsn"] == 4
             cores, done = client.query(k=2, ts=graph.tmax + 1,
                                        te=graph.tmax + 3)
             assert done["completed"]

@@ -6,10 +6,11 @@ same count, same TTI set, same edge *set* per TTI, same ``|R|``.
 (Intra-core edge order may differ inside equal-end-time groups; the
 identity of a core is its edge set.)
 
-The compiled walks are also held to the seed walk over raw window
-slices: the emitting walk's cores (TTI and edge set) at every step,
-and the counting walk's counters, slice-router targets included, after
-completion and after an abort.
+The compiled walks are also held to the seed walk over skyline cuts
+(run over the window slice each cut materialises): the emitting walk's
+cores (TTI and edge set) at every step, and the counting walk's
+counters, slice-router targets included, after completion and after
+an abort.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.core.enumerate_ref import (
     enumerate_active_window_arrays_ref,
     enumerate_temporal_kcores_ref,
 )
 from repro.core.index import CoreIndex
+from repro.core.windows import EdgeCoreSkyline, SkylineCut
 from repro.graph.generators import uniform_random_temporal
 from repro.obs.metrics import get_registry
 from repro.obs.timing import Deadline
@@ -262,24 +265,24 @@ class TestCompiledWalk:
     """The compiled walks, emitting and counting, against the seed linked-list walk."""
 
     @staticmethod
-    def walk(arrays, sink, deadline=None):
+    def walk(cut, sink, deadline=None):
         """One walk, finished like the executor does."""
-        done = run_columnar_walk(arrays, sink, deadline=deadline)
+        done = run_columnar_walk(cut, sink, deadline=deadline)
         sink.finish(done)
         return done
 
     @staticmethod
-    def slices(seed, count=8):
-        """Window slices of random graphs and ranges, full span first."""
+    def cuts(seed, count=8):
+        """Skyline cuts of random graphs and ranges, full span first."""
         graph = uniform_random_temporal(13, 150, tmax=22, seed=seed)
         index = CoreIndex(graph, 2)
         rng = random.Random(7000 + seed)
         ranges = [(1, graph.tmax)] + random_windows(rng, graph.tmax, count)
-        return [index.ecs.active_window_arrays(ts, te) for ts, te in ranges]
+        return [index.ecs.cut(ts, te) for ts, te in ranges]
 
     @staticmethod
     def raw_index(seed):
-        """An index over raw timestamps 997 apart: slices far wider than they are long."""
+        """An index over raw timestamps 997 apart: cuts far wider than they are long."""
         from repro.graph.temporal_graph import TemporalGraph
 
         dense = uniform_random_temporal(13, 150, tmax=22, seed=seed)
@@ -290,20 +293,20 @@ class TestCompiledWalk:
         return graph, CoreIndex(graph, 2)
 
     @staticmethod
-    def raw_slices(seed):
-        """The raw graph's full-span slice and random sub-range slices.
+    def raw_cuts(seed):
+        """The raw graph's full-span cut and random sub-range cuts.
 
-        Each spans more than ``2 * size + 64`` time units, so the
-        counting walk runs over the ranks of the slice's times.
+        Each spans at least ``2 * (hi - lo) + 64`` time units, so the
+        counting walk runs over the ranks of the windows' times.
         """
         graph, index = TestCompiledWalk.raw_index(seed)
         rng = random.Random(7500 + seed)
         ranges = [(1, graph.tmax)] + random_windows(rng, graph.tmax, 4)
-        slices = [index.ecs.active_window_arrays(ts, te) for ts, te in ranges]
-        slices = [arrays for arrays in slices if len(arrays[0])]
-        for _eids, _starts, ends, actives in slices:
-            assert ends.max() - actives.min() >= 2 * len(ends) + 64
-        return slices
+        cuts = [index.ecs.cut(ts, te) for ts, te in ranges]
+        cuts = [cut for cut in cuts if len(cut.arrays()[0])]
+        for cut in cuts:
+            assert cut.te - cut.ts + 1 >= 2 * (cut.hi - cut.lo) + 64
+        return cuts
 
     def test_oracle_cores_match_the_enum_engine(self):
         """The ranked seed walk reports what the seed engine reports over the range."""
@@ -319,32 +322,34 @@ class TestCompiledWalk:
     @pytest.mark.parametrize("seed", range(4))
     def test_emissions_entry_identical_at_every_step(self, seed):
         """Compared after the walk: no emitted array was mutated later."""
-        for arrays in self.slices(seed):
+        for cut in self.cuts(seed):
             got = RecordingSink()
-            assert self.walk(arrays, got)
+            assert self.walk(cut, got)
             for _t, *parts in got.batches:
                 assert all(part.dtype == np.int64 for part in parts)
-            assert emitted(got) == oracle_cores(arrays)
+            assert emitted(got) == oracle_cores(cut.arrays())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_count_sink_counters_identical(self, seed):
-        for arrays in self.slices(seed):
+        for cut in self.cuts(seed):
             got = CountSink()
-            self.walk(arrays, got)
-            assert counters([got]) == oracle_counters(oracle_cores(arrays), [(0, 1 << 62)])
+            self.walk(cut, got)
+            assert counters([got]) == oracle_counters(
+                oracle_cores(cut.arrays()), [(0, 1 << 62)]
+            )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_counting_router_with_repeated_targets(self, seed):
-        """1,200 targets, many repeated, several starting before the slice."""
+        """1,200 targets, many repeated, several starting before the cut."""
         graph = uniform_random_temporal(13, 150, tmax=24, seed=seed)
-        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        cut = CoreIndex(graph, 2).ecs.cut(1, graph.tmax)
         rng = random.Random(8100 + seed)
         targets = random_windows(rng, graph.tmax, 400) * 3
         rng.shuffle(targets)
         got, got_sinks = router_counters(targets)
         assert got.counting_targets() is not None
-        self.walk(arrays, got)
-        cores = oracle_cores(arrays)
+        self.walk(cut, got)
+        cores = oracle_cores(cut.arrays())
         assert counters(got_sinks) == oracle_counters(cores, targets)
         assert counters([got]) == oracle_counters(cores, [(1, graph.tmax)])
         assert got._batches == visits(cores) > 0
@@ -353,10 +358,11 @@ class TestCompiledWalk:
     def test_counting_over_raw_times(self, seed):
         """Count sinks and router targets between, before and after raw times count alike."""
         graph, index = self.raw_index(seed)
-        for arrays in self.raw_slices(seed):
+        for cut in self.raw_cuts(seed):
+            arrays = cut.arrays()
             cores = oracle_cores(arrays)
             got = CountSink()
-            self.walk(arrays, got)
+            self.walk(cut, got)
             assert counters([got]) == oracle_counters(cores, [(1, graph.tmax)])
             _eids, starts, ends, actives = arrays
             first_end = int(ends[starts == starts.min()].min())
@@ -364,37 +370,60 @@ class TestCompiledWalk:
             rng = random.Random(8200 + seed)
             targets = random_windows(rng, graph.tmax, 60) + [
                 (int(actives.min()), first_end - 1),  # ends before the first e0
-                (1, int(actives.min()) - 1),  # ends before the slice
+                (1, int(actives.min()) - 1),  # ends before the cut
                 (last_visit + 1, graph.tmax),  # starts after the last visit
-                (int(starts.min()), int(ends.max())),  # the whole slice
+                (int(starts.min()), int(ends.max())),  # the whole cut
             ]
             got, got_sinks = router_counters(targets)
-            self.walk(arrays, got)
+            self.walk(cut, got)
             assert counters(got_sinks) == oracle_counters(cores, targets)
             assert counters(got_sinks)[-1][:2] == (got.num_results, got.total_edges)
             assert counters(got_sinks)[-3:-1] == [(0, 0, True)] * 2
             assert got._batches == visits(cores)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cuts_starting_past_an_edges_first_window(self, seed):
+        """Windows whose flat predecessor the cut leaves out activate at ts.
+
+        Every cut starting after an edge's first window, and its
+        single-timestamp cuts, count the oracle's cores of the range.
+        """
+        graph = uniform_random_temporal(13, 150, tmax=22, seed=seed)
+        skyline = CoreIndex(graph, 2).ecs
+        offsets, t1, _t2 = skyline.flat_parts()
+        heads = set(offsets.tolist())
+        later = [int(t1[i]) for i in range(len(t1)) if i not in heads]
+        assert later
+        for ts in sorted(set(later)):
+            for te in (ts, graph.tmax):
+                cut = skyline.cut(ts, te)
+                got = CountSink()
+                self.walk(cut, got)
+                oracle = enumerate_temporal_kcores_ref(graph, 2, ts, te, collect=False)
+                assert (got.num_results, got.total_edges) == (
+                    oracle.num_results, oracle.total_edges
+                ), (ts, te)
+
     def test_router_metrics_count_identically(self):
         graph = uniform_random_temporal(13, 150, tmax=24, seed=5)
-        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        cut = CoreIndex(graph, 2).ecs.cut(1, graph.tmax)
         targets = random_windows(random.Random(5), graph.tmax, 30)
         registry = get_registry()
         names = ("repro_router_batches_total", "repro_router_targets_total")
         before = [registry.get(name).value for name in names]
-        self.walk(arrays, router_counters(targets)[0])
+        self.walk(cut, router_counters(targets)[0])
         moved = [registry.get(n).value - b for n, b in zip(names, before)]
-        assert moved == [visits(oracle_cores(arrays)), len(targets)]
+        assert moved == [visits(oracle_cores(cut.arrays())), len(targets)]
 
     def test_mixed_count_and_flat_targets(self):
         graph = uniform_random_temporal(13, 150, tmax=24, seed=2)
-        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
+        cut = CoreIndex(graph, 2).ecs.cut(1, graph.tmax)
         targets = random_windows(random.Random(9), graph.tmax, 12)
         sinks = [FlatArraySink() if i % 3 == 0 else CountSink() for i in range(len(targets))]
         router = _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)])
         assert router.counting_targets() is None
-        self.walk(arrays, router)
-        cores = oracle_cores(arrays)
+        self.walk(cut, router)
+        cores = oracle_cores(cut.arrays())
         assert counters(sinks) == oracle_counters(cores, targets)
         for (lo, hi), sink in zip(targets, sinks):
             if isinstance(sink, FlatArraySink):
@@ -403,32 +432,39 @@ class TestCompiledWalk:
                 ] == [(ts, te, edges) for ts, te, edges in cores if lo <= ts and te <= hi]
 
     def test_empty_slice(self):
-        empty = np.empty(0, dtype=np.int64)
-        arrays = (empty, empty, empty, empty)
-        for sink in (CountSink(), RecordingSink(), router_counters([(1, 5)])[0]):
-            assert self.walk(arrays, sink)
-            assert (sink.num_results, sink.total_edges, sink.completed) == (0, 0, True)
+        """An empty cut, and a cut whose windows all end after its range."""
+        graph = uniform_random_temporal(13, 150, tmax=22, seed=0)
+        skyline = CoreIndex(graph, 2).ecs
+        uncounted = [
+            cut for cut in (skyline.cut(t, t) for t in range(1, graph.tmax + 1))
+            if cut.hi > cut.lo and not len(cut.arrays()[0])
+        ]
+        assert uncounted
+        for cut in (EdgeCoreSkyline([], 2, (1, 5)).cut(1, 5), uncounted[0]):
+            for sink in (CountSink(), RecordingSink(), router_counters([(1, 5)])[0]):
+                assert self.walk(cut, sink)
+                assert (sink.num_results, sink.total_edges, sink.completed) == (0, 0, True)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_width_one_windows(self, seed):
         graph = uniform_random_temporal(12, 160, tmax=10, seed=seed)
         index = CoreIndex(graph, 1)
         for t in range(1, graph.tmax + 1):
-            arrays = index.ecs.active_window_arrays(t, t)
-            cores = oracle_cores(arrays)
+            cut = index.ecs.cut(t, t)
+            cores = oracle_cores(cut.arrays())
             got = RecordingSink()
-            self.walk(arrays, got)
+            self.walk(cut, got)
             assert emitted(got) == cores
             count = CountSink()
-            self.walk(arrays, count)
+            self.walk(cut, count)
             assert counters([count]) == oracle_counters(cores, [(t, t)])
 
     @pytest.mark.parametrize("polls", [0, 1, 2, 3, 7, 30])
     def test_abort_leaves_identical_partial_counters(self, polls):
         """An abort keeps the oracle's cores of every visit finished before it."""
         graph = uniform_random_temporal(13, 150, tmax=18, seed=11)
-        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
-        cores = oracle_cores(arrays)
+        cut = CoreIndex(graph, 2).ecs.cut(1, graph.tmax)
+        cores = oracle_cores(cut.arrays())
         finished = sorted({ts for ts, _te, _edges in cores})[:polls]
         done = polls >= visits(cores)  # 30 polls outlast the walk
         kept = [core for core in cores if core[0] in finished]
@@ -436,7 +472,7 @@ class TestCompiledWalk:
         count, recording = CountSink(), RecordingSink()
         router, router_sinks = router_counters(targets)
         flags = [
-            self.walk(arrays, sink, ExpiresAfter(polls)) for sink in (count, recording, router)
+            self.walk(cut, sink, ExpiresAfter(polls)) for sink in (count, recording, router)
         ]
         assert flags == [done] * 3
         everything = oracle_counters(kept, [(1, graph.tmax)], done)
@@ -448,7 +484,11 @@ class TestCompiledWalk:
     @pytest.mark.parametrize("span", [12, 5_000, 1 << 40])
     @pytest.mark.parametrize("seed", range(3))
     def test_synthetic_slices_of_every_time_span(self, span, seed):
-        """Spans sorted by the packed key and spans that overflow it walk like the oracle."""
+        """Spans sorted by the packed key and spans that overflow it walk like the oracle.
+
+        Hand-built slices are no skyline's cut, so they go to the
+        emitting walk itself.
+        """
         rng = np.random.default_rng(seed)
         size = 60
         times = np.sort(rng.integers(0, span, size=(size, 3)), axis=1)
@@ -459,25 +499,65 @@ class TestCompiledWalk:
         got_visits, got_splice = columnar._schedule(starts, ends, actives)
         assert np.array_equal(got_visits, visit_times)
         assert np.array_equal(got_splice, splice)
-        targets = [tuple(sorted(pair)) for pair in rng.integers(0, span, (20, 2)).tolist()]
-        cores = oracle_cores(arrays)
         recording = RecordingSink()
-        router, router_sinks = router_counters(targets)
-        for sink in (recording, router):
-            self.walk(arrays, sink)
-        assert emitted(recording) == cores
-        assert counters([router, *router_sinks]) == oracle_counters(
-            cores, [(0, span)] + targets
+        recording.finish(
+            columnar._walk_compiled(native.library().walk_step, arrays, recording, None)
         )
+        assert emitted(recording) == oracle_cores(arrays)
+
+    @pytest.mark.parametrize("span", [12, 5_000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_synthetic_skylines_count_like_the_oracle(self, span, seed):
+        """Random bi-monotone skylines: every cut's router counters equal the oracle's.
+
+        60 edges of up to four windows each over ``[1, span]``: the
+        short span is counted over its own times, the long one over
+        ranks.
+        """
+        rng = random.Random(9000 + seed)
+        windows_by_edge = []
+        for _ in range(60):
+            points = sorted(rng.sample(range(1, span + 1), 8))
+            count = rng.randint(0, 4)
+            starts, ends = sorted(points[:count]), sorted(points[4:4 + count])
+            windows_by_edge.append(list(zip(starts, ends)))
+        skyline = EdgeCoreSkyline(windows_by_edge, 2, (1, span))
+        skyline.check_skyline_invariant()
+        for ts, te in [(1, span)] + random_windows(rng, span, 6):
+            cut = skyline.cut(ts, te)
+            cores = oracle_cores(cut.arrays()) if len(cut.arrays()[0]) else []
+            targets = random_windows(rng, span, 20) + [(ts, te)]
+            router, router_sinks = router_counters(targets)
+            self.walk(cut, router)
+            assert counters([router, *router_sinks]) == oracle_counters(
+                cores, [(ts, te)] + targets
+            )
 
     def test_counting_walk_refuses_windows_out_of_order(self):
-        eids, starts, ends, actives = (part.copy() for part in self.slices(0)[0])
-        actives[0] = starts[0] + 1
+        """A cut whose windows start before its range, or out of start order, is refused."""
+        skyline = self.cuts(0)[0].skyline
+        full = skyline.cut(*skyline.span)
+        first_start = int(skyline.flat_parts()[1].min())
+        early = SkylineCut(skyline, full.lo, full.hi, first_start + 1, full.te)
         with pytest.raises(ValueError):
-            run_columnar_walk((eids, starts, ends, actives), CountSink())
+            run_columnar_walk(early, CountSink())
+        shuffled = EdgeCoreSkyline.from_flat(*skyline.flat_parts(), 2, skyline.span)
+        order = shuffled.counting_columns()[2]
+        shuffled._start_order = np.ascontiguousarray(order[::-1])
+        with pytest.raises(ValueError):
+            run_columnar_walk(shuffled.cut(*skyline.span), CountSink())
 
-    def test_non_int64_slice_is_refused(self):
-        arrays = self.slices(0)[0]
-        narrowed = tuple(part.astype(np.int32) for part in arrays)
-        with pytest.raises(TypeError):
-            run_columnar_walk(narrowed, CountSink())
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (-1, 3), (0, "size + 1")])
+    def test_cut_bounds_refused_before_the_kernel(self, monkeypatch, lo, hi):
+        """``lo > hi`` or a cut past the start order raises before anything is read."""
+        skyline = self.cuts(0)[0].skyline
+        if hi == "size + 1":
+            hi = skyline.size() + 1
+
+        def unreachable():
+            raise AssertionError("the kernels were asked for")
+
+        monkeypatch.setattr(columnar.native, "library", unreachable)
+        for sink in (CountSink(), RecordingSink()):
+            with pytest.raises(ValueError):
+                run_columnar_walk(SkylineCut(skyline, lo, hi, *skyline.span), sink)

@@ -172,8 +172,8 @@ class TestSliceRouter:
         targets = [(1, 20), (3, 12), (8, 24)]
         router, sinks = counting_router(targets)
         assert router.counting_targets() is not None
-        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, graph.tmax)
-        done = run_columnar_walk(arrays, router)
+        cut = CoreIndex(graph, 2).ecs.cut(1, graph.tmax)
+        done = run_columnar_walk(cut, router)
         # nothing delivered yet: the sinks are written once, at finish
         assert [s.num_results for s in sinks] == [0, 0, 0]
         router.finish(done)
@@ -211,13 +211,46 @@ class TestSliceRouter:
         graph = uniform_random_temporal(13, 150, tmax=24, seed=1)
         targets = [(1, 18), (6, 18)]
         router, sinks = counting_router(targets)
-        arrays = CoreIndex(graph, 2).ecs.active_window_arrays(1, 18)
-        router.finish(run_columnar_walk(arrays, router))
+        cut = CoreIndex(graph, 2).ecs.cut(1, 18)
+        router.finish(run_columnar_walk(cut, router))
         want = oracle_counts(graph, 2, targets)
         assert [
             (s.num_results, s.total_edges, s.completed) for s in sinks
         ] == want
         assert want[0][0] > want[1][0] > 0
+
+
+class TestCountingReadsTheCut:
+    """A counting batch reads the skyline's cut: no slice, no eids, no activation pass."""
+
+    @pytest.mark.parametrize("scale", [1, 997])
+    def test_counting_paths_never_materialise_a_slice(self, monkeypatch, scale):
+        from repro.core.query import TimeRangeCoreQuery
+        from repro.core.windows import EdgeCoreSkyline
+        from repro.graph.temporal_graph import TemporalGraph
+
+        dense = uniform_random_temporal(13, 150, tmax=24, seed=6)
+        u, v, t = dense.edge_columns()
+        graph = TemporalGraph(
+            zip(u.tolist(), v.tolist(), (t * scale).tolist()), normalize_time=False
+        )
+        ranges = overlapping_ranges(random.Random(6), dense.tmax, 40)
+        ranges = [(ts * scale, te * scale) for ts, te in ranges]
+        index = CoreIndex(graph, 2)
+        want = oracle_counts(dense, 2, [(ts // scale, te // scale) for ts, te in ranges])
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("a counting walk materialised a window slice")
+
+        for name in ("selection_from_cut", "active_arrays_from_selection", "window_eids"):
+            monkeypatch.setattr(EdgeCoreSkyline, name, refused)
+        got = [(r.num_results, r.total_edges, r.completed) for r in index.query_batch(ranges)]
+        assert got == want
+        ts, te = ranges[0]
+        single = index.query(ts, te, collect=False)
+        direct = TimeRangeCoreQuery(graph, 2, (ts, te), engine="enum", collect=False).run()
+        for result in (single, direct):
+            assert (result.num_results, result.total_edges, result.completed) == want[0]
 
 
 @pytest.mark.failed_compile

@@ -13,10 +13,15 @@
    library (``-fsanitize=address,undefined -fno-sanitize-recover=all``),
    loaded through :mod:`repro.core.native` with its compiler command and
    cache directory redirected to a temp dir.
-3. Counts the calls of each of the eight entry points of
-   :class:`~repro.core.native.Kernels` while the suites run, and reports
-   them: an entry point no suite called is a failure, since the
-   sanitizers never saw it.
+3. Hands the sanitized ``repro_count_init`` two cuts of its own (see
+   :func:`count_cuts`): a mid-span cut whose first window's flat
+   predecessor lies outside it, which must count what the seed walk
+   counts, and a cut claiming a range its windows start before, which
+   must be refused.
+4. Counts the calls of each of the eight entry points of
+   :class:`~repro.core.native.Kernels` while the suites and cuts run,
+   and reports them: an entry point nothing called is a failure, since
+   the sanitizers never saw it.
 
 The ASan runtime has to be loaded before the Python interpreter's own
 libraries, so run it as::
@@ -25,8 +30,8 @@ libraries, so run it as::
         PYTHONPATH=src python tools/check_native.py
 
 Exits non-zero when the strict compile fails, the sanitized library does
-not load, a test fails (a sanitizer report aborts the process), or an
-entry point was never called.
+not load, a test or cut check fails (a sanitizer report aborts the
+process), or an entry point was never called.
 """
 
 from __future__ import annotations
@@ -89,6 +94,46 @@ def counted(kernels: native.Kernels, calls: dict[str, int]) -> native.Kernels:
     return kernels._replace(**{name: wrap(name, getattr(kernels, name)) for name in kernels._fields})
 
 
+def count_cuts() -> list[str]:
+    """Count a mid-span cut and refuse a malformed one; the problems found.
+
+    The skyline's edge 0 has windows (1, 3), (2, 5), (4, 6).  The cut of
+    ``[2, 6]`` starts past the windows starting at 1 (``lo > 0``) and
+    holds edge 0 from its second window on, so that window activates at
+    ``ts`` although its flat predecessor starts at 1; edge 2's (3, 7)
+    starts inside the range but ends after it.  The cut of the whole
+    start order claimed for ``[2, 7]`` holds windows starting at 1.
+    """
+    from repro.core.enumerate_ref import enumerate_active_window_arrays_ref
+    from repro.core.windows import EdgeCoreSkyline, SkylineCut
+    from repro.serve.columnar import run_columnar_walk
+    from repro.serve.sinks import CountSink
+
+    skyline = EdgeCoreSkyline(
+        [[(1, 3), (2, 5), (4, 6)], [(1, 2), (3, 4)], [(2, 4), (3, 7)]], 2, (1, 7)
+    )
+    problems = []
+    cut = skyline.cut(2, 6)
+    if cut.lo == 0:
+        problems.append(f"the [2, 6] cut starts at lo = 0: {cut}")
+    sink = CountSink()
+    sink.finish(run_columnar_walk(cut, sink))
+    want = enumerate_active_window_arrays_ref(2, 2, 6, cut.arrays(), collect=False)
+    if (sink.num_results, sink.total_edges) != (want.num_results, want.total_edges):
+        problems.append(
+            f"mid-span cut counted {(sink.num_results, sink.total_edges)}, "
+            f"the seed walk {(want.num_results, want.total_edges)}"
+        )
+    full = skyline.cut(1, 7)
+    try:
+        run_columnar_walk(SkylineCut(skyline, full.lo, full.hi, 2, 7), CountSink())
+    except ValueError:
+        pass
+    else:
+        problems.append("a cut holding windows that start before its range was counted")
+    return problems
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="check-native-") as tmp:
         scratch = pathlib.Path(tmp)
@@ -121,6 +166,10 @@ def main() -> int:
         # aborts the process still reaches the terminal.
         args = ["-q", "-p", "no:cacheprovider", "--capture=sys"]
         status = int(pytest.main([*args, *(str(ROOT / t) for t in TESTS)]))
+        problems = count_cuts()
+        for problem in problems:
+            print(f"cut check: {problem}", file=sys.stderr)
+        status = status or int(bool(problems))
         print("entry point calls under the sanitizers:")
         for name, count in calls.items():
             print(f"  {name}: {count}")
