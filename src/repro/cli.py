@@ -593,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
              "with an `overloaded` error frame (default: 64)",
     )
     serve.add_argument(
-        "--outbox-depth", type=int, default=256, metavar="N",
-        help="per-connection send-buffer bound, in chunks of up to 64 KiB (default: 256)",
+        "--outbox-depth", type=int, default=32, metavar="N",
+        help="per-connection send-buffer bound, in chunks of up to 64 KiB (default: 32)",
     )
     serve.add_argument(
         "--capacity", type=int, default=16, metavar="N",

@@ -39,6 +39,12 @@
  * costs O(changes + width of [e0, top end]) and the per-target counters
  * a slice router would accumulate are two lookups each.
  *
+ * repro_render_frames writes the cores of one start time of an emitting
+ * walk as NDJSON frames (serve/sinks.py, NDJSONSink, and the daemon's
+ * bridge sink): the batch's edge run is rendered to decimal text once,
+ * and each core copies its prefix of that text between the frame's
+ * fixed parts.  Its oracle is json.dumps of each core.
+ *
  * repro_counting_order is the stable counting sort behind the index
  * assembly (core/multik.py, _FusedMultiK.results), the skyline's start
  * order (core/windows.py, EdgeCoreSkyline._by_start) and the counting
@@ -827,6 +833,115 @@ int64_t repro_count_visits(struct repro_count *c, int64_t max_visits)
         done++;
     }
     return done;
+}
+
+/* The decimal text of v at dst; returns its length (at most 20).  The
+ * magnitude is taken unsigned, so INT64_MIN is exact. */
+static int64_t put_decimal(char *dst, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    char digits[20];
+    int64_t n = 0, len = 0;
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        dst[len++] = '-';
+    while (n)
+        dst[len++] = digits[--n];
+    return len;
+}
+
+/* The length put_decimal writes for v. */
+static int64_t decimal_width(int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int64_t width = 1 + (v < 0);
+    while (u >= 10) {
+        u /= 10;
+        width++;
+    }
+    return width;
+}
+
+static inline char *put_bytes(char *dst, const char *src, int64_t len)
+{
+    if (len > 0)
+        memcpy(dst, src, (size_t)len);
+    return dst + len;
+}
+
+#define PUT_LITERAL(dst, literal) put_bytes((dst), (literal), (int64_t)sizeof(literal) - 1)
+
+/*
+ * Render one start time's core frames: per core i, prefix, then
+ * {"tti": [ts, ends[i]], "num_edges": lens[i], "edge_ids": [...]} (the
+ * id list, when edge_ids is set, the first lens[i] ids of eids[0..run)
+ * joined by ", "; without it the object closes after num_edges), then
+ * closing and a newline -- json.dumps's separators, byte for byte.  The
+ * run's decimal text is written once to text (22 bytes per id: 20
+ * characters of INT64_MIN and the separator), with stops[j] the end of
+ * its first j ids (run + 1 entries); each core copies its prefix of it.
+ * Returns the bytes the frames take, written to out only when they fit
+ * in capacity, or -1 when edge_ids is set and a length lies outside [0,
+ * run].
+ */
+int64_t repro_render_frames(const char *prefix, int64_t prefix_len,
+                            const char *closing, int64_t closing_len, int64_t ts,
+                            int64_t cores, const int64_t *ends, const int64_t *lens,
+                            int64_t edge_ids, int64_t run, const int64_t *eids,
+                            char *text, int64_t *stops, char *out, int64_t capacity)
+{
+    int64_t longest = 0;
+    if (edge_ids) {
+        for (int64_t i = 0; i < cores; i++) {
+            if (lens[i] < 0 || lens[i] > run)
+                return -1;
+            longest = max64(longest, lens[i]);
+        }
+        int64_t at = 0;
+        stops[0] = 0;
+        for (int64_t j = 0; j < longest; j++) {
+            if (j)
+                at = PUT_LITERAL(text + at, ", ") - text;
+            at += put_decimal(text + at, eids[j]);
+            stops[j + 1] = at;
+        }
+    }
+    /* the bytes of a frame but for te, n and the id text */
+    const int64_t fixed = prefix_len + (int64_t)sizeof("{\"tti\": [") - 1 + decimal_width(ts)
+        + (int64_t)sizeof(", ") - 1 + (int64_t)sizeof("], \"num_edges\": ") - 1
+        + (edge_ids ? (int64_t)sizeof(", \"edge_ids\": []") - 1 : 0)
+        + (int64_t)sizeof("}") - 1 + closing_len + (int64_t)sizeof("\n") - 1;
+    int64_t total = 0;
+    for (int64_t i = 0; i < cores; i++)
+        total += fixed + decimal_width(ends[i]) + decimal_width(lens[i])
+            + (edge_ids ? stops[lens[i]] : 0);
+    if (total > capacity)
+        return total;
+
+    char ts_text[20];
+    const int64_t ts_len = put_decimal(ts_text, ts);
+    char *p = out;
+    for (int64_t i = 0; i < cores; i++) {
+        p = put_bytes(p, prefix, prefix_len);
+        p = PUT_LITERAL(p, "{\"tti\": [");
+        p = put_bytes(p, ts_text, ts_len);
+        p = PUT_LITERAL(p, ", ");
+        p += put_decimal(p, ends[i]);
+        p = PUT_LITERAL(p, "], \"num_edges\": ");
+        p += put_decimal(p, lens[i]);
+        if (edge_ids) {
+            p = PUT_LITERAL(p, ", \"edge_ids\": [");
+            p = put_bytes(p, text, stops[lens[i]]);
+            p = PUT_LITERAL(p, "]");
+        }
+        p = PUT_LITERAL(p, "}");
+        p = put_bytes(p, closing, closing_len);
+        p = PUT_LITERAL(p, "\n");
+    }
+    return total;
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)

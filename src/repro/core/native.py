@@ -3,7 +3,7 @@
 :func:`library` compiles the source with the system C compiler
 (``cc -O2 -shared -fPIC``) the first time a process asks for it, caches
 the shared library under a name carrying the source's sha256, and loads
-it through :mod:`ctypes` with declared argument types.  It holds eight
+it through :mod:`ctypes` with declared argument types.  It holds nine
 functions: the first-start scan of a CoreTime build (``initial_scan``)
 and its advancing phase (``build_pass``, fed a :class:`BuildArgs`
 block; both see :mod:`repro.core.multik`), the fold's
@@ -15,8 +15,9 @@ visit) and, for a sink that only counts, ``count_init`` then
 ``count_visits`` (fed a :class:`CountArgs` block: ``count_init`` reads
 a skyline's start-ordered cut itself and activates each window from its
 flat predecessor, then the alive set is a histogram of windows per end
-time, O(changes + width of the reported end range) per visit) — the
-stable counting sort behind
+time, O(changes + width of the reported end range) per visit) —
+``render_frames``, which writes one start time's cores as NDJSON core
+frames for :class:`FrameRenderer`, the stable counting sort behind
 :func:`counting_order` and the carry-less multiplication crc32 behind
 :func:`crc32`.
 
@@ -161,6 +162,9 @@ class Kernels(NamedTuple):
     count_init: Callable[..., int]
     #: ``repro_count_visits(CountArgs *, max_visits) -> visits counted``
     count_visits: Callable[..., int]
+    #: ``repro_render_frames(prefix, closing, ts, batch, edge_ids, run,
+    #: scratch, out, capacity) -> bytes the frames take, or -1``
+    render_frames: Callable[..., int]
     #: ``repro_counting_order(len, keys, bound, offsets, order) -> 0 or -1``
     counting_order: Callable[..., int]
     #: ``repro_crc32_fold(len, buf, crc) -> crc of the 16-byte blocks, or -1``
@@ -249,6 +253,13 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     count_visits = lib.repro_count_visits
     count_visits.argtypes = [ctypes.POINTER(CountArgs), _INT64]
     count_visits.restype = _INT64
+    render_frames = lib.repro_render_frames
+    render_frames.argtypes = [
+        ctypes.c_char_p, _INT64, ctypes.c_char_p, _INT64, _INT64,
+        _INT64, _POINTER, _POINTER, _INT64, _INT64, _POINTER,
+        _POINTER, _POINTER, _POINTER, _INT64,
+    ]
+    render_frames.restype = _INT64
     counting_order = lib.repro_counting_order
     counting_order.argtypes = [_INT64, _POINTER, _INT64, _POINTER, _POINTER]
     counting_order.restype = _INT64
@@ -257,7 +268,7 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     crc32_fold.restype = _INT64
     return Kernels(
         initial_scan, build_pass, splice, walk_step, count_init, count_visits,
-        counting_order, crc32_fold,
+        render_frames, counting_order, crc32_fold,
     )
 
 
@@ -298,6 +309,75 @@ def library() -> Kernels:
     if isinstance(kernels, str):
         raise KernelBuildError(kernels)
     return kernels
+
+
+#: Scratch bytes per id of a run's text: the 20 characters of the
+#: widest int64, ``-9223372036854775808``, and the ``", "`` after it.
+_ID_TEXT_BYTES = 22
+
+
+class FrameRenderer:
+    """The cores of one start time's batch as NDJSON frames, in bytes.
+
+    A batch is what an emitting walk hands a sink (see
+    :mod:`repro.serve.sinks`): a start time ``ts``, per core its end and
+    prefix length, and the shared edge run.  Each core becomes
+    ``prefix``, the object ``{"tti": [ts, te], "num_edges": n,
+    "edge_ids": [...]}`` (without ``edge_ids`` when ``edge_ids=False``),
+    ``closing`` and ``\\n`` — ``json.dumps``'s text, byte for byte, for
+    every int64.  One ``repro_render_frames`` call renders the run's
+    text once and copies each core's prefix of it; the output buffer is
+    kept across batches and grown when a batch does not fit (a second
+    call then renders it).
+    """
+
+    def __init__(self, prefix: bytes = b"", closing: bytes = b"", *, edge_ids: bool = True):
+        self._render = library().render_frames
+        self._prefix = prefix
+        self._closing = closing
+        self._edge_ids = edge_ids
+        self._stops = np.empty(1, dtype=np.int64)
+        self._text = np.empty(0, dtype=np.uint8)
+        self._grow(1 << 16)
+
+    def _grow(self, capacity: int) -> None:
+        self._out = bytearray(capacity)
+        # The export pins the buffer, whose address the kernel writes to.
+        self._pin = ctypes.c_char.from_buffer(self._out)
+        self._address = ctypes.addressof(self._pin)
+
+    def render(self, ts: int, ends, prefix_lens, eids) -> memoryview:
+        """The batch's frames: a view of the renderer's buffer from its
+        first byte, valid until the next call.
+
+        ``ends``, ``prefix_lens`` and ``eids`` must be C-contiguous int64
+        arrays, ``ends`` and ``prefix_lens`` of one length; with
+        ``edge_ids``, every prefix length must lie in ``[0, len(eids)]``.
+        Raises :class:`ValueError` otherwise, the columns checked before
+        the kernel runs.
+        """
+        for column in (ends, prefix_lens, eids):
+            if column.dtype != np.int64 or not column.flags.c_contiguous:
+                raise ValueError("a batch's columns must be C-contiguous int64 arrays")
+        if len(ends) != len(prefix_lens):
+            raise ValueError("a batch needs one prefix length per core end")
+        run = len(eids) if self._edge_ids else 0
+        if run >= len(self._stops):
+            self._stops = np.empty(2 * run + 1, dtype=np.int64)
+            self._text = np.empty(_ID_TEXT_BYTES * len(self._stops), dtype=np.uint8)
+        while True:
+            size = self._render(
+                self._prefix, len(self._prefix), self._closing, len(self._closing), ts,
+                len(ends), ends.ctypes.data, prefix_lens.ctypes.data,
+                self._edge_ids, run, eids.ctypes.data,
+                self._text.ctypes.data, self._stops.ctypes.data,
+                self._address, len(self._out),
+            )
+            if size < 0:
+                raise ValueError(f"a prefix length lies outside the {run} edge ids of the run")
+            if size <= len(self._out):
+                return memoryview(self._out)[:size]
+            self._grow(max(size, 2 * len(self._out)))
 
 
 def counting_order(keys, bound: int) -> tuple[np.ndarray, np.ndarray]:

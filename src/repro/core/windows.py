@@ -254,11 +254,11 @@ class EdgeCoreSkyline:
         (see :meth:`start_cuts`).  Ascending flat order groups the
         selection by edge with per-edge ascending start times, each
         edge's windows one contiguous flat run — the layout a restricted
-        skyline and an emitting walk's slice
-        (:meth:`active_arrays_from_selection`) take.  A counting walk
-        needs neither the gather nor the sort: it reads the cut and
-        tells a window's activation from its flat predecessor
-        (:meth:`counting_columns`).
+        skyline and the seed oracles' slice
+        (:meth:`active_arrays_from_selection`) take.  The columnar walk
+        needs no sort: it reads the cut in start order and tells a
+        window's activation from its flat predecessor
+        (:meth:`counting_columns`, :meth:`SkylineCut.arrays`).
         """
         span_ts, span_te = self.span
         if ts == span_ts and te == span_te:
@@ -296,9 +296,12 @@ class EdgeCoreSkyline:
         first surviving window of an edge activates at ``ts``, each later
         one at its predecessor's start time plus one.  Bi-monotonicity
         makes each edge's surviving windows a contiguous flat run, so the
-        predecessor test is one shifted comparison.
+        predecessor test is one shifted comparison.  The windows come in
+        ascending flat order, each edge's one run, the layout the seed
+        oracles take.
         """
-        return self.cut(ts, te).arrays()
+        _skyline, lo, hi, ts, te = self.cut(ts, te)
+        return self.active_arrays_from_selection(self.selection_from_cut(lo, hi, ts, te), ts)
 
     def active_arrays_from_selection(
         self, selected: np.ndarray, ts: int
@@ -329,7 +332,7 @@ class SkylineCut(NamedTuple):
     those ending by ``te`` are the range's windows.  This is what the
     columnar walk is handed (:func:`repro.serve.columnar.run_columnar_walk`):
     a counting walk reads the cut itself, an emitting one the
-    :meth:`arrays` it materialises.
+    :meth:`arrays` it gathers, in start order.
     """
 
     skyline: EdgeCoreSkyline
@@ -338,11 +341,35 @@ class SkylineCut(NamedTuple):
     ts: int
     te: int
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar ``(eid, start, end, active)`` of the cut's windows inside ``[ts, te]``."""
-        skyline = self.skyline
-        selected = skyline.selection_from_cut(self.lo, self.hi, self.ts, self.te)
-        return skyline.active_arrays_from_selection(selected, self.ts)
+    def selection(self) -> np.ndarray:
+        """Flat indices of the cut's windows inside ``[ts, te]``, in start order.
+
+        ``order[lo:hi]`` filtered by end time: a gather, no sort.
+        """
+        _starts, ends, order, _first = self.skyline.counting_columns()
+        candidates = order[self.lo : self.hi]
+        return candidates[ends[candidates] <= self.te]
+
+    def arrays(
+        self, selected: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Columnar ``(eid, start, end, active)`` of the cut's windows inside ``[ts, te]``.
+
+        The windows of ``selected``, the cut's :meth:`selection` when not
+        given, in its start order.  A window activates as the counting
+        kernel activates it (Definition 6): at ``ts`` when it is its
+        edge's first, else at ``max(ts, flat predecessor's start + 1)``
+        — a predecessor of the same edge outside the range starts before
+        ``ts``, since it also ends before the window does.
+        """
+        if selected is None:
+            selected = self.selection()
+        starts, ends, _order, first = self.skyline.counting_columns()
+        # selected - 1 wraps to the last window for window 0, which is
+        # its edge's first: the flag masks it.
+        active = np.maximum(starts[selected - 1] + 1, self.ts)
+        active[first[selected].view(bool)] = self.ts
+        return self.skyline.window_eids()[selected], starts[selected], ends[selected], active
 
 
 class ActiveWindow:

@@ -88,7 +88,7 @@ def run_columnar_walk(
     start order (:meth:`EdgeCoreSkyline.cut
     <repro.core.windows.EdgeCoreSkyline.cut>`).  A counting sink's walk
     reads it directly; an emitting sink's walk takes the columnar
-    ``(eid, start, end, active)`` slice it materialises.  Returns
+    ``(eid, start, end, active)`` slice it gathers, in start order.  Returns
     ``True`` when the walk ran to completion, ``False`` on a deadline
     abort (the sink then holds the results of every start time finished
     before the abort).  The caller is responsible for calling
@@ -106,22 +106,21 @@ def run_columnar_walk(
     targets = sink.counting_targets()
     if targets is not None:
         return _count_compiled(kernels, cut, targets, sink, deadline)
-    arrays = cut.arrays()
-    if not len(arrays[0]):
+    selected = cut.selection()
+    if not len(selected):
         return True
-    return _walk_compiled(kernels.walk_step, arrays, sink, deadline)
+    return _walk_compiled(kernels.walk_step, cut.arrays(selected), selected, sink, deadline)
 
 
-def _walk_compiled(walk_step, arrays, sink: ResultSink, deadline) -> bool:
+def _walk_compiled(walk_step, arrays, ties, sink: ResultSink, deadline) -> bool:
     """The emitting walk as one ``repro_walk_step`` call per visited start time.
 
-    The splice order (visit a window activates at, then end, then
-    activation) is sorted once, so each step's incoming windows are one
-    contiguous run.  The sink receives fresh copies of each step's
+    The splice order (see :func:`_schedule`) is sorted once, so each
+    step's incoming windows are one contiguous run.  The sink receives fresh copies of each step's
     arrays.
     """
     size = len(arrays[0])
-    visits, order = _schedule(*arrays[1:])
+    visits, order = _schedule(*arrays[1:], ties)
     args = native.WalkArgs(size=size)
     bound: list[np.ndarray] = []  # holds every bound address valid
 
@@ -228,24 +227,26 @@ def _count_compiled(kernels, cut: SkylineCut, targets, sink: ResultSink, deadlin
 
 
 def _schedule(
-    starts: np.ndarray, ends: np.ndarray, actives: np.ndarray
+    starts: np.ndarray, ends: np.ndarray, actives: np.ndarray, ties: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The visit schedule and the splice order of a non-empty window slice.
 
     The visits are the distinct start times (Lemma 4).  The splice
     order sorts the windows by the visit they activate at (the first
     one at or after their activation time), then end, then activation
-    time, ties in slice order: new windows land ahead of alive ones
-    with the same end, as the oracle's roving cursor inserts them.  It
-    is one sort of the four keys packed into an int64, or
-    ``np.lexsort`` when the packed key would overflow.
+    time, then ``ties`` (non-negative, distinct; a cut passes its flat
+    indices, which fix the order of the ids inside each emitted core):
+    new windows land ahead of alive ones with the same end, as the
+    oracle's roving cursor inserts them.  It is one sort of the keys
+    packed into an int64, or ``np.lexsort`` when the packed key would
+    overflow.
     """
-    size = len(starts)
     visits = unique_sorted(starts)
     visit_of = np.searchsorted(visits, actives)
     base = int(actives.min())
     width = int(ends.max()) - base + 1
-    if len(visits) * width * width * size >= 1 << 63:  # the packed key overflows
-        return visits, np.lexsort((actives, ends, visit_of))
+    tie_width = int(ties.max()) + 1
+    if len(visits) * width * width * tie_width >= 1 << 63:  # the packed key overflows
+        return visits, np.lexsort((ties, actives, ends, visit_of))
     key = (visit_of * width + (ends - base)) * width + (actives - base)
-    return visits, np.argsort(key * size + np.arange(size))
+    return visits, np.argsort(key * tie_width + ties)

@@ -48,6 +48,7 @@ connections a short grace to hang up (late work still gets
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import os
 import re
@@ -83,7 +84,7 @@ from repro.serve.protocol import (
     ok_frame,
     parse_request,
 )
-from repro.serve.sinks import NDJSONSink
+from repro.serve.sinks import ResultSink
 from repro.store.index_store import IndexStore
 
 _STOP = object()  # drain-task sentinel, queued behind all admitted work
@@ -109,52 +110,57 @@ _PUT_WAIT_SECONDS = 0.05
 #: A client that hangs up ends the wait early.
 _CLOSE_GRACE_SECONDS = 1.0
 
-#: Size of one outbox entry of a streamed query, in characters (bytes:
-#: frames are ASCII) — the unit ``--outbox-depth`` counts.
-_CHUNK_CHARS = 64 * 1024
+#: Size of one outbox entry of a streamed query, in bytes — the unit
+#: ``--outbox-depth`` counts.
+_CHUNK_BYTES = 64 * 1024
 
 
 class _FrameWriter:
-    """Pseudo text stream turning NDJSON lines into ``core`` frames.
+    """Hands a query's core frames to the connection outbox in chunks.
 
-    :class:`~repro.serve.sinks.NDJSONSink` writes one start time's
-    batch at a time: text holding many ``\\n``-terminated lines, one
-    per core.  This splices each line *verbatim* (byte-identical to
-    in-process NDJSON output) into a core frame for one request id and
-    hands the batch's frames to the connection outbox at once, in
-    chunks of at most :data:`_CHUNK_CHARS` characters cut only between
-    frames — one outbox put per chunk, not per core; a single frame
-    larger than a chunk travels as its own chunk.  Nothing is held
-    across batches.  Called from the execution thread; the outbox put
-    blocks when the client reads slowly, which is exactly the
-    backpressure the walk should feel — but only up to the request's
-    ``deadline``: past it a chunk that finds the outbox full is
-    dropped, and so is everything after it, so the walk aborts at its
+    The bridge sink renders each start time's batch to the bytes of its
+    core frames in one compiled call; this cuts them into chunks of at
+    most :data:`_CHUNK_BYTES` cut only between frames and hands them
+    over at once, in order — one outbox entry per chunk, not per core; a
+    single frame larger than a chunk travels as its own chunk.  Nothing
+    is held across batches.  Called from the execution thread; taking an
+    outbox slot blocks when the client reads slowly, which is exactly
+    the backpressure the walk should feel — but only up to the
+    request's ``deadline``: past it a chunk that finds the outbox full
+    is dropped, and so is everything after it, so the walk aborts at its
     next deadline poll instead of letting a stalled reader pin the
     execution lane, and the stream still ends on a whole frame.
     """
 
-    def __init__(self, conn: "_Connection", rid, deadline: Deadline | None = None):
+    def __init__(self, conn: "_Connection", deadline: Deadline | None = None):
         self._conn = conn
-        self._prefix = core_frame_prefix(rid)
         self._deadline = deadline
         self._dropped = False
 
-    def write(self, text: str) -> None:
-        prefix = self._prefix
-        frames = prefix + text[:-1].replace("\n", "}\n" + prefix) + "}\n"
-        send = self._conn.send_text_threadsafe
-        start, size = 0, len(frames)
+    def write(self, frames: memoryview) -> None:
+        """Send ``frames``, whole ``\\n``-terminated frames viewed from the
+        first byte of the buffer they are in."""
+        buffer, size = frames.obj, len(frames)
+        send = self._conn.send_threadsafe
+        start = 0
         while start < size and not self._dropped:
-            stop = frames.rfind("\n", start, start + _CHUNK_CHARS) + 1
-            if stop <= start:
-                stop = frames.index("\n", start) + 1
-            self._dropped = not send(frames[start:stop], self._deadline)
+            stop = size
+            if size - start > _CHUNK_BYTES:
+                stop = buffer.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
+                if stop <= start:
+                    stop = buffer.index(b"\n", start) + 1
+            self._dropped = not send(frames[start:stop].tobytes(), self._deadline)
             start = stop
 
 
-class _BridgeSink(NDJSONSink):
-    """The async-bridge sink: stream a query's cores over the socket."""
+class _BridgeSink(ResultSink):
+    """The async-bridge sink: stream a query's cores over the socket.
+
+    Each core travels as ``core_frame_prefix(rid)``, the line an
+    in-process :class:`~repro.serve.sinks.NDJSONSink` writes for it
+    without the newline, and ``}``: one renderer writes both, so the
+    payloads are byte-identical to in-process NDJSON output.
+    """
 
     def __init__(
         self,
@@ -164,11 +170,27 @@ class _BridgeSink(NDJSONSink):
         edge_ids: bool = True,
         deadline: Deadline | None = None,
     ):
-        super().__init__(_FrameWriter(conn, rid, deadline), edge_ids=edge_ids)
+        super().__init__()
+        self._frames = native.FrameRenderer(
+            core_frame_prefix(rid).encode("ascii"), b"}", edge_ids=edge_ids
+        )
+        self._writer = _FrameWriter(conn, deadline)
+
+    def consume(self, ts, ends, prefix_lens, eids) -> None:
+        if len(ends):
+            self._writer.write(self._frames.render(ts, ends, prefix_lens, eids))
 
 
 class _Connection:
-    """One protocol connection: reader state, outbox, liveness flag."""
+    """One protocol connection: reader state, outbox, liveness flag.
+
+    The outbox is a queue of byte chunks, bounded by a count of free
+    slots that the execution thread and the event loop share under one
+    :class:`threading.Condition`.  A producer takes a slot, then queues
+    its chunk; the sender frees one per chunk it writes.  So a producer
+    with a free slot never waits for the event loop, and one without
+    waits only for the sender.
+    """
 
     def __init__(
         self,
@@ -181,7 +203,14 @@ class _Connection:
         #: The ``_handle_conn`` task reading this connection.
         self.handler = asyncio.current_task()
         self.loop = asyncio.get_running_loop()
-        self.outbox: asyncio.Queue = asyncio.Queue(maxsize=outbox_depth)
+        #: Chunks queued for the sender (event loop only); ``None`` stops it.
+        self.outbox: collections.deque[bytes | None] = collections.deque()
+        self._free_slots = outbox_depth
+        self._slot_freed = threading.Condition()
+        #: Loop-side twins of the condition: what loop-side sends and
+        #: the sender wait on.
+        self._slot_released = asyncio.Event()
+        self._queued = asyncio.Event()
         #: Set once the peer is unreachable (reset, broken pipe) — the
         #: ``cancelled`` probe of every in-flight deadline on this
         #: connection, and the drop switch for further sends.
@@ -193,63 +222,72 @@ class _Connection:
 
     # -- sending ---------------------------------------------------------
 
-    async def send(self, frame: dict) -> None:
-        """Queue a frame from the event loop (control responses)."""
-        if not self.gone.is_set():
-            await self.outbox.put(encode_frame(frame).decode("utf-8"))
+    def _take_slot(self) -> bool:
+        with self._slot_freed:
+            if self._free_slots:
+                self._free_slots -= 1
+                return True
+            return False
 
-    def send_text_threadsafe(
-        self, text: str, deadline: Deadline | None = None
-    ) -> bool:
-        """Queue raw frame text from the execution thread.
+    def _release_slot(self) -> None:
+        """Free one slot (event loop): wake a waiting producer and the
+        loop-side sends waiting."""
+        with self._slot_freed:
+            self._free_slots += 1
+            self._slot_freed.notify()
+        self._slot_released.set()
+
+    def _enqueue(self, data: bytes | None) -> None:
+        """Queue a chunk whose slot is taken, or the sender's stop (event loop)."""
+        if data is not None and self.gone.is_set():
+            return
+        self.outbox.append(data)
+        self._queued.set()
+
+    async def send(self, frame: dict) -> None:
+        """Queue a frame from the event loop (control responses); waits
+        for a free slot."""
+        data = encode_frame(frame)
+        while not self.gone.is_set():
+            if self._take_slot():
+                self._enqueue(data)
+                return
+            self._slot_released.clear()
+            await self._slot_released.wait()
+
+    def send_threadsafe(self, data: bytes, deadline: Deadline | None = None) -> bool:
+        """Queue one chunk of whole frames from the execution thread.
 
         A full outbox blocks the caller (slow-reader backpressure), but
         in bounded slices: between waits the peer's liveness and the
         request's ``deadline`` are re-checked, so a stalled reader can
         hold the execution lane only until the request's time budget
-        runs out.  The deadline bounds only the waiting: a frame that
-        finds room within one slice is queued even past it, so a
+        runs out.  The deadline bounds only the waiting: a chunk that
+        finds a slot within one slice is queued even past it, so a
         reader that keeps up gets every frame the walk produced (and
-        counted) before its abort.  Returns ``True`` once the frame is
+        counted) before its abort.  Returns ``True`` once the chunk is
         queued, ``False`` when it was dropped (peer gone, deadline
         expired on a full outbox, or the loop already torn down)."""
-        while True:
-            if self.gone.is_set():
-                return False
-            try:
-                outcome = asyncio.run_coroutine_threadsafe(
-                    self._offer(text), self.loop
-                ).result()
-            except RuntimeError:  # loop already closed (daemon teardown)
-                return False
-            if outcome is not None:
-                return outcome
-            if deadline is not None and deadline.expired():
-                return False
+        with self._slot_freed:
+            while True:
+                if self.gone.is_set():
+                    return False
+                if self._free_slots:
+                    self._free_slots -= 1
+                    break
+                self._slot_freed.wait(_PUT_WAIT_SECONDS)
+                if not self._free_slots and deadline is not None and deadline.expired():
+                    return False
+        try:
+            self.loop.call_soon_threadsafe(self._enqueue, data)
+        except RuntimeError:  # loop already closed (daemon teardown)
+            return False
+        return True
 
     def send_frame_threadsafe(
         self, frame: dict, deadline: Deadline | None = None
     ) -> bool:
-        return self.send_text_threadsafe(
-            encode_frame(frame).decode("utf-8"), deadline
-        )
-
-    async def _offer(self, text: str) -> bool | None:
-        """One bounded outbox put: ``True`` queued, ``False`` dropped
-        (peer gone), ``None`` still full — the caller re-checks its
-        deadline and retries."""
-        if self.gone.is_set():
-            return False
-        try:
-            self.outbox.put_nowait(text)
-            return True
-        except asyncio.QueueFull:
-            pass
-        try:
-            await asyncio.wait_for(self.outbox.put(text), _PUT_WAIT_SECONDS)
-            return True
-        except asyncio.TimeoutError:
-            return None
+        return self.send_threadsafe(encode_frame(frame), deadline)
 
     # -- job accounting --------------------------------------------------
 
@@ -268,7 +306,7 @@ class _Connection:
     async def wait_idle(self) -> None:
         """Wait until every admitted job finished and the outbox drained."""
         await self._idle.wait()
-        while not (self.outbox.empty() or self.gone.is_set()):
+        while self.outbox and not self.gone.is_set():
             await asyncio.sleep(0.01)
 
     # -- teardown --------------------------------------------------------
@@ -276,10 +314,14 @@ class _Connection:
     async def _sender(self) -> None:
         try:
             while True:
-                text = await self.outbox.get()
-                if text is None:
+                while not self.outbox:
+                    self._queued.clear()
+                    await self._queued.wait()
+                data = self.outbox.popleft()
+                if data is None:
                     break
-                self.writer.write(text.encode("utf-8"))
+                self.writer.write(data)
+                self._release_slot()
                 await self.writer.drain()
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
@@ -291,18 +333,17 @@ class _Connection:
         if self.gone.is_set():
             return
         self.gone.set()
-        while True:  # free a producer blocked on a full outbox
-            try:
-                self.outbox.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        self.outbox.clear()
+        with self._slot_freed:  # free producers waiting for a slot
+            self._slot_freed.notify_all()
+        self._slot_released.set()
         # Wake a sender parked on the now-empty outbox: close() skips
         # its own sentinel once ``gone`` is set, so without this the
         # sender would wait forever and close() would await it forever
         # (leaking the handler and hanging the SIGTERM drain).  When
         # the sender already exited the sentinel just stays queued,
         # which is harmless.
-        self.outbox.put_nowait(None)
+        self._enqueue(None)
 
     def abort_threadsafe(self) -> None:
         """Give up on this peer from the execution thread: mark it gone
@@ -329,13 +370,12 @@ class _Connection:
             # covers the one remaining way the sender can hang — blocked
             # in drain() against a peer that stopped reading.
             self.sender_task.cancel()
-        else:
-            try:
-                self.outbox.put_nowait(None)
-            except asyncio.QueueFull:
-                peer_gone = True
-                self.mark_gone()
-                self.sender_task.cancel()
+        elif self._free_slots:
+            self._enqueue(None)
+        else:  # a full outbox: the peer stopped reading
+            peer_gone = True
+            self.mark_gone()
+            self.sender_task.cancel()
         try:
             await self.sender_task
         except asyncio.CancelledError:  # pragma: no cover - close cancelled
@@ -368,7 +408,7 @@ class ServingDaemon:
 
     ``queue_depth`` bounds admission; ``outbox_depth`` bounds each
     connection's send buffer, in entries: control frames, or chunks of
-    up to :data:`_CHUNK_CHARS` of a query's core frames.  ``default_timeout``
+    up to :data:`_CHUNK_BYTES` of a query's core frames.  ``default_timeout``
     caps requests that do not bring their own ``timeout``.
     ``terminal_grace`` is how long past a request's expired deadline
     the daemon keeps offering the terminal frame to a full outbox
@@ -389,7 +429,7 @@ class ServingDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         queue_depth: int = 64,
-        outbox_depth: int = 256,
+        outbox_depth: int = 32,
         capacity: int = 16,
         default_timeout: float | None = None,
         terminal_grace: float = 5.0,
@@ -398,6 +438,8 @@ class ServingDaemon:
     ):
         if max_lag is not None and max_lag < 0:
             raise InvalidParameterError("max_lag must be non-negative")
+        if outbox_depth < 1:
+            raise InvalidParameterError("outbox_depth must be at least 1")
         self.store = store if isinstance(store, IndexStore) else IndexStore(store)
         self.max_lag = max_lag
         self.host = host

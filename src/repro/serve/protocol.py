@@ -30,7 +30,9 @@ Response frames:
   — ``{"id": 3, "core": {"tti": [2, 5], "num_edges": 3, "edge_ids":
   [...]}}`` — where the ``core`` value is byte-for-byte the line an
   in-process :class:`~repro.serve.sinks.NDJSONSink` would have written
-  for the same query; then one terminal frame ``{"id": 3, "ok": true,
+  for the same query (one compiled renderer,
+  :class:`~repro.core.native.FrameRenderer`, writes both); then one
+  terminal frame ``{"id": 3, "ok": true,
   "done": true, "num_results": N, "total_edges": M, "completed":
   true}``.  ``completed: false`` marks a deadline abort (the stream
   holds whatever was delivered before it).
@@ -337,9 +339,12 @@ def flush_done_frame(rid, *, lsn: int, applied: int) -> dict:
 def core_frame_prefix(rid) -> str:
     """The text that precedes a streamed core's NDJSON payload.
 
-    A core frame is assembled by splicing the *exact* line an
-    :class:`~repro.serve.sinks.NDJSONSink` produced between this prefix
-    and a closing ``}`` — never by re-encoding — which is what makes
-    daemon-streamed cores byte-identical to in-process NDJSON output.
+    A core frame is this prefix, the *exact* line an
+    :class:`~repro.serve.sinks.NDJSONSink` writes for the core (without
+    its newline) and a closing ``}``.  The daemon renders all three with
+    the renderer behind that sink,
+    :class:`~repro.core.native.FrameRenderer` — never by re-encoding —
+    which is what makes daemon-streamed cores byte-identical to
+    in-process NDJSON output.  ASCII: ``json.dumps`` escapes the rest.
     """
     return f'{{"id": {json.dumps(rid)}, "core": '

@@ -47,12 +47,10 @@ from typing import IO
 
 import numpy as np
 
+from repro.core.native import FrameRenderer
 from repro.core.results import EnumerationResult, ResultCallback, TemporalKCore
 
 _EMPTY = np.empty(0, dtype=np.int64)
-#: ``searchsorted(_POW10, x, side="right")`` is the decimal width of a
-#: non-negative int64 ``x`` minus one.
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _NO_TARGETS = (_EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
@@ -217,41 +215,22 @@ class NDJSONSink(ResultSink):
     Lines look like ``{"tti": [2, 5], "num_edges": 3, "edge_ids": [...]}``;
     ``edge_ids=False`` drops the id list (TTI + size only), which keeps
     each line O(1) regardless of core size.  Each start time's batch is
-    encoded prefix-shared: the batch's edge run is rendered to text
-    once, every core's id list is a slice of that text, and the batch's
-    lines reach the stream in one ``write`` of whole lines.  Buffering
-    is bounded by one start time's batch — peak memory does not grow
-    with the result set.
+    rendered by one compiled call (:class:`~repro.core.native.FrameRenderer`):
+    the batch's edge run becomes decimal text once, every core's id list
+    is a prefix of that text, and the batch's lines reach the stream in
+    one ``write`` of whole lines.  Buffering is bounded by one start
+    time's batch — peak memory does not grow with the result set.
     """
 
     def __init__(self, stream: IO[str], *, edge_ids: bool = True) -> None:
         super().__init__()
         self.stream = stream
         self.edge_ids = edge_ids
+        self._frames = FrameRenderer(edge_ids=edge_ids)
 
     def consume(self, ts, ends, prefix_lens, eids) -> None:
-        if not len(ends):
-            return
-        if not self.edge_ids:
-            self.stream.write("".join([
-                f'{{"tti": [{ts}, {te}], "num_edges": {n}}}\n'
-                for te, n in zip(ends.tolist(), prefix_lens.tolist())
-            ]))
-            return
-        run = eids[: int(prefix_lens.max())]
-        # Character end of each prefix in the ", "-joined run: id i
-        # takes its decimal width plus the two-character separator.
-        stops = np.zeros(len(run) + 1, dtype=np.int64)
-        np.cumsum(np.searchsorted(_POW10, run, side="right") + 3, out=stops[1:])
-        stops = np.maximum(stops[prefix_lens] - 2, 0)
-        text = ", ".join(map(str, run.tolist()))
-        self.stream.write("".join([
-            f'{{"tti": [{ts}, {te}], "num_edges": {n}, '
-            f'"edge_ids": [{text[:stop]}]}}\n'
-            for te, n, stop in zip(
-                ends.tolist(), prefix_lens.tolist(), stops.tolist()
-            )
-        ]))
+        if len(ends):
+            self.stream.write(str(self._frames.render(ts, ends, prefix_lens, eids), "ascii"))
 
 
 class FlatArraySink(ResultSink):

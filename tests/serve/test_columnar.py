@@ -329,6 +329,28 @@ class TestCompiledWalk:
                 assert all(part.dtype == np.int64 for part in parts)
             assert emitted(got) == oracle_cores(cut.arrays())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_start_order_gather_emits_the_flat_order_batches(self, seed):
+        """A cut's windows gathered in start order, flat indices as the
+        splice ties, emit exactly the batches (edge order included) of
+        the same windows sorted into flat order."""
+        cuts = self.cuts(seed) + self.raw_cuts(seed)
+        for cut in cuts:
+            got = RecordingSink()
+            assert self.walk(cut, got)
+            flat = np.sort(cut.selection())
+            arrays = cut.skyline.active_arrays_from_selection(flat, cut.ts)
+            assert [np.array_equal(a, b) for a, b in zip(cut.arrays(flat), arrays)] == [True] * 4
+            want = RecordingSink()
+            if len(flat):
+                columnar._walk_compiled(
+                    native.library().walk_step, arrays, np.arange(len(flat)), want, None
+                )
+            assert len(got.batches) == len(want.batches)
+            for (t, *parts), (want_t, *want_parts) in zip(got.batches, want.batches):
+                assert t == want_t
+                assert all(np.array_equal(a, b) for a, b in zip(parts, want_parts))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_count_sink_counters_identical(self, seed):
         for cut in self.cuts(seed):
@@ -494,14 +516,15 @@ class TestCompiledWalk:
         times = np.sort(rng.integers(0, span, size=(size, 3)), axis=1)
         actives, starts, ends = (np.ascontiguousarray(times[:, i]) for i in range(3))
         arrays = (rng.permutation(size).astype(np.int64), starts, ends, actives)
+        ties = rng.permutation(3 * size)[:size].astype(np.int64)
         visit_times = np.unique(starts)
-        splice = np.lexsort((actives, ends, np.searchsorted(visit_times, actives)))
-        got_visits, got_splice = columnar._schedule(starts, ends, actives)
+        splice = np.lexsort((ties, actives, ends, np.searchsorted(visit_times, actives)))
+        got_visits, got_splice = columnar._schedule(starts, ends, actives, ties)
         assert np.array_equal(got_visits, visit_times)
         assert np.array_equal(got_splice, splice)
         recording = RecordingSink()
         recording.finish(
-            columnar._walk_compiled(native.library().walk_step, arrays, recording, None)
+            columnar._walk_compiled(native.library().walk_step, arrays, ties, recording, None)
         )
         assert emitted(recording) == oracle_cores(arrays)
 

@@ -16,8 +16,11 @@ import io
 import json
 import random
 import socket
+import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
@@ -25,7 +28,7 @@ from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
 from repro.obs.timing import Deadline
 from repro.serve.client import DaemonClient, DaemonError
-from repro.serve.daemon import _CHUNK_CHARS, _Connection, _FrameWriter
+from repro.serve.daemon import _CHUNK_BYTES, _BridgeSink, _Connection, _FrameWriter
 from repro.serve.executor import execute_plan
 from repro.serve.planner import plan_for_index
 from repro.serve.protocol import (
@@ -377,13 +380,51 @@ class TestDaemonMultiChunkStream:
             frame_sizes = [
                 len(core_frame_prefix(rid)) + len(core) + 1 for core in cores
             ]
-            assert sum(frame_sizes) > 8 * _CHUNK_CHARS
+            assert sum(frame_sizes) > 8 * _CHUNK_BYTES
             largest = max(largest, *frame_sizes)
             assert b"".join(cores) == want
             assert done["ok"] is True and done["completed"] is True
             assert done["num_results"] == len(cores) == sink.num_results
             assert done["total_edges"] == sink.total_edges
-        assert largest > _CHUNK_CHARS  # a frame that is a chunk of its own
+        assert largest > _CHUNK_BYTES  # a frame that is a chunk of its own
+
+    @pytest.mark.parametrize("edge_ids", [True, False])
+    def test_frames_are_json_dumps_of_the_oracle_cores(
+        self, start_daemon, wide_store, edge_ids
+    ):
+        """Each core frame is ``core_frame_prefix(rid)``, ``json.dumps``
+        of the seed oracle's core and ``}``, in the oracle's order.  The
+        oracle fixes the cores and their TTIs; within a core, ids may be
+        listed in another order, so the expected frame takes the
+        streamed order once it holds the oracle's id set."""
+        root, graph = wide_store
+        rid = f"oracle-{edge_ids}"
+        ts, te = 1, graph.tmax
+        with socket.create_connection(("127.0.0.1", start_daemon(store=root).port)) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(encode_frame(
+                {"op": "query", "id": rid, "k": 2, "ts": ts, "te": te,
+                 "graph": "w", "edge_ids": edge_ids}
+            ))
+            lines = iter(reader.readline, b"")
+            frames = [next(lines)]
+            while b'"core": ' in frames[-1]:
+                frames.append(next(lines))
+        done = decode_frame(frames.pop())
+        want = enumerate_temporal_kcores_ref(graph, 2, ts, te).cores
+        assert done["num_results"] == len(frames) == len(want)
+        per_start: dict[int, int] = {}
+        for frame, core in zip(frames, want):
+            expected = {"tti": list(core.tti), "num_edges": len(core.edge_ids)}
+            if edge_ids:
+                streamed = decode_frame(frame)["core"]["edge_ids"]
+                assert sorted(streamed) == sorted(core.edge_ids)
+                expected["edge_ids"] = streamed
+            line = core_frame_prefix(rid) + json.dumps(expected) + "}\n"
+            assert frame == line.encode()
+            per_start[core.tti[0]] = per_start.get(core.tti[0], 0) + len(frame)
+        # a start time's batch is wider than one outbox chunk
+        assert max(per_start.values()) > _CHUNK_BYTES or not edge_ids
 
     def test_timed_out_stream_delivers_every_counted_core(
         self, start_daemon, wide_store
@@ -410,69 +451,100 @@ class _RecordingConnection:
     refusing every one after the first ``accept``."""
 
     def __init__(self, accept: int | None = None):
-        self.chunks: list[str] = []
+        self.chunks: list[bytes] = []
         self.accept = accept
 
-    def send_text_threadsafe(self, text, deadline=None) -> bool:
+    def send_threadsafe(self, data, deadline=None) -> bool:
         if self.accept is not None and len(self.chunks) >= self.accept:
             return False
-        self.chunks.append(text)
+        self.chunks.append(data)
         return True
 
 
 class TestFrameWriterChunks:
-    def lines(self, sizes) -> list[str]:
+    def frames(self, sizes, rid=7) -> list[bytes]:
         return [
-            json.dumps({"tti": [1, i], "num_edges": n, "edge_ids": list(range(n))})
-            + "\n"
+            (
+                core_frame_prefix(rid)
+                + json.dumps({"tti": [1, i], "num_edges": n, "edge_ids": list(range(n))})
+                + "}\n"
+            ).encode()
             for i, n in enumerate(sizes)
         ]
 
-    def frames(self, lines, rid=7) -> str:
-        return "".join(core_frame_prefix(rid) + line[:-1] + "}\n" for line in lines)
+    @staticmethod
+    def write(writer, frames) -> None:
+        """Hand ``frames`` over as a renderer does: a view of the first
+        bytes of a larger buffer, whose tail holds more lines."""
+        data = b"".join(frames)
+        writer.write(memoryview(bytearray(data + b'{"stale": 1}\n' * 3))[: len(data)])
 
     def test_chunks_are_whole_frames_in_order(self):
         conn = _RecordingConnection()
-        writer = _FrameWriter(conn, 7)
-        lines = self.lines([3, 2000, 1, 40, 0, 15000, 7] * 6)
-        for i in range(0, len(lines), 3):  # batches of three lines
-            writer.write("".join(lines[i : i + 3]))
-        assert "".join(conn.chunks) == self.frames(lines)
+        writer = _FrameWriter(conn)
+        frames = self.frames([3, 2000, 1, 40, 0, 15000, 7] * 6)
+        for i in range(0, len(frames), 3):  # batches of three frames
+            self.write(writer, frames[i : i + 3])
+        assert b"".join(conn.chunks) == b"".join(frames)
         for chunk in conn.chunks:
-            assert chunk.endswith("}\n")
-            assert len(chunk) <= _CHUNK_CHARS or chunk.count("\n") == 1
-        assert any(len(chunk) > _CHUNK_CHARS for chunk in conn.chunks)
+            assert isinstance(chunk, bytes) and chunk.endswith(b"}\n")
+            assert len(chunk) <= _CHUNK_BYTES or chunk.count(b"\n") == 1
+        assert any(len(chunk) > _CHUNK_BYTES for chunk in conn.chunks)
 
     def test_each_batch_is_handed_over_at_once(self):
         """Nothing is held across batches: a small batch is one chunk,
         handed over before the next batch arrives."""
         conn = _RecordingConnection()
-        writer = _FrameWriter(conn, "q")
-        writer.write("".join(self.lines([1, 2])))
-        assert conn.chunks == [self.frames(self.lines([1, 2]), "q")]
-        writer.write(self.lines([5])[0])
-        assert conn.chunks[1:] == [self.frames(self.lines([5]), "q")]
+        writer = _FrameWriter(conn)
+        self.write(writer, self.frames([1, 2], "q"))
+        assert conn.chunks == [b"".join(self.frames([1, 2], "q"))]
+        self.write(writer, self.frames([5], "q"))
+        assert conn.chunks[1:] == [b"".join(self.frames([5], "q"))]
 
     def test_a_large_batch_is_cut_between_frames(self):
         conn = _RecordingConnection()
-        writer = _FrameWriter(conn, 7)
-        lines = self.lines([900] * 40)  # ~4.6 KiB a line, ~180 KiB in all
-        writer.write("".join(lines))
+        writer = _FrameWriter(conn)
+        frames = self.frames([900] * 40)  # ~4.6 KiB a frame, ~180 KiB in all
+        self.write(writer, frames)
         assert len(conn.chunks) > 2
-        assert "".join(conn.chunks) == self.frames(lines)
+        assert b"".join(conn.chunks) == b"".join(frames)
         assert all(
-            chunk.endswith("}\n") and len(chunk) <= _CHUNK_CHARS
+            chunk.endswith(b"}\n") and len(chunk) <= _CHUNK_BYTES
             for chunk in conn.chunks
         )
 
     def test_nothing_follows_a_dropped_chunk(self):
         conn = _RecordingConnection(accept=2)
-        writer = _FrameWriter(conn, 7)
-        lines = self.lines([9000] * 30)
-        for line in lines:
-            writer.write(line)
+        writer = _FrameWriter(conn)
+        frames = self.frames([9000] * 30)
+        for frame in frames:
+            self.write(writer, [frame])
         assert len(conn.chunks) == 2
-        assert self.frames(lines).startswith("".join(conn.chunks))
+        assert b"".join(frames).startswith(b"".join(conn.chunks))
+
+    def test_bridge_sink_renders_json_dumps_frames(self):
+        """The daemon's sink renders each core as the prefix, its
+        ``json.dumps`` and ``}``, exact at the int64 extremes."""
+        int64_min, int64_max = -(2**63), 2**63 - 1
+        run = [int64_min, int64_max, 0, *range(7, 70_000, 7)]
+        ends = [int64_min, -1, int64_max]
+        lens = [2, 3, len(run)]  # the last frame is wider than a chunk
+        for edge_ids in (True, False):
+            conn = _RecordingConnection()
+            sink = _BridgeSink(conn, "b", edge_ids=edge_ids)
+            sink.emit(int64_min, *(np.array(c, dtype=np.int64) for c in (ends, lens, run)))
+            want = b""
+            for te, n in zip(ends, lens):
+                core = {"tti": [int64_min, te], "num_edges": n}
+                if edge_ids:
+                    core["edge_ids"] = run[:n]
+                want += (core_frame_prefix("b") + json.dumps(core) + "}\n").encode()
+            assert b"".join(conn.chunks) == want
+            assert all(
+                len(chunk) <= _CHUNK_BYTES or chunk.count(b"\n") == 1
+                for chunk in conn.chunks
+            )
+            assert len(conn.chunks) == (2 if edge_ids else 1)
 
 
 class _StallingWriter:
@@ -521,8 +593,8 @@ class TestOutbox:
     @staticmethod
     async def fill(conn, loop):
         """The writer stalls on "0"; "1" and "2" take both slots."""
-        for text in ("0\n", "1\n", "2\n"):
-            assert await loop.run_in_executor(None, conn.send_text_threadsafe, text)
+        for data in (b"0\n", b"1\n", b"2\n"):
+            assert await loop.run_in_executor(None, conn.send_threadsafe, data)
             await asyncio.sleep(0.05)
 
     def test_full_outbox_blocks_the_producer_until_the_reader_drains(self):
@@ -531,12 +603,12 @@ class TestOutbox:
 
             def produce():
                 for i in range(6):
-                    sent.append(conn.send_text_threadsafe(f"{i}\n"))
+                    sent.append(conn.send_threadsafe(b"%d\n" % i))
 
             producing = loop.run_in_executor(None, produce)
             await asyncio.sleep(0.3)
             # "0" is with the stalled writer, "1" and "2" fill both slots.
-            assert (bytes(writer.data), conn.outbox.qsize(), len(sent)) == (
+            assert (bytes(writer.data), len(conn.outbox), len(sent)) == (
                 b"0\n", 2, 3)
             writer.gate.set()
             await producing
@@ -550,10 +622,10 @@ class TestOutbox:
         async def scenario(conn, writer, loop):
             await self.fill(conn, loop)
             dropped = await loop.run_in_executor(
-                None, conn.send_text_threadsafe, "3\n", Deadline(0.1)
+                None, conn.send_threadsafe, b"3\n", Deadline(0.1)
             )
             assert dropped is False
-            assert conn.outbox.qsize() == 2
+            assert len(conn.outbox) == 2
 
         self.run(scenario)
 
@@ -563,7 +635,7 @@ class TestOutbox:
         async def scenario(conn, writer, loop):
             writer.gate.set()
             queued = await loop.run_in_executor(
-                None, conn.send_text_threadsafe, "0\n", Deadline(0.0)
+                None, conn.send_threadsafe, b"0\n", Deadline(0.0)
             )
             assert queued is True
             await asyncio.sleep(0.05)
@@ -588,15 +660,77 @@ class TestOutbox:
     def test_gone_peer_unblocks_a_waiting_producer(self):
         async def scenario(conn, writer, loop):
             await self.fill(conn, loop)
-            blocked = loop.run_in_executor(None, conn.send_text_threadsafe, "3\n")
+            blocked = loop.run_in_executor(None, conn.send_threadsafe, b"3\n")
             await asyncio.sleep(0.1)
             assert not blocked.done()
             conn.mark_gone()
             await asyncio.wait_for(blocked, 5)  # freed, whatever it reports
             dropped = await loop.run_in_executor(
-                None, conn.send_text_threadsafe, "4\n"
+                None, conn.send_threadsafe, b"4\n"
             )
             assert dropped is False
+
+        self.run(scenario)
+
+
+    def test_free_slots_need_no_event_loop(self):
+        """With the event loop blocked inside a callback, the producer
+        queues ``depth`` chunks without waiting, and the next one waits
+        for the sender to free a slot."""
+        async def scenario(conn, writer, loop):
+            writer.gate.set()
+            queued = threading.Event()
+            third_sent = threading.Event()
+            seen = {}
+
+            def produce():
+                assert conn.send_threadsafe(b"0\n") and conn.send_threadsafe(b"1\n")
+                queued.set()
+                assert conn.send_threadsafe(b"2\n")
+                third_sent.set()
+
+            def block_the_loop():
+                seen["queued"] = queued.wait(5)
+                time.sleep(0.2)
+                seen["third_sent"] = third_sent.is_set()
+
+            producing = loop.run_in_executor(None, produce)
+            loop.call_soon(block_the_loop)
+            await producing
+            await asyncio.sleep(0.05)
+            assert seen == {"queued": True, "third_sent": False}
+            assert bytes(writer.data) == b"0\n1\n2\n"
+
+        self.run(scenario)
+
+    def test_concurrent_producers_lose_no_slot(self):
+        """Four producer threads and loop-side sends share two slots with
+        a fast thread switch: every chunk arrives once, each producer's
+        in order, and every slot is free again at the end."""
+        async def scenario(conn, writer, loop):
+            writer.gate.set()
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                def produce(name):
+                    for i in range(300):
+                        assert conn.send_threadsafe(b"%s%d\n" % (name, i))
+
+                names = (b"a", b"b", b"c", b"d")
+                producers = [loop.run_in_executor(None, produce, name) for name in names]
+                for i in range(50):
+                    await conn.send({"id": i})
+                await asyncio.gather(*producers)
+            finally:
+                sys.setswitchinterval(switch)
+            while conn.outbox:
+                await asyncio.sleep(0.01)
+            lines = bytes(writer.data).splitlines()
+            assert len(lines) == 4 * 300 + 50
+            for name in names:
+                mine = [line for line in lines if line[:1] == name]
+                assert mine == [b"%s%d" % (name, i) for i in range(300)]
+            assert conn._free_slots == 2
 
         self.run(scenario)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core import native
 from repro.core.enumerate import enumerate_temporal_kcores
 from repro.serve.sinks import (
     CallbackSink,
@@ -154,26 +155,35 @@ def batch(ts, ends, prefix_lens, run):
     )
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 #: Edge ids of every decimal width, the boundaries in particular.
 edge_id = st.one_of(
-    st.sampled_from([0, 9, 10, 99, 100, 99999, 100000]),
-    st.integers(0, 2**63 - 1),
+    st.sampled_from([0, 9, 10, 99, 100, 99999, 100000, INT64_MAX]),
+    st.integers(0, INT64_MAX),
+)
+
+#: Raw times of every sign and width, the int64 extremes in particular.
+raw_time = st.one_of(
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -100, -1, 0, 9, INT64_MAX - 1, INT64_MAX]),
+    st.integers(INT64_MIN, INT64_MAX),
 )
 
 
 @st.composite
 def ndjson_batches(draw):
     out = []
-    ts = draw(st.integers(1, 50))
     for _ in range(draw(st.integers(0, 4))):
         run = draw(st.lists(edge_id, min_size=1, max_size=40))
         cores = draw(st.integers(1, 12))
         prefix_lens = sorted(
             draw(st.lists(st.integers(0, len(run)), min_size=cores, max_size=cores))
         )
-        te = draw(st.integers(ts, ts + 5))
-        out.append(batch(ts, range(te, te + cores), prefix_lens, run))
-        ts += draw(st.integers(1, 3))
+        ts = draw(raw_time)
+        ends = sorted(
+            draw(st.lists(st.integers(ts, INT64_MAX), min_size=cores, max_size=cores))
+        )
+        out.append(batch(ts, ends, prefix_lens, run))
     return out
 
 
@@ -185,6 +195,8 @@ class TestNDJSONOracle:
     @example([batch(3, [4], [4], [0, 9, 10, 99999])], True)
     @example([batch(3, [4], [1], [99999, 0])], True)
     @example([batch(1, [7], [3], [5, 6, 7])], False)
+    @example([batch(INT64_MIN, [-1, INT64_MAX], [1, 2], [INT64_MAX, 0])], True)
+    @example([batch(INT64_MIN, [INT64_MIN, INT64_MAX], [0, 3], [1, 2, 3])], False)
     def test_byte_identical_to_json_dumps(self, batches, edge_ids):
         assert ndjson_of(batches, edge_ids=edge_ids) == reference_ndjson(
             batches, edge_ids=edge_ids
@@ -218,6 +230,34 @@ class TestNDJSONOracle:
         emit_batches(sink)
         assert [text.count("\n") for text in writes] == [2, 1]
         assert all(text.endswith("\n") for text in writes)
+
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [
+            (1, np.arange(3, dtype=np.int32)),
+            (2, np.arange(6, dtype=np.int64)[::2]),
+            (3, np.arange(3, dtype=np.float64)),
+            (3, np.arange(12, dtype=np.int64)[::4]),
+        ],
+    )
+    def test_a_malformed_batch_is_refused_before_the_kernel(self, monkeypatch, column, bad):
+        kernels = native.library()
+
+        def render_frames(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(native, "library", lambda: kernels._replace(render_frames=render_frames))
+        sink = NDJSONSink(io.StringIO())
+        args = list(batch(2, [5, 7, 9], [1, 2, 3], [10, 11, 12]))
+        args[column] = bad
+        with pytest.raises(ValueError):
+            sink.emit(*args)
+
+    def test_a_prefix_longer_than_the_run_is_refused(self):
+        sink = NDJSONSink(io.StringIO())
+        with pytest.raises(ValueError):
+            sink.emit(*batch(2, [5, 7], [1, 4], [10, 11, 12]))
 
 
 class TestFlatArray:

@@ -2,13 +2,15 @@
 
 1. Compiles the source with ``-Wall -Wextra -Werror``: any warning fails.
 2. Runs the CoreTime kernel, multi-k, fold, streaming-service,
-   counting-order, checksum, skyline, blob-store and columnar-walk suites
+   counting-order, checksum, skyline, blob-store, columnar-walk, sink
+   and frame-writer suites
    (``tests/core/test_flat_kernel.py``, ``tests/core/test_multik.py``,
    ``tests/core/test_incremental.py``, ``tests/core/test_maintenance.py``,
    ``tests/core/test_counting_order.py``,
    ``tests/core/test_crc32.py``, ``tests/core/test_windows.py``,
    ``tests/store/test_format.py``, ``tests/serve/test_columnar.py``,
-   ``tests/serve/test_executor.py``)
+   ``tests/serve/test_executor.py``, ``tests/serve/test_sinks.py``,
+   ``tests/serve/test_protocol.py::TestFrameWriterChunks``)
    against an AddressSanitizer + UndefinedBehaviorSanitizer build of the
    library (``-fsanitize=address,undefined -fno-sanitize-recover=all``),
    loaded through :mod:`repro.core.native` with its compiler command and
@@ -18,7 +20,12 @@
    predecessor lies outside it, which must count what the seed walk
    counts, and a cut claiming a range its windows start before, which
    must be refused.
-4. Counts the calls of each of the eight entry points of
+4. Hands the sanitized ``repro_render_frames`` batches of its own (see
+   :func:`render_frames`): ``INT64_MIN``/``INT64_MAX`` ids and times, a
+   frame wider than a daemon outbox chunk, a batch without edge ids,
+   and a prefix length past its run, which must be refused.  Frames
+   must equal ``json.dumps`` of each core between prefix and closing.
+5. Counts the calls of each of the nine entry points of
    :class:`~repro.core.native.Kernels` while the suites and cuts run,
    and reports them: an entry point nothing called is a failure, since
    the sanitizers never saw it.
@@ -30,7 +37,7 @@ libraries, so run it as::
         PYTHONPATH=src python tools/check_native.py
 
 Exits non-zero when the strict compile fails, the sanitized library does
-not load, a test or cut check fails (a sanitizer report aborts the
+not load, a test, cut or render check fails (a sanitizer report aborts the
 process), or an entry point was never called.
 """
 
@@ -67,6 +74,8 @@ TESTS = [
     "tests/store/test_format.py",
     "tests/serve/test_columnar.py",
     "tests/serve/test_executor.py",
+    "tests/serve/test_sinks.py",
+    "tests/serve/test_protocol.py::TestFrameWriterChunks",
 ]
 
 
@@ -134,6 +143,44 @@ def count_cuts() -> list[str]:
     return problems
 
 
+def render_frames() -> list[str]:
+    """Render batches at the int64 extremes and refuse a bad one; the problems found."""
+    import json
+
+    import numpy as np
+
+    low, high = -(2**63), 2**63 - 1
+    run = [low, high, 0, -1, *range(10**15, 10**15 + 7 * 20_000, 7)]
+    batches = [
+        (low, [low, -1, high], [0, 2, 4]),
+        (high, [high], [len(run)]),  # ~340 KiB: wider than a 64 KiB chunk
+    ]
+    problems = []
+    for edge_ids in (True, False):
+        renderer = native.FrameRenderer(b'{"id": "x", "core": ', b"}", edge_ids=edge_ids)
+        for ts, ends, lens in batches:
+            frames = renderer.render(
+                ts, *(np.array(column, dtype=np.int64) for column in (ends, lens, run))
+            )
+            want = []
+            for te, n in zip(ends, lens):
+                core = {"tti": [ts, te], "num_edges": n}
+                if edge_ids:
+                    core["edge_ids"] = run[:n]
+                want.append('{"id": "x", "core": ' + json.dumps(core) + "}\n")
+            if bytes(frames) != "".join(want).encode():
+                problems.append(f"frames of ts={ts}, edge_ids={edge_ids} differ from json.dumps")
+    try:
+        native.FrameRenderer().render(
+            1, *(np.array(column, dtype=np.int64) for column in ([2], [5], [1, 2, 3]))
+        )
+    except ValueError:
+        pass
+    else:
+        problems.append("a prefix length past its run was rendered")
+    return problems
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="check-native-") as tmp:
         scratch = pathlib.Path(tmp)
@@ -166,9 +213,10 @@ def main() -> int:
         # aborts the process still reaches the terminal.
         args = ["-q", "-p", "no:cacheprovider", "--capture=sys"]
         status = int(pytest.main([*args, *(str(ROOT / t) for t in TESTS)]))
-        problems = count_cuts()
+        problems = [f"cut check: {problem}" for problem in count_cuts()]
+        problems += [f"render check: {problem}" for problem in render_frames()]
         for problem in problems:
-            print(f"cut check: {problem}", file=sys.stderr)
+            print(problem, file=sys.stderr)
         status = status or int(bool(problems))
         print("entry point calls under the sanitizers:")
         for name, count in calls.items():
