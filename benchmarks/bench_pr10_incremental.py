@@ -40,7 +40,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.incremental import delta_fold  # noqa: E402
-from repro.core.maintenance import StreamingCoreService  # noqa: E402
+from repro.core.maintenance import (  # noqa: E402
+    StreamingCoreService,
+    fold_fallback_counts,
+)
 from repro.core.multik import build_core_indexes  # noqa: E402
 from repro.graph.temporal_graph import TemporalGraph  # noqa: E402
 
@@ -201,14 +204,15 @@ def bench_sustained(gate: dict, rates: list[int]) -> list[dict]:
     (seconds).  The sustainable rate is the batch over the fold time.
     """
     _base, base_edges, _indexes, labels, delta = gate["stream"]
-    service = StreamingCoreService(KS, max_pending=1_000_000)
+    service = StreamingCoreService(KS)
     edges = base_edges + delta
     for u, v, t in edges:
         service.append(u, v, t)
-    service.refresh(mode="full")
+    modes = [service.refresh()]
     last_t = edges[-1][2]
 
     rows = []
+    last_fallback_reason = None
     for rate in rates:
         rng = random.Random(SEED + 7 * rate)
         batch = hot_delta(labels, rate, last_t + 1, rng)
@@ -216,9 +220,14 @@ def bench_sustained(gate: dict, rates: list[int]) -> list[dict]:
         for u, v, t in batch:
             service.append(u, v, t)
         lag_edges = service.num_pending
+        fallbacks = fold_fallback_counts()
         start = time.perf_counter()
-        resolved = service.refresh(mode="auto")
+        resolved = service.refresh()
         refresh_s = time.perf_counter() - start
+        modes.append(resolved)
+        for reason, count in fold_fallback_counts().items():
+            if count > fallbacks.get(reason, 0):
+                last_fallback_reason = reason
         rows.append(
             {
                 "append_rate_edges": rate,
@@ -228,13 +237,12 @@ def bench_sustained(gate: dict, rates: list[int]) -> list[dict]:
                 "sustainable_edges_per_second": rate / refresh_s,
             }
         )
-    stats = service.stats()
     rows.append(
         {
             "summary": {
-                "incremental_folds": stats["incremental_folds"],
-                "full_rebuilds": stats["full_rebuilds"],
-                "last_fallback_reason": stats["last_fallback_reason"],
+                "incremental_folds": modes.count("incremental"),
+                "full_rebuilds": modes.count("full"),
+                "last_fallback_reason": last_fallback_reason,
             }
         }
     )

@@ -55,11 +55,12 @@ import re
 import signal
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import native
 from repro.core.index import CoreIndexRegistry
-from repro.core.maintenance import StreamingCoreService
+from repro.core.maintenance import StreamingCoreService, fold_fallback_counts
 from repro.errors import InvalidParameterError, ReproError, StoreError
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
@@ -535,6 +536,16 @@ class ServingDaemon:
             "Flushes triggered on the query path by the max_lag budget",
             ("daemon",),
         ).labels(inst)
+        self._g_lag_edges = m.gauge(
+            "repro_stream_lag_edges",
+            "Edges appended but not yet flushed, by store key",
+            ("key",),
+        )
+        self._g_oldest_pending = m.gauge(
+            "repro_stream_oldest_pending_timestamp_seconds",
+            "Wall time of the key's oldest unflushed append (0 when none)",
+            ("key",),
+        )
         self._h_request_seconds = m.histogram(
             "repro_daemon_request_seconds",
             "Admission-to-terminal-frame latency, by op",
@@ -978,12 +989,20 @@ class ServingDaemon:
         service = self._streams.get(key)
         if service is None:
             ks = self.store.stored_ks(key) if key in self.store.keys() else ()
-            service = StreamingCoreService.restore(
-                self.store, ks, name=key, wal=True, max_lag=self.max_lag
-            )
+            service = StreamingCoreService.restore(self.store, ks, name=key)
             self._streams[key] = service
             self._serve_build(key, service)
+            self._publish_lag(key, service)
         return service
+
+    def _publish_lag(self, key: str, service: StreamingCoreService) -> None:
+        """Set the key's lag gauges: its pending edge count, and the wall
+        time of its oldest pending append (0 when nothing is pending)."""
+        pending = service.num_pending
+        self._g_lag_edges.labels(key).set(pending)
+        self._g_oldest_pending.labels(key).set(
+            time.time() - service.lag_seconds if pending else 0
+        )
 
     def _serve_build(self, key: str, service: StreamingCoreService) -> None:
         """Answer reads of ``key`` from the service's last build; its
@@ -1009,7 +1028,8 @@ class ServingDaemon:
 
     def _answer_append(self, request: Request) -> dict:
         self._require_writable()
-        service = self._stream(self._ingest_key(request.graph))
+        key = self._ingest_key(request.graph)
+        service = self._stream(key)
         before = service.wal.last_lsn
         try:
             applied = service.extend(request.edges, token=request.dedupe)
@@ -1024,6 +1044,7 @@ class ServingDaemon:
                 f"append not acknowledged, daemon is now read-only: {exc}"
             ) from exc
         self._c_appended.inc(applied)
+        self._publish_lag(key, service)
         if applied:
             return append_done_frame(
                 request.id, lsn=before + 1, appended=applied
@@ -1061,6 +1082,7 @@ class ServingDaemon:
             else:
                 self._c_full_rebuilds.inc()
             self._serve_build(key, service)
+            self._publish_lag(key, service)
             self._c_flushes.inc()
         return service.wal.last_lsn, applied
 
@@ -1082,7 +1104,7 @@ class ServingDaemon:
         except StoreError:
             return
         service = self._streams.get(key)
-        if service is None or not service.lag_exceeded:
+        if service is None or service.lag_seconds <= self.max_lag:
             return
         try:
             self._flush(key)
@@ -1137,6 +1159,7 @@ class ServingDaemon:
                 "incremental_folds": int(self._c_incremental_folds.value),
                 "full_rebuilds": int(self._c_full_rebuilds.value),
                 "lag_flushes": int(self._c_lag_flushes.value),
+                "fold_fallbacks": fold_fallback_counts(),
                 "max_lag": self.max_lag,
                 "keys": {
                     key: {

@@ -2,8 +2,7 @@
 
 Every serving entry point (single queries through
 :class:`~repro.core.query.TimeRangeCoreQuery`, the fixed-``k`` and
-mixed batch runners, :class:`~repro.core.maintenance.StreamingCoreService`,
-the CLI) describes its work as :class:`QueryRequest` values and hands
+mixed batch runners, the daemon, the CLI) describes its work as :class:`QueryRequest` values and hands
 them to :func:`plan_queries`.  Planning is pure — no index is built,
 no window enumerated — and does three things:
 

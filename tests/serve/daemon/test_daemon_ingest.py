@@ -298,6 +298,7 @@ class TestIncrementalFlush:
             stats = client.stats()
             assert stats["ingest"]["incremental_folds"] == 1
             assert stats["ingest"]["full_rebuilds"] == 0
+            assert stats["ingest"]["fold_fallbacks"] == {}
         handle.sigterm()
         assert handle.wait() == 0
         # The folded snapshot + indexes equal a from-scratch rebuild.
@@ -354,6 +355,39 @@ class TestIncrementalFlush:
             stats = client.stats()
             assert stats["ingest"]["incremental_folds"] == 0
             assert stats["ingest"]["full_rebuilds"] == 1
+            assert stats["ingest"]["fold_fallbacks"] == {"boundary-tie": 1}
+
+
+class TestLagGauges:
+    def test_gauges_track_the_keys_backlog(self, start_daemon, fresh_store):
+        """``/metrics`` shows each key's unflushed edges and the wall time
+        of its oldest unflushed append; a flush zeroes both."""
+        import time
+
+        root, _graph = fresh_store
+        handle = start_daemon(store=root)
+
+        def lag(metrics):
+            return (
+                metric_total(metrics, "repro_stream_lag_edges", key=STORE_KEY),
+                metric_total(
+                    metrics, "repro_stream_oldest_pending_timestamp_seconds",
+                    key=STORE_KEY,
+                ),
+            )
+
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            before = time.time()
+            client.append(new_edges(TMAX + 1))
+            edges, oldest = lag(scrape_metrics(handle.port))
+            assert edges == 3.0
+            assert before - 1.0 <= oldest <= time.time()
+            client.append([["ing-c", "ing-d", TMAX + 4]])
+            edges, still_oldest = lag(scrape_metrics(handle.port))
+            assert edges == 4.0
+            assert abs(still_oldest - oldest) < 0.5  # the first append's time
+            client.flush()
+            assert lag(scrape_metrics(handle.port)) == (0.0, 0.0)
 
 
 class TestMaxLagFlush:

@@ -50,9 +50,11 @@ class TestServiceStreamingSinks:
             for u, v, t in graph.edges
         ]
         service = StreamingCoreService(2, edges)
+        service.refresh()
+        index = service.built[1][2]
         sinks = [MaterializingSink() for _ in RANGES]
-        streamed = service.query_batch(RANGES, sinks=sinks)
-        collected = service.query_batch(RANGES, collect=True)
+        streamed = index.query_batch(RANGES, sinks=sinks)
+        collected = index.query_batch(RANGES, collect=True)
         for sink, through_sink, result in zip(sinks, streamed, collected):
             assert through_sink.num_results == result.num_results
             assert through_sink.total_edges == result.total_edges
@@ -80,7 +82,8 @@ class TestExpiredDeadlineSequential:
             for u, v, t in graph.edges
         ]
         service = StreamingCoreService(2, edges)
-        results = service.query_batch(RANGES, deadline=Deadline(0.0))
+        service.refresh()
+        results = service.built[1][2].query_batch(RANGES, deadline=Deadline(0.0))
         assert all(not r.completed for r in results)
 
 

@@ -93,7 +93,7 @@ class TestServiceWal:
         lsn = service.append("a", "b", 1, token="tok-1")
         service.wal.close()
 
-        resumed = StreamingCoreService.restore(store, (2,), name="s", wal=True)
+        resumed = StreamingCoreService.restore(store, (2,), name="s")
         # The retried append answers the original LSN and applies nothing.
         assert resumed.append("a", "b", 1, token="tok-1") == lsn
         assert resumed.num_edges == 1
@@ -108,7 +108,7 @@ class TestServiceWal:
         assert service.append("a", "b", 1, token="tok-1") == lsn
         service.wal.close()
 
-        resumed = StreamingCoreService.restore(store, (2,), name="s", wal=True)
+        resumed = StreamingCoreService.restore(store, (2,), name="s")
         assert resumed.append("a", "b", 1, token="tok-1") == lsn
         assert resumed.num_edges == 2
         resumed.wal.close()
@@ -121,26 +121,33 @@ class TestServiceWal:
         for u, v, t in EDGES[5:]:
             service.append(u, v, t)
         service.refresh()
-        want = service.query(1, service.graph.tmax)
+        graph, indexes = service.built
+        want = indexes[2].query(1, graph.tmax)
         service.wal.close()
 
-        resumed = StreamingCoreService.restore(store, (2,), name="s", wal=True)
+        resumed = StreamingCoreService.restore(store, (2,), name="s")
         assert resumed.num_edges == len(EDGES)
         resumed.refresh()
-        got = resumed.query(1, resumed.graph.tmax)
-        assert {frozenset(c.vertex_labels(resumed.graph)) for c in got.cores} \
-            == {frozenset(c.vertex_labels(service.graph)) for c in want.cores}
+        resumed_graph, resumed_indexes = resumed.built
+        got = resumed_indexes[2].query(1, resumed_graph.tmax)
+        assert {frozenset(c.vertex_labels(resumed_graph)) for c in got.cores} \
+            == {frozenset(c.vertex_labels(graph)) for c in want.cores}
         resumed.wal.close()
 
     def test_restore_without_wal_matches_plain_path(self, store, paper_graph):
-        """wal='auto' on a store without segments behaves like before."""
+        """A key saved without a log restores its graph and indexes as
+        stored, and gains an empty log for the appends that follow."""
         from repro.core.index import CoreIndex
 
         store.save_graph(paper_graph, name="p")
         store.save_index(CoreIndex(paper_graph, 2), name="p")
         service = StreamingCoreService.restore(store, (2,), name="p")
-        assert service.wal is None
+        assert service.wal is not None and service.wal.last_lsn == 0
         assert service.num_edges == paper_graph.num_edges
+        graph, indexes = service.built
+        assert indexes[2].query(1, graph.tmax).edge_sets() \
+            == CoreIndex(paper_graph, 2).query(1, paper_graph.tmax).edge_sets()
+        service.wal.close()
 
     def test_wal_rejects_out_of_order_batch_before_writing(self, store):
         service = StreamingCoreService((2,), wal=store.wal("s"))
@@ -172,7 +179,7 @@ class TestServiceWal:
             service.append(u, v, t)
         service.snapshot(store, name="s")
         service.wal.close()
-        resumed = StreamingCoreService.restore(store, (2,), name="s", wal=True)
+        resumed = StreamingCoreService.restore(store, (2,), name="s")
         assert resumed.num_edges == len(EDGES)
         assert resumed.num_pending == 0
         resumed.wal.close()
@@ -185,7 +192,7 @@ class TestTokensPastTrim:
         applies nothing — neither a second copy nor an out-of-order
         refusal."""
         service = StreamingCoreService.restore(
-            store, (2,), name="s", wal=True, wal_segment_bytes=256
+            store, (2,), name="s", wal_segment_bytes=256
         )
         early = service.append("n0", "n1", 10, token="E")
         for i in range(28):
@@ -199,7 +206,7 @@ class TestTokensPastTrim:
         service.wal.close()
 
         restored = StreamingCoreService.restore(
-            store, (2,), name="s", wal=True, wal_segment_bytes=256
+            store, (2,), name="s", wal_segment_bytes=256
         )
         assert restored.num_edges == 59
         assert restored.append("n0", "n3", 30, token="T") == 30
