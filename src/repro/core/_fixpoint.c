@@ -18,7 +18,14 @@
  * fused fixpoint, harvests the VCT transitions and finalised skyline
  * windows, and emits the windows of the edge batch stamped at that
  * start.  The assembled indexes equal coretime_ref's VCT and skyline
- * entry for entry.
+ * entry for entry.  Its loops read only what can change: the core-time
+ * operator counts the availabilities at or below a key's core time,
+ * then steps to the smallest one above it, and selects the k-th
+ * smallest only when neither settles it; re-scheduling screens the
+ * neighbours by the availabilities the operator left in scratch; the
+ * harvest stops at the first incident edge stamped at or past the new
+ * core time.  It adds its work (evaluations, fallback selections,
+ * harvest steps) to three counters of struct repro_build.
  *
  * repro_splice is the fold's per-segment merge (core/incremental.py,
  * _merge_level): the kept old prefix, an optional inserted row, then the
@@ -83,8 +90,8 @@ struct repro_build {
     int64_t n, m, levels, ts_hi, inf, no_time;
     /* advancing state, updated in place; ect is NULL without a skyline */
     int64_t *ptr, *ett, *ct, *ect, *inc_cursor;
-    /* scratch: masks and queue hold levels * n entries, scratch the
-     * maximum degree, grown levels * n */
+    /* scratch: masks and queue hold levels * n entries, scratch twice
+     * the maximum degree, grown levels * n */
     uint8_t *inq, *grown_mask;
     int64_t *queue, *scratch, *grown;
     /* output rows, appended at *_len (updated) up to *_capacity; on an
@@ -92,6 +99,10 @@ struct repro_build {
     int64_t *vct_key, *vct_ts, *vct_ct;
     int64_t *ecs_key, *ecs_t1, *ecs_t2;
     int64_t vct_capacity, ecs_capacity, vct_len, ecs_len, vct_need, ecs_need;
+    /* work counts, added to by every call: core-time operator
+     * evaluations, those that fell back to kth_smallest, and incident
+     * entries the harvest visited */
+    int64_t evaluations, fallback_selections, harvest_steps;
 };
 
 static inline int64_t max64(int64_t a, int64_t b) { return a > b ? a : b; }
@@ -255,13 +266,6 @@ static int64_t kth_smallest(int64_t *a, int64_t len, int64_t rank)
     return a[rank];
 }
 
-/*
- * Ranks below this select the rank-th smallest availability by
- * insertion into a sorted window of rank + 1 values; larger ranks use
- * kth_smallest.
- */
-#define INSERTION_RANKS 16
-
 /* Advance the pair pointer of slot s to the first time >= ts. */
 static inline void expire_slot(const struct repro_build *b, int64_t s, int64_t ts)
 {
@@ -273,18 +277,68 @@ static inline void expire_slot(const struct repro_build *b, int64_t s, int64_t t
     b->ett[s] = p < end ? b->pair_times[p] : b->no_time;
 }
 
+/* Append key to the FIFO queue[0..capacity) holding *size keys from head. */
+static inline void push(int64_t *queue, int64_t capacity, int64_t head, int64_t *size, int64_t key)
+{
+    int64_t at = head + (*size)++;
+    if (at >= capacity)
+        at -= capacity;
+    queue[at] = key;
+}
+
+/*
+ * The core-time operator at one key: the rank-th smallest (0-based,
+ * rank = k - 1) of the availabilities max(ett, neighbour core time) of
+ * its deg > rank slots, or old, the key's current core time, when that
+ * k-th smallest is at most old.  Leaves the availabilities in
+ * scratch[0..deg), in slot order; scratch[deg..2 deg) holds the
+ * fallback's copy.
+ *
+ * Count then step: one pass writes the availabilities, counts those
+ * <= old and keeps the smallest one above old.  More than rank of them
+ * <= old means the rank-th smallest is <= old: the key does not grow
+ * (old is returned).  Otherwise the rank-th smallest is above old, and
+ * it is that smallest one when its ties and the ones <= old cover
+ * rank + 1 slots (a second pass counts the ties); only when they do not
+ * does kth_smallest select it, on a copy.
+ */
+static int64_t core_time_operator(const int64_t *ett, const int64_t *ct_level,
+                                  const int64_t *neighbour, int64_t deg, int64_t rank,
+                                  int64_t old, int64_t *scratch, int64_t *fallbacks)
+{
+    /* Branch free: step is the smallest availability above old, or
+     * INT64_MAX when there is none (then all deg > rank are <= old). */
+    int64_t at_most_old = 0, step = INT64_MAX;
+    for (int64_t i = 0; i < deg; i++) {
+        const int64_t a = max64(ett[i], ct_level[neighbour[i]]);
+        scratch[i] = a;
+        at_most_old += a <= old;
+        const int64_t above = a > old ? a : INT64_MAX;
+        step = above < step ? above : step;
+    }
+    if (at_most_old > rank)
+        return old;
+    int64_t ties = 0;
+    for (int64_t i = 0; i < deg; i++)
+        ties += scratch[i] == step;
+    if (at_most_old + ties > rank)
+        return step;
+    ++*fallbacks;
+    memcpy(scratch + deg, scratch, (size_t)deg * sizeof(int64_t));
+    return kth_smallest(scratch + deg, deg, rank);
+}
+
 /*
  * The fused fixpoint after edges [batch_lo, batch_hi) (stamped ts - 1)
  * expired.  Seeds the batch's endpoints at every level, then drains a
- * FIFO of level * n + vertex keys with the core-time operator (k-th
- * smallest of max(ett, neighbour core time), capped at ts_hi), its seed
- * filter and its re-scheduling filter.  The least fixpoint does not
- * depend on evaluation order, so the core times left in ct equal the
- * seed kernel's entry for entry.  Returns the number of keys written to
- * grown: every key whose core time grew, once each, in no particular
- * order.  Both masks are all-zero on entry and on return.
+ * FIFO of level * n + vertex keys with the core-time operator (capped
+ * at ts_hi), its seed filter and its re-scheduling filter.  The least
+ * fixpoint does not depend on evaluation order, so the core times left
+ * in ct equal the seed kernel's entry for entry.  Returns the number of
+ * keys written to grown: every key whose core time grew, once each, in
+ * no particular order.  Both masks are all-zero on entry and on return.
  */
-static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int64_t batch_hi)
+static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t batch_hi)
 {
     const int64_t n = b->n, ts_hi = b->ts_hi, inf = b->inf;
     const int64_t capacity = b->levels * n;
@@ -292,7 +346,7 @@ static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int6
     const int64_t *ett = b->ett;
     int64_t *ct = b->ct, *queue = b->queue, *scratch = b->scratch, *grown = b->grown;
     uint8_t *inq = b->inq, *grown_mask = b->grown_mask;
-    int64_t head = 0, size = 0, num_grown = 0;
+    int64_t head = 0, size = 0, num_grown = 0, evaluations = 0, fallbacks = 0;
 
     /* Seed filter (core/coretime.py module docstring), every level: an
      * endpoint needs re-evaluation only if the expiring pair's available
@@ -305,11 +359,11 @@ static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int6
             const int64_t next_time = ett[b->edge_slot_u[eid]];
             if (cu <= ts_hi && cv <= cu && next_time > cv && !inq[ku]) {
                 inq[ku] = 1;
-                queue[(head + size++) % capacity] = ku;
+                push(queue, capacity, head, &size, ku);
             }
             if (cv <= ts_hi && cu <= cv && next_time > cu && !inq[kv]) {
                 inq[kv] = 1;
-                queue[(head + size++) % capacity] = kv;
+                push(queue, capacity, head, &size, kv);
             }
         }
     }
@@ -320,55 +374,20 @@ static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int6
         size--;
         inq[key] = 0;
         const int64_t old = ct[key];
+        /* A finite core time needs more than k - 1 slots, so every key
+         * with old < inf has deg > rank. */
         if (old >= inf)
             continue;
         const int64_t lev = key / n;
         const int64_t base = lev * n;
         const int64_t u = key - base;
         const int64_t lo = adj_offsets[u], deg = adj_offsets[u + 1] - lo;
-        const int64_t rank = b->km1[lev];
-        int64_t updated = inf;
-        if (deg > rank) {
-            int64_t candidate;
-            if (rank == 0) {
-                candidate = INT64_MAX;
-                for (int64_t i = 0; i < deg; i++) {
-                    int64_t a = max64(ett[lo + i], ct[base + adj_neighbour[lo + i]]);
-                    if (a < candidate)
-                        candidate = a;
-                }
-            } else if (rank < INSERTION_RANKS) {
-                /* scratch[0..filled) holds the smallest values seen so
-                 * far, ascending, at most rank + 1 of them: a value not
-                 * below the current rank-th cannot change it. */
-                int64_t filled = 0;
-                for (int64_t i = 0; i < deg; i++) {
-                    const int64_t a = max64(ett[lo + i], ct[base + adj_neighbour[lo + i]]);
-                    int64_t j;
-                    if (filled > rank) {
-                        if (a >= scratch[rank])
-                            continue;
-                        j = rank;
-                    } else {
-                        j = filled++;
-                    }
-                    while (j > 0 && scratch[j - 1] > a) {
-                        scratch[j] = scratch[j - 1];
-                        j--;
-                    }
-                    scratch[j] = a;
-                }
-                candidate = scratch[rank];
-            } else {
-                for (int64_t i = 0; i < deg; i++)
-                    scratch[i] = max64(ett[lo + i], ct[base + adj_neighbour[lo + i]]);
-                candidate = kth_smallest(scratch, deg, rank);
-            }
-            if (candidate <= ts_hi)
-                updated = candidate;
-        }
-        if (updated <= old)
+        evaluations++;
+        const int64_t candidate = core_time_operator(
+            ett + lo, ct + base, adj_neighbour + lo, deg, b->km1[lev], old, scratch, &fallbacks);
+        if (candidate <= old)
             continue;
+        const int64_t updated = candidate <= ts_hi ? candidate : inf;
         if (!grown_mask[key]) {
             grown_mask[key] = 1;
             grown[num_grown++] = key;
@@ -376,40 +395,56 @@ static int64_t fixpoint_step(const struct repro_build *b, int64_t batch_lo, int6
         ct[key] = updated;
         /* Re-schedule neighbours whose k-th-smallest input may have
          * grown: u's available time was at most their core time before
-         * the increase and is above it after (updated is at most inf,
-         * which exceeds every core time <= ts_hi). */
+         * the increase and is above it after, i.e. ett <= nct and old <=
+         * nct < updated (updated is at most inf, which exceeds every
+         * core time <= ts_hi).  Such a slot's availability max(ett, nct)
+         * is nct itself and lies in [old, updated), so the contiguous
+         * scratch screens the slots before ct[target] is read; fewer
+         * than k availabilities lie below the k-th smallest, so few
+         * pass.  scratch is current here: only an evaluation reaches
+         * this loop, it wrote scratch[0..deg) for this key, and no core
+         * time but ct[key] changed since. */
         for (int64_t i = 0; i < deg; i++) {
+            const int64_t a = scratch[i];
+            if (a < old || a >= updated)
+                continue;
             const int64_t target = base + adj_neighbour[lo + i];
             const int64_t nct = ct[target];
             const int64_t slot_ett = ett[lo + i];
             if (max64(slot_ett, old) <= nct && nct <= ts_hi
                 && max64(slot_ett, updated) > nct && !inq[target]) {
                 inq[target] = 1;
-                queue[(head + size++) % capacity] = target;
+                push(queue, capacity, head, &size, target);
             }
         }
     }
 
     for (int64_t i = 0; i < num_grown; i++)
         grown_mask[grown[i]] = 0;
+    b->evaluations += evaluations;
+    b->fallback_selections += fallbacks;
     return num_grown;
 }
 
 /*
  * Record the VCT transitions of the grown keys and re-derive the core
- * times of their incident edges stamped in [ts, ts_hi].  An edge whose
- * pending core time lies below the grown vertex's new core time grows
- * (its new value is at least that core time), finalising its pending
- * minimal window at ts - 1 (Lemma 2).  The new value is the maximum of
- * both endpoints' final core times and the edge time, so the edge's
- * other endpoint, if it grew too, fails the same test: each (level,
- * edge) finalises at most once per step.
+ * times of their incident edges stamped in [ts, new core time).  An
+ * edge whose pending core time lies below the grown vertex's new core
+ * time grows (its new value is at least that core time), finalising its
+ * pending minimal window at ts - 1 (Lemma 2).  A pending core time is
+ * at least the edge's own time, so the entries stamped at or past the
+ * new core time (which is at most inf = ts_hi + 1) cannot grow and are
+ * not visited.  The new value is the maximum of both endpoints' final
+ * core times and the edge time, so the edge's other endpoint, if it
+ * grew too, fails the same test: each (level, edge) finalises at most
+ * once per step.
  */
 static void harvest(struct repro_build *b, int64_t ts, int64_t num_grown)
 {
     const int64_t n = b->n, m = b->m, ts_hi = b->ts_hi;
     const int64_t *inc_time = b->inc_time;
     int64_t *ct = b->ct, *ect = b->ect;
+    int64_t steps = 0;
     for (int64_t i = 0; i < num_grown; i++) {
         const int64_t key = b->grown[i];
         const int64_t new_ct = ct[key];
@@ -427,7 +462,8 @@ static void harvest(struct repro_build *b, int64_t ts, int64_t num_grown)
         while (j < end && inc_time[j] < ts)
             j++;
         b->inc_cursor[v] = j;
-        for (; j < end && inc_time[j] <= ts_hi; j++) {
+        const int64_t first = j;
+        for (; j < end && inc_time[j] < new_ct; j++) {
             const int64_t edge_key = lev * m + b->inc_eid[j];
             const int64_t old_ect = ect[edge_key];
             if (old_ect >= new_ct)
@@ -440,7 +476,9 @@ static void harvest(struct repro_build *b, int64_t ts, int64_t num_grown)
             }
             ect[edge_key] = max64(max64(ct[lev * n + b->inc_other[j]], inc_time[j]), new_ct);
         }
+        steps += j - first;
     }
+    b->harvest_steps += steps;
 }
 
 /* Emit (ts, ect) at every level for the edge batch stamped ts. */

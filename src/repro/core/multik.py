@@ -29,7 +29,14 @@ CoreTime kernel.  Three devices:
   re-scheduling filter, appends a VCT row per grown key, re-derives the
   grown vertices' incident edge core times (a per-vertex cursor into
   the incident CSR, shared by all levels, only moves forward) and emits
-  the windows of the batch stamped at that start.  It allocates
+  the windows of the batch stamped at that start.  Each loop stops
+  where no value can change: the operator counts the availabilities at
+  or below a key's core time and steps to the smallest one above it,
+  selecting the ``k``-th smallest only when that step does not settle
+  it; re-scheduling screens the neighbours by the availabilities the
+  operator just gathered; the harvest stops at the first incident edge
+  stamped at or past the new core time.  Its work counts land in
+  ``repro_kernel_work_total{unit}`` (:data:`WORK_UNITS`).  It allocates
   nothing; when the output space left is below one step's worst case it
   returns the start time it stopped at and :class:`_FusedMultiK` grows
   the buffers and resumes.  Every evaluation order reaches the same
@@ -78,7 +85,12 @@ from repro.core.index import CoreIndex, _build_seconds_histogram
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.obs.metrics import get_registry
 from repro.obs.timing import now
+
+#: The build pass's work counts, the ``unit`` labels of
+#: ``repro_kernel_work_total`` (fields of :class:`native.BuildArgs`).
+WORK_UNITS = ("evaluations", "fallback_selections", "harvest_steps")
 
 
 def _validated_ks(ks: Iterable[int]) -> list[int]:
@@ -94,6 +106,21 @@ def _validated_ks(ks: Iterable[int]) -> list[int]:
     if not values:
         raise InvalidParameterError("ks must contain at least one k value")
     return sorted(set(values))
+
+
+def _work_counter():
+    return get_registry().counter(
+        "repro_kernel_work_total",
+        "CoreTime build pass work: operator evaluations, kth_smallest "
+        "fallbacks and harvested incident entries",
+        ("unit",),
+    )
+
+
+def kernel_work_counts() -> dict[str, int]:
+    """``repro_kernel_work_total`` of this process, ``{unit: n}`` for every unit."""
+    counter = _work_counter()
+    return {unit: int(counter.labels(unit).value) for unit in WORK_UNITS}
 
 
 def _address(array: np.ndarray) -> int:
@@ -253,7 +280,8 @@ class _FusedMultiK:
         a start time whose worst-case output would not fit, reporting
         the lengths it needs; the buffers then grow geometrically and
         the pass resumes there.  Its rows land as one VCT and one ECS
-        chunk, in ascending step order.
+        chunk, in ascending step order, and its work counts in
+        ``repro_kernel_work_total{unit}``, once per build.
         """
         build_pass = native.library().build_pass
         cg = self.cg
@@ -295,7 +323,7 @@ class _FusedMultiK:
             ("inq", np.zeros(size, dtype=np.uint8)),
             ("grown_mask", np.zeros(size, dtype=np.uint8)),
             ("queue", np.empty(size, dtype=np.int64)),
-            ("scratch", np.empty(max(int(self.cg.full_degree.max(initial=0)), 1), dtype=np.int64)),
+            ("scratch", np.empty(max(2 * int(self.cg.full_degree.max(initial=0)), 1), dtype=np.int64)),
             ("grown", np.empty(size, dtype=np.int64)),
         ):
             bind(name, array)
@@ -323,6 +351,9 @@ class _FusedMultiK:
             reserve("vct", max(args.vct_need, start_vct))
             reserve("ecs", max(args.ecs_need, start_ecs))
             current_ts = build_pass(ctypes.byref(args), current_ts)
+        work = _work_counter()
+        for unit in WORK_UNITS:
+            work.labels(unit).inc(getattr(args, unit))
         vct, ecs = out["vct"], out["ecs"]
         self._vct_keys.append(vct[0][: args.vct_len])
         self._vct_starts.append(vct[1][: args.vct_len])

@@ -91,6 +91,7 @@ class BuildArgs(ctypes.Structure):
         (name, _INT64)
         for name in (
             "vct_capacity", "ecs_capacity", "vct_len", "ecs_len", "vct_need", "ecs_need",
+            "evaluations", "fallback_selections", "harvest_steps",
         )
     ]
 

@@ -673,14 +673,6 @@ class IndexStore:
             kwargs["segment_bytes"] = segment_bytes
         return WriteAheadLog(self.root / key / WAL_DIR, **kwargs)
 
-    def has_wal(self, key: str) -> bool:
-        """Whether ``key`` has a WAL directory with at least one segment."""
-        wal_dir = self.root / key / WAL_DIR
-        return wal_dir.is_dir() and any(
-            entry.name.startswith("wal-") and entry.name.endswith(".seg")
-            for entry in wal_dir.iterdir()
-        )
-
     def stream_lsn(self, key: str) -> int:
         """The WAL position the stored snapshot of ``key`` covers (0 if none)."""
         manifest = self._read_manifest(key)

@@ -11,10 +11,10 @@ sub-windows.
 from __future__ import annotations
 
 import random
-import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.core.index as index_module
 from repro.core import multik, native
@@ -25,6 +25,7 @@ from repro.core.coretime_ref import (
 )
 from repro.core.index import CoreIndex, CoreIndexRegistry
 from repro.core.multik import build_core_indexes, compute_core_times_multi
+from repro.datasets.paper_example import paper_example_graph
 from repro.errors import InvalidParameterError
 from repro.graph.generators import uniform_random_temporal
 from repro.graph.temporal_graph import TemporalGraph
@@ -125,10 +126,11 @@ class TestMultiKEquivalence:
             assert_multi_identical(graph, [1, 2, 5, 12], ts, te)
 
     def test_high_degree_hubs(self):
-        """Degrees well past 16 with few tied times exercise both k-th
-        smallest selections of the compiled step: insertion into a
-        sorted window for ranks below ``INSERTION_RANKS``, quickselect
-        from there on (ks R - 1, R and R + 1 straddle the switch)."""
+        """Degrees well past 16 with few tied times exercise every k-th
+        smallest selection of the compiled step: the count of
+        availabilities at most the old core time, the smallest one
+        above it, and quickselect on a copy when neither settles it
+        (ks 15, 16 and 17 on a dense block)."""
         rng = random.Random(3)
         triples = [
             (f"h{rng.randrange(6)}", f"x{rng.randrange(60)}", rng.randint(1, 400))
@@ -141,9 +143,7 @@ class TestMultiKEquivalence:
         graph = TemporalGraph(triples)
         assert_multi_identical(graph, [1, 3, 8, 20])
         assert_multi_identical(graph, [2, 5], 100, 300)
-        limit = int(
-            re.search(r"#define INSERTION_RANKS (\d+)", native.SOURCE.read_text()).group(1)
-        )
+        limit = 16
         # A dense block keeps cores at those ks alive over wide windows.
         triples += [
             (f"y{rng.randrange(30)}", f"y{rng.randrange(30)}", rng.randint(1, 400))
@@ -152,7 +152,9 @@ class TestMultiKEquivalence:
         graph = TemporalGraph(triples)
         ks = [limit - 1, limit, limit + 1]
         assert (graph.compiled().full_degree > limit + 1).sum() >= 36
+        fallbacks = multik.kernel_work_counts()["fallback_selections"]
         assert all(result.vct.size() for result in compute_core_times_multi(graph, ks).values())
+        assert multik.kernel_work_counts()["fallback_selections"] > fallbacks
         assert_multi_identical(graph, ks, oracle=True)
         assert_multi_identical(graph, ks, 50, 350, oracle=True)
 
@@ -236,6 +238,119 @@ class TestCompiledBuildPass:
         fused.base.ett = np.repeat(fused.base.ett, 2)[::2]
         with pytest.raises(TypeError):
             fused.run()
+
+
+def hot_stream(seed: int, count: int) -> list[tuple[str, str, int]]:
+    """The first ``count`` edges of perfbench's ``HotStream(seed)`` (``perfbench/gens.py``).
+
+    Endpoints are beta-skewed into an 80-vertex pool of 3000 that drifts
+    forward with every edge; the clock advances before 55% of draws.
+    """
+    rng = random.Random(seed)
+    t, base, out = 1, 0.0, []
+
+    def draw() -> str:
+        return f"v{(int(base) + int(rng.betavariate(1.2, 3.0) * 80)) % 3000}"
+
+    while len(out) < count:
+        if rng.random() < 0.55:
+            t += 1
+        u, v = draw(), draw()
+        if u == v:
+            continue
+        out.append((u, v, t))
+        base += 0.02
+    return out
+
+
+def work_of(build) -> dict[str, int]:
+    """The ``repro_kernel_work_total`` counts ``build()`` adds, by unit."""
+    before = multik.kernel_work_counts()
+    build()
+    after = multik.kernel_work_counts()
+    return {unit: after[unit] - before[unit] for unit in multik.WORK_UNITS}
+
+
+class TestWorkCounts:
+    """The build pass's work counts are exact: pinned, and equal across runs."""
+
+    def test_paper_example(self, paper_graph):
+        def build():
+            compute_core_times_multi(paper_graph, [2, 3, 4, 5])
+
+        want = {"evaluations": 16, "fallback_selections": 1, "harvest_steps": 18}
+        assert work_of(build) == want
+        assert work_of(build) == want
+
+    def test_without_skyline_nothing_is_harvested(self, paper_graph):
+        got = work_of(lambda: compute_core_times_multi(paper_graph, [2, 3, 4, 5], with_skyline=False))
+        assert got == {"evaluations": 16, "fallback_selections": 1, "harvest_steps": 0}
+
+    def test_hot_stream(self):
+        """perfbench ``build-cold``'s graph and ks: its skyline holds 187,572 rows."""
+        graph = TemporalGraph(hot_stream(11, 5000))
+        built = []
+
+        def build():
+            built.append(compute_core_times_multi(graph, [2, 4, 8]))
+
+        want = {"evaluations": 87_140, "fallback_selections": 6_154, "harvest_steps": 426_497}
+        assert work_of(build) == want
+        assert work_of(build) == want
+        assert sum(result.ecs.size() for result in built[0].values()) == 187_572
+
+
+@st.composite
+def multigraph_cases(draw):
+    """A multigraph with pairs repeated at one timestamp, ks within 1..20, a sub-span."""
+    n = draw(st.integers(min_value=4, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = [
+        (u, v, t)
+        for u, v, t in draw(
+            st.lists(
+                st.tuples(vertex, vertex, st.integers(min_value=1, max_value=24)),
+                min_size=40,
+                max_size=160,
+            )
+        )
+        if u != v
+    ] or [(0, 1, 1)]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=20))
+    graph = TemporalGraph(edges)
+    ks = sorted(draw(st.sets(st.integers(min_value=1, max_value=20), min_size=1, max_size=6)))
+    bound = st.integers(min_value=1, max_value=graph.tmax)
+    ts, te = sorted((draw(bound), draw(bound)))
+    return graph, ks, ts, te
+
+
+class TestDrawnMultigraphs:
+    def test_matches_reference_for_every_k(self):
+        """The fused build equals ``coretime_ref`` entry for entry on drawn
+        multigraphs, and the drawn cases reach the quickselect fallback."""
+        fallbacks = multik.kernel_work_counts()["fallback_selections"]
+
+        paper = paper_example_graph()
+
+        # The paper example at ks 2..5 takes the fallback once, so the
+        # sum below does not rest on the draws alone.
+        @example(case=(paper, [2, 3, 4, 5], 1, paper.tmax))
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(case=multigraph_cases())
+        def check(case):
+            graph, ks, ts, te = case
+            multi = compute_core_times_multi(graph, ks, ts, te)
+            assert sorted(multi) == ks
+            for k in ks:
+                reference = compute_core_times_reference(graph, k, ts, te)
+                got = multi[k]
+                for u in range(graph.num_vertices):
+                    assert got.vct.entries_of(u) == reference.vct.entries_of(u), (k, u)
+                for eid in range(graph.num_edges):
+                    assert got.ecs.windows_of(eid) == reference.ecs.windows_of(eid), (k, eid)
+
+        check()
+        assert multik.kernel_work_counts()["fallback_selections"] > fallbacks
 
 
 class TestCompiledInitialScan:

@@ -29,6 +29,11 @@
    :class:`~repro.core.native.Kernels` while the suites and cuts run,
    and reports them: an entry point nothing called is a failure, since
    the sanitizers never saw it.
+6. Sums the build pass's ``fallback_selections``
+   (``repro_kernel_work_total``, see :class:`FallbackWatch`) over the
+   multi-k suite's tests and reports it: 0 is a failure, since the
+   sanitizers then never saw the core-time operator's quickselect on
+   its copy at ``scratch + deg``.
 
 The ASan runtime has to be loaded before the Python interpreter's own
 libraries, so run it as::
@@ -38,7 +43,8 @@ libraries, so run it as::
 
 Exits non-zero when the strict compile fails, the sanitized library does
 not load, a test, cut or render check fails (a sanitizer report aborts the
-process), or an entry point was never called.
+process), an entry point was never called, or the multi-k suite made no
+fallback selection.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import pytest  # noqa: E402
 
-from repro.core import native  # noqa: E402
+from repro.core import multik, native  # noqa: E402
 from repro.errors import KernelBuildError  # noqa: E402
 
 STRICT = ["-Wall", "-Wextra", "-Werror"]
@@ -101,6 +107,23 @@ def counted(kernels: native.Kernels, calls: dict[str, int]) -> native.Kernels:
         return call
 
     return kernels._replace(**{name: wrap(name, getattr(kernels, name)) for name in kernels._fields})
+
+
+class FallbackWatch:
+    """A pytest plugin summing the fallback selections of the tests in ``suite``."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.selections = 0
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_call(self, item):
+        before = multik.kernel_work_counts()["fallback_selections"]
+        try:
+            return (yield)
+        finally:
+            if item.path.name == self.suite:
+                self.selections += multik.kernel_work_counts()["fallback_selections"] - before
 
 
 def count_cuts() -> list[str]:
@@ -212,9 +235,13 @@ def main() -> int:
         # --capture=sys leaves fd 2 alone, so a sanitizer report that
         # aborts the process still reaches the terminal.
         args = ["-q", "-p", "no:cacheprovider", "--capture=sys"]
-        status = int(pytest.main([*args, *(str(ROOT / t) for t in TESTS)]))
+        watch = FallbackWatch("test_multik.py")
+        status = int(pytest.main([*args, *(str(ROOT / t) for t in TESTS)], plugins=[watch]))
         problems = [f"cut check: {problem}" for problem in count_cuts()]
         problems += [f"render check: {problem}" for problem in render_frames()]
+        print(f"fallback selections under the sanitizers in test_multik.py: {watch.selections}")
+        if not watch.selections:
+            problems.append("the multi-k suite made no fallback selection")
         for problem in problems:
             print(problem, file=sys.stderr)
         status = status or int(bool(problems))
