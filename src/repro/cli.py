@@ -251,7 +251,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     plan, results = execute_batch(
         requests,
         registry=CoreIndexRegistry(capacity=len({k for k, _, _ in queries}), store=store),
-        merge_overlaps=not args.no_merge,
         trace=trace,
     )
     if trace is not None:
@@ -516,10 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", metavar="DIR",
         help="index store consulted before computing missing (graph, k) "
              "indexes; missing entries are built once and persisted",
-    )
-    batch.add_argument(
-        "--no-merge", action="store_true",
-        help="disable overlap merging (only identical ranges share work)",
     )
     batch.add_argument("--format", choices=("text", "json"), default="text")
     batch.add_argument(

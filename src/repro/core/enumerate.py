@@ -27,12 +27,12 @@ checks this path against.
 from __future__ import annotations
 
 from repro.core.coretime import compute_core_times
-from repro.core.results import EnumerationResult, ResultCallback
+from repro.core.results import EnumerationResult
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.columnar import run_columnar_walk
-from repro.serve.sinks import ResultSink, make_sink
+from repro.serve.sinks import CountSink, MaterializingSink, ResultSink
 from repro.obs.timing import Deadline
 
 
@@ -44,7 +44,6 @@ def enumerate_temporal_kcores(
     *,
     skyline: EdgeCoreSkyline | None = None,
     collect: bool = True,
-    on_result: ResultCallback | None = None,
     sink: ResultSink | None = None,
     deadline: Deadline | None = None,
 ) -> EnumerationResult:
@@ -64,14 +63,10 @@ def enumerate_temporal_kcores(
         When true (default), materialise every core; when false, only the
         counters of the returned :class:`EnumerationResult` are filled —
         this is the streaming mode the memory experiment (Fig. 12) uses.
-    on_result:
-        Optional streaming callback ``(ts, te, edge_id_prefix)``; the list
-        argument is live and must be copied if retained.
     sink:
         Optional explicit :class:`~repro.serve.sinks.ResultSink` the
-        emissions are delivered to (NDJSON, flat arrays, counters, ...).
-        Overrides ``collect``/``on_result``; the returned result carries
-        the sink's counters.
+        emissions are delivered to (NDJSON, counters, ...).  Overrides
+        ``collect``; the returned result carries the sink's counters.
     deadline:
         Optional soft deadline checked once per visited start time.
     """
@@ -96,7 +91,7 @@ def enumerate_temporal_kcores(
         )
 
     if sink is None:
-        sink = make_sink(collect=collect, on_result=on_result)
+        sink = MaterializingSink() if collect else CountSink()
     completed = run_columnar_walk(skyline.cut(ts_lo, ts_hi), sink, deadline=deadline)
     sink.finish(completed)
     return sink.result("enum", k, (ts_lo, ts_hi))

@@ -4,10 +4,12 @@ The paper computes the skyline per query.  In an index-serving deployment
 (the PHC-index spirit of [13]) one wants to precompute over the whole
 time span and answer arbitrary sub-ranges.  Minimal core windows are
 intrinsic to the graph, so the skyline of a sub-range is a filter of the
-whole-span skyline (``EdgeCoreSkyline.restricted_to``); activation times
-are re-derived by the enumerator.  This module packages that pattern —
-:class:`CoreIndex` for one ``(graph, k)``, :class:`CoreIndexRegistry`
-for an LRU-bounded pool of them serving many graphs and ``k`` values.
+whole-span skyline: the serving path cuts it as a
+:class:`~repro.core.windows.SkylineCut` (two offsets into the
+skyline's start order), and the walk re-derives activation times.
+This module packages that pattern — :class:`CoreIndex` for one
+``(graph, k)``, :class:`CoreIndexRegistry` for an LRU-bounded pool of
+them serving many graphs and ``k`` values.
 
 Persistence lives in :mod:`repro.store`: the binary index store
 (mmap-able flat arrays, fingerprint staleness checks) is the index's one
@@ -114,8 +116,8 @@ class CoreIndex:
         full-span skyline down to the range by two ``searchsorted``
         calls over a start-sorted permutation cached on the skyline —
         no restricted skyline is materialised and no per-edge scan
-        runs.  ``sink`` optionally redirects delivery (NDJSON,
-        counters, flat arrays — see :mod:`repro.serve.sinks`).
+        runs.  ``sink`` optionally redirects delivery (NDJSON or
+        counters — see :mod:`repro.serve.sinks`).
         """
         return self.query_batch(
             [(ts, te)], collect=collect, sinks=[sink], deadline=deadline
@@ -128,40 +130,40 @@ class CoreIndex:
         collect: bool = False,
         sinks: "list[ResultSink | None] | None" = None,
         deadline: Deadline | None = None,
-        merge_overlaps: bool = True,
         trace: Trace | None = None,
     ) -> list[EnumerationResult]:
         """Answer many ranges from the shared index in one planned pass.
 
         The batch serving primitive: the ranges are planned against
-        this index (identical ranges deduped,
-        overlapping windows merged and enumerated once, each answer
-        sliced out by TTI containment — ``merge_overlaps=False``
-        disables the merging) and the executor locates every covering
-        window's slice with a single ``searchsorted`` pair over the
+        this index (identical counting ranges deduped, overlapping ones
+        merged and counted once, each answer read off the shared walk
+        by TTI containment) and the executor locates every covering
+        window's cut with a single ``searchsorted`` pair over the
         cached sorted skyline view.  Results come back in input order;
         ``collect`` defaults to ``False`` (count only), matching batch
-        traffic.  ``sinks``, when given, carries one optional
+        traffic; ``collect=True`` gives every range without a sink a
+        :class:`~repro.serve.sinks.MaterializingSink`, and so a walk of
+        its own.  ``sinks``, when given, carries one optional
         per-range delivery sink.  ``trace``, when given, records a span
         tree for the batch — ``query_batch`` wrapping ``plan`` and
         ``execute`` (see :mod:`repro.obs.trace`).
         """
         from repro.serve.executor import execute_plan
         from repro.serve.planner import plan_for_index
+        from repro.serve.sinks import MaterializingSink
 
         ranges = list(ranges)
         if not ranges:
             return []
+        if collect:
+            sinks = [
+                MaterializingSink() if sink is None else sink
+                for sink in (sinks if sinks is not None else [None] * len(ranges))
+            ]
         trace = trace if trace is not None else NULL_TRACE
         with trace.span("query_batch", requests=len(ranges), k=self.k):
-            plan = plan_for_index(
-                self,
-                ranges,
-                sinks=sinks,
-                merge_overlaps=merge_overlaps,
-                trace=trace,
-            )
-            return execute_plan(plan, collect=collect, deadline=deadline)
+            plan = plan_for_index(self, ranges, sinks=sinks, trace=trace)
+            return execute_plan(plan, deadline=deadline)
 
     def historical_core(self, ts: int, te: int) -> set[int]:
         """Single-window (historical) k-core members, index-only.

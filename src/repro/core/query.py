@@ -114,23 +114,23 @@ class TimeRangeCoreQuery:
         (Algorithm 2 over the range, the paper's pipeline), ``index``
         as an index-cut plan against the registry — and accept an
         optional delivery ``sink`` (:mod:`repro.serve.sinks`): NDJSON
-        streaming, counting, flat arrays.  The baseline engines ignore
-        ``sink``.
+        streaming or counting.  The baseline engines ignore ``sink``.
         """
         ts, te = self.time_range
         deadline = Deadline(self.timeout) if self.timeout is not None else None
         if self.engine in ("enum", "index"):
             from repro.serve.executor import execute_plan
             from repro.serve.planner import QueryRequest, plan_queries
+            from repro.serve.sinks import MaterializingSink
 
+            if sink is None and self.collect:
+                sink = MaterializingSink()
             plan = plan_queries(
                 [QueryRequest(self.graph, self.k, ts, te, sink=sink)],
                 engine="direct" if self.engine == "enum" else "index",
             )
             registry = self.registry if self.registry is not None else DEFAULT_REGISTRY
-            return execute_plan(
-                plan, registry=registry, collect=self.collect, deadline=deadline
-            )[0]
+            return execute_plan(plan, registry=registry, deadline=deadline)[0]
         if self.engine == "enumbase":
             return enumerate_temporal_kcores_base(
                 self.graph, self.k, ts, te, collect=self.collect, deadline=deadline

@@ -10,7 +10,7 @@ Three small modules with one job each:
   threaded through ``plan → execute → sink``; :data:`NULL_TRACE` is
   the one-branch disabled default.
 * :mod:`repro.obs.timing` — the monotonic clock (:func:`now`) plus
-  :class:`Stopwatch` / :class:`Deadline` / :func:`time_call`.
+  :class:`Deadline`.
 
 ``repro.obs.report()`` renders the default registry as a one-shot text
 report.  See ``docs/OBSERVABILITY.md`` for the instrument catalogue
@@ -29,7 +29,7 @@ from repro.obs.metrics import (
     timing_enabled,
 )
 from repro.obs.report import report
-from repro.obs.timing import Deadline, Stopwatch, now, time_call
+from repro.obs.timing import Deadline, now
 from repro.obs.trace import NULL_TRACE, Span, Trace
 
 __all__ = [
@@ -44,9 +44,7 @@ __all__ = [
     "timing_enabled",
     "report",
     "Deadline",
-    "Stopwatch",
     "now",
-    "time_call",
     "NULL_TRACE",
     "Span",
     "Trace",

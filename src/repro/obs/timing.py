@@ -1,7 +1,7 @@
 """Monotonic-clock timing primitives for the observability layer.
 
 Every duration the library measures — span tracing, latency
-histograms, deadlines, benchmark laps — goes through :func:`now`, a
+histograms, deadlines — goes through :func:`now`, a
 single process-wide monotonic clock (``time.perf_counter``: monotonic,
 highest available resolution, immune to wall-clock steps).  Nothing in
 the library times work against ``time.time``.
@@ -11,64 +11,10 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Any
 
 #: The process-wide monotonic clock, in fractional seconds.  All
 #: intervals in the library are differences of this clock.
 now: Callable[[], float] = time.perf_counter
-
-
-@dataclass
-class Stopwatch:
-    """A restartable monotonic stopwatch with named laps.
-
-    >>> sw = Stopwatch()
-    >>> sw.start()
-    >>> _ = sum(range(1000))
-    >>> sw.lap("sum")
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    _started_at: float | None = None
-    _accumulated: float = 0.0
-    laps: dict[str, float] = field(default_factory=dict)
-
-    def start(self) -> None:
-        if self._started_at is not None:
-            raise RuntimeError("stopwatch already running")
-        self._started_at = now()
-
-    def stop(self) -> float:
-        if self._started_at is None:
-            raise RuntimeError("stopwatch not running")
-        self._accumulated += now() - self._started_at
-        self._started_at = None
-        return self._accumulated
-
-    def lap(self, name: str) -> None:
-        """Record the elapsed time so far under ``name`` without stopping."""
-        self.laps[name] = self.elapsed
-
-    @property
-    def elapsed(self) -> float:
-        total = self._accumulated
-        if self._started_at is not None:
-            total += now() - self._started_at
-        return total
-
-    def reset(self) -> None:
-        self._started_at = None
-        self._accumulated = 0.0
-        self.laps.clear()
-
-
-def time_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[Any, float]:
-    """Run ``fn(*args, **kwargs)`` and return ``(result, seconds)``."""
-    t0 = now()
-    result = fn(*args, **kwargs)
-    return result, now() - t0
 
 
 class Deadline:

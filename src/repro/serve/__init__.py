@@ -4,15 +4,15 @@ Serving splits into three stages (see ``docs/SERVING.md``):
 
 * **plan** (:mod:`repro.serve.planner`) — normalise any mix of range
   queries into a :class:`QueryPlan`: group by ``(graph, k)``, dedupe
-  identical ranges, merge overlapping windows so shared work is
-  enumerated once, pick the engine per group;
+  identical counting ranges, merge overlapping ones so shared work is
+  counted once, pick the engine per group;
 * **execute** (:mod:`repro.serve.executor`) — cut each covering window
   from its group's skyline (shared index or direct compute) and run the
   columnar Algorithm-5 walk (:mod:`repro.serve.columnar`) once per
-  covering window, slicing emissions per request;
-* **sink** (:mod:`repro.serve.sinks`) — deliver results: materialised
-  core objects, streaming callbacks, counters, NDJSON lines or flat
-  arrays.
+  covering window, counting a shared window for every request it
+  serves;
+* **sink** (:mod:`repro.serve.sinks`) — deliver results: counters,
+  materialised core objects or NDJSON lines.
 
 :func:`execute_batch` answers a mixed ``(graph, k, range)`` batch in
 one call (prefetch every ``k``, plan, execute).
@@ -35,34 +35,21 @@ from repro.serve.planner import (
     QueryRequest,
     plan_queries,
 )
-from repro.serve.sinks import (
-    CallbackSink,
-    CountSink,
-    FlatArraySink,
-    MaterializingSink,
-    NDJSONSink,
-    ResultSink,
-    TeeSink,
-    make_sink,
-)
+from repro.serve.sinks import CountSink, MaterializingSink, NDJSONSink, ResultSink
 
 __all__ = [
-    "CallbackSink",
     "CountSink",
     "CoveringWindow",
     "DaemonClient",
     "ServingDaemon",
-    "FlatArraySink",
     "MaterializingSink",
     "NDJSONSink",
     "PlanGroup",
     "QueryPlan",
     "QueryRequest",
     "ResultSink",
-    "TeeSink",
     "execute_batch",
     "execute_plan",
-    "make_sink",
     "plan_queries",
     "run_columnar_walk",
 ]

@@ -32,8 +32,8 @@ per visited start time (``repro_walk_step`` in ``core/_fixpoint.c``,
 see :mod:`repro.core.native`), which merge-copies the alive run:
 O(alive windows) per visit.  A sink that offers
 :meth:`~repro.serve.sinks.ResultSink.counting_targets` (a bare
-:class:`~repro.serve.sinks.CountSink`, or a slice router whose targets
-all are) takes the counting kernel (``repro_count_init``, then
+:class:`~repro.serve.sinks.CountSink`, or the slice router of a
+window shared by counting requests) takes the counting kernel (``repro_count_init``, then
 ``repro_count_visits``) instead, and no slice is materialised.
 ``repro_count_init`` reads the cut ``order[lo:hi]`` from the skyline's
 columns: it drops the windows ending after ``te`` and activates each

@@ -14,18 +14,19 @@ Execution walks the plan group by group:
   (:func:`~repro.serve.columnar.run_columnar_walk`), which reads a
   counting sink's cut straight from the skyline (activation included)
   and materialises the ``(eid, start, end, active)`` slice only for a
-  sink that receives the cores; when several requests share the
-  window, a slice router fans each emission batch out to the requests
-  whose range contains the reported TTIs — the target ranges are held
-  as flat interval arrays, so each batch is routed with one vectorised
-  ``searchsorted`` over all active targets (and a counting-only batch
-  never re-enters Python at all).
+  sink that receives the cores.  Only counting requests share a
+  window (the planner gives every other request one of its own); a
+  shared window's walk is counted by a slice router, whose target
+  ranges the compiled counting walk credits in C, two lookups per
+  target and visit, so a contended batch never re-enters Python per
+  request.
 
 Results come back as one :class:`~repro.core.results.EnumerationResult`
-per request, in request order; requests that carry their own sink are
-delivered through it (and the returned result reflects that sink's
-counters).  :func:`execute_batch` is the mixed ``(graph, k, range)``
-batch in one call: prefetch every graph's ``k`` values, plan, execute.
+per request, in request order; a request without a sink is counted
+into a fresh :class:`~repro.serve.sinks.CountSink`, and the returned
+result reflects its sink's counters.  :func:`execute_batch` is the
+mixed ``(graph, k, range)`` batch in one call: prefetch every graph's
+``k`` values, plan, execute.
 """
 
 from __future__ import annotations
@@ -41,19 +42,16 @@ from repro.obs.metrics import get_registry, timing_enabled
 from repro.obs.timing import Deadline, now
 from repro.serve.columnar import run_columnar_walk
 from repro.serve.planner import PlanGroup, QueryPlan, QueryRequest, plan_queries
-from repro.serve.sinks import MaterializingSink, CountSink, ResultSink
+from repro.serve.sinks import CountSink, ResultSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.index import CoreIndexRegistry
     from repro.graph.temporal_graph import TemporalGraph
     from repro.obs.trace import Trace
 
-_NO_ACTIVE = np.empty(0, dtype=np.int64)
-
 # Executor instruments on the process metrics registry.  Latency
 # histograms observe only when timing is enabled; the router counters
-# accumulate locally per walk and flush once at finish, so the
-# per-emission hot path stays registry-free.
+# accumulate locally per walk and flush once at finish.
 _EXECUTE_SECONDS = get_registry().histogram(
     "repro_execute_seconds", "Plan execution latency per batch"
 )
@@ -69,35 +67,24 @@ _WINDOWS_EXECUTED = get_registry().counter(
     ("mode",),
 )
 _ROUTER_TARGETS = get_registry().counter(
-    "repro_router_targets_total", "Requests fanned out by slice routers"
+    "repro_router_targets_total", "Requests counted by slice routers"
 )
 _ROUTER_BATCHES = get_registry().counter(
-    "repro_router_batches_total", "Emission batches routed by slice routers"
+    "repro_router_batches_total", "Start times counted by slice routers"
 )
 
 
 class _SliceRouter(ResultSink):
-    """Fan one covering walk out to the requests it serves.
+    """Count one covering walk for every request it serves.
 
-    Targets are ``(ts, te, sink)``, held as one shared pair of flat
-    interval arrays sorted by ``ts``.  An emission batch at start time
-    ``t`` reaches every target with ``ts <= t <= te`` — activation is a
-    single ``searchsorted`` into the start array (starts only grow), and
-    the prefix of cores each active target reports (those whose TTI end
-    fits inside its range) is found for *all* active targets with one
-    vectorised ``searchsorted`` of their end bounds into the batch's
-    sorted ``ends``.  That prefix is exactly the target range's own
-    answer: a covering window's cores restricted to a contained range
-    are the range's cores (TTI containment, see the planner notes).
-
-    When every target delivers to a bare :class:`CountSink` (the batch
-    default), routing never re-enters Python per target: the compiled
-    counting walk routes in C, straight into flat per-target result
-    and edge accumulators (:meth:`counting_targets`), which
-    :meth:`finish` writes into the sinks once.  This is what keeps
-    1000+-request contended batches vectorised end to end; such a
-    router's :meth:`consume` never runs (an emission handed to it by
-    hand still reaches each counter through its own ``emit``).
+    Targets are ``(ts, te, sink)`` with a bare :class:`CountSink` each,
+    held as one pair of flat interval arrays sorted by ``ts``.  The
+    compiled counting walk (:meth:`counting_targets`) credits a target,
+    at every visited start time ``t`` with ``ts <= t <= te``, with the
+    cores ending by ``te`` — exactly the target range's own answer: a
+    covering window's cores restricted to a contained range are the
+    range's cores (TTI containment, see the planner notes).
+    :meth:`finish` writes the per-target totals into the sinks once.
     """
 
     def __init__(self, targets: list[tuple[int, int, ResultSink]]):
@@ -106,47 +93,11 @@ class _SliceRouter(ResultSink):
         self._ts = np.array([targets[i][0] for i in order], dtype=np.int64)
         self._te = np.array([targets[i][1] for i in order], dtype=np.int64)
         self._sinks = [targets[i][2] for i in order]
-        self._position = 0
-        self._active = _NO_ACTIVE  # indices of activated, unretired targets
+        self._num = np.zeros(len(targets), dtype=np.int64)
+        self._edges = np.zeros(len(targets), dtype=np.int64)
         self._batches = 0  # flushed to the metrics registry at finish
-        self._counting = all(type(sink) is CountSink for sink in self._sinks)
-        if self._counting:
-            self._num = np.zeros(len(targets), dtype=np.int64)
-            self._edges = np.zeros(len(targets), dtype=np.int64)
-
-    def consume(self, t, ends, prefix_lens, eids) -> None:
-        self._batches += 1
-        hi = int(np.searchsorted(self._ts, t, side="right"))
-        if hi > self._position:
-            self._active = np.concatenate(
-                (self._active, np.arange(self._position, hi, dtype=np.int64))
-            )
-            self._position = hi
-        if not len(self._active):
-            return
-        # Reported TTI starts only grow; a target whose te fell behind
-        # t is done for good.
-        keep = self._te[self._active] >= t
-        if not keep.all():
-            self._active = self._active[keep]
-        active = self._active
-        if not len(active):
-            return
-        counts = np.searchsorted(ends, self._te[active], side="right")
-        sinks = self._sinks
-        for idx, count in zip(active.tolist(), counts.tolist()):
-            if count:
-                # Cut the shared run to the largest prefix this target
-                # reports — downstream sinks convert what they receive,
-                # and a narrow range must not pay for the wide window.
-                run = eids[: int(prefix_lens[count - 1])]
-                sinks[idx].emit(t, ends[:count], prefix_lens[:count], run)
 
     def counting_targets(self):
-        # A router serves one walk: the compiled walk routes from the
-        # first target on, as a fresh router's consume would.
-        if not self._counting:
-            return None
         return self._ts, self._te, self._num, self._edges
 
     def add_counted(self, batches: int, num_results: int, total_edges: int) -> None:
@@ -155,11 +106,9 @@ class _SliceRouter(ResultSink):
 
     def finish(self, completed: bool) -> None:
         super().finish(completed)
-        if self._counting:
-            for idx, sink in enumerate(self._sinks):
-                sink.num_results += int(self._num[idx])
-                sink.total_edges += int(self._edges[idx])
-        for sink in self._sinks:
+        for sink, num, edges in zip(self._sinks, self._num.tolist(), self._edges.tolist()):
+            sink.num_results += num
+            sink.total_edges += edges
             sink.finish(completed)
         _ROUTER_TARGETS.inc(len(self._sinks))
         _ROUTER_BATCHES.inc(self._batches)
@@ -234,13 +183,12 @@ def execute_plan(
     plan: QueryPlan,
     *,
     registry: "CoreIndexRegistry | None" = None,
-    collect: bool = False,
     deadline: Deadline | None = None,
 ) -> list[EnumerationResult]:
     """Run ``plan``; one :class:`EnumerationResult` per request, in order.
 
-    ``collect`` picks the default sink (materialising vs counting) for
-    requests that did not bring their own.  ``registry`` resolves the
+    A request without a sink is counted into a fresh
+    :class:`CountSink`.  ``registry`` resolves the
     shared indexes of ``index`` groups (falling back to the process-wide
     default registry).  ``deadline`` is shared by every
     walk: on expiry the remaining windows abort immediately and their
@@ -257,9 +205,7 @@ def execute_plan(
     timed = timing_enabled()
     started = now() if timed else 0.0
     sinks: list[ResultSink] = [
-        request.sink
-        if request.sink is not None
-        else (MaterializingSink() if collect else CountSink())
+        CountSink() if request.sink is None else request.sink
         for request in plan.requests
     ]
     with trace.span("execute", windows=plan.num_windows):
@@ -316,7 +262,6 @@ def execute_batch(
     requests: list[QueryRequest],
     *,
     registry: "CoreIndexRegistry | None" = None,
-    merge_overlaps: bool = True,
     trace: "Trace | None" = None,
 ) -> tuple[QueryPlan, list[EnumerationResult]]:
     """Answer a mixed ``(graph, k, range)`` batch; ``(plan, results)``.
@@ -340,5 +285,5 @@ def execute_batch(
             ks.append(request.k)
     for graph, ks in ks_by_graph.values():
         target.get_many(graph, ks)
-    plan = plan_queries(requests, merge_overlaps=merge_overlaps, trace=trace)
+    plan = plan_queries(requests, trace=trace)
     return plan, execute_plan(plan, registry=target)

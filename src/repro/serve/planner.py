@@ -8,17 +8,21 @@ no window enumerated — and does three things:
 
 1. **Group** requests by ``(graph, k)``: requests of one group share a
    skyline, so their window prep is one vectorised cut.
-2. **Dedupe and merge**: identical ranges collapse onto one covering
-   window; contained ranges ride along for free; overlapping ranges
-   are merged into one covering window when the overlap is worth it
-   (:data:`DEFAULT_MIN_OVERLAP` — merging windows that barely touch
-   would pay for boundary-straddling cores nobody asked for).  Each
-   covering window is enumerated **once** by the executor and sliced
-   per request: a core of the covering walk belongs to request
-   ``[ts, te]`` exactly when its TTI is contained in ``[ts, te]``
-   (Definition 3 puts cores and TTIs in bijection, so sub-range answers
-   are TTI filters — the same fact that lets one full-span index serve
-   arbitrary ranges).
+2. **Dedupe and merge the counting requests** (no sink, or a bare
+   :class:`~repro.serve.sinks.CountSink`): identical ranges collapse
+   onto one covering window; contained ranges ride along for free;
+   overlapping ranges are merged into one covering window when the
+   overlap is worth it (:data:`DEFAULT_MIN_OVERLAP` — merging windows
+   that barely touch would pay for boundary-straddling cores nobody
+   asked for).  Each covering window is counted **once** by the
+   executor, for every request it serves: a core of the covering walk
+   belongs to request ``[ts, te]`` exactly when its TTI is contained
+   in ``[ts, te]`` (Definition 3 puts cores and TTIs in bijection, so
+   sub-range answers are TTI filters — the same fact that lets one
+   full-span index serve arbitrary ranges).  A request whose sink
+   receives the cores gets a covering window of its own: Enum is
+   result-size optimal (Theorem 3), so its walk already costs about
+   its own output, and sharing it would save at most a constant.
 3. **Tag the engine** of every group: ``index`` (cut the shared
    :class:`~repro.core.index.CoreIndex` skyline, the default) or
    ``direct`` (run Algorithm 2 over each covering window, the paper's
@@ -38,10 +42,10 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.obs.metrics import get_registry, timing_enabled
 from repro.obs.timing import now
 from repro.obs.trace import NULL_TRACE, Trace
+from repro.serve.sinks import CountSink, ResultSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.index import CoreIndex
-    from repro.serve.sinks import ResultSink
 
 #: Engine names a plan group can carry.
 PLAN_ENGINES = ("index", "direct")
@@ -74,8 +78,8 @@ DEFAULT_MIN_OVERLAP = 0.5
 class QueryRequest:
     """One range query: ``(graph, k, [ts, te])`` plus its delivery sink.
 
-    ``sink`` is optional — the executor creates a counting or
-    materialising sink from its ``collect`` default when none is given.
+    ``sink`` is optional — without one the request only counts, into a
+    :class:`~repro.serve.sinks.CountSink` the executor creates.
     Validated eagerly so a malformed request fails at plan time, not
     midway through executing a batch.
     """
@@ -84,7 +88,7 @@ class QueryRequest:
     k: int
     ts: int
     te: int
-    sink: "ResultSink | None" = None
+    sink: ResultSink | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -95,14 +99,20 @@ class QueryRequest:
     def time_range(self) -> tuple[int, int]:
         return (self.ts, self.te)
 
+    @property
+    def counts(self) -> bool:
+        """Whether the request only counts: it may share a covering window."""
+        return self.sink is None or type(self.sink) is CountSink
+
 
 @dataclass
 class CoveringWindow:
     """One window the executor enumerates, serving one or more requests.
 
     ``requests`` are indices into the plan's request list; every
-    request range is contained in ``[ts, te]`` and receives the slice
-    of the walk's emissions whose TTIs its range contains.
+    request range is contained in ``[ts, te]`` and is credited with the
+    walk's cores whose TTIs its range contains.  Only counting requests
+    share a window.
     """
 
     ts: int
@@ -134,9 +144,10 @@ class PlanGroup:
 class QueryPlan:
     """The executable shape of a batch of requests.
 
-    ``stats`` records what planning saved: ``deduped`` identical
-    ranges, ``merged`` ranges answered from a shared covering window,
-    and the final window count versus the request count.  ``trace``
+    ``stats`` records what planning saved among the counting
+    requests: ``deduped`` identical ranges, ``merged`` ranges answered
+    from a shared covering window, and the final window count versus
+    the request count.  ``trace``
     carries the per-query span tree the executor should continue
     recording into (:data:`~repro.obs.trace.NULL_TRACE` when tracing
     is off).
@@ -183,7 +194,6 @@ def plan_for_index(
     ranges: list[tuple[int, int]],
     *,
     sinks: "list[ResultSink | None] | None" = None,
-    merge_overlaps: bool = True,
     trace: Trace | None = None,
 ) -> QueryPlan:
     """Plan a batch of ranges pinned to an already-resolved index.
@@ -208,7 +218,7 @@ def plan_for_index(
         )
         for position, (ts, te) in enumerate(ranges)
     ]
-    plan = plan_queries(requests, merge_overlaps=merge_overlaps, trace=trace)
+    plan = plan_queries(requests, trace=trace)
     for group in plan.groups:
         group.index = index
     return plan
@@ -218,16 +228,12 @@ def plan_queries(
     requests: "list[QueryRequest]",
     *,
     engine: str = "index",
-    merge_overlaps: bool = True,
     trace: Trace | None = None,
 ) -> QueryPlan:
     """Normalise ``requests`` into a :class:`QueryPlan`.
 
     ``engine`` (``"index"`` or ``"direct"``) is the engine of every
     group.
-
-    ``merge_overlaps=False`` limits sharing to identical ranges
-    (every distinct range gets its own covering window).
 
     ``trace``, when given, records the pass as a ``plan`` span and is
     carried on the returned plan for the executor to continue;
@@ -242,7 +248,7 @@ def plan_queries(
     timed = timing_enabled()
     started = now() if timed else 0.0
     with trace.span("plan", requests=len(requests), engine=engine) as span:
-        plan = _plan(requests, engine, merge_overlaps)
+        plan = _plan(requests, engine)
         span.set(
             windows=plan.stats["windows"],
             deduped=plan.stats["deduped"],
@@ -258,11 +264,7 @@ def plan_queries(
     return plan
 
 
-def _plan(
-    requests: "list[QueryRequest]",
-    engine: str,
-    merge_overlaps: bool,
-) -> QueryPlan:
+def _plan(requests: "list[QueryRequest]", engine: str) -> QueryPlan:
     # Group by (graph identity, k), preserving first-seen order.
     grouped: dict[tuple[int, int], list[int]] = {}
     graphs: dict[int, TemporalGraph] = {}
@@ -274,22 +276,20 @@ def _plan(
     merged = 0
     groups: list[PlanGroup] = []
     for (gid, k), positions in grouped.items():
-        graph = graphs[gid]
-        # Dedupe identical ranges.
+        # Dedupe identical counting ranges; each emitting request walks alone.
         by_range: dict[tuple[int, int], list[int]] = {}
+        own: list[CoveringWindow] = []
         for position in positions:
             request = requests[position]
-            by_range.setdefault(request.time_range, []).append(position)
-        deduped += len(positions) - len(by_range)
+            if request.counts:
+                by_range.setdefault(request.time_range, []).append(position)
+            else:
+                own.append(CoveringWindow(request.ts, request.te, [position]))
+        deduped += len(positions) - len(own) - len(by_range)
         ordered = sorted(by_range.items(), key=lambda item: (item[0][0], -item[0][1]))
-        if merge_overlaps:
-            windows = _merge_ranges(ordered)
-        else:
-            windows = [
-                CoveringWindow(ts, te, list(ids)) for (ts, te), ids in ordered
-            ]
+        windows = _merge_ranges(ordered)
         merged += len(by_range) - len(windows)
-        groups.append(PlanGroup(graph, k, engine, windows))
+        groups.append(PlanGroup(graphs[gid], k, engine, windows + own))
 
     return QueryPlan(
         list(requests),

@@ -62,8 +62,9 @@ def graph_fingerprint(graph: TemporalGraph) -> dict:
     times — without the label/raw coverage, two structurally identical
     graphs over different vertex sets would silently share one store
     entry and a restore would resurrect the wrong labels.  A graph opened
-    by :func:`load_graph` from a verified blob returns (a copy of) the
-    fingerprint the blob recorded for it instead of rehashing.
+    by :func:`load_graph` (which verifies the blob's checksum) returns (a
+    copy of) the fingerprint the blob recorded for it instead of
+    rehashing.
     """
     stored = graph._fingerprint
     if stored is not None:
@@ -134,16 +135,16 @@ def dump_graph(
     return write_blob(path, GRAPH_KIND, meta, sections)
 
 
-def load_graph(path: str | os.PathLike[str], *, verify: bool = True) -> TemporalGraph:
+def load_graph(path: str | os.PathLike[str]) -> TemporalGraph:
     """Reconstruct a graph blob: exact ids, compiled view attached.
 
     The graph's edge columns and prefix table and every compiled table
     are zero-copy views of the blob's mapping; only the raw-time table is
-    materialised (O(tmax), no sorting).  With ``verify`` the graph keeps
-    the fingerprint the blob recorded, so opening its indexes does not
-    rehash the edges and labels.
+    materialised (O(tmax), no sorting).  The blob's checksum is verified,
+    so the graph keeps the fingerprint the blob recorded, and opening its
+    indexes does not rehash the edges and labels.
     """
-    blob = read_blob(path, verify=verify)
+    blob = read_blob(path)
     if blob.kind != GRAPH_KIND:
         raise StoreError(f"{blob.path}: expected a {GRAPH_KIND} blob, got {blob.kind!r}")
     meta = blob.meta
@@ -157,7 +158,7 @@ def load_graph(path: str | os.PathLike[str], *, verify: bool = True) -> Temporal
     )
     graph._compiled_cache = CompiledGraph._from_parts(meta, parts, graph.time_offsets())
     stored = meta.get("fingerprint")
-    if verify and stored is not None:
+    if stored is not None:
         # The payload (edges, raw times) passed its checksum, so this is
         # the fingerprint dump_graph took of exactly these parts.
         graph._fingerprint = stored
@@ -204,9 +205,7 @@ def dump_index(
     return write_blob(path, INDEX_KIND, meta, sections)
 
 
-def load_index(
-    path: str | os.PathLike[str], graph: TemporalGraph, *, verify: bool = True
-) -> CoreIndex:
+def load_index(path: str | os.PathLike[str], graph: TemporalGraph) -> CoreIndex:
     """Open an index blob against ``graph`` (zero-copy flat arrays).
 
     The blob's sections feed the index classes' native ``from_flat``
@@ -215,7 +214,7 @@ def load_index(
     match ``graph`` — serving an index for a different or stale graph
     would silently return wrong answers.
     """
-    blob = read_blob(path, verify=verify)
+    blob = read_blob(path)
     if blob.kind != INDEX_KIND:
         raise StoreError(f"{blob.path}: expected a {INDEX_KIND} blob, got {blob.kind!r}")
     meta = blob.meta

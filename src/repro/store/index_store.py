@@ -136,10 +136,6 @@ class IndexStore:
     ----------
     root:
         Store directory; created (with parents) when missing.
-    verify:
-        Check blob payload checksums on every open (default).  Disabling
-        skips the sequential crc pass for trusted local stores;
-        truncation is still detected from the declared payload length.
     lock_timeout:
         Upper bound, in seconds, on how long a writer waits for a graph
         directory's advisory lock before raising :class:`StoreError`
@@ -166,13 +162,11 @@ class IndexStore:
         self,
         root: str | os.PathLike[str],
         *,
-        verify: bool = True,
         lock_timeout: float | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.verify = verify
         if lock_timeout is not None and lock_timeout < 0:
             raise StoreError(f"lock_timeout must be >= 0, got {lock_timeout}")
         self.lock_timeout = lock_timeout
@@ -726,7 +720,7 @@ class IndexStore:
         manifest = self.manifest(key)
         path = self.root / key / manifest.get("graph_file", GRAPH_FILE)
         try:
-            graph = codec.load_graph(path, verify=self.verify)
+            graph = codec.load_graph(path)
         except StoreCorruptionError:
             self._c_corrupt_graph.inc()
             log.warning("corrupt graph blob at %s (quarantine with `repro fsck`)", path)
@@ -771,7 +765,7 @@ class IndexStore:
             return None
         path = self.root / key / entry["file"]
         try:
-            return codec.load_index(path, graph, verify=self.verify)
+            return codec.load_index(path, graph)
         except StoreCorruptionError:
             # Treated as absent (the caller rebuilds), but never
             # silently: rot should show up in metrics and one log line.

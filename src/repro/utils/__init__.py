@@ -1,4 +1,4 @@
-"""Shared utilities: ordering primitives, timers, and deadlines."""
+"""Shared utilities: ordering primitives."""
 
 from repro.utils.order import (
     counting_sort_by,
@@ -6,14 +6,10 @@ from repro.utils.order import (
     kth_smallest,
     merge_intervals,
 )
-from repro.obs.timing import Deadline, Stopwatch, time_call
 
 __all__ = [
-    "Deadline",
-    "Stopwatch",
     "counting_sort_by",
     "interval_contains",
     "kth_smallest",
     "merge_intervals",
-    "time_call",
 ]

@@ -55,28 +55,6 @@ class TestModes:
         result = enumerate_temporal_kcores(random_graph, 2)
         assert result.total_edges == sum(core.num_edges for core in result)
 
-    def test_on_result_callback(self, paper_graph):
-        seen: list[tuple[int, int, int]] = []
-
-        def capture(ts, te, edges):
-            seen.append((ts, te, len(edges)))
-
-        result = enumerate_temporal_kcores(
-            paper_graph, 2, 1, 4, collect=False, on_result=capture
-        )
-        assert len(seen) == result.num_results
-        assert {(ts, te) for ts, te, _ in seen} == {(1, 4), (2, 3)}
-
-    def test_callback_prefix_is_live(self, paper_graph):
-        """The callback receives a growing prefix list (documented)."""
-        snapshots: list[int] = []
-        enumerate_temporal_kcores(
-            paper_graph, 2, collect=False,
-            on_result=lambda ts, te, edges: snapshots.append(len(edges)),
-        )
-        # Within one start time the prefix length never shrinks.
-        assert snapshots  # non-empty on the example graph
-
     def test_uncollected_access_raises(self, paper_graph):
         result = enumerate_temporal_kcores(paper_graph, 2, collect=False)
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ from repro.obs.timing import Deadline
 from repro.serve import columnar
 from repro.serve.columnar import run_columnar_walk
 from repro.serve.executor import _SliceRouter
-from repro.serve.sinks import CountSink, FlatArraySink, ResultSink
+from repro.serve.sinks import CountSink, ResultSink
 
 
 class ExpiresAfter:
@@ -132,19 +132,16 @@ class TestOracleIdentity:
         )
 
     def test_callback_protocol_identical(self):
+        """The emitted batches replay the oracle's callbacks, in order."""
         graph = uniform_random_temporal(12, 100, tmax=14, seed=5)
-        new_seen, ref_seen = [], []
-        enumerate_temporal_kcores(
-            graph, 2, collect=False,
-            on_result=lambda ts, te, edges: new_seen.append(
-                (ts, te, frozenset(edges))),
-        )
+        sink, ref_seen = RecordingSink(), []
+        enumerate_temporal_kcores(graph, 2, sink=sink)
         enumerate_temporal_kcores_ref(
             graph, 2, collect=False,
             on_result=lambda ts, te, edges: ref_seen.append(
                 (ts, te, frozenset(edges))),
         )
-        assert new_seen == ref_seen  # same cores, same emission order
+        assert emitted(sink) == ref_seen  # same cores, same emission order
 
 
 class TestDeadline:
@@ -436,22 +433,6 @@ class TestCompiledWalk:
         self.walk(cut, router_counters(targets)[0])
         moved = [registry.get(n).value - b for n, b in zip(names, before)]
         assert moved == [visits(oracle_cores(cut.arrays())), len(targets)]
-
-    def test_mixed_count_and_flat_targets(self):
-        graph = uniform_random_temporal(13, 150, tmax=24, seed=2)
-        cut = CoreIndex(graph, 2).ecs.cut(1, graph.tmax)
-        targets = random_windows(random.Random(9), graph.tmax, 12)
-        sinks = [FlatArraySink() if i % 3 == 0 else CountSink() for i in range(len(targets))]
-        router = _SliceRouter([(ts, te, s) for (ts, te), s in zip(targets, sinks)])
-        assert router.counting_targets() is None
-        self.walk(cut, router)
-        cores = oracle_cores(cut.arrays())
-        assert counters(sinks) == oracle_counters(cores, targets)
-        for (lo, hi), sink in zip(targets, sinks):
-            if isinstance(sink, FlatArraySink):
-                assert [
-                    (ts, te, frozenset(run.tolist())) for ts, te, run in sink.iter_cores()
-                ] == [(ts, te, edges) for ts, te, edges in cores if lo <= ts and te <= hi]
 
     def test_empty_slice(self):
         """An empty cut, and a cut whose windows all end after its range."""

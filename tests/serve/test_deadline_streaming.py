@@ -128,7 +128,7 @@ class TestMidWalkCancellation:
         window = [(1, heavy.tmax)]
 
         start = time.perf_counter()
-        [full] = execute_plan(plan_for_index(index, window), collect=False)
+        [full] = execute_plan(plan_for_index(index, window))
         full_elapsed = time.perf_counter() - start
         assert full.completed
 

@@ -1,7 +1,9 @@
-"""Executor tests: sliced shared-window answers == independent answers."""
+"""Executor tests: shared-window answers == independent answers."""
 
 from __future__ import annotations
 
+import io
+import json
 import random
 
 import pytest
@@ -13,7 +15,7 @@ from repro.graph.generators import uniform_random_temporal
 from repro.serve.columnar import run_columnar_walk
 from repro.serve.executor import execute_plan
 from repro.serve.planner import QueryRequest, plan_for_index, plan_queries
-from repro.serve.sinks import CountSink, FlatArraySink
+from repro.serve.sinks import CountSink, MaterializingSink, NDJSONSink
 
 
 def overlapping_ranges(rng, tmax, count):
@@ -42,12 +44,15 @@ class TestOverlapDedupCorrectness:
         rng = random.Random(500 + seed)
         ranges = overlapping_ranges(rng, graph.tmax, 12)
 
-        shared = index.query_batch(ranges, collect=True)
+        shared = index.query_batch(ranges)
+        collected = index.query_batch(ranges, collect=True)
         lone = [
             enumerate_temporal_kcores_ref(graph, 2, ts, te, skyline=index.ecs)
             for ts, te in ranges
         ]
-        for (ts, te), got, want in zip(ranges, shared, lone):
+        for (ts, te), counted, got, want in zip(ranges, shared, collected, lone):
+            assert (counted.num_results, counted.total_edges) == (
+                want.num_results, want.total_edges), (ts, te)
             assert got.time_range == (ts, te)
             assert got.num_results == want.num_results, (ts, te)
             assert got.total_edges == want.total_edges
@@ -59,12 +64,13 @@ class TestOverlapDedupCorrectness:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_merge_and_no_merge_agree(self, seed):
+        """Counted on merged windows, or collected one walk per range."""
         graph = uniform_random_temporal(12, 130, tmax=20, seed=seed)
         index = CoreIndex(graph, 3)
         rng = random.Random(900 + seed)
         ranges = overlapping_ranges(rng, graph.tmax, 10)
-        merged = index.query_batch(ranges, merge_overlaps=True)
-        split = index.query_batch(ranges, merge_overlaps=False)
+        merged = index.query_batch(ranges)
+        split = index.query_batch(ranges, collect=True)
         assert [
             (r.num_results, r.total_edges) for r in merged
         ] == [(r.num_results, r.total_edges) for r in split]
@@ -84,13 +90,16 @@ class TestMixedPlans:
         other = uniform_random_temporal(10, 80, tmax=12, seed=1)
         registry = CoreIndexRegistry(capacity=4)
         requests = [
-            QueryRequest(paper_graph, 2, 1, 4),
-            QueryRequest(other, 2, 1, 12),
-            QueryRequest(paper_graph, 3, 1, 7),
-            QueryRequest(paper_graph, 2, 2, 4),
+            QueryRequest(graph, k, ts, te, sink=MaterializingSink())
+            for graph, k, ts, te in [
+                (paper_graph, 2, 1, 4),
+                (other, 2, 1, 12),
+                (paper_graph, 3, 1, 7),
+                (paper_graph, 2, 2, 4),
+            ]
         ]
         plan = plan_queries(requests, engine="index")
-        results = execute_plan(plan, registry=registry, collect=True)
+        results = execute_plan(plan, registry=registry)
         assert [r.time_range for r in results] == [
             (1, 4), (1, 12), (1, 7), (2, 4)]
         want0 = enumerate_temporal_kcores_ref(paper_graph, 2, 1, 4)
@@ -103,27 +112,26 @@ class TestMixedPlans:
         plan = plan_queries(
             [QueryRequest(paper_graph, 2, 1, 4)], engine="direct"
         )
-        results = execute_plan(plan, registry=registry, collect=True)
+        results = execute_plan(plan, registry=registry)
         assert results[0].num_results == 2
         assert len(registry) == 0  # direct plans never build an index
 
     def test_per_request_sinks_are_honoured(self, paper_graph):
         count = CountSink()
-        flat = FlatArraySink()
+        cores = MaterializingSink()
         plan = plan_queries(
             [
                 QueryRequest(paper_graph, 2, 1, 4, sink=count),
-                QueryRequest(paper_graph, 2, 1, 4, sink=flat),
+                QueryRequest(paper_graph, 2, 1, 4, sink=cores),
             ],
             engine="index",
         )
         results = execute_plan(plan, registry=CoreIndexRegistry(capacity=2))
         assert count.num_results == 2
-        assert flat.num_results == 2
-        assert {
-            (ts, te) for ts, te, _run in flat.iter_cores()
-        } == {(1, 4), (2, 3)}
+        assert cores.num_results == 2
+        assert {core.tti for core in cores.cores} == {(1, 4), (2, 3)}
         assert [r.num_results for r in results] == [2, 2]
+        assert results[1].cores is cores.cores
 
 
 def counting_router(targets):
@@ -182,29 +190,6 @@ class TestSliceRouter:
         ] == oracle_counts(graph, 2, targets)
         assert sinks[0].num_results > 0
 
-    def test_mixed_sinks_slice_prefixes_per_target(self):
-        """A custom sink alongside counters still receives its own cut."""
-        from repro.serve.executor import _SliceRouter
-
-        import numpy as np
-
-        flat = FlatArraySink()
-        count = CountSink()
-        router = _SliceRouter([(1, 9, flat), (1, 3, count)])
-        assert not router._counting
-        router.emit(
-            1,
-            np.array([3, 7], dtype=np.int64),
-            np.array([2, 5], dtype=np.int64),
-            np.array([4, 5, 6, 7, 8], dtype=np.int64),
-        )
-        router.finish(True)
-        assert flat.num_results == 2 and flat.total_edges == 7
-        assert count.num_results == 1 and count.total_edges == 2
-        assert [
-            (ts, te, list(run)) for ts, te, run in flat.iter_cores()
-        ] == [(1, 3, [4, 5]), (1, 7, [4, 5, 6, 7, 8])]
-
     def test_targets_starting_later_activate_later(self):
         """A target whose range starts later than the window misses the
         earlier start times' cores, exactly as its own query would."""
@@ -218,6 +203,73 @@ class TestSliceRouter:
             (s.num_results, s.total_edges, s.completed) for s in sinks
         ] == want
         assert want[0][0] > want[1][0] > 0
+
+
+class TestSharingRule:
+    """A batch mixing counting and emitting requests over related ranges.
+
+    Counting requests (no sink, or a bare CountSink) are deduped and
+    merged among themselves; every emitting request walks a window of
+    its own; every answer is the range's own.
+    """
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_batch_answers_like_single_queries(self, seed):
+        graph = uniform_random_temporal(13, 150, tmax=24, seed=seed)
+        index = CoreIndex(graph, 2)
+        # Identical, contained and overlapping ranges, each asked both
+        # by counting and by emitting requests.
+        ranges = [(3, 18), (3, 18), (5, 12), (10, 22), (3, 18), (5, 12),
+                  (10, 22), (1, 24), (6, 9)]
+        kinds = ["none", "count", "none", "count", "collect", "collect",
+                 "ndjson", "collect", "none"]
+        streams = {}
+
+        def sink_for(position, kind):
+            if kind == "count":
+                return CountSink()
+            if kind == "collect":
+                return MaterializingSink()
+            if kind == "ndjson":
+                streams[position] = io.StringIO()
+                return NDJSONSink(streams[position])
+            return None
+
+        sinks = [sink_for(i, kind) for i, kind in enumerate(kinds)]
+        plan = plan_for_index(index, ranges, sinks=sinks)
+        counting = [i for i, kind in enumerate(kinds) if kind in ("none", "count")]
+        emitting = [i for i in range(len(ranges)) if i not in counting]
+        (group,) = plan.groups
+        owners = {rid: window for window in group.windows for rid in window.requests}
+        for rid in emitting:
+            window = owners[rid]
+            assert window.requests == [rid]
+            assert (window.ts, window.te) == ranges[rid]
+        # Among the counting requests: (3, 18) twice -> 1 deduped; (5, 12)
+        # and (6, 9) ride inside (3, 18); (10, 22) overlaps 9 of 13 -> merged.
+        assert (plan.stats["deduped"], plan.stats["merged"]) == (1, 3)
+        assert plan.stats["windows"] == 1 + len(emitting)
+        assert sorted(rid for w in group.windows if w.is_shared for rid in w.requests) \
+            == counting
+
+        results = execute_plan(plan)
+        for rid, ((ts, te), result) in enumerate(zip(ranges, results)):
+            single = index.query(ts, te)
+            oracle = enumerate_temporal_kcores_ref(graph, 2, ts, te)
+            assert result.time_range == (ts, te)
+            assert (result.num_results, result.total_edges, result.completed) == (
+                single.num_results, single.total_edges, True) == (
+                oracle.num_results, oracle.total_edges, True), (rid, ts, te)
+            if kinds[rid] == "collect":
+                assert result.edge_sets() == oracle.edge_sets() == single.edge_sets()
+            if kinds[rid] == "ndjson":
+                lines = [json.loads(line) for line in streams[rid].getvalue().splitlines()]
+                assert sorted(
+                    (tuple(line["tti"]), frozenset(line["edge_ids"])) for line in lines
+                ) == sorted((core.tti, core.edge_set()) for core in oracle)
+            if sinks[rid] is not None:
+                assert (sinks[rid].num_results, sinks[rid].total_edges) == (
+                    result.num_results, result.total_edges)
 
 
 class TestCountingReadsTheCut:

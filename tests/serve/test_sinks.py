@@ -11,15 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import native
 from repro.core.enumerate import enumerate_temporal_kcores
-from repro.serve.sinks import (
-    CallbackSink,
-    CountSink,
-    FlatArraySink,
-    MaterializingSink,
-    NDJSONSink,
-    TeeSink,
-    make_sink,
-)
+from repro.serve.sinks import CountSink, MaterializingSink, NDJSONSink
 
 
 def emit_batches(sink):
@@ -42,8 +34,7 @@ def emit_batches(sink):
 class TestCounters:
     @pytest.mark.parametrize(
         "factory",
-        [CountSink, MaterializingSink, FlatArraySink,
-         lambda: CallbackSink(lambda *args: None)],
+        [CountSink, MaterializingSink, lambda: NDJSONSink(io.StringIO())],
     )
     def test_every_sink_counts_identically(self, factory):
         sink = factory()
@@ -76,19 +67,6 @@ class TestMaterializing:
             (10, 11), (10, 11, 12), (12,)]
         result = sink.result("enum", 2, (2, 7))
         assert result.cores is sink.cores
-
-
-class TestCallback:
-    def test_live_prefix_protocol(self):
-        seen = []
-        sink = CallbackSink(lambda ts, te, edges: seen.append(
-            (ts, te, list(edges), id(edges))))
-        emit_batches(sink)
-        assert [(ts, te, edges) for ts, te, edges, _ in seen] == [
-            (2, 5, [10, 11]), (2, 7, [10, 11, 12]), (3, 7, [12])]
-        # Within one start time the callback receives the *same* live list.
-        assert seen[0][3] == seen[1][3]
-        assert seen[1][3] != seen[2][3]
 
 
 class TestNDJSON:
@@ -258,51 +236,3 @@ class TestNDJSONOracle:
         sink = NDJSONSink(io.StringIO())
         with pytest.raises(ValueError):
             sink.emit(*batch(2, [5, 7], [1, 4], [10, 11, 12]))
-
-
-class TestFlatArray:
-    def test_columns_and_lazy_expansion(self):
-        sink = FlatArraySink()
-        emit_batches(sink)
-        ts, te, lengths, run_ids = sink.arrays()
-        assert ts.tolist() == [2, 2, 3]
-        assert te.tolist() == [5, 7, 7]
-        assert lengths.tolist() == [2, 3, 1]
-        assert run_ids.tolist() == [0, 0, 1]
-        expanded = [
-            (ts_, te_, run.tolist()) for ts_, te_, run in sink.iter_cores()
-        ]
-        assert expanded == [
-            (2, 5, [10, 11]), (2, 7, [10, 11, 12]), (3, 7, [12])]
-
-    def test_empty_arrays(self):
-        sink = FlatArraySink()
-        sink.finish(True)
-        ts, te, lengths, run_ids = sink.arrays()
-        assert len(ts) == len(te) == len(lengths) == len(run_ids) == 0
-
-    def test_shared_runs_are_stored_once(self, paper_graph):
-        sink = FlatArraySink()
-        result = enumerate_temporal_kcores(paper_graph, 2, sink=sink)
-        assert result.num_results == 13
-        stored = sum(len(run) for run in sink.runs)
-        assert stored < result.total_edges  # prefixes share their run
-
-
-class TestTeeAndFactory:
-    def test_tee_feeds_all_targets(self):
-        count = CountSink()
-        flat = FlatArraySink()
-        tee = TeeSink(count, flat)
-        emit_batches(tee)
-        assert count.num_results == flat.num_results == tee.num_results == 3
-        assert not tee.collects
-
-    def test_make_sink_matrix(self):
-        assert isinstance(make_sink(collect=True), MaterializingSink)
-        assert isinstance(make_sink(collect=False), CountSink)
-        streaming = make_sink(collect=False, on_result=lambda *a: None)
-        assert isinstance(streaming, CallbackSink)
-        both = make_sink(collect=True, on_result=lambda *a: None)
-        assert isinstance(both, TeeSink)
-        assert both.collects

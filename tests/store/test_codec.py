@@ -80,14 +80,14 @@ class TestGraphRoundTrip:
         assert codec.graph_fingerprint(loaded) == codec.graph_fingerprint(paper_graph)
 
     def test_recorded_fingerprint_equals_a_rehash(self, tmp_path, random_graph, triangle_graph):
-        """A verified load keeps the blob's fingerprint; it is the one a rehash gives."""
+        """A load keeps the blob's fingerprint; it is the one a rehash gives."""
         path = tmp_path / "graph.bin"
         codec.dump_graph(path, random_graph)
         recorded = codec.load_graph(path)
-        rehashed = codec.load_graph(path, verify=False)  # unverified: hashed afresh
-        assert recorded._fingerprint is not None and rehashed._fingerprint is None
+        assert recorded._fingerprint is not None
         fingerprint = codec.graph_fingerprint(recorded)
-        assert fingerprint == codec.graph_fingerprint(rehashed)
+        assert random_graph._fingerprint is None  # the in-memory graph is hashed
+        assert fingerprint == codec.graph_fingerprint(random_graph)
         fingerprint["raw_span"].append(0)  # callers get a copy
         assert codec.graph_fingerprint(recorded) == codec.graph_fingerprint(random_graph)
         # A foreign index is still refused against the loaded graph.

@@ -113,13 +113,6 @@ class TestBatch:
         assert answers[0] == answers[2]
         assert answers[0]["num_results"] == 2
 
-    def test_no_merge_still_answers_identically(self, graph_file, query_file, capsys):
-        assert main(["batch", "--input", graph_file, "--queries", query_file,
-                     "--no-merge", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["plan"]["merged"] == 0
-        assert [a["num_results"] for a in payload["answers"]] == [2, 1, 2, 0]
-
     def test_store_persists_missing_entries(
         self, graph_file, query_file, tmp_path, capsys
     ):

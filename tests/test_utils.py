@@ -1,4 +1,4 @@
-"""Utility module tests: ordering primitives, timers, deadlines."""
+"""Utility module tests: ordering primitives and deadlines."""
 
 from __future__ import annotations
 
@@ -10,18 +10,7 @@ from repro.utils.order import (
     kth_smallest,
     merge_intervals,
 )
-from repro.obs.timing import Deadline, Stopwatch, time_call
-
-
-class TestTimerShim:
-    """``repro.utils`` re-exports the timing primitives of ``repro.obs.timing``."""
-
-    def test_shim_reexports_same_objects(self):
-        import repro.utils as utils
-
-        assert utils.Deadline is Deadline
-        assert utils.Stopwatch is Stopwatch
-        assert utils.time_call is time_call
+from repro.obs.timing import Deadline
 
 
 class TestKthSmallest:
@@ -89,28 +78,6 @@ class TestIntervals:
 
 
 class TestTimers:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        sw.start()
-        sw.lap("early")
-        total = sw.stop()
-        assert total >= sw.laps["early"] >= 0
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_stopwatch_misuse(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            sw.stop()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_time_call(self):
-        result, seconds = time_call(sum, range(100))
-        assert result == 4950
-        assert seconds >= 0
-
     def test_deadline(self):
         assert not Deadline(None).expired()
         assert Deadline(None).remaining is None
