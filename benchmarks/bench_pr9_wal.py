@@ -6,10 +6,8 @@ that discipline:
 
 * **no-wal** — appends into the in-memory streaming service only, the
   PR 3 baseline with zero durability;
-* **wal-always** — one fsync per append (the daemon's acknowledgement
-  discipline, ``sync="always"``);
-* **wal-batch** — group commit (``sync="batch"`` + one final flush),
-  the throughput ceiling when callers can batch their durability;
+* **wal-always** — one fsync per append (the log's only discipline, and
+  the daemon's acknowledgement);
 
 and measures the flip side, recovery: how long replaying a WAL of
 N events takes when a store reopens.
@@ -61,19 +59,27 @@ def workload(count: int) -> list[tuple[str, str, int]]:
     return edges
 
 
+def counted(wal: WriteAheadLog, name: str) -> int:
+    """This log's sample of the ``repro_wal_*`` counter ``name``."""
+    return int(wal.metrics.get(name).labels(wal.instance).value)
+
+
 def time_mode(edges, make_wal) -> tuple[float, dict]:
-    """Seconds to append every edge through a fresh service; WAL stats."""
+    """Seconds to append every edge through a fresh service; WAL counts."""
     with tempfile.TemporaryDirectory() as tmp:
         wal = make_wal(pathlib.Path(tmp) / "wal")
         service = StreamingCoreService((2,), wal=wal)
         start = time.perf_counter()
         for u, v, t in edges:
             service.append(u, v, t)
-        if wal is not None:
-            wal.flush()
         elapsed = time.perf_counter() - start
-        stats = wal.stats() if wal is not None else {}
+        stats = {}
         if wal is not None:
+            stats = {
+                "last_lsn": wal.last_lsn,
+                "fsyncs": counted(wal, "repro_wal_fsyncs_total"),
+                "rotations": counted(wal, "repro_wal_rotations_total"),
+            }
             wal.close()
         return elapsed, stats
 
@@ -83,10 +89,9 @@ def time_replay(count: int) -> tuple[float, int]:
     edges = workload(count)
     with tempfile.TemporaryDirectory() as tmp:
         directory = pathlib.Path(tmp) / "wal"
-        with WriteAheadLog(directory, sync="batch") as wal:
-            for u, v, t in edges:
-                wal.append(u, v, t)
-            wal.flush()
+        with WriteAheadLog(directory) as wal:
+            for edge in edges:
+                wal.append_edges([edge])
         start = time.perf_counter()
         with WriteAheadLog(directory) as wal:
             events = wal.replay()
@@ -121,8 +126,7 @@ def main(argv=None):
 
     modes = {
         "no-wal": lambda directory: None,
-        "wal-always": lambda directory: WriteAheadLog(directory, sync="always"),
-        "wal-batch": lambda directory: WriteAheadLog(directory, sync="batch"),
+        "wal-always": WriteAheadLog,
     }
     for name, make_wal in modes.items():
         elapsed, stats = time_mode(edges, make_wal)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time as _time
 from collections.abc import Hashable, Iterable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.index import CoreIndex
 from repro.errors import InvalidParameterError
@@ -60,6 +60,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: recompute window would cover more than this share of all edges
 #: rebuilds in full instead (the fold's advantage has evaporated by then).
 MAX_WINDOW_FRACTION = 0.5
+
+
+class AppendAck(NamedTuple):
+    """What an append answered: its first LSN (``None`` without a log),
+    its edge count, and whether a retried token answered it from the
+    log without applying anything."""
+
+    lsn: int | None
+    count: int
+    deduped: bool = False
 
 
 def _normalise_ks(k: int | Iterable[int]) -> tuple[int, ...]:
@@ -110,10 +120,9 @@ class StreamingCoreService:
         pending until the first build).
     wal:
         Optional :class:`~repro.store.wal.WriteAheadLog` making appends
-        durable: every :meth:`append`/:meth:`extend` is written (and,
-        in the log's ``sync="always"`` mode, fsynced) to the log
-        *before* it reaches the in-memory pending list, so an
-        acknowledged append survives any crash — :meth:`restore`
+        durable: every :meth:`append`/:meth:`extend` is written and
+        fsynced to the log *before* it reaches the in-memory pending
+        list, so an acknowledged append survives any crash — :meth:`restore`
         replays the log past the last snapshot.  ``initial_edges``
         are **not** written to the log (they are assumed to predate
         it or to have come *from* it via recovery).
@@ -159,42 +168,35 @@ class StreamingCoreService:
         without growing the pending list and answers with the *original*
         LSN, so a retried acknowledgement is byte-identical.
         """
-        first, _count = self._ingest([(u, v, raw_t)], token=token)
-        return first
+        return self.extend([(u, v, raw_t)], token=token).lsn
 
     def extend(
         self,
         edges: Iterable[tuple[Hashable, Hashable, int]],
         *,
         token: str | None = None,
-    ) -> int:
+    ) -> AppendAck:
         """Append many interactions (same ordering rule as :meth:`append`).
 
         The whole batch is validated up front and — with a WAL attached
         — written as **one** durable record (one fsync), so a crash
-        admits all of the batch or none of it.  Returns the number of
-        edges applied (0 when ``token`` deduplicated the batch).
+        admits all of the batch or none of it.  Returns the
+        acknowledgement: the batch's first LSN and edge count.  A
+        ``token`` the log already holds is answered first, before any
+        validation, with its original acknowledgement (``deduped``
+        set) and nothing applied; the log counts it in
+        ``repro_wal_deduped_appends_total``.
         """
-        _first, count = self._ingest(edges, token=token)
-        return count
-
-    def _ingest(
-        self,
-        edges: Iterable[tuple[Hashable, Hashable, int]],
-        *,
-        token: str | None = None,
-    ) -> tuple[int | None, int]:
         batch = [(u, v, t) for u, v, t in edges]
         if not batch:
-            return None, 0
-        if token is not None and self.wal is not None:
+            return AppendAck(None, 0)
+        if self.wal is not None:
             known = self.wal.lookup_token(token)
             if known is not None:
                 # A retry of an acknowledged append: its first delivery
                 # already moved the ordering watermark (and is pending
-                # or built), so answer the original LSN before any
-                # validation and apply nothing.
-                return known[0], 0
+                # or built), so it is answered before validation.
+                return AppendAck(*known, deduped=True)
         last = self._last_raw_time
         for _, _, t in batch:
             if last is not None and t < last:
@@ -209,7 +211,7 @@ class StreamingCoreService:
         self._last_raw_time = batch[-1][2]
         if self._pending_since is None:
             self._pending_since = _time.monotonic()
-        return first, len(batch)
+        return AppendAck(first, len(batch))
 
     @property
     def num_edges(self) -> int:
@@ -316,6 +318,21 @@ class StreamingCoreService:
             return None, {}
         return self._graph, self._indexes
 
+    def adopt(self, index: CoreIndex) -> None:
+        """Maintain ``index.k`` from now on, like a registered ``k``.
+
+        A reader built ``index`` for a ``k`` the service does not
+        maintain; every later :meth:`refresh` folds it and every
+        :meth:`snapshot` commits it.  The index is kept as the service's
+        own when it was built over the service's built graph; otherwise
+        the next :meth:`refresh` builds that ``k``.
+        """
+        if index.k in self.ks:
+            return
+        self.ks = tuple(sorted((*self.ks, index.k)))
+        if self._graph is not None and index.graph is self._graph:
+            self._indexes[index.k] = index
+
     # ------------------------------------------------------------------
     # Persistence: streaming snapshots
     # ------------------------------------------------------------------
@@ -365,7 +382,6 @@ class StreamingCoreService:
         k: int | Iterable[int],
         *,
         name: str,
-        wal_segment_bytes: int | None = None,
     ) -> "StreamingCoreService":
         """Resume the stream stored under ``name``: snapshot plus log.
 
@@ -389,7 +405,7 @@ class StreamingCoreService:
         service holding exactly the replayed edges; a key with neither
         starts an empty stream.
         """
-        recovery = store.recover(name, segment_bytes=wal_segment_bytes)
+        recovery = store.recover(name)
         replayed = [(e.u, e.v, e.t) for e in recovery.events]
         service = cls(k, replayed, wal=recovery.wal)
         graph = recovery.graph

@@ -86,7 +86,7 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.serve.sinks import ResultSink
-from repro.store.index_store import IndexStore
+from repro.store.index_store import WAL_DIR, IndexStore
 
 _STOP = object()  # drain-task sentinel, queued behind all admitted work
 
@@ -651,8 +651,8 @@ class ServingDaemon:
             if ks:
                 self.registry.get_many(graph, ks)
 
-    def _graph(self, key: str | None):
-        key = self.store.only_key(key)
+    def _graph(self, key: str):
+        """The graph served under the resolved store ``key``."""
         with self._graph_lock:
             graph = self._graphs.get(key)
             if graph is None:
@@ -923,9 +923,15 @@ class ServingDaemon:
             return self._answer_append(request)
         if request.op == "flush":
             return self._answer_flush(request)
-        self._maybe_flush_for_lag(request.graph)
-        graph = self._graph(request.graph)
+        key = self.store.only_key(request.graph)
+        self._maybe_flush_for_lag(key)
+        graph = self._graph(key)
         index = self.registry.get(graph, request.k)
+        service = self._streams.get(key)
+        if service is not None:
+            # A k read under a streamed key is maintained from now on:
+            # the next flush folds and commits it with the others.
+            service.adopt(index)
         ranges = list(request.ranges)
         sinks = None
         if request.op == "query":
@@ -985,7 +991,8 @@ class ServingDaemon:
     def _stream(self, key: str) -> StreamingCoreService:
         """The key's streaming service, restored on first use (never at
         boot) from its snapshot and WAL, maintaining the stored ``k``
-        values — none for a key with no snapshot, a graph-only stream."""
+        values — none for a key with no snapshot, a graph-only stream —
+        and every ``k`` read under the key from then on."""
         service = self._streams.get(key)
         if service is None:
             ks = self.store.stored_ks(key) if key in self.store.keys() else ()
@@ -1030,9 +1037,8 @@ class ServingDaemon:
         self._require_writable()
         key = self._ingest_key(request.graph)
         service = self._stream(key)
-        before = service.wal.last_lsn
         try:
-            applied = service.extend(request.edges, token=request.dedupe)
+            ack = service.extend(request.edges, token=request.dedupe)
         except OSError as exc:
             # The record may or may not have reached the disk, but it
             # was never acknowledged — the client's retry (same dedupe
@@ -1043,15 +1049,10 @@ class ServingDaemon:
             raise _ReadOnlyError(
                 f"append not acknowledged, daemon is now read-only: {exc}"
             ) from exc
-        self._c_appended.inc(applied)
-        self._publish_lag(key, service)
-        if applied:
-            return append_done_frame(
-                request.id, lsn=before + 1, appended=applied
-            )
-        # A retried token applies nothing and answers its original ack.
-        lsn, appended = service.wal.lookup_token(request.dedupe)
-        return append_done_frame(request.id, lsn=lsn, appended=appended)
+        if not ack.deduped:
+            self._c_appended.inc(ack.count)
+            self._publish_lag(key, service)
+        return append_done_frame(request.id, lsn=ack.lsn, appended=ack.count)
 
     def _answer_flush(self, request: Request) -> dict:
         self._require_writable()
@@ -1086,24 +1087,30 @@ class ServingDaemon:
             self._c_flushes.inc()
         return service.wal.last_lsn, applied
 
-    def _maybe_flush_for_lag(self, requested: str | None) -> None:
+    def _maybe_flush_for_lag(self, key: str) -> None:
         """Flush a key on the query path once its lag budget is blown.
 
         With ``max_lag`` set, a query against a key whose oldest
         unflushed append is older than the budget triggers a flush
-        first, so the answer includes the backlog.  This runs on the
-        single execution lane — the flush fully completes before the
-        query plans, exactly as if the client had sent an explicit
-        ``flush``.  A read-only daemon serves the stale snapshot
-        instead (queries must keep working when ingestion cannot).
+        first, so the answer includes the backlog.  A key with a log
+        but no open stream (a restart left acknowledged appends
+        unflushed) has its stream restored here, and its budget counts
+        from that restore.  This runs on the single execution lane —
+        the flush fully completes before the query plans, exactly as if
+        the client had sent an explicit ``flush``.  A read-only daemon
+        serves the stale snapshot instead (queries must keep working
+        when ingestion cannot).
         """
         if self.max_lag is None or self._read_only is not None:
             return
-        try:
-            key = self.store.only_key(requested)
-        except StoreError:
-            return
         service = self._streams.get(key)
+        if service is None and (self.store.root / key / WAL_DIR).is_dir():
+            try:
+                service = self._stream(key)
+            except (StoreError, OSError):
+                # A log that cannot be restored (damage `repro fsck`
+                # must quarantine) does not stop reads of the snapshot.
+                return
         if service is None or service.lag_seconds <= self.max_lag:
             return
         try:

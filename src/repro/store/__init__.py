@@ -13,8 +13,8 @@ indexes are opened from disk in milliseconds —
   abstraction (JSON manifest, one directory per graph, one index file
   per ``k``);
 * :mod:`repro.store.wal` — the per-key write-ahead edge log behind
-  durable streaming ingestion (crc32-framed segments, group-commit
-  fsync, torn-tail recovery);
+  durable streaming ingestion (crc32-framed segments, one fsync per
+  append, torn-tail recovery);
 * :mod:`repro.store.fsck` — the scrubber behind ``repro fsck``
   (verify checksums and manifest↔file consistency, quarantine to
   ``<name>.corrupt``, repair what is rebuildable).

@@ -648,24 +648,16 @@ class IndexStore:
     # Write-ahead log and recovery
     # ------------------------------------------------------------------
 
-    def wal(
-        self,
-        key: str,
-        *,
-        segment_bytes: int | None = None,
-        sync: str = "always",
-    ) -> WriteAheadLog:
+    def wal(self, key: str) -> WriteAheadLog:
         """Open (creating if needed) the write-ahead log of ``key``.
 
         Lives in ``<root>/<key>/wal/``; opening scans the segments and
         truncates a torn tail, so the returned log is always ready to
         append at the correct next LSN.  One WAL per key per process —
         callers keep the instance rather than reopening per append.
+        Segments rotate at :data:`repro.store.wal.DEFAULT_SEGMENT_BYTES`.
         """
-        kwargs: dict = {"sync": sync, "metrics": self.metrics}
-        if segment_bytes is not None:
-            kwargs["segment_bytes"] = segment_bytes
-        return WriteAheadLog(self.root / key / WAL_DIR, **kwargs)
+        return WriteAheadLog(self.root / key / WAL_DIR, metrics=self.metrics)
 
     def stream_lsn(self, key: str) -> int:
         """The WAL position the stored snapshot of ``key`` covers (0 if none)."""
@@ -675,7 +667,7 @@ class IndexStore:
         lsn = manifest.get("stream", {}).get("lsn", 0)
         return lsn if isinstance(lsn, int) and lsn >= 0 else 0
 
-    def recover(self, key: str, *, segment_bytes: int | None = None) -> StreamRecovery:
+    def recover(self, key: str) -> StreamRecovery:
         """Reassemble the durable state of ``key``: snapshot + WAL replay.
 
         The boot path after any shutdown, clean or not: opens the WAL
@@ -689,7 +681,7 @@ class IndexStore:
         ``repro fsck``) — recovery never silently drops a snapshot,
         because the WAL past it cannot reconstruct what came before.
         """
-        wal = self.wal(key, segment_bytes=segment_bytes)
+        wal = self.wal(key)
         manifest = self._read_manifest(key)
         graph: TemporalGraph | None = None
         snapshot_lsn = 0

@@ -42,14 +42,11 @@ prefix; damage *before* the tail (bit rot, external interference) is
 never skipped over — replay stops at it and raises so ``repro fsck``
 can quarantine rather than silently resurrect records beyond a hole.
 
-**Fsync discipline.**  ``sync="always"`` (default) makes every append
-call durable before it returns, with *group commit*: concurrent
-appenders ride one fsync — the first caller into the commit section
-syncs everything written so far and everyone whose bytes that covered
-returns without a second fsync.  ``sync="batch"`` defers durability to
-:meth:`flush` (or rotation/close), for bulk loads that draw their own
-durability boundary.  Batching many edges through one
-:meth:`append_edges` call always costs a single fsync.
+**Fsync discipline.**  Every append call is durable before it
+returns: its record is written and fsynced under the log's write lock,
+one fsync per call however many edges the call carries.  The serving
+daemon's single execution lane is the log's only writer, so there is
+no concurrent appender to share a sync with.
 
 Crash points (:mod:`repro.testing.crashpoints`) are threaded through
 append, rotation, open-truncation and trim, so the crash campaign can
@@ -238,14 +235,11 @@ class WriteAheadLog:
         Rotation threshold — a segment at or past this size is sealed
         (fsynced) and a successor created before the next record;
         :data:`DEFAULT_SEGMENT_BYTES` when omitted.
-    sync:
-        ``"always"`` — every append call is durable before returning
-        (group-committed across threads); ``"batch"`` — durability is
-        deferred to :meth:`flush` / rotation / :meth:`close`.
 
-    Thread-safety: appends serialise on an internal lock; group commit
-    lets concurrent appenders share fsyncs.  Replay/scan methods read
-    files independently and take no lock.
+    Thread-safety: appends, trims and :meth:`close` serialise on an
+    internal write lock, so a reader off the writer's thread (the
+    daemon's ``stats`` op) sees a consistent :attr:`last_lsn`.  Replay
+    and scan methods read files independently and take no lock.
     """
 
     def __init__(
@@ -253,11 +247,8 @@ class WriteAheadLog:
         directory: str | os.PathLike[str],
         *,
         segment_bytes: int | None = None,
-        sync: str = "always",
         metrics: "MetricsRegistry | None" = None,
     ):
-        if sync not in ("always", "batch"):
-            raise StoreError(f"sync must be 'always' or 'batch', got {sync!r}")
         if segment_bytes is None:
             segment_bytes = DEFAULT_SEGMENT_BYTES
         if segment_bytes < 256:
@@ -265,12 +256,7 @@ class WriteAheadLog:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = segment_bytes
-        self.sync = sync
         self._write_lock = threading.Lock()
-        self._commit_cond = threading.Condition()
-        self._commit_inflight = False
-        self._written_total = 0  # bytes appended over this WAL's lifetime
-        self._synced_total = 0   # bytes known durable
         self._closed = False
 
         self.metrics = metrics if metrics is not None else get_registry()
@@ -323,7 +309,6 @@ class WriteAheadLog:
     def _open_log(self) -> None:
         """Scan existing segments, truncate the torn tail, resume LSNs."""
         self.last_lsn = 0
-        self.last_event_time: int | None = None
         # Token -> (first_lsn, count), in LSN order: the trimmed tokens
         # predate every surviving segment.
         self._tokens = read_trimmed_tokens(self.directory)
@@ -378,7 +363,6 @@ class WriteAheadLog:
         for record in scan.records:
             first, edges = record["l"], record["e"]
             self.last_lsn = max(self.last_lsn, first + len(edges) - 1)
-            self.last_event_time = edges[-1][2]
             token = record.get("k")
             if token is not None:
                 self._tokens.setdefault(token, (first, len(edges)))
@@ -387,30 +371,20 @@ class WriteAheadLog:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(self, u, v, t: int, *, token: str | None = None) -> int:
-        """Append one edge event; returns its LSN once durable.
-
-        ``token`` (optional) makes the call idempotent: a token already
-        in the log answers with the original LSN without writing.
-        Durability follows the ``sync`` mode — with ``"always"`` the
-        returned LSN is on disk.
-        """
-        first, _count = self.append_edges([(u, v, t)], token=token)
-        return first
-
     def append_edges(
         self,
         edges: "Iterable[tuple]",
         *,
         token: str | None = None,
     ) -> tuple[int, int]:
-        """Append a batch as one record; ``(first_lsn, count)``.
+        """Append a batch as one durable record; ``(first_lsn, count)``.
 
-        The whole batch shares one frame and — in ``sync="always"`` —
-        one fsync, which is the group-commit fast path for bulk
-        ingestion.  A known ``token`` returns the original answer
-        (first LSN and count) without writing anything: acknowledged
-        appends replayed by a retrying client stay byte-stable.
+        The record is written and fsynced under the write lock — one
+        fsync for the whole batch — before this returns.  A known
+        ``token`` returns the original answer (first LSN and count)
+        without writing anything, and counts in
+        ``repro_wal_deduped_appends_total``: acknowledged appends
+        replayed by a retrying client stay byte-stable.
         """
         batch = [(u, v, int(t)) for u, v, t in edges]
         if not batch:
@@ -418,9 +392,9 @@ class WriteAheadLog:
         if self._closed:
             raise StoreError("write-ahead log is closed")
         with self._write_lock:
-            if token is not None and token in self._tokens:
-                self._c_deduped.inc()
-                return self._tokens[token]
+            known = self._known_token(token)
+            if known is not None:
+                return known
             first = self.last_lsn + 1
             frame = _encode_record(first, batch, token)
             crashpoint("wal.append.pre-write")
@@ -428,59 +402,18 @@ class WriteAheadLog:
             self._maybe_rotate(len(frame))
             self._handle.write(frame)
             self._handle.flush()
-            self._written_total += len(frame)
-            written_mark = self._written_total
             self.last_lsn = first + len(batch) - 1
-            self.last_event_time = batch[-1][2]
             if token is not None:
                 self._tokens[token] = (first, len(batch))
             self._c_records.inc(len(batch))
             self._c_bytes.inc(len(frame))
-        crashpoint("wal.append.post-write.pre-fsync")
-        if self.sync == "always":
-            self._commit(written_mark)
-        crashpoint("wal.append.post-fsync")
+            crashpoint("wal.append.post-write.pre-fsync")
+            faultpoint("wal.append.fsync")
+            os.fsync(self._handle.fileno())
+            self._c_fsyncs.inc()
+            crashpoint("wal.append.post-fsync")
         self._c_appends.inc()
         return first, len(batch)
-
-    def _commit(self, target: int) -> None:
-        """Group commit: make every byte up to ``target`` durable.
-
-        The first thread to find no commit in flight becomes the
-        leader, fsyncs the current write frontier (covering everything
-        written so far, its own bytes included) and wakes the rest; a
-        follower whose ``target`` the leader covered returns without
-        touching the disk.
-        """
-        while True:
-            with self._commit_cond:
-                if self._synced_total >= target:
-                    return
-                if self._commit_inflight:
-                    self._commit_cond.wait()
-                    continue
-                self._commit_inflight = True
-            try:
-                with self._write_lock:
-                    handle = self._handle
-                    frontier = self._written_total
-                faultpoint("wal.append.fsync")
-                os.fsync(handle.fileno())
-                self._c_fsyncs.inc()
-            finally:
-                with self._commit_cond:
-                    self._commit_inflight = False
-                    self._commit_cond.notify_all()
-            with self._commit_cond:
-                self._synced_total = max(self._synced_total, frontier)
-                if self._synced_total >= target:
-                    return
-
-    def flush(self) -> None:
-        """Make everything appended so far durable (the batch-mode ack)."""
-        with self._write_lock:
-            target = self._written_total
-        self._commit(target)
 
     def _maybe_rotate(self, incoming: int) -> None:
         """Seal the live segment and start a successor when full.
@@ -501,8 +434,6 @@ class WriteAheadLog:
             return  # never rotate an empty segment (oversized record)
         os.fsync(self._handle.fileno())
         self._c_fsyncs.inc()
-        with self._commit_cond:
-            self._synced_total = max(self._synced_total, self._written_total)
         self._handle.close()
         crashpoint("wal.rotate.post-seal")
         self._segment_path = self.directory / _segment_name(self.last_lsn + 1)
@@ -543,9 +474,24 @@ class WriteAheadLog:
         self._c_replayed.inc(len(events))
         return events
 
-    def lookup_token(self, token: str) -> tuple[int, int] | None:
-        """The ``(first_lsn, count)`` a token's append answered, if known."""
-        return self._tokens.get(token)
+    def lookup_token(self, token: str | None) -> tuple[int, int] | None:
+        """The ``(first_lsn, count)`` a token's append answered, if known.
+
+        A hit is how a retried append is answered — without writing —
+        so it counts in ``repro_wal_deduped_appends_total``.  Callers
+        that validate a batch before appending it ask here first, so a
+        retry gets its original acknowledgement whatever the validation
+        would say now.
+        """
+        with self._write_lock:
+            return self._known_token(token)
+
+    def _known_token(self, token: str | None) -> tuple[int, int] | None:
+        """:meth:`lookup_token` under the write lock."""
+        known = None if token is None else self._tokens.get(token)
+        if known is not None:
+            self._c_deduped.inc()
+        return known
 
     def trim(self, upto_lsn: int) -> int:
         """Drop sealed segments whose every record has LSN <= ``upto_lsn``.
@@ -594,19 +540,6 @@ class WriteAheadLog:
         """The live segment files, oldest first."""
         return self._segments()
 
-    def stats(self) -> dict:
-        return {
-            "directory": str(self.directory),
-            "last_lsn": self.last_lsn,
-            "segments": len(self._segments()),
-            "appends": int(self._c_appends.value),
-            "records": int(self._c_records.value),
-            "fsyncs": int(self._c_fsyncs.value),
-            "rotations": int(self._c_rotations.value),
-            "torn_tail_truncations": int(self._c_torn.value),
-            "deduped_appends": int(self._c_deduped.value),
-        }
-
     def close(self) -> None:
         """Flush, fsync and close the live segment (idempotent)."""
         if self._closed:
@@ -630,6 +563,5 @@ class WriteAheadLog:
 
     def __repr__(self) -> str:
         return (
-            f"WriteAheadLog({str(self.directory)!r}, last_lsn={self.last_lsn}, "
-            f"sync={self.sync!r})"
+            f"WriteAheadLog({str(self.directory)!r}, last_lsn={self.last_lsn})"
         )

@@ -7,8 +7,10 @@ unmemoised ``_load`` or clears the memo behind :func:`native.library`.
 
 from __future__ import annotations
 
+import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -17,9 +19,15 @@ import pytest
 
 from repro import cli
 from repro.core import native
-from repro.core.multik import compute_core_times_multi
+from repro.core.incremental import delta_fold
+from repro.core.index import CoreIndex
+from repro.core.multik import build_core_indexes, compute_core_times_multi
 from repro.errors import KernelBuildError
 from repro.graph.generators import uniform_random_temporal
+from repro.graph.temporal_graph import TemporalGraph
+from repro.serve.sinks import NDJSONSink
+from repro.store import IndexStore
+from tests.conftest import ON_BOTH_PATHS
 
 
 @pytest.fixture()
@@ -203,3 +211,82 @@ def test_serve_exits_at_boot_without_kernels(tmp_path, monkeypatch, capsys, fres
     out, err = capsys.readouterr()
     assert "ready" not in out
     assert "cc: fatal error: no input" in err
+
+
+def stream_edges(seed: int, count: int, *, start: int = 1) -> list[tuple]:
+    """Nondecreasing-time random labelled edges over 12 vertices."""
+    rng = random.Random(seed)
+    edges, t = [], start
+    while len(edges) < count:
+        t += rng.random() < 0.6
+        u, v = rng.sample(range(12), 2)
+        edges.append((f"n{u}", f"n{v}", t))
+    return edges
+
+
+class _Inputs:
+    """What the public callers take, built with the kernels before the
+    case runs: a compiled graph, its k=2,3 indexes, a frontier batch."""
+
+    def __init__(self, root: pathlib.Path):
+        self.root = root
+        self.edges = stream_edges(5, 160)
+        self.graph = TemporalGraph(self.edges)
+        self.graph.compiled()
+        self.indexes = build_core_indexes(self.graph, (2, 3))
+        self.pending = stream_edges(6, 12, start=self.edges[-1][2] + 1)
+        top = self.graph.tmax
+        self.ranges = [(1, top // 2), (top // 3, top)]
+
+
+#: Every ``native.Kernels`` entry point and the public caller that
+#: reaches it.
+PUBLIC_CALLERS = {
+    "initial_scan": lambda s: build_core_indexes(s.graph, (2, 3)),
+    "build_pass": lambda s: CoreIndex(s.graph, 2),
+    "splice": lambda s: delta_fold(s.graph, s.indexes, s.pending),
+    "walk_step": lambda s: s.indexes[2].query(*s.ranges[0]),
+    "count_init": lambda s: s.indexes[2].query(*s.ranges[0], collect=False),
+    "count_visits": lambda s: s.indexes[3].query_batch(s.ranges),
+    "render_frames": lambda s: s.indexes[2].query(
+        *s.ranges[0], sink=NDJSONSink(io.StringIO())
+    ),
+    "counting_order": lambda s: TemporalGraph(s.edges).compiled(),
+    "crc32_fold": lambda s: IndexStore(s.root / "store").commit(
+        s.graph, s.indexes.values(), name="g"
+    ),
+}
+
+
+def test_every_entry_point_has_a_public_caller():
+    assert set(PUBLIC_CALLERS) == set(native.Kernels._fields)
+
+
+@pytest.fixture()
+def inputs(tmp_path) -> _Inputs:
+    """Built before the case runs, so a refused case refuses only its caller."""
+    return _Inputs(tmp_path)
+
+
+@pytest.mark.parametrize("path", ON_BOTH_PATHS)
+@pytest.mark.parametrize("entry", sorted(PUBLIC_CALLERS))
+def test_public_caller_reaches_its_kernel(entry, path, inputs, monkeypatch):
+    """Compiled, the caller calls its entry point.  On a host whose
+    compile failed (``numpy``, held to the ``failed_compile`` contract)
+    the caller lets the :class:`KernelBuildError` through: it never
+    falls back, never computes, never swallows the refusal."""
+    if path == "compiled":
+        called: set[str] = set()
+        kernels = native.library()
+
+        class Spy:
+            def __getattr__(self, name):
+                called.add(name)
+                return getattr(kernels, name)
+
+        monkeypatch.setattr(native, "library", Spy)
+        PUBLIC_CALLERS[entry](inputs)
+        assert entry in called
+        return
+    PUBLIC_CALLERS[entry](inputs)
+    pytest.fail(f"the public caller of {entry} never asked for the kernels")

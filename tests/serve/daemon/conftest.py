@@ -29,12 +29,13 @@ STORE_KEY = "g"
 STORE_KS = (2, 3)
 
 
-def build_store(root, *, seed=11, nodes=24, edges=700, tmax=48):
-    """A store holding one random graph plus its k=2,3 indexes."""
+def build_store(root, *, seed=11, nodes=24, edges=700, tmax=48, ks=STORE_KS):
+    """A store holding one random graph plus its indexes (k=2,3 unless
+    ``ks`` says otherwise)."""
     graph = uniform_random_temporal(nodes, edges, tmax=tmax, seed=seed)
     store = IndexStore(root)
     store.save_graph(graph, name=STORE_KEY)
-    for k in STORE_KS:
+    for k in ks:
         store.save_index(CoreIndex(graph, k), name=STORE_KEY)
     return store, graph
 

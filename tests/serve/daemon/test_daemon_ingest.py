@@ -4,10 +4,12 @@ restarts, read-only degradation on WAL disk errors."""
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
 import pytest
 
+from repro.core.enumerate_ref import enumerate_temporal_kcores_ref
 from repro.core.index import CoreIndex
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.client import DaemonClient, DaemonError
@@ -31,6 +33,21 @@ def fresh_store(tmp_path):
     root = tmp_path / "store"
     _store, graph = build_store(root)
     return root, graph
+
+
+def labelled_cores(graph, cores) -> set:
+    """Wire cores as ``(tti, frozenset of label triples)``: comparable
+    with the cores of another graph over the same raw edges."""
+
+    def triple(eid):
+        u, v, t = graph.edges[eid]
+        return (*sorted((str(graph.label_of(u)), str(graph.label_of(v)))),
+                graph.raw_time_of(t))
+
+    return {
+        (tuple(core["tti"]), frozenset(map(triple, core["edge_ids"])))
+        for core in cores
+    }
 
 
 def new_edges(base_t):
@@ -175,6 +192,45 @@ class TestDedupe:
             assert {k: v for k, v in first.items() if k != "id"} \
                 == {k: v for k, v in again.items() if k != "id"}
             assert client.stats()["ingest"]["keys"]["g"]["last_lsn"] == 3
+
+    def test_counters_are_exact(self, start_daemon, fresh_store):
+        """One fsync per acknowledged append; a retried token is one
+        deduplicated append that acknowledges no new edge and answers
+        its first ack byte for byte."""
+        root, _graph = fresh_store
+        handle = start_daemon(store=root)
+
+        def totals():
+            metrics = scrape_metrics(handle.port)
+            return {
+                name: metric_total(metrics, name)
+                for name in (
+                    "repro_wal_fsyncs_total",
+                    "repro_wal_rotations_total",
+                    "repro_wal_deduped_appends_total",
+                    "repro_daemon_appended_edges_total",
+                )
+            }
+
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            acks = [
+                client.append(new_edges(TMAX + 1 + 3 * i), dedupe=f"tok-{i}")
+                for i in range(5)
+            ]
+            before = totals()
+            assert before == {
+                "repro_wal_fsyncs_total": 5.0,
+                "repro_wal_rotations_total": 0.0,
+                "repro_wal_deduped_appends_total": 0.0,
+                "repro_daemon_appended_edges_total": 15.0,
+            }
+            again = client.append(new_edges(TMAX + 1), dedupe="tok-0")
+            after = totals()
+        assert json.dumps([again["lsn"], again["appended"]]) \
+            == json.dumps([acks[0]["lsn"], acks[0]["appended"]]) == "[1, 3]"
+        assert after == {
+            **before, "repro_wal_deduped_appends_total": 1.0,
+        }
 
     def test_ack_stable_across_daemon_kill(self, start_daemon, fresh_store):
         """The acceptance bar: an acked append re-sent after a SIGKILL
@@ -414,6 +470,62 @@ class TestMaxLagFlush:
             (key_stats,) = stats["ingest"]["keys"].values()
             assert key_stats["lag_seconds"] == 0.0
 
+    def test_backlog_recovered_at_restart_is_flushed(self, start_daemon,
+                                                     fresh_store):
+        """Appends acknowledged but never flushed before a restart: the
+        first read restores the key's stream, and its budget (0 here)
+        flushes the backlog in before the answer."""
+        root, graph = fresh_store
+        appended = new_edges(TMAX + 1)
+        handle = start_daemon("--max-lag", "0", store=root)
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            client.append(appended)
+        handle.sigterm()
+        assert handle.wait() == 0
+
+        restarted = start_daemon("--max-lag", "0", store=root)
+        ts, te = graph.tmax - 6, graph.tmax + 3
+        with DaemonClient("127.0.0.1", restarted.port) as client:
+            cores, done = client.query(k=2, ts=ts, te=te)
+            stats = client.stats()
+        assert done["completed"]
+        assert stats["ingest"]["lag_flushes"] == 1
+        raw = [
+            (graph.label_of(u), graph.label_of(v), graph.raw_time_of(t))
+            for u, v, t in graph.edges
+        ] + [tuple(edge) for edge in appended]
+        whole = TemporalGraph(raw)
+        want = enumerate_temporal_kcores_ref(whole, 2, ts, te).cores
+        assert want
+        grown = IndexStore(root).load_graph(STORE_KEY)
+        assert labelled_cores(grown, cores) == {
+            (core.tti, frozenset(
+                (*sorted((str(u), str(v))), t)
+                for u, v, t in core.edge_triples(whole)
+            ))
+            for core in want
+        }
+
+    def test_damaged_log_does_not_stop_reads(self, start_daemon, fresh_store):
+        """A log the read cannot restore (damage before its last segment)
+        leaves the snapshot answering; ingestion reports the damage."""
+        from repro.store.wal import _HEADER, WAL_MAGIC, WAL_VERSION
+
+        root, graph = fresh_store
+        wal_dir = root / STORE_KEY / "wal"
+        wal_dir.mkdir()
+        (wal_dir / "wal-0000000000000001.seg").write_bytes(b"NOTAWAL!" * 4)
+        (wal_dir / "wal-0000000000000002.seg").write_bytes(
+            _HEADER.pack(WAL_MAGIC, WAL_VERSION, 0)
+        )
+        handle = start_daemon("--max-lag", "0", store=root)
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            _cores, done = client.query(k=2, ts=1, te=graph.tmax)
+            assert done["completed"]
+            with pytest.raises(DaemonError) as err:
+                client.append(new_edges(TMAX + 1))
+            assert err.value.code == "invalid"
+
     def test_fresh_key_not_flushed(self, start_daemon, fresh_store):
         root, graph = fresh_store
         handle = start_daemon("--max-lag", "30", store=root)
@@ -461,3 +573,30 @@ class TestReadsAfterFlush:
             for a in after
         ] == [(r.time_range, r.num_results, r.total_edges, True) for r in want]
         assert after[0] == before[0]
+
+
+class TestStreamedKeyKs:
+    def test_a_read_k_is_maintained_by_later_flushes(self, start_daemon,
+                                                     tmp_path):
+        """A k first read under a streamed key is built once: the flushes
+        after it fold and commit it beside the stored ones."""
+        root = tmp_path / "store"
+        build_store(root, ks=(2, 4))
+        handle = start_daemon(store=root)
+        store = IndexStore(root)
+        with DaemonClient("127.0.0.1", handle.port) as client:
+            assert client.flush()["applied"] == 0  # opens the stream
+            client.query(k=3, ts=1, te=10)
+            assert store.stored_ks(STORE_KEY) == [2, 3, 4]
+            for base in (TMAX + 1, TMAX + 4):
+                client.append(new_edges(base))
+                assert client.flush()["applied"] == 3
+                assert store.stored_ks(STORE_KEY) == [2, 3, 4]
+                builds = client.stats()["registry"]["multik_builds_by_k"]
+                assert builds == {"3": 1}
+            grown = store.load_graph(STORE_KEY)
+            cores, done = client.query(k=3, ts=1, te=grown.tmax)
+            assert client.stats()["registry"]["multik_builds_by_k"] == {"3": 1}
+        want = CoreIndex(grown, 3).query(1, grown.tmax)
+        assert done["num_results"] == want.num_results
+        assert done["total_edges"] == want.total_edges

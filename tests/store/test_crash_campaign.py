@@ -145,7 +145,8 @@ class TestCampaignMatrix:
         assert ingest["appended_edges"] == COUNT
         assert ingest["incremental_folds"] == ingest["flushes"] > 0
         assert ingest["lag_flushes"] > 0
-        assert run.lives[0].stats["registry"]["multik_builds_by_k"]["3"] > 0
+        # The first read built k=3 once; the stream maintained it after.
+        assert run.lives[0].stats["registry"]["multik_builds_by_k"]["3"] == 1
         # ... and committed it under the streamed key.
         assert IndexStore(run.root).stored_ks(CAMPAIGN_KEY) == [2, 3, 4]
         # The restart re-sent every acknowledged token and applied nothing.

@@ -22,7 +22,7 @@ def populated(tmp_path, paper_graph):
     store.save_index(CoreIndex(paper_graph, 2), name="g")
     with store.wal("g") as wal:
         for i in range(4):
-            wal.append("a", "b", i + 1)
+            wal.append_edges([("a", "b", i + 1)])
     return root
 
 
@@ -154,7 +154,7 @@ class TestWalScrub:
         wal_dir = root / "g" / "wal"
         with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
             for i in range(40):
-                wal.append("a", "b", i + 1)
+                wal.append_edges([("a", "b", i + 1)])
         segments = sorted(wal_dir.glob("wal-*.seg"))
         assert len(segments) > 2
         flip_byte(segments[0], offset=20)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.maintenance import StreamingCoreService
 from repro.errors import ReproError
 from repro.store import IndexStore
+from repro.store import wal as wal_module
 
 
 EDGES = [
@@ -18,6 +19,12 @@ EDGES = [
 @pytest.fixture()
 def store(tmp_path):
     return IndexStore(tmp_path / "store")
+
+
+@pytest.fixture()
+def small_segments(monkeypatch):
+    """Logs opened from here on rotate at 256 bytes."""
+    monkeypatch.setattr(wal_module, "DEFAULT_SEGMENT_BYTES", 256)
 
 
 def canon(seq):
@@ -35,7 +42,7 @@ class TestStoreRecover:
     def test_wal_only_key(self, store):
         with store.wal("s") as wal:
             for u, v, t in EDGES[:3]:
-                wal.append(u, v, t)
+                wal.append_edges([(u, v, t)])
         recovery = store.recover("s")
         try:
             assert recovery.graph is None
@@ -85,7 +92,7 @@ class TestServiceWal:
         service = StreamingCoreService((2,), wal=store.wal("s"))
         assert service.append("a", "b", 1) == 1
         assert service.append("b", "c", 2) == 2
-        assert service.extend([("a", "c", 3), ("b", "d", 3)]) == 2
+        assert service.extend([("a", "c", 3), ("b", "d", 3)]) == (3, 2, False)
         service.wal.close()
 
     def test_dedupe_token_across_restart(self, store):
@@ -94,9 +101,12 @@ class TestServiceWal:
         service.wal.close()
 
         resumed = StreamingCoreService.restore(store, (2,), name="s")
-        # The retried append answers the original LSN and applies nothing.
-        assert resumed.append("a", "b", 1, token="tok-1") == lsn
+        # The retried batch answers its original ack and applies nothing,
+        # and the log counts the answer as a deduplicated append.
+        assert resumed.extend([("a", "b", 1)], token="tok-1") == (lsn, 1, True)
         assert resumed.num_edges == 1
+        deduped = resumed.wal.metrics.get("repro_wal_deduped_appends_total")
+        assert deduped.labels(resumed.wal.instance).value == 1
         resumed.wal.close()
 
     def test_dedupe_retry_after_later_append(self, store):
@@ -159,10 +169,8 @@ class TestServiceWal:
         assert service.num_edges == 1
         service.wal.close()
 
-    def test_snapshot_trims_wal(self, store):
-        service = StreamingCoreService(
-            (2,), wal=store.wal("s", segment_bytes=256)
-        )
+    def test_snapshot_trims_wal(self, store, small_segments):
+        service = StreamingCoreService((2,), wal=store.wal("s"))
         for i in range(40):
             service.append(f"n{i % 6}", f"n{(i + 1) % 6}", i + 1)
         assert len(service.wal.segment_paths()) > 2
@@ -186,14 +194,14 @@ class TestServiceWal:
 
 
 class TestTokensPastTrim:
-    def test_retry_after_trim_and_restart_answers_original_ack(self, store):
+    def test_retry_after_trim_and_restart_answers_original_ack(
+        self, store, small_segments
+    ):
         """A snapshot trims the segment holding an acknowledged token;
         after a restart its retry still answers the original LSN and
         applies nothing — neither a second copy nor an out-of-order
         refusal."""
-        service = StreamingCoreService.restore(
-            store, (2,), name="s", wal_segment_bytes=256
-        )
+        service = StreamingCoreService.restore(store, (2,), name="s")
         early = service.append("n0", "n1", 10, token="E")
         for i in range(28):
             service.append(f"n{i % 6}", f"n{(i + 1) % 6}", 11 + i // 2)
@@ -205,9 +213,7 @@ class TestTokensPastTrim:
         assert service.wal.segment_paths()[0].name > "wal-0000000000000030"
         service.wal.close()
 
-        restored = StreamingCoreService.restore(
-            store, (2,), name="s", wal_segment_bytes=256
-        )
+        restored = StreamingCoreService.restore(store, (2,), name="s")
         assert restored.num_edges == 59
         assert restored.append("n0", "n3", 30, token="T") == 30
         assert restored.append("n0", "n1", 10, token="E") == 1

@@ -21,6 +21,17 @@ def wal_dir(tmp_path):
     return tmp_path / "wal"
 
 
+def append(wal, u, v, t) -> int:
+    """One edge as one record; its LSN."""
+    first, _count = wal.append_edges([(u, v, t)])
+    return first
+
+
+def counted(wal, name: str) -> float:
+    """This log's sample of the ``repro_wal_*`` counter ``name``."""
+    return wal.metrics.get(name).labels(wal.instance).value
+
+
 def read_all(directory, **kwargs):
     """Open, replay and close — the recovery read path in one call."""
     with WriteAheadLog(directory, **kwargs) as wal:
@@ -30,8 +41,8 @@ def read_all(directory, **kwargs):
 class TestAppendReplay:
     def test_lsns_are_dense_from_one(self, wal_dir):
         with WriteAheadLog(wal_dir) as wal:
-            assert wal.append("a", "b", 1) == 1
-            assert wal.append("b", "c", 2) == 2
+            assert append(wal, "a", "b", 1) == 1
+            assert append(wal, "b", "c", 2) == 2
             first, count = wal.append_edges([("c", "d", 3), ("d", "e", 3)])
             assert (first, count) == (3, 2)
             assert wal.last_lsn == 4
@@ -44,19 +55,18 @@ class TestAppendReplay:
     def test_replay_after_filters_by_lsn(self, wal_dir):
         with WriteAheadLog(wal_dir) as wal:
             for i in range(5):
-                wal.append("a", "b", i + 1)
+                append(wal, "a", "b", i + 1)
             assert [e.lsn for e in wal.replay(after=3)] == [4, 5]
             assert wal.last_lsn == 5
             assert wal.replay(after=5) == []
 
     def test_reopen_resumes_lsn_and_watermark(self, wal_dir):
         with WriteAheadLog(wal_dir) as wal:
-            wal.append("a", "b", 7)
-            wal.append("b", "c", 9)
+            append(wal, "a", "b", 7)
+            append(wal, "b", "c", 9)
         with WriteAheadLog(wal_dir) as wal:
             assert wal.last_lsn == 2
-            assert wal.last_event_time == 9
-            assert wal.append("c", "d", 9) == 3
+            assert append(wal, "c", "d", 9) == 3
 
     def test_empty_wal(self, wal_dir):
         with WriteAheadLog(wal_dir) as wal:
@@ -66,8 +76,8 @@ class TestAppendReplay:
     def test_labels_roundtrip_types(self, wal_dir):
         """Int and str labels survive the JSON framing unchanged."""
         with WriteAheadLog(wal_dir) as wal:
-            wal.append(0, 1, 5)
-            wal.append("x", "y", 6)
+            append(wal, 0, 1, 5)
+            append(wal, "x", "y", 6)
         events = read_all(wal_dir)
         assert [(e.u, e.v) for e in events] == [(0, 1), ("x", "y")]
 
@@ -75,7 +85,7 @@ class TestAppendReplay:
         wal = WriteAheadLog(wal_dir)
         wal.close()
         with pytest.raises(Exception):
-            wal.append("a", "b", 1)
+            append(wal, "a", "b", 1)
         wal.close()  # idempotent
 
 
@@ -87,6 +97,11 @@ class TestTokens:
             again, count = wal.append_edges([("a", "b", 1)], token="t1")
             assert (again, count) == (1, 1)
             assert wal.last_lsn == 1
+            assert wal.lookup_token("t1") == (1, 1)
+            assert wal.lookup_token("t2") is None
+            # Both answers from the token map count; the miss does not.
+            assert counted(wal, "repro_wal_deduped_appends_total") == 2
+            assert counted(wal, "repro_wal_fsyncs_total") == 1
 
     def test_tokens_survive_reopen(self, wal_dir):
         with WriteAheadLog(wal_dir) as wal:
@@ -126,7 +141,7 @@ class TestRotationAndTrim:
     def test_rotation_seals_segments(self, wal_dir):
         with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
             for i in range(40):
-                wal.append(f"n{i % 7}", f"n{(i + 1) % 7}", i + 1)
+                append(wal, f"n{i % 7}", f"n{(i + 1) % 7}", i + 1)
             assert len(wal.segment_paths()) > 1
             # Every segment file name carries its base LSN; they must be
             # strictly increasing and start at 1.
@@ -143,7 +158,7 @@ class TestRotationAndTrim:
     def test_trim_drops_only_covered_sealed_segments(self, wal_dir):
         with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
             for i in range(40):
-                wal.append("a", "b", i + 1)
+                append(wal, "a", "b", i + 1)
             before = len(wal.segment_paths())
             assert before > 2
             dropped = wal.trim(wal.last_lsn)
@@ -152,33 +167,28 @@ class TestRotationAndTrim:
             assert dropped == before - len(wal.segment_paths())
             assert wal.replay(after=wal.last_lsn) == []
             # Appends after a trim carry on from the same LSN sequence.
-            assert wal.append("x", "y", 99) == 41
+            assert append(wal, "x", "y", 99) == 41
 
     def test_trim_zero_is_noop(self, wal_dir):
         with WriteAheadLog(wal_dir, segment_bytes=256) as wal:
             for i in range(20):
-                wal.append("a", "b", i + 1)
+                append(wal, "a", "b", i + 1)
             paths = wal.segment_paths()
             assert wal.trim(0) == 0
             assert wal.segment_paths() == paths
 
 
-class TestGroupCommit:
-    def test_batch_sync_mode_replays_complete(self, wal_dir):
-        with WriteAheadLog(wal_dir, sync="batch") as wal:
-            for i in range(10):
-                wal.append("a", "b", i + 1)
-            wal.flush()
-        assert len(read_all(wal_dir)) == 10
-
+class TestConcurrentAppends:
     def test_concurrent_appends_assign_unique_lsns(self, wal_dir):
-        wal = WriteAheadLog(wal_dir, sync="batch", segment_bytes=512)
+        """Appenders on several threads serialise on the write lock:
+        dense, unique LSNs, one fsync per append."""
+        wal = WriteAheadLog(wal_dir, segment_bytes=512)
         lsns: list[int] = []
         lock = threading.Lock()
 
         def worker(tag: int) -> None:
             for i in range(25):
-                lsn = wal.append(f"u{tag}", f"v{i}", 1)
+                lsn = append(wal, f"u{tag}", f"v{i}", 1)
                 with lock:
                     lsns.append(lsn)
 
@@ -186,14 +196,15 @@ class TestGroupCommit:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        fsyncs = counted(wal, "repro_wal_fsyncs_total") - counted(
+            wal, "repro_wal_rotations_total"
+        )
         wal.close()
         assert sorted(lsns) == list(range(1, 101))
+        assert fsyncs == 100
         assert len(read_all(wal_dir, segment_bytes=512)) == 100
-
-    def test_invalid_sync_mode_rejected(self, wal_dir):
-        with pytest.raises(Exception):
-            WriteAheadLog(wal_dir, sync="sometimes")
 
 
 def segment_record_ends(path) -> list[int]:
@@ -221,7 +232,7 @@ class TestTornTail:
         source = tmp_path / "source"
         with WriteAheadLog(source) as wal:
             for i in range(6):
-                wal.append(f"n{i}", f"n{i + 1}", i + 1)
+                append(wal, f"n{i}", f"n{i + 1}", i + 1)
         (segment,) = list(source.glob("wal-*.seg"))
         data = segment.read_bytes()
         ends = segment_record_ends(segment)
@@ -245,7 +256,7 @@ class TestTornTail:
         source = tmp_path / "source"
         with WriteAheadLog(source) as wal:
             for i in range(6):
-                wal.append(f"n{i}", f"n{i + 1}", i + 1)
+                append(wal, f"n{i}", f"n{i + 1}", i + 1)
         (segment,) = list(source.glob("wal-*.seg"))
         data = bytearray(segment.read_bytes())
         ends = segment_record_ends(segment)
@@ -267,7 +278,7 @@ class TestTornTail:
         source = tmp_path / "wal"
         with WriteAheadLog(source, segment_bytes=256) as wal:
             for i in range(40):
-                wal.append("a", "b", i + 1)
+                append(wal, "a", "b", i + 1)
         segments = sorted(source.glob("wal-*.seg"))
         assert len(segments) > 2
         data = bytearray(segments[0].read_bytes())
@@ -286,33 +297,24 @@ class TestTornTail:
     def test_torn_header_reopens_empty(self, tmp_path):
         source = tmp_path / "wal"
         with WriteAheadLog(source) as wal:
-            wal.append("a", "b", 1)
+            append(wal, "a", "b", 1)
         (segment,) = list(source.glob("wal-*.seg"))
         segment.write_bytes(segment.read_bytes()[:4])
         with WriteAheadLog(source) as wal:
             assert wal.last_lsn == 0
             assert wal.replay() == []
             # ... and is usable again.
-            assert wal.append("a", "b", 1) == 1
+            assert append(wal, "a", "b", 1) == 1
 
 
-class TestStats:
-    def test_stats_shape(self, wal_dir):
-        with WriteAheadLog(wal_dir) as wal:
-            wal.append("a", "b", 1)
-            stats = wal.stats()
-        assert stats["last_lsn"] == 1
-        assert stats["segments"] == 1
-        assert stats["appends"] >= 1
-        assert stats["fsyncs"] >= 1
-
+class TestBackup:
     def test_copy_of_wal_replays_identically(self, tmp_path):
         """A byte-level copy (backup) of the wal directory is as good as
         the original — nothing depends on inode state."""
         source = tmp_path / "a"
         with WriteAheadLog(source, segment_bytes=256) as wal:
             for i in range(30):
-                wal.append("a", "b", i + 1)
+                append(wal, "a", "b", i + 1)
         copy = tmp_path / "b"
         shutil.copytree(source, copy)
         assert [
