@@ -12,20 +12,35 @@
  * decremental end-time scan over shared per-slot live counts.  Its
  * oracle is coretime_ref.core_time_by_rescan_reference, per level.
  *
- * repro_build_pass runs the advancing phase of a level-fused build
- * (core/multik.py, _FusedMultiK.run) in one call: for every start time
- * it refreshes the pair pointers of the expiring edge batch, drains the
- * fused fixpoint, harvests the VCT transitions and finalised skyline
- * windows, and emits the windows of the edge batch stamped at that
- * start.  The assembled indexes equal coretime_ref's VCT and skyline
- * entry for entry.  Its loops read only what can change: the core-time
- * operator counts the availabilities at or below a key's core time,
- * then steps to the smallest one above it, and selects the k-th
- * smallest only when neither settles it; re-scheduling screens the
- * neighbours by the availabilities the operator left in scratch; the
- * harvest stops at the first incident edge stamped at or past the new
- * core time.  It adds its work (evaluations, fallback selections,
- * harvest steps) to three counters of struct repro_build.
+ * repro_build_pass runs the rest of a level-fused build (core/multik.py,
+ * _FusedMultiK.run) in one call.  At the first start time it writes the
+ * rows the scan's core times give: the VCT rows at ts_lo, the pending
+ * edge core times and the windows of the edge batch stamped ts_lo.  Then,
+ * for every later start time, it refreshes the pair pointers of the
+ * expiring edge batch, drains the fused fixpoint, harvests the VCT
+ * transitions and finalised skyline windows, and emits the windows of
+ * the edge batch stamped at that start.  The assembled indexes equal
+ * coretime_ref's VCT and skyline entry for entry.  Its loops read only
+ * what can change:
+ *   - each vertex keeps its live slots (a pair with an edge left in the
+ *     window, ett <= ts_hi) as a contiguous prefix of position-indexed
+ *     copies of ett and adj_neighbour, partitioned at the first start
+ *     and shrunk when a pair's last edge expires.  A dead slot's
+ *     availability is at least inf, so it is never the k-th smallest;
+ *     the operator and re-scheduling read the prefix only, and a key
+ *     with at most k - 1 live slots grows to inf with no selection.  On
+ *     perfbench build-cold's graph (HotStream seed 11, 5k edges, ks
+ *     {2,4,8}) 1,906,959 of the 4,522,616 slots the operator read before
+ *     the prefix were dead;
+ *   - the core-time operator counts the availabilities at or below a
+ *     key's core time, then steps to the smallest one above it, and
+ *     selects the k-th smallest only when neither settles it;
+ *   - re-scheduling screens the neighbours by the availabilities the
+ *     operator left in scratch;
+ *   - the harvest stops at the first incident edge stamped at or past
+ *     the new core time.
+ * It adds its work (evaluations, fallback selections, harvest steps,
+ * slots read) to four counters of struct repro_build.
  *
  * repro_splice is the fold's per-segment merge (core/incremental.py,
  * _merge_level): the kept old prefix, an optional inserted row, then the
@@ -63,10 +78,10 @@
  * Polynomials Using PCLMULQDQ Instruction" (Intel, 2009).
  *
  * No function allocates.  The build pass is resumable: before each
- * start time it checks the output space left against the worst case of
- * one step and, when that is short, returns the start time it stopped
- * at with the lengths it needs; the caller grows the output buffers and
- * calls again from there.
+ * start time, the first one included, it checks the output space left
+ * against the worst case of one step and, when that is short, returns
+ * the start time it stopped at with the lengths it needs; the caller
+ * grows the output buffers and calls again from there.
  */
 
 #include <stdint.h>
@@ -87,9 +102,16 @@ struct repro_build {
     const int64_t *time_offset, *pair_times, *slot_times_end;
     const int64_t *inc_offsets, *inc_time, *inc_other, *inc_eid;
     const int64_t *km1; /* per level, k - 1 */
-    int64_t n, m, levels, ts_hi, inf, no_time;
-    /* advancing state, updated in place; ect is NULL without a skyline */
+    int64_t n, m, levels, ts_lo, ts_hi, inf, no_time;
+    /* advancing state, updated in place: ct holds the first-start scan's
+     * core times on entry, ect (levels * m, NULL without a skyline) is
+     * written at the first start */
     int64_t *ptr, *ett, *ct, *ect, *inc_cursor;
+    /* the live prefix, written at the first start: vertex u's live slots
+     * sit at positions [adj_offsets[u], live_end[u]) of pos_ett and
+     * pos_neighbour (one entry per slot); slot_pos and pos_slot map
+     * slots and positions to each other */
+    int64_t *live_end, *pos_ett, *pos_neighbour, *slot_pos, *pos_slot;
     /* scratch: masks and queue hold levels * n entries, scratch twice
      * the maximum degree, grown levels * n */
     uint8_t *inq, *grown_mask;
@@ -100,9 +122,9 @@ struct repro_build {
     int64_t *ecs_key, *ecs_t1, *ecs_t2;
     int64_t vct_capacity, ecs_capacity, vct_len, ecs_len, vct_need, ecs_need;
     /* work counts, added to by every call: core-time operator
-     * evaluations, those that fell back to kth_smallest, and incident
-     * entries the harvest visited */
-    int64_t evaluations, fallback_selections, harvest_steps;
+     * evaluations, those that fell back to kth_smallest, incident
+     * entries the harvest visited, and live slots the operator read */
+    int64_t evaluations, fallback_selections, harvest_steps, slots_read;
 };
 
 static inline int64_t max64(int64_t a, int64_t b) { return a > b ? a : b; }
@@ -266,15 +288,39 @@ static int64_t kth_smallest(int64_t *a, int64_t len, int64_t rank)
     return a[rank];
 }
 
-/* Advance the pair pointer of slot s to the first time >= ts. */
-static inline void expire_slot(const struct repro_build *b, int64_t s, int64_t ts)
+/* Put slot s at position at of the live prefix copies. */
+static inline void place(struct repro_build *b, int64_t s, int64_t at, int64_t ett)
+{
+    b->pos_ett[at] = ett;
+    b->pos_neighbour[at] = b->adj_neighbour[s];
+    b->pos_slot[at] = s;
+    b->slot_pos[s] = at;
+}
+
+/*
+ * Advance the pair pointer of slot s (of vertex u) to the first time >=
+ * ts.  A live slot whose next time lies past ts_hi leaves u's live
+ * prefix: the prefix's last slot takes its position.
+ */
+static inline void expire_slot(struct repro_build *b, int64_t u, int64_t s, int64_t ts)
 {
     int64_t p = b->ptr[s];
     const int64_t end = b->slot_times_end[s];
     while (p < end && b->pair_times[p] < ts)
         p++;
     b->ptr[s] = p;
-    b->ett[s] = p < end ? b->pair_times[p] : b->no_time;
+    const int64_t next = p < end ? b->pair_times[p] : b->no_time;
+    b->ett[s] = next;
+    const int64_t at = b->slot_pos[s];
+    if (at >= b->live_end[u])
+        return; /* left earlier: an edge of the same pair in this batch */
+    if (next <= b->ts_hi) {
+        b->pos_ett[at] = next;
+        return;
+    }
+    const int64_t last = --b->live_end[u];
+    place(b, b->pos_slot[last], at, b->pos_ett[last]);
+    place(b, s, last, next);
 }
 
 /* Append key to the FIFO queue[0..capacity) holding *size keys from head. */
@@ -289,10 +335,11 @@ static inline void push(int64_t *queue, int64_t capacity, int64_t head, int64_t 
 /*
  * The core-time operator at one key: the rank-th smallest (0-based,
  * rank = k - 1) of the availabilities max(ett, neighbour core time) of
- * its deg > rank slots, or old, the key's current core time, when that
- * k-th smallest is at most old.  Leaves the availabilities in
- * scratch[0..deg), in slot order; scratch[deg..2 deg) holds the
- * fallback's copy.
+ * its deg live slots, or old, the key's current core time, when that
+ * k-th smallest is at most old, or INT64_MAX when deg <= rank (the
+ * rank-th smallest is then a dead slot's, at least inf).  Leaves the
+ * availabilities in scratch[0..deg), in position order;
+ * scratch[deg..2 deg) holds the fallback's copy.
  *
  * Count then step: one pass writes the availabilities, counts those
  * <= old and keeps the smallest one above old.  More than rank of them
@@ -318,6 +365,8 @@ static int64_t core_time_operator(const int64_t *ett, const int64_t *ct_level,
     }
     if (at_most_old > rank)
         return old;
+    if (deg <= rank)
+        return INT64_MAX;
     int64_t ties = 0;
     for (int64_t i = 0; i < deg; i++)
         ties += scratch[i] == step;
@@ -342,11 +391,11 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
 {
     const int64_t n = b->n, ts_hi = b->ts_hi, inf = b->inf;
     const int64_t capacity = b->levels * n;
-    const int64_t *adj_offsets = b->adj_offsets, *adj_neighbour = b->adj_neighbour;
-    const int64_t *ett = b->ett;
+    const int64_t *adj_offsets = b->adj_offsets, *live_end = b->live_end;
+    const int64_t *ett = b->ett, *pos_ett = b->pos_ett, *pos_neighbour = b->pos_neighbour;
     int64_t *ct = b->ct, *queue = b->queue, *scratch = b->scratch, *grown = b->grown;
     uint8_t *inq = b->inq, *grown_mask = b->grown_mask;
-    int64_t head = 0, size = 0, num_grown = 0, evaluations = 0, fallbacks = 0;
+    int64_t head = 0, size = 0, num_grown = 0, evaluations = 0, fallbacks = 0, slots = 0;
 
     /* Seed filter (core/coretime.py module docstring), every level: an
      * endpoint needs re-evaluation only if the expiring pair's available
@@ -374,17 +423,17 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
         size--;
         inq[key] = 0;
         const int64_t old = ct[key];
-        /* A finite core time needs more than k - 1 slots, so every key
-         * with old < inf has deg > rank. */
         if (old >= inf)
             continue;
         const int64_t lev = key / n;
         const int64_t base = lev * n;
         const int64_t u = key - base;
-        const int64_t lo = adj_offsets[u], deg = adj_offsets[u + 1] - lo;
+        const int64_t lo = adj_offsets[u], deg = live_end[u] - lo;
         evaluations++;
+        slots += deg;
         const int64_t candidate = core_time_operator(
-            ett + lo, ct + base, adj_neighbour + lo, deg, b->km1[lev], old, scratch, &fallbacks);
+            pos_ett + lo, ct + base, pos_neighbour + lo, deg, b->km1[lev], old, scratch,
+            &fallbacks);
         if (candidate <= old)
             continue;
         const int64_t updated = candidate <= ts_hi ? candidate : inf;
@@ -401,16 +450,17 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
          * is nct itself and lies in [old, updated), so the contiguous
          * scratch screens the slots before ct[target] is read; fewer
          * than k availabilities lie below the k-th smallest, so few
-         * pass.  scratch is current here: only an evaluation reaches
-         * this loop, it wrote scratch[0..deg) for this key, and no core
-         * time but ct[key] changed since. */
+         * pass, and no dead slot (ett > ts_hi) can.  scratch is current
+         * here: only an evaluation reaches this loop, it wrote
+         * scratch[0..deg) for this key's live prefix, and no core time
+         * but ct[key] changed since. */
         for (int64_t i = 0; i < deg; i++) {
             const int64_t a = scratch[i];
             if (a < old || a >= updated)
                 continue;
-            const int64_t target = base + adj_neighbour[lo + i];
+            const int64_t target = base + pos_neighbour[lo + i];
             const int64_t nct = ct[target];
-            const int64_t slot_ett = ett[lo + i];
+            const int64_t slot_ett = pos_ett[lo + i];
             if (max64(slot_ett, old) <= nct && nct <= ts_hi
                 && max64(slot_ett, updated) > nct && !inq[target]) {
                 inq[target] = 1;
@@ -423,6 +473,7 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
         grown_mask[grown[i]] = 0;
     b->evaluations += evaluations;
     b->fallback_selections += fallbacks;
+    b->slots_read += slots;
     return num_grown;
 }
 
@@ -500,27 +551,85 @@ static void emit_batch(struct repro_build *b, int64_t ts)
 }
 
 /*
- * Move every level's start from ts_from - 1 up to ts_hi.  Returns
- * ts_hi + 1 when done, or the start time it stopped before when the
- * output space left could not hold one more step's worst case (levels *
- * n VCT rows, and levels times the edges stamped in [ts, ts_hi] plus
- * those stamped ts skyline rows), with vct_need / ecs_need set.
+ * The rows of the first start time, from the first-start scan's core
+ * times in ct: lays out the live prefixes (live means ett <= ts_hi),
+ * appends a VCT row (key, ts_lo, ct) per key with a finite core time in
+ * key order, sets every (level, edge) pending core time (the maximum of
+ * the endpoints' core times and the edge time inside the window, inf
+ * outside it) and emits the batch stamped ts_lo, whose edges leave the
+ * window as soon as the start advances.
+ */
+static void first_start(struct repro_build *b)
+{
+    const int64_t n = b->n, m = b->m, ts_lo = b->ts_lo, ts_hi = b->ts_hi, inf = b->inf;
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t lo = b->adj_offsets[u], hi = b->adj_offsets[u + 1];
+        int64_t live = lo, dead = hi;
+        for (int64_t s = lo; s < hi; s++)
+            place(b, s, b->ett[s] <= ts_hi ? live++ : --dead, b->ett[s]);
+        b->live_end[u] = live;
+    }
+    for (int64_t key = 0; key < b->levels * n; key++) {
+        if (b->ct[key] < inf) {
+            const int64_t row = b->vct_len++;
+            b->vct_key[row] = key;
+            b->vct_ts[row] = ts_lo;
+            b->vct_ct[row] = b->ct[key];
+        }
+    }
+    if (!b->ect)
+        return;
+    for (int64_t lev = 0; lev < b->levels; lev++) {
+        const int64_t *ct = b->ct + lev * n;
+        int64_t *ect = b->ect + lev * m;
+        for (int64_t eid = 0; eid < m; eid++)
+            ect[eid] = inf;
+        for (int64_t t = ts_lo; t <= ts_hi; t++)
+            for (int64_t eid = b->time_offset[t]; eid < b->time_offset[t + 1]; eid++)
+                ect[eid] = max64(max64(ct[b->edge_u[eid]], ct[b->edge_v[eid]]), t);
+    }
+    emit_batch(b, ts_lo);
+}
+
+/*
+ * Whether vct_rows and ecs_rows more output rows fit; sets vct_need and
+ * ecs_need to the lengths they take.
+ */
+static int fits(struct repro_build *b, int64_t vct_rows, int64_t ecs_rows)
+{
+    b->vct_need = b->vct_len + vct_rows;
+    b->ecs_need = b->ect ? b->ecs_len + ecs_rows : 0;
+    return b->vct_need <= b->vct_capacity && b->ecs_need <= b->ecs_capacity;
+}
+
+/*
+ * Write the first start's rows when ts_from is ts_lo, then move every
+ * level's start from ts_from - 1 up to ts_hi.  Returns ts_hi + 1 when
+ * done, or the start time it stopped before when the output space left
+ * could not hold one more step's worst case, with vct_need / ecs_need
+ * set: levels * n VCT rows, and levels times the edges stamped ts_lo
+ * skyline rows at the first start, the edges stamped in [ts, ts_hi]
+ * plus those stamped ts at a later one.
  */
 int64_t repro_build_pass(struct repro_build *b, int64_t ts_from)
 {
-    const int64_t ts_hi = b->ts_hi, window_end = b->time_offset[ts_hi + 1];
-    for (int64_t ts = ts_from; ts <= ts_hi; ts++) {
-        const int64_t batch_lo = b->time_offset[ts - 1], batch_hi = b->time_offset[ts];
-        const int64_t batch_next = b->time_offset[ts + 1];
-        b->vct_need = b->vct_len + b->levels * b->n;
-        b->ecs_need = b->ect
-            ? b->ecs_len + b->levels * (window_end - batch_hi + batch_next - batch_hi)
-            : 0;
-        if (b->vct_need > b->vct_capacity || b->ecs_need > b->ecs_capacity)
+    const int64_t levels = b->levels, ts_hi = b->ts_hi;
+    const int64_t *time_offset = b->time_offset, window_end = time_offset[ts_hi + 1];
+    int64_t ts = ts_from;
+    if (ts == b->ts_lo) {
+        if (!fits(b, levels * b->n, levels * (time_offset[ts + 1] - time_offset[ts])))
+            return ts;
+        first_start(b);
+        ts++;
+    }
+    for (; ts <= ts_hi; ts++) {
+        const int64_t batch_lo = time_offset[ts - 1], batch_hi = time_offset[ts];
+        const int64_t batch_next = time_offset[ts + 1];
+        if (!fits(b, levels * b->n, levels * (window_end - batch_hi + batch_next - batch_hi)))
             return ts;
         for (int64_t eid = batch_lo; eid < batch_hi; eid++) {
-            expire_slot(b, b->edge_slot_u[eid], ts);
-            expire_slot(b, b->edge_slot_v[eid], ts);
+            expire_slot(b, b->edge_u[eid], b->edge_slot_u[eid], ts);
+            expire_slot(b, b->edge_v[eid], b->edge_slot_v[eid], ts);
         }
         if (batch_lo < batch_hi)
             harvest(b, ts, fixpoint_step(b, batch_lo, batch_hi));

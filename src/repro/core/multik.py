@@ -21,34 +21,45 @@ CoreTime kernel.  Three devices:
   (``repro_initial_scan``).
 
 * **One compiled pass.**  All core times live in one ``(levels,
-  vertices)`` int64 matrix, and the whole advancing phase is one call
-  into ``core/_fixpoint.c`` (loaded by :mod:`repro.core.native`).  Per
-  start time the pass refreshes the expiring batch's pair pointers,
-  seeds its endpoints at every level, drains a chaotic FIFO of
-  ``(level, vertex)`` keys with the core-time operator and its
-  re-scheduling filter, appends a VCT row per grown key, re-derives the
-  grown vertices' incident edge core times (a per-vertex cursor into
-  the incident CSR, shared by all levels, only moves forward) and emits
-  the windows of the batch stamped at that start.  Each loop stops
-  where no value can change: the operator counts the availabilities at
-  or below a key's core time and steps to the smallest one above it,
-  selecting the ``k``-th smallest only when that step does not settle
-  it; re-scheduling screens the neighbours by the availabilities the
-  operator just gathered; the harvest stops at the first incident edge
-  stamped at or past the new core time.  Its work counts land in
-  ``repro_kernel_work_total{unit}`` (:data:`WORK_UNITS`).  It allocates
-  nothing; when the output space left is below one step's worst case it
-  returns the start time it stopped at and :class:`_FusedMultiK` grows
-  the buffers and resumes.  Every evaluation order reaches the same
-  least fixpoint, so the harvested output is that of the seed kernel
-  :mod:`repro.core.coretime_ref`, its test oracle (checked entry by
-  entry by the property suites).  A host that cannot compile the C
-  source cannot build: :func:`repro.core.native.library` raises.
+  vertices)`` int64 matrix, and everything after the scan is one call
+  into ``core/_fixpoint.c`` (loaded by :mod:`repro.core.native`).  At
+  the first start time the pass writes the rows the scan's core times
+  give: the ``ts_lo`` VCT rows, every edge's pending core time and the
+  windows of the batch stamped ``ts_lo``.  Per later start time it
+  refreshes the expiring batch's pair pointers, seeds its endpoints at
+  every level, drains a chaotic FIFO of ``(level, vertex)`` keys with
+  the core-time operator and its re-scheduling filter, appends a VCT row
+  per grown key, re-derives the grown vertices' incident edge core times
+  (a per-vertex cursor into the incident CSR, shared by all levels, only
+  moves forward) and emits the windows of the batch stamped at that
+  start.  Each loop stops where no value can change.  Each vertex keeps
+  its live slots (pairs with an edge left in the window) as a contiguous
+  prefix of position-indexed copies of ``ett`` and the neighbours,
+  partitioned at the first start and shrunk as pairs die, and the
+  operator reads the prefix only: a dead pair's availability is at least
+  ``inf``, so it is never the ``k``-th smallest, and a key with at most
+  ``k - 1`` live slots grows to ``inf`` with no selection (on perfbench
+  ``build-cold``'s graph the operator reads 2,611,188 slots per build;
+  reading every slot took 4,522,616).  The operator counts the
+  availabilities at or below a key's core time and steps to the smallest
+  one above it, selecting the ``k``-th smallest only when that step does
+  not settle it; re-scheduling screens the neighbours by the
+  availabilities the operator just gathered; the harvest stops at the
+  first incident edge stamped at or past the new core time.  Its work
+  counts land in ``repro_kernel_work_total{unit}`` (:data:`WORK_UNITS`).
+  It allocates nothing; when the output space left is below one step's
+  worst case it returns the start time it stopped at and
+  :class:`_FusedMultiK` grows the buffers and resumes.  Every evaluation
+  order reaches the same least fixpoint, so the harvested output is that
+  of the seed kernel :mod:`repro.core.coretime_ref`, its test oracle
+  (checked entry by entry by the property suites).  A host that cannot
+  compile the C source cannot build: :func:`repro.core.native.library`
+  raises.
 
-* **Columnar output.**  VCT transitions and finalised skyline windows
-  are accumulated as flat ``(key, start, value)`` row chunks and
-  assembled at the end with one stable sort per side into the
-  offset-indexed flat arrays that
+* **Columnar output.**  The pass writes VCT transitions and finalised
+  skyline windows as flat ``(key, start, value)`` row columns, one
+  buffer each, assembled at the end with one stable sort per side into
+  the offset-indexed flat arrays that
   :class:`~repro.core.coretime.VertexCoreTimeIndex` and
   :class:`~repro.core.windows.EdgeCoreSkyline` serve natively (and the
   on-disk store persists), with no per-entry Python tuples anywhere.
@@ -90,7 +101,7 @@ from repro.obs.timing import now
 
 #: The build pass's work counts, the ``unit`` labels of
 #: ``repro_kernel_work_total`` (fields of :class:`native.BuildArgs`).
-WORK_UNITS = ("evaluations", "fallback_selections", "harvest_steps")
+WORK_UNITS = ("evaluations", "fallback_selections", "harvest_steps", "slots_read")
 
 
 def _validated_ks(ks: Iterable[int]) -> list[int]:
@@ -112,7 +123,7 @@ def _work_counter():
     return get_registry().counter(
         "repro_kernel_work_total",
         "CoreTime build pass work: operator evaluations, kth_smallest "
-        "fallbacks and harvested incident entries",
+        "fallbacks, harvested incident entries and live slots read",
         ("unit",),
     )
 
@@ -130,11 +141,6 @@ def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-def _joined(chunks: list[np.ndarray]) -> np.ndarray:
-    """The int64 chunks concatenated (empty when there are none)."""
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-
 def _grown_copy(array: np.ndarray, length: int, capacity: int) -> np.ndarray:
     """A ``capacity``-long int64 buffer starting with ``array[:length]``."""
     out = np.empty(capacity, dtype=np.int64)
@@ -143,13 +149,13 @@ def _grown_copy(array: np.ndarray, length: int, capacity: int) -> np.ndarray:
 
 
 class _FusedMultiK:
-    """The level-fused advancing phase over a 2-D core-time matrix.
+    """The level-fused build over a 2-D core-time matrix.
 
     One instance drives all requested ``k`` values ("levels") through
-    the first-start scan (:meth:`scan_first_start`) and the start-time
-    loop (:meth:`run`, one compiled build pass from the pair pointers of
-    the base :class:`_WindowState`), accumulating columnar output (see
-    the module docstring).
+    the first-start scan (:meth:`scan_first_start`) and the compiled
+    build pass (:meth:`run`: the first start's rows, then the start-time
+    loop from the pair pointers of the base :class:`_WindowState`),
+    which writes columnar output (see the module docstring).
     """
 
     #: First size of the compiled pass's VCT buffers, in rows per level
@@ -180,17 +186,10 @@ class _FusedMultiK:
         self.ct_flat = self.ct_matrix.reshape(-1)
         self.np_km1 = np.asarray(ks, dtype=np.int64) - 1
         self.with_skyline = with_skyline
-        # Columnar VCT accumulation: (level * n + vertex, start, new core
-        # time) chunks.
-        self._vct_keys: list[np.ndarray] = []
-        self._vct_starts: list[np.ndarray] = []
-        self._vct_cts: list[np.ndarray] = []
-        # Columnar ECS accumulation: (level * m + edge, t1, t2) chunks.
-        self._ecs_keys: list[np.ndarray] = []
-        self._ecs_t1: list[np.ndarray] = []
-        self._ecs_t2: list[np.ndarray] = []
-        self.ect_matrix: np.ndarray | None = None
-        self.ect_flat: np.ndarray | None = None
+        # The pass's output columns, in step order: VCT (level * n +
+        # vertex, start, new core time), ECS (level * m + edge, t1, t2).
+        self.vct: list[np.ndarray] = []
+        self.ecs: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
 
@@ -221,67 +220,20 @@ class _FusedMultiK:
             n, levels, self.ts_lo, self.ts_hi, *map(_address, arrays)
         )
 
-    def seed_from_initial_scan(self) -> None:
-        """Record the ``ts_lo`` VCT entries and pending edge core times."""
-        cg = self.cg
-        inf = self.inf
-        ts_lo, ts_hi = self.ts_lo, self.ts_hi
-        ct_flat = self.ct_flat
-        time_offset = cg.time_offset
-        initial = (ct_flat < inf).nonzero()[0]
-        self._vct_keys.append(initial)
-        self._vct_starts.append(np.full(len(initial), ts_lo, dtype=np.int64))
-        self._vct_cts.append(ct_flat[initial])
-        if not self.with_skyline:
-            return
-        m = self.num_edges
-        ct_matrix = self.ct_matrix
-        self.ect_matrix = np.full((self.num_levels, m), inf, dtype=np.int64)
-        self.ect_flat = self.ect_matrix.reshape(-1)
-        window = slice(time_offset[ts_lo], time_offset[ts_hi + 1])
-        self.ect_matrix[:, window] = np.maximum(
-            np.maximum(
-                ct_matrix[:, cg.edge_u[window]],
-                ct_matrix[:, cg.edge_v[window]],
-            ),
-            cg.edge_t[window][None, :],
-        )
-        # Edges stamped with the very first start time leave the window
-        # as soon as the start advances: their pending window finalises
-        # now, at every level they are in a core at.
-        self._emit_batch(ts_lo)
-
-    def _emit_batch(self, stamp_ts: int) -> None:
-        """Emit ``(stamp_ts, ect)`` for the edge batch stamped ``stamp_ts``."""
-        time_offset = self.cg.time_offset
-        base_eid = time_offset[stamp_ts]
-        segment = self.ect_matrix[:, base_eid : time_offset[stamp_ts + 1]]
-        if segment.size == 0:
-            return
-        levels, cols = (segment <= self.ts_hi).nonzero()
-        if levels.size == 0:
-            return
-        m = self.num_edges
-        t2 = segment[levels, cols]
-        keys = levels * m + cols + base_eid
-        self._ecs_keys.append(keys)
-        self._ecs_t1.append(np.full(len(keys), stamp_ts, dtype=np.int64))
-        self._ecs_t2.append(t2)
-
-    # ------------------------------------------------------------------
-
     def run(self) -> None:
-        """The advancing phase: every start time past ``ts_lo``.
+        """The rows of every start time from ``ts_lo``, after :meth:`scan_first_start`.
 
-        Runs ``repro_build_pass``, growing its output buffers on demand.
+        Runs ``repro_build_pass``, growing its output buffers on demand:
+        its first call writes the first start's rows from the scan's
+        core times, then it advances the start.
 
         Every array the pass reads or writes is bound once here (int64
         and C-contiguous, or :class:`TypeError`).  The pass stops before
         a start time whose worst-case output would not fit, reporting
         the lengths it needs; the buffers then grow geometrically and
-        the pass resumes there.  Its rows land as one VCT and one ECS
-        chunk, in ascending step order, and its work counts in
-        ``repro_kernel_work_total{unit}``, once per build.
+        the pass resumes there.  Its rows land in :attr:`vct` and
+        :attr:`ecs`, one column each, in ascending step order, and its
+        work counts in ``repro_kernel_work_total{unit}``, once per build.
         """
         build_pass = native.library().build_pass
         cg = self.cg
@@ -290,11 +242,13 @@ class _FusedMultiK:
         levels = self.num_levels
         ts_hi = self.ts_hi
         time_offset = cg.time_offset
-        skyline = self.ect_flat is not None
+        skyline = self.with_skyline
         size = levels * n
+        slots = cg.num_slots
         keep: list[np.ndarray] = []  # holds every bound address valid
         args = native.BuildArgs(
-            n=n, m=self.num_edges, levels=levels, ts_hi=ts_hi, inf=self.inf, no_time=_NO_TIME
+            n=n, m=self.num_edges, levels=levels, ts_lo=self.ts_lo, ts_hi=ts_hi,
+            inf=self.inf, no_time=_NO_TIME,
         )
 
         def bind(name: str, array: np.ndarray) -> None:
@@ -320,6 +274,11 @@ class _FusedMultiK:
             ("ett", base.ett),
             ("ct", self.ct_flat),
             ("inc_cursor", self.cg.inc_offsets[:-1].copy()),
+            ("live_end", np.empty(n, dtype=np.int64)),
+            ("pos_ett", np.empty(slots, dtype=np.int64)),
+            ("pos_neighbour", np.empty(slots, dtype=np.int64)),
+            ("slot_pos", np.empty(slots, dtype=np.int64)),
+            ("pos_slot", np.empty(slots, dtype=np.int64)),
             ("inq", np.zeros(size, dtype=np.uint8)),
             ("grown_mask", np.zeros(size, dtype=np.uint8)),
             ("queue", np.empty(size, dtype=np.int64)),
@@ -328,7 +287,7 @@ class _FusedMultiK:
         ):
             bind(name, array)
         if skyline:
-            bind("ect", self.ect_flat)
+            bind("ect", np.empty(levels * self.num_edges, dtype=np.int64))
 
         columns = {"vct": ("vct_key", "vct_ts", "vct_ct"), "ecs": ("ecs_key", "ecs_t1", "ecs_t2")}
         out = {side: [np.empty(0, np.int64)] * 3 for side in columns}
@@ -346,7 +305,7 @@ class _FusedMultiK:
         window = int(time_offset[ts_hi + 1] - time_offset[self.ts_lo])
         start_vct = self._START_ROWS * levels * window
         start_ecs = 4 * start_vct if skyline else 0
-        current_ts = self.ts_lo + 1
+        current_ts = self.ts_lo
         while current_ts <= ts_hi:
             reserve("vct", max(args.vct_need, start_vct))
             reserve("ecs", max(args.ecs_need, start_ecs))
@@ -354,21 +313,15 @@ class _FusedMultiK:
         work = _work_counter()
         for unit in WORK_UNITS:
             work.labels(unit).inc(getattr(args, unit))
-        vct, ecs = out["vct"], out["ecs"]
-        self._vct_keys.append(vct[0][: args.vct_len])
-        self._vct_starts.append(vct[1][: args.vct_len])
-        self._vct_cts.append(vct[2][: args.vct_len])
-        if skyline:
-            self._ecs_keys.append(ecs[0][: args.ecs_len])
-            self._ecs_t1.append(ecs[1][: args.ecs_len])
-            self._ecs_t2.append(ecs[2][: args.ecs_len])
+        self.vct = [part[: args.vct_len] for part in out["vct"]]
+        self.ecs = [part[: args.ecs_len] for part in out["ecs"]]
 
     # ------------------------------------------------------------------
 
     def results(self) -> dict[int, CoreTimeResult]:
-        """Assemble per-level flat VCT/ECS views from the columnar chunks.
+        """Assemble per-level flat VCT/ECS views from the pass's columns.
 
-        Chunks were appended in ascending step order, so one stable
+        Rows were written in ascending step order, so one stable
         counting sort by ``(level, id)`` key per side
         (:func:`native.counting_order`, O(rows + levels * ids)) groups
         every vertex's transitions (and every edge's windows)
@@ -379,18 +332,16 @@ class _FusedMultiK:
         n = self.num_vertices
         m = self.num_edges
         span = (self.ts_lo, self.ts_hi)
-        order, vct_offsets = native.counting_order(
-            np.concatenate(self._vct_keys), self.num_levels * n
-        )
-        vct_starts = np.concatenate(self._vct_starts)[order]
-        vct_cts = np.concatenate(self._vct_cts)[order]
+        vct_keys, vct_starts, vct_cts = self.vct
+        order, vct_offsets = native.counting_order(vct_keys, self.num_levels * n)
+        vct_starts = vct_starts[order]
+        vct_cts = vct_cts[order]
         vct_cts[vct_cts >= self.inf] = INF_CT
         if self.with_skyline:
-            order, ecs_offsets = native.counting_order(
-                _joined(self._ecs_keys), self.num_levels * m
-            )
-            ecs_t1 = _joined(self._ecs_t1)[order]
-            ecs_t2 = _joined(self._ecs_t2)[order]
+            ecs_keys, ecs_t1, ecs_t2 = self.ecs
+            order, ecs_offsets = native.counting_order(ecs_keys, self.num_levels * m)
+            ecs_t1 = ecs_t1[order]
+            ecs_t2 = ecs_t2[order]
 
         out: dict[int, CoreTimeResult] = {}
         for level, k in enumerate(self.ks):
@@ -454,7 +405,6 @@ def _build_core_times(
 
     fused = _FusedMultiK(graph, ks, ts_lo, ts_hi, with_skyline)
     fused.scan_first_start()
-    fused.seed_from_initial_scan()
     fused.run()
     return fused.results()
 

@@ -66,6 +66,13 @@ class BuildArgs(ctypes.Structure):
 
     The field order mirrors the C source; arrays are passed as the
     addresses of C-contiguous numpy buffers (int64, the masks uint8).
+    ``live_end`` (one entry per vertex) and ``pos_ett``,
+    ``pos_neighbour``, ``slot_pos``, ``pos_slot`` (one per adjacency
+    slot) are scratch the pass writes at the first start time
+    (``ts_from == ts_lo``), along with the first start's output rows: a
+    vertex's live slots, the pairs with an edge left in the window, sit
+    at positions ``[adj_offsets[u], live_end[u])`` of the ``pos_*``
+    copies, and the core-time operator reads nothing else.
     """
 
     _fields_ = [
@@ -78,11 +85,12 @@ class BuildArgs(ctypes.Structure):
             "km1",
         )
     ] + [
-        (name, _INT64) for name in ("n", "m", "levels", "ts_hi", "inf", "no_time")
+        (name, _INT64) for name in ("n", "m", "levels", "ts_lo", "ts_hi", "inf", "no_time")
     ] + [
         (name, _POINTER)
         for name in (
             "ptr", "ett", "ct", "ect", "inc_cursor",
+            "live_end", "pos_ett", "pos_neighbour", "slot_pos", "pos_slot",
             "inq", "grown_mask", "queue", "scratch", "grown",
             "vct_key", "vct_ts", "vct_ct",
             "ecs_key", "ecs_t1", "ecs_t2",
@@ -91,7 +99,7 @@ class BuildArgs(ctypes.Structure):
         (name, _INT64)
         for name in (
             "vct_capacity", "ecs_capacity", "vct_len", "ecs_len", "vct_need", "ecs_need",
-            "evaluations", "fallback_selections", "harvest_steps",
+            "evaluations", "fallback_selections", "harvest_steps", "slots_read",
         )
     ]
 

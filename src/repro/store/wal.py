@@ -258,6 +258,8 @@ class WriteAheadLog:
         self.segment_bytes = segment_bytes
         self._write_lock = threading.Lock()
         self._closed = False
+        #: The error of a write or fsync that failed; appends are refused from then on.
+        self._failed: OSError | None = None
 
         self.metrics = metrics if metrics is not None else get_registry()
         self.instance = next_instance("wal")
@@ -380,11 +382,17 @@ class WriteAheadLog:
         """Append a batch as one durable record; ``(first_lsn, count)``.
 
         The record is written and fsynced under the write lock — one
-        fsync for the whole batch — before this returns.  A known
+        fsync for the whole batch — before this returns, and only then
+        do :attr:`last_lsn` and the token map take it.  A known
         ``token`` returns the original answer (first LSN and count)
         without writing anything, and counts in
         ``repro_wal_deduped_appends_total``: acknowledged appends
         replayed by a retrying client stay byte-stable.
+
+        A write or fsync that raises leaves the segment's tail unknown
+        (a record that may or may not be durable), so the log refuses
+        every later append with :class:`StoreError`; reopening it
+        replays whatever reached the disk.
         """
         batch = [(u, v, int(t)) for u, v, t in edges]
         if not batch:
@@ -392,6 +400,10 @@ class WriteAheadLog:
         if self._closed:
             raise StoreError("write-ahead log is closed")
         with self._write_lock:
+            if self._failed is not None:
+                raise StoreError(
+                    f"write-ahead log refuses appends after a failed write: {self._failed}"
+                )
             known = self._known_token(token)
             if known is not None:
                 return known
@@ -399,18 +411,22 @@ class WriteAheadLog:
             frame = _encode_record(first, batch, token)
             crashpoint("wal.append.pre-write")
             faultpoint("wal.append.write")
-            self._maybe_rotate(len(frame))
-            self._handle.write(frame)
-            self._handle.flush()
+            try:
+                self._maybe_rotate(len(frame))
+                self._handle.write(frame)
+                self._handle.flush()
+                self._c_records.inc(len(batch))
+                self._c_bytes.inc(len(frame))
+                crashpoint("wal.append.post-write.pre-fsync")
+                faultpoint("wal.append.fsync")
+                os.fsync(self._handle.fileno())
+            except OSError as exc:
+                self._failed = exc
+                raise
+            self._c_fsyncs.inc()
             self.last_lsn = first + len(batch) - 1
             if token is not None:
                 self._tokens[token] = (first, len(batch))
-            self._c_records.inc(len(batch))
-            self._c_bytes.inc(len(frame))
-            crashpoint("wal.append.post-write.pre-fsync")
-            faultpoint("wal.append.fsync")
-            os.fsync(self._handle.fileno())
-            self._c_fsyncs.inc()
             crashpoint("wal.append.post-fsync")
         self._c_appends.inc()
         return first, len(batch)

@@ -11,6 +11,7 @@ sub-windows.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from repro.core.coretime_ref import (
 )
 from repro.core.index import CoreIndex, CoreIndexRegistry
 from repro.core.multik import build_core_indexes, compute_core_times_multi
-from repro.datasets.paper_example import paper_example_graph
 from repro.errors import InvalidParameterError
 from repro.graph.generators import uniform_random_temporal
 from repro.graph.temporal_graph import TemporalGraph
@@ -54,6 +54,21 @@ def assert_multi_identical(graph, ks, ts=None, te=None, *, oracle=False):
             assert got.ecs.windows_of(eid) == expected, (k, eid, ts, te)
             if oracle:
                 assert reference.ecs.windows_of(eid) == expected, (k, eid)
+
+
+def assert_reference_identical(graph, ks, ts=None, te=None, multi=None):
+    """The fused build (``multi``, or a fresh one) equals ``coretime_ref`` for every k."""
+    if multi is None:
+        multi = compute_core_times_multi(graph, ks, ts, te)
+    assert sorted(multi) == sorted(set(ks))
+    for k in multi:
+        reference = compute_core_times_reference(graph, k, ts, te)
+        got = multi[k]
+        for u in range(graph.num_vertices):
+            assert got.vct.entries_of(u) == reference.vct.entries_of(u), (k, u, ts, te)
+        if got.ecs is not None:
+            for eid in range(graph.num_edges):
+                assert got.ecs.windows_of(eid) == reference.ecs.windows_of(eid), (k, eid, ts, te)
 
 
 @pytest.fixture(params=range(6))
@@ -231,10 +246,20 @@ class TestCompiledBuildPass:
             for u in range(paper_graph.num_vertices):
                 assert got[k].vct.entries_of(u) == reference.vct.entries_of(u)
 
+    def test_resume_before_the_first_start_rows(self, pass_calls, property_graph):
+        """With no output space the first call writes nothing and stops at
+        ``ts_lo``; the resumed call writes the first start's rows."""
+        tmax = property_graph.tmax
+        for ks, ts, te in [([1, 2, 4], 1, tmax), ([2, 3], 4, tmax - 2)]:
+            for with_skyline in (True, False):
+                pass_calls.clear()
+                got = compute_core_times_multi(property_graph, ks, ts, te, with_skyline=with_skyline)
+                assert pass_calls[:2] == [ts, ts]
+                assert_reference_identical(property_graph, ks, ts, te, got)
+
     def test_rejects_non_contiguous_state(self, paper_graph):
         fused = multik._FusedMultiK(paper_graph, [2, 3], 1, paper_graph.tmax, True)
         fused.scan_first_start()
-        fused.seed_from_initial_scan()
         fused.base.ett = np.repeat(fused.base.ett, 2)[::2]
         with pytest.raises(TypeError):
             fused.run()
@@ -278,13 +303,13 @@ class TestWorkCounts:
         def build():
             compute_core_times_multi(paper_graph, [2, 3, 4, 5])
 
-        want = {"evaluations": 16, "fallback_selections": 1, "harvest_steps": 18}
+        want = {"evaluations": 16, "fallback_selections": 0, "harvest_steps": 18, "slots_read": 30}
         assert work_of(build) == want
         assert work_of(build) == want
 
     def test_without_skyline_nothing_is_harvested(self, paper_graph):
         got = work_of(lambda: compute_core_times_multi(paper_graph, [2, 3, 4, 5], with_skyline=False))
-        assert got == {"evaluations": 16, "fallback_selections": 1, "harvest_steps": 0}
+        assert got == {"evaluations": 16, "fallback_selections": 0, "harvest_steps": 0, "slots_read": 30}
 
     def test_hot_stream(self):
         """perfbench ``build-cold``'s graph and ks: its skyline holds 187,572 rows."""
@@ -294,10 +319,59 @@ class TestWorkCounts:
         def build():
             built.append(compute_core_times_multi(graph, [2, 4, 8]))
 
-        want = {"evaluations": 87_140, "fallback_selections": 6_154, "harvest_steps": 426_497}
+        want = {
+            "evaluations": 86_814,
+            "fallback_selections": 6_284,
+            "harvest_steps": 426_497,
+            "slots_read": 2_611_188,
+        }
         assert work_of(build) == want
         assert work_of(build) == want
         assert sum(result.ecs.size() for result in built[0].values()) == 187_572
+
+
+class TestDeadSlots:
+    """Pairs with no edge left in the window leave their vertices' live prefixes."""
+
+    @staticmethod
+    def live_pair_share(graph, ts, te):
+        """The share of the graph's pairs with an edge stamped in ``[ts, te]``."""
+        u, v, t = graph.edge_columns()
+        inside = (t >= ts) & (t <= te)
+        return len(set(zip(u[inside].tolist(), v[inside].tolist()))) / graph.compiled().num_pairs
+
+    def test_narrow_subranges(self, property_graph):
+        """Windows of 1-3 timestamps, where most pairs are dead from the start."""
+        tmax = property_graph.tmax
+        cores = 0
+        for width in (1, 2, 3):
+            for ts in range(1, tmax - width + 2, 2):
+                te = ts + width - 1
+                assert self.live_pair_share(property_graph, ts, te) < 0.5
+                multi = compute_core_times_multi(property_graph, [1, 2, 3], ts, te)
+                assert_reference_identical(property_graph, [1, 2, 3], ts, te, multi)
+                cores += multi[2].vct.size()
+        assert cores  # the windows hold 2-cores
+
+    def test_narrow_subranges_of_a_drifting_stream(self):
+        graph = TemporalGraph(hot_stream(11, 800))
+        tmax = graph.tmax
+        for ts, te in [(1, 12), (tmax // 3, tmax // 3 + 20), (tmax - 30, tmax)]:
+            assert self.live_pair_share(graph, ts, te) < 0.1
+            assert_reference_identical(graph, [1, 2, 3], ts, te)
+
+    def test_live_pairs_fall_below_k_while_the_core_time_is_finite(self):
+        """At start 2, ``a`` keeps one live pair: its finite core time at
+        k = 2 and 3 grows to inf with no selection."""
+        triples = [(x, y, 1) for x, y in combinations("abcd", 2)]
+        triples += [(x, y, t) for t in (3, 6) for x, y in combinations("bcde", 2)]
+        triples += [("a", "b", 5)]
+        graph = TemporalGraph(triples)
+        a = graph.id_of("a")
+        got = compute_core_times_multi(graph, [1, 2, 3])
+        assert got[2].vct.entries_of(a) == got[3].vct.entries_of(a) == [(1, 1), (2, None)]
+        assert_reference_identical(graph, [1, 2, 3], multi=got)
+        assert_reference_identical(graph, [2, 3], 2, graph.tmax)
 
 
 @st.composite
@@ -330,24 +404,15 @@ class TestDrawnMultigraphs:
         multigraphs, and the drawn cases reach the quickselect fallback."""
         fallbacks = multik.kernel_work_counts()["fallback_selections"]
 
-        paper = paper_example_graph()
+        # A dense random multigraph at ks 2..5 takes the fallback 11
+        # times, so the sum below does not rest on the draws alone.
+        dense = uniform_random_temporal(8, 60, tmax=12, seed=0)
 
-        # The paper example at ks 2..5 takes the fallback once, so the
-        # sum below does not rest on the draws alone.
-        @example(case=(paper, [2, 3, 4, 5], 1, paper.tmax))
+        @example(case=(dense, [2, 3, 4, 5], 1, dense.tmax))
         @settings(max_examples=60, deadline=None, database=None)
         @given(case=multigraph_cases())
         def check(case):
-            graph, ks, ts, te = case
-            multi = compute_core_times_multi(graph, ks, ts, te)
-            assert sorted(multi) == ks
-            for k in ks:
-                reference = compute_core_times_reference(graph, k, ts, te)
-                got = multi[k]
-                for u in range(graph.num_vertices):
-                    assert got.vct.entries_of(u) == reference.vct.entries_of(u), (k, u)
-                for eid in range(graph.num_edges):
-                    assert got.ecs.windows_of(eid) == reference.ecs.windows_of(eid), (k, eid)
+            assert_reference_identical(*case)
 
         check()
         assert multik.kernel_work_counts()["fallback_selections"] > fallbacks

@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
-from repro.errors import StoreCorruptionError
+from repro.errors import StoreCorruptionError, StoreError
 from repro.store import wal as wal_module
+from repro.testing import crashpoints
 from repro.store.wal import (
     _HEADER,
     WriteAheadLog,
@@ -113,6 +114,33 @@ class TestTokens:
             )
             assert (first, count) == (1, 2)
             assert wal.last_lsn == 2
+
+
+class TestFailedFsync:
+    """A failed fsync acknowledges nothing and refuses every later append."""
+
+    @pytest.fixture()
+    def failing_fsync(self, monkeypatch):
+        monkeypatch.setenv(crashpoints.FAULTPOINT_ENV, "wal.append.fsync:2")
+        crashpoints.reload()
+        yield
+        monkeypatch.delenv(crashpoints.FAULTPOINT_ENV)
+        crashpoints.reload()
+
+    def test_retry_is_not_answered_as_acknowledged(self, wal_dir, failing_fsync):
+        with WriteAheadLog(wal_dir) as wal:
+            assert wal.append_edges([("a", "b", 1)], token="t0") == (1, 1)
+            with pytest.raises(OSError):
+                wal.append_edges([("b", "c", 2)], token="t1")
+            assert wal.last_lsn == 1
+            assert wal.lookup_token("t1") is None
+            for token in ("t1", "t2", None):
+                with pytest.raises(StoreError, match="failed write"):
+                    wal.append_edges([("b", "c", 2)], token=token)
+            assert wal.last_lsn == 1
+            assert wal.lookup_token("t0") == (1, 1)
+            assert counted(wal, "repro_wal_appends_total") == 1
+            assert counted(wal, "repro_wal_fsyncs_total") == 1
 
 
 class TestTrimmedTokens:

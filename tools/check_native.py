@@ -25,11 +25,18 @@
    frame wider than a daemon outbox chunk, a batch without edge ids,
    and a prefix length past its run, which must be refused.  Frames
    must equal ``json.dumps`` of each core between prefix and closing.
-5. Counts the calls of each of the nine entry points of
+5. Hands the sanitized ``repro_build_pass`` two builds of its own (see
+   :func:`dead_slot_builds`): narrow windows of a sparse graph, where
+   most pairs have no edge in the window and leave their vertices' live
+   prefixes at the first start, and a high-k build of a dense graph,
+   whose keys keep finite core times until their live pairs fall to
+   k - 1 or fewer.  Both must equal ``coretime_ref`` entry for entry,
+   and the second must hold such a key.
+6. Counts the calls of each of the nine entry points of
    :class:`~repro.core.native.Kernels` while the suites and cuts run,
    and reports them: an entry point nothing called is a failure, since
    the sanitizers never saw it.
-6. Sums the build pass's ``fallback_selections``
+7. Sums the build pass's ``fallback_selections``
    (``repro_kernel_work_total``, see :class:`FallbackWatch`) over the
    multi-k suite's tests and reports it: 0 is a failure, since the
    sanitizers then never saw the core-time operator's quickselect on
@@ -42,9 +49,9 @@ libraries, so run it as::
         PYTHONPATH=src python tools/check_native.py
 
 Exits non-zero when the strict compile fails, the sanitized library does
-not load, a test, cut or render check fails (a sanitizer report aborts the
-process), an entry point was never called, or the multi-k suite made no
-fallback selection.
+not load, a test, cut, render or build check fails (a sanitizer report
+aborts the process), an entry point was never called, or the multi-k
+suite made no fallback selection.
 """
 
 from __future__ import annotations
@@ -204,6 +211,57 @@ def render_frames() -> list[str]:
     return problems
 
 
+def dead_slot_builds() -> list[str]:
+    """Builds where pairs die before and inside the window; the problems found."""
+    from repro.core.coretime_ref import compute_core_times_reference
+    from repro.graph.generators import uniform_random_temporal
+
+    problems = []
+
+    def check(graph, ks, ts, te):
+        built = multik.compute_core_times_multi(graph, ks, ts, te)
+        for k in ks:
+            reference = compute_core_times_reference(graph, k, ts, te)
+            if any(
+                built[k].vct.entries_of(u) != reference.vct.entries_of(u)
+                for u in range(graph.num_vertices)
+            ) or any(
+                built[k].ecs.windows_of(eid) != reference.ecs.windows_of(eid)
+                for eid in range(graph.num_edges)
+            ):
+                problems.append(f"the k={k} build over [{ts}, {te}] differs from coretime_ref")
+        return built
+
+    sparse = uniform_random_temporal(20, 900, tmax=300, seed=7)
+    cores = 0
+    for ts in (1, sparse.tmax // 2, sparse.tmax - 10):
+        cores += check(sparse, [1, 2, 3], ts, ts + 10)[2].vct.size()
+    if not cores:
+        problems.append("the narrow windows hold no 2-core")
+
+    dense = uniform_random_temporal(12, 400, tmax=40, seed=3)
+    ks = [4, 6, 8]
+    built = check(dense, ks, 1, dense.tmax)
+    last: dict[tuple[int, int], int] = {}  # the last time of each pair
+    for x, y, t in zip(*(column.tolist() for column in dense.edge_columns())):
+        last[x, y] = max(last.get((x, y), 0), t)
+
+    def live_pairs(x: int, start: int) -> int:
+        return sum(t >= start for pair, t in last.items() if x in pair)
+
+    ran_out = any(
+        before is not None and after is None and live_pairs(x, start) <= k - 1
+        for k in ks
+        for x in range(dense.num_vertices)
+        for (_, before), (start, after) in zip(
+            built[k].vct.entries_of(x), built[k].vct.entries_of(x)[1:]
+        )
+    )
+    if not ran_out:
+        problems.append("no key of the high-k build ran out of live pairs")
+    return problems
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="check-native-") as tmp:
         scratch = pathlib.Path(tmp)
@@ -239,6 +297,7 @@ def main() -> int:
         status = int(pytest.main([*args, *(str(ROOT / t) for t in TESTS)], plugins=[watch]))
         problems = [f"cut check: {problem}" for problem in count_cuts()]
         problems += [f"render check: {problem}" for problem in render_frames()]
+        problems += [f"build check: {problem}" for problem in dead_slot_builds()]
         print(f"fallback selections under the sanitizers in test_multik.py: {watch.selections}")
         if not watch.selections:
             problems.append("the multi-k suite made no fallback selection")
