@@ -67,10 +67,11 @@
  * and each core copies its prefix of that text between the frame's
  * fixed parts.  Its oracle is json.dumps of each core.
  *
- * repro_counting_order is the stable counting sort behind the index
- * assembly (core/multik.py, _FusedMultiK.results), the skyline's start
- * order (core/windows.py, EdgeCoreSkyline._by_start) and the counting
- * walk's activation buckets.
+ * repro_counting_order is the stable counting sort behind the graph
+ * compile (graph/csr.py, CompiledGraph), the index assembly
+ * (core/multik.py, _FusedMultiK.results), the skyline's start order
+ * (core/windows.py, EdgeCoreSkyline._by_start) and the counting walk's
+ * activation buckets.
  *
  * repro_crc32_fold is zlib's crc32 by carry-less multiplication, the
  * checksum every store blob carries (store/format.py): the x86

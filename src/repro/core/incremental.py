@@ -25,12 +25,11 @@ spelled out in ``docs/STREAMING.md``):
 
 The fold therefore:
 
-1. **extends** the graph and its :class:`~repro.graph.csr.CompiledGraph`
-   in place of a recompile — edge columns are concatenated,
-   pair/adjacency/incident sections are repacked with vectorised
-   scatters (O(m) memory moves, no Python per-edge work) — yielding
-   arrays value-identical to compiling the concatenated edge list from
-   scratch (property-tested);
+1. **grows** the graph with :meth:`TemporalGraph.with_edges
+   <repro.graph.temporal_graph.TemporalGraph.with_edges>` (the batch's
+   columns follow the old ones, no re-sort) and compiles it afresh: the
+   :class:`~repro.graph.csr.CompiledGraph` every fresh graph gets, a
+   few O(m) counting passes;
 2. computes the **fold start** ``s_A``: the earliest start time at which
    any vertex's core time can differ, by a bounded Dijkstra-style
    cascade from the new edges' endpoints over per-(vertex, level)
@@ -72,7 +71,7 @@ from repro.core.coretime import INF_CT, CoreTimeResult, VertexCoreTimeIndex
 from repro.core.index import CoreIndex
 from repro.core.windows import EdgeCoreSkyline
 from repro.graph.csr import CompiledGraph
-from repro.graph.temporal_graph import TemporalGraph, ingest_edges, run_starts
+from repro.graph.temporal_graph import TemporalGraph
 
 #: Sentinel "no change possible before this start" — beyond any span.
 _FAR = 1 << 60
@@ -118,18 +117,8 @@ class FoldResult:
     report: FoldReport
 
 
-def _seg_indices(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ranges ``[base[i], base[i] + counts[i])`` (vectorised)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(base, counts) + within
-
-
 # ----------------------------------------------------------------------
-# Step 1: graph + compiled-array extension
+# Step 1: the grown graph
 # ----------------------------------------------------------------------
 
 
@@ -139,236 +128,35 @@ def extend_graph(
 ) -> TemporalGraph:
     """Extend a normalised graph with strictly-newer raw-timestamped edges.
 
-    The extended graph's vertex ids, edge ids, normalised timestamps,
-    self-loop count and compiled flat arrays are **identical** to
-    ``TemporalGraph(old_raw + batch)`` — guaranteed because every batch
-    timestamp is strictly greater than the old last raw time, so the
-    global ``(raw_t, u, v)`` sort is the old order followed by the
-    sorted batch.  Its new edges are the ids from ``graph.num_edges``
-    on; ``graph`` itself comes back for a batch of nothing at all.
+    Returns ``graph.with_edges(batch)``, which equals
+    ``TemporalGraph(old_raw + batch)``.  Every batch timestamp is
+    strictly greater than the old last raw time, so the old edges keep
+    their ids and the batch's are the ids from ``graph.num_edges`` on;
+    the extended graph compiles afresh on first use
+    (:meth:`TemporalGraph.compiled`).  ``graph`` itself comes back for a
+    batch of nothing at all.
 
     Raises :class:`FoldFallback` when the precondition fails:
     ``"empty-base"`` (nothing built yet), ``"unnormalised-graph"``
     (``normalize_time=False`` graphs have no raw-time table), or
     ``"boundary-tie"`` (a batch edge shares the built graph's last raw
-    timestamp — its sorted position would interleave before existing
-    same-timestamp edges and reshuffle their ids).
+    timestamp, or comes earlier — its sorted position would interleave
+    before existing edges and reshuffle their ids).
     """
     if graph.num_edges == 0:
         raise FoldFallback("empty-base")
     if not graph._raw_times:
         raise FoldFallback("unnormalised-graph")
-
-    label_ids = dict(graph._label_ids)
-    labels = list(graph._labels)
-    raw_t, new_u, new_v, dropped = ingest_edges(batch, label_ids, labels)
-    dropped += graph._num_dropped_self_loops
-    if not len(raw_t) and dropped == graph._num_dropped_self_loops:
+    extended = graph.with_edges(batch)
+    m = graph.num_edges
+    if extended.num_edges > m:
+        # The first edge past the old ids is a batch edge unless one sorted earlier.
+        first_new = int(extended.edge_columns()[2][m])
+        if extended.raw_time_of(first_new) <= graph._raw_times[-1]:
+            raise FoldFallback("boundary-tie")
+    elif extended.num_dropped_self_loops == graph.num_dropped_self_loops:
         return graph
-    if len(raw_t) and raw_t[0] <= graph._raw_times[-1]:
-        raise FoldFallback("boundary-tie")
-
-    # The batch's normalised times continue past the old tmax: a new one
-    # starts at every raw-time change.
-    starts = run_starts(raw_t)
-    old_tmax = graph.tmax
-    new_t = old_tmax + np.cumsum(starts)
-    new_tmax = old_tmax + int(starts.sum())
-    time_offset = np.empty(new_tmax + 2, dtype=np.int64)
-    time_offset[: old_tmax + 1] = graph.time_offsets()[:-1]
-    np.cumsum(
-        np.bincount(new_t - old_tmax, minlength=new_tmax - old_tmax + 1),
-        out=time_offset[old_tmax + 1 :],
-    )
-    time_offset[old_tmax + 1 :] += graph.num_edges
-
-    compiled = _extend_compiled(
-        graph.compiled(), len(labels), time_offset, new_u, new_v, new_t
-    )
-    extended = TemporalGraph._from_parts(
-        edge_columns=(compiled.edge_u, compiled.edge_v, compiled.edge_t),
-        labels=tuple(labels),
-        raw_times=graph._raw_times + tuple(raw_t[starts].tolist()),
-        time_offset=compiled.time_offset,
-        num_dropped_self_loops=dropped,
-    )
-    extended._compiled_cache = compiled
     return extended
-
-
-def _extend_compiled(
-    cg: CompiledGraph,
-    n2: int,
-    time_offset: np.ndarray,
-    new_u: np.ndarray,
-    new_v: np.ndarray,
-    new_t: np.ndarray,
-) -> CompiledGraph:
-    """Extend the compiled flat arrays by the (sorted, frontier) batch.
-
-    ``new_u`` / ``new_v`` / ``new_t`` are the batch's edge columns (ids
-    ``m ..``), ``n2`` the extended vertex count and ``time_offset`` the
-    extended prefix table.  Every section of the returned view is
-    value-identical to ``CompiledGraph(extended_graph)`` — including
-    pair numbering and adjacency slot order, because new pairs are
-    assigned ids in the batch's sorted first-occurrence order, exactly
-    where a fresh compile would place them (all old edges sort before
-    all new ones).
-    """
-    n = cg.num_vertices
-    m = cg.num_edges
-    d = len(new_u)
-    m2 = m + d
-
-    adj_offsets = cg.adj_offsets
-    adj_neighbour = cg.adj_neighbour
-    slot_pid_old = cg.slot_pid
-    pair_offset_old = cg.pair_offset
-    old_deg = cg.full_degree
-    # Slots are sorted by (owner, neighbour), so ``owner * n2 +
-    # neighbour`` is one ascending key over all of them.
-    slot_key = np.repeat(np.arange(n, dtype=np.int64) * n2, old_deg) + adj_neighbour
-
-    # --- pair membership of each new edge (new ids in first-occurrence order) ---
-    P = cg.num_pairs
-    S = cg.num_slots
-    su_old = np.minimum(np.searchsorted(slot_key, new_u * n2 + new_v), max(S - 1, 0))
-    known = slot_key[su_old] == new_u * n2 + new_v if S else np.zeros(d, dtype=bool)
-    sv_old = np.searchsorted(slot_key, new_v * n2 + new_u)
-    pid_of_new = np.empty(d, dtype=np.int64)
-    pid_of_new[known] = slot_pid_old[su_old[known]]
-    fresh = ~known
-    _, first, inverse = np.unique(
-        (new_u * n2 + new_v)[fresh], return_index=True, return_inverse=True
-    )
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_first] = np.arange(len(first), dtype=np.int64)
-    pid_of_new[fresh] = P + rank[inverse.reshape(-1)]
-    fresh_first = np.flatnonzero(fresh)[first[by_first]]  # first edge of each new pair
-    P2 = P + len(first)
-
-    # --- pair_offset / pair_times: vectorised shift-scatter repack ---
-    old_counts = pair_offset_old[1:] - pair_offset_old[:-1]
-    order, add_offset = native.counting_order(pid_of_new, P2)
-    add_counts = add_offset[1:] - add_offset[:-1]
-    counts2 = add_counts.copy()
-    counts2[:P] += old_counts
-    pair_offset2 = np.zeros(P2 + 1, dtype=np.int64)
-    np.cumsum(counts2, out=pair_offset2[1:])
-    pair_times2 = np.empty(int(pair_offset2[-1]), dtype=np.int64)
-    pair_times2[_seg_indices(pair_offset2[:P], old_counts)] = cg.pair_times
-    # New times land at each pair's tail (all are > old times), in batch
-    # order within a pair (nondecreasing — the batch is sorted).
-    sorted_pids = pid_of_new[order]
-    within = np.arange(d) - add_offset[sorted_pids]
-    tail = pair_offset2[sorted_pids] + (counts2 - add_counts)[sorted_pids]
-    pair_times2[tail + within] = new_t[order]
-
-    # --- adjacency CSR: untouched unless the batch introduced pairs, else
-    # each new pair's two slots merge into the sorted slots ---
-    new_su = np.empty(d, dtype=np.int64)
-    new_sv = np.empty(d, dtype=np.int64)
-    if P2 == P:
-        adj_offsets2, adj_neighbour2, slot_pid2 = adj_offsets, adj_neighbour, slot_pid_old
-        full_degree2 = old_deg
-        num_slots2 = S
-        new_su[:] = su_old
-        new_sv[:] = sv_old
-    else:
-        ins_u = np.concatenate((new_u[fresh_first], new_v[fresh_first]))  # owner
-        ins_v = np.concatenate((new_v[fresh_first], new_u[fresh_first]))  # neighbour
-        sorted_key = np.sort(ins_u * n2 + ins_v)
-        ins_dst = np.searchsorted(slot_key, ins_u * n2 + ins_v) + np.searchsorted(
-            sorted_key, ins_u * n2 + ins_v
-        )
-        slotmap = np.arange(S, dtype=np.int64) + np.searchsorted(sorted_key, slot_key)
-        num_slots2 = S + len(ins_u)
-        full_degree2 = np.bincount(ins_u, minlength=n2)
-        full_degree2[:n] += old_deg
-        adj_offsets2 = np.zeros(n2 + 1, dtype=np.int64)
-        np.cumsum(full_degree2, out=adj_offsets2[1:])
-        adj_neighbour2 = np.empty(num_slots2, dtype=np.int64)
-        slot_pid2 = np.empty(num_slots2, dtype=np.int64)
-        adj_neighbour2[slotmap] = adj_neighbour
-        slot_pid2[slotmap] = slot_pid_old
-        adj_neighbour2[ins_dst] = ins_v
-        slot_pid2[ins_dst] = np.tile(np.arange(P, P2, dtype=np.int64), 2)
-        new_pair = pid_of_new[fresh] - P
-        new_su[known] = slotmap[su_old[known]]
-        new_sv[known] = slotmap[sv_old[known]]
-        new_su[fresh] = ins_dst[new_pair]
-        new_sv[fresh] = ins_dst[P2 - P + new_pair]
-
-    # --- slot-derived sections (pair_offset moved, so always regathered) ---
-    slot_times_start2 = pair_offset2[slot_pid2]
-    slot_times_end2 = pair_offset2[slot_pid2 + 1]
-    slot_count2 = slot_times_end2 - slot_times_start2
-
-    # --- edge -> slot maps (old slots moved when the batch added pairs) ---
-    edge_slot_u, edge_slot_v = cg.edge_slot_u, cg.edge_slot_v
-    if P2 != P:
-        edge_slot_u, edge_slot_v = slotmap[edge_slot_u], slotmap[edge_slot_v]
-
-    # --- incident CSR: shift-scatter old entries, append tails in eid order ---
-    old_inc_off = cg.inc_offsets
-    old_inc_counts = old_inc_off[1:] - old_inc_off[:-1]
-    endpoint = np.concatenate((new_u, new_v))
-    add_inc = np.bincount(endpoint, minlength=n2)
-    inc_counts2 = add_inc.copy()
-    inc_counts2[:n] += old_inc_counts
-    inc_offsets2 = np.zeros(n2 + 1, dtype=np.int64)
-    np.cumsum(inc_counts2, out=inc_offsets2[1:])
-    total_inc = int(inc_offsets2[-1])
-    inc_time2 = np.empty(total_inc, dtype=np.int64)
-    inc_other2 = np.empty(total_inc, dtype=np.int64)
-    inc_eid2 = np.empty(total_inc, dtype=np.int64)
-    dst = _seg_indices(inc_offsets2[:n], old_inc_counts)
-    inc_time2[dst] = cg.inc_time
-    inc_other2[dst] = cg.inc_other
-    inc_eid2[dst] = cg.inc_eid
-    eids = np.arange(m, m2, dtype=np.int64)
-    entry_eid = np.concatenate((eids, eids))
-    tails = np.lexsort((entry_eid, endpoint))
-    owners = endpoint[tails]
-    dst = (inc_offsets2[owners] + inc_counts2[owners] - add_inc[owners]
-           + np.arange(2 * d) - np.searchsorted(owners, owners))
-    inc_time2[dst] = np.concatenate((new_t, new_t))[tails]
-    inc_other2[dst] = np.concatenate((new_v, new_u))[tails]
-    inc_eid2[dst] = entry_eid[tails]
-
-    # --- assemble the extended compiled view ---
-    cg2 = CompiledGraph.__new__(CompiledGraph)
-    cg2.num_vertices = n2
-    cg2.num_edges = m2
-    cg2.tmax = len(time_offset) - 2
-    cg2.num_slots = num_slots2
-    cg2.num_pairs = P2
-    cg2.time_offset = time_offset
-    tables = {
-        "edge_u": np.concatenate((cg.edge_u, new_u)),
-        "edge_v": np.concatenate((cg.edge_v, new_v)),
-        "edge_t": np.concatenate((cg.edge_t, new_t)),
-        "adj_offsets": adj_offsets2,
-        "adj_neighbour": adj_neighbour2,
-        "slot_pid": slot_pid2,
-        "slot_times_start": slot_times_start2,
-        "slot_times_end": slot_times_end2,
-        "slot_count": slot_count2,
-        "pair_offset": pair_offset2,
-        "pair_times": pair_times2,
-        "full_degree": full_degree2,
-        "edge_slot_u": np.concatenate((edge_slot_u, new_su)),
-        "edge_slot_v": np.concatenate((edge_slot_v, new_sv)),
-        "inc_offsets": inc_offsets2,
-        "inc_time": inc_time2,
-        "inc_other": inc_other2,
-        "inc_eid": inc_eid2,
-    }
-    for name, table in tables.items():
-        table.flags.writeable = False
-        setattr(cg2, name, table)
-    return cg2
 
 
 # ----------------------------------------------------------------------

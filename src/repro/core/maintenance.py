@@ -245,9 +245,10 @@ class StreamingCoreService:
         """Fold every pending edge into the graph and indexes; the mode taken.
 
         ``"incremental"`` — the pending batch went through
-        :func:`repro.core.incremental.delta_fold`: extend the compiled
-        arrays in place, recompute only the fold window, splice.  The
-        result is entry-identical to a full rebuild.
+        :func:`repro.core.incremental.delta_fold`: grow the graph by
+        ``with_edges`` and compile it afresh, recompute only the fold
+        window, splice.  The result is entry-identical to a full
+        rebuild.
 
         ``"full"`` — the pending edges were merged into the graph
         (:meth:`TemporalGraph.with_edges

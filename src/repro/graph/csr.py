@@ -26,24 +26,25 @@ of per-query dicts, nested list cells and closures:
   time at least the current start: with an ascending sort that is a
   *suffix* of the vertex's CSR segment.
 
-Every table is one read-only int64 ndarray, built by a few whole-array
-numpy passes (one ``np.unique`` for the pairs, one ``lexsort`` per CSR)
-from the graph's edge columns, which the compiled view shares.  The C
-kernels take the tables' buffers as they are.  The compiled form is immutable, built once per graph and cached
-on the graph by :meth:`TemporalGraph.compiled`.
+Every table is one read-only int64 ndarray, built from the graph's edge
+columns (which the compiled view shares) by stable counting passes
+(:func:`repro.core.native.counting_order`) and whole-array gathers, with
+no comparison sort.  :class:`CompiledGraph` is the one builder of this
+layout: fresh graphs, graphs grown by a fold and range queries all read
+tables it computed; the store only maps persisted copies of them back.
+The C kernels take the tables' buffers as they are.  The compiled form
+is immutable, built once per graph and cached on the graph by
+:meth:`TemporalGraph.compiled`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.utils.arrays import as_int64_array, offsets_from_keys
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.temporal_graph import TemporalGraph, run_starts
+from repro.utils.arrays import as_int64_array
 
 #: The int64 tables of a compiled graph, in store-section order (the
 #: shared ``time_offset`` is persisted with the graph's parts).
@@ -94,7 +95,7 @@ class CompiledGraph:
         *TABLES,
     )
 
-    def __init__(self, graph: "TemporalGraph"):
+    def __init__(self, graph: TemporalGraph):
         from repro.core import native
 
         u, v, t = graph.edge_columns()
@@ -105,40 +106,49 @@ class CompiledGraph:
         self.tmax = graph.tmax
         # The graph's prefix table (edges are stored sorted by t); shared.
         self.time_offset = graph.time_offsets()
-        eids = np.arange(m, dtype=np.int64)
 
-        # ---- distinct pairs, numbered by first occurrence ----
-        unique_keys, first, inverse = np.unique(
-            u * n + v, return_index=True, return_inverse=True
-        )
-        num_pairs = len(unique_keys)
-        by_first = np.argsort(first)
-        pid_of_key = np.empty(num_pairs, dtype=np.int64)
-        pid_of_key[by_first] = np.arange(num_pairs, dtype=np.int64)
-        edge_pid = pid_of_key[inverse.reshape(-1)]
-        pair_u = u[first[by_first]]
-        pair_v = v[first[by_first]]
+        # ---- distinct pairs: two stable counting passes (by v, then by
+        # u) leave each pair's edges one run in eid order, so the run
+        # heads are the first occurrences; a pass over the heads' eids
+        # numbers the pairs by first occurrence ----
+        by_v, _ = native.counting_order(v, n)
+        by_pair = by_v[native.counting_order(u[by_v], n)[0]]
+        run_head = run_starts(u[by_pair] * n + v[by_pair])
+        head_eid = by_pair[run_head]
+        by_first, _ = native.counting_order(head_eid, m)
+        num_pairs = len(by_first)
+        pid_of_run = np.empty(num_pairs, dtype=np.int64)
+        pid_of_run[by_first] = np.arange(num_pairs, dtype=np.int64)
+        edge_pid = np.empty(m, dtype=np.int64)
+        edge_pid[by_pair] = pid_of_run[np.cumsum(run_head) - 1]
+        first = head_eid[by_first]
+        pair_u, pair_v = u[first], v[first]
 
         # ---- flat pair timestamps: a stable sort of the edges by pair
         # keeps each pair's times ascending (edges are sorted by t) ----
-        by_pair, pair_offset = native.counting_order(edge_pid, num_pairs)
-        pair_times = t[by_pair]
+        by_pid, pair_offset = native.counting_order(edge_pid, num_pairs)
+        pair_times = t[by_pid]
 
         # ---- distinct-neighbour CSR: pair p owns slot entries p (u -> v)
-        # and num_pairs + p (v -> u), sorted by (owner, neighbour) ----
+        # and num_pairs + p (v -> u), sorted by (owner, neighbour) with
+        # two stable counting passes ----
         owner = np.concatenate((pair_u, pair_v))
         neighbour = np.concatenate((pair_v, pair_u))
-        slot_order = np.lexsort((neighbour, owner))
+        by_neighbour, _ = native.counting_order(neighbour, n)
+        by_owner, adj_offsets = native.counting_order(owner[by_neighbour], n)
+        slot_order = by_neighbour[by_owner]
         slot_of_entry = np.empty(2 * num_pairs, dtype=np.int64)
         slot_of_entry[slot_order] = np.arange(2 * num_pairs, dtype=np.int64)
-        adj_offsets = offsets_from_keys(owner, n)
-        slot_pid = np.tile(np.arange(num_pairs, dtype=np.int64), 2)[slot_order]
+        slot_pid = slot_order % max(num_pairs, 1)  # entries p and num_pairs + p
+        slot_times_start = pair_offset[slot_pid]
+        slot_times_end = pair_offset[slot_pid + 1]
 
-        # ---- per-vertex incident edges in edge-id order ----
-        endpoint = np.concatenate((u, v))
-        entry_eid = np.concatenate((eids, eids))
-        inc_order = np.lexsort((entry_eid, endpoint))
-        inc_eid = entry_eid[inc_order]
+        # ---- per-vertex incident edges in edge-id order: entry 2e + j is
+        # endpoint j of edge e, so a stable pass by endpoint keeps eids
+        # ascending within each vertex ----
+        endpoint = np.stack((u, v), axis=1).reshape(-1)
+        inc_order, inc_offsets = native.counting_order(endpoint, n)
+        inc_eid = inc_order >> 1
 
         self.num_pairs = num_pairs
         self.num_slots = 2 * num_pairs
@@ -147,17 +157,17 @@ class CompiledGraph:
             "adj_offsets": adj_offsets,
             "adj_neighbour": neighbour[slot_order],
             "slot_pid": slot_pid,
-            "slot_times_start": pair_offset[slot_pid],
-            "slot_times_end": pair_offset[slot_pid + 1],
-            "slot_count": pair_offset[slot_pid + 1] - pair_offset[slot_pid],
+            "slot_times_start": slot_times_start,
+            "slot_times_end": slot_times_end,
+            "slot_count": slot_times_end - slot_times_start,
             "pair_offset": pair_offset,
             "pair_times": pair_times,
             "full_degree": adj_offsets[1:] - adj_offsets[:-1],
             "edge_slot_u": slot_of_entry[edge_pid],
             "edge_slot_v": slot_of_entry[num_pairs + edge_pid],
-            "inc_offsets": offsets_from_keys(endpoint, n),
+            "inc_offsets": inc_offsets,
             "inc_time": t[inc_eid],
-            "inc_other": np.concatenate((v, u))[inc_order],
+            "inc_other": np.stack((v, u), axis=1).reshape(-1)[inc_order],
             "inc_eid": inc_eid,
         }
         for name, table in tables.items():
@@ -225,7 +235,7 @@ class CompiledGraph:
         )
 
 
-def compile_graph(graph: "TemporalGraph") -> CompiledGraph:
+def compile_graph(graph: TemporalGraph) -> CompiledGraph:
     """Build (without caching) the compiled view of ``graph``.
 
     Most callers should use :meth:`TemporalGraph.compiled`, which caches

@@ -245,22 +245,28 @@ class TemporalGraph:
         map); they are merged with this graph's raw-time columns and
         normalised as the constructor does, so the result equals
         ``TemporalGraph(raw + edges)`` for the raw triples ``raw`` this
-        graph was built from.  The edges may interleave with this
-        graph's in time.
+        graph was built from (with ``normalize_time=False`` when this
+        graph has edges and was built so).  The edges may interleave with
+        this graph's in time; when they all come later, the merged
+        columns are already in order and are not sorted again.
         """
         label_ids = dict(self._label_ids)
         labels = list(self._labels)
         raw_t, u, v, dropped = ingest_edges(edges, label_ids, labels)
         old_u, old_v, t = self._edge_columns
         old_raw = np.asarray(self._raw_times, dtype=np.int64)[t - 1] if self._raw_times else t
+        in_order = not len(old_raw) or not len(raw_t) or raw_t[0] > old_raw[-1]
         raw_t = np.concatenate((old_raw, raw_t))
         u = np.concatenate((old_u, u))
         v = np.concatenate((old_v, v))
-        order = np.lexsort((v, u, raw_t))
+        if not in_order:
+            order = np.lexsort((v, u, raw_t))
+            raw_t, u, v = raw_t[order], u[order], v[order]
         graph = TemporalGraph.__new__(TemporalGraph)
+        # A graph with edges but no raw-time table was built unnormalised.
         graph._assign(
-            raw_t[order], u[order], v[order], labels, label_ids,
-            dropped + self._num_dropped_self_loops,
+            raw_t, u, v, labels, label_ids, dropped + self._num_dropped_self_loops,
+            normalize_time=bool(self._raw_times) or not len(t),
         )
         return graph
 
@@ -423,8 +429,8 @@ class TemporalGraph:
     ) -> "TemporalGraph":
         """Rebuild a graph from persisted parts, skipping normalisation.
 
-        Trusted fast path used by :mod:`repro.store` and the fold: the
-        parts must describe a graph previously produced by this class
+        Trusted fast path used by :mod:`repro.store` alone: the parts
+        must describe a graph previously produced by this class
         (``edge_columns`` three ``(u, v, t)`` int64 sequences sorted by
         timestamp with internal ids matching ``labels`` order, the prefix
         table consistent with the edge timestamps).  Restores the exact

@@ -296,11 +296,6 @@ class TestDeltaFoldIdentity:
         assert base.num_edges == len(base_edges)
 
 
-@pytest.mark.failed_compile
-class TestDeltaFoldIdentityNumpy(TestDeltaFoldIdentity):
-    """Every fold identity case on a host whose compile failed: it raises, it never computes."""
-
-
 class TestFallbacks:
     def test_no_indexes(self):
         base = TemporalGraph(stream(0, 50))

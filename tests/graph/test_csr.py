@@ -160,6 +160,57 @@ class TestAgainstReference:
         assert_matches_reference(graph.compiled(), graph)
 
 
+@st.composite
+def grown_edge_lists(draw):
+    """A base edge list and a batch placed against its last raw time.
+
+    The batch interleaves with the base in time, ties its last raw time,
+    or starts strictly past it; its labels reach past the base's (new
+    vertices) and self-loops are common.
+    """
+    base = draw(edge_lists)
+    last = max((t for _, _, t in base), default=1)
+    times = draw(
+        st.sampled_from(
+            [st.integers(1, last + 3), st.just(last), st.integers(last + 1, last + 5)]
+        )
+    )
+    batch = draw(
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), times), max_size=20)
+    )
+    return base, batch
+
+
+class TestWithEdges:
+    @settings(max_examples=80, deadline=None)
+    @given(grown_edge_lists(), st.booleans())
+    def test_equals_graph_of_every_edge(self, drawn, normalize_time):
+        base_triples, batch = drawn
+        base = TemporalGraph(base_triples, normalize_time=normalize_time)
+        grown = base.with_edges(batch)
+        # A graph without edges does not record how it was built: it grows normalised.
+        fresh = TemporalGraph(
+            base_triples + batch, normalize_time=normalize_time or not base.num_edges
+        )
+        assert list(grown.edges) == list(fresh.edges)
+        assert grown.num_vertices == fresh.num_vertices
+        for u in range(fresh.num_vertices):
+            label = fresh.label_of(u)
+            assert grown.label_of(u) == label and grown.id_of(label) == u
+        assert [grown.raw_time_of(t) for t in range(1, grown.tmax + 1)] == [
+            fresh.raw_time_of(t) for t in range(1, fresh.tmax + 1)
+        ]
+        assert grown.time_offsets().tolist() == fresh.time_offsets().tolist()
+        assert grown.num_dropped_self_loops == fresh.num_dropped_self_loops
+        assert_matches_reference(grown.compiled(), grown)
+
+    def test_unnormalised_graph_keeps_its_times(self):
+        base = TemporalGraph([("a", "b", 5), ("b", "c", 7)], normalize_time=False)
+        grown = base.with_edges([("a", "c", 9)])
+        assert grown.tmax == 9
+        assert [edge.t for edge in grown.edges] == [5, 7, 9]
+
+
 @pytest.fixture(params=range(3))
 def compiled_pair(request):
     graph = uniform_random_temporal(10, 60, tmax=12, seed=100 + request.param)

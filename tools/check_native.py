@@ -2,11 +2,13 @@
 
 1. Compiles the source with ``-Wall -Wextra -Werror``: any warning fails.
 2. Runs the CoreTime kernel, multi-k, fold, streaming-service,
-   counting-order, checksum, skyline, blob-store, columnar-walk, sink
-   and frame-writer suites
+   counting-order, graph-compile, checksum, skyline, blob-store,
+   columnar-walk, sink and frame-writer suites
    (``tests/core/test_flat_kernel.py``, ``tests/core/test_multik.py``,
    ``tests/core/test_incremental.py``, ``tests/core/test_maintenance.py``,
-   ``tests/core/test_counting_order.py``,
+   ``tests/core/test_counting_order.py``, ``tests/graph/test_csr.py``
+   (every compile's counting passes, on empty, single-edge, all-self-loop
+   and grown graphs),
    ``tests/core/test_crc32.py``, ``tests/core/test_windows.py``,
    ``tests/store/test_format.py``, ``tests/serve/test_columnar.py``,
    ``tests/serve/test_executor.py``, ``tests/serve/test_sinks.py``,
@@ -82,6 +84,7 @@ TESTS = [
     "tests/core/test_incremental.py",
     "tests/core/test_maintenance.py",
     "tests/core/test_counting_order.py",
+    "tests/graph/test_csr.py",
     "tests/core/test_crc32.py",
     "tests/core/test_windows.py",
     "tests/store/test_format.py",
