@@ -32,13 +32,35 @@
  *     perfbench build-cold's graph (HotStream seed 11, 5k edges, ks
  *     {2,4,8}) 1,906,959 of the 4,522,616 slots the operator read before
  *     the prefix were dead;
+ *   - every finite key keeps its support, the number of live slots
+ *     whose availability max(ett, neighbour core time) is at most its
+ *     core time (the "mcd" of k-core maintenance: Sariyuce et al.,
+ *     "Streaming algorithms for k-core decomposition", VLDB 2013).  It
+ *     is counted at the first start, reset by each evaluation from the
+ *     values the operator gathers, and decremented at every exact
+ *     crossing: an expiring pair whose next time passes the key's core
+ *     time (once per pair and step, however many of its edges the batch
+ *     holds) and a neighbour's growth past it.  A key is queued only
+ *     when its support falls to k - 1 or below, the one case where the
+ *     k-th smallest availability grows, so no evaluation is a no-op.
+ *     On that graph the support took the evaluations from 86,814, of
+ *     which 25,841 changed nothing, to 59,384, and the slots read from
+ *     2,611,188 to 1,803,454;
  *   - the core-time operator counts the availabilities at or below a
  *     key's core time, then steps to the smallest one above it, and
  *     selects the k-th smallest only when neither settles it;
- *   - re-scheduling screens the neighbours by the availabilities the
- *     operator left in scratch;
+ *   - re-scheduling lists, with no branch, the slots whose availability
+ *     the operator left in scratch lies in [old, new core time), and
+ *     reads the neighbours' core times of those only;
  *   - the harvest stops at the first incident edge stamped at or past
- *     the new core time.
+ *     the new core time, and writes every candidate's row, advancing
+ *     the row count by whether the window is final, with no branch.
+ * Two rules keep that safe.  A missed decrement leaves a key unqueued
+ * whose core time must grow, a wrong answer; an extra one only costs an
+ * evaluation, so the operator keeps its "more than k - 1 availabilities
+ * at most the old core time: no growth" return.  The harvest's
+ * branch-free row write lands one past the last real row, so fits()
+ * reserves one spare skyline row.
  * It adds its work (evaluations, fallback selections, harvest steps,
  * slots read) to four counters of struct repro_build.
  *
@@ -113,6 +135,10 @@ struct repro_build {
      * pos_neighbour (one entry per slot); slot_pos and pos_slot map
      * slots and positions to each other */
     int64_t *live_end, *pos_ett, *pos_neighbour, *slot_pos, *pos_slot;
+    /* levels * n support counts, written at the first start: key
+     * level * n + u's live slots whose availability is at most its
+     * core time */
+    int64_t *support;
     /* scratch: masks and queue hold levels * n entries, scratch twice
      * the maximum degree, grown levels * n */
     uint8_t *inq, *grown_mask;
@@ -301,27 +327,30 @@ static inline void place(struct repro_build *b, int64_t s, int64_t at, int64_t e
 /*
  * Advance the pair pointer of slot s (of vertex u) to the first time >=
  * ts.  A live slot whose next time lies past ts_hi leaves u's live
- * prefix: the prefix's last slot takes its position.
+ * prefix: the prefix's last slot takes its position.  Returns whether
+ * the pointer moved: false for every edge of a pair's batch but the
+ * first, whose call already moved it.
  */
-static inline void expire_slot(struct repro_build *b, int64_t u, int64_t s, int64_t ts)
+static inline int expire_slot(struct repro_build *b, int64_t u, int64_t s, int64_t ts)
 {
-    int64_t p = b->ptr[s];
-    const int64_t end = b->slot_times_end[s];
+    const int64_t from = b->ptr[s], end = b->slot_times_end[s];
+    int64_t p = from;
     while (p < end && b->pair_times[p] < ts)
         p++;
+    if (p == from)
+        return 0;
     b->ptr[s] = p;
     const int64_t next = p < end ? b->pair_times[p] : b->no_time;
     b->ett[s] = next;
     const int64_t at = b->slot_pos[s];
-    if (at >= b->live_end[u])
-        return; /* left earlier: an edge of the same pair in this batch */
     if (next <= b->ts_hi) {
         b->pos_ett[at] = next;
-        return;
+        return 1;
     }
     const int64_t last = --b->live_end[u];
     place(b, b->pos_slot[last], at, b->pos_ett[last]);
     place(b, s, last, next);
+    return 1;
 }
 
 /* Append key to the FIFO queue[0..capacity) holding *size keys from head. */
@@ -338,21 +367,27 @@ static inline void push(int64_t *queue, int64_t capacity, int64_t head, int64_t 
  * rank = k - 1) of the availabilities max(ett, neighbour core time) of
  * its deg live slots, or old, the key's current core time, when that
  * k-th smallest is at most old, or INT64_MAX when deg <= rank (the
- * rank-th smallest is then a dead slot's, at least inf).  Leaves the
- * availabilities in scratch[0..deg), in position order;
- * scratch[deg..2 deg) holds the fallback's copy.
+ * rank-th smallest is then a dead slot's, at least inf).  Sets *support
+ * to the number of availabilities at most the value returned (below
+ * INT64_MAX).  Leaves the availabilities in scratch[0..deg), in
+ * position order; scratch[deg..2 deg) holds the fallback's copy.
  *
  * Count then step: one pass writes the availabilities, counts those
  * <= old and keeps the smallest one above old.  More than rank of them
  * <= old means the rank-th smallest is <= old: the key does not grow
- * (old is returned).  Otherwise the rank-th smallest is above old, and
- * it is that smallest one when its ties and the ones <= old cover
- * rank + 1 slots (a second pass counts the ties); only when they do not
- * does kth_smallest select it, on a copy.
+ * (old is returned).  With exact support counts only a surplus
+ * decrement reaches this case, and the return keeps it harmless: a
+ * missed decrement would leave a key unevaluated, a surplus one costs
+ * this evaluation.
+ * Otherwise the rank-th smallest is above old, and it is that smallest
+ * one when its ties and the ones <= old cover rank + 1 slots (a second
+ * pass counts the ties); only when they do not does kth_smallest select
+ * it, on a copy, and a third pass counts the availabilities at most it.
  */
 static int64_t core_time_operator(const int64_t *ett, const int64_t *ct_level,
                                   const int64_t *neighbour, int64_t deg, int64_t rank,
-                                  int64_t old, int64_t *scratch, int64_t *fallbacks)
+                                  int64_t old, int64_t *scratch, int64_t *support,
+                                  int64_t *fallbacks)
 {
     /* Branch free: step is the smallest availability above old, or
      * INT64_MAX when there is none (then all deg > rank are <= old). */
@@ -364,6 +399,7 @@ static int64_t core_time_operator(const int64_t *ett, const int64_t *ct_level,
         const int64_t above = a > old ? a : INT64_MAX;
         step = above < step ? above : step;
     }
+    *support = at_most_old;
     if (at_most_old > rank)
         return old;
     if (deg <= rank)
@@ -371,50 +407,71 @@ static int64_t core_time_operator(const int64_t *ett, const int64_t *ct_level,
     int64_t ties = 0;
     for (int64_t i = 0; i < deg; i++)
         ties += scratch[i] == step;
+    *support = at_most_old + ties;
     if (at_most_old + ties > rank)
         return step;
     ++*fallbacks;
     memcpy(scratch + deg, scratch, (size_t)deg * sizeof(int64_t));
-    return kth_smallest(scratch + deg, deg, rank);
+    const int64_t selected = kth_smallest(scratch + deg, deg, rank);
+    int64_t at_most = 0;
+    for (int64_t i = 0; i < deg; i++)
+        at_most += scratch[i] <= selected;
+    *support = at_most;
+    return selected;
+}
+
+/* One less support for key; queues it when that leaves at most rank. */
+static inline void lose_support(struct repro_build *b, int64_t *queue, int64_t capacity,
+                                int64_t head, int64_t *size, int64_t key, int64_t rank)
+{
+    if (--b->support[key] <= rank && !b->inq[key]) {
+        b->inq[key] = 1;
+        push(queue, capacity, head, size, key);
+    }
 }
 
 /*
- * The fused fixpoint after edges [batch_lo, batch_hi) (stamped ts - 1)
- * expired.  Seeds the batch's endpoints at every level, then drains a
- * FIFO of level * n + vertex keys with the core-time operator (capped
- * at ts_hi), its seed filter and its re-scheduling filter.  The least
+ * The fused fixpoint as the start moves to ts: edges [batch_lo,
+ * batch_hi), stamped ts - 1, expire.  Refreshes the pointers of their
+ * pairs and seeds their endpoints at every level, then drains a FIFO of
+ * level * n + vertex keys with the core-time operator (capped at
+ * ts_hi) and its re-scheduling.  A key is queued only when its support
+ * count falls to rank or below, so its evaluation grows it.  The least
  * fixpoint does not depend on evaluation order, so the core times left
  * in ct equal the seed kernel's entry for entry.  Returns the number of
  * keys written to grown: every key whose core time grew, once each, in
  * no particular order.  Both masks are all-zero on entry and on return.
  */
-static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t batch_hi)
+static int64_t fixpoint_step(struct repro_build *b, int64_t ts, int64_t batch_lo, int64_t batch_hi)
 {
     const int64_t n = b->n, ts_hi = b->ts_hi, inf = b->inf;
     const int64_t capacity = b->levels * n;
-    const int64_t *adj_offsets = b->adj_offsets, *live_end = b->live_end;
+    const int64_t *adj_offsets = b->adj_offsets, *live_end = b->live_end, *km1 = b->km1;
     const int64_t *ett = b->ett, *pos_ett = b->pos_ett, *pos_neighbour = b->pos_neighbour;
-    int64_t *ct = b->ct, *queue = b->queue, *scratch = b->scratch, *grown = b->grown;
+    int64_t *ct = b->ct, *support = b->support, *queue = b->queue, *scratch = b->scratch;
+    int64_t *grown = b->grown;
     uint8_t *inq = b->inq, *grown_mask = b->grown_mask;
     int64_t head = 0, size = 0, num_grown = 0, evaluations = 0, fallbacks = 0, slots = 0;
 
-    /* Seed filter (core/coretime.py module docstring), every level: an
-     * endpoint needs re-evaluation only if the expiring pair's available
-     * time fed its core time and now strictly grows. */
-    for (int64_t lev = 0; lev < b->levels; lev++) {
-        const int64_t base = lev * n;
-        for (int64_t eid = batch_lo; eid < batch_hi; eid++) {
-            const int64_t ku = base + b->edge_u[eid], kv = base + b->edge_v[eid];
+    /* Seed (core/coretime.py module docstring), every level: the pair's
+     * availability at u was max(ts - 1, cv) and is max(next_time, cv),
+     * so it crosses u's core time cu (at least ts - 1) exactly when cv
+     * <= cu < next_time.  One crossing per pair: only the first of the
+     * batch's edges of a pair moves its pointers. */
+    for (int64_t eid = batch_lo; eid < batch_hi; eid++) {
+        const int64_t u = b->edge_u[eid], v = b->edge_v[eid], slot = b->edge_slot_u[eid];
+        const int moved = expire_slot(b, u, slot, ts);
+        expire_slot(b, v, b->edge_slot_v[eid], ts);
+        if (!moved)
+            continue;
+        const int64_t next_time = ett[slot];
+        for (int64_t lev = 0; lev < b->levels; lev++) {
+            const int64_t ku = lev * n + u, kv = lev * n + v;
             const int64_t cu = ct[ku], cv = ct[kv];
-            const int64_t next_time = ett[b->edge_slot_u[eid]];
-            if (cu <= ts_hi && cv <= cu && next_time > cv && !inq[ku]) {
-                inq[ku] = 1;
-                push(queue, capacity, head, &size, ku);
-            }
-            if (cv <= ts_hi && cu <= cv && next_time > cu && !inq[kv]) {
-                inq[kv] = 1;
-                push(queue, capacity, head, &size, kv);
-            }
+            if (cv <= cu && cu <= ts_hi && next_time > cu)
+                lose_support(b, queue, capacity, head, &size, ku, km1[lev]);
+            if (cu <= cv && cv <= ts_hi && next_time > cv)
+                lose_support(b, queue, capacity, head, &size, kv, km1[lev]);
         }
     }
 
@@ -427,14 +484,14 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
         if (old >= inf)
             continue;
         const int64_t lev = key / n;
-        const int64_t base = lev * n;
+        const int64_t base = lev * n, rank = km1[lev];
         const int64_t u = key - base;
         const int64_t lo = adj_offsets[u], deg = live_end[u] - lo;
         evaluations++;
         slots += deg;
         const int64_t candidate = core_time_operator(
-            pos_ett + lo, ct + base, pos_neighbour + lo, deg, b->km1[lev], old, scratch,
-            &fallbacks);
+            pos_ett + lo, ct + base, pos_neighbour + lo, deg, rank, old, scratch,
+            support + key, &fallbacks);
         if (candidate <= old)
             continue;
         const int64_t updated = candidate <= ts_hi ? candidate : inf;
@@ -443,30 +500,29 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
             grown[num_grown++] = key;
         }
         ct[key] = updated;
-        /* Re-schedule neighbours whose k-th-smallest input may have
-         * grown: u's available time was at most their core time before
-         * the increase and is above it after, i.e. ett <= nct and old <=
-         * nct < updated (updated is at most inf, which exceeds every
-         * core time <= ts_hi).  Such a slot's availability max(ett, nct)
-         * is nct itself and lies in [old, updated), so the contiguous
-         * scratch screens the slots before ct[target] is read; fewer
-         * than k availabilities lie below the k-th smallest, so few
-         * pass, and no dead slot (ett > ts_hi) can.  scratch is current
-         * here: only an evaluation reaches this loop, it wrote
-         * scratch[0..deg) for this key's live prefix, and no core time
-         * but ct[key] changed since. */
+        /* Re-schedule: a neighbour loses support when u's availability
+         * there, max(ett, ct[key]), crosses its core time nct: ett <=
+         * nct and old <= nct < updated (updated is at most inf, which
+         * exceeds every core time <= ts_hi).  Such a slot's availability
+         * in scratch, max(ett, nct), is nct itself and lies in [old,
+         * updated); fewer than k availabilities lie below the k-th
+         * smallest, so few do.  A branch-free pass lists those slots at
+         * scratch + deg (the fallback's copy is spent), and only they
+         * read ct[target]; no dead slot (ett > ts_hi) is listed.
+         * scratch is current here: only an evaluation reaches this loop,
+         * it wrote scratch[0..deg) for this key's live prefix, and no
+         * core time but ct[key] changed since. */
+        int64_t *listed = scratch + deg, count = 0;
         for (int64_t i = 0; i < deg; i++) {
             const int64_t a = scratch[i];
-            if (a < old || a >= updated)
-                continue;
-            const int64_t target = base + pos_neighbour[lo + i];
-            const int64_t nct = ct[target];
-            const int64_t slot_ett = pos_ett[lo + i];
-            if (max64(slot_ett, old) <= nct && nct <= ts_hi
-                && max64(slot_ett, updated) > nct && !inq[target]) {
-                inq[target] = 1;
-                push(queue, capacity, head, &size, target);
-            }
+            listed[count] = i;
+            count += (a >= old) & (a < updated);
+        }
+        for (int64_t j = 0; j < count; j++) {
+            const int64_t at = lo + listed[j];
+            const int64_t target = base + pos_neighbour[at];
+            if (pos_ett[at] <= ct[target])
+                lose_support(b, queue, capacity, head, &size, target, rank);
         }
     }
 
@@ -494,9 +550,10 @@ static int64_t fixpoint_step(struct repro_build *b, int64_t batch_lo, int64_t ba
 static void harvest(struct repro_build *b, int64_t ts, int64_t num_grown)
 {
     const int64_t n = b->n, m = b->m, ts_hi = b->ts_hi;
-    const int64_t *inc_time = b->inc_time;
+    const int64_t *inc_time = b->inc_time, *inc_eid = b->inc_eid, *inc_other = b->inc_other;
     int64_t *ct = b->ct, *ect = b->ect;
-    int64_t steps = 0;
+    int64_t *ecs_key = b->ecs_key, *ecs_t1 = b->ecs_t1, *ecs_t2 = b->ecs_t2;
+    int64_t steps = 0, ecs_len = b->ecs_len;
     for (int64_t i = 0; i < num_grown; i++) {
         const int64_t key = b->grown[i];
         const int64_t new_ct = ct[key];
@@ -508,6 +565,8 @@ static void harvest(struct repro_build *b, int64_t ts, int64_t num_grown)
             continue;
         const int64_t lev = key / n, v = key - lev * n;
         const int64_t end = b->inc_offsets[v + 1];
+        const int64_t *ct_level = ct + lev * n;
+        int64_t *ect_level = ect + lev * m;
         /* The per-vertex cursor only moves forward: starts are visited
          * in ascending order. */
         int64_t j = b->inc_cursor[v];
@@ -515,21 +574,24 @@ static void harvest(struct repro_build *b, int64_t ts, int64_t num_grown)
             j++;
         b->inc_cursor[v] = j;
         const int64_t first = j;
+        /* Branch free: every candidate's row is written at ecs_len,
+         * which only a growing pending core time inside the window
+         * advances past (so fits() keeps one spare row), and a pending
+         * core time that does not grow is written back unchanged. */
         for (; j < end && inc_time[j] < new_ct; j++) {
-            const int64_t edge_key = lev * m + b->inc_eid[j];
-            const int64_t old_ect = ect[edge_key];
-            if (old_ect >= new_ct)
-                continue;
-            if (old_ect <= ts_hi) {
-                const int64_t out = b->ecs_len++;
-                b->ecs_key[out] = edge_key;
-                b->ecs_t1[out] = ts - 1;
-                b->ecs_t2[out] = old_ect;
-            }
-            ect[edge_key] = max64(max64(ct[lev * n + b->inc_other[j]], inc_time[j]), new_ct);
+            const int64_t eid = inc_eid[j];
+            const int64_t old_ect = ect_level[eid];
+            const int64_t grows = old_ect < new_ct;
+            ecs_key[ecs_len] = lev * m + eid;
+            ecs_t1[ecs_len] = ts - 1;
+            ecs_t2[ecs_len] = old_ect;
+            ecs_len += grows & (old_ect <= ts_hi);
+            const int64_t value = max64(max64(ct_level[inc_other[j]], inc_time[j]), new_ct);
+            ect_level[eid] = grows ? value : old_ect;
         }
         steps += j - first;
     }
+    b->ecs_len = ecs_len;
     b->harvest_steps += steps;
 }
 
@@ -554,11 +616,12 @@ static void emit_batch(struct repro_build *b, int64_t ts)
 /*
  * The rows of the first start time, from the first-start scan's core
  * times in ct: lays out the live prefixes (live means ett <= ts_hi),
- * appends a VCT row (key, ts_lo, ct) per key with a finite core time in
- * key order, sets every (level, edge) pending core time (the maximum of
- * the endpoints' core times and the edge time inside the window, inf
- * outside it) and emits the batch stamped ts_lo, whose edges leave the
- * window as soon as the start advances.
+ * counts every key's support, appends a VCT row (key, ts_lo, ct) per
+ * key with a finite core time in key order, sets every (level, edge)
+ * pending core time (the maximum of the endpoints' core times and the
+ * edge time inside the window, inf outside it) and emits the batch
+ * stamped ts_lo, whose edges leave the window as soon as the start
+ * advances.
  */
 static void first_start(struct repro_build *b)
 {
@@ -569,6 +632,15 @@ static void first_start(struct repro_build *b)
         for (int64_t s = lo; s < hi; s++)
             place(b, s, b->ett[s] <= ts_hi ? live++ : --dead, b->ett[s]);
         b->live_end[u] = live;
+    }
+    for (int64_t lev = 0; lev < b->levels; lev++) {
+        const int64_t *ct = b->ct + lev * n;
+        for (int64_t u = 0; u < n; u++) {
+            int64_t at_most = 0;
+            for (int64_t at = b->adj_offsets[u]; at < b->live_end[u]; at++)
+                at_most += max64(b->pos_ett[at], ct[b->pos_neighbour[at]]) <= ct[u];
+            b->support[lev * n + u] = at_most;
+        }
     }
     for (int64_t key = 0; key < b->levels * n; key++) {
         if (b->ct[key] < inf) {
@@ -594,12 +666,13 @@ static void first_start(struct repro_build *b)
 
 /*
  * Whether vct_rows and ecs_rows more output rows fit; sets vct_need and
- * ecs_need to the lengths they take.
+ * ecs_need to the lengths they take, the skyline's with the spare row
+ * the harvest's branch-free write may land on.
  */
 static int fits(struct repro_build *b, int64_t vct_rows, int64_t ecs_rows)
 {
     b->vct_need = b->vct_len + vct_rows;
-    b->ecs_need = b->ect ? b->ecs_len + ecs_rows : 0;
+    b->ecs_need = b->ect ? b->ecs_len + ecs_rows + 1 : 0;
     return b->vct_need <= b->vct_capacity && b->ecs_need <= b->ecs_capacity;
 }
 
@@ -610,7 +683,7 @@ static int fits(struct repro_build *b, int64_t vct_rows, int64_t ecs_rows)
  * could not hold one more step's worst case, with vct_need / ecs_need
  * set: levels * n VCT rows, and levels times the edges stamped ts_lo
  * skyline rows at the first start, the edges stamped in [ts, ts_hi]
- * plus those stamped ts at a later one.
+ * plus those stamped ts at a later one, and one spare skyline row.
  */
 int64_t repro_build_pass(struct repro_build *b, int64_t ts_from)
 {
@@ -628,12 +701,8 @@ int64_t repro_build_pass(struct repro_build *b, int64_t ts_from)
         const int64_t batch_next = time_offset[ts + 1];
         if (!fits(b, levels * b->n, levels * (window_end - batch_hi + batch_next - batch_hi)))
             return ts;
-        for (int64_t eid = batch_lo; eid < batch_hi; eid++) {
-            expire_slot(b, b->edge_u[eid], b->edge_slot_u[eid], ts);
-            expire_slot(b, b->edge_v[eid], b->edge_slot_v[eid], ts);
-        }
         if (batch_lo < batch_hi)
-            harvest(b, ts, fixpoint_step(b, batch_lo, batch_hi));
+            harvest(b, ts, fixpoint_step(b, ts, batch_lo, batch_hi));
         if (b->ect)
             emit_batch(b, ts);
     }

@@ -57,10 +57,14 @@ the fixpoint cost:
   only changes for pairs with an edge stamped at the expiring start
   time, whose ids are one contiguous range.  Operator evaluation then
   needs no pointer chasing at all.
-* **Seed filtering** — when the start moves past ``ts - 1``, an endpoint
-  ``u`` of an expiring edge ``(u, v)`` needs re-evaluation only if the
-  pair's available time was at most ``CT(u)`` and strictly grows, an
-  O(1) test (``CT(v) <= CT(u)`` and next pair time ``> CT(v)``).
+* **Support counts** — every vertex keeps the number of its live pairs
+  whose available time is at most ``CT(u)``, and is re-evaluated only
+  when that falls below ``k``.  When the start moves past ``ts - 1``,
+  an endpoint ``u`` of an expiring pair ``(u, v)`` loses one exactly
+  when the pair's available time crosses ``CT(u)``, an O(1) test
+  (``CT(v) <= CT(u)`` and next pair time ``> CT(u)``), once per pair
+  however many of its edges expire; a neighbour whose core time grows
+  past ``CT(u)`` takes one off too.
 
 The output is *columnar*: offset-indexed flat arrays that
 :class:`VertexCoreTimeIndex` and

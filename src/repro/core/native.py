@@ -72,7 +72,11 @@ class BuildArgs(ctypes.Structure):
     (``ts_from == ts_lo``), along with the first start's output rows: a
     vertex's live slots, the pairs with an edge left in the window, sit
     at positions ``[adj_offsets[u], live_end[u])`` of the ``pos_*``
-    copies, and the core-time operator reads nothing else.
+    copies, and the core-time operator reads nothing else.  ``support``
+    (one entry per ``(level, vertex)`` key) is written there too: each
+    key's live slots whose availability is at most its core time, which
+    the pass keeps exact so that it evaluates a key only when that count
+    falls below ``k``.
     """
 
     _fields_ = [
@@ -90,7 +94,7 @@ class BuildArgs(ctypes.Structure):
         (name, _POINTER)
         for name in (
             "ptr", "ett", "ct", "ect", "inc_cursor",
-            "live_end", "pos_ett", "pos_neighbour", "slot_pos", "pos_slot",
+            "live_end", "pos_ett", "pos_neighbour", "slot_pos", "pos_slot", "support",
             "inq", "grown_mask", "queue", "scratch", "grown",
             "vct_key", "vct_ts", "vct_ct",
             "ecs_key", "ecs_t1", "ecs_t2",

@@ -27,13 +27,17 @@
    frame wider than a daemon outbox chunk, a batch without edge ids,
    and a prefix length past its run, which must be refused.  Frames
    must equal ``json.dumps`` of each core between prefix and closing.
-5. Hands the sanitized ``repro_build_pass`` two builds of its own (see
-   :func:`dead_slot_builds`): narrow windows of a sparse graph, where
+5. Hands the sanitized ``repro_build_pass`` three builds of its own
+   (see :func:`own_builds`): narrow windows of a sparse graph, where
    most pairs have no edge in the window and leave their vertices' live
-   prefixes at the first start, and a high-k build of a dense graph,
-   whose keys keep finite core times until their live pairs fall to
-   k - 1 or fewer.  Both must equal ``coretime_ref`` entry for entry,
-   and the second must hold such a key.
+   prefixes at the first start; a high-k build of a dense graph, whose
+   keys keep finite core times until their live pairs fall to k - 1 or
+   fewer; and a graph whose pairs repeat edges at one timestamp, built
+   from empty output buffers (``_FusedMultiK._START_ROWS = 0``), so
+   each expiring batch crosses a pair's support once however many of
+   its edges it holds, and every resume sizes the buffers to what the
+   pass asked for, spare row included.  All must equal ``coretime_ref``
+   entry for entry, and the second must hold such a key.
 6. Counts the calls of each of the nine entry points of
    :class:`~repro.core.native.Kernels` while the suites and cuts run,
    and reports them: an entry point nothing called is a failure, since
@@ -59,6 +63,7 @@ suite made no fallback selection.
 from __future__ import annotations
 
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -214,10 +219,12 @@ def render_frames() -> list[str]:
     return problems
 
 
-def dead_slot_builds() -> list[str]:
-    """Builds where pairs die before and inside the window; the problems found."""
+def own_builds() -> list[str]:
+    """Builds where pairs die before and inside the window, and a resumed
+    build with repeated same-timestamp pair edges; the problems found."""
     from repro.core.coretime_ref import compute_core_times_reference
     from repro.graph.generators import uniform_random_temporal
+    from repro.graph.temporal_graph import TemporalGraph
 
     problems = []
 
@@ -262,6 +269,18 @@ def dead_slot_builds() -> list[str]:
     )
     if not ran_out:
         problems.append("no key of the high-k build ran out of live pairs")
+
+    rng = random.Random(5)
+    columns = uniform_random_temporal(10, 300, tmax=30, seed=5).edge_columns()
+    drawn = list(zip(*(column.tolist() for column in columns)))
+    repeated = TemporalGraph([edge for edge in drawn for _ in range(rng.randint(1, 3))])
+    start_rows = multik._FusedMultiK._START_ROWS
+    multik._FusedMultiK._START_ROWS = 0
+    try:
+        for ts, te in ((None, None), (4, repeated.tmax - 5)):
+            check(repeated, [1, 2, 3, 4], ts, te)
+    finally:
+        multik._FusedMultiK._START_ROWS = start_rows
     return problems
 
 
@@ -300,7 +319,7 @@ def main() -> int:
         status = int(pytest.main([*args, *(str(ROOT / t) for t in TESTS)], plugins=[watch]))
         problems = [f"cut check: {problem}" for problem in count_cuts()]
         problems += [f"render check: {problem}" for problem in render_frames()]
-        problems += [f"build check: {problem}" for problem in dead_slot_builds()]
+        problems += [f"build check: {problem}" for problem in own_builds()]
         print(f"fallback selections under the sanitizers in test_multik.py: {watch.selections}")
         if not watch.selections:
             problems.append("the multi-k suite made no fallback selection")
