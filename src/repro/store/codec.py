@@ -110,14 +110,8 @@ def _json_safe_labels(graph: TemporalGraph) -> list:
     return labels
 
 
-def dump_graph(
-    path: str | os.PathLike[str], graph: TemporalGraph, *, fingerprint: dict | None = None
-) -> int:
-    """Write a graph (and its compiled flat arrays) as one blob.
-
-    ``fingerprint`` passes the graph's :func:`graph_fingerprint` when the
-    caller already holds it.
-    """
+def graph_blob(graph: TemporalGraph, *, fingerprint: dict | None = None) -> tuple:
+    """``(kind, meta, sections)`` of a graph's blob (see :func:`dump_graph`)."""
     cg = graph.compiled()
     meta = {
         "num_vertices": cg.num_vertices,
@@ -132,7 +126,18 @@ def dump_graph(
     sections = {name: getattr(cg, name) for name in TABLES}
     sections["time_offset"] = cg.time_offset
     sections["raw_times"] = raw_time_column(graph)
-    return write_blob(path, GRAPH_KIND, meta, sections)
+    return GRAPH_KIND, meta, sections
+
+
+def dump_graph(
+    path: str | os.PathLike[str], graph: TemporalGraph, *, fingerprint: dict | None = None
+) -> int:
+    """Write a graph (and its compiled flat arrays) as one blob.
+
+    ``fingerprint`` passes the graph's :func:`graph_fingerprint` when the
+    caller already holds it.
+    """
+    return write_blob(path, *graph_blob(graph, fingerprint=fingerprint))
 
 
 def load_graph(path: str | os.PathLike[str]) -> TemporalGraph:
@@ -169,16 +174,8 @@ def load_graph(path: str | os.PathLike[str]) -> TemporalGraph:
 # Index blobs
 # ----------------------------------------------------------------------
 
-def dump_index(
-    path: str | os.PathLike[str], index: CoreIndex, *, fingerprint: dict | None = None
-) -> int:
-    """Write a CoreIndex (VCT + ECS) as one flat-array blob.
-
-    The flat arrays *are* the index classes' native representation, so
-    this is a straight copy-out — no per-entry conversion loop.
-    ``fingerprint`` passes the graph's :func:`graph_fingerprint` when the
-    caller already holds it.
-    """
+def index_blob(index: CoreIndex, *, fingerprint: dict | None = None) -> tuple:
+    """``(kind, meta, sections)`` of an index's blob (see :func:`dump_index`)."""
     vct, ecs = index.vct, index.ecs
     vct_offsets, vct_starts, vct_cts = vct.flat_parts()
     ecs_offsets, ecs_t1, ecs_t2 = ecs.flat_parts()
@@ -202,7 +199,20 @@ def dump_index(
         "ecs_t1": ecs_t1,
         "ecs_t2": ecs_t2,
     }
-    return write_blob(path, INDEX_KIND, meta, sections)
+    return INDEX_KIND, meta, sections
+
+
+def dump_index(
+    path: str | os.PathLike[str], index: CoreIndex, *, fingerprint: dict | None = None
+) -> int:
+    """Write a CoreIndex (VCT + ECS) as one flat-array blob.
+
+    The flat arrays *are* the index classes' native representation, so
+    this is a straight copy-out — no per-entry conversion loop.
+    ``fingerprint`` passes the graph's :func:`graph_fingerprint` when the
+    caller already holds it.
+    """
+    return write_blob(path, *index_blob(index, fingerprint=fingerprint))
 
 
 def load_index(path: str | os.PathLike[str], graph: TemporalGraph) -> CoreIndex:

@@ -29,6 +29,8 @@ decoded into ``array("q")`` with a byte swap.
 Writes go through a temporary file and ``os.replace`` so a crash mid-
 write never leaves a half-written blob under the final name — a torn
 write is either invisible or caught by the truncation/checksum checks.
+Each temp file is fsynced before its rename, on the store I/O thread
+(:func:`submit_io`) so that a commit's next blob is written meanwhile.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ import json
 import mmap
 import os
 import sys
+import threading
 from array import array
 from collections.abc import Mapping, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -54,6 +58,21 @@ FORMAT_VERSION = 1
 
 #: Payload alignment — keeps int64 sections naturally aligned for mmap views.
 _ALIGN = 16
+
+#: The store I/O thread's executor, created by the first :func:`submit_io`.
+_io: ThreadPoolExecutor | None = None
+_io_lock = threading.Lock()
+
+
+def _forget_io() -> None:
+    """In a forked child: the parent's I/O thread did not come along,
+    so the child starts its own on first use."""
+    global _io, _io_lock
+    _io, _io_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_io)
 
 
 def _section_view(buffer, start: int, stop: int):
@@ -88,26 +107,43 @@ class Blob:
         return f"Blob(kind={self.kind!r}, sections={sorted(self.sections)})"
 
 
-def write_blob(
-    path: str | os.PathLike[str],
-    kind: str,
-    meta: Mapping,
-    sections: Mapping[str, Sequence[int] | np.ndarray],
-) -> int:
-    """Atomically write a blob; returns the number of bytes written.
+def submit_io(fn, *args) -> Future:
+    """Run ``fn(*args)`` on the process-wide store I/O thread.
 
-    Each section is written straight from its little-endian int64 array
-    and the payload crc32 is chained section by section, so the payload
-    is never assembled in memory.  The blob's bytes are fsynced before
-    the rename; making the rename itself durable is the caller's
-    :func:`fsync_dir` of the blob's directory — once for every blob of
-    a store commit, not once per blob.
+    One worker, started on first use, runs jobs in submission order:
+    the blob fsyncs of :func:`write_blobs` and a commit's reclaim of
+    its superseded generation.  The interpreter joins it at exit once
+    its queue has drained.  While the interpreter is exiting (a thread
+    still committing after the main one returned) the executor refuses
+    new jobs; the job then runs in the caller and its future is
+    returned already resolved.
     """
-    arrays = [np.ascontiguousarray(values, dtype="<i8") for values in sections.values()]
+    global _io
+    with _io_lock:
+        if _io is None:
+            _io = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-store-io")
+        executor = _io
+    try:
+        return executor.submit(fn, *args)
+    except RuntimeError:
+        done: Future = Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+
+def _encode_prefix(kind: str, meta: Mapping, names, arrays) -> bytes:
+    """Magic, version and JSON header of a blob, padded to :data:`_ALIGN`.
+
+    The payload crc32 is chained section by section, so the payload is
+    never assembled in memory.
+    """
     table = []
     offset = 0
     crc = 0
-    for name, arr in zip(sections, arrays):
+    for name, arr in zip(names, arrays):
         table.append({"name": name, "offset": offset, "count": arr.size})
         offset += arr.nbytes
         crc = native.crc32(arr, crc)
@@ -128,20 +164,78 @@ def write_blob(
         + len(header).to_bytes(4, "little")
         + header
     )
-    prefix += b"\x00" * (-len(prefix) % _ALIGN)
+    return prefix + b"\x00" * (-len(prefix) % _ALIGN)
 
-    final = os.fspath(path)
-    tmp = f"{final}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(prefix)
-        for arr in arrays:
-            handle.write(arr)
-        handle.flush()
-        os.fsync(handle.fileno())
-    crashpoint("blob.post-temp.pre-rename")
-    os.replace(tmp, final)
-    crashpoint("blob.post-rename")
-    return len(prefix) + offset
+
+def write_blobs(
+    blobs: Sequence[
+        tuple[str | os.PathLike[str], str, Mapping, Mapping[str, Sequence[int] | np.ndarray]]
+    ],
+) -> list[int]:
+    """Atomically write ``(path, kind, meta, sections)`` blobs; returns
+    the bytes written for each, in the given order.
+
+    Each blob is written to ``<path>.tmp.<pid>`` straight from its
+    little-endian int64 arrays, largest blob first, and that temp
+    file's fsync is handed to the store I/O thread (:func:`submit_io`)
+    as soon as its bytes are written — so the device flushes one blob
+    while the next is checksummed and written.  Then, in the given
+    order, each blob's fsync is awaited before the temp file is renamed
+    to ``path``.  Making the renames durable is the caller's
+    :func:`fsync_dir` of the blobs' directory, once for all of them.
+
+    Every submitted fsync resolves before any temp file closes, on the
+    error path too: a descriptor closed while its fsync is queued could
+    be reused, and the fsync would then flush some other file.  A
+    failed write or fsync raises; the blobs not yet renamed stay temp
+    files, which ``repro fsck`` reports.
+    """
+    finals = [os.fspath(blob[0]) for blob in blobs]
+    temps = [f"{final}.tmp.{os.getpid()}" for final in finals]
+    arrays = [
+        [np.ascontiguousarray(values, dtype="<i8") for values in blob[3].values()]
+        for blob in blobs
+    ]
+    sizes = [sum(arr.nbytes for arr in parts) for parts in arrays]
+    synced: list[Future | None] = [None] * len(blobs)
+    handles = []
+    try:
+        for i in sorted(range(len(blobs)), key=sizes.__getitem__, reverse=True):
+            _path, kind, meta, sections = blobs[i]
+            prefix = _encode_prefix(kind, meta, sections, arrays[i])
+            handle = open(temps[i], "wb")
+            handles.append(handle)
+            handle.write(prefix)
+            for arr in arrays[i]:
+                handle.write(arr)
+            handle.flush()
+            synced[i] = submit_io(os.fsync, handle.fileno())
+            sizes[i] += len(prefix)
+        for temp, final, fsynced in zip(temps, finals, synced):
+            fsynced.result()
+            crashpoint("blob.post-temp.pre-rename")
+            os.replace(temp, final)
+            crashpoint("blob.post-rename")
+    finally:
+        wait([fsynced for fsynced in synced if fsynced is not None])
+        for handle in handles:
+            handle.close()
+    return sizes
+
+
+def write_blob(
+    path: str | os.PathLike[str],
+    kind: str,
+    meta: Mapping,
+    sections: Mapping[str, Sequence[int] | np.ndarray],
+) -> int:
+    """Atomically write a blob; returns the number of bytes written.
+
+    One blob through :func:`write_blobs`: the bytes are written to a
+    temp file and fsynced before the rename; making the rename itself
+    durable is the caller's :func:`fsync_dir` of the blob's directory.
+    """
+    return write_blobs([(path, kind, meta, sections)])[0]
 
 
 def fsync_dir(directory: str | os.PathLike[str]) -> None:

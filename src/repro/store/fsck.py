@@ -44,6 +44,7 @@ from repro.store.index_store import (
     MANIFEST_NAME,
     WAL_DIR,
     IndexStore,
+    settle_reclaims,
 )
 from repro.store.wal import TOKENS_NAME, read_trimmed_tokens, scan_segment
 
@@ -389,7 +390,10 @@ def scrub_store(
     Scrubbing an in-use store is safe in the same sense concurrent
     readers are: all mutations are atomic renames.  Running it while a
     *writer* is active is not supported — quarantine decisions could
-    race half-finished writes.
+    race half-finished writes.  A commit of this process that has
+    returned but is still reclaiming its superseded generation is
+    waited for first, so its old blobs are never taken for orphans.
     """
     root = store.root if isinstance(store, IndexStore) else pathlib.Path(store)
+    settle_reclaims(root)
     return _Scrubber(root, repair=repair, verify=verify).run()

@@ -30,8 +30,12 @@ the blob — so any process holding an equal graph gets the cached index
 regardless of how either process named it.  Integrity failures
 (truncation, checksum, fingerprint drift) make an entry read as absent;
 callers rebuild and overwrite, they never serve corrupt data.  Every
-write goes through :meth:`IndexStore.commit`: blobs first (temp file +
-``os.replace``), then one atomic manifest replace.
+write goes through :meth:`IndexStore.commit`: blobs first (temp file,
+fsync, ``os.replace``), then one atomic manifest replace.  The blob
+fsyncs, and the reclaim after the manifest replace (the superseded
+generation's unlinks and the writer lock's release), run on the
+process-wide store I/O thread (:func:`repro.store.format.submit_io`);
+:func:`settle_reclaims` waits for a directory's pending reclaim.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ import json
 import logging
 import os
 import pathlib
+import threading
 import time
 import zlib
 from collections.abc import Iterable
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 try:  # POSIX advisory locking; absent on some platforms
@@ -58,7 +64,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.obs.metrics import MetricsRegistry, get_registry, next_instance, timing_enabled
 from repro.obs.timing import now
 from repro.store import codec
-from repro.store.format import FORMAT_VERSION, fsync_dir
+from repro.store.format import FORMAT_VERSION, fsync_dir, submit_io, write_blobs
 from repro.store.wal import WalEvent, WriteAheadLog
 from repro.testing.crashpoints import crashpoint
 
@@ -71,6 +77,63 @@ log = logging.getLogger("repro.store")
 
 #: Seconds between contention polls while waiting for a directory lock.
 LOCK_POLL_SECONDS = 0.05
+
+#: Each key directory's pending reclaim (a commit's superseded-blob
+#: unlinks and writer-lock release, run on the store I/O thread), by
+#: absolute path.  Process-wide: every store over a root shares its
+#: directories' locks, and so must wait on the same reclaims.
+_reclaims: dict[str, Future] = {}
+_reclaims_lock = threading.Lock()
+
+
+def _forget_reclaims() -> None:
+    """In a forked child: the parent's reclaims run, and release their
+    locks, in the parent."""
+    global _reclaims_lock
+    _reclaims.clear()
+    _reclaims_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_reclaims)
+
+
+def _defer_reclaim(directory: pathlib.Path, job, *args) -> None:
+    """Run a commit's reclaim ``job(*args)`` on the store I/O thread."""
+    path = os.path.abspath(directory)
+    with _reclaims_lock:
+        future = submit_io(job, *args)
+        _reclaims[path] = future
+    future.add_done_callback(lambda done: _reclaimed(path, done))
+
+
+def _reclaimed(path: str, future: Future) -> None:
+    with _reclaims_lock:
+        if _reclaims.get(path) is future:
+            del _reclaims[path]
+    failure = future.exception()
+    if failure is not None:
+        log.error("reclaim in %s failed", path, exc_info=failure)
+
+
+def settle_reclaims(path: str | os.PathLike[str]) -> None:
+    """Wait for every pending reclaim of a key directory at or under ``path``.
+
+    A commit returns once its manifest is durable; the unlinks of the
+    generation it superseded and the release of its writer lock follow
+    on the store I/O thread.  Whatever in this process next locks,
+    inspects or scrubs the directory waits here first, so it sees the
+    commit's end state rather than polling a lock held for a reclaim.
+    """
+    prefix = os.path.abspath(path)
+    with _reclaims_lock:
+        pending = [
+            future
+            for directory, future in _reclaims.items()
+            if directory == prefix or directory.startswith(prefix + os.sep)
+        ]
+    for future in pending:
+        future.exception()
 
 
 def _pid_alive(pid: int) -> bool:
@@ -97,6 +160,21 @@ def _read_lock_owner(path: pathlib.Path) -> dict | None:
     if not isinstance(payload, dict) or "pid" not in payload:
         return None
     return payload
+
+
+def _release_dir_lock(handle) -> None:
+    """Release a directory lock taken by :meth:`IndexStore._lock_dir`."""
+    if handle is None:  # pragma: no cover - non-POSIX fallback
+        return
+    with contextlib.suppress(OSError):
+        # Clear the owner stamp *before* releasing: a contender must
+        # never read our metadata once the flock is free.
+        handle.seek(0)
+        handle.truncate()
+        handle.flush()
+    with contextlib.suppress(OSError):
+        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+    handle.close()
 
 
 def _blob_files(manifest: dict) -> set[str]:
@@ -142,7 +220,7 @@ class IndexStore:
         naming the recorded holder.  ``None`` (default) waits
         indefinitely — but stale-lock recovery still applies either
         way: a lock whose recorded writer died is taken over rather
-        than waited on (see :meth:`_dir_lock`; takeovers are counted
+        than waited on (see :meth:`_lock_dir`; takeovers are counted
         in ``stale_takeovers``).
 
     Staleness and invalidation: entries are matched by content
@@ -226,6 +304,12 @@ class IndexStore:
         self._h_commit = m.histogram(
             "repro_store_commit_seconds",
             "Time per commit: blob writes, fsyncs and the manifest replace",
+            ("store",),
+        ).labels(inst)
+        self._h_reclaim = m.histogram(
+            "repro_store_reclaim_seconds",
+            "Time per commit reclaim on the store I/O thread: superseded-blob "
+            "unlinks and the writer lock's release",
             ("store",),
         ).labels(inst)
 
@@ -314,16 +398,16 @@ class IndexStore:
         crashpoint("manifest.post-rename")
         fsync_dir(final.parent)
 
-    @contextlib.contextmanager
-    def _dir_lock(self, key: str):
+    def _lock_dir(self, directory: pathlib.Path):
         """Advisory exclusive lock on a graph directory's writers.
 
+        Returns the lock file's open handle, for :func:`_release_dir_lock`
+        (``None`` where ``fcntl`` is unavailable: no locking).
         Serialises manifest read-modify-write across *processes* (two
         concurrent ``save_index`` calls for different ``k`` must not
         lose each other's entries).  Readers never take the lock — blob
         and manifest writes are individually atomic, so an unlocked
-        reader sees a consistent before-or-after state.  No-op where
-        ``fcntl`` is unavailable.
+        reader sees a consistent before-or-after state.
 
         Hardened against stale locks: the holder records ``{pid,
         acquired_at}`` in the lock file while it works (cleared on
@@ -340,30 +424,16 @@ class IndexStore:
         an orphaned inode.  ``lock_timeout`` bounds the wait; on
         expiry a :class:`StoreError` names the recorded owner.
         """
-        directory = self.root / key
         directory.mkdir(parents=True, exist_ok=True)
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            yield
-            return
-        handle = self._acquire_dir_lock(directory / LOCK_NAME)
-        try:
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                # Clear the owner stamp *before* releasing: a contender
-                # must never read our metadata once the flock is free.
-                handle.seek(0)
-                handle.truncate()
-                handle.flush()
-            with contextlib.suppress(OSError):
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            handle.close()
+            return None
+        return self._acquire_dir_lock(directory / LOCK_NAME)
 
     def _acquire_dir_lock(self, lock_path: pathlib.Path):
         """Acquire ``lock_path`` exclusively; returns the open handle.
 
         Implements the contend/detect/rotate loop described in
-        :meth:`_dir_lock`.  A dead recorded owner must be observed on
+        :meth:`_lock_dir`.  A dead recorded owner must be observed on
         two consecutive polls before rotation (a live writer normally
         overwrites the leftover metadata long before that), and every
         acquirer stamps its pid *before* validating that its
@@ -376,6 +446,10 @@ class IndexStore:
         give_up_at = None if timeout is None else time.monotonic() + timeout
         dead_owner_seen: tuple[int, object] | None = None
         while True:
+            # A commit in this process releases the lock from the store
+            # I/O thread once its reclaim is done: wait for that rather
+            # than poll.
+            settle_reclaims(lock_path.parent)
             handle = open(lock_path, "a+b")
             keep = False
             try:
@@ -447,8 +521,11 @@ class IndexStore:
         ``{"pid": ..., "acquired_at": ...}`` while a writer holds the
         directory lock (or after one crashed without releasing),
         ``None`` otherwise.  Observability only — liveness of the pid
-        is for the caller to judge.
+        is for the caller to judge.  A commit of this process still
+        reclaiming its superseded generation is waited for first, so
+        the lock reads free as soon as :meth:`commit` has returned.
         """
+        settle_reclaims(self.root / key)
         return _read_lock_owner(self.root / key / LOCK_NAME)
 
     @staticmethod
@@ -496,15 +573,24 @@ class IndexStore:
         key's writer lock it:
 
         1. writes the graph blob (unless the stored fingerprint already
-           matches) and every index blob, each fsynced — named
-           ``graph-<lsn>.bin`` / ``k<k>-<lsn>.idx`` for a streamed
-           commit (``stream_lsn`` given), ``graph.bin`` / ``k<k>.idx``
-           otherwise — then fsyncs the directory once;
+           matches) and every index blob — named ``graph-<lsn>.bin`` /
+           ``k<k>-<lsn>.idx`` for a streamed commit (``stream_lsn``
+           given), ``graph.bin`` / ``k<k>.idx`` otherwise — through
+           :func:`~repro.store.format.write_blobs`: largest first, each
+           temp file fsynced on the store I/O thread while the next is
+           written, each renamed once its fsync is done (graph, then
+           the indexes in the order given); then fsyncs the directory
+           once;
         2. commits the graph, every index entry and, with
            ``stream_lsn``, ``"stream": {"lsn"}`` in a single manifest
            replace: a crash leaves the old manifest or the new one,
            never a mix;
-        3. unlinks the files only the superseded manifest referenced.
+        3. hands the unlinks of the files only the superseded manifest
+           referenced, and the release of the writer lock, to the store
+           I/O thread, and returns.  This process's next commit,
+           :meth:`lock_info` and :func:`~repro.store.fsck.scrub_store`
+           of the key wait for that reclaim; other processes see the
+           lock held until it is done.
 
         A different graph under an existing key replaces it and its
         index entries.  Under an unchanged fingerprint a streamed commit
@@ -521,9 +607,13 @@ class IndexStore:
             key = name
         directory = self.root / key
         suffix = "" if stream_lsn is None else f"-{stream_lsn:016d}"
-        with self._dir_lock(key):
+        lock = self._lock_dir(directory)
+        stale: list[pathlib.Path] | None = None
+        try:
             old = self._read_manifest(key)
             kept = old is not None and old.get("fingerprint") == fingerprint
+            # Blob file name -> (kind, meta, sections), in rename order.
+            blobs: dict[str, tuple] = {}
             if kept:
                 manifest = {**old, "indexes": dict(old.get("indexes", {}))}
             else:
@@ -533,46 +623,67 @@ class IndexStore:
                     "graph_file": f"graph{suffix}.bin",
                     "indexes": {},
                 }
-                written = codec.dump_graph(
-                    directory / manifest["graph_file"], graph, fingerprint=fingerprint
+                blobs[manifest["graph_file"]] = codec.graph_blob(
+                    graph, fingerprint=fingerprint
                 )
-                self._c_blob_bytes_graph.inc(written)
-                self._c_graph_saves.inc()
             entries = manifest["indexes"]
-            wrote = not kept
             for index in indexes:
                 if stream_lsn is not None and kept and str(index.k) in entries:
                     continue
                 filename = f"k{index.k}{suffix}.idx"
-                written = codec.dump_index(
-                    directory / filename, index, fingerprint=fingerprint
-                )
-                self._c_blob_bytes_index.inc(written)
-                self._c_index_saves.inc()
+                blobs[filename] = codec.index_blob(index, fingerprint=fingerprint)
                 entries[str(index.k)] = {
                     "file": filename,
                     "vct_size": index.vct.size(),
                     "ecs_size": index.ecs.size(),
                 }
-                wrote = True
             if stream_lsn is not None:
                 manifest["stream"] = {"lsn": stream_lsn}
-            if wrote:
+            if blobs:
+                written = write_blobs(
+                    [(directory / filename, *blob) for filename, blob in blobs.items()]
+                )
+                for (kind, _meta, _sections), size in zip(blobs.values(), written):
+                    if kind == codec.GRAPH_KIND:
+                        self._c_blob_bytes_graph.inc(size)
+                        self._c_graph_saves.inc()
+                    else:
+                        self._c_blob_bytes_index.inc(size)
+                        self._c_index_saves.inc()
                 fsync_dir(directory)
                 if stream_lsn is not None:
                     crashpoint("snapshot.post-blobs.pre-commit")
             if manifest != old:
                 self._write_manifest(key, manifest)
-            if old is not None:
-                # Unreferenced once the manifest commits; a crash before
-                # these unlinks leaves orphans fsck sets aside, never a
-                # dangling reference.
-                for stale in _blob_files(old) - _blob_files(manifest):
-                    with contextlib.suppress(OSError):
-                        os.unlink(directory / stale)
+            # Unreferenced once the manifest commits; a crash before
+            # the reclaim unlinks them leaves orphans fsck sets aside,
+            # never a dangling reference.
+            stale = [] if old is None else [
+                directory / filename
+                for filename in sorted(_blob_files(old) - _blob_files(manifest))
+            ]
+        finally:
+            if stale is None:
+                _release_dir_lock(lock)
+            else:
+                _defer_reclaim(directory, self._reclaim, stale, lock)
         if started is not None:
             self._h_commit.observe(now() - started)
         return key
+
+    def _reclaim(self, stale: list[pathlib.Path], lock) -> None:
+        """A commit's tail, on the store I/O thread: unlink the files
+        only the superseded manifest referenced, then release the
+        directory's writer lock."""
+        started = now() if timing_enabled() else None
+        try:
+            for path in stale:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+        finally:
+            _release_dir_lock(lock)
+        if started is not None:
+            self._h_reclaim.observe(now() - started)
 
     def save_graph(self, graph: TemporalGraph, *, name: str | None = None) -> str:
         """Persist ``graph`` (idempotent), returning its key.

@@ -11,10 +11,13 @@ outcome counters must reconcile:
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import shutil
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -22,6 +25,8 @@ import pytest
 from repro.core.index import CoreIndex
 from repro.graph.generators import uniform_random_temporal
 from repro.serve.client import DaemonClient
+from repro.serve.daemon import ServingDaemon, _ReadOnlyError
+from repro.serve.protocol import Request
 from repro.store.index_store import IndexStore
 from tests.serve.daemon.conftest import STORE_KEY
 
@@ -399,3 +404,55 @@ class TestSigkillDurability:
         handle.stop()  # SIGKILL: no drain, no shutdown hook runs
         assert not handle.alive()
         assert 4 in IndexStore(kill_root).stored_ks(STORE_KEY)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="names descriptors via /proc/self/fd"
+)
+class TestFlushFault:
+    """A blob fsync that fails on the store I/O thread during a flush.
+
+    In-process, so ``os.fsync`` can be made to fail for blob temp files
+    only (the WAL keeps syncing); the daemon answers through the same
+    ``_answer_*`` handlers its execution lane runs.
+    """
+
+    def test_failed_snapshot_fsync_turns_the_daemon_read_only(
+        self, tmp_path, monkeypatch
+    ):
+        store = IndexStore(tmp_path / "store")
+        daemon = ServingDaemon(store, warm=False)
+        edges = tuple(uniform_random_temporal(12, 60, tmax=10, seed=2).edges)
+        try:
+            daemon._answer_append(
+                Request(op="append", id=1, graph="s", edges=edges)
+            )
+            real_fsync = os.fsync
+            failed: list[str] = []
+
+            def fsync(fd):
+                path = os.readlink(f"/proc/self/fd/{fd}")
+                if ".tmp." in path and not os.path.basename(path).startswith(
+                    "manifest."
+                ):
+                    failed.append(threading.current_thread().name)
+                    raise OSError(errno.ENOSPC, "injected: no space left")
+                real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", fsync)
+            # The lane answers this error with a ``read-only`` frame.
+            with pytest.raises(_ReadOnlyError, match="flush not completed"):
+                daemon._answer_flush(Request(op="flush", id=2, graph="s"))
+            assert failed and all(
+                name.startswith("repro-store-io") for name in failed
+            )
+            assert daemon.stats()["ingest"]["read_only"].startswith("flush failed")
+            with pytest.raises(_ReadOnlyError):
+                daemon._answer_append(
+                    Request(op="append", id=3, graph="s", edges=edges[:1])
+                )
+            # Nothing was committed, and the key's lock is free.
+            assert "s" not in store.keys()
+            assert store.lock_info("s") is None
+        finally:
+            daemon._close_wals()

@@ -47,8 +47,10 @@ class TestSaving:
                                                    triangle_graph):
         store.save_index(CoreIndex(paper_graph, 2), name="g")
         store.save_graph(triangle_graph, name="g")
-        # The old index described the old graph and must be gone.
+        # The old index described the old graph and must be gone once
+        # the commit's reclaim has released the lock.
         assert store.stored_ks("g") == []
+        assert store.lock_info("g") is None
         assert not (store.root / "g" / "k2.idx").exists()
         loaded = store.load_graph("g")
         assert loaded.num_edges == triangle_graph.num_edges
