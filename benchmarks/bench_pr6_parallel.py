@@ -105,7 +105,8 @@ def pr5_query_batch(index: CoreIndex, ranges):
     plan = plan_for_index(index, ranges)
     sinks = [CountSink() for _ in plan.requests]
     for group in plan.groups:
-        for window, cut in _group_cuts(group, registry=None):
+        counting = [True] * len(group.windows)  # every sink here counts
+        for window, cut in _group_cuts(group, counting, registry=None):
             if window.is_shared:
                 target = _PR5SliceRouter(
                     [

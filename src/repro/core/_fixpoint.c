@@ -74,14 +74,22 @@
  * the end-sorted alive run, O(alive) per visit.  It reports the cores
  * enumerate_ref's linked-list walk reports, in the same order.
  *
+ * repro_skyline_columns derives the two start-ordered columns a counting
+ * walk reads of a skyline (core/windows.py,
+ * EdgeCoreSkyline.counting_columns) by one counting scatter by start:
+ * per window its end and its floor, the flat predecessor's start + 1
+ * (NO_FLOOR for an edge's first window), with per-start offsets.
+ *
  * repro_count_init and repro_count_visits are the walk for a sink that
  * only counts (a CountSink, or a slice router over CountSinks).  The
- * init reads a skyline's start-ordered cut itself: it drops the windows
- * ending after the range and activates each other one from its flat
- * predecessor (Definition 6), so no window slice is materialised.  The
- * alive set is a histogram of window counts per end time, so a visit
- * costs O(changes + width of [e0, top end]) and the per-target counters
- * a slice router would accumulate are two lookups each.
+ * init reads a range's cut of those columns in order, one start bucket
+ * at a time (found by galloping, so raw timestamps are never stepped
+ * through): it skips the windows ending after the range and activates
+ * each other one at max(ts, floor) (Definition 6), so no window slice
+ * is materialised and nothing is gathered.  The alive set is a
+ * histogram of window counts per end time, so a visit costs O(changes
+ * + width of [e0, top end]) and the per-target counters a slice router
+ * would accumulate are two lookups each.
  *
  * repro_render_frames writes the cores of one start time of an emitting
  * walk as NDJSON frames (serve/sinks.py, NDJSONSink, and the daemon's
@@ -91,8 +99,7 @@
  *
  * repro_counting_order is the stable counting sort behind the graph
  * compile (graph/csr.py, CompiledGraph), the index assembly
- * (core/multik.py, _FusedMultiK.results), the skyline's start order
- * (core/windows.py, EdgeCoreSkyline._by_start) and the counting walk's
+ * (core/multik.py, _FusedMultiK.results) and the counting walk's
  * activation buckets.
  *
  * repro_crc32_fold is zlib's crc32 by carry-less multiplication, the
@@ -828,22 +835,21 @@ int64_t repro_walk_step(struct repro_walk *w, int64_t t)
 
 /*
  * One counting walk's arrays and state.  The field order is mirrored by
- * native.CountArgs; every array is int64 except the first-window flags.
- * The walk reads its windows straight from a skyline: the cut
- * order[lo:hi] of the skyline's start order lists the windows starting
- * in [ts, te], ascending by start, and those ending by te are counted.
- * Times are domain positions in [0, width): a time's offset from base,
- * or, when ranks is not NULL (a cut far wider in time than it is long),
- * the number of ranks, the sorted distinct times of the counted
- * windows, below it.
+ * native.CountArgs; every array is int64.  The walk reads its windows
+ * straight from a skyline's start-ordered columns (see
+ * repro_skyline_columns): the cut [lo, hi) of them lists the windows
+ * starting in [ts, te], ascending by start, and those ending by te are
+ * counted.  Times are domain positions in [0, width): a time's offset
+ * from base, or, when ranks is not NULL (a cut far wider in time than
+ * it is long), the number of ranks, the sorted distinct times of the
+ * counted windows, below it.
  */
 struct repro_count {
-    /* the skyline, read only: per window its start and end and whether
-     * it is its edge's first (edges' windows are flat runs, ascending),
-     * and the start order (windows entries) */
-    const int64_t *start, *end, *order;
-    const uint8_t *first;
-    int64_t windows, lo, hi, ts, te;
+    /* the skyline's columns, read only: per start-ordered position the
+     * window's end and floor, and per start time t in [0, bound) where
+     * its positions begin (bound + 1 entries) */
+    const int64_t *end, *floors, *bucket;
+    int64_t bound, lo, hi, ts, te;
     const int64_t *ranks;
     int64_t base, width;
     /* the counted windows' activation positions (hi - lo entries), their
@@ -863,6 +869,8 @@ struct repro_count {
     const int64_t *target_ts, *target_te;
     int64_t *target_num, *target_edges, *target_active;
     int64_t targets, position, num_active, num_results, total_edges;
+    /* written by the init: the windows it counted */
+    int64_t counted;
 };
 
 /*
@@ -892,6 +900,53 @@ int64_t repro_counting_order(int64_t len, const int64_t *keys, int64_t bound,
     return 0;
 }
 
+/*
+ * The start-ordered columns of a skyline whose edge e holds the windows
+ * offsets[e] .. offsets[e + 1] of t1 / t2 (flat runs, ascending), each
+ * start in [0, bound).  One stable counting scatter by start writes,
+ * per start-ordered position (ties in flat order), the window's end
+ * and its floor: its flat predecessor's start + 1 when that
+ * predecessor belongs to the same edge, NO_FLOOR for an edge's first
+ * window.  A counting walk activates a window at max(ts, floor)
+ * (Definition 6): an edge's windows inside [ts, te] are one contiguous
+ * flat run, and a predecessor of the same edge outside the range
+ * starts before ts, since it also ends before the window does.  bucket
+ * (bound + 1 entries) receives where each start's positions begin,
+ * then the window count.  O(windows + edges + bound), no temporary.
+ * Returns 0, or -1 with ends and floors unwritten when offsets do not
+ * run from 0 up to windows or a start lies outside [0, bound).
+ */
+#define NO_FLOOR INT64_MIN
+
+int64_t repro_skyline_columns(int64_t edges, int64_t windows, const int64_t *offsets,
+                              const int64_t *t1, const int64_t *t2, int64_t bound,
+                              int64_t *bucket, int64_t *ends, int64_t *floors)
+{
+    if (offsets[0] != 0 || offsets[edges] != windows)
+        return -1;
+    for (int64_t e = 0; e < edges; e++)
+        if (offsets[e] > offsets[e + 1])
+            return -1;
+    memset(bucket, 0, (size_t)(bound + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < windows; i++) {
+        if (t1[i] < 0 || t1[i] >= bound)
+            return -1;
+        bucket[t1[i] + 1]++;
+    }
+    for (int64_t t = 0; t < bound; t++)
+        bucket[t + 1] += bucket[t];
+    for (int64_t e = 0; e < edges; e++)
+        for (int64_t i = offsets[e]; i < offsets[e + 1]; i++) {
+            const int64_t at = bucket[t1[i]]++;
+            ends[at] = t2[i];
+            floors[at] = i > offsets[e] ? t1[i - 1] + 1 : NO_FLOOR;
+        }
+    /* bucket[t] has moved to the end of its run: shift back. */
+    memmove(bucket + 1, bucket, (size_t)bound * sizeof(int64_t));
+    bucket[0] = 0;
+    return 0;
+}
+
 /* The domain position of time t: its offset, or the ranks below it. */
 static inline int64_t position(const struct repro_count *c, int64_t t)
 {
@@ -908,60 +963,95 @@ static inline int64_t position(const struct repro_count *c, int64_t t)
     return lo;
 }
 
+/* bucket[t], t clamped into [0, bound]. */
+static inline int64_t bucket_at(const struct repro_count *c, int64_t t)
+{
+    return c->bucket[t < 0 ? 0 : t > c->bound ? c->bound : t];
+}
+
+/*
+ * The start time of cut position i, given bucket[t] <= i <
+ * bucket[limit]: the last t' in [t, limit) with bucket[t'] <= i, found
+ * by galloping from t, so O(log(t' - t + 1)) reads and never a scan
+ * over the (possibly raw) times between.
+ */
+static int64_t start_of(const int64_t *bucket, int64_t t, int64_t limit, int64_t i)
+{
+    int64_t step = 1;
+    while (step < limit - t && bucket[t + step] <= i) {
+        t += step;
+        step <<= 1;
+    }
+    int64_t above = step < limit - t ? t + step : limit; /* bucket[above] > i */
+    while (above - t > 1) {
+        const int64_t mid = t + (above - t) / 2;
+        if (bucket[mid] <= i)
+            t = mid;
+        else
+            above = mid;
+    }
+    return t;
+}
+
 /*
  * Prepare a counting walk over the cut: drop the windows ending after
- * te and activate the rest (Definition 6).  An edge's windows inside
- * [ts, te] are one contiguous flat run, so a window activates at ts
- * when it is its edge's first or its flat predecessor starts before ts,
- * else one past that predecessor's start: max(ts, predecessor's start
- * + 1).  The cut's windows lie scattered over the skyline, so the
- * windows ending by te are selected without branching on their ends (a
- * branch on each read would serialise the reads' cache misses).  The
- * cut is in start order, so the selected windows' ends land bucketed
- * by start as they come; one counting sort buckets them by activation.
- * Clears the histogram.  Returns the number of visits (the distinct
- * start times), or -1 unless 0 <= lo <= hi <= windows and every counted
- * window has ts <= activation <= start <= end, inside the domain, and
- * starts no earlier than the one before it.
+ * te and activate the rest at max(ts, floor) (Definition 6; see
+ * repro_skyline_columns).  The cut is read in order, one start bucket
+ * at a time, so the counted windows' ends land bucketed by start as
+ * they come; one counting sort buckets them by activation.  Within a
+ * bucket the windows ending by te are selected without branching on
+ * their ends.  Clears the histogram and sets counted.  Returns the
+ * number of visits (the distinct start times of counted windows), or
+ * -1, having written nothing, unless ts <= te and [lo, hi) is exactly
+ * the cut of [ts, te] (bucket[ts] .. bucket[te + 1]), and -1 unless
+ * the offsets ascend through the cut and every counted window has ts
+ * <= activation <= start <= end, inside the domain.  O(hi - lo + width + visits * log(te - ts)).
  */
 int64_t repro_count_init(struct repro_count *c)
 {
-    const int64_t *start = c->start, *end = c->end;
-    const int64_t ts = c->ts, te = c->te, width = c->width;
-    if (c->lo < 0 || c->lo > c->hi || c->hi > c->windows)
+    const int64_t *end = c->end, *floors = c->floors;
+    const int64_t ts = c->ts, te = c->te, width = c->width, hi = c->hi;
+    const int64_t limit = te < c->bound ? te + 1 : c->bound;
+    if (ts > te || c->lo != bucket_at(c, ts) || hi != bucket_at(c, limit))
         return -1;
-    /* the selected windows and their ends, overwritten below by their
-     * activations and ends as domain positions */
-    int64_t *selected = c->keys, *selected_end = c->by_start, size = 0;
-    for (int64_t i = c->lo; i < c->hi; i++) {
-        const int64_t w = c->order[i];
-        if (w < 0 || w >= c->windows)
+    int64_t *keys = c->keys, *by_start = c->by_start;
+    int64_t visits = 0, at = -1, size = 0; /* start offsets set up to at */
+    int64_t t = ts < 0 ? 0 : ts;
+    for (int64_t i = c->lo; i < hi;) {
+        t = start_of(c->bucket, t, limit, i);
+        const int64_t stop = c->bucket[t + 1], first = size;
+        if (stop <= i || stop > hi) /* offsets that do not ascend */
             return -1;
-        const int64_t t2 = end[w];
-        selected[size] = w;
-        selected_end[size] = t2;
-        size += t2 <= te;
-    }
-    int64_t visits = 0, at = -1; /* start offsets set up to at */
-    for (int64_t i = 0; i < size; i++) {
-        const int64_t w = selected[i], t1 = start[w], t2 = selected_end[i];
-        const int64_t floor = c->first[w] ? ts : start[w - (w > 0)] + 1;
-        const int64_t active = floor > ts ? floor : ts;
-        const int64_t s = position(c, t1), e = position(c, t2);
-        if (t1 < ts || t1 > t2 || active > t1 || s < at || e >= width)
+        for (; i < stop; i++) {
+            const int64_t t2 = end[i], active = floors[i] > ts ? floors[i] : ts;
+            keys[size] = active;
+            by_start[size] = t2;
+            size += t2 <= te;
+        }
+        if (size == first)
+            continue;
+        const int64_t s = position(c, t);
+        if (s <= at || s >= width)
             return -1;
-        if (s > at)
-            visits++;
+        visits++;
         while (at < s)
-            c->start_offsets[++at] = i;
-        c->by_start[i] = e;
-        c->keys[i] = position(c, active);
+            c->start_offsets[++at] = first;
+        for (int64_t j = first; j < size; j++) {
+            if (keys[j] > t || by_start[j] < t)
+                return -1;
+            const int64_t e = position(c, by_start[j]);
+            if (e >= width)
+                return -1;
+            by_start[j] = e;
+            keys[j] = position(c, keys[j]);
+        }
     }
     while (at < width)
         c->start_offsets[++at] = size;
-    repro_counting_order(size, c->keys, width, c->active_offsets, c->by_active);
+    c->counted = size;
+    repro_counting_order(size, keys, width, c->active_offsets, c->by_active);
     for (int64_t i = 0; i < size; i++)
-        c->by_active[i] = c->by_start[c->by_active[i]];
+        c->by_active[i] = by_start[c->by_active[i]];
     memset(c->alive_at, 0, (size_t)width * sizeof(int64_t));
     c->next = 0;
     c->prev = -1;

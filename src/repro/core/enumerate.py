@@ -14,8 +14,8 @@ in time bounded by the total result size ``O(|R|)`` (Theorem 3):
   (**Enum**, Algorithm 5).
 
 The walk itself is the *columnar* core of the serving layer
-(:mod:`repro.serve.columnar`), handed the range as a cut of the
-skyline's start order: ``L_ts`` is an end-sorted run of flat arrays
+(:mod:`repro.serve.columnar`), handed the range as a
+:class:`~repro.core.windows.SkylineCut`: ``L_ts`` is an end-sorted run of flat arrays
 updated by cuts and merges, and each start time's cores are emitted as
 ``(end, prefix-length)`` pairs into a result sink
 (:mod:`repro.serve.sinks`), or only counted — no per-window Python
@@ -55,8 +55,9 @@ def enumerate_temporal_kcores(
         A precomputed edge core window skyline whose span *contains* the
         query range (for example the full-span skyline of a
         :class:`repro.core.index.CoreIndex`).  A wider skyline is
-        restricted to the range in one vectorised cut over its cached
-        start-sorted permutation — minimal core windows are intrinsic to
+        restricted to the range in one vectorised cut (the flat run of the
+        edges stamped inside the range, or the start-ordered columns of
+        a counting walk) — minimal core windows are intrinsic to
         the graph, so the sub-range skyline is exactly the subset inside
         it.  When omitted, Algorithm 2 is run first over the query range.
     collect:
@@ -92,6 +93,7 @@ def enumerate_temporal_kcores(
 
     if sink is None:
         sink = MaterializingSink() if collect else CountSink()
-    completed = run_columnar_walk(skyline.cut(ts_lo, ts_hi), sink, deadline=deadline)
+    cut = skyline.cut(ts_lo, ts_hi, graph, counting=sink.counting_targets() is not None)
+    completed = run_columnar_walk(cut, sink, deadline=deadline)
     sink.finish(completed)
     return sink.result("enum", k, (ts_lo, ts_hi))

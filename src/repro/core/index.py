@@ -5,8 +5,10 @@ The paper computes the skyline per query.  In an index-serving deployment
 time span and answer arbitrary sub-ranges.  Minimal core windows are
 intrinsic to the graph, so the skyline of a sub-range is a filter of the
 whole-span skyline: the serving path cuts it as a
-:class:`~repro.core.windows.SkylineCut` (two offsets into the
-skyline's start order), and the walk re-derives activation times.
+:class:`~repro.core.windows.SkylineCut` (a cut of the skyline's
+start-ordered columns for a counting walk, the flat run of the edges
+stamped inside the range for an emitting one), and the walk re-derives
+activation times.
 This module packages that pattern — :class:`CoreIndex` for one
 ``(graph, k)``, :class:`CoreIndexRegistry` for an LRU-bounded pool of
 them serving many graphs and ``k`` values.

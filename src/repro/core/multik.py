@@ -109,7 +109,6 @@ from repro.core.index import CoreIndex, _build_seconds_histogram
 from repro.core.windows import EdgeCoreSkyline
 from repro.errors import InvalidParameterError
 from repro.graph.temporal_graph import TemporalGraph
-from repro.obs.metrics import get_registry
 from repro.obs.timing import now
 
 #: The build pass's work counts, the ``unit`` labels of
@@ -132,18 +131,9 @@ def _validated_ks(ks: Iterable[int]) -> list[int]:
     return sorted(set(values))
 
 
-def _work_counter():
-    return get_registry().counter(
-        "repro_kernel_work_total",
-        "CoreTime build pass work: operator evaluations, kth_smallest "
-        "fallbacks, harvested incident entries and live slots read",
-        ("unit",),
-    )
-
-
 def kernel_work_counts() -> dict[str, int]:
     """``repro_kernel_work_total`` of this process, ``{unit: n}`` for every unit."""
-    counter = _work_counter()
+    counter = native.work_counter()
     return {unit: int(counter.labels(unit).value) for unit in WORK_UNITS}
 
 
@@ -324,7 +314,7 @@ class _FusedMultiK:
             reserve("vct", max(args.vct_need, start_vct))
             reserve("ecs", max(args.ecs_need, start_ecs))
             current_ts = build_pass(ctypes.byref(args), current_ts)
-        work = _work_counter()
+        work = native.work_counter()
         for unit in WORK_UNITS:
             work.labels(unit).inc(getattr(args, unit))
         self.vct = [part[: args.vct_len] for part in out["vct"]]

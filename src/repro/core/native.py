@@ -3,7 +3,7 @@
 :func:`library` compiles the source with the system C compiler
 (``cc -O2 -shared -fPIC``) the first time a process asks for it, caches
 the shared library under a name carrying the source's sha256, and loads
-it through :mod:`ctypes` with declared argument types.  It holds nine
+it through :mod:`ctypes` with declared argument types.  It holds ten
 functions: the first-start scan of a CoreTime build (``initial_scan``)
 and its advancing phase (``build_pass``, fed a :class:`BuildArgs`
 block; both see :mod:`repro.core.multik`), the fold's
@@ -13,9 +13,11 @@ one visited start time for a sink that receives the cores
 (``walk_step``, fed a :class:`WalkArgs` block, O(alive windows) per
 visit) and, for a sink that only counts, ``count_init`` then
 ``count_visits`` (fed a :class:`CountArgs` block: ``count_init`` reads
-a skyline's start-ordered cut itself and activates each window from its
-flat predecessor, then the alive set is a histogram of windows per end
-time, O(changes + width of the reported end range) per visit) —
+a range's cut of the skyline's start-ordered columns in order and
+activates each window at its floor, then the alive set is a histogram
+of windows per end time, O(changes + width of the reported end range)
+per visit), with ``skyline_columns``, the counting scatter that derives
+those columns (:func:`skyline_columns`) —
 ``render_frames``, which writes one start time's cores as NDJSON core
 frames for :class:`FrameRenderer`, the stable counting sort behind
 :func:`counting_order` and the carry-less multiplication crc32 behind
@@ -131,14 +133,16 @@ class CountArgs(ctypes.Structure):
     """``struct repro_count``: one counting walk's cut, arrays, state and counters.
 
     The field order mirrors the C source; arrays are passed as the
-    addresses of C-contiguous numpy buffers (int64, the first-window
-    flags uint8).
+    addresses of C-contiguous int64 numpy buffers.  ``end``, ``floors``
+    and ``bucket`` are a skyline's start-ordered columns
+    (:func:`skyline_columns`); the init writes ``counted``, the windows
+    it counted.
     """
 
     _fields_ = [
-        (name, _POINTER) for name in ("start", "end", "order", "first")
+        (name, _POINTER) for name in ("end", "floors", "bucket")
     ] + [
-        (name, _INT64) for name in ("windows", "lo", "hi", "ts", "te")
+        (name, _INT64) for name in ("bound", "lo", "hi", "ts", "te")
     ] + [("ranks", _POINTER)] + [
         (name, _INT64) for name in ("base", "width")
     ] + [
@@ -156,7 +160,7 @@ class CountArgs(ctypes.Structure):
         )
     ] + [
         (name, _INT64)
-        for name in ("targets", "position", "num_active", "num_results", "total_edges")
+        for name in ("targets", "position", "num_active", "num_results", "total_edges", "counted")
     ]
 
 
@@ -171,6 +175,9 @@ class Kernels(NamedTuple):
     splice: Callable[..., None]
     #: ``repro_walk_step(WalkArgs *, t) -> cores reported at t``
     walk_step: Callable[..., int]
+    #: ``repro_skyline_columns(edges, windows, offsets, t1, t2, bound,
+    #: bucket, ends, floors) -> 0 or -1``
+    skyline_columns: Callable[..., int]
     #: ``repro_count_init(CountArgs *) -> visits, or -1 on a malformed cut``
     count_init: Callable[..., int]
     #: ``repro_count_visits(CountArgs *, max_visits) -> visits counted``
@@ -260,6 +267,9 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     walk_step = lib.repro_walk_step
     walk_step.argtypes = [ctypes.POINTER(WalkArgs), _INT64]
     walk_step.restype = _INT64
+    skyline_columns = lib.repro_skyline_columns
+    skyline_columns.argtypes = [_INT64] * 2 + [_POINTER] * 3 + [_INT64] + [_POINTER] * 3
+    skyline_columns.restype = _INT64
     count_init = lib.repro_count_init
     count_init.argtypes = [ctypes.POINTER(CountArgs)]
     count_init.restype = _INT64
@@ -280,8 +290,8 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
     crc32_fold.argtypes = [_INT64, _POINTER, _INT64]
     crc32_fold.restype = _INT64
     return Kernels(
-        initial_scan, build_pass, splice, walk_step, count_init, count_visits,
-        render_frames, counting_order, crc32_fold,
+        initial_scan, build_pass, splice, walk_step, skyline_columns, count_init,
+        count_visits, render_frames, counting_order, crc32_fold,
     )
 
 
@@ -410,6 +420,55 @@ def counting_order(keys, bound: int) -> tuple[np.ndarray, np.ndarray]:
     ):
         raise ValueError(f"counting-order keys outside [0, {bound})")
     return order, offsets
+
+
+#: Where a skyline window's floor says it is its edge's first
+#: (``NO_FLOOR`` in the C source).
+NO_FLOOR = -(1 << 63)
+
+
+def skyline_columns(offsets, t1, t2, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A skyline's start-ordered columns ``(ends, floors, bucket)``.
+
+    ``offsets``/``t1``/``t2`` are the skyline's flat runs (see
+    :class:`~repro.core.windows.EdgeCoreSkyline`), every start in ``[0,
+    bound)``.  Listed by start, ties in flat order, ``ends`` holds each
+    window's end and ``floors`` its flat predecessor's start + 1, or
+    :data:`NO_FLOOR` for its edge's first window; the windows starting
+    at ``t`` sit at ``bucket[t]:bucket[t + 1]`` (``bound + 1``
+    offsets).  One ``repro_skyline_columns`` scatter, O(windows + edges
+    + bound), with no other array.  Raises :class:`ValueError` on
+    offsets that do not run from 0 to ``len(t1)`` or a start outside
+    ``[0, bound)``.
+    """
+    offsets, t1, t2 = (np.ascontiguousarray(a, dtype=np.int64) for a in (offsets, t1, t2))
+    windows = len(t1)
+    bucket = np.empty(bound + 1, dtype=np.int64)
+    ends = np.empty(windows, dtype=np.int64)
+    floors = np.empty(windows, dtype=np.int64)
+    if library().skyline_columns(
+        len(offsets) - 1, windows, offsets.ctypes.data, t1.ctypes.data, t2.ctypes.data,
+        bound, bucket.ctypes.data, ends.ctypes.data, floors.ctypes.data,
+    ):
+        raise ValueError(f"malformed skyline runs, or a start outside [0, {bound})")
+    return ends, floors, bucket
+
+
+def work_counter():
+    """``repro_kernel_work_total{unit}``: the kernels' exact work counts.
+
+    The build pass adds its units (:data:`repro.core.multik.WORK_UNITS`),
+    the counting walk ``count_visits`` and ``count_windows``.
+    """
+    from repro.obs.metrics import get_registry
+
+    return get_registry().counter(
+        "repro_kernel_work_total",
+        "Compiled kernel work: build pass operator evaluations, kth_smallest "
+        "fallbacks, harvested incident entries and live slots read; counting "
+        "walk visits and counted windows",
+        ("unit",),
+    )
 
 
 def crc32(data, value: int = 0) -> int:

@@ -20,20 +20,27 @@ ascending in both coordinates.  This is the same offset-indexed layout
 the on-disk store persists, so in-memory, store-loaded and multi-``k``
 built skylines are one representation and a store load is zero-copy.
 
-Per-query work is vectorised on top of it.  Restricting to a sub-range
-``[ts, te]`` cuts a once-per-skyline *start-sorted permutation* of the
-windows (a stable counting sort by start time) at two offsets
-(``ts <= t1 <= te``): a :class:`SkylineCut`, whose windows ending by
-``te`` are the range's — no per-edge Python loop.  Because each edge's
-skyline is bi-monotone, the surviving windows of an edge are one
-contiguous run of flat indices, so every window's activation time
-(Definition 6) follows from its flat predecessor: ``max(ts, predecessor's
-start + 1)`` when the predecessor belongs to the same edge, ``ts``
-otherwise.  A counting walk reads the cut and derives activation itself
-(``repro_count_init``), needing only a once-per-skyline byte per window
-that flags each edge's first window; :meth:`SkylineCut.arrays`
-materialises the ``(eid, start, end, active)`` slice an emitting walk
-needs, in one vectorised step.
+Per-query work is vectorised on top of it.  Each edge's skyline is
+bi-monotone, so the windows of an edge inside a range ``[ts, te]`` are
+one contiguous run of its flat indices, and every window's activation
+time (Definition 6) follows from its flat predecessor: ``max(ts,
+predecessor's start + 1)`` when the predecessor belongs to the same
+edge, ``ts`` otherwise.  Two readers use that:
+
+* a counting walk reads a once-per-skyline pair of *start-ordered
+  columns* (:meth:`EdgeCoreSkyline.counting_columns`): each window's
+  end and *floor* (its flat predecessor's start + 1, or a sentinel for
+  an edge's first window), listed by start time, with per-start
+  offsets.  A range's windows start in one contiguous cut of them
+  (:class:`SkylineCut`'s ``lo``/``hi``), which ``repro_count_init``
+  reads in order, no gather;
+* an emitting walk and the seed-oracle paths read the range's windows
+  in flat order: a window inside ``[ts, te]`` contains its edge's
+  timestamp, so it lies in the flat run of the edges stamped inside
+  the range, one contiguous run when the graph's timestamp offsets are
+  at hand (:meth:`EdgeCoreSkyline.selection_from_cut`), ascending with
+  no sort.  Edge ids and activations come from the skyline's own
+  offsets; nothing is derived or cached.
 
 The list-of-tuples constructor is kept as the conversion surface for the
 reference oracle, the text loaders and hand-written tests; it converts
@@ -49,7 +56,7 @@ import numpy as np
 
 from repro.core import native
 from repro.errors import InvalidParameterError
-from repro.utils.arrays import as_int64_array, flatten_pairs, offsets_from_keys
+from repro.utils.arrays import as_int64_array, flatten_pairs
 
 
 class EdgeCoreSkyline:
@@ -67,17 +74,7 @@ class EdgeCoreSkyline:
         The query integer and the computation range the skyline refers to.
     """
 
-    __slots__ = (
-        "k",
-        "span",
-        "_offsets",
-        "_t1",
-        "_t2",
-        "_start_order",
-        "_start_offsets",
-        "_first",
-        "_eids",
-    )
+    __slots__ = ("k", "span", "_offsets", "_t1", "_t2", "_ends", "_floors", "_bucket")
 
     def __init__(
         self,
@@ -88,10 +85,7 @@ class EdgeCoreSkyline:
         self.k = k
         self.span = span
         self._offsets, self._t1, self._t2 = flatten_pairs(windows_by_edge)
-        self._start_order = None
-        self._start_offsets = None
-        self._first = None
-        self._eids = None
+        self._ends = self._floors = self._bucket = None
 
     @classmethod
     def from_flat(cls, offsets, t1, t2, k: int, span: tuple[int, int]):
@@ -108,10 +102,7 @@ class EdgeCoreSkyline:
         skyline._offsets = as_int64_array(offsets)
         skyline._t1 = as_int64_array(t1)
         skyline._t2 = as_int64_array(t2)
-        skyline._start_order = None
-        skyline._start_offsets = None
-        skyline._first = None
-        skyline._eids = None
+        skyline._ends = skyline._floors = skyline._bucket = None
         return skyline
 
     # ------------------------------------------------------------------
@@ -135,13 +126,9 @@ class EdgeCoreSkyline:
         return len(self._t1)
 
     def window_eids(self) -> np.ndarray:
-        """Per-window edge ids (flat, parallel to ``t1``/``t2``); cached."""
-        if self._eids is None:
-            counts = self._offsets[1:] - self._offsets[:-1]
-            self._eids = np.repeat(
-                np.arange(self.num_edges, dtype=np.int64), counts
-            )
-        return self._eids
+        """Per-window edge ids (flat, parallel to ``t1``/``t2``), not cached."""
+        counts = self._offsets[1:] - self._offsets[:-1]
+        return np.repeat(np.arange(self.num_edges, dtype=np.int64), counts)
 
     def __iter__(self) -> Iterator[tuple[int, tuple[int, int]]]:
         """Yield ``(eid, (t1, t2))`` for every window of every edge."""
@@ -175,49 +162,31 @@ class EdgeCoreSkyline:
     # Vectorised sub-range machinery
     # ------------------------------------------------------------------
 
-    def _by_start(self) -> tuple[np.ndarray, np.ndarray]:
-        """The start-sorted permutation and its per-start offsets; cached.
+    def counting_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What a counting walk reads of the skyline: ``(ends, floors, bucket)``.
 
-        ``(order, offsets)``: ``order`` lists the windows by ascending
-        start (ties in flat order) and ``order[offsets[t]:offsets[t +
-        1]]`` are the windows starting at ``t``.  Built once per skyline
-        by one stable counting sort over the start times, which lie in
-        ``[1, span end]`` (O(|ECS| + span)), and reused by every query
-        against it: the per-query cost of a restriction drops to two
-        offset lookups plus work proportional to the windows that start
-        inside the query range.
+        The windows listed by ascending start (ties in flat order):
+        ``ends`` holds each one's end, ``floors`` its flat predecessor's
+        start + 1 (:data:`~repro.core.native.NO_FLOOR` for its edge's
+        first window), and the windows starting at ``t`` sit at
+        ``bucket[t]:bucket[t + 1]``.  Start times lie in ``[0, span
+        end]``, so ``bucket`` has ``span end + 2`` entries.  Derived
+        once per skyline by one compiled counting scatter
+        (:func:`~repro.core.native.skyline_columns`), O(|ECS| + span),
+        and reused by every counting query against it: 16 bytes per
+        window beside the per-start offsets.
         """
-        order = self._start_order
-        if order is None:
-            order, offsets = native.counting_order(self._t1, self.span[1] + 1)
-            # The offsets are published before the order array: a
-            # concurrent reader that observes _start_order non-None is
-            # then guaranteed to see _start_offsets as well (serving
-            # threads share indexes; see CoreIndexRegistry).
-            self._start_offsets = offsets
-            self._start_order = order
-        return order, self._start_offsets
-
-    def counting_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """What a counting walk reads of the skyline: ``(t1, t2, order, first)``.
-
-        ``order`` is the start-sorted permutation (:meth:`_by_start`) and
-        ``first`` flags, one byte per window, the first window of each
-        edge: a window's flat predecessor belongs to the same edge unless
-        it is flagged.  Both are derived once per skyline; every column
-        is C-contiguous.
-        """
-        order, _offsets = self._by_start()
-        first = self._first
-        if first is None:
-            first = np.zeros(len(self._t1), dtype=np.uint8)
-            heads = self._offsets[:-1]
-            # An edge without windows shares its offset with the next
-            # edge's first window (or lies past the last window).
-            first[heads[heads < len(first)]] = 1
-            self._first = first
-        t1, t2 = (np.ascontiguousarray(column) for column in (self._t1, self._t2))
-        return t1, t2, order, first
+        ends = self._ends
+        if ends is None:
+            ends, floors, bucket = native.skyline_columns(
+                self._offsets, self._t1, self._t2, self.span[1] + 1
+            )
+            # ends is published last: a concurrent reader that observes
+            # _ends non-None then sees the other two columns as well
+            # (serving threads share indexes; see CoreIndexRegistry).
+            self._floors, self._bucket = floors, bucket
+            self._ends = ends
+        return ends, self._floors, self._bucket
 
     def _check_range(self, ts: int, te: int) -> None:
         span_ts, span_te = self.span
@@ -226,60 +195,69 @@ class EdgeCoreSkyline:
                 f"[{ts}, {te}] is not inside the computed span [{span_ts}, {span_te}]"
             )
 
-    def cut(self, ts: int, te: int) -> "SkylineCut":
-        """The :class:`SkylineCut` of the windows inside ``[ts, te]``."""
+    def cut(self, ts: int, te: int, graph=None, *, counting: bool = True) -> "SkylineCut":
+        """The :class:`SkylineCut` of the windows inside ``[ts, te]``.
+
+        ``graph``, the :class:`~repro.graph.temporal_graph.TemporalGraph`
+        the skyline was computed on, narrows an emitting walk's read to
+        the flat run of the edges stamped inside the range.  The
+        start-order cut (``lo``/``hi``) is looked up only for a
+        ``counting`` cut; an emitting one derives nothing.
+        """
         self._check_range(ts, te)
-        (lo,), (hi,) = self.start_cuts([ts], [te])
-        return SkylineCut(self, int(lo), int(hi), ts, te)
+        lo = hi = None
+        if counting:
+            lo, hi = (int(part[0]) for part in self.start_cuts([ts], [te]))
+        return SkylineCut(self, lo, hi, ts, te, edge_run(graph, ts, te))
 
     def start_cuts(self, ts_values, te_values) -> tuple[np.ndarray, np.ndarray]:
-        """Start-sorted cut positions for a whole batch of ranges at once.
+        """Start-ordered cut positions for a whole batch of ranges at once.
 
         ``(lo, hi)`` arrays such that the windows with start time inside
-        ``[ts_values[i], te_values[i]]`` are ``order[lo[i]:hi[i]]`` of
-        the cached start-sorted permutation — one vectorised lookup in
-        its per-start offsets for the entire batch, shared by
+        ``[ts_values[i], te_values[i]]`` sit at ``lo[i]:hi[i]`` of the
+        start-ordered :meth:`counting_columns` — one vectorised lookup
+        in their per-start offsets for the entire batch, shared by
         :meth:`repro.core.index.CoreIndex.query_batch`.
         """
-        _order, offsets = self._by_start()
-        last = len(offsets) - 1
-        lo = offsets[np.clip(np.asarray(ts_values, dtype=np.int64), 0, last)]
-        hi = offsets[np.clip(np.asarray(te_values, dtype=np.int64) + 1, 0, last)]
+        bucket = self.counting_columns()[2]
+        last = len(bucket) - 1
+        lo = bucket[np.clip(np.asarray(ts_values, dtype=np.int64), 0, last)]
+        hi = bucket[np.clip(np.asarray(te_values, dtype=np.int64) + 1, 0, last)]
         return lo, hi
 
-    def selection_from_cut(self, lo: int, hi: int, ts: int, te: int) -> np.ndarray:
+    def selection_from_cut(
+        self, ts: int, te: int, edges: tuple[int, int] | None = None
+    ) -> np.ndarray:
         """Flat indices of the windows inside ``[ts, te]``, ascending.
 
-        ``lo``/``hi`` are the start-sorted cut positions for the range
-        (see :meth:`start_cuts`).  Ascending flat order groups the
-        selection by edge with per-edge ascending start times, each
+        A window inside the range contains its edge's timestamp, so with
+        ``edges``, the ids ``[lo, hi)`` of the edges stamped inside the
+        range (:func:`edge_run`), only their contiguous flat run is
+        masked; without, every window is.  Ascending flat order groups
+        the selection by edge with per-edge ascending start times, each
         edge's windows one contiguous flat run — the layout a restricted
-        skyline and the seed oracles' slice
-        (:meth:`active_arrays_from_selection`) take.  The columnar walk
-        needs no sort: it reads the cut in start order and tells a
-        window's activation from its flat predecessor
-        (:meth:`counting_columns`, :meth:`SkylineCut.arrays`).
+        skyline, the emitting walk and the seed oracles' slice
+        (:meth:`active_arrays_from_selection`) take.  No sort.
         """
-        span_ts, span_te = self.span
-        if ts == span_ts and te == span_te:
-            return np.arange(len(self._t1), dtype=np.int64)
-        order, _offsets = self._by_start()
-        candidates = order[lo:hi]
-        selected = candidates[self._t2[candidates] <= te]
-        selected.sort()
-        return selected
+        lo, hi = (0, self.num_edges) if edges is None else edges
+        first, stop = int(self._offsets[lo]), int(self._offsets[hi])
+        t1, t2 = self._t1[first:stop], self._t2[first:stop]
+        inside = ((t1 >= ts) & (t2 <= te)).nonzero()[0]
+        inside += first
+        return inside
 
     def restricted_to(self, ts: int, te: int) -> "EdgeCoreSkyline":
         """Skyline filtered to windows contained in ``[ts, te]``.
 
         Minimal core windows are intrinsic to the graph (Definition 5 does
         not depend on the query range), so the skyline of a sub-range is
-        exactly the subset of windows inside it.  Fully vectorised: two
-        offset cuts of the cached start-sorted permutation plus an
-        end-time mask — no per-edge scan.
+        exactly the subset of windows inside it.  Fully vectorised: a
+        flat mask, and each edge's new offset is the selected windows
+        before its old one — no per-edge scan, no sort.
         """
-        selected = self.selection_from_cut(*self.cut(ts, te)[1:])
-        offsets = offsets_from_keys(self.window_eids()[selected], self.num_edges)
+        self._check_range(ts, te)
+        selected = self.selection_from_cut(ts, te)
+        offsets = np.searchsorted(selected, self._offsets)
         return EdgeCoreSkyline.from_flat(
             offsets, self._t1[selected], self._t2[selected], self.k, (ts, te)
         )
@@ -292,63 +270,72 @@ class EdgeCoreSkyline:
         The vectorised form of restriction followed by
         :func:`build_active_windows` — the enumeration driver's window
         prep, without materialising a restricted skyline or any per-edge
-        tuples.  ``active`` is the activation time of Definition 6: the
-        first surviving window of an edge activates at ``ts``, each later
-        one at its predecessor's start time plus one.  Bi-monotonicity
-        makes each edge's surviving windows a contiguous flat run, so the
-        predecessor test is one shifted comparison.  The windows come in
-        ascending flat order, each edge's one run, the layout the seed
-        oracles take.
+        tuples.  The windows come in ascending flat order, each edge's
+        one run, the layout the seed oracles take.
         """
-        _skyline, lo, hi, ts, te = self.cut(ts, te)
-        return self.active_arrays_from_selection(self.selection_from_cut(lo, hi, ts, te), ts)
+        self._check_range(ts, te)
+        return self.active_arrays_from_selection(self.selection_from_cut(ts, te), ts)
 
     def active_arrays_from_selection(
         self, selected: np.ndarray, ts: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(eid, start, end, active)`` for an already-cut selection.
+        """``(eid, start, end, active)`` for ascending flat window indices.
 
-        ``selected`` are ascending flat window indices as produced by the
-        selection machinery; ``ts`` is the query start the first window
-        of each edge activates at.  A window whose flat predecessor is
-        selected and of the same edge activates one past that
-        predecessor's start instead.
+        ``selected`` are windows inside a range starting at ``ts``, as
+        :meth:`selection_from_cut` lists them.  Each window's edge is
+        the last whose offset is at most its index; it activates at
+        ``ts`` when it is that edge's first window, else at ``max(ts,
+        flat predecessor's start + 1)`` (Definition 6): a predecessor
+        of the same edge outside the range starts before ``ts``, since
+        it also ends before the window does.
         """
-        eids = self.window_eids()[selected]
-        starts = self._t1[selected]
-        ends = self._t2[selected]
-        active = np.full(len(selected), ts, dtype=np.int64)
-        if len(selected) > 1:
-            follows = (selected[1:] == selected[:-1] + 1) & (eids[1:] == eids[:-1])
-            active[1:][follows] = starts[:-1][follows] + 1
-        return eids, starts, ends, active
+        offsets, t1 = self._offsets, self._t1
+        eids = np.searchsorted(offsets, selected, side="right") - 1
+        starts = t1[selected]
+        # selected - 1 wraps to the last window for window 0, which is
+        # its edge's first: the offset test masks it.
+        active = np.maximum(t1[selected - 1] + 1, ts)
+        active[offsets[eids] == selected] = ts
+        return eids, starts, self._t2[selected], active
+
+
+def edge_run(graph, ts: int, te: int) -> tuple[int, int] | None:
+    """The ids ``[lo, hi)`` of ``graph``'s edges stamped inside ``[ts, te]``.
+
+    Edges are stored sorted by timestamp, so they are one contiguous
+    range of the graph's timestamp offsets; ``[ts, te]`` must lie inside
+    the graph's span.  ``None`` without a graph.
+    """
+    if graph is None:
+        return None
+    offsets = graph.time_offsets()
+    return int(offsets[ts]), int(offsets[te + 1])
 
 
 class SkylineCut(NamedTuple):
-    """The windows of ``skyline`` inside ``[ts, te]``, as a cut of its start order.
+    """The windows of ``skyline`` inside ``[ts, te]``: what a walk is handed.
 
-    ``order[lo:hi]`` of the skyline's start-sorted permutation lists the
-    windows starting inside ``[ts, te]`` (:meth:`EdgeCoreSkyline.start_cuts`);
-    those ending by ``te`` are the range's windows.  This is what the
-    columnar walk is handed (:func:`repro.serve.columnar.run_columnar_walk`):
-    a counting walk reads the cut itself, an emitting one the
-    :meth:`arrays` it gathers, in start order.
+    ``lo``/``hi`` cut the skyline's start-ordered
+    :meth:`~EdgeCoreSkyline.counting_columns` at the windows starting
+    inside the range (:meth:`EdgeCoreSkyline.start_cuts`): a counting
+    walk (:func:`repro.serve.columnar.run_columnar_walk`) reads that cut
+    itself, and counts those ending by ``te``.  A cut only emitted from
+    has no start-order positions (``None``).  ``edges`` is the id range
+    of the graph's edges stamped inside the range (:func:`edge_run`),
+    ``None`` for every edge: an emitting walk reads the :meth:`arrays`
+    of their flat run.
     """
 
     skyline: EdgeCoreSkyline
-    lo: int
-    hi: int
+    lo: int | None
+    hi: int | None
     ts: int
     te: int
+    edges: tuple[int, int] | None = None
 
     def selection(self) -> np.ndarray:
-        """Flat indices of the cut's windows inside ``[ts, te]``, in start order.
-
-        ``order[lo:hi]`` filtered by end time: a gather, no sort.
-        """
-        _starts, ends, order, _first = self.skyline.counting_columns()
-        candidates = order[self.lo : self.hi]
-        return candidates[ends[candidates] <= self.te]
+        """Flat indices of the cut's windows inside ``[ts, te]``, ascending."""
+        return self.skyline.selection_from_cut(self.ts, self.te, self.edges)
 
     def arrays(
         self, selected: np.ndarray | None = None
@@ -356,20 +343,13 @@ class SkylineCut(NamedTuple):
         """Columnar ``(eid, start, end, active)`` of the cut's windows inside ``[ts, te]``.
 
         The windows of ``selected``, the cut's :meth:`selection` when not
-        given, in its start order.  A window activates as the counting
-        kernel activates it (Definition 6): at ``ts`` when it is its
-        edge's first, else at ``max(ts, flat predecessor's start + 1)``
-        — a predecessor of the same edge outside the range starts before
-        ``ts``, since it also ends before the window does.
+        given, in ascending flat order, activated as the counting kernel
+        activates them (Definition 6; see
+        :meth:`EdgeCoreSkyline.active_arrays_from_selection`).
         """
         if selected is None:
             selected = self.selection()
-        starts, ends, _order, first = self.skyline.counting_columns()
-        # selected - 1 wraps to the last window for window 0, which is
-        # its edge's first: the flag masks it.
-        active = np.maximum(starts[selected - 1] + 1, self.ts)
-        active[first[selected].view(bool)] = self.ts
-        return self.skyline.window_eids()[selected], starts[selected], ends[selected], active
+        return self.skyline.active_arrays_from_selection(selected, self.ts)
 
 
 class ActiveWindow:

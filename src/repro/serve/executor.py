@@ -4,22 +4,25 @@ Execution walks the plan group by group:
 
 * an ``index`` group resolves its shared
   :class:`~repro.core.index.CoreIndex` (pinned on the group, else
-  through the registry, which loads or builds it) and cuts *all* its
-  covering windows with one vectorised lookup in the per-start offsets
-  of the skyline's cached start-sorted permutation: each window is a
-  :class:`~repro.core.windows.SkylineCut`, two offsets into it;
+  through the registry, which loads or builds it) and cuts its
+  covering windows: each is a :class:`~repro.core.windows.SkylineCut`.
+  The counting windows' start-order positions come from one vectorised
+  lookup in the per-start offsets of the skyline's start-ordered
+  columns; every window carries the id range of the graph's edges
+  stamped inside it, whose flat run an emitting walk reads;
 * a ``direct`` group runs Algorithm 2 over each covering window and
   hands over the full-span cut of the freshly computed skyline;
 * every covering window is enumerated **once** by the columnar core
   (:func:`~repro.serve.columnar.run_columnar_walk`), which reads a
-  counting sink's cut straight from the skyline (activation included)
-  and materialises the ``(eid, start, end, active)`` slice only for a
-  sink that receives the cores.  Only counting requests share a
-  window (the planner gives every other request one of its own); a
-  shared window's walk is counted by a slice router, whose target
-  ranges the compiled counting walk credits in C, two lookups per
-  target and visit, so a contended batch never re-enters Python per
-  request.
+  counting sink's cut straight from the skyline's columns (activation
+  included) and materialises the ``(eid, start, end, active)`` slice
+  of the flat edge run only for a sink that receives the cores, so an
+  emitting-only read derives nothing from the skyline.  Only counting
+  requests share a window (the planner gives every other request one
+  of its own); a shared window's walk is counted by a slice router,
+  whose target ranges the compiled counting walk credits in C, two
+  lookups per target and visit, so a contended batch never re-enters
+  Python per request.
 
 Results come back as one :class:`~repro.core.results.EnumerationResult`
 per request, in request order; a request without a sink is counted
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.results import EnumerationResult
-from repro.core.windows import SkylineCut
+from repro.core.windows import SkylineCut, edge_run
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry, timing_enabled
 from repro.obs.timing import Deadline, now
@@ -116,15 +119,17 @@ class _SliceRouter(ResultSink):
 
 def _group_cuts(
     group: PlanGroup,
+    counting: list[bool],
     *,
     registry: "CoreIndexRegistry | None",
     deadline: Deadline | None = None,
 ):
     """Yield ``(window, cut)`` for every covering window of ``group``.
 
-    ``cut`` is the window's :class:`~repro.core.windows.SkylineCut`:
-    two offsets into the start order of the group's index skyline, or
-    the full span of a ``direct`` window's fresh skyline.  Window
+    ``cut`` is the window's :class:`~repro.core.windows.SkylineCut` of
+    the group's index skyline, or the full span of a ``direct``
+    window's fresh skyline; only the windows flagged in ``counting``
+    (one flag per window) get start-order positions.  Window
     preparation is where the executor's *other* costs live — a cold
     index resolve (possibly a build), or a full Algorithm-2 run per
     ``direct`` window.  An expired (or cancelled) ``deadline`` therefore
@@ -147,26 +152,32 @@ def _group_cuts(
             from repro.core.index import get_core_index
 
             index = get_core_index(group.graph, group.k, registry=registry)
-        span_lo, span_hi = index.ecs.span
+        skyline = index.ecs
+        span_lo, span_hi = skyline.span
         for window in group.windows:
             if window.ts < span_lo or window.te > span_hi:
                 raise InvalidParameterError(
                     f"[{window.ts}, {window.te}] is not inside the computed "
                     f"span [{span_lo}, {span_hi}]"
                 )
-        los, his = index.ecs.start_cuts(
-            [window.ts for window in group.windows],
-            [window.te for window in group.windows],
-        )
-        for window, lo, hi in zip(group.windows, los.tolist(), his.tolist()):
+        counted = [window for window, flag in zip(group.windows, counting) if flag]
+        positions = iter(())
+        if counted:
+            los, his = skyline.start_cuts(
+                [window.ts for window in counted], [window.te for window in counted]
+            )
+            positions = zip(los.tolist(), his.tolist())
+        for window, flag in zip(group.windows, counting):
+            lo, hi = next(positions) if flag else (None, None)
             if expired():
                 yield window, None
                 continue
-            yield window, SkylineCut(index.ecs, lo, hi, window.ts, window.te)
+            edges = edge_run(index.graph, window.ts, window.te)
+            yield window, SkylineCut(skyline, lo, hi, window.ts, window.te, edges)
     elif group.engine == "direct":
         from repro.core.coretime import compute_core_times
 
-        for window in group.windows:
+        for window, flag in zip(group.windows, counting):
             if expired():
                 yield window, None
                 continue
@@ -174,7 +185,7 @@ def _group_cuts(
                 group.graph, group.k, window.ts, window.te
             ).ecs
             assert skyline is not None
-            yield window, skyline.cut(window.ts, window.te)
+            yield window, skyline.cut(window.ts, window.te, group.graph, counting=flag)
     else:  # pragma: no cover - the planner validates engines
         raise InvalidParameterError(f"plan group has unknown engine {group.engine!r}")
 
@@ -210,20 +221,20 @@ def execute_plan(
     ]
     with trace.span("execute", windows=plan.num_windows):
         for group in plan.groups:
-            for window, cut in _group_cuts(group, registry=registry, deadline=deadline):
-                if window.is_shared:
-                    target: ResultSink = _SliceRouter(
-                        [
-                            (
-                                plan.requests[rid].ts,
-                                plan.requests[rid].te,
-                                sinks[rid],
-                            )
-                            for rid in window.requests
-                        ]
-                    )
-                else:
-                    target = sinks[window.requests[0]]
+            targets: list[ResultSink] = [
+                _SliceRouter(
+                    [
+                        (plan.requests[rid].ts, plan.requests[rid].te, sinks[rid])
+                        for rid in window.requests
+                    ]
+                )
+                if window.is_shared
+                else sinks[window.requests[0]]
+                for window in group.windows
+            ]
+            counting = [target.counting_targets() is not None for target in targets]
+            cuts = _group_cuts(group, counting, registry=registry, deadline=deadline)
+            for (window, cut), target in zip(cuts, targets):
                 if cut is None:
                     # Deadline expired (or the request was cancelled)
                     # before this window's prep — skip the walk entirely,

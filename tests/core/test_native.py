@@ -246,6 +246,7 @@ PUBLIC_CALLERS = {
     "build_pass": lambda s: CoreIndex(s.graph, 2),
     "splice": lambda s: delta_fold(s.graph, s.indexes, s.pending),
     "walk_step": lambda s: s.indexes[2].query(*s.ranges[0]),
+    "skyline_columns": lambda s: s.indexes[3].query(*s.ranges[1], collect=False),
     "count_init": lambda s: s.indexes[2].query(*s.ranges[0], collect=False),
     "count_visits": lambda s: s.indexes[3].query_batch(s.ranges),
     "render_frames": lambda s: s.indexes[2].query(

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import random
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import native
 from repro.core.enumerate import enumerate_temporal_kcores
@@ -34,7 +37,7 @@ from repro.obs.timing import Deadline
 from repro.serve import columnar
 from repro.serve.columnar import run_columnar_walk
 from repro.serve.executor import _SliceRouter
-from repro.serve.sinks import CountSink, ResultSink
+from repro.serve.sinks import CountSink, NDJSONSink, ResultSink
 
 
 class ExpiresAfter:
@@ -538,18 +541,31 @@ class TestCompiledWalk:
             )
 
     def test_counting_walk_refuses_windows_out_of_order(self):
-        """A cut whose windows start before its range, or out of start order, is refused."""
+        """A cut whose positions are not its range's, or whose windows would
+        activate after they start, is refused before anything is counted.
+
+        The skyline's columns are start-ordered by construction, so a
+        shuffled start order cannot be handed over: the second half
+        corrupts the floors instead.
+        """
         skyline = self.cuts(0)[0].skyline
         full = skyline.cut(*skyline.span)
         first_start = int(skyline.flat_parts()[1].min())
+        last_start = int(skyline.flat_parts()[1].max())
         early = SkylineCut(skyline, full.lo, full.hi, first_start + 1, full.te)
+        late = SkylineCut(skyline, full.lo, full.hi, full.ts, last_start - 1)
+        for cut in (early, late):
+            sink = CountSink()
+            with pytest.raises(ValueError):
+                run_columnar_walk(cut, sink)
+            assert (sink.num_results, sink.total_edges) == (0, 0)
+        corrupt = EdgeCoreSkyline.from_flat(*skyline.flat_parts(), 2, skyline.span)
+        _ends, floors, _bucket = corrupt.counting_columns()
+        floors[:] = skyline.span[1] + 1  # every window activating past its start
+        sink = CountSink()
         with pytest.raises(ValueError):
-            run_columnar_walk(early, CountSink())
-        shuffled = EdgeCoreSkyline.from_flat(*skyline.flat_parts(), 2, skyline.span)
-        order = shuffled.counting_columns()[2]
-        shuffled._start_order = np.ascontiguousarray(order[::-1])
-        with pytest.raises(ValueError):
-            run_columnar_walk(shuffled.cut(*skyline.span), CountSink())
+            run_columnar_walk(corrupt.cut(*skyline.span), sink)
+        assert (sink.num_results, sink.total_edges) == (0, 0)
 
     @pytest.mark.parametrize("lo, hi", [(5, 4), (-1, 3), (0, "size + 1")])
     def test_cut_bounds_refused_before_the_kernel(self, monkeypatch, lo, hi):
@@ -565,3 +581,124 @@ class TestCompiledWalk:
         for sink in (CountSink(), RecordingSink()):
             with pytest.raises(ValueError):
                 run_columnar_walk(SkylineCut(skyline, lo, hi, *skyline.span), sink)
+
+
+@st.composite
+def drawn_skylines(draw):
+    """A bi-monotone skyline over ``[1, span]`` with its times scaled, a
+    range and router targets.
+
+    Up to 14 edges of zero to four windows each, so one-window edges,
+    windowless edges and start times where no window starts are all
+    common; windows of width one included.  The range's ends are the
+    span's ends half the time.  A scale above 1 stands for raw
+    timestamps: every cut is then far wider in time than it is long,
+    and counted over ranks.
+    """
+    span = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1, 1, 1_000, 100_000]))
+    windows_by_edge = []
+    for _ in range(draw(st.integers(0, 14))):
+        count = draw(st.integers(0, min(4, span)))
+        starts = sorted(draw(st.sets(st.integers(1, span), min_size=count, max_size=count)))
+        ends = sorted(draw(st.sets(st.integers(1, span), min_size=count, max_size=count)))
+        windows_by_edge.append(
+            [(a * scale, max(a, b) * scale) for a, b in zip(starts, ends)]
+        )
+    ts = draw(st.one_of(st.just(1), st.integers(1, span)))
+    te = draw(st.one_of(st.just(span), st.integers(ts, span)))
+    bounds = st.integers(0, span + 1).map(lambda t: t * scale)
+    targets = draw(st.lists(st.tuples(bounds, bounds).map(sorted).map(tuple), max_size=8))
+    skyline = EdgeCoreSkyline(windows_by_edge, 2, (1, span * scale))
+    return skyline, ts * scale, te * scale, targets
+
+
+def count_work(walk) -> tuple[int, int]:
+    """The ``(count_visits, count_windows)`` work units ``walk()`` adds."""
+    counter = native.work_counter()
+    units = ("count_visits", "count_windows")
+    before = [counter.labels(unit).value for unit in units]
+    walk()
+    return tuple(int(counter.labels(u).value - b) for u, b in zip(units, before))
+
+
+class TestCountingColumns:
+    """The counting walk over the skyline's start-ordered columns."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(drawn_skylines())
+    def test_counters_equal_the_seed_walk(self, drawn):
+        """Count sink and router targets equal ``enumerate_ref``'s counters,
+        and the walk's work units are its visits and counted windows."""
+        skyline, ts, te, targets = drawn
+        skyline.check_skyline_invariant()
+        arrays = skyline.active_window_arrays(ts, te)
+        cores = oracle_cores(arrays) if len(arrays[0]) else []
+        router, router_sinks = router_counters(targets)
+        work = count_work(lambda: TestCompiledWalk.walk(skyline.cut(ts, te), router))
+        assert counters([router, *router_sinks]) == oracle_counters(
+            cores, [(ts, te)] + targets
+        )
+        assert work == (visits(cores), len(arrays[0]))
+        count = CountSink()
+        TestCompiledWalk.walk(skyline.cut(ts, te), count)
+        assert counters([count]) == oracle_counters(cores, [(ts, te)])
+
+    def test_start_offsets_and_columns(self):
+        """Columns by start, ties in flat order; floors from the flat predecessor."""
+        skyline = EdgeCoreSkyline(
+            [[(2, 3), (4, 6)], [], [(2, 2)], [(1, 5), (2, 6), (4, 7)]], 2, (1, 8)
+        )
+        ends, floors, bucket = skyline.counting_columns()
+        assert bucket.tolist() == [0, 0, 1, 4, 4, 6, 6, 6, 6, 6]
+        assert ends.tolist() == [5, 3, 2, 6, 6, 7]
+        assert floors.tolist() == [native.NO_FLOOR] * 3 + [2, 3, 3]
+        assert skyline.counting_columns()[0] is ends  # derived once
+
+    def test_work_counts_on_the_paper_example(self, paper_graph):
+        index = CoreIndex(paper_graph, 2)
+        assert count_work(lambda: index.query(1, paper_graph.tmax, collect=False)) == (5, 18)
+        # the three ranges share one covering window, [1, 7]
+        batch = [(1, paper_graph.tmax), (2, 5), (3, 7)]
+        assert count_work(lambda: index.query_batch(batch)) == (5, 18)
+        assert count_work(lambda: index.query(2, 5, collect=False)) == (3, 10)
+        assert count_work(lambda: index.query(2, 5)) == (0, 0)  # an emitting walk
+
+    def test_work_counts_on_a_seeded_graph(self):
+        graph = uniform_random_temporal(13, 150, tmax=22, seed=4)
+        index = CoreIndex(graph, 2)
+        assert index.ecs.size() == 274
+        assert count_work(lambda: index.query(1, graph.tmax, collect=False)) == (22, 274)
+        assert count_work(lambda: index.query(5, 17, collect=False)) == (13, 163)
+
+    def test_reads_derive_at_most_two_columns(self, monkeypatch):
+        """After a counting batch and a streamed query, the skyline holds its
+        flat runs, two start-ordered columns and the per-start offsets; no
+        per-window edge ids were materialised."""
+        from repro.core.windows import EdgeCoreSkyline as Skyline
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("window_eids materialised")
+
+        monkeypatch.setattr(Skyline, "window_eids", refused)
+        graph = uniform_random_temporal(14, 400, tmax=40, seed=9)
+        index = CoreIndex(graph, 2)
+        skyline = index.ecs
+        index.query_batch(random_windows(random.Random(9), graph.tmax, 16))
+        stream = io.StringIO()
+        index.query(5, 30, sink=NDJSONSink(stream))
+        assert stream.getvalue()
+        flat = {id(part) for part in skyline.flat_parts()}
+        derived = [
+            getattr(skyline, name) for name in Skyline.__slots__
+            if isinstance(getattr(skyline, name), np.ndarray)
+            and id(getattr(skyline, name)) not in flat
+        ]
+        offsets = (skyline.span[1] + 2) * 8
+        assert sum(part.nbytes for part in derived) <= 16 * skyline.size() + offsets
+        fresh = CoreIndex(graph, 2)
+        fresh.query(5, 30, sink=NDJSONSink(io.StringIO()))
+        assert all(  # an emitting read derives nothing
+            not isinstance(getattr(fresh.ecs, name), np.ndarray)
+            for name in ("_ends", "_floors", "_bucket")
+        )

@@ -17,11 +17,14 @@
    library (``-fsanitize=address,undefined -fno-sanitize-recover=all``),
    loaded through :mod:`repro.core.native` with its compiler command and
    cache directory redirected to a temp dir.
-3. Hands the sanitized ``repro_count_init`` two cuts of its own (see
-   :func:`count_cuts`): a mid-span cut whose first window's flat
-   predecessor lies outside it, which must count what the seed walk
-   counts, and a cut claiming a range its windows start before, which
-   must be refused.
+3. Hands the sanitized ``repro_skyline_columns`` and
+   ``repro_count_init`` cuts of their own (see :func:`count_cuts`): a
+   mid-span cut whose first window's flat predecessor lies outside it,
+   and the same cut with its times scaled by 1000 (counted over ranks),
+   which must both count what the seed walk counts; the columns of an
+   empty skyline and of one whose edges hold no window, whose cuts must
+   count nothing; and a cut claiming a range its windows start before,
+   which must be refused.
 4. Hands the sanitized ``repro_render_frames`` batches of its own (see
    :func:`render_frames`): ``INT64_MIN``/``INT64_MAX`` ids and times, a
    frame wider than a daemon outbox chunk, a batch without edge ids,
@@ -38,7 +41,7 @@
    its edges it holds, and every resume sizes the buffers to what the
    pass asked for, spare row included.  All must equal ``coretime_ref``
    entry for entry, and the second must hold such a key.
-6. Counts the calls of each of the nine entry points of
+6. Counts the calls of each of the ten entry points of
    :class:`~repro.core.native.Kernels` while the suites and cuts run,
    and reports them: an entry point nothing called is a failure, since
    the sanitizers never saw it.
@@ -71,6 +74,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from repro.core import multik, native  # noqa: E402
@@ -142,36 +146,52 @@ class FallbackWatch:
 
 
 def count_cuts() -> list[str]:
-    """Count a mid-span cut and refuse a malformed one; the problems found.
+    """Count mid-span, raw-time and empty cuts, refuse a malformed one; the problems found.
 
     The skyline's edge 0 has windows (1, 3), (2, 5), (4, 6).  The cut of
     ``[2, 6]`` starts past the windows starting at 1 (``lo > 0``) and
     holds edge 0 from its second window on, so that window activates at
     ``ts`` although its flat predecessor starts at 1; edge 2's (3, 7)
-    starts inside the range but ends after it.  The cut of the whole
-    start order claimed for ``[2, 7]`` holds windows starting at 1.
+    starts inside the range but ends after it.  Scaled by 1000, the
+    same cut spans far more time units than it holds windows, so it is
+    counted over ranks.  The cut of the whole start order claimed for
+    ``[2, 7]`` holds windows starting at 1.
     """
     from repro.core.enumerate_ref import enumerate_active_window_arrays_ref
     from repro.core.windows import EdgeCoreSkyline, SkylineCut
     from repro.serve.columnar import run_columnar_walk
     from repro.serve.sinks import CountSink
 
-    skyline = EdgeCoreSkyline(
-        [[(1, 3), (2, 5), (4, 6)], [(1, 2), (3, 4)], [(2, 4), (3, 7)]], 2, (1, 7)
-    )
+    windows = [[(1, 3), (2, 5), (4, 6)], [(1, 2), (3, 4)], [(2, 4), (3, 7)]]
     problems = []
-    cut = skyline.cut(2, 6)
-    if cut.lo == 0:
-        problems.append(f"the [2, 6] cut starts at lo = 0: {cut}")
-    sink = CountSink()
-    sink.finish(run_columnar_walk(cut, sink))
-    want = enumerate_active_window_arrays_ref(2, 2, 6, cut.arrays(), collect=False)
-    if (sink.num_results, sink.total_edges) != (want.num_results, want.total_edges):
-        problems.append(
-            f"mid-span cut counted {(sink.num_results, sink.total_edges)}, "
-            f"the seed walk {(want.num_results, want.total_edges)}"
+    for scale in (1000, 1):
+        skyline = EdgeCoreSkyline(
+            [[(a * scale, b * scale) for a, b in edge] for edge in windows], 2, (1, 7 * scale)
         )
-    full = skyline.cut(1, 7)
+        cut = skyline.cut(2 * scale, 6 * scale)
+        if cut.lo == 0:
+            problems.append(f"the [2, 6] cut starts at lo = 0: {cut}")
+        sink = CountSink()
+        sink.finish(run_columnar_walk(cut, sink))
+        # the seed walk steps through every time unit: run it over ranks
+        eids, *times = cut.arrays()
+        distinct = np.unique(np.concatenate(times))
+        ranked = [np.searchsorted(distinct, part) for part in times]
+        want = enumerate_active_window_arrays_ref(
+            2, 0, len(distinct) - 1, (eids, *ranked), collect=False
+        )
+        if (sink.num_results, sink.total_edges) != (want.num_results, want.total_edges):
+            problems.append(
+                f"mid-span cut scaled by {scale} counted {(sink.num_results, sink.total_edges)}, "
+                f"the seed walk {(want.num_results, want.total_edges)}"
+            )
+    for empty in (EdgeCoreSkyline([], 2, (1, 5)), EdgeCoreSkyline([[], []], 2, (1, 5))):
+        empty.counting_columns()
+        sink = CountSink()
+        sink.finish(run_columnar_walk(empty.cut(1, 5), sink))
+        if (sink.num_results, sink.total_edges) != (0, 0):
+            problems.append(f"an empty skyline counted {(sink.num_results, sink.total_edges)}")
+    full = skyline.cut(1, 7)  # the unscaled skyline
     try:
         run_columnar_walk(SkylineCut(skyline, full.lo, full.hi, 2, 7), CountSink())
     except ValueError:
@@ -184,8 +204,6 @@ def count_cuts() -> list[str]:
 def render_frames() -> list[str]:
     """Render batches at the int64 extremes and refuse a bad one; the problems found."""
     import json
-
-    import numpy as np
 
     low, high = -(2**63), 2**63 - 1
     run = [low, high, 0, -1, *range(10**15, 10**15 + 7 * 20_000, 7)]
